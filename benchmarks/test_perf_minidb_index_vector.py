@@ -16,8 +16,8 @@ keep 500 is pure waste.  This experiment measures:
 * ``multikey-join`` — a composite-key hash join (``ON f.k = d.k AND
   f.t = d.t``) that fell back to the row path before PR 8.
 
-Configs: ``interpreted`` (row pipeline, no compiled expressions),
-``row-idx`` (compiled row pipeline, index access), ``vec-seq``
+Configs: ``row-idx`` (the reference row path — ``planner.VECTORIZE``
+off, interpreted expressions — with index access), ``vec-seq``
 (vectorized, *no* indexes — the PR 6 engine's best), and ``vec-idx``
 (vectorized index scan).  All measured warm, best-of-3.  Every config
 must return identical rows, and flipping the numpy layer must not
@@ -35,7 +35,7 @@ from conftest import write_bench_json, write_report
 
 import repro.minidb.vector as vector_module
 from repro.minidb import Database
-from repro.minidb import planner as planner_module
+from repro.minidb.planner import flag_overrides
 
 SCALES = [("small", 10_000), ("medium", 50_000)]
 
@@ -66,11 +66,10 @@ WORKLOADS = [
 ]
 
 CONFIGS = [
-    # (label, compile_expressions, vectorize, indexed)
-    ("interpreted", False, False, True),
-    ("row-idx", True, False, True),
-    ("vec-seq", True, True, False),
-    ("vec-idx", True, True, True),
+    # (label, vectorize, indexed)
+    ("row-idx", False, True),
+    ("vec-seq", True, False),
+    ("vec-idx", True, True),
 ]
 
 
@@ -110,30 +109,23 @@ def best_of(database: Database, sql: str, runs: int = 3) -> float:
 
 @pytest.fixture(scope="module")
 def measurements():
-    saved_compile = planner_module.COMPILE_EXPRESSIONS
-    saved_vectorize = planner_module.VECTORIZE
     results = {}
-    try:
-        for scale, rows in SCALES:
-            for label, compile_expressions, vectorize, indexed in CONFIGS:
-                planner_module.COMPILE_EXPRESSIONS = compile_expressions
-                planner_module.VECTORIZE = vectorize
+    for scale, rows in SCALES:
+        for label, vectorize, indexed in CONFIGS:
+            with flag_overrides(vectorize=vectorize):
                 database = build_database(rows, indexed)
                 for workload, sql in WORKLOADS:
                     results[(scale, workload, label)] = (
                         best_of(database, sql),
                         database.query(sql).rows,
                     )
-    finally:
-        planner_module.COMPILE_EXPRESSIONS = saved_compile
-        planner_module.VECTORIZE = saved_vectorize
     return results
 
 
 def test_all_configs_agree(measurements):
     for scale, _rows in SCALES:
         for workload, _sql in WORKLOADS:
-            reference = measurements[(scale, workload, "interpreted")][1]
+            reference = measurements[(scale, workload, "row-idx")][1]
             for label, *_ in CONFIGS:
                 assert measurements[(scale, workload, label)][1] == reference, (
                     f"{label} diverges on {workload}@{scale}"
@@ -142,19 +134,17 @@ def test_all_configs_agree(measurements):
 
 def test_numpy_toggle_is_bit_identical():
     """REPRO_NUMPY=0 vs =1 on the benchmark corpus: every cell equal."""
-    saved_vectorize = planner_module.VECTORIZE
     saved_numpy = vector_module.NUMPY
-    planner_module.VECTORIZE = True
     try:
-        database = build_database(50_000, indexed=True)
-        for workload, sql in WORKLOADS:
-            vector_module.NUMPY = False
-            off = database.query(sql).rows
-            vector_module.NUMPY = vector_module.HAS_NUMPY
-            on = database.query(sql).rows
-            assert off == on, f"numpy toggle diverges on {workload}"
+        with flag_overrides(vectorize=True):
+            database = build_database(50_000, indexed=True)
+            for workload, sql in WORKLOADS:
+                vector_module.NUMPY = False
+                off = database.query(sql).rows
+                vector_module.NUMPY = vector_module.HAS_NUMPY
+                on = database.query(sql).rows
+                assert off == on, f"numpy toggle diverges on {workload}"
     finally:
-        planner_module.VECTORIZE = saved_vectorize
         vector_module.NUMPY = saved_numpy
 
 
@@ -170,18 +160,14 @@ def test_indexed_scan_speedup(measurements):
 
 
 def test_multikey_join_is_vectorized_with_speedup(measurements):
-    saved = planner_module.VECTORIZE
-    planner_module.VECTORIZE = True
-    try:
+    with flag_overrides(vectorize=True):
         database = build_database(1_000, indexed=True)
         plan = database.execute("EXPLAIN " + WORKLOADS[-1][1])
         assert "[vectorized]" in plan.rows[0][0]
-    finally:
-        planner_module.VECTORIZE = saved
-    interpreted = measurements[("medium", "multikey-join", "interpreted")][0]
+    row_path = measurements[("medium", "multikey-join", "row-idx")][0]
     vectorized = measurements[("medium", "multikey-join", "vec-idx")][0]
-    assert interpreted / vectorized >= 2.0, (
-        f"multi-key join speedup {interpreted / vectorized:.1f}x < 2x"
+    assert row_path / vectorized >= 2.0, (
+        f"multi-key join speedup {row_path / vectorized:.1f}x < 2x"
     )
 
 
@@ -194,7 +180,7 @@ def test_report(measurements):
         "",
         f"{'scale':8} {'workload':16} "
         + " ".join(f"{label:>12}" for label, *_ in CONFIGS)
-        + f" {'idx/seq':>8} {'vec/interp':>10}",
+        + f" {'idx/seq':>8} {'vec/row':>10}",
     ]
     for scale, rows in SCALES:
         for workload, _sql in WORKLOADS:
@@ -203,11 +189,11 @@ def test_report(measurements):
                 for label, *_ in CONFIGS
             }
             idx_speedup = times["vec-seq"] / times["vec-idx"]
-            interp_speedup = times["interpreted"] / times["vec-idx"]
+            row_speedup = times["row-idx"] / times["vec-idx"]
             lines.append(
                 f"{scale:8} {workload:16} "
                 + " ".join(f"{times[label]:12.3f}" for label, *_ in CONFIGS)
-                + f" {idx_speedup:7.1f}x {interp_speedup:9.1f}x"
+                + f" {idx_speedup:7.1f}x {row_speedup:9.1f}x"
             )
         lines.append("")
     lines.append(
@@ -223,7 +209,7 @@ def test_report(measurements):
     }
     medium_seq = measurements[("medium", "point-agg", "vec-seq")][0]
     medium_idx = measurements[("medium", "point-agg", "vec-idx")][0]
-    join_interp = measurements[("medium", "multikey-join", "interpreted")][0]
+    join_row = measurements[("medium", "multikey-join", "row-idx")][0]
     join_vec = measurements[("medium", "multikey-join", "vec-idx")][0]
     write_bench_json(
         "minidb_index_vector",
@@ -237,9 +223,7 @@ def test_report(measurements):
             },
             "speedup": {
                 "medium_point_agg_vec_idx_vs_vec_seq": medium_seq / medium_idx,
-                "medium_multikey_join_vec_vs_interpreted": (
-                    join_interp / join_vec
-                ),
+                "medium_multikey_join_vec_vs_row": join_row / join_vec,
             },
         },
     )

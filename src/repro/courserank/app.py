@@ -147,16 +147,22 @@ class CourseRank:
 
         The course's search entity is refreshed in place, so new comment
         vocabulary becomes searchable (and cloud-visible) immediately.
+
+        Like every facade writer, this mutates tables directly
+        (``Table.insert``/``update_where``, not SQL), so it takes the
+        database's write lock itself: a concurrent ``db.query`` must
+        never scan a table mid-mutation.
         """
         self.accounts.authorize(user, "comment")
-        comment = self.ratings.add_comment(
-            user.person_id, course_id, text, rating, day=day
-        )
-        self.incentives.award(user.user_id, "comment", day=day)
-        if rating is not None:
-            self.incentives.award(user.user_id, "rate_course", day=day)
-        if self.cloudsearch._built:
-            self.cloudsearch.engine.refresh_document(course_id)
+        with self.db.rwlock.write_locked():
+            comment = self.ratings.add_comment(
+                user.person_id, course_id, text, rating, day=day
+            )
+            self.incentives.award(user.user_id, "comment", day=day)
+            if rating is not None:
+                self.incentives.award(user.user_id, "rate_course", day=day)
+            if self.cloudsearch._built:
+                self.cloudsearch.engine.refresh_document(course_id)
         return comment
 
     def add_faculty_note(
@@ -175,11 +181,15 @@ class CourseRank:
             raise AuthorizationError(
                 "faculty may only annotate courses they teach"
             )
-        current = self.db.query("SELECT MAX(NoteID) FROM FacultyNotes").scalar()
-        note_id = (current or 0) + 1
-        self.db.table("FacultyNotes").insert(
-            [note_id, course_id, user.person_id, text, day or datetime.date.today()]
-        )
+        with self.db.rwlock.write_locked():
+            current = self.db.query(
+                "SELECT MAX(NoteID) FROM FacultyNotes"
+            ).scalar()
+            note_id = (current or 0) + 1
+            self.db.table("FacultyNotes").insert(
+                [note_id, course_id, user.person_id, text,
+                 day or datetime.date.today()]
+            )
         return note_id
 
     def define_requirement(
@@ -187,30 +197,32 @@ class CourseRank:
     ) -> int:
         """Staff action: enter a program requirement."""
         self.accounts.authorize(user, "define_requirement")
-        return self.tracker.define(dep_id, name, rule)
+        with self.db.rwlock.write_locked():
+            return self.tracker.define(dep_id, name, rule)
 
     def report_textbook(
         self, user: User, course_id: int, title: str, author: str = ""
     ) -> int:
         """Volunteer textbook reporting (the bookstore wouldn't share)."""
         self.accounts.authorize(user, "report_textbook")
-        textbooks = self.db.table("Textbooks")
-        existing = self.db.query(
-            f"SELECT TextbookID FROM Textbooks WHERE Title = "
-            f"'{title.replace(chr(39), chr(39) * 2)}'"
-        ).rows
-        if existing:
-            textbook_id = existing[0][0]
-        else:
-            current = self.db.query(
-                "SELECT MAX(TextbookID) FROM Textbooks"
-            ).scalar()
-            textbook_id = (current or 0) + 1
-            textbooks.insert([textbook_id, title, author or None])
-        link = self.db.table("CourseTextbooks")
-        if link.lookup_pk((course_id, textbook_id)) is None:
-            link.insert([course_id, textbook_id, user.person_id])
-            self.incentives.award(user.user_id, "report_textbook")
+        with self.db.rwlock.write_locked():
+            textbooks = self.db.table("Textbooks")
+            existing = self.db.query(
+                f"SELECT TextbookID FROM Textbooks WHERE Title = "
+                f"'{title.replace(chr(39), chr(39) * 2)}'"
+            ).rows
+            if existing:
+                textbook_id = existing[0][0]
+            else:
+                current = self.db.query(
+                    "SELECT MAX(TextbookID) FROM Textbooks"
+                ).scalar()
+                textbook_id = (current or 0) + 1
+                textbooks.insert([textbook_id, title, author or None])
+            link = self.db.table("CourseTextbooks")
+            if link.lookup_pk((course_id, textbook_id)) is None:
+                link.insert([course_id, textbook_id, user.person_id])
+                self.incentives.award(user.user_id, "report_textbook")
         return textbook_id
 
     def compare_course_to_department(self, user: User, course_id: int) -> Dict[str, Any]:

@@ -336,7 +336,7 @@ class Database:
         """EXPLAIN ANALYZE: run a SELECT and return an
         :class:`~repro.minidb.executor.AnalyzeReport` — the result set
         plus the plan annotated with per-node rows-in/rows-out and wall
-        time ([cached]/[compiled-expr] markers included)."""
+        time ([cached]/[vectorized] markers included)."""
         return self._get_executor().analyze(sql, params=params)
 
     # -- transactions --------------------------------------------------------

@@ -164,7 +164,6 @@ class AnalyzeReport:
         root: NodeStats,
         total_ms: float,
         cached: bool,
-        compiled: bool,
         vectorized: bool = False,
     ) -> None:
         self.result = result
@@ -172,7 +171,6 @@ class AnalyzeReport:
         self.root = root
         self.total_ms = total_ms
         self.cached = cached
-        self.compiled = compiled
         self.vectorized = vectorized
 
     @property
@@ -183,7 +181,6 @@ class AnalyzeReport:
         return {
             "total_ms": self.total_ms,
             "cached": self.cached,
-            "compiled": self.compiled,
             "vectorized": self.vectorized,
             "row_count": len(self.result),
             "plan": self.root.to_dict(),
@@ -280,6 +277,18 @@ def _analyze_node_lines(record: NodeStats, indent: int) -> List[str]:
     for child in record.children:
         lines.extend(_analyze_node_lines(child, indent + 1))
     return lines
+
+
+def _plan_markers(plan: QueryPlan, cached: bool) -> str:
+    """The ``[cached]``/``[vectorized]``/``[numpy]`` suffix of a plan's
+    first EXPLAIN line: how the *next* run of ``plan`` executes, so the
+    markers follow the run-time flags without replanning."""
+    markers = " [cached]" if cached else ""
+    if plan.vectorized:
+        markers += " [vectorized]"
+        if plan.vector.uses_numpy:
+            markers += " [numpy]"
+    return markers
 
 
 def _profile_node_lines(record: NodeStats, indent: int) -> List[str]:
@@ -431,24 +440,14 @@ class Executor:
         )
         lines.extend(_analyze_node_lines(root, indent + 1))
         # Same marker placement as plain EXPLAIN: first line of the plan.
-        if cached:
-            lines[0] += " [cached]"
-        if getattr(plan, "compiled", False):
-            lines[0] += " [compiled-expr]"
-        vector_plan = getattr(plan, "vector", None)
-        vectorized = vector_plan is not None
-        if vectorized:
-            lines[0] += " [vectorized]"
-            if vector_plan.uses_numpy:
-                lines[0] += " [numpy]"
+        lines[0] += _plan_markers(plan, cached)
         return AnalyzeReport(
             result=result,
             lines=lines,
             root=root,
             total_ms=total_ms,
             cached=cached,
-            compiled=bool(getattr(plan, "compiled", False)),
-            vectorized=vectorized,
+            vectorized=plan.vectorized,
         )
 
     def _run_instrumented(
@@ -587,17 +586,8 @@ class Executor:
             )
         plan, cached = self.plan_for(statement.query)
         lines = plan.describe()
-        head = lines[0] + (" [cached]" if cached else "")
-        if getattr(plan, "compiled", False):
-            head += " [compiled-expr]"
-        vector_plan = getattr(plan, "vector", None)
-        if vector_plan is not None:
-            head += " [vectorized]"
-            if vector_plan.uses_numpy:
-                head += " [numpy]"
-        return ResultSet(
-            ["QUERY PLAN"], [(line,) for line in [head] + lines[1:]]
-        )
+        lines[0] += _plan_markers(plan, cached)
+        return ResultSet(["QUERY PLAN"], [(line,) for line in lines])
 
     def _run_union(
         self,

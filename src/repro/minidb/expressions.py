@@ -15,7 +15,7 @@ mirrors these semantics operator by operator — evaluation order,
 short-circuit structure, and error messages included — and reuses the
 helpers here (``_compare``, ``_numeric_binop``, ``kleene_*``,
 ``_as_bool``, ``like_to_regex``, ``order_key``).  A semantic change in
-this module must be reflected there; the testkit's six-config
+this module must be reflected there; the testkit's five-config
 differential sweep pins the equivalence.
 """
 
@@ -54,20 +54,10 @@ class Expression:
     def evaluate(self, env: Env) -> Any:
         raise NotImplementedError
 
-    def compile(self) -> Callable[[Env], Any]:
-        """Compile this tree into a single ``Env -> value`` closure.
-
-        The planner calls this once per plan so per-row evaluation skips
-        the recursive ``evaluate`` dispatch.  The default falls back to
-        the bound ``evaluate`` method, so subclasses without a bespoke
-        compilation stay correct.
-        """
-        return self.evaluate
-
     def is_boolean(self) -> bool:
         """True when evaluation can only yield True, False, or None.
 
-        Lets logical operators compile without per-row ``_as_bool``
+        Lets the vector kernels for AND/OR skip per-row ``_as_bool``
         coercion; subclasses with strictly three-valued results override.
         """
         return False
@@ -100,10 +90,6 @@ class Literal(Expression):
     def is_boolean(self) -> bool:
         return self.value is None or isinstance(self.value, bool)
 
-    def compile(self) -> Callable[[Env], Any]:
-        value = self.value
-        return lambda env: value
-
     def to_sql(self) -> str:
         if self.value is None:
             return "NULL"
@@ -122,38 +108,25 @@ class ColumnRef(Expression):
     def __init__(self, column: str, qualifier: Optional[str] = None) -> None:
         self.column = column
         self.qualifier = qualifier
-
-    @property
-    def key(self) -> str:
-        if self.qualifier:
-            return f"{self.qualifier.lower()}.{self.column.lower()}"
-        return self.column.lower()
+        #: the env key this reference reads
+        self.key = (
+            f"{qualifier.lower()}.{column.lower()}"
+            if qualifier
+            else column.lower()
+        )
 
     def evaluate(self, env: Env) -> Any:
-        key = self.key
-        if key not in env:
-            raise UnknownColumnError(f"unknown column {self.to_sql()!r}")
-        value = env[key]
+        try:
+            value = env[self.key]
+        except KeyError:
+            raise UnknownColumnError(
+                f"unknown column {self.to_sql()!r}"
+            ) from None
         if value is AMBIGUOUS:
             raise AmbiguousColumnError(
                 f"column reference {self.to_sql()!r} is ambiguous"
             )
         return value
-
-    def compile(self) -> Callable[[Env], Any]:
-        key = self.key
-        evaluate = self.evaluate
-
-        def compiled(env: Env) -> Any:
-            try:
-                value = env[key]
-            except KeyError:
-                return evaluate(env)  # raises UnknownColumnError
-            if value is AMBIGUOUS:
-                return evaluate(env)  # raises AmbiguousColumnError
-            return value
-
-        return compiled
 
     def to_sql(self) -> str:
         if self.qualifier:
@@ -184,18 +157,6 @@ class Parameter(Expression):
                 "execute through a prepared statement with enough arguments"
             )
         return params[self.index]
-
-    def compile(self) -> Callable[[Env], Any]:
-        index = self.index
-        evaluate = self.evaluate
-
-        def compiled(env: Env) -> Any:
-            params = env.get("__params__")
-            if params is None or index >= len(params):
-                return evaluate(env)  # raises ExecutionError
-            return params[index]
-
-        return compiled
 
     def to_sql(self) -> str:
         return "?"
@@ -326,97 +287,6 @@ class BinaryOp(Expression):
     def is_boolean(self) -> bool:
         return self.op in ("AND", "OR") or self.op in _COMPARE
 
-    def compile(self) -> Callable[[Env], Any]:
-        op = self.op
-        left = self.left.compile()
-        right = self.right.compile()
-        strict = self.left.is_boolean() and self.right.is_boolean()
-        if op == "AND":
-            if strict:
-                # Both operands provably yield True/False/None, so the
-                # per-row _as_bool coercion and kleene table collapse to
-                # identity checks.
-                def compiled_and_strict(env: Env) -> Optional[bool]:
-                    first = left(env)
-                    if first is False:
-                        return False
-                    second = right(env)
-                    if second is False:
-                        return False
-                    if first is None or second is None:
-                        return None
-                    return True
-
-                return compiled_and_strict
-
-            def compiled_and(env: Env) -> Optional[bool]:
-                first = _as_bool(left(env))
-                if first is False:
-                    return False
-                return kleene_and(first, _as_bool(right(env)))
-
-            return compiled_and
-        if op == "OR":
-            if strict:
-
-                def compiled_or_strict(env: Env) -> Optional[bool]:
-                    first = left(env)
-                    if first is True:
-                        return True
-                    second = right(env)
-                    if second is True:
-                        return True
-                    if first is None or second is None:
-                        return None
-                    return False
-
-                return compiled_or_strict
-
-            def compiled_or(env: Env) -> Optional[bool]:
-                first = _as_bool(left(env))
-                if first is True:
-                    return True
-                return kleene_or(first, _as_bool(right(env)))
-
-            return compiled_or
-        if op == "||":
-
-            def compiled_concat(env: Env) -> Optional[str]:
-                lhs = left(env)
-                rhs = right(env)
-                if lhs is None or rhs is None:
-                    return None
-                return str(lhs) + str(rhs)
-
-            return compiled_concat
-        if op in _COMPARE:
-            comparator = _COMPARE_FUNCS[op]
-
-            def compiled_compare(env: Env) -> Optional[bool]:
-                lhs = left(env)
-                rhs = right(env)
-                if lhs is None or rhs is None:
-                    return None
-                try:
-                    return comparator(lhs, rhs)
-                except TypeError as exc:
-                    raise ExecutionError(
-                        f"cannot compare {lhs!r} with {rhs!r}"
-                    ) from exc
-
-            return compiled_compare
-        if op in _ARITH:
-
-            def compiled_arith(env: Env) -> Any:
-                lhs = left(env)
-                rhs = right(env)
-                if lhs is None or rhs is None:
-                    return None
-                return _numeric_binop(op, lhs, rhs)
-
-            return compiled_arith
-        return self.evaluate
-
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
 
@@ -453,23 +323,6 @@ class UnaryOp(Expression):
     def is_boolean(self) -> bool:
         return self.op == "NOT"
 
-    def compile(self) -> Callable[[Env], Any]:
-        operand = self.operand.compile()
-        if self.op == "NOT":
-            return lambda env: kleene_not(_as_bool(operand(env)))
-        if self.op == "-":
-
-            def compiled_negate(env: Env) -> Any:
-                value = operand(env)
-                if value is None:
-                    return None
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ExecutionError(f"cannot negate {value!r}")
-                return -value
-
-            return compiled_negate
-        return self.evaluate
-
     def to_sql(self) -> str:
         if self.op == "NOT":
             return f"(NOT {self.operand.to_sql()})"
@@ -493,33 +346,6 @@ class IsNull(Expression):
 
     def is_boolean(self) -> bool:
         return True
-
-    def compile(self) -> Callable[[Env], bool]:
-        if isinstance(self.operand, ColumnRef):
-            # Fused column null-check: one closure call instead of two.
-            key = self.operand.key
-            fallback = self.operand.compile()
-            if self.negated:
-
-                def compiled_col_not_null(env: Env) -> bool:
-                    value = env.get(key, AMBIGUOUS)
-                    if value is AMBIGUOUS:
-                        value = fallback(env)  # raises or resolves
-                    return value is not None
-
-                return compiled_col_not_null
-
-            def compiled_col_null(env: Env) -> bool:
-                value = env.get(key, AMBIGUOUS)
-                if value is AMBIGUOUS:
-                    value = fallback(env)  # raises or resolves
-                return value is None
-
-            return compiled_col_null
-        operand = self.operand.compile()
-        if self.negated:
-            return lambda env: operand(env) is not None
-        return lambda env: operand(env) is None
 
     def to_sql(self) -> str:
         keyword = "IS NOT NULL" if self.negated else "IS NULL"
@@ -562,60 +388,6 @@ class InList(Expression):
             return None
         return self.negated
 
-    def compile(self) -> Callable[[Env], Optional[bool]]:
-        operand = self.operand.compile()
-        negated = self.negated
-        if not self.items:
-            # Empty folded subquery: constant FALSE/TRUE, NULL-immune.
-            return lambda env: negated
-        if all(isinstance(item, Literal) for item in self.items):
-            # Planner-resolved IN (SELECT ...) lists land here: membership
-            # becomes one hash probe instead of a per-item equality walk.
-            values = [item.value for item in self.items]
-            saw_null = any(value is None for value in values)
-            non_null = [value for value in values if value is not None]
-            try:
-                lookup = set(non_null)
-            except TypeError:  # unhashable literal; keep the linear scan
-                lookup = None
-
-            def compiled_literal(env: Env) -> Optional[bool]:
-                value = operand(env)
-                if value is None:
-                    return None
-                if lookup is not None:
-                    try:
-                        found = value in lookup
-                    except TypeError:
-                        found = any(candidate == value for candidate in non_null)
-                else:
-                    found = any(candidate == value for candidate in non_null)
-                if found:
-                    return not negated
-                if saw_null:
-                    return None
-                return negated
-
-            return compiled_literal
-        items = [item.compile() for item in self.items]
-
-        def compiled(env: Env) -> Optional[bool]:
-            value = operand(env)
-            if value is None:
-                return None
-            saw_null = False
-            for item in items:
-                candidate = item(env)
-                if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
-
-        return compiled
-
     def to_sql(self) -> str:
         keyword = "NOT IN" if self.negated else "IN"
         inner = ", ".join(item.to_sql() for item in self.items)
@@ -651,21 +423,6 @@ class Between(Expression):
         high = self.high.evaluate(env)
         result = kleene_and(_compare(">=", value, low), _compare("<=", value, high))
         return kleene_not(result) if self.negated else result
-
-    def compile(self) -> Callable[[Env], Optional[bool]]:
-        operand = self.operand.compile()
-        low = self.low.compile()
-        high = self.high.compile()
-        negated = self.negated
-
-        def compiled(env: Env) -> Optional[bool]:
-            value = operand(env)
-            result = kleene_and(
-                _compare(">=", value, low(env)), _compare("<=", value, high(env))
-            )
-            return kleene_not(result) if negated else result
-
-        return compiled
 
     def to_sql(self) -> str:
         keyword = "NOT BETWEEN" if self.negated else "BETWEEN"
@@ -729,29 +486,6 @@ class Like(Expression):
         matched = regex.match(value) is not None
         return not matched if self.negated else matched
 
-    def compile(self) -> Callable[[Env], Optional[bool]]:
-        pattern = self.pattern
-        if not (isinstance(pattern, Literal) and isinstance(pattern.value, str)):
-            return self.evaluate
-        operand = self.operand.compile()
-        negated = self.negated
-        case_insensitive = self.case_insensitive
-        text = pattern.value.lower() if case_insensitive else pattern.value
-        regex = like_to_regex(text)
-
-        def compiled(env: Env) -> Optional[bool]:
-            value = operand(env)
-            if value is None:
-                return None
-            if not isinstance(value, str):
-                raise ExecutionError("LIKE requires text operands")
-            if case_insensitive:
-                value = value.lower()
-            matched = regex.match(value) is not None
-            return not matched if negated else matched
-
-        return compiled
-
     def to_sql(self) -> str:
         operator = "ILIKE" if self.case_insensitive else "LIKE"
         if self.negated:
@@ -781,23 +515,6 @@ class Case(Expression):
         if self.default is not None:
             return self.default.evaluate(env)
         return None
-
-    def compile(self) -> Callable[[Env], Any]:
-        branches = [
-            (condition.compile(), value.compile())
-            for condition, value in self.branches
-        ]
-        default = self.default.compile() if self.default is not None else None
-
-        def compiled(env: Env) -> Any:
-            for condition, value in branches:
-                if _as_bool(condition(env)) is True:
-                    return value(env)
-            if default is not None:
-                return default(env)
-            return None
-
-        return compiled
 
     def to_sql(self) -> str:
         parts = ["CASE"]
@@ -836,21 +553,6 @@ class FunctionCall(Expression):
         function = registry.scalar(self.name)
         values = [argument.evaluate(env) for argument in self.arguments]
         return function(*values)
-
-    def compile(self) -> Callable[[Env], Any]:
-        name = self.name
-        arguments = [argument.compile() for argument in self.arguments]
-
-        def compiled(env: Env) -> Any:
-            registry = env.get("__functions__")
-            if registry is None:
-                raise ExecutionError(
-                    f"no function registry available for {name!r}"
-                )
-            function = registry.scalar(name)
-            return function(*[argument(env) for argument in arguments])
-
-        return compiled
 
     def to_sql(self) -> str:
         inner = ", ".join(argument.to_sql() for argument in self.arguments)

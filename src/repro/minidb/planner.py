@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import (
@@ -62,87 +61,53 @@ from repro.minidb.sql.ast import (
 
 Row = Tuple[Any, ...]
 
-#: Kill-switch for the execution fast path: closure-compiled
-#: expressions, trivial-subquery flattening, single-key join/group
-#: hashing, and itemgetter row emission.  Flipping it off makes newly
-#: built plans use the tree-walking interpreted pipeline — the benchmarks
-#: use that to measure the pre-fast-path baseline, and it is an escape
-#: hatch if a compiled closure misbehaves.  Cached plans built under the
-#: previous setting keep their shape; call ``Database.clear_plan_cache()``
-#: after changing it.
-COMPILE_EXPRESSIONS = True
-
-#: Kill-switch for the batch-vectorized executor (``repro.minidb.vector``).
-#: When on, ``plan_select`` attaches a vectorized twin to every plan whose
-#: root the batch path covers; ``QueryPlan.run`` routes through it.  Same
-#: caching caveat as COMPILE_EXPRESSIONS: plans keep the shape they were
-#: built with until ``Database.clear_plan_cache()``.
+#: Selector between minidb's two execution paths.  On (production),
+#: ``QueryPlan.run`` routes through the plan's batch-vectorized twin
+#: (``repro.minidb.vector``) whenever the router built one.  Off, every
+#: plan runs on the row tree below, evaluated by ``Expression.evaluate``
+#: — the in-repo reference semantics the tests hold the vector path to.
+#: Read at run time: a cached plan carries both shapes, so flipping the
+#: flag takes effect on the next execution with no plan-cache clearing.
 VECTORIZE = True
 
-#: Serializes scoped overrides of the two module flags above.  The flags
-#: are process-global, so the historical save/set/restore pattern was not
-#: reentrant: two threads interleaving their restores could leave a flag
-#: permanently flipped.  All scoped flag changes now go through
-#: :func:`flag_overrides`, which holds this (reentrant) lock for the
-#: duration of the override — concurrent overriders serialize, nested
+#: Serializes scoped overrides of the flag above.  It is process-global,
+#: so a bare save/set/restore is not reentrant: two threads interleaving
+#: their restores could leave it permanently flipped.  Scoped changes go
+#: through :func:`flag_overrides`, which holds this (reentrant) lock for
+#: the duration of the override — concurrent overriders serialize, nested
 #: overrides on one thread compose, and the restore always lands.
 _FLAG_LOCK = threading.RLock()
 
 
 @contextmanager
-def flag_overrides(
-    compile_expressions: Optional[bool] = None,
-    vectorize: Optional[bool] = None,
-) -> Iterator[None]:
-    """Temporarily override the planner kill-switches, thread-safely.
-
-    ``None`` leaves a flag untouched.  Plans built inside the scope bake
-    the overridden flags in (as always); the plan cache keyed on prior
-    flags is unaffected because callers that care (the testkit oracle)
-    use fresh databases per run.
-    """
-    global COMPILE_EXPRESSIONS, VECTORIZE
+def flag_overrides(vectorize: bool) -> Iterator[None]:
+    """Temporarily override ``VECTORIZE``, thread-safely."""
+    global VECTORIZE
     with _FLAG_LOCK:
-        saved = (COMPILE_EXPRESSIONS, VECTORIZE)
-        if compile_expressions is not None:
-            COMPILE_EXPRESSIONS = compile_expressions
-        if vectorize is not None:
-            VECTORIZE = vectorize
+        saved = VECTORIZE
+        VECTORIZE = vectorize
         try:
             yield
         finally:
-            COMPILE_EXPRESSIONS, VECTORIZE = saved
+            VECTORIZE = saved
 
 
-def compile_expression(expression: Expression) -> Any:
-    if COMPILE_EXPRESSIONS:
-        return expression.compile()
-    return expression.evaluate
-
-
-def _row_emitter(
-    keys: List[Tuple[int, str, Optional[str]]]
-) -> Tuple[List[str], Any]:
-    """(env keys, row picker) for emitting a row tuple into an env dict.
+def _emit_row(
+    base_env: Env, keys: List[Tuple[int, str, Optional[str]]], row: Row
+) -> Env:
+    """A fresh env for ``row``: the scope's base env plus its columns.
 
     ``keys`` holds ``(row_index, qualified_name, bare_name_or_None)``
     triples; row indices need not be contiguous (pruned scans skip
-    columns nothing references).  The picker pulls the qualified values
-    followed by the duplicated bare-name values out of a row tuple in one
-    C-level call, so emitting is a dict copy plus a single ``update``.
+    columns nothing references).
     """
-    emit_keys = [qualified for _index, qualified, _bare in keys] + [
-        bare for _index, _qualified, bare in keys if bare
-    ]
-    indices = [index for index, _qualified, _bare in keys] + [
-        index for index, _qualified, bare in keys if bare
-    ]
-    if not indices:
-        return emit_keys, lambda row: ()
-    if len(indices) == 1:
-        only = indices[0]
-        return emit_keys, lambda row: (row[only],)
-    return emit_keys, itemgetter(*indices)
+    env = dict(base_env)
+    for index, qualified, bare in keys:
+        value = row[index]
+        env[qualified] = value
+        if bare:
+            env[bare] = value
+    return env
 
 
 class Binding:
@@ -187,9 +152,6 @@ class ScanNode(PlanNode):
         self.binding = binding
         self.base_env = base_env
         self.predicate = predicate
-        self._predicate = (
-            compile_expression(predicate) if predicate is not None else None
-        )
         self.access = access
         prefix = binding.name.lower() + "."
         self._keys = []
@@ -209,22 +171,6 @@ class ScanNode(PlanNode):
         self.env_keys = [qualified for _index, qualified, _bare in self._keys] + [
             bare for _index, _qualified, bare in self._keys if bare
         ]
-        # Hot path: one C-level itemgetter + dict update per row instead
-        # of a Python loop over columns.
-        self._emit_keys, self._pick = _row_emitter(self._keys)
-        self._fast_emit = COMPILE_EXPRESSIONS
-
-    def _emit(self, row: Row) -> Env:
-        env = dict(self.base_env)
-        if self._fast_emit:
-            env.update(zip(self._emit_keys, self._pick(row)))
-            return env
-        for index, qualified, bare in self._keys:
-            value = row[index]
-            env[qualified] = value
-            if bare:
-                env[bare] = value
-        return env
 
     def rows(self) -> Iterator[Env]:
         source = (
@@ -232,32 +178,13 @@ class ScanNode(PlanNode):
             if self.access is not None
             else self.table.rows()
         )
-        predicate = self._predicate
-        if self._fast_emit:
-            # Inlined _emit: per-row function-call overhead matters here.
-            base_env = self.base_env
-            emit_keys = self._emit_keys
-            pick = self._pick
-            if predicate is None:
-                for row in source:
-                    env = dict(base_env)
-                    env.update(zip(emit_keys, pick(row)))
-                    yield env
-            else:
-                for row in source:
-                    env = dict(base_env)
-                    env.update(zip(emit_keys, pick(row)))
-                    if predicate(env) is True:
-                        yield env
-            return
-        if predicate is None:
-            for row in source:
-                yield self._emit(row)
-        else:
-            for row in source:
-                env = self._emit(row)
-                if predicate(env) is True:
-                    yield env
+        base_env = self.base_env
+        keys = self._keys
+        predicate = self.predicate
+        for row in source:
+            env = _emit_row(base_env, keys, row)
+            if predicate is None or predicate.evaluate(env) is True:
+                yield env
 
     def describe(self) -> List[str]:
         if self.access is not None:
@@ -352,28 +279,11 @@ class SubqueryScanNode(PlanNode):
         self.env_keys = [qualified for _index, qualified, _bare in self._keys] + [
             bare for _index, _qualified, bare in self._keys if bare
         ]
-        self._emit_keys, self._pick = _row_emitter(self._keys)
-        self._fast_emit = COMPILE_EXPRESSIONS
 
     def rows(self) -> Iterator[Env]:
         _columns, rows = self.plan.run()
-        base_env = self.base_env
-        if self._fast_emit:
-            emit_keys = self._emit_keys
-            pick = self._pick
-            for row in rows:
-                env = dict(base_env)
-                env.update(zip(emit_keys, pick(row)))
-                yield env
-            return
         for row in rows:
-            env = dict(base_env)
-            for index, qualified, bare in self._keys:
-                value = row[index]
-                env[qualified] = value
-                if bare:
-                    env[bare] = value
-            yield env
+            yield _emit_row(self.base_env, self._keys, row)
 
     def describe(self) -> List[str]:
         inner = ["  " + line for line in self.plan.describe()]
@@ -398,85 +308,26 @@ class HashJoinNode(PlanNode):
         self.right_keys = right_keys
         self.residual = residual
         self.left_outer = left_outer
-        self._left_keys = [compile_expression(expr) for expr in left_keys]
-        self._right_keys = [compile_expression(expr) for expr in right_keys]
-        self._residual = (
-            compile_expression(residual) if residual is not None else None
-        )
-        self._single_key = COMPILE_EXPRESSIONS and len(self._right_keys) == 1
         self.env_keys = left.env_keys + right.env_keys
 
     def rows(self) -> Iterator[Env]:
-        # Single-column equi-joins (the overwhelmingly common case) hash
-        # the bare value, skipping per-row tuple construction.
-        if self._single_key:
-            yield from self._rows_single_key()
-            return
         table: Dict[Tuple[Any, ...], List[Env]] = {}
-        right_keys = self._right_keys
+        right_keys = self.right_keys
         for env in self.right.rows():
-            key = tuple(expr(env) for expr in right_keys)
+            key = tuple(expr.evaluate(env) for expr in right_keys)
             if any(part is None for part in key):
                 continue  # NULL never equi-joins
             table.setdefault(key, []).append(env)
         padding = {key: None for key in self.right.env_keys}
-        left_keys = self._left_keys
-        residual = self._residual
+        left_keys = self.left_keys
+        residual = self.residual
         for left_env in self.left.rows():
-            key = tuple(expr(left_env) for expr in left_keys)
+            key = tuple(expr.evaluate(left_env) for expr in left_keys)
             matched = False
             if not any(part is None for part in key):
                 for right_env in table.get(key, ()):
                     merged = {**left_env, **right_env}
-                    if residual is None or residual(merged) is True:
-                        matched = True
-                        yield merged
-            if not matched and self.left_outer:
-                yield {**left_env, **padding}
-
-    def _rows_single_key(self) -> Iterator[Env]:
-        table: Dict[Any, List[Env]] = {}
-        right_key = self._right_keys[0]
-        for env in self.right.rows():
-            key = right_key(env)
-            if key is None:
-                continue  # NULL never equi-joins
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = [env]
-            else:
-                bucket.append(env)
-        left_key = self._left_keys[0]
-        residual = self._residual
-        table_get = table.get
-        if not self.left_outer:
-            # Inner join: no match bookkeeping, no NULL padding.
-            if residual is None:
-                for left_env in self.left.rows():
-                    bucket = table_get(left_key(left_env))
-                    if bucket is None:
-                        continue
-                    for right_env in bucket:
-                        yield {**left_env, **right_env}
-                return
-            for left_env in self.left.rows():
-                bucket = table_get(left_key(left_env))
-                if bucket is None:
-                    continue
-                for right_env in bucket:
-                    merged = {**left_env, **right_env}
-                    if residual(merged) is True:
-                        yield merged
-            return
-        padding = {key: None for key in self.right.env_keys}
-        empty: List[Env] = []
-        for left_env in self.left.rows():
-            key = left_key(left_env)
-            matched = False
-            if key is not None:
-                for right_env in table.get(key, empty):
-                    merged = {**left_env, **right_env}
-                    if residual is None or residual(merged) is True:
+                    if residual is None or residual.evaluate(merged) is True:
                         matched = True
                         yield merged
             if not matched and self.left_outer:
@@ -510,20 +361,17 @@ class NestedLoopJoinNode(PlanNode):
         self.right = right
         self.condition = condition
         self.left_outer = left_outer
-        self._condition = (
-            compile_expression(condition) if condition is not None else None
-        )
         self.env_keys = left.env_keys + right.env_keys
 
     def rows(self) -> Iterator[Env]:
         right_rows = list(self.right.rows())
         padding = {key: None for key in self.right.env_keys}
-        condition = self._condition
+        condition = self.condition
         for left_env in self.left.rows():
             matched = False
             for right_env in right_rows:
                 merged = {**left_env, **right_env}
-                if condition is None or condition(merged) is True:
+                if condition is None or condition.evaluate(merged) is True:
                     matched = True
                     yield merged
             if not matched and self.left_outer:
@@ -543,13 +391,12 @@ class FilterNode(PlanNode):
     def __init__(self, child: PlanNode, predicate: Expression) -> None:
         self.child = child
         self.predicate = predicate
-        self._predicate = compile_expression(predicate)
         self.env_keys = child.env_keys
 
     def rows(self) -> Iterator[Env]:
-        predicate = self._predicate
+        predicate = self.predicate
         for env in self.child.rows():
-            if predicate(env) is True:
+            if predicate.evaluate(env) is True:
                 yield env
 
     def describe(self) -> List[str]:
@@ -594,16 +441,6 @@ class AggregateNode(PlanNode):
         self.aggregate_calls = aggregate_calls
         self.base_env = base_env
         self.functions = functions
-        self._group = [compile_expression(expr) for expr in group_exprs]
-        self._single_group = (
-            self._group[0]
-            if COMPILE_EXPRESSIONS and len(self._group) == 1
-            else None
-        )
-        self._arguments = [
-            compile_expression(call.argument) if call.argument is not None else None
-            for call in aggregate_calls
-        ]
         self.env_keys = child.env_keys + [
             f"__agg_{index}" for index in range(len(aggregate_calls))
         ]
@@ -611,16 +448,10 @@ class AggregateNode(PlanNode):
     def rows(self) -> Iterator[Env]:
         groups: Dict[Any, Dict[str, Any]] = {}
         order: List[Any] = []
-        group_exprs = self._group
-        arguments = self._arguments
-        # Single-expression GROUP BY keys on the bare value; multi-column
-        # (and the global group's empty tuple) keys on a tuple.
-        single = self._single_group
+        group_exprs = self.group_exprs
+        arguments = [call.argument for call in self.aggregate_calls]
         for env in self.child.rows():
-            if single is not None:
-                key: Any = single(env)
-            else:
-                key = tuple(expr(env) for expr in group_exprs)
+            key = tuple([expr.evaluate(env) for expr in group_exprs])
             state = groups.get(key)
             if state is None:
                 state = (
@@ -642,7 +473,7 @@ class AggregateNode(PlanNode):
                 if argument is None:  # COUNT(*)
                     value: Any = 1
                 else:
-                    value = argument(env)
+                    value = argument.evaluate(env)
                 if seen is not None:
                     if value is None or value in seen:
                         continue
@@ -675,16 +506,15 @@ class SortNode(PlanNode):
     def __init__(self, child: PlanNode, order_items: List[OrderItem]) -> None:
         self.child = child
         self.order_items = order_items
-        self._keys = [compile_expression(item.expression) for item in order_items]
         self.env_keys = child.env_keys
 
     def rows(self) -> Iterator[Env]:
         materialized = list(self.child.rows())
         descending = [item.descending for item in self.order_items]
-        keys = self._keys
+        keys = [item.expression for item in self.order_items]
         materialized.sort(
             key=lambda env: order_key(
-                [expr(env) for expr in keys],
+                [expr.evaluate(env) for expr in keys],
                 descending,
             )
         )
@@ -751,56 +581,18 @@ class QueryPlan:
         self.post_limit = post_limit
         self.post_offset = post_offset or 0
         self.base_env = base_env if base_env is not None else {}
-        #: whether this plan was built under the compiled-expression
-        #: pipeline (EXPLAIN reports it; cached plans keep their shape
-        #: even if COMPILE_EXPRESSIONS is flipped later)
-        self.compiled = COMPILE_EXPRESSIONS
-        self._output = [compile_expression(expr) for _name, expr in output]
-        self._project = self._build_projector()
         #: base tables referenced anywhere in this plan tree (cache keys)
         self.tables: Tuple[Any, ...] = ()
         #: True when planning baked IN/EXISTS subquery *data* into literals
         self.uses_snapshot = False
         self._param_envs: Optional[List[Env]] = None
-        #: vectorized twin (``repro.minidb.vector.VectorPlan``) when this
-        #: plan routed through the batch executor, else None (row path)
+        #: vectorized twin (``repro.minidb.vector.VectorPlan``) when the
+        #: batch router covers this plan, else None (row path only)
         self.vector: Optional[Any] = None
         #: serializes bind_parameters+run: cached plans are shared
         #: mutable objects, so two threads executing the same cached
         #: query must not interleave their parameter bindings
         self.exec_lock = threading.Lock()
-
-    def _build_projector(self) -> Any:
-        """env -> output row tuple, in one C-level call when possible.
-
-        A projection made purely of column/aggregate references (the
-        common case) becomes an ``itemgetter`` over validated env keys.
-        Bare columns that resolve to the AMBIGUOUS sentinel keep the
-        compiled path so the runtime error is preserved.
-        """
-        keys: Optional[List[str]] = [] if COMPILE_EXPRESSIONS else None
-        if keys is not None:
-            for _name, expression in self.output:
-                if isinstance(expression, (ColumnRef, AggregateRef)):
-                    key = expression.key
-                    if self.base_env.get(key) is AMBIGUOUS:
-                        keys = None
-                        break
-                    keys.append(key)
-                else:
-                    keys = None
-                    break
-        if keys is None or not keys:
-            compiled = tuple(self._output)
-
-            def project(env: Env) -> Row:
-                return tuple(expression(env) for expression in compiled)
-
-            return project
-        if len(keys) == 1:
-            only = keys[0]
-            return lambda env: (env[only],)
-        return itemgetter(*keys)
 
     @property
     def column_names(self) -> List[str]:
@@ -842,10 +634,19 @@ class QueryPlan:
         for env in self._param_envs:
             env["__params__"] = bound
 
+    @property
+    def vectorized(self) -> bool:
+        """Whether :meth:`run` takes the vector twin right now."""
+        return VECTORIZE and self.vector is not None
+
     def run(self) -> Tuple[List[str], List[Row]]:
-        if self.vector is not None:
+        if self.vectorized:
             return self.vector.run()
-        project = self._project
+        expressions = [expr for _name, expr in self.output]
+
+        def project(env: Env) -> Row:
+            return tuple(expr.evaluate(env) for expr in expressions)
+
         if self.distinct:
             if self.post_limit is not None and self.post_limit <= 0:
                 return self.column_names, []
@@ -922,15 +723,14 @@ def plan_select(database: Any, statement: SelectStatement) -> QueryPlan:
     plan = _Planner(database, context).plan(statement)
     plan.tables = tuple(context.tables)
     plan.uses_snapshot = context.uses_snapshot
-    if VECTORIZE:
-        # Deferred import: the vector package imports planner node types.
-        from repro.minidb.vector import build_vector_plan
+    # Deferred import: the vector package imports planner node types.
+    from repro.minidb.vector import build_vector_plan
 
-        for node in walk_plan(plan.root):
-            inner = getattr(node, "plan", None)
-            if isinstance(inner, QueryPlan) and inner.vector is None:
-                inner.vector = build_vector_plan(inner)
-        plan.vector = build_vector_plan(plan)
+    for node in walk_plan(plan.root):
+        inner = getattr(node, "plan", None)
+        if isinstance(inner, QueryPlan) and inner.vector is None:
+            inner.vector = build_vector_plan(inner)
+    plan.vector = build_vector_plan(plan)
     return plan
 
 
@@ -992,8 +792,7 @@ class _Planner:
         more than a full-width, order-preserving projection.
         """
         if (
-            not COMPILE_EXPRESSIONS
-            or not isinstance(query, SelectStatement)
+            not isinstance(query, SelectStatement)
             or query.distinct
             or query.joins
             or query.where is not None
@@ -1214,12 +1013,9 @@ class _Planner:
         """Every column name the statement can touch, or None to keep all.
 
         Scans then emit only the columns something references.  ``SELECT
-        *`` (or the interpreted baseline) disables pruning; collection is
-        conservative — a bare name keeps that column in every table that
-        has it.
+        *`` disables pruning; collection is conservative — a bare name
+        keeps that column in every table that has it.
         """
-        if not COMPILE_EXPRESSIONS:
-            return None
         refs: List[str] = []
         for item in statement.items:
             if item.is_star:

@@ -130,17 +130,10 @@ class AggregateRef(Expression):
     def __init__(self, index: int, call: AggregateCall) -> None:
         self.index = index
         self.call = call
-
-    @property
-    def key(self) -> str:
-        return f"__agg_{self.index}"
+        self.key = f"__agg_{index}"
 
     def evaluate(self, env):
         return env[self.key]
-
-    def compile(self):
-        key = self.key
-        return lambda env: env[key]
 
     def to_sql(self) -> str:
         return self.call.to_sql()

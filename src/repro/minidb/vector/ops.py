@@ -63,14 +63,6 @@ from repro.obs import OBS
 __all__ = ["VectorPlan", "build_vector_plan"]
 
 
-class _Missing:
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<missing>"
-
-
-_MISSING = _Missing()
-
-
 class VOp:
     """Base vector operator: yields :class:`ColumnBatch` instances.
 
@@ -914,41 +906,40 @@ class VectorPlan:
         return columns, rows
 
 
-def _pure_projection_keys(plan: Any) -> Optional[List[str]]:
-    """Mirror ``QueryPlan._build_projector``'s pure-reference check."""
-    keys: List[str] = []
+def _pure_projection(plan: Any) -> Optional[List[Tuple[str, Any]]]:
+    """``(env key, expression)`` per output column when the projection is
+    purely column/aggregate references, else None.  Bare columns bound to
+    the AMBIGUOUS sentinel go through the kernels so the runtime error is
+    preserved."""
+    pairs: List[Tuple[str, Any]] = []
     for _name, expression in plan.output:
-        if isinstance(expression, (ColumnRef, AggregateRef)):
-            key = expression.key
-            if plan.base_env.get(key) is AMBIGUOUS:
-                return None
-            keys.append(key)
-        else:
+        if not isinstance(expression, (ColumnRef, AggregateRef)):
             return None
-    return keys or None
+        if plan.base_env.get(expression.key) is AMBIGUOUS:
+            return None
+        pairs.append((expression.key, expression))
+    return pairs or None
 
 
 def _build_projection(
     plan: Any,
 ) -> Tuple[Optional[Callable[[ColumnBatch], Iterator[Tuple[Any, ...]]]], bool]:
     ctx = plan.base_env
-    keys = _pure_projection_keys(plan)
-    if keys is not None:
+    pairs = _pure_projection(plan)
+    if pairs is not None:
 
         def project_pure(chunk: ColumnBatch) -> Iterator[Tuple[Any, ...]]:
             length = chunk.length
             gathered: List[List[Any]] = []
-            for key in keys:
+            for key, expression in pairs:
                 column = chunk.columns.get(key)
                 if column is None:
-                    if length == 0:
-                        column = []
-                    else:
-                        value = ctx.get(key, _MISSING)
-                        if value is _MISSING:
-                            # itemgetter over a row env raises bare KeyError
-                            raise KeyError(key)
-                        column = [value] * length
+                    # Not a batch column: the scope's base env holds it,
+                    # or the reference evaluator raises the row path's
+                    # own error for a name nothing bound.
+                    column = (
+                        [expression.evaluate(ctx)] * length if length else []
+                    )
                 gathered.append(column)
             return zip(*gathered)
 

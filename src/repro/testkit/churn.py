@@ -1,13 +1,14 @@
 """Metamorphic churn driver: every fast path vs a from-scratch replay.
 
 PRs 1-3 each shipped an ad-hoc churn test for their own fast path (plan
-cache + compiled expressions, search/cloud epoch caches, extend-cache +
-pruned recommend).  This driver generalizes them into one workload: a
-seeded stream of INSERT/UPDATE/DELETE/DROP+CREATE against a CourseRank-
-shaped database, interleaved with
+cache, search/cloud epoch caches, extend-cache + pruned recommend).
+This driver generalizes them into one workload: a seeded stream of
+INSERT/UPDATE/DELETE/DROP+CREATE against a CourseRank-shaped database,
+interleaved with
 
-* SQL queries  — live (plan-cache warm, compiled) vs a replica database
-  rebuilt from shadow state with ``COMPILE_EXPRESSIONS`` off;
+* SQL queries  — live (plan-cache warm, production path) vs a replica
+  database rebuilt from shadow state and run on the reference row path
+  (``VECTORIZE`` off);
 * recommends   — fast path vs ``FAST_RECOMMEND = False`` naive runs;
 * searches     — the live, incrementally-refreshed engine vs a cold
   engine built over the replica;
@@ -21,7 +22,7 @@ engine that never had a cache to go stale.
 
 ``ChurnReport.coverage`` proves the run actually exercised the three
 fast paths (plan-cache hits, extend-cache hits, search-result-cache
-hits, compiled plans) instead of silently passing on cold code.
+hits, vectorized plans) instead of silently passing on cold code.
 """
 
 from __future__ import annotations
@@ -406,7 +407,7 @@ class ChurnDriver:
         self._check_cube()
 
     def _check_sql(self) -> None:
-        import repro.minidb.planner as planner_module
+        from repro.minidb.planner import flag_overrides
         from repro.testkit.oracle import normalize_rows
 
         replica = self._replica()
@@ -417,8 +418,6 @@ class ChurnDriver:
             if self.db._plan_cache.hits > hits_before:
                 self._bump("plan_cache_hits")
             explain = self.db.query(f"EXPLAIN {sql}")
-            if any("[compiled-expr]" in row[0] for row in explain.rows):
-                self._bump("compiled_plans")
             if any("IndexScan" in row[0] for row in explain.rows):
                 self._bump("indexed_plans")
             if any("[vectorized]" in row[0] for row in explain.rows):
@@ -426,15 +425,11 @@ class ChurnDriver:
             live_rows = normalize_rows(live_first.rows)
             if live_rows != normalize_rows(live_second.rows):
                 self._fail(f"warm re-execution diverged: {sql}")
-            saved = planner_module.COMPILE_EXPRESSIONS
-            planner_module.COMPILE_EXPRESSIONS = False
-            try:
+            with flag_overrides(vectorize=False):
                 fresh = replica.query(sql, list(params) or None)
-            finally:
-                planner_module.COMPILE_EXPRESSIONS = saved
             if live_rows != normalize_rows(fresh.rows):
                 self._fail(
-                    f"live (compiled, cached) != replica (interpreted, "
+                    f"live (cached) != replica (reference row path, "
                     f"cold): {sql}"
                 )
 

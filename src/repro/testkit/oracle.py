@@ -3,18 +3,19 @@
 minidb runs under a **config sweep** — every query in a case is executed
 under each of:
 
-* ``compiled-cold``   — ``COMPILE_EXPRESSIONS`` on, each query once;
-* ``compiled-warm``   — compiled, each query twice, so the second run
+* ``row-cold``        — the reference row path (``VECTORIZE`` off,
+  ``Expression.evaluate`` over the row tree), each query once;
+* ``row-warm``        — row path, each query twice, so the second run
   goes through the plan cache (and through transparent re-planning when
   interleaved DML/DDL invalidated the entry);
-* ``interpreted``     — ``COMPILE_EXPRESSIONS`` off;
-* ``prepared``        — ``PreparedStatement`` handles, executed twice;
+* ``prepared``        — ``PreparedStatement`` handles on the row path,
+  executed twice;
 * ``vectorized-cold`` — batch-vectorized executor (``VECTORIZE`` on),
   each query once;
 * ``vectorized-warm`` — vectorized, each query twice (plan-cache hits
   reuse the attached vector plan).
 
-The four row-path configs pin ``VECTORIZE`` off, so every fuzzed query
+The three row-path configs pin ``VECTORIZE`` off, so every fuzzed query
 is checked bit-identical across the row path, the vectorized path, and
 the sqlite3 oracle.
 
@@ -81,22 +82,17 @@ __all__ = [
 @dataclass(frozen=True)
 class MiniConfig:
     name: str
-    compile_expressions: bool
     prepared: bool = False
     repeat: int = 1
     vectorize: bool = False
 
 
 SWEEP: Tuple[MiniConfig, ...] = (
-    MiniConfig("compiled-cold", compile_expressions=True),
-    MiniConfig("compiled-warm", compile_expressions=True, repeat=2),
-    MiniConfig("interpreted", compile_expressions=False),
-    MiniConfig("prepared", compile_expressions=True, prepared=True,
-               repeat=2),
-    MiniConfig("vectorized-cold", compile_expressions=True,
-               vectorize=True),
-    MiniConfig("vectorized-warm", compile_expressions=True,
-               vectorize=True, repeat=2),
+    MiniConfig("row-cold"),
+    MiniConfig("row-warm", repeat=2),
+    MiniConfig("prepared", prepared=True, repeat=2),
+    MiniConfig("vectorized-cold", vectorize=True),
+    MiniConfig("vectorized-warm", vectorize=True, repeat=2),
 )
 
 
@@ -182,12 +178,9 @@ def run_minidb(
     database = Database()
     # flag_overrides holds the planner's flag lock for the whole run:
     # the historical save/set/restore here was not reentrant — two
-    # threads interleaving their restores could leave a global flag
+    # threads interleaving their restores could leave the global flag
     # permanently flipped for the rest of the process.
-    with flag_overrides(
-        compile_expressions=config.compile_expressions,
-        vectorize=config.vectorize,
-    ):
+    with flag_overrides(vectorize=config.vectorize):
         for ddl in script.create:
             database.execute(ddl)
         outcomes: List[Outcome] = []

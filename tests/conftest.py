@@ -17,8 +17,8 @@ come from the profile so one knob scales the whole repo.
 ``REPRO_VECTORIZE`` (default ``1``) selects the default execution path
 for the whole run: ``REPRO_VECTORIZE=0`` pins ``planner.VECTORIZE`` off
 so tier-1 exercises the row pipeline end to end — the CI matrix runs
-both legs.  Tests that need a specific path still set the flag (and
-clear plan caches) themselves.
+both legs.  Tests that need a specific path still set the flag
+themselves (it is read at run time, so cached plans follow it).
 
 ``REPRO_SHARDS`` (default ``3``) sets the shard count the service-layer
 equivalence tests build their :class:`repro.service.CourseRankService`

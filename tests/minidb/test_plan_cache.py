@@ -291,7 +291,6 @@ class TestExplainStatement:
         db.clear_plan_cache()
         cold = db.query("EXPLAIN " + SQL).column("QUERY PLAN")
         assert "[cached]" not in cold[0]
-        assert "[compiled-expr]" in cold[0]
         warm = db.query("EXPLAIN " + SQL).column("QUERY PLAN")
         assert "[cached]" in warm[0]
 
@@ -312,41 +311,30 @@ class TestExplainStatement:
     def test_python_explain_api_unchanged(self, db):
         text = db.explain(SQL)
         assert "[cached]" not in text
-        assert "[compiled-expr]" not in text
+        assert "[vectorized]" not in text
 
-    def test_compiled_marker_tracks_compile_flag(self, db):
-        from repro.minidb import planner
+    def test_vectorize_flip_on_a_warm_plan_cache(self, db):
+        # VECTORIZE is read at run time: one cached plan serves both
+        # paths, so a flip needs no clear_plan_cache() and the marker
+        # reports the path the next run takes.
+        from repro.minidb.planner import flag_overrides
 
-        original = planner.COMPILE_EXPRESSIONS
-        planner.COMPILE_EXPRESSIONS = False
-        try:
-            db.clear_plan_cache()
-            cold = db.query("EXPLAIN " + SQL).column("QUERY PLAN")
-            assert "[compiled-expr]" not in cold[0]
-            warm = db.query("EXPLAIN " + SQL).column("QUERY PLAN")
-            assert "[cached]" in warm[0]
-            assert "[compiled-expr]" not in warm[0]
-        finally:
-            planner.COMPILE_EXPRESSIONS = original
-            db.clear_plan_cache()
-        fresh = db.query("EXPLAIN " + SQL).column("QUERY PLAN")
-        assert "[compiled-expr]" in fresh[0]
-
-    def test_cached_plan_keeps_marker_after_flag_flip(self, db):
-        # Cached plans keep the shape they were built under; the marker
-        # must report the plan's pipeline, not the current global flag.
-        from repro.minidb import planner
-
-        db.clear_plan_cache()
-        db.query("EXPLAIN " + SQL)
-        original = planner.COMPILE_EXPRESSIONS
-        planner.COMPILE_EXPRESSIONS = False
-        try:
-            warm = db.query("EXPLAIN " + SQL).column("QUERY PLAN")
-            assert "[cached]" in warm[0]
-            assert "[compiled-expr]" in warm[0]
-        finally:
-            planner.COMPILE_EXPRESSIONS = original
+        expected = [("Databases",), ("Networks",), ("Sculpture",)]
+        with flag_overrides(vectorize=True):
+            assert db.query(SQL).rows == expected  # plans and caches
+        hits = db._plan_cache.hits
+        for vectorize in (False, True, False):
+            with flag_overrides(vectorize=vectorize):
+                assert db.query(SQL).rows == expected
+                head = db.query("EXPLAIN " + SQL).column("QUERY PLAN")[0]
+                report = db.analyze(SQL)
+            assert "[cached]" in head
+            assert ("[vectorized]" in head) is vectorize
+            assert report.vectorized is vectorize
+            assert ("[vectorized]" in report.lines[0]) is vectorize
+            assert report.result.rows == expected
+        assert db._plan_cache.hits == hits + 9
+        assert db._plan_cache.misses == 1
 
 
 class TestLRUCache:

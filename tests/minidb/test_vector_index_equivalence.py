@@ -4,7 +4,7 @@ Extends the PR 6 equivalence net to the vector-engine v2 surface: plans
 that route through :class:`IndexAccess` (hash equality and sorted
 ranges, with and without residual predicates) and hash joins on
 composite keys (including NULL key parts and duplicate composite keys).
-Each query runs under five configs — compiled cold/warm, interpreted,
+Each query runs under four configs — reference row path cold/warm,
 vectorized cold/warm, where *warm* replays the query on the same
 database so the plan cache and column store are both hot — and results
 must be identical, including physical row order (index emission order is
@@ -24,10 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.minidb.planner as planner_module
 import repro.minidb.vector as vector_module
 import repro.minidb.vector.batch as vector_batch
 from repro.minidb import Database
+from repro.minidb.planner import flag_overrides
 
 row_strategy = st.lists(
     st.tuples(
@@ -107,54 +107,46 @@ def _build(rows, links):
     return database
 
 
-def _run(rows, links, sql, compile_expressions, vectorize,
-         warm=False, numpy=None):
-    saved_compile = planner_module.COMPILE_EXPRESSIONS
-    saved_vectorize = planner_module.VECTORIZE
+def _run(rows, links, sql, vectorize, warm=False, numpy=None):
     saved_numpy = vector_module.NUMPY
-    planner_module.COMPILE_EXPRESSIONS = compile_expressions
-    planner_module.VECTORIZE = vectorize
     if numpy is not None:
         vector_module.NUMPY = numpy
     try:
-        database = _build(rows, links)
-        try:
-            if warm:
-                try:
-                    database.query(sql)
-                except Exception:
-                    pass  # the second run must error identically
-            result = database.query(sql)
-        except Exception as exc:  # error parity is part of the contract
-            return ("error", type(exc).__name__)
-        return ("rows", result.columns, result.rows)
+        with flag_overrides(vectorize=vectorize):
+            database = _build(rows, links)
+            try:
+                if warm:
+                    try:
+                        database.query(sql)
+                    except Exception:
+                        pass  # the second run must error identically
+                result = database.query(sql)
+            except Exception as exc:  # error parity is part of the contract
+                return ("error", type(exc).__name__)
+            return ("rows", result.columns, result.rows)
     finally:
-        planner_module.COMPILE_EXPRESSIONS = saved_compile
-        planner_module.VECTORIZE = saved_vectorize
         vector_module.NUMPY = saved_numpy
 
 
 CONFIGS = (
-    ("compiled-cold", True, False, False),
-    ("compiled-warm", True, False, True),
-    ("interpreted", False, False, False),
-    ("vectorized-cold", True, True, False),
-    ("vectorized-warm", True, True, True),
+    ("row-cold", False, False),
+    ("row-warm", False, True),
+    ("vectorized-cold", True, False),
+    ("vectorized-warm", True, True),
 )
 
 
 @settings(max_examples=15)
 @given(rows=row_strategy, links=link_strategy,
        sql=st.sampled_from(QUERY_POOL))
-def test_five_config_equivalence(rows, links, sql):
+def test_four_config_equivalence(rows, links, sql):
     outcomes = {
-        name: _run(rows, links, sql, compile_expressions, vectorize,
-                   warm=warm)
-        for name, compile_expressions, vectorize, warm in CONFIGS
+        name: _run(rows, links, sql, vectorize, warm=warm)
+        for name, vectorize, warm in CONFIGS
     }
     kinds = {outcome[0] for outcome in outcomes.values()}
     assert len(kinds) == 1, f"error-parity divergence: {outcomes}"
-    reference = outcomes["compiled-cold"]
+    reference = outcomes["row-cold"]
     if kinds == {"rows"}:
         for name, outcome in outcomes.items():
             assert outcome == reference, (
@@ -166,11 +158,10 @@ def test_five_config_equivalence(rows, links, sql):
 @given(rows=row_strategy, links=link_strategy,
        sql=st.sampled_from(QUERY_POOL))
 def test_numpy_toggle_bit_identity(rows, links, sql):
-    """vectorized+numpy ≡ vectorized-pure-python ≡ compiled row path."""
-    row_path = _run(rows, links, sql, True, False)
-    numpy_off = _run(rows, links, sql, True, True, numpy=False)
-    numpy_on = _run(rows, links, sql, True, True,
-                    numpy=vector_module.HAS_NUMPY)
+    """vectorized+numpy ≡ vectorized-pure-python ≡ reference row path."""
+    row_path = _run(rows, links, sql, False)
+    numpy_off = _run(rows, links, sql, True, numpy=False)
+    numpy_on = _run(rows, links, sql, True, numpy=vector_module.HAS_NUMPY)
     assert numpy_off == numpy_on, f"numpy toggle diverges on {sql!r}"
     assert numpy_on[0] == row_path[0]
     if row_path[0] == "rows":
@@ -186,8 +177,8 @@ def test_equivalence_with_tiny_batches(rows, links, sql, batch_size):
     saved = vector_batch.BATCH_SIZE
     vector_batch.BATCH_SIZE = batch_size
     try:
-        reference = _run(rows, links, sql, True, False)
-        vectorized = _run(rows, links, sql, True, True)
+        reference = _run(rows, links, sql, False)
+        vectorized = _run(rows, links, sql, True)
     finally:
         vector_batch.BATCH_SIZE = saved
     assert reference[0] == vectorized[0]
@@ -209,8 +200,8 @@ def test_batch_boundary_row_counts(monkeypatch, delta):
         for i in range(count + 2)
     ]
     for sql in QUERY_POOL:
-        reference = _run(rows, links, sql, True, False)
-        vectorized = _run(rows, links, sql, True, True)
+        reference = _run(rows, links, sql, False)
+        vectorized = _run(rows, links, sql, True)
         assert reference[0] == vectorized[0], (sql, reference, vectorized)
         if reference[0] == "rows":
             assert reference == vectorized, sql
@@ -237,13 +228,11 @@ def test_duplicate_composite_keys_and_null_key_parts():
         "SELECT COUNT(*) AS c FROM t JOIN e ON t.k = e.a AND t.n = e.b",
     ]
     for sql in pool:
-        reference = _run(rows, links, sql, True, False)
-        for name, compile_expressions, vectorize, warm in CONFIGS:
-            outcome = _run(rows, links, sql, compile_expressions,
-                           vectorize, warm=warm)
+        reference = _run(rows, links, sql, False)
+        for name, vectorize, warm in CONFIGS:
+            outcome = _run(rows, links, sql, vectorize, warm=warm)
             assert outcome == reference, (name, sql, outcome, reference)
-        numpy_on = _run(rows, links, sql, True, True,
-                        numpy=vector_module.HAS_NUMPY)
+        numpy_on = _run(rows, links, sql, True, numpy=vector_module.HAS_NUMPY)
         assert numpy_on == reference, (sql, numpy_on, reference)
 
 
@@ -258,6 +247,6 @@ def test_index_scan_empty_and_miss():
     ]
     for rows in ([], [(0, None, 0.5), (1, 5, 1.0)]):
         for sql in pool:
-            reference = _run(rows, [], sql, True, False)
-            vectorized = _run(rows, [], sql, True, True)
+            reference = _run(rows, [], sql, False)
+            vectorized = _run(rows, [], sql, True)
             assert reference == vectorized, (sql, rows, reference, vectorized)

@@ -1,10 +1,10 @@
-"""Property suite: vectorized ≡ interpreted ≡ compiled execution.
+"""Property suite: vectorized ≡ reference row-path execution.
 
 Hypothesis generates table contents (including all-NULL columns and
 empty tables) and drives a query pool that covers every vectorized
 operator — scan-filter, join, group/aggregate, sort+limit, DISTINCT,
 CASE/IN/LIKE/BETWEEN, NULL arithmetic.  Each query runs on a fresh
-database under three engine configs; results must be *identical* (same
+database on both execution paths; results must be *identical* (same
 rows, same order — the row-value domain makes float results
 bit-deterministic) and errors must agree in kind.
 
@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.minidb.planner as planner_module
 import repro.minidb.vector.batch as vector_batch
 from repro.minidb import Database
+from repro.minidb.planner import flag_overrides
 
 value_strategy = st.one_of(
     st.none(), st.integers(min_value=-9, max_value=9)
@@ -90,47 +90,27 @@ def _build(rows, links):
     return database
 
 
-def _run(rows, links, sql, compile_expressions, vectorize):
-    saved_compile = planner_module.COMPILE_EXPRESSIONS
-    saved_vectorize = planner_module.VECTORIZE
-    planner_module.COMPILE_EXPRESSIONS = compile_expressions
-    planner_module.VECTORIZE = vectorize
-    try:
+def _run(rows, links, sql, vectorize):
+    with flag_overrides(vectorize=vectorize):
         database = _build(rows, links)
         try:
             result = database.query(sql)
         except Exception as exc:  # error parity is part of the contract
             return ("error", type(exc).__name__)
         return ("rows", result.columns, result.rows)
-    finally:
-        planner_module.COMPILE_EXPRESSIONS = saved_compile
-        planner_module.VECTORIZE = saved_vectorize
-
-
-CONFIGS = (
-    ("compiled", True, False),
-    ("interpreted", False, False),
-    ("vectorized", True, True),
-)
 
 
 @settings(max_examples=15)
 @given(rows=rows_strategy, links=link_strategy,
        sql=st.sampled_from(QUERY_POOL))
-def test_three_config_equivalence(rows, links, sql):
-    outcomes = {
-        name: _run(rows, links, sql, compile_expressions, vectorize)
-        for name, compile_expressions, vectorize in CONFIGS
-    }
-    kinds = {outcome[0] for outcome in outcomes.values()}
-    assert len(kinds) == 1, f"error-parity divergence: {outcomes}"
-    if kinds == {"rows"}:
-        assert outcomes["vectorized"] == outcomes["compiled"], (
-            f"vectorized diverges on {sql!r}"
-        )
-        assert outcomes["vectorized"] == outcomes["interpreted"], (
-            f"vectorized diverges from interpreted on {sql!r}"
-        )
+def test_row_vector_equivalence(rows, links, sql):
+    reference = _run(rows, links, sql, False)
+    vectorized = _run(rows, links, sql, True)
+    assert reference[0] == vectorized[0], (
+        f"error-parity divergence: {reference} vs {vectorized}"
+    )
+    if reference[0] == "rows":
+        assert reference == vectorized, f"vectorized diverges on {sql!r}"
 
 
 @settings(max_examples=15)
@@ -142,8 +122,8 @@ def test_equivalence_with_tiny_batches(rows, links, sql, batch_size):
     saved = vector_batch.BATCH_SIZE
     vector_batch.BATCH_SIZE = batch_size
     try:
-        reference = _run(rows, links, sql, True, False)
-        vectorized = _run(rows, links, sql, True, True)
+        reference = _run(rows, links, sql, False)
+        vectorized = _run(rows, links, sql, True)
     finally:
         vector_batch.BATCH_SIZE = saved
     assert reference[0] == vectorized[0]
@@ -159,8 +139,8 @@ def test_batch_boundary_row_counts(monkeypatch, delta):
     rows = [(i % 3, (i % 5) - 2, ["aa", None, "zz"][i % 3]) for i in range(count)]
     links = [(i, 0.5) for i in range(0, count, 2)]
     for sql in QUERY_POOL:
-        reference = _run(rows, links, sql, True, False)
-        vectorized = _run(rows, links, sql, True, True)
+        reference = _run(rows, links, sql, False)
+        vectorized = _run(rows, links, sql, True)
         assert reference[0] == vectorized[0], (sql, reference, vectorized)
         if reference[0] == "rows":
             assert reference == vectorized, sql
@@ -178,6 +158,6 @@ def test_all_null_and_empty_tables():
     ]
     for rows in ([], [(1, None, None), (2, None, "aa")]):
         for sql in pool:
-            reference = _run(rows, [], sql, True, False)
-            vectorized = _run(rows, [], sql, True, True)
+            reference = _run(rows, [], sql, False)
+            vectorized = _run(rows, [], sql, True)
             assert reference == vectorized, (sql, rows, reference, vectorized)

@@ -8,7 +8,7 @@ fuzzer-generated queries:
   the linkage end to end);
 * a non-DISTINCT plan's root node emits exactly ``len(result)`` rows;
   a DISTINCT plan's root emits at least that many (dedup consumes more);
-* ``[cached]`` / ``[compiled-expr]`` markers render exactly as plain
+* ``[cached]`` / ``[vectorized]`` markers render exactly as plain
   EXPLAIN renders them;
 * the executed result matches a plain ``query()`` of the same SQL.
 """
@@ -105,32 +105,18 @@ def test_markers_render_under_analyze(db):
     cold = db.analyze(sql)
     assert not cold.cached
     assert "[cached]" not in cold.lines[0]
-    assert "[compiled-expr]" in cold.lines[0]
     warm = db.analyze(sql)
     assert warm.cached
     assert "[cached]" in warm.lines[0]
-    assert "[compiled-expr]" in warm.lines[0]
-    # EXPLAIN ANALYZE through plain SQL renders the same markers.
+    # EXPLAIN ANALYZE through plain SQL renders the same markers as
+    # plain EXPLAIN does.
     result = db.execute("EXPLAIN ANALYZE " + sql)
     assert result.columns == ["QUERY PLAN"]
     assert "[cached]" in result.rows[0][0]
-    assert "[compiled-expr]" in result.rows[0][0]
-
-
-def test_interpreted_plan_has_no_compiled_marker(db):
-    import repro.minidb.planner as planner_module
-
-    sql = "SELECT id FROM courses WHERE dep = 3"
-    saved = planner_module.COMPILE_EXPRESSIONS
-    planner_module.COMPILE_EXPRESSIONS = False
-    db.clear_plan_cache()
-    try:
-        report = db.analyze(sql)
-    finally:
-        planner_module.COMPILE_EXPRESSIONS = saved
-        db.clear_plan_cache()
-    assert "[compiled-expr]" not in report.lines[0]
-    assert not report.compiled
+    plain = db.execute("EXPLAIN " + sql).rows[0][0]
+    for marker in ("[cached]", "[vectorized]", "[numpy]"):
+        assert (marker in result.rows[0][0]) == (marker in plain), marker
+    assert ("[vectorized]" in plain) == warm.vectorized
 
 
 def test_analyze_with_parameters(db):

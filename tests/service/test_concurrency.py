@@ -133,6 +133,27 @@ class TestCacheHammer:
         clear_extend_cache(fresh.db)
         assert _read_once(app) == _read_once(fresh)
 
+    def test_facade_write_waits_for_a_held_read_lock(self, app):
+        # Facade writers mutate tables directly, so they must take the
+        # database write lock themselves: while any reader holds the
+        # read side (a db.query mid-scan), Comments cannot change.
+        user = app.accounts.register("held", Role.STUDENT, person_id=1)
+        comments = app.db.table("Comments")
+        writer = threading.Thread(
+            target=app.comment_on_course,
+            args=(user, 1, "held back", 4.0),
+            daemon=True,
+        )
+        with app.db.rwlock.read_locked():
+            before = comments.data_version
+            writer.start()
+            writer.join(timeout=0.3)
+            assert writer.is_alive()
+            assert comments.data_version == before
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert comments.data_version > before
+
     def test_extend_cache_rebuilds_after_write(self, app):
         vectors, hit = extend_vectors(app.db, EXTEND_INFO)
         assert not hit

@@ -34,8 +34,7 @@ class TestFastPathCoverage:
     """One run must light up every PR 1-3 fast path, or the equivalence
     checks are vacuously passing against cold code."""
 
-    def test_compiled_expressions_and_plan_cache(self, report):
-        assert report.coverage.get("compiled_plans", 0) > 0
+    def test_plan_cache(self, report):
         assert report.coverage.get("plan_cache_hits", 0) > 0
 
     def test_fast_recommend_extend_cache(self, report):

@@ -1,12 +1,11 @@
-"""Regression: concurrent oracle runs must not corrupt planner flags.
+"""Regression: concurrent oracle runs must not corrupt the planner flag.
 
-``run_minidb`` historically saved and restored the global
-``COMPILE_EXPRESSIONS``/``VECTORIZE`` planner flags with bare
-assignments; two interleaved runs could restore in the wrong order and
-leave a flag flipped for the rest of the process.  The fix routes every
-scoped override through ``planner.flag_overrides`` (one process-wide
-flag lock), so here we hammer it from many threads and assert the
-globals land exactly where they started.
+``run_minidb`` historically saved and restored the global planner flags
+with bare assignments; two interleaved runs could restore in the wrong
+order and leave a flag flipped for the rest of the process.  The fix
+routes every scoped override through ``planner.flag_overrides`` (one
+process-wide flag lock), so here we hammer it from many threads and
+assert the global ``VECTORIZE`` lands exactly where it started.
 """
 
 import threading
@@ -28,30 +27,27 @@ SCRIPT = RenderedScript(
 
 class TestFlagOverrides:
     def test_nested_overrides_compose_and_restore(self):
-        before = (planner.COMPILE_EXPRESSIONS, planner.VECTORIZE)
-        with planner.flag_overrides(compile_expressions=False):
-            assert planner.COMPILE_EXPRESSIONS is False
-            with planner.flag_overrides(vectorize=not before[1]):
-                assert planner.COMPILE_EXPRESSIONS is False
-                assert planner.VECTORIZE is not before[1]
-            assert planner.VECTORIZE is before[1]
-        assert (planner.COMPILE_EXPRESSIONS, planner.VECTORIZE) == before
+        before = planner.VECTORIZE
+        with planner.flag_overrides(vectorize=not before):
+            assert planner.VECTORIZE is not before
+            with planner.flag_overrides(vectorize=before):
+                assert planner.VECTORIZE is before
+            assert planner.VECTORIZE is not before
+        assert planner.VECTORIZE is before
 
     def test_restores_on_exception(self):
-        before = (planner.COMPILE_EXPRESSIONS, planner.VECTORIZE)
+        before = planner.VECTORIZE
         try:
-            with planner.flag_overrides(
-                compile_expressions=not before[0], vectorize=not before[1]
-            ):
+            with planner.flag_overrides(vectorize=not before):
                 raise ValueError("boom")
         except ValueError:
             pass
-        assert (planner.COMPILE_EXPRESSIONS, planner.VECTORIZE) == before
+        assert planner.VECTORIZE is before
 
 
 class TestConcurrentOracleRuns:
     def test_parallel_runs_agree_and_flags_survive(self):
-        before = (planner.COMPILE_EXPRESSIONS, planner.VECTORIZE)
+        before = planner.VECTORIZE
         expected = {
             config.name: [
                 outcome.signature()
@@ -85,4 +81,4 @@ class TestConcurrentOracleRuns:
             thread.join()
         if errors:
             raise errors[0]
-        assert (planner.COMPILE_EXPRESSIONS, planner.VECTORIZE) == before
+        assert planner.VECTORIZE is before
