@@ -21,8 +21,9 @@ asked twice, as a Zipfian head would):
   cleared before every request: prices the biased iteration alone.
 
 Every configuration returns **bit-identical** rankings — the
-determinism rules (integer edge weights, ``math.fsum``) make warm vs
-cold a pure performance choice.
+determinism rules (integer edge weights, the CSR view's canonical column
+order, ``math.fsum`` on the exact kernel) make warm vs cold a pure
+performance choice on either kernel.
 
 Acceptance (ISSUE 10): at ``REPRO_BENCH_SCALE=medium`` the warm engine
 answers the stream >= 3x faster than cold rebuilds; the committed

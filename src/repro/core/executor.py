@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ExecutionError, FlexRecsError, WorkflowValidationError
 from repro.core import similarity
@@ -69,7 +69,10 @@ def execute_workflow(workflow: Workflow, database: Database) -> Recommendation:
     visible = relation.columns
     rows = [{column: row[column] for column in visible} for row in relation.rows]
     return Recommendation(
-        columns=list(visible), rows=rows, stats=executor.recommend_stats
+        columns=list(visible),
+        rows=rows,
+        stats=executor.recommend_stats,
+        converged=executor.converged,
     )
 
 
@@ -87,6 +90,43 @@ def execute_workflow_on(workflow: Workflow, backend: Any) -> Recommendation:
     return backend.execute_workflow(workflow)
 
 
+def graph_recommend_rows(
+    engine: Any,
+    node: GraphRecommend,
+    schema: Any,
+    courses_of: Callable[[Any], Optional[Any]],
+) -> Tuple[List[str], List[Dict[str, Any]], bool]:
+    """Rank on ``engine`` and fetch the ranked courses: (columns, rows, converged).
+
+    ``schema`` is the ``Courses`` schema and ``courses_of(course_id)`` the
+    ``Courses`` table holding that id (None when nothing does).  Each of
+    the ≤ ``top_k`` ranked ids is one primary-key lookup; an id with no
+    row is skipped.
+    """
+    if [name.lower() for name in schema.primary_key] != ["courseid"]:
+        raise FlexRecsError("GraphRecommend needs Courses keyed by CourseID")
+    ranked = engine.rank_courses(
+        node.preference,
+        top_k=node.top_k,
+        exclude_seed=node.exclude_seed,
+        damping=node.damping,
+        epsilon=node.epsilon,
+        max_iters=node.max_iters,
+        preference_weight=node.preference_weight,
+    )
+    columns = list(schema.column_names)
+    rows: List[Dict[str, Any]] = []
+    for course_id, score in ranked:
+        table = courses_of(course_id)
+        course = None if table is None else table.lookup_pk((course_id,))
+        if course is None:
+            continue
+        row = dict(zip(columns, course))
+        row[node.score_column] = score
+        rows.append(row)
+    return columns + [node.score_column], rows, ranked.converged
+
+
 class _Executor:
     def __init__(self, database: Database) -> None:
         self.database = database
@@ -94,6 +134,8 @@ class _Executor:
         self.recommend_stats: List[RecommendStats] = []
         self._extend_hits = 0
         self._extend_misses = 0
+        #: cleared by a GraphRecommend whose ranking hit ``max_iters``
+        self.converged = True
 
     # -- dispatch -----------------------------------------------------------
 
@@ -139,34 +181,15 @@ class _Executor:
     def _eval_graph_recommend(self, node: GraphRecommend) -> _Relation:
         from repro.graphrank.engine import GraphRankEngine
 
-        engine = GraphRankEngine.for_database(self.database)
-        ranked = engine.rank_courses(
-            node.preference,
-            top_k=node.top_k,
-            exclude_seed=node.exclude_seed,
-            damping=node.damping,
-            epsilon=node.epsilon,
-            max_iters=node.max_iters,
-            preference_weight=node.preference_weight,
-        )
         table = self.database.table("Courses")
-        columns = list(table.schema.column_names)
-        key_column = next(
-            (c for c in columns if c.lower() == "courseid"), None
+        columns, rows, converged = graph_recommend_rows(
+            GraphRankEngine.for_database(self.database),
+            node,
+            table.schema,
+            lambda course_id: table,
         )
-        if key_column is None:
-            raise FlexRecsError("GraphRecommend needs a Courses.CourseID column")
-        key_index = columns.index(key_column)
-        by_id = {row[key_index]: row for row in table.rows()}
-        out_rows: List[Dict[str, Any]] = []
-        for course_id, score in ranked:
-            course = by_id.get(course_id)
-            if course is None:
-                continue
-            row = dict(zip(columns, course))
-            row[node.score_column] = score
-            out_rows.append(row)
-        return _Relation(columns + [node.score_column], out_rows)
+        self.converged = self.converged and converged
+        return _Relation(columns, rows)
 
     # -- unary relational operators -------------------------------------------
 

@@ -63,6 +63,9 @@ class Recommendation:
     #: per-recommend-operator execution stats (direct path only; the
     #: compiled-SQL path leaves this empty)
     stats: List[RecommendStats] = field(default_factory=list)
+    #: False when a graph ranking behind the rows stopped at ``max_iters``
+    #: instead of at ``epsilon`` (every other strategy leaves it True)
+    converged: bool = True
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -238,7 +238,10 @@ class RecommendationService:
                 break
         columns = list(recommendation.columns) + ["missing_prerequisites"]
         return Recommendation(
-            columns=columns, rows=rows, stats=recommendation.stats
+            columns=columns,
+            rows=rows,
+            stats=recommendation.stats,
+            converged=recommendation.converged,
         )
 
     def _prerequisites_of(self, course_ids: List[int]) -> Dict[int, List[int]]:

@@ -33,6 +33,7 @@ least one edge exist (no dangling mass, so rank vectors stay normalized).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -43,6 +44,8 @@ from repro.search.tokenizer import Tokenizer
 
 NodeId = Tuple[str, Any]
 Edges = Dict[NodeId, Dict[NodeId, int]]
+#: ``(starts, cols, vals)`` — see :meth:`TripartiteAdjacency.csr`
+CsrView = Tuple[array, array, array]
 
 #: fixed build + merge order; changing it would change nothing semantically
 #: (integer sums commute) but keeping it fixed makes the determinism
@@ -174,6 +177,35 @@ class TripartiteAdjacency:
         self.edge_count = (
             sum(len(neighbors) for neighbors in merged.values()) // 2
         )
+        self._csr: Optional[CsrView] = None
+
+    def csr(self) -> CsrView:
+        """The graph over integer node ids, built once per adjacency.
+
+        Row ``i`` is ``nodes[i]``, its entries ``starts[i]:starts[i + 1]``:
+        ``cols`` the neighbors' node indices **in ascending order**,
+        ``vals`` the transition weights ``weight / degrees[neighbor]``.
+        Dict order differs between cold, incremental and shard-merged
+        builds of one graph; sorted columns make the view — and a plain
+        float sum along a row — a function of the graph alone.  The
+        ``array`` buffers are published as one tuple, so a racing reader
+        sees all of the view or none.
+        """
+        view = self._csr
+        if view is None:
+            index = {node: i for i, node in enumerate(self.nodes)}
+            degrees = self.degrees
+            starts, cols, vals = array("q", [0]), array("q"), array("d")
+            for node in self.nodes:
+                bucket = self.neighbors[node]
+                if not bucket:  # segment sums need non-empty rows
+                    raise GraphRankError(f"node {node!r} has no edges")
+                sources = sorted(bucket, key=index.__getitem__)
+                cols.extend(map(index.__getitem__, sources))
+                vals.extend(bucket[s] / degrees[s] for s in sources)
+                starts.append(len(cols))
+            view = self._csr = (starts, cols, vals)
+        return view
 
     def version_key(self) -> Tuple[Any, ...]:
         """The concatenated layer versions — the graph's identity."""

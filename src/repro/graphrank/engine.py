@@ -10,8 +10,9 @@ extendcache ``WeakKeyDictionary`` idiom) owns
   uniform-teleport run both every differential and the cloud
   term-weighting mode subtract);
 * a memoized differential vector per ``(adjacency version, parameters,
-  preference)`` — the Zipfian head of a service workload repeats
-  preferences, so warm calls skip the iteration entirely.
+  preference)``, kept with whether its iterations converged — the
+  Zipfian head of a service workload repeats preferences, so warm calls
+  skip the iteration entirely.
 
 All memo keys embed the adjacency version key (which embeds source-table
 data versions and the schema epoch), so any write invalidates by
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.caching import LRUCache
@@ -53,6 +54,13 @@ from repro.graphrank.ranker import (
 
 _ENGINES: "WeakKeyDictionary[Database, GraphRankEngine]" = WeakKeyDictionary()
 _ENGINES_LOCK = threading.Lock()
+
+
+class RankedCourses(list):
+    """``(course_id, score)`` pairs, best first; ``converged`` is False when
+    an iteration behind them stopped at ``max_iters``, not ``epsilon``."""
+
+    converged = True
 
 
 class GraphRankEngine:
@@ -160,8 +168,8 @@ class GraphRankEngine:
         damping: Optional[float] = None,
         epsilon: Optional[float] = None,
         max_iters: Optional[int] = None,
-    ) -> Dict[NodeId, float]:
-        """The uniform-teleport rank vector (memoized per graph version)."""
+    ) -> RankResult:
+        """The uniform-teleport iteration (memoized per graph version)."""
         with self._lock:
             adjacency = self.refresh()
             resolved = self._params(damping, epsilon, max_iters, None)
@@ -177,8 +185,8 @@ class GraphRankEngine:
                     epsilon=resolved[1],
                     max_iters=resolved[2],
                 )
-            self._baseline_cache.put(key, result.scores)
-            return result.scores
+            self._baseline_cache.put(key, result)
+            return result
 
     def rank(
         self,
@@ -207,12 +215,7 @@ class GraphRankEngine:
             return result
 
     def differential(
-        self,
-        preference: Iterable[Sequence],
-        damping: Optional[float] = None,
-        epsilon: Optional[float] = None,
-        max_iters: Optional[int] = None,
-        preference_weight: Optional[float] = None,
+        self, preference: Iterable[Sequence], **params: Any
     ) -> Dict[NodeId, float]:
         """FolkRank scores: biased rank minus the unbiased baseline.
 
@@ -220,6 +223,17 @@ class GraphRankEngine:
         the preference *added* — the folksonomy papers' differential
         ranking.  Memoized per (graph version, parameters, preference).
         """
+        return self._differential(preference, **params)[0]
+
+    def _differential(
+        self,
+        preference: Iterable[Sequence],
+        damping: Optional[float] = None,
+        epsilon: Optional[float] = None,
+        max_iters: Optional[int] = None,
+        preference_weight: Optional[float] = None,
+    ) -> Tuple[Dict[NodeId, float], bool]:
+        """The memo entry: ``(differential scores, both runs converged)``."""
         frozen = normalize_preference(preference)
         with self._lock:
             adjacency = self.refresh()
@@ -251,9 +265,10 @@ class GraphRankEngine:
                 )
                 self.last_result = result
                 scores = {
-                    node: score - base[node]
+                    node: score - base.scores[node]
                     for node, score in result.scores.items()
                 }
+                entry = (scores, result.converged and base.converged)
                 if OBS.enabled:
                     span.set(
                         nodes=len(adjacency), iterations=result.iterations
@@ -263,8 +278,8 @@ class GraphRankEngine:
                         "graphrank.rank.ms",
                         (time.perf_counter() - started) * 1000.0,
                     )
-            self._rank_cache.put(key, scores)
-            return scores
+            self._rank_cache.put(key, entry)
+            return entry
 
     def rank_courses(
         self,
@@ -272,7 +287,7 @@ class GraphRankEngine:
         top_k: Optional[int] = None,
         exclude_seed: bool = True,
         **params: Any,
-    ) -> List[Tuple[Any, float]]:
+    ) -> RankedCourses:
         """Ranked ``(course_id, differential score)`` pairs.
 
         Only courses present in the graph (≥ one edge) are rankable;
@@ -280,13 +295,17 @@ class GraphRankEngine:
         is dropped, so "similar to course X" never answers "X".
         """
         frozen = normalize_preference(preference)
-        scores = self.differential(frozen, **params)
+        scores, converged = self._differential(frozen, **params)
         exclude = (
             tuple(node for node in frozen if node[0] == "course")
             if exclude_seed
             else ()
         )
-        return ranked_of_kind(scores, "course", exclude=exclude, top_k=top_k)
+        ranked = RankedCourses(
+            ranked_of_kind(scores, "course", exclude=exclude, top_k=top_k)
+        )
+        ranked.converged = converged
+        return ranked
 
     def term_weights(
         self, preference: Iterable[Sequence], **params: Any

@@ -6,14 +6,25 @@ nodes, and the final ranking read off the **differential** between the
 biased run and an unbiased baseline run (the baseline cancels the
 popularity every node earns just from graph topology).
 
-Determinism rules (property-tested in ``tests/graphrank``):
+The iteration runs over the integer-id CSR view of the graph
+(:meth:`TripartiteAdjacency.csr`) on one of two kernels, chosen by
+reading ``repro.minidb.vector.NUMPY`` at call time:
 
-* Per-node incoming mass, the L1 convergence delta, and normalization
-  checks all use :func:`math.fsum`, which is *exactly rounded*: the
-  result is the correctly rounded true sum, independent of operand
-  order.  Combined with integer edge weights (exact degrees), every
-  score is bit-identical under user/course id permutation and under
-  incremental-vs-cold adjacency rebuilds.
+* the **exact** kernel (pure Python) takes per-node incoming mass and
+  the L1 delta through :func:`math.fsum`, which is *exactly rounded*:
+  the correctly rounded true sum, independent of operand order.  With
+  integer edge weights (exact degrees), every score is bit-identical
+  under user/course id permutation and under incremental-vs-cold and
+  sharded-vs-unsharded adjacency builds.  It is the path without numpy
+  and the reference the other kernel is tested against;
+* the **numpy** kernel does the same sweep with plain float adds in the
+  view's canonical column order, so it is still a pure function of the
+  graph (incremental ≡ cold and sharded ≡ unsharded stay ``==``), but
+  it matches the exact kernel — and itself under id relabeling — only
+  to a tolerance: scores within 1e-12, iterations within one.
+
+Both share (property-tested in ``tests/graphrank``):
+
 * Fixed ``damping``, ``epsilon``-on-L1-delta + ``max_iters`` stopping
   rule, and a stable ``(-score, node)`` tie-break wherever rankings are
   materialized.
@@ -27,10 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter, mul, sub
+from typing import Any, Callable, Dict, Iterable, List
+from typing import Optional, Sequence, Tuple
 
+import repro.minidb.vector as _vector
 from repro.errors import GraphRankError
-from repro.graphrank.adjacency import NodeId, TripartiteAdjacency
+from repro.graphrank.adjacency import CsrView, NodeId, TripartiteAdjacency
 
 #: node kinds a preference entry may name
 NODE_KINDS = ("user", "course", "term")
@@ -95,6 +109,46 @@ def teleport_vector(
     return vector
 
 
+def _exact_step(view: CsrView, base: List[float], damping: float) -> Callable:
+    """One sweep ``rank → (fresh, L1 delta)``, exactly rounded, pure Python."""
+    starts, cols, vals = view
+    rows = []
+    for begin, end in zip(starts, starts[1:]):
+        row = cols[begin:end]
+        if len(row) == 1:  # itemgetter(i) alone would return a bare float
+            row = (slice(row[0], row[0] + 1),)
+        rows.append((itemgetter(*row), vals[begin:end].tolist()))
+    fsum = math.fsum
+
+    def step(rank: List[float]) -> Tuple[List[float], float]:
+        fresh = [
+            restart + damping * fsum(map(mul, gather(rank), weights))
+            for restart, (gather, weights) in zip(base, rows)
+        ]
+        return fresh, fsum(map(abs, map(sub, fresh, rank)))
+
+    return step
+
+
+def _numpy_step(view: CsrView, base: List[float], damping: float) -> Callable:
+    """The same sweep as gather–multiply–segment-sum over zero-copy views."""
+    import numpy as np
+
+    # reduceat sums cols[starts[i]:starts[i + 1]] only while no row is
+    # empty, which TripartiteAdjacency.csr checks
+    starts = np.frombuffer(view[0], dtype=np.int64)[:-1]
+    cols = np.frombuffer(view[1], dtype=np.int64)
+    vals = np.frombuffer(view[2], dtype=np.float64)
+    restart = np.array(base)
+
+    def step(rank: Any) -> Tuple[Any, float]:
+        incoming = np.add.reduceat(vals * np.take(rank, cols), starts)
+        fresh = restart + damping * incoming
+        return fresh, float(np.abs(fresh - rank).sum())
+
+    return step
+
+
 def power_iteration(
     adjacency: TripartiteAdjacency,
     preference: Tuple[NodeId, ...] = (),
@@ -117,32 +171,23 @@ def power_iteration(
     nodes = adjacency.nodes
     if not nodes:
         return RankResult(scores={}, iterations=0, converged=True, delta=0.0)
+    # teleport_vector fills its dict in ``nodes`` order
     teleport = teleport_vector(adjacency, preference, preference_weight)
-    degrees = adjacency.degrees
-    neighbors = adjacency.neighbors
-    restart = 1.0 - damping
-    rank = dict(teleport)
-    iterations = 0
-    delta = math.inf
+    rank: Any = list(teleport.values())
+    base = [(1.0 - damping) * share for share in rank]
+    kernel = _numpy_step if _vector.NUMPY else _exact_step
+    step = kernel(adjacency.csr(), base, damping)
     for iterations in range(1, max_iters + 1):
-        fresh: Dict[NodeId, float] = {}
-        for node in nodes:
-            incoming = [
-                rank[source] * (weight / degrees[source])
-                for source, weight in neighbors[node].items()
-            ]
-            fresh[node] = (
-                restart * teleport[node] + damping * math.fsum(incoming)
-            )
-        delta = math.fsum(abs(fresh[node] - rank[node]) for node in nodes)
-        rank = fresh
+        rank, delta = step(rank)
         if delta <= epsilon:
-            return RankResult(
-                scores=rank, iterations=iterations, converged=True,
-                delta=delta,
-            )
+            break
+    if kernel is _numpy_step:
+        rank = rank.tolist()
     return RankResult(
-        scores=rank, iterations=iterations, converged=False, delta=delta
+        scores=dict(zip(nodes, rank)),
+        iterations=iterations,
+        converged=delta <= epsilon,
+        delta=delta,
     )
 
 

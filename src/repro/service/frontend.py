@@ -40,6 +40,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.caching import LRUCache
 from repro.clouds.cloud import DataCloud
+from repro.core.executor import graph_recommend_rows
+from repro.core.workflow import Recommendation
 from repro.errors import CloudError
 from repro.courserank.accounts import User
 from repro.courserank.app import CourseRank
@@ -411,49 +413,26 @@ class CourseRankService:
         on the union graph, the course rows fetched from each course's
         owning shard.
         """
-        from repro.core.workflow import Recommendation
-
         workflow = self.apps[0].recommendations.build(name, **params)
-        node = workflow.root
+        shards = self.sharded.shards
+
+        def courses_of(course_id: Any) -> Optional[Any]:
+            shard_index = self.sharded.course_shard.get(course_id)
+            if shard_index is None:
+                return None
+            return shards[shard_index].table("Courses")
+
         with self.rwlock.read_locked(), OBS.span(
             "service.graph.recommend", {"workflow": workflow.name}
         ):
-            ranked = self.graphrank.rank_courses(
-                node.preference,
-                top_k=node.top_k,
-                exclude_seed=node.exclude_seed,
-                damping=node.damping,
-                epsilon=node.epsilon,
-                max_iters=node.max_iters,
-                preference_weight=node.preference_weight,
+            columns, rows, converged = graph_recommend_rows(
+                self.graphrank,
+                workflow.root,
+                shards[0].table("Courses").schema,
+                courses_of,
             )
-            schema = self.sharded.shards[0].table("Courses").schema
-            columns = list(schema.column_names)
-            key_index = next(
-                index
-                for index, column in enumerate(columns)
-                if column.lower() == "courseid"
-            )
-            by_id: Dict[Any, Any] = {}
-            scanned = set()
-            rows = []
-            for course_id, score in ranked:
-                shard_index = self.sharded.course_shard.get(course_id)
-                if shard_index is None:
-                    continue
-                if shard_index not in scanned:
-                    scanned.add(shard_index)
-                    table = self.sharded.shards[shard_index].table("Courses")
-                    for raw in table.rows():
-                        by_id[raw[key_index]] = raw
-                course = by_id.get(course_id)
-                if course is None:
-                    continue
-                row = dict(zip(columns, course))
-                row[node.score_column] = score
-                rows.append(row)
             return Recommendation(
-                columns=columns + [node.score_column], rows=rows
+                columns=columns, rows=rows, converged=converged
             )
 
     def _recommend_key(

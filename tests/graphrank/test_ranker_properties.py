@@ -3,8 +3,11 @@
 Four determinism hypotheses, each over generated graphs:
 
 * the rank vector is a distribution — scores sum to 1 within 1e-9;
-* scores are **bit-identical** under any permutation of user ids
-  (integer weights + ``math.fsum`` make accumulation order irrelevant);
+* on the exact kernel, scores are **bit-identical** under any
+  permutation of user ids (integer weights + ``math.fsum`` make
+  accumulation order irrelevant); the numpy kernel sums in column order,
+  which a relabeling permutes, so there the invariant is the documented
+  1e-12 tolerance;
 * repeated runs over the same adjacency are bit-identical;
 * a live engine refreshed incrementally across DML churn produces
   differentials bit-identical to a cold engine over the final state.
@@ -25,6 +28,7 @@ from repro.graphrank import (
     power_iteration,
 )
 from repro.minidb import Database
+from tests.graphrank.conftest import kernel, needs_numpy
 
 VOCAB = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
 USER_IDS = list(range(1, 9))
@@ -108,6 +112,25 @@ class TestNormalization:
         assert abs(math.fsum(result.scores.values()) - 1.0) <= 1e-9
 
 
+def _relabeled_pair(enrollments, comments, permuted):
+    """(mapping, base run, run over the graph with user ids permuted)."""
+    mapping = dict(zip(USER_IDS, permuted))
+    base = power_iteration(adjacency_of(make_db(enrollments, comments)))
+    relabeled = power_iteration(
+        adjacency_of(
+            make_db(
+                [(mapping[u], c) for u, c in enrollments],
+                [(mapping[u], c, t) for u, c, t in comments],
+            )
+        )
+    )
+    return mapping, base, relabeled
+
+
+def _relabel(node, mapping):
+    return ("user", mapping[node[1]]) if node[0] == "user" else node
+
+
 class TestPermutationInvariance:
     @given(
         enrollments=enrollment_lists,
@@ -118,23 +141,32 @@ class TestPermutationInvariance:
     def test_user_id_relabeling_is_bit_identical(
         self, enrollments, comments, permuted
     ):
-        mapping = dict(zip(USER_IDS, permuted))
-        base = power_iteration(
-            adjacency_of(make_db(enrollments, comments))
-        )
-        relabeled = power_iteration(
-            adjacency_of(
-                make_db(
-                    [(mapping[u], c) for u, c in enrollments],
-                    [(mapping[u], c, t) for u, c, t in comments],
-                )
+        with kernel("exact"):
+            mapping, base, relabeled = _relabeled_pair(
+                enrollments, comments, permuted
             )
-        )
         assert base.iterations == relabeled.iterations
         for node, score in base.scores.items():
-            if node[0] == "user":
-                node = ("user", mapping[node[1]])
-            assert relabeled.scores[node] == score
+            assert relabeled.scores[_relabel(node, mapping)] == score
+
+    @needs_numpy
+    @given(
+        enrollments=enrollment_lists,
+        comments=comment_lists,
+        permuted=st.permutations(USER_IDS),
+    )
+    @settings(deadline=None)
+    def test_user_id_relabeling_is_within_tolerance_on_numpy(
+        self, enrollments, comments, permuted
+    ):
+        with kernel("numpy"):
+            mapping, base, relabeled = _relabeled_pair(
+                enrollments, comments, permuted
+            )
+        assert abs(base.iterations - relabeled.iterations) <= 1
+        for node, score in base.scores.items():
+            other = relabeled.scores[_relabel(node, mapping)]
+            assert abs(other - score) <= 1e-12
 
 
 class TestDeterminism:

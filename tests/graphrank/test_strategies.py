@@ -14,9 +14,11 @@ import pytest
 from repro.core import strategies
 from repro.courserank import CourseRank
 from repro.datagen import generate_university
-from repro.errors import CompilationError, GraphRankError
+from repro.errors import CompilationError, FlexRecsError, GraphRankError
 from repro.graphrank import GraphRankEngine, GraphWeightedScoring
+from repro.minidb import Database
 from repro.service import CourseRankService
+from tests.graphrank.test_ranker_properties import make_db
 
 REPRO_SHARDS = int(os.environ.get("REPRO_SHARDS", "3"))
 
@@ -153,6 +155,82 @@ class TestShardedService:
         service.recommend("graph_rank_courses", student_id=3, top_k=5)
         assert engine.layers_rebuilt == rebuilt  # merge is warm
         assert engine.layers_reused > reused
+
+
+class TestConvergenceIsReported:
+    """A ranking cut off at ``max_iters`` must not pass for a converged one."""
+
+    @pytest.fixture(scope="class")
+    def services(self):
+        return [
+            CourseRankService(
+                generate_university(scale="tiny", seed=7), num_shards=shards
+            )
+            for shards in range(1, 6)
+        ]
+
+    def test_truncated_iteration_is_flagged_on_every_surface(
+        self, app, services
+    ):
+        params = dict(student_id=1, top_k=5, max_iters=3)
+        base = app.recommendations.run("graph_rank_courses", **params)
+        assert base.rows and base.converged is False
+        hits = app.graph.cache_info()["rank_hits"]
+        again = app.recommendations.run("graph_rank_courses", **params)
+        assert app.graph.cache_info()["rank_hits"] == hits + 1
+        assert again.converged is False  # the memo entry carries the flag
+        assert again.rows == base.rows
+        for service in services:
+            sharded = service.recommend("graph_rank_courses", **params)
+            assert sharded.converged is False
+            assert sharded.rows == base.rows
+
+    def test_default_parameters_converge(self, app, services):
+        base = app.recommendations.run(
+            "graph_rank_courses", student_id=1, top_k=5
+        )
+        assert base.converged is True
+        for service in services:
+            sharded = service.recommend(
+                "graph_rank_courses", student_id=1, top_k=5
+            )
+            assert sharded.converged is True
+            assert sharded.rows == base.rows
+
+    def test_post_processing_keeps_the_flag(self, app):
+        recommendation = app.recommendations.courses_for_student(
+            1, strategy="graph_rank_courses", top_k=5, max_iters=3
+        )
+        assert recommendation.rows and recommendation.converged is False
+
+    def test_engine_ranking_reports_both_iterations(self, app):
+        assert app.graph.rank_courses((("user", 1),), top_k=3).converged
+        cut = app.graph.rank_courses((("user", 1),), top_k=3, max_iters=2)
+        assert not cut.converged
+        assert not app.graph.baseline(max_iters=2).converged
+
+
+class TestRowMaterialization:
+    """Ranked ids become rows by primary-key lookup, one per id."""
+
+    def test_ranked_course_without_a_row_is_skipped(self):
+        database = make_db(enrollments=[(1, 99), (1, 2), (2, 99), (2, 3)])
+        ranked = GraphRankEngine.for_database(database).rank_courses(
+            (("user", 1),)
+        )
+        assert 99 in [course_id for course_id, _ in ranked]
+        recommendation = strategies.graph_rank_courses(1).run(database)
+        assert [row["CourseID"] for row in recommendation.rows] == [
+            course_id for course_id, _ in ranked if course_id != 99
+        ]
+
+    def test_courses_not_keyed_by_course_id_are_refused(self):
+        database = Database()
+        database.execute(
+            "CREATE TABLE Courses (Code INTEGER PRIMARY KEY, CourseID INTEGER)"
+        )
+        with pytest.raises(FlexRecsError):
+            strategies.graph_rank_courses(1).run(database)
 
 
 class TestGraphWeightedScoring:
