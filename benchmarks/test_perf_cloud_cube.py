@@ -4,13 +4,10 @@ Measures the three cost tiers of :class:`repro.clouds.cube.CloudCube`
 navigation over the course dimensions:
 
 * ``first walk`` — a fresh cube walking root -> drill-down(department)
-  -> one quarter slice (cold apex + incremental lattice edges);
+  -> one quarter slice (cold apex + one cloud per lattice edge);
 * ``re-walk``    — the same navigation on the same cube (all memo hits);
-* ``edge cost``  — for the largest department cell, the incremental
-  narrowed build (subtract dropped docs from the parent's aggregates)
-  vs the cold ``build_for_docs`` of the same cell, reported side by
-  side (whichever wins, the clouds are bit-identical — the differential
-  suite pins that; this experiment prices the choice).
+* ``edge cost``  — ``build_for_docs`` over the largest department cell,
+  what one lattice edge costs without the memo.
 
 ``BENCH_cloud_cube.json`` records walk timings and the memo speedup.
 """
@@ -58,18 +55,12 @@ def test_cube_walks_and_memo_reuse(bench_app):
     ]
     assert cube.stats["memo_hits"] >= cells
 
-    # Price one lattice edge both ways on the largest department cell.
-    builder = cube.builder
+    # Price one lattice edge on the largest department cell: its documents
+    # in another order are a set the gather cache has not seen.
     started = time.perf_counter()
-    cold_cloud = builder.build_for_docs(largest.doc_ids)
-    cold_edge_s = time.perf_counter() - started
-    root_docs = cube.root().doc_ids
-    started = time.perf_counter()
-    narrowed_cloud = builder.build_for_docs_narrowed(
-        largest.doc_ids, root_docs
-    )
-    narrowed_edge_s = time.perf_counter() - started
-    assert _signature(narrowed_cloud) == _signature(cold_cloud)
+    edge_cloud = cube.builder.build_for_docs(largest.doc_ids[::-1])
+    edge_s = time.perf_counter() - started
+    assert _signature(edge_cloud) == _signature(largest.cloud)
 
     memo_speedup = first_s / rewalk_s if rewalk_s > 0 else float("inf")
     lines = [
@@ -85,8 +76,7 @@ def test_cube_walks_and_memo_reuse(bench_app):
         "",
         f"memo speedup: {memo_speedup:.1f}x; lattice edge on the largest "
         f"department cell:",
-        f"  cold build_for_docs      {cold_edge_s * 1e3:8.2f} ms",
-        f"  narrowed (incremental)   {narrowed_edge_s * 1e3:8.2f} ms",
+        f"  build_for_docs           {edge_s * 1e3:8.2f} ms",
         "clouds bit-identical on every path",
     ]
     write_report("perf_cloud_cube", lines)
@@ -98,8 +88,7 @@ def test_cube_walks_and_memo_reuse(bench_app):
             "first_walk_ms": round(first_s * 1e3, 3),
             "rewalk_ms": round(rewalk_s * 1e3, 3),
             "memo_speedup": round(memo_speedup, 2),
-            "edge_cold_ms": round(cold_edge_s * 1e3, 3),
-            "edge_narrowed_ms": round(narrowed_edge_s * 1e3, 3),
+            "edge_ms": round(edge_s * 1e3, 3),
             "clouds_bit_identical": True,
         },
     )

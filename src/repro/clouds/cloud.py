@@ -12,16 +12,18 @@ survive — the paper's Figure 3 cloud for "American" prominently features
 from __future__ import annotations
 
 import copy
-import heapq
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Set
+from itertools import repeat
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CloudError
 from repro.obs import OBS
 from repro.search.engine import SearchEngine, SearchResult
 from repro.clouds.scoring import (
     SignificanceScoring,
+    TermPartial,
     TermSource,
     TermStats,
     get_scoring,
@@ -64,6 +66,11 @@ class DataCloud:
             if cloud_term.term == lowered:
                 return cloud_term
         return None
+
+
+def _column_sums(columns: Iterable[Iterable[Any]]) -> Iterator[Any]:
+    """Element-wise sums of equally long columns, without a Python loop."""
+    return map(sum, zip(*columns))
 
 
 class CloudBuilder:
@@ -124,56 +131,6 @@ class CloudBuilder:
             result.doc_ids(), query=result.query, query_terms=result.terms
         )
 
-    def build_narrowed(
-        self, result: SearchResult, parent: SearchResult
-    ) -> DataCloud:
-        """Cloud for a *refined* result, derived from its parent's stats.
-
-        Refinement is conjunctive, so ``result``'s documents are a subset
-        of ``parent``'s; the term source subtracts the dropped documents
-        from the parent's cached aggregates instead of re-merging the
-        whole result set.  Output is identical to :meth:`build` — the
-        incremental path is purely a cost optimization.
-        """
-        return self.build_for_docs_narrowed(
-            result.doc_ids(),
-            parent.doc_ids(),
-            query=result.query,
-            query_terms=result.terms,
-            result_size=len(result.hits),
-        )
-
-    def build_for_docs_narrowed(
-        self,
-        doc_ids: Sequence[DocId],
-        parent_doc_ids: Sequence[DocId],
-        query: str = "",
-        query_terms: Optional[Sequence[str]] = None,
-        result_size: Optional[int] = None,
-    ) -> DataCloud:
-        """Cloud for a doc subset, derived from a superset's cached stats.
-
-        The doc-id-level spelling of :meth:`build_narrowed` — cube
-        navigation narrows along lattice edges rather than query
-        refinements, but the subtraction trick is the same.  Output is
-        identical to :meth:`build_for_docs` over ``doc_ids``.
-        """
-        if not self._prepared:
-            self.prepare()
-        with OBS.span("cloud.build_narrowed") as span:
-            started = time.perf_counter()
-            stats = self.source.gather_narrowed(parent_doc_ids, doc_ids)
-            size = len(doc_ids) if result_size is None else result_size
-            cloud = self._cloud_from_stats(stats, size, query, query_terms)
-            if OBS.enabled:
-                span.set(docs=size, terms=len(cloud.terms))
-                OBS.metrics.inc("cloud.build_narrowed.count")
-                OBS.metrics.observe(
-                    "cloud.build.ms",
-                    (time.perf_counter() - started) * 1000.0,
-                )
-        return cloud
-
     def build_for_docs(
         self,
         doc_ids: Sequence[DocId],
@@ -184,9 +141,11 @@ class CloudBuilder:
             self.prepare()
         with OBS.span("cloud.build") as span:
             started = time.perf_counter()
-            stats = self.source.gather(doc_ids)
-            cloud = self._cloud_from_stats(
-                stats, len(doc_ids), query, query_terms
+            cloud = self.build_from_stats(
+                [self.source.partial_gather(doc_ids)],
+                len(doc_ids),
+                query,
+                query_terms,
             )
             if OBS.enabled:
                 span.set(docs=len(doc_ids), terms=len(cloud.terms))
@@ -199,105 +158,97 @@ class CloudBuilder:
 
     def build_from_stats(
         self,
-        stats: Sequence[TermStats],
+        partials: Sequence[TermPartial],
         result_size: int,
         query: str = "",
         query_terms: Optional[Sequence[str]] = None,
-        corpus_size: Optional[int] = None,
     ) -> DataCloud:
-        """Score and bucket pre-merged term statistics.
+        """The counters → cloud kernel: a top-k query over ``partials``.
 
-        The scatter-gather path merges per-shard counters into global
-        :class:`TermStats` (occurrence sums, result df sums, corpus df
-        sums) and hands them here with the merged ``corpus_size``; the
-        scoring, suppression, top-k cut, and bucketing are then exactly
-        the ones an unsharded builder would apply, so the resulting cloud
-        is bit-identical to the unsharded build.
+        One partial (an unsharded build) or one per shard (the
+        scatter-gather coordinator) — the same code, so the sharded cloud
+        is bit-identical to the unsharded one: every quantity merged here
+        is a sum over disjoint document sets (occurrence weights are
+        dyadic, so their float sums are exact in any order).
+
+        A cloud shows a few dozen of the hundreds of terms its documents
+        hold, so the cuts come first: (1) merge the result df counters
+        and keep only terms in ``min_result_df`` documents — the iceberg
+        condition; (2) only for those, sum occurrences and corpus df
+        across the partials and score them; (3) walk them best first,
+        dropping echoes of the query, until ``max_terms`` are taken —
+        the top-k; (4) bucket what is shown.
         """
-        if not self._prepared:
-            self.prepare()
-        return self._cloud_from_stats(
-            stats, result_size, query, query_terms, corpus_size=corpus_size
-        )
-
-    def _cloud_from_stats(
-        self,
-        stats: Sequence[TermStats],
-        result_size: int,
-        query: str = "",
-        query_terms: Optional[Sequence[str]] = None,
-        corpus_size: Optional[int] = None,
-    ) -> DataCloud:
-        if corpus_size is None:
-            corpus_size = self.source.corpus_size
-        suppressed = self._suppressed_terms(query_terms or [])
+        result_df: Counter = Counter()
+        for partial in partials:
+            result_df.update(partial.result_df)
         min_df = self.min_result_df if result_size >= self.min_result_df else 1
-        scored: List[CloudTerm] = []
-        for stat in stats:
-            if stat.result_df < min_df:
+        terms = [term for term, df in result_df.items() if df >= min_df]
+        occurrences = _column_sums(
+            map(partial.occurrences.get, terms, repeat(0))
+            for partial in partials
+        )
+        corpus_df = _column_sums(
+            partial.source.corpus_document_frequencies(terms)
+            for partial in partials
+        )
+        corpus_size = sum(partial.source.corpus_size for partial in partials)
+        score = self.scoring.score
+        ranked = []
+        for term, occurred, in_corpus in zip(terms, occurrences, corpus_df):
+            df = result_df[term]
+            stats = TermStats(term, occurred, df, in_corpus or df)
+            significance = score(stats, result_size, corpus_size)
+            if significance > 0:
+                ranked.append((-significance, term, stats))
+        # Ties break on the term text, which is unique: the statistics
+        # riding along are never compared.
+        ranked.sort()
+        suppressed = set(query_terms or ())
+        shown = []
+        for entry in ranked:
+            if suppressed and self._is_suppressed(entry[1], suppressed):
                 continue
-            if self._is_suppressed(stat.term, suppressed):
-                continue
-            score = self.scoring.score(stat, result_size, corpus_size)
-            if score <= 0:
-                continue
-            scored.append(
-                CloudTerm(
-                    term=stat.term,
-                    score=score,
-                    occurrences=stat.occurrences,
-                    result_df=stat.result_df,
-                )
-            )
-        if len(scored) > self.max_terms:
-            # Bounded heap top-k: same ordering as the full sort (ties
-            # break on the term text), without sorting the whole tail.
-            scored = heapq.nsmallest(
-                self.max_terms, scored, key=lambda term: (-term.score, term.term)
-            )
-        else:
-            scored.sort(key=lambda term: (-term.score, term.term))
+            shown.append(entry)
+            if len(shown) == self.max_terms:
+                break
         return DataCloud(
-            query=query,
-            result_size=result_size,
-            terms=self._assign_buckets(scored),
+            query=query, result_size=result_size, terms=self._bucketed(shown)
         )
 
     # -- helpers -----------------------------------------------------------
 
-    def _suppressed_terms(self, query_terms: Sequence[str]) -> Set[str]:
-        """Stemmed forms of the query, used to drop echo terms."""
-        return set(query_terms)
-
     def _is_suppressed(self, term: str, suppressed: Set[str]) -> bool:
-        """A display term is suppressed when *all* its words echo the query."""
-        if not suppressed:
-            return False
-        words = term.split(" ")
-        stemmed = [self.engine.tokenizer.stem_token(word) for word in words]
-        return all(stem in suppressed for stem in stemmed)
+        """A display term is suppressed when *all* its words echo the query.
 
-    def _assign_buckets(self, terms: List[CloudTerm]) -> List[CloudTerm]:
-        """Map scores to font buckets 1..n by linear score interpolation."""
-        if not terms:
-            return terms
-        high = terms[0].score
-        low = terms[-1].score
-        span = high - low
-        rebuilt: List[CloudTerm] = []
-        for term in terms:
+        ``suppressed`` holds the query's stemmed terms.
+        """
+        stem = self.engine.tokenizer.stem_token
+        return all(stem(word) in suppressed for word in term.split(" "))
+
+    def _bucketed(
+        self, shown: List[Tuple[float, str, TermStats]]
+    ) -> List[CloudTerm]:
+        """The displayed terms, scores mapped linearly to font buckets 1..n."""
+        if not shown:
+            return []
+        low = -shown[-1][0]
+        span = -shown[0][0] - low
+        terms = []
+        for negated, term, stats in shown:
+            score = -negated
             if span <= 0:
                 bucket = self.buckets
             else:
-                fraction = (term.score - low) / span
+                fraction = (score - low) / span
                 bucket = 1 + int(round(fraction * (self.buckets - 1)))
-            rebuilt.append(
+            terms.append(
                 CloudTerm(
-                    term=term.term,
-                    score=term.score,
-                    occurrences=term.occurrences,
-                    result_df=term.result_df,
+                    term=term,
+                    score=score,
+                    occurrences=stats.occurrences,
+                    result_df=stats.result_df,
                     bucket=bucket,
                 )
             )
-        return rebuilt
+        return terms

@@ -14,20 +14,20 @@ The navigational operators are the classic three:
   coordinate);
 * :meth:`CloudCube.slice` — fix one value of a dimension.
 
-The cost trick generalizes PR 2's refinement narrowing to lattice edges:
-a child cell's documents are a subset of its parent's, so the child cloud
-is derived by *subtracting the dropped documents* from the parent's
-cached term aggregates (:meth:`CloudBuilder.build_for_docs_narrowed`)
-instead of re-merging from scratch.  The differential tests in
-``tests/clouds/test_cube.py`` pin every navigated cloud bit-identical to
-a cold build over the same filtered doc set.
+A lattice edge narrows its parent cell's documents by one membership
+filter and counts the child's cloud over what is left — the same top-k
+kernel every cloud goes through (:meth:`CloudBuilder.build_for_docs`).
+The differential tests in ``tests/clouds/test_cube.py`` pin every
+navigated cloud bit-identical to a cold build over the same filtered doc
+set.
 
 Dimension membership maps are version-keyed per database (schema epoch +
 source-table data versions, the extendcache discipline), so any DML
 invalidates them by construction.  A :class:`CloudCube` itself is a
-snapshot navigator: its cell memo embeds the database version vector, so
-after a write a freshly constructed cube (or any cell access) observes
-the new data, while cells already handed out keep their snapshot.
+snapshot navigator: its cell memo belongs to one database version vector
+and is dropped when the vector moves, so after a write any cell access
+observes the new data, while cells already handed out keep their
+snapshot.
 """
 
 from __future__ import annotations
@@ -148,9 +148,10 @@ class CloudCube:
 
     ``base_doc_ids`` roots the cube (default: the whole corpus); a cube
     rooted at a search result is the paper's "cloud over these hits,
-    broken down by department".  Cells are memoized per (database
-    version, coordinate), so roll-up after drill-down is a cache hit and
-    repeated walks cost nothing.
+    broken down by department".  Cells are memoized per coordinate for
+    the current database version, so roll-up after drill-down is a cache
+    hit and repeated walks cost nothing; a write retires the whole memo,
+    so it never holds more than one version's cells.
     """
 
     def __init__(
@@ -178,7 +179,8 @@ class CloudCube:
         self.query_terms = (
             tuple(query_terms) if query_terms is not None else None
         )
-        self._cells: Dict[Tuple[Any, ...], CubeCell] = {}
+        self._cells: Dict[Coordinate, CubeCell] = {}
+        self._cells_version: Optional[Tuple[Any, ...]] = None
         #: build-path counters, asserted on by the differential tests
         self.stats = {
             "cold_builds": 0,
@@ -200,8 +202,13 @@ class CloudCube:
     def _membership(self, dimension: str) -> Dict[DocId, Tuple[Any, ...]]:
         return membership_for(self.database, self._spec(dimension))
 
-    def _memo_key(self, coordinate: Coordinate) -> Tuple[Any, ...]:
-        return (database_version_vector(self.database), coordinate)
+    def _memo(self) -> Dict[Coordinate, CubeCell]:
+        """The cell memo of the database's current version."""
+        version = database_version_vector(self.database)
+        if version != self._cells_version:
+            self._cells = {}
+            self._cells_version = version
+        return self._cells
 
     def _validate(self, coordinate: Coordinate) -> Coordinate:
         coordinate = tuple(
@@ -232,8 +239,8 @@ class CloudCube:
     def cell(self, coordinate: Coordinate = ()) -> CubeCell:
         """The cell at ``coordinate``, cold-built (and memoized)."""
         coordinate = self._validate(coordinate)
-        key = self._memo_key(coordinate)
-        cached = self._cells.get(key)
+        memo = self._memo()
+        cached = memo.get(coordinate)
         if cached is not None:
             self.stats["memo_hits"] += 1
             return cached
@@ -256,7 +263,7 @@ class CloudCube:
                 )
         self.stats["cold_builds"] += 1
         cell = CubeCell(coordinate=coordinate, doc_ids=docs, cloud=cloud)
-        self._cells[key] = cell
+        memo[coordinate] = cell
         return cell
 
     def root(self) -> CubeCell:
@@ -276,15 +283,15 @@ class CloudCube:
     def slice(self, cell: CubeCell, dimension: str, value: Any) -> CubeCell:
         """Fix ``dimension = value`` within ``cell`` (one lattice edge).
 
-        The child cloud is derived incrementally from the parent's cached
-        aggregates; the memoized result is shared with any other path
-        that reaches the same coordinate.
+        Only ``cell``'s documents are filtered, not the cube's base; the
+        memoized result is shared with any other path that reaches the
+        same coordinate.
         """
         coordinate = self._validate(
             cell.coordinate + ((dimension, value),)
         )
-        key = self._memo_key(coordinate)
-        cached = self._cells.get(key)
+        memo = self._memo()
+        cached = memo.get(coordinate)
         if cached is not None:
             self.stats["memo_hits"] += 1
             return cached
@@ -293,11 +300,8 @@ class CloudCube:
             "cloud.cube.slice", {"dimension": dimension, "value": repr(value)}
         ) as span:
             started = time.perf_counter()
-            cloud = self.builder.build_for_docs_narrowed(
-                docs,
-                cell.doc_ids,
-                query=self.query,
-                query_terms=self.query_terms,
+            cloud = self.builder.build_for_docs(
+                docs, query=self.query, query_terms=self.query_terms
             )
             if OBS.enabled:
                 span.set(docs=len(docs), terms=len(cloud.terms))
@@ -308,7 +312,7 @@ class CloudCube:
                 )
         self.stats["incremental_builds"] += 1
         child = CubeCell(coordinate=coordinate, doc_ids=docs, cloud=cloud)
-        self._cells[key] = child
+        memo[coordinate] = child
         return child
 
     def drill_down(

@@ -131,13 +131,8 @@ class RefinementSession:
         result = self.engine.search(
             query, limit=self.limit, mode="all", within=within
         )
-        if within is not None and self._steps:
-            # Refinement narrows the parent's result set, so the new
-            # cloud is derived incrementally from the parent's cached
-            # aggregates (identical output, fraction of the cost).
-            cloud = self.builder.build_narrowed(result, self.current.result)
-        else:
-            cloud = self.builder.build(result)
-        step = RefinementStep(query=query, result=result, cloud=cloud)
+        step = RefinementStep(
+            query=query, result=result, cloud=self.builder.build(result)
+        )
         self._steps.append(step)
         return step

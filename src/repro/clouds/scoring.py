@@ -9,9 +9,10 @@ their data cloud?"):
 are obtained (cost question, benchmarked by P1):
 
 * ``rescan``  — re-extract terms from each result document's raw text at
-  query time; no extra memory, highest per-query cost.
-* ``forward`` — per-document term counters precomputed at build time;
-  per-query work is merging counters of the result docs.  Exact.
+  query time; keeps term names but no counts, highest per-query cost.
+* ``forward`` — per-document term counters precomputed at build time and
+  kept in step with the search index; per-query work is merging counters
+  of the result docs.  Exact.
 * ``topk``    — only each document's top-*m* terms are cached; merging is
   cheaper still but term counts are approximate (long-tail terms from
   individual documents are dropped).
@@ -29,9 +30,20 @@ are obtained (cost question, benchmarked by P1):
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from itertools import chain, repeat
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.caching import LRUCache
 from repro.errors import CloudError
@@ -51,6 +63,24 @@ class TermStats:
     corpus_df: int  # number of corpus documents containing the term
 
 
+class TermPartial(NamedTuple):
+    """One source's raw counters over one document set.
+
+    The unit the cloud kernel (:meth:`CloudBuilder.build_from_stats`)
+    merges: an unsharded build hands it one partial, the scatter-gather
+    coordinator one per shard.  Treat both counters as immutable — they
+    are shared with the source's gather cache.
+    """
+
+    source: "TermSource"
+    occurrences: Dict[str, float]  # field-weight-scaled occurrence mass
+    result_df: Counter  # number of the documents containing each term
+
+
+#: what a document the forward index does not know contributes
+_NO_TERMS: Mapping[str, float] = {}
+
+
 class TermSource:
     """Extracts and caches display terms (unigrams + bigrams) per document.
 
@@ -58,6 +88,11 @@ class TermSource:
     search index remains stemmed.  Field weights from the entity
     definition scale occurrence counts, so a term in a title counts more
     than in a comment, mirroring the ranking of the search itself.
+
+    The per-document forward index and the corpus document frequencies
+    are derived artifacts of the search index and follow its epoch: when
+    the epoch has moved since they were last brought up to date, the next
+    gather re-extracts exactly the documents the index touched since.
     """
 
     def __init__(
@@ -73,36 +108,38 @@ class TermSource:
         self.strategy = strategy
         self.topk_per_doc = topk_per_doc
         self.include_bigrams = include_bigrams
+        # doc -> the term counts gathers merge (forward: all of them,
+        # topk: the top few, rescan: nothing — it re-reads the text).
         self._doc_terms: Dict[DocId, Counter] = {}
+        # doc -> every term it holds, where ``_doc_terms`` does not say
+        # (topk, rescan): what a later change to the document has to take
+        # back out of ``_corpus_df``.
+        self._doc_vocabulary: Dict[DocId, Tuple[str, ...]] = {}
         self._corpus_df: Counter = Counter()
-        self._prepared = False
-        self._prepared_epoch: Optional[int] = None
-        # Result sets repeat across a session (identical searches, cloud
-        # refinement back()); memoize the merged statistics per doc set.
-        # Keys embed the index epoch, so entries cannot survive index
-        # mutations; values keep the raw counters so a *narrowed* result
-        # set (cloud refinement) can be derived by subtraction instead of
-        # re-merged from scratch — see :meth:`gather_narrowed`.
+        # Index epoch the three structures above describe; None until
+        # prepare().  Concurrent readers may find it stale together.
+        self._epoch: Optional[int] = None
+        self._catch_up_lock = threading.Lock()
+        # Result sets repeat (identical searches, refinement back(), a
+        # cube root after a write to another shard); memoize the raw
+        # counters per doc set.  Keys embed the index epoch, so entries
+        # cannot survive index mutations.
         self._gather_cache = LRUCache(maxsize=64)
 
     # -- build-time work -----------------------------------------------------
 
     def prepare(self) -> None:
         """Precompute whatever the strategy needs (called once per build)."""
-        self._doc_terms.clear()
-        self._corpus_df.clear()
-        self._gather_cache.clear()
-        for doc_id in self.engine.index.document_ids():
-            counts = self._extract(doc_id)
-            self._corpus_df.update(counts.keys())
-            if self.strategy == "forward":
-                self._doc_terms[doc_id] = counts
-            elif self.strategy == "topk":
-                top = counts.most_common(self.topk_per_doc)
-                self._doc_terms[doc_id] = Counter(dict(top))
-            # rescan keeps nothing per-doc
-        self._prepared = True
-        self._prepared_epoch = self.engine.index.epoch
+        index = self.engine.index
+        with self._catch_up_lock:
+            self._doc_terms.clear()
+            self._doc_vocabulary.clear()
+            self._corpus_df.clear()
+            self._gather_cache.clear()
+            epoch = index.epoch
+            for doc_id in index.document_ids():
+                self._remember(doc_id)
+            self._epoch = epoch
 
     def _extract(self, doc_id: DocId) -> Counter:
         texts = self.engine.document_text(doc_id)
@@ -117,6 +154,50 @@ class TermSource:
                     counts[term] += weight
         return counts
 
+    def _remember(self, doc_id: DocId) -> None:
+        counts = self._extract(doc_id)
+        self._corpus_df.update(counts.keys())
+        if self.strategy == "forward":
+            self._doc_terms[doc_id] = counts
+            return
+        self._doc_vocabulary[doc_id] = tuple(counts)
+        if self.strategy == "topk":
+            top = counts.most_common(self.topk_per_doc)
+            self._doc_terms[doc_id] = Counter(dict(top))
+
+    def _forget(self, doc_id: DocId) -> None:
+        counts = self._doc_terms.pop(doc_id, _NO_TERMS)
+        corpus_df = self._corpus_df
+        for term in self._doc_vocabulary.pop(doc_id, counts):
+            if corpus_df[term] > 1:
+                corpus_df[term] -= 1
+            else:
+                del corpus_df[term]
+
+    def _catch_up(self) -> None:
+        """Follow the index to its current epoch (DESIGN §8).
+
+        Only the documents added, replaced or removed since ``_epoch``
+        are re-extracted.  Readers that find the epoch moved arrive here
+        together (the service holds only a read lock), so one catches up
+        and the rest wait for it.  The epoch is read before the change
+        log: a write that lands meanwhile (the facade does not lock
+        searches out) leaves ``_epoch`` behind it, to be followed by the
+        next gather.
+        """
+        index = self.engine.index
+        with self._catch_up_lock:
+            if self._epoch is None:
+                raise CloudError(
+                    "TermSource.prepare() must run before gather()"
+                )
+            epoch = index.epoch
+            for doc_id in index.touched_since(self._epoch):
+                self._forget(doc_id)
+                if index.has_document(doc_id):
+                    self._remember(doc_id)
+            self._epoch = epoch
+
     # -- query-time work ----------------------------------------------------
 
     def _cache_key(
@@ -130,150 +211,82 @@ class TermSource:
             return None
         return key
 
-    def _doc_counts(self, doc_id: DocId) -> Counter:
+    def _doc_counts(self, doc_id: DocId) -> Mapping[str, float]:
         if self.strategy == "rescan":
             return self._extract(doc_id)
-        return self._doc_terms.get(doc_id, Counter())
+        return self._doc_terms.get(doc_id, _NO_TERMS)
 
-    def _stats_from_counters(
-        self, occurrences: Counter, result_df: Counter
-    ) -> List[TermStats]:
+    def partial_gather(self, doc_ids: Iterable[DocId]) -> TermPartial:
+        """Raw ``(occurrences, result_df)`` counters over ``doc_ids``.
+
+        Both counters are plain sums over the result documents, so
+        per-shard partials over disjoint doc sets add up to exactly the
+        counters one source would produce over the union (occurrence
+        weights are dyadic rationals — half-integers — so float addition
+        here is exact and order-independent).  Result df is counted in C
+        (``Counter`` over the chained per-document term maps); the
+        occurrence sums take one dict update per (document, term) pair.
+        """
+        if self._epoch != self.engine.index.epoch:
+            self._catch_up()
+        ordered = tuple(doc_ids)
+        key = self._cache_key(ordered)
+        if key is not None:
+            cached = self._gather_cache.get(key)
+            if cached is not None:
+                return cached
+        per_doc = [self._doc_counts(doc_id) for doc_id in ordered]
+        result_df = Counter(chain.from_iterable(per_doc))
+        occurrences = dict.fromkeys(result_df, 0)
+        for counts in per_doc:
+            for term, count in counts.items():
+                occurrences[term] += count
+        partial = TermPartial(self, occurrences, result_df)
+        if key is not None:
+            self._gather_cache.put(key, partial)
+        return partial
+
+    def gather(self, doc_ids: Iterable[DocId]) -> List[TermStats]:
+        """Statistics of *every* term in ``doc_ids`` (a fresh list).
+
+        The whole-vocabulary view for inspection and tests; cloud
+        construction goes through :meth:`partial_gather` and only ever
+        builds statistics for the terms that survive its cuts.
+        """
+        _source, occurrences, result_df = self.partial_gather(doc_ids)
         corpus_df = self._corpus_df
         return [
             TermStats(
                 term=term,
-                occurrences=occurrences[term],
+                occurrences=count,
                 result_df=result_df[term],
                 corpus_df=corpus_df.get(term, result_df[term]),
             )
-            for term in occurrences
+            for term, count in occurrences.items()
         ]
-
-    def gather(self, doc_ids: Iterable[DocId]) -> List[TermStats]:
-        """Term statistics over ``doc_ids`` according to the strategy."""
-        if not self._prepared:
-            raise CloudError("TermSource.prepare() must run before gather()")
-        ordered = tuple(doc_ids)
-        key = self._cache_key(ordered)
-        if key is not None:
-            cached = self._gather_cache.get(key)
-            if cached is not None:
-                # The cache holds an immutable tuple; hand each caller a
-                # fresh list so in-place mutations cannot corrupt it.
-                return list(cached[2])
-        occurrences: Counter = Counter()
-        result_df: Counter = Counter()
-        for doc_id in ordered:
-            for term, count in self._doc_counts(doc_id).items():
-                occurrences[term] += count
-                result_df[term] += 1
-        stats = self._stats_from_counters(occurrences, result_df)
-        if key is not None:
-            self._gather_cache.put(
-                key, (occurrences, result_df, tuple(stats))
-            )
-        return stats
 
     def gather_narrowed(
         self, parent_ids: Iterable[DocId], doc_ids: Iterable[DocId]
     ) -> List[TermStats]:
-        """Statistics over ``doc_ids``, derived from a cached superset.
+        """:meth:`gather` over ``doc_ids``, a subset of ``parent_ids``.
 
-        Cloud refinement always *narrows* the result set, so the child's
-        counters equal the parent's minus the dropped documents'.  When
-        the parent's aggregates are cached and fewer documents were
-        dropped than remain, subtraction beats a from-scratch merge; in
-        every other case this transparently falls back to :meth:`gather`.
-        The output is identical to ``gather(doc_ids)`` either way.
+        The superset buys nothing: a refinement keeps most of its parent,
+        so subtracting the dropped documents from the parent's counters
+        walks as many (document, term) pairs as counting the kept ones
+        does (measured, CHANGES.md PR 19).  The name stays because the
+        benchmark's span table and callers that know the superset use it.
         """
-        if not self._prepared:
-            raise CloudError("TermSource.prepare() must run before gather()")
-        ordered = tuple(doc_ids)
-        parent_key = self._cache_key(tuple(parent_ids))
-        key = self._cache_key(ordered)
-        if parent_key is None or key is None:
-            return self.gather(ordered)
-        cached = self._gather_cache.get(key)
-        if cached is not None:
-            return list(cached[2])
-        parent = self._gather_cache.get(parent_key)
-        if parent is None:
-            return self.gather(ordered)
-        kept = set(ordered)
-        removed = [doc_id for doc_id in parent_key[1] if doc_id not in kept]
-        if len(removed) >= len(ordered):
-            return self.gather(ordered)
-        # Aggregate the dropped documents once, then derive the child in a
-        # single pass over the parent's vocabulary (cheaper than copying
-        # and mutating the parent's counters term by term).
-        removed_occurrences: Dict[str, float] = {}
-        removed_df: Dict[str, int] = {}
-        for doc_id in removed:
-            for term, count in self._doc_counts(doc_id).items():
-                removed_occurrences[term] = (
-                    removed_occurrences.get(term, 0) + count
-                )
-                removed_df[term] = removed_df.get(term, 0) + 1
-        parent_occurrences, parent_df = parent[0], parent[1]
-        occurrences: Counter = Counter()
-        result_df: Counter = Counter()
-        dropped_df = removed_df.get
-        dropped_occ = removed_occurrences.get
-        for term, df in parent_df.items():
-            new_df = df - dropped_df(term, 0)
-            if new_df > 0:
-                result_df[term] = new_df
-                occurrences[term] = parent_occurrences[term] - dropped_occ(
-                    term, 0
-                )
-        stats = self._stats_from_counters(occurrences, result_df)
-        self._gather_cache.put(key, (occurrences, result_df, tuple(stats)))
-        return stats
+        return self.gather(doc_ids)
 
-    # -- scatter-gather exports ---------------------------------------------
-
-    def partial_gather(
-        self, doc_ids: Iterable[DocId]
-    ) -> Tuple[Counter, Counter]:
-        """Raw ``(occurrences, result_df)`` counters over ``doc_ids``.
-
-        The merge-side primitive of sharded cloud construction: both
-        counters are plain sums over the result documents, so per-shard
-        partials over disjoint doc sets add up to exactly the counters
-        :meth:`gather` would produce over the union (occurrence weights
-        are dyadic rationals — half-integers — so float addition here is
-        exact and order-independent).  Callers must treat the returned
-        counters as immutable: they may be the gather cache's own.
-        """
-        if not self._prepared:
-            raise CloudError("TermSource.prepare() must run before gather()")
-        ordered = tuple(doc_ids)
-        key = self._cache_key(ordered)
-        if key is not None:
-            cached = self._gather_cache.get(key)
-            if cached is not None:
-                return cached[0], cached[1]
-        occurrences: Counter = Counter()
-        result_df: Counter = Counter()
-        for doc_id in ordered:
-            for term, count in self._doc_counts(doc_id).items():
-                occurrences[term] += count
-                result_df[term] += 1
-        if key is not None:
-            stats = self._stats_from_counters(occurrences, result_df)
-            self._gather_cache.put(key, (occurrences, result_df, tuple(stats)))
-        return occurrences, result_df
-
-    def corpus_document_frequencies(
-        self, terms: Iterable[str]
-    ) -> Dict[str, int]:
-        """This shard's corpus df for ``terms`` (absent terms omitted).
+    def corpus_document_frequencies(self, terms: Iterable[str]) -> List[int]:
+        """This source's corpus df of each of ``terms``, 0 where absent.
 
         Shard corpora are disjoint, so summing these across shards yields
         the unsharded corpus df exactly.
         """
-        corpus_df = self._corpus_df
-        return {term: corpus_df[term] for term in terms if term in corpus_df}
+        if self._epoch != self.engine.index.epoch:
+            self._catch_up()
+        return list(map(self._corpus_df.get, terms, repeat(0)))
 
     @property
     def corpus_size(self) -> int:

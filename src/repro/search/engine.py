@@ -154,11 +154,13 @@ class SearchEngine:
                 self._texts.pop(doc_id, None)
             return
         joined = {name: " ".join(chunks) for name, chunks in fields.items()}
+        # Text first: whoever sees the new epoch (the clouds' forward
+        # index re-extracts from it) must find the new text with it.
+        self._texts[doc_id] = joined
         self.index.add_document(
             doc_id,
             {name: self.tokenizer.tokens(text) for name, text in joined.items()},
         )
-        self._texts[doc_id] = joined
 
     def document_text(self, doc_id: DocId) -> Dict[str, str]:
         """The stored raw text of an indexed entity (field → text)."""

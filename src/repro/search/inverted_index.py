@@ -55,6 +55,11 @@ class InvertedIndex:
         self._epoch = 0
         # (field, b) -> (epoch, {doc_id: 1 / bm25-length-normalizer})
         self._norm_tables: Dict[Tuple[str, float], Tuple[int, Dict[DocId, float]]] = {}
+        # doc_id -> epoch published by its latest add/remove, oldest
+        # first (a re-touched document moves to the end), so the changes
+        # since any epoch are a suffix.  One entry per document ever
+        # indexed: bounded by the corpus, not by the number of writes.
+        self._touched: Dict[DocId, int] = {}
 
     # -- building ----------------------------------------------------------
 
@@ -80,9 +85,15 @@ class InvertedIndex:
             self._epoch += 1
         return count
 
+    def _touch(self, doc_id: DocId) -> None:
+        """Log a change to ``doc_id``; the caller bumps the epoch next."""
+        self._touched.pop(doc_id, None)
+        self._touched[doc_id] = self._epoch + 1
+
     def _add(self, doc_id: DocId, fields: Mapping[str, List[str]]) -> None:
         if doc_id in self._forward:
             self._remove(doc_id)
+        self._touch(doc_id)
         forward: Dict[str, Counter] = {}
         lengths: Dict[str, int] = {}
         for field, tokens in fields.items():
@@ -111,6 +122,7 @@ class InvertedIndex:
         forward = self._forward.pop(doc_id, None)
         if forward is None:
             raise SearchError(f"document {doc_id!r} is not indexed")
+        self._touch(doc_id)
         self._field_lengths.pop(doc_id, None)
         for field, counts in forward.items():
             remaining = self._field_tokens[field] - sum(counts.values())
@@ -138,6 +150,8 @@ class InvertedIndex:
                     del self._postings[term]
 
     def clear(self) -> None:
+        for doc_id in self._forward:
+            self._touch(doc_id)
         self._postings.clear()
         self._forward.clear()
         self._field_tokens.clear()
@@ -152,6 +166,21 @@ class InvertedIndex:
     def epoch(self) -> int:
         """Mutation counter; changes whenever indexed content changes."""
         return self._epoch
+
+    def touched_since(self, epoch: int) -> List[DocId]:
+        """Documents added, replaced or removed after ``epoch``.
+
+        What an epoch-keyed derived artifact (the clouds' forward index)
+        has to redo to follow the index from ``epoch`` to now; whether a
+        listed document still exists is :meth:`has_document`.
+        """
+        touched: List[DocId] = []
+        # A snapshot: an unlocked facade reader may get here mid-write.
+        for doc_id, published in reversed(tuple(self._touched.items())):
+            if published <= epoch:
+                break
+            touched.append(doc_id)
+        return touched
 
     @property
     def document_count(self) -> int:

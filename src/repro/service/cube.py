@@ -2,22 +2,22 @@
 
 The sharded twin of :class:`repro.clouds.cube.CloudCube`.  Documents are
 partitioned over shards, so every cell keeps *per-shard* doc-id tuples;
-cell clouds merge per-shard term partials through the coordinator's
-standard merge (:meth:`CourseRankService._merged_cloud_for_docs`), which
-is the exact machinery search and refinement use — so cube navigation
-scatter-gathers exactly over shards, and every navigated cloud is
-bit-identical to an unsharded :class:`CloudCube` walk over the union
-corpus (the differential tests in ``tests/service/test_cube_service.py``
-pin 1–5 shards against unsharded, cell by cell).
+cell clouds hand per-shard term partials to the clouds kernel through
+:meth:`CourseRankService._merged_cloud_for_docs`, which is the exact
+machinery search and refinement use — so cube navigation scatter-gathers
+exactly over shards, and every navigated cloud is bit-identical to an
+unsharded :class:`CloudCube` walk over the union corpus (the
+differential tests in ``tests/service/test_cube_service.py`` pin 1–5
+shards against unsharded, cell by cell).
 
-Slicing hands each shard its parent doc set, so per-shard gathers run the
-incremental subtract-dropped-docs path — lattice edges cost what
-refinement steps cost, not what cold builds cost.
+Slicing filters each shard's share of the parent cell, so a lattice edge
+gathers over the child's documents only.
 
 Membership maps are computed per shard database (department, quarter,
 and instructor rows live with their courses), version-keyed exactly as
-the unsharded maps are.  Cells memoize per (per-shard version vectors,
-coordinate) under the service read lock.
+the unsharded maps are.  Cells memoize per coordinate, under the service
+read lock, for the shards' current version vectors; a write drops the
+memo, so it never holds more than one generation of cells.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ class ServiceCube:
         self.query_terms = (
             list(query_terms) if query_terms is not None else None
         )
-        self._cells: Dict[Tuple[Any, ...], ServiceCubeCell] = {}
+        self._cells: Dict[Coordinate, ServiceCubeCell] = {}
+        self._cells_version: Optional[Tuple[Any, ...]] = None
         self.stats = {
             "cold_builds": 0,
             "incremental_builds": 0,
@@ -121,11 +122,16 @@ class ServiceCube:
             for shard in self.service.sharded.shards
         ]
 
-    def _version_vector(self) -> Tuple[Any, ...]:
-        return tuple(
+    def _memo(self) -> Dict[Coordinate, ServiceCubeCell]:
+        """The cell memo of the shards' current versions (read lock held)."""
+        version = tuple(
             database_version_vector(shard)
             for shard in self.service.sharded.shards
         )
+        if version != self._cells_version:
+            self._cells = {}
+            self._cells_version = version
+        return self._cells
 
     def _validate(self, coordinate: Coordinate) -> Coordinate:
         coordinate = tuple(
@@ -163,8 +169,8 @@ class ServiceCube:
         """The cell at ``coordinate``, cold-built (and memoized)."""
         coordinate = self._validate(coordinate)
         with self.service.rwlock.read_locked():
-            key = (self._version_vector(), coordinate)
-            cached = self._cells.get(key)
+            memo = self._memo()
+            cached = memo.get(coordinate)
             if cached is not None:
                 self.stats["memo_hits"] += 1
                 return cached
@@ -173,8 +179,8 @@ class ServiceCube:
                 shard_docs = self._filter_shards(
                     shard_docs, dimension, value
                 )
-            cell = self._build_cell(coordinate, shard_docs, parents=None)
-            self._cells[key] = cell
+            cell = self._build_cell(coordinate, shard_docs, "cold_build")
+            memo[coordinate] = cell
             self.stats["cold_builds"] += 1
             return cell
 
@@ -185,7 +191,7 @@ class ServiceCube:
         self,
         coordinate: Coordinate,
         shard_docs: Tuple[Tuple[DocId, ...], ...],
-        parents: Optional[Tuple[Tuple[DocId, ...], ...]],
+        counter: str,
     ) -> ServiceCubeCell:
         result_size = sum(len(ids) for ids in shard_docs)
         with OBS.span(
@@ -195,17 +201,12 @@ class ServiceCube:
             cloud = self.service._merged_cloud_for_docs(
                 self.query,
                 self.query_terms,
-                list(shard_docs),
+                shard_docs,
                 result_size,
-                parents=parents,
             )
             if OBS.enabled:
                 span.set(docs=result_size, terms=len(cloud.terms))
-                OBS.metrics.inc(
-                    "service.cube.incremental_build"
-                    if parents is not None
-                    else "service.cube.cold_build"
-                )
+                OBS.metrics.inc(f"service.cube.{counter}")
                 OBS.metrics.observe(
                     "service.cube.cell.ms",
                     (time.perf_counter() - started) * 1000.0,
@@ -231,13 +232,13 @@ class ServiceCube:
     def slice(
         self, cell: ServiceCubeCell, dimension: str, value: Any
     ) -> ServiceCubeCell:
-        """Fix ``dimension = value``; each shard narrows incrementally."""
+        """Fix ``dimension = value``; each shard filters its share of ``cell``."""
         coordinate = self._validate(
             cell.coordinate + ((dimension, value),)
         )
         with self.service.rwlock.read_locked():
-            key = (self._version_vector(), coordinate)
-            cached = self._cells.get(key)
+            memo = self._memo()
+            cached = memo.get(coordinate)
             if cached is not None:
                 self.stats["memo_hits"] += 1
                 return cached
@@ -245,9 +246,9 @@ class ServiceCube:
                 cell.shard_doc_ids, dimension, value
             )
             child = self._build_cell(
-                coordinate, shard_docs, parents=cell.shard_doc_ids
+                coordinate, shard_docs, "incremental_build"
             )
-            self._cells[key] = child
+            memo[coordinate] = child
             self.stats["incremental_builds"] += 1
             return child
 

@@ -12,11 +12,11 @@ and merge exactly:
   statistics and k-way-merges the per-shard ranked lists under the same
   total-order sort key the unsharded engine uses.  The merged ranking is
   bit-identical to the unsharded build's.
-* **Clouds** merge per-shard ``(occurrences, result_df)`` counters
-  (dyadic field weights → exact float sums) plus per-shard corpus
-  document frequencies, then score through the ordinary
-  :class:`~repro.clouds.cloud.CloudBuilder` with the global corpus size.
-  Bit-identical again.
+* **Clouds** hand each shard's ``(occurrences, result_df)`` partial to
+  the same counters → cloud kernel the unsharded builder runs on its one
+  partial (:meth:`~repro.clouds.cloud.CloudBuilder.build_from_stats`):
+  it sums the partials, corpus document frequencies and corpus sizes
+  (dyadic field weights → exact float sums).  Bit-identical again.
 * **Metrics** merge through :meth:`repro.obs.metrics.MetricsRegistry.merge`
   (associative by PR 5's equivalence tests).
 
@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import datetime
 import heapq
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.caching import LRUCache
 from repro.clouds.cloud import DataCloud
@@ -183,7 +182,6 @@ class CourseRankService:
         response = self._scatter_gather(
             query,
             within_per_shard=[set(ids) for ids in parent.shard_doc_ids],
-            parents=parent.shard_doc_ids,
         )
         self._response_cache.put(key, response)
         return response
@@ -192,7 +190,6 @@ class CourseRankService:
         self,
         query: str,
         within_per_shard: Optional[List[Optional[set]]] = None,
-        parents: Optional[Tuple[Tuple[DocId, ...], ...]] = None,
     ) -> _MergedResponse:
         engines = [app.cloudsearch.engine for app in self.apps]
         loose, phrases = engines[0].parse_query(query)
@@ -233,8 +230,8 @@ class CourseRankService:
                 *(result.hits for result in shard_results), key=_HIT_KEY
             )
         )
-        cloud = self._merged_cloud(
-            query, all_terms, shard_results, len(hits), parents=parents
+        shard_doc_ids = tuple(
+            tuple(result.doc_ids()) for result in shard_results
         )
         return _MergedResponse(
             terms=all_terms,
@@ -242,87 +239,34 @@ class CourseRankService:
             hits=hits,
             candidate_count=sum(r.candidate_count for r in shard_results),
             scored_count=sum(r.scored_count for r in shard_results),
-            cloud=cloud,
-            shard_doc_ids=tuple(
-                tuple(result.doc_ids()) for result in shard_results
+            cloud=self._merged_cloud_for_docs(
+                query, all_terms, shard_doc_ids, len(hits)
             ),
-        )
-
-    def _merged_cloud(
-        self,
-        query: str,
-        all_terms: List[str],
-        shard_results: List[SearchResult],
-        result_size: int,
-        parents: Optional[Tuple[Tuple[DocId, ...], ...]] = None,
-    ) -> DataCloud:
-        """Merge per-shard term partials and score them once, globally."""
-        return self._merged_cloud_for_docs(
-            query,
-            all_terms,
-            [result.doc_ids() for result in shard_results],
-            result_size,
-            parents=parents,
+            shard_doc_ids=shard_doc_ids,
         )
 
     def _merged_cloud_for_docs(
         self,
         query: str,
-        all_terms: Optional[List[str]],
-        per_shard_docs: List[Tuple[DocId, ...]],
+        all_terms: Optional[Sequence[str]],
+        per_shard_docs: Sequence[Sequence[DocId]],
         result_size: int,
-        parents: Optional[Tuple[Tuple[DocId, ...], ...]] = None,
-        builders: Optional[List[Any]] = None,
     ) -> DataCloud:
-        """The doc-id-level merge: per-shard partials → one global cloud.
+        """One global cloud over each shard's documents (read lock held).
 
-        ``parents`` (per-shard supersets) routes each shard's gather
-        through the incremental subtract-dropped-docs path first — cube
-        navigation hands each cell's parent here, so slicing scatter-
-        gathers exactly as refinement does.  ``builders`` substitutes
-        per-shard cloud builders (e.g. graph-weighted scoring variants);
-        default is each shard's standard builder.
+        Every shard's term source gathers its own partial; the clouds
+        kernel merges, cuts, scores and buckets them exactly as an
+        unsharded builder does with its single partial.
         """
-        if builders is None:
-            builders = [app.cloudsearch.builder for app in self.apps]
-        occurrences: Counter = Counter()
-        result_df: Counter = Counter()
-        partials = []
-        for index, (builder, doc_ids) in enumerate(
-            zip(builders, per_shard_docs)
-        ):
-            source = builder.source
-            if parents is not None:
-                # Warm the shard's gather cache through the incremental
-                # (subtract-the-dropped-docs) path; the partial below is
-                # then a cache hit.
-                source.gather_narrowed(parents[index], doc_ids)
-            shard_occurrences, shard_df = source.partial_gather(doc_ids)
-            occurrences.update(shard_occurrences)
-            result_df.update(shard_df)
-            partials.append(source)
-        corpus_df: Counter = Counter()
-        terms = occurrences.keys()
-        for source in partials:
-            corpus_df.update(source.corpus_document_frequencies(terms))
-        corpus_size = sum(source.corpus_size for source in partials)
-        from repro.clouds.scoring import TermStats
-
-        merged_stats = [
-            TermStats(
-                term=term,
-                occurrences=occurrences[term],
-                result_df=result_df[term],
-                corpus_df=corpus_df.get(term, result_df[term]),
-            )
-            for term in occurrences
-        ]
+        builders = [app.cloudsearch.builder for app in self.apps]
         return builders[0].build_from_stats(
-            merged_stats,
+            [
+                builder.source.partial_gather(doc_ids)
+                for builder, doc_ids in zip(builders, per_shard_docs)
+            ],
             result_size,
             query=query,
             query_terms=all_terms,
-            corpus_size=corpus_size,
         )
 
     def _result_from(

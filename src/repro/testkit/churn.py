@@ -487,9 +487,10 @@ class ChurnDriver:
                     f"live search != cold rebuild for {text!r}: "
                     f"{live_hits} != {cold_hits}"
                 )
-        # Cloud refinement: incremental vs a cold build over the same
-        # narrowed result, on the cold engine (no shared caches at all).
-        self.builder.prepare()
+        # Cloud refinement on the live builder (its forward index has
+        # followed every refresh_document since the driver started) vs a
+        # cold build over the same narrowed result, on the cold engine
+        # (no shared caches at all).
         session = RefinementSession(self.engine, self.builder, "american")
         term = self.rng.choice(CLOUD_TERMS)
         step = session.refine(term)
@@ -545,7 +546,6 @@ class ChurnDriver:
             DimensionSpec(name=name, sql=sql, tables=("DocDims",))
             for name, sql in DOC_DIMENSIONS
         )
-        self.builder.prepare()
         cold_db = self._replica(with_docs=True)
         cold_builder = CloudBuilder(
             self._make_engine(cold_db), strategy="forward", min_result_df=1

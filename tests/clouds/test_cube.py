@@ -3,7 +3,7 @@
 The contract under test: **every** navigated cell's cloud — drill-down,
 slice, roll-up, in any order — is bit-identical to a cold
 ``build_for_docs`` over the same filtered document set, while the cube's
-own counters prove the incremental (narrowed) path actually ran.
+own counters prove the lattice-edge (slice) path actually ran.
 """
 
 import pytest
@@ -139,6 +139,31 @@ class TestVersionInvalidation:
         )
         cube.root()
         assert cube.stats["cold_builds"] == cold + 1  # version rotated
+
+    def test_memo_holds_one_generation_however_many_writes(self, app):
+        """Writes between walks must not strand the cells they retire."""
+        from repro.courserank.accounts import Role
+
+        def walk(cube):
+            root = cube.root()
+            children = cube.drill_down(root, "department")
+            for child in children.values():
+                cube.roll_up(child)
+            return 1 + len(children)
+
+        cube = app.cloudsearch.cube()
+        cells = walk(cube)
+        assert len(cube._cells) == cells
+        hits = cube.stats["memo_hits"]
+        walk(cube)  # same generation: each cell and each roll-up is a hit
+        assert cube.stats["memo_hits"] == hits + cells + (cells - 1)
+        user = app.accounts.register("memowriter", Role.STUDENT, person_id=3)
+        for round_number in range(4):
+            app.comment_on_course(user, 2, f"memo probe {round_number}", 3.0)
+            cube.root()
+            assert len(cube._cells) == 1
+            assert walk(cube) == cells
+            assert len(cube._cells) == cells
 
     def test_custom_dimension_reflects_new_rows(self, app):
         spec = DimensionSpec(

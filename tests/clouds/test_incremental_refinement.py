@@ -1,11 +1,12 @@
-"""Incremental refinement clouds must equal from-scratch clouds.
+"""Refinement clouds must equal from-scratch clouds.
 
-``RefinementSession`` derives a refined step's cloud by subtracting the
-dropped documents from the parent's cached term aggregates
-(``TermSource.gather_narrowed``).  These tests pin the equivalence: for
-every strategy and scoring model, the incremental cloud is term-for-term
-and score-for-score identical to a cold ``forward``/``rescan`` build over
-the same narrowed result set.
+A refined step's cloud comes from a builder that has already gathered the
+parent (and whose gather cache may hold either).  These tests pin the
+equivalence: for every strategy and scoring model, the session's cloud —
+and ``TermSource.gather_narrowed``, which once derived it by subtracting
+the dropped documents from the parent's counters — is term-for-term and
+score-for-score identical to a cold ``forward``/``rescan`` build over the
+same narrowed result set.
 """
 
 import pytest
@@ -147,8 +148,7 @@ class TestRefinementSessionClouds:
         engine.database.execute("DELETE FROM Docs WHERE DocID = 8")
         engine.refresh_document(8)
         # The old epoch's cached aggregates are unreachable under the new
-        # epoch; a narrowed gather falls back and stays correct.
-        builder.prepare()  # re-extract after the index change
+        # epoch, and the source has caught up with the removed document.
         child = engine.search("american history")
         narrowed = builder.source.gather_narrowed(
             parent_ids, child.doc_ids()

@@ -1,0 +1,310 @@
+"""The counters → cloud kernel against a full-vocabulary oracle.
+
+``CloudBuilder.build_from_stats`` computes a cloud as a top-k query: it
+cuts on result df before anything else is summed, scores only the
+survivors and suppresses query echoes lazily while walking the ranking.
+``oracle_cloud`` below is the pipeline it replaced — merge every counter,
+build statistics for the whole vocabulary, filter, suppress, score, sort,
+cut, bucket — kept here as the reference.  Every cloud must come out
+``==``: term, score, occurrences, result df, bucket, order.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.clouds.cloud import CloudBuilder, CloudTerm
+from repro.clouds.scoring import SignificanceScoring, TermStats
+from repro.courserank import CourseRank
+from repro.datagen import generate_university
+from repro.graphrank import GraphWeightedScoring
+from repro.minidb import Database
+from repro.search.engine import SearchEngine
+from repro.search.entity import EntityDefinition, FieldSpec
+
+WORDS = (
+    "american", "history", "latin", "politics", "music", "jazz",
+    "revolution", "war", "culture", "systems",
+)
+
+
+def oracle_cloud(builder, sources, docs_per_source, result_size, query_terms):
+    """Today's answer the slow way; ``sources[i]`` holds ``docs_per_source[i]``."""
+    occurrences, result_df, corpus_df = Counter(), Counter(), Counter()
+    for source, doc_ids in zip(sources, docs_per_source):
+        for doc_id in doc_ids:
+            for term, count in source._doc_counts(doc_id).items():
+                occurrences[term] += count
+                result_df[term] += 1
+    for source in sources:
+        for term in occurrences:
+            if term in source._corpus_df:
+                corpus_df[term] += source._corpus_df[term]
+    corpus_size = sum(source.corpus_size for source in sources)
+    min_df = builder.min_result_df if result_size >= builder.min_result_df else 1
+    suppressed = set(query_terms or ())
+    stem = builder.engine.tokenizer.stem_token
+    scored = []
+    for term in occurrences:
+        stats = TermStats(
+            term,
+            occurrences[term],
+            result_df[term],
+            corpus_df.get(term, result_df[term]),
+        )
+        if stats.result_df < min_df:
+            continue
+        if suppressed and all(stem(w) in suppressed for w in term.split(" ")):
+            continue
+        score = builder.scoring.score(stats, result_size, corpus_size)
+        if score > 0:
+            scored.append((score, stats))
+    scored.sort(key=lambda entry: (-entry[0], entry[1].term))
+    scored = scored[: builder.max_terms]
+    if not scored:
+        return []
+    low = scored[-1][0]
+    span = scored[0][0] - low
+    terms = []
+    for score, stats in scored:
+        bucket = builder.buckets
+        if span > 0:
+            bucket = 1 + int(round((score - low) / span * (builder.buckets - 1)))
+        terms.append(
+            CloudTerm(stats.term, score, stats.occurrences, stats.result_df, bucket)
+        )
+    return terms
+
+
+def make_engine(rows):
+    database = Database()
+    database.execute(
+        "CREATE TABLE Docs (DocID INTEGER PRIMARY KEY, Title TEXT, Body TEXT)"
+    )
+    table = database.table("Docs")
+    for row in rows:
+        table.insert(list(row))
+    entity = EntityDefinition(
+        "doc",
+        (
+            FieldSpec("title", "SELECT DocID, Title FROM Docs", weight=3.0),
+            FieldSpec("body", "SELECT DocID, Body FROM Docs", weight=1.0),
+        ),
+    )
+    engine = SearchEngine(database, entity)
+    engine.build()
+    return engine
+
+
+class ShiftedFrequency(SignificanceScoring):
+    """Occurrence mass minus a threshold: scores at and below zero exist."""
+
+    name = "shifted"
+
+    def score(self, stats, result_size, corpus_size):
+        return stats.occurrences - 4.0
+
+
+texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join)
+corpora = st.lists(st.tuples(texts, texts), min_size=1, max_size=9).map(
+    lambda pairs: [(i + 1, t, b) for i, (t, b) in enumerate(pairs)]
+)
+#: (min_result_df, max_terms): small caps land the cut inside score ties
+shapes = st.tuples(st.sampled_from((1, 2)), st.integers(1, 6))
+scorings = st.sampled_from(
+    ("frequency", "tfidf", "popularity", ShiftedFrequency())
+)
+queries = st.lists(st.sampled_from(WORDS), max_size=3)
+
+
+def stems(engine, words):
+    return [engine.tokenizer.stem_token(word) for word in words]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rows=corpora,
+    strategy=st.sampled_from(("forward", "rescan", "topk")),
+    scoring=scorings,
+    shape=shapes,
+    query=queries,
+    data=st.data(),
+)
+def test_kernel_equals_oracle(rows, strategy, scoring, shape, query, data):
+    engine = make_engine(rows)
+    builder = CloudBuilder(
+        engine,
+        scoring=scoring,
+        strategy=strategy,
+        min_result_df=shape[0],
+        max_terms=shape[1],
+        topk_per_doc=3,
+    )
+    builder.prepare()
+    # Any subset, in any order: empty, and smaller than min_result_df too.
+    doc_ids = data.draw(
+        st.lists(st.sampled_from([row[0] for row in rows]), unique=True)
+    )
+    query_terms = stems(engine, query)
+    cloud = builder.build_for_docs(doc_ids, query_terms=query_terms)
+    assert cloud.result_size == len(doc_ids)
+    assert cloud.terms == oracle_cloud(
+        builder, [builder.source], [doc_ids], len(doc_ids), query_terms
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=corpora,
+    shards=st.integers(1, 5),
+    scoring=scorings,
+    shape=shapes,
+    query=queries,
+    data=st.data(),
+)
+def test_sharded_partials_equal_unsharded_and_oracle(
+    rows, shards, scoring, shape, query, data
+):
+    """N shard partials through the kernel == one partial == the oracle.
+
+    Documents go to shards round-robin, so with more shards than
+    documents some shards are empty, and a drawn subset leaves others
+    without a result document.
+    """
+    options = dict(
+        scoring=scoring, min_result_df=shape[0], max_terms=shape[1]
+    )
+    whole = CloudBuilder(make_engine(rows), **options)
+    whole.prepare()
+    parts = [
+        CloudBuilder(make_engine(rows[index::shards]), **options)
+        for index in range(shards)
+    ]
+    for part in parts:
+        part.prepare()
+    doc_ids = data.draw(
+        st.lists(st.sampled_from([row[0] for row in rows]), unique=True)
+    )
+    docs_per_shard = [
+        [doc_id for doc_id in doc_ids if (doc_id - 1) % shards == index]
+        for index in range(shards)
+    ]
+    query_terms = stems(whole.engine, query)
+    merged = parts[0].build_from_stats(
+        [
+            part.source.partial_gather(docs)
+            for part, docs in zip(parts, docs_per_shard)
+        ],
+        len(doc_ids),
+        query_terms=query_terms,
+    )
+    unsharded = whole.build_for_docs(doc_ids, query_terms=query_terms)
+    assert merged.terms == unsharded.terms
+    assert merged.terms == oracle_cloud(
+        parts[0],
+        [part.source for part in parts],
+        docs_per_shard,
+        len(doc_ids),
+        query_terms,
+    )
+
+
+CORPUS = [
+    (1, "American History", "the american revolution and the civil war"),
+    (2, "Latin American Politics", "elections across latin american nations"),
+    (3, "African American Studies", "african american culture and history"),
+    (4, "American Music", "jazz blues and american composers and history"),
+    (5, "American Revolution", "revolution war and american independence"),
+]
+
+
+class TestTheCutsInOrder:
+    """Hand-built cases for each place the lazy pipeline could go wrong."""
+
+    def build(self, doc_ids, query=(), **options):
+        engine = make_engine(CORPUS)
+        builder = CloudBuilder(engine, **options)
+        builder.prepare()
+        query_terms = stems(engine, query)
+        cloud = builder.build_for_docs(doc_ids, query_terms=query_terms)
+        expected = oracle_cloud(
+            builder, [builder.source], [doc_ids], len(doc_ids), query_terms
+        )
+        assert cloud.terms == expected
+        return cloud
+
+    def test_suppressed_leaders_do_not_use_up_the_cut(self):
+        # "american" leads every ranking here; suppressing it must let
+        # the walk go on to max_terms *other* terms, not stop one short.
+        docs = [1, 2, 3, 4, 5]
+        plain = self.build(docs, scoring="frequency", max_terms=3)
+        assert plain.terms[0].term == "american"
+        echo_free = self.build(
+            docs, query=("american",), scoring="frequency", max_terms=3
+        )
+        assert len(echo_free.terms) == 3
+        assert "american" not in echo_free.term_names()
+
+    def test_cut_inside_a_score_tie_breaks_on_term_text(self):
+        cloud = self.build(
+            [2], scoring="frequency", min_result_df=1, max_terms=2,
+            include_bigrams=False,
+        )
+        # latin/american/politics tie at 4.0 (title 3 + body 1 for two of
+        # them); whatever the scores, equal ones are in term order.
+        tied = [t.term for t in cloud.terms if t.score == cloud.terms[0].score]
+        assert tied == sorted(tied)
+
+    def test_result_smaller_than_min_result_df_keeps_single_documents(self):
+        cloud = self.build([3], min_result_df=2)
+        assert cloud.terms and all(t.result_df == 1 for t in cloud.terms)
+
+    def test_min_result_df_cuts_before_the_ranking(self):
+        cloud = self.build([1, 2, 3, 4, 5], min_result_df=2, max_terms=50)
+        assert cloud.terms and all(t.result_df >= 2 for t in cloud.terms)
+
+    def test_everything_suppressed(self):
+        cloud = self.build(
+            [2], query=("latin", "american", "politics", "elections",
+                        "across", "nations"),
+            min_result_df=1,
+        )
+        assert cloud.terms == []
+
+    def test_scores_at_or_below_zero_are_dropped(self):
+        cloud = self.build(
+            [1, 5], scoring=ShiftedFrequency(), min_result_df=1
+        )
+        assert cloud.terms and all(t.score > 0 for t in cloud.terms)
+        assert len(cloud.terms) < len(
+            self.build([1, 5], scoring="frequency", min_result_df=1).terms
+        )
+
+    def test_empty_result(self):
+        assert self.build([]).terms == []
+
+
+@pytest.fixture(scope="module")
+def app():
+    university = CourseRank(generate_university(scale="tiny", seed=7))
+    university.cloudsearch.ensure_built()
+    return university
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_graph_weighted_kernel_equals_oracle(app, data):
+    """The pluggable hook: a scoring that reads ``stats.term`` too."""
+    builder = app.cloudsearch.builder.with_scoring(
+        GraphWeightedScoring(app.graph, (("user", 1),), boost=500.0)
+    )
+    every = sorted(builder.engine.index.document_ids())
+    doc_ids = data.draw(st.lists(st.sampled_from(every), unique=True))
+    query = data.draw(st.sampled_from(("", "introduction", "data systems")))
+    query_terms = app.cloudsearch.engine.search(query).terms if query else []
+    cloud = builder.build_for_docs(doc_ids, query_terms=query_terms)
+    assert cloud.terms == oracle_cloud(
+        builder, [builder.source], [doc_ids], len(doc_ids), query_terms
+    )

@@ -269,6 +269,28 @@ class TestEpochAndBatch:
         assert index.add_documents({}) == 0
         assert index.epoch == before + 1  # empty batch: no bump
 
+    def test_touched_since_lists_exactly_the_changes_after_an_epoch(self):
+        index = InvertedIndex()
+        index.add_documents({1: {"t": ["x"]}, 2: {"t": ["y"]}, 3: {"t": ["z"]}})
+        built = index.epoch
+        assert sorted(index.touched_since(-1)) == [1, 2, 3]
+        assert index.touched_since(built) == []
+        index.add_document(2, {"t": ["y", "y"]})  # replaced
+        replaced = index.epoch
+        index.remove_document(3)
+        index.add_document(4, {"t": ["w"]})
+        assert sorted(index.touched_since(built)) == [2, 3, 4]
+        assert sorted(index.touched_since(replaced)) == [3, 4]
+        assert not index.has_document(3)
+        # Re-touching keeps one entry per document, however many writes.
+        for _ in range(5):
+            index.add_document(2, {"t": ["y"]})
+        assert index.touched_since(index.epoch - 1) == [2]
+        assert len(index._touched) == 4
+        cleared_from = index.epoch
+        index.clear()
+        assert sorted(index.touched_since(cleared_from)) == [1, 2, 4]
+
     def test_length_normalizers_values(self):
         index = build_sample()
         # title lengths: doc1=2, doc2=2; average 2.0.

@@ -9,6 +9,7 @@ lost invalidation would surface here as a stale row count, hit list, or
 vector map).
 """
 
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -63,9 +64,10 @@ def _run_threads(count, target):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
     if errors:
         raise errors[0]
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def _read_once(app):
@@ -164,6 +166,50 @@ class TestCacheHammer:
         rebuilt, hit = extend_vectors(app.db, EXTEND_INFO)
         assert not hit  # data_version moved -> new key, no stale serve
         assert rebuilt == build_vectors(app.db.table("Comments"), EXTEND_INFO)
+
+
+class TestCloudCatchUp:
+    def test_readers_racing_to_catch_up_apply_each_write_once(self):
+        """After a write every reader finds the forward index one epoch
+        behind at once, under a *read* lock.  One must catch up and the
+        rest wait: a change applied twice leaves a corpus df that no cold
+        build has (or dies deleting a term that is already gone)."""
+        from repro.clouds.scoring import TermSource
+        from repro.service import CourseRankService
+
+        service = CourseRankService(
+            generate_university(scale="tiny", seed=5), num_shards=2
+        )
+        users = [
+            shard_app.accounts.register("racer", Role.STUDENT, person_id=1)
+            for shard_app in service.apps
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for step in range(6):
+                course_id = 1 + step % 3
+                service.comment_on_course(
+                    users[service.sharded.shard_of_course(course_id)],
+                    course_id,
+                    f"nebula {step} seen through telescopes",
+                    3.5,
+                )
+                clouds = [None] * THREADS
+
+                def reader(index):
+                    clouds[index] = service.search("telescopes")[1].terms
+
+                _run_threads(THREADS, reader)
+                assert clouds[0] and all(c == clouds[0] for c in clouds)
+        finally:
+            sys.setswitchinterval(interval)
+        for shard_app in service.apps:
+            live = shard_app.cloudsearch.builder.source
+            cold = TermSource(shard_app.cloudsearch.engine)
+            cold.prepare()
+            assert live._corpus_df == cold._corpus_df
+            assert live._doc_terms == cold._doc_terms
 
 
 class TestRWLock:

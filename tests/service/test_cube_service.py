@@ -92,6 +92,45 @@ class TestCorpusCubeEquivalence:
             cube.dimension_values(cube.root(), "semester")
 
 
+class TestMemoStaysBounded:
+    def test_writes_between_walks_keep_one_generation_of_cells(self):
+        from repro.courserank.accounts import Role
+
+        service = CourseRankService(
+            generate_university(scale="tiny", seed=7), num_shards=REPRO_SHARDS
+        )
+        users = [
+            app.accounts.register("memowriter", Role.STUDENT, person_id=3)
+            for app in service.apps
+        ]
+
+        def walk(cube):
+            root = cube.root()
+            children = cube.drill_down(root, "department")
+            for child in children.values():
+                cube.roll_up(child)
+            return 1 + len(children)
+
+        cube = service.cube()
+        cells = walk(cube)
+        assert len(cube._cells) == cells
+        hits = cube.stats["memo_hits"]
+        walk(cube)  # same generation: each cell and each roll-up is a hit
+        assert cube.stats["memo_hits"] == hits + cells + (cells - 1)
+        for round_number in range(4):
+            course_id = 1 + round_number
+            service.comment_on_course(
+                users[service.sharded.shard_of_course(course_id)],
+                course_id,
+                f"memo probe {round_number}",
+                3.0,
+            )
+            cube.root()
+            assert len(cube._cells) == 1
+            assert walk(cube) == cells
+            assert len(cube._cells) == cells
+
+
 class TestSessionRootedCube:
     @pytest.mark.parametrize("query", ["programming", "data"])
     def test_session_cubes_walk_identically(self, pair, query):
