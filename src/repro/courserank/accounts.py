@@ -119,7 +119,7 @@ class AccountManager:
 
     def _exists(self, table: str, column: str, value: int) -> bool:
         result = self.database.query(
-            f"SELECT COUNT(*) FROM {table} WHERE {column} = {int(value)}"
+            f"SELECT COUNT(*) FROM {table} WHERE {column} = ?", (int(value),)
         )
         return result.scalar() > 0
 

@@ -42,30 +42,34 @@ class Analytics:
 
     def department_report(self, dep_id: int) -> DepartmentReport:
         name = self.database.query(
-            f"SELECT Name FROM Departments WHERE DepID = {dep_id}"
+            "SELECT Name FROM Departments WHERE DepID = ?", (dep_id,)
         ).scalar()
         courses = self.database.query(
-            f"SELECT COUNT(*) FROM Courses WHERE DepID = {dep_id}"
+            "SELECT COUNT(*) FROM Courses WHERE DepID = ?", (dep_id,)
         ).scalar()
         rated = self.database.query(
             "SELECT COUNT(DISTINCT cm.CourseID) FROM Comments cm "
             "JOIN Courses c ON cm.CourseID = c.CourseID "
-            f"WHERE c.DepID = {dep_id} AND cm.Rating IS NOT NULL"
+            "WHERE c.DepID = ? AND cm.Rating IS NOT NULL",
+            (dep_id,),
         ).scalar()
         average = self.database.query(
             "SELECT AVG(cm.Rating) FROM Comments cm "
             "JOIN Courses c ON cm.CourseID = c.CourseID "
-            f"WHERE c.DepID = {dep_id}"
+            "WHERE c.DepID = ?",
+            (dep_id,),
         ).scalar()
         comments = self.database.query(
             "SELECT COUNT(*) FROM Comments cm "
             "JOIN Courses c ON cm.CourseID = c.CourseID "
-            f"WHERE c.DepID = {dep_id}"
+            "WHERE c.DepID = ?",
+            (dep_id,),
         ).scalar()
         enrollments = self.database.query(
             "SELECT COUNT(*) FROM Enrollments e "
             "JOIN Courses c ON e.CourseID = c.CourseID "
-            f"WHERE c.DepID = {dep_id}"
+            "WHERE c.DepID = ?",
+            (dep_id,),
         ).scalar()
         return DepartmentReport(
             dep_id=dep_id,
@@ -93,7 +97,9 @@ class Analytics:
         appear (small-sample suppression, consistent with the privacy
         posture elsewhere).
         """
-        where = f"WHERE i.DepID = {dep_id}" if dep_id is not None else ""
+        where, params = "", [min_ratings]
+        if dep_id is not None:
+            where, params = "WHERE i.DepID = ?", [dep_id, min_ratings]
         result = self.database.query(
             "SELECT i.InstructorID, i.Name, AVG(cm.Rating) AS avg_r, "
             "COUNT(cm.Rating) AS n "
@@ -102,8 +108,9 @@ class Analytics:
             "JOIN Comments cm ON cm.CourseID = t.CourseID "
             f"{where} "
             "GROUP BY i.InstructorID "
-            f"HAVING COUNT(cm.Rating) >= {min_ratings} "
-            "ORDER BY avg_r DESC, i.InstructorID ASC"
+            "HAVING COUNT(cm.Rating) >= ? "
+            "ORDER BY avg_r DESC, i.InstructorID ASC",
+            params,
         )
         return [tuple(row) for row in result.rows]
 
@@ -149,8 +156,9 @@ class Analytics:
             "SELECT c.CourseID FROM Courses c "
             "LEFT JOIN Comments cm "
             "ON cm.CourseID = c.CourseID AND cm.Rating IS NOT NULL "
-            f"WHERE c.DepID = {dep_id} AND cm.SuID IS NULL "
-            f"ORDER BY c.CourseID LIMIT {limit}"
+            "WHERE c.DepID = ? AND cm.SuID IS NULL "
+            f"ORDER BY c.CourseID LIMIT {int(limit)}",
+            (dep_id,),
         ).column("CourseID")
 
     def course_rating_percentile(self, course_id: int) -> Optional[float]:

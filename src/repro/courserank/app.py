@@ -118,17 +118,20 @@ class CourseRank:
             ),
             "offerings": self.db.query(
                 "SELECT Year, Term FROM Offerings "
-                f"WHERE CourseID = {course_id} ORDER BY Year, Term"
+                "WHERE CourseID = ? ORDER BY Year, Term",
+                (course_id,),
             ).rows,
             "textbooks": self.db.query(
                 "SELECT t.Title, t.Author FROM CourseTextbooks ct "
                 "JOIN Textbooks t ON ct.TextbookID = t.TextbookID "
-                f"WHERE ct.CourseID = {course_id} ORDER BY t.Title"
+                "WHERE ct.CourseID = ? ORDER BY t.Title",
+                (course_id,),
             ).rows,
             "instructors": self.db.query(
                 "SELECT i.Name FROM Teaches te "
                 "JOIN Instructors i ON te.InstructorID = i.InstructorID "
-                f"WHERE te.CourseID = {course_id} ORDER BY i.Name"
+                "WHERE te.CourseID = ? ORDER BY i.Name",
+                (course_id,),
             ).column("Name"),
         }
         return page
@@ -208,8 +211,7 @@ class CourseRank:
         with self.db.rwlock.write_locked():
             textbooks = self.db.table("Textbooks")
             existing = self.db.query(
-                f"SELECT TextbookID FROM Textbooks WHERE Title = "
-                f"'{title.replace(chr(39), chr(39) * 2)}'"
+                "SELECT TextbookID FROM Textbooks WHERE Title = ?", (title,)
             ).rows
             if existing:
                 textbook_id = existing[0][0]
@@ -233,7 +235,8 @@ class CourseRank:
         department = self.db.query(
             "SELECT AVG(cm.Rating) FROM Comments cm "
             "JOIN Courses c ON cm.CourseID = c.CourseID "
-            f"WHERE c.DepID = {course.dep_id}"
+            "WHERE c.DepID = ?",
+            (course.dep_id,),
         ).scalar()
         return {
             "course_id": course_id,

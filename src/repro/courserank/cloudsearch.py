@@ -146,11 +146,11 @@ class CourseCloudSearch:
         top = result.top(limit)
         if not top:
             return []
-        listed = ", ".join(str(hit.doc_id) for hit in top)
         rows = self.database.query(
             "SELECT c.CourseID, c.Title, c.Units, d.Name AS Department "
             "FROM Courses c JOIN Departments d ON c.DepID = d.DepID "
-            f"WHERE c.CourseID IN ({listed})"
+            f"WHERE c.CourseID IN ({', '.join('?' * len(top))})",
+            [hit.doc_id for hit in top],
         ).to_dicts()
         by_id: Dict[Any, dict] = {row["CourseID"]: row for row in rows}
         resolved = []

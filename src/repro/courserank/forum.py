@@ -85,17 +85,19 @@ class Forum:
                 "FROM Enrollments e "
                 "LEFT JOIN Comments c "
                 "ON c.SuID = e.SuID AND c.CourseID = e.CourseID "
-                f"WHERE e.CourseID = {course_id} "
+                "WHERE e.CourseID = ? "
                 "GROUP BY e.SuID "
-                "ORDER BY engagement DESC, e.SuID ASC"
+                "ORDER BY engagement DESC, e.SuID ASC",
+                (course_id,),
             ).rows
             candidates = [row[0] for row in rows]
         elif dep_id is not None:
             rows = self.database.query(
                 "SELECT e.SuID, COUNT(*) AS n FROM Enrollments e "
                 "JOIN Courses c ON e.CourseID = c.CourseID "
-                f"WHERE c.DepID = {dep_id} "
-                "GROUP BY e.SuID ORDER BY n DESC, e.SuID ASC"
+                "WHERE c.DepID = ? "
+                "GROUP BY e.SuID ORDER BY n DESC, e.SuID ASC",
+                (dep_id,),
             ).rows
             candidates = [row[0] for row in rows]
         if exclude is not None:
@@ -188,8 +190,9 @@ class Forum:
     def answers_for(self, question_id: int) -> List[Answer]:
         rows = self.database.query(
             "SELECT AnswerID, QuestionID, AuthorID, Text, AnswerDate, Best "
-            f"FROM Answers WHERE QuestionID = {question_id} "
-            "ORDER BY Best DESC, AnswerID ASC"
+            "FROM Answers WHERE QuestionID = ? "
+            "ORDER BY Best DESC, AnswerID ASC",
+            (question_id,),
         ).rows
         return [
             Answer(
@@ -206,8 +209,9 @@ class Forum:
     def routed_to(self, suid: int) -> List[int]:
         """Question ids routed to a student (their inbox)."""
         return self.database.query(
-            f"SELECT QuestionID FROM QuestionRoutes WHERE SuID = {suid} "
-            "ORDER BY QuestionID"
+            "SELECT QuestionID FROM QuestionRoutes WHERE SuID = ? "
+            "ORDER BY QuestionID",
+            (suid,),
         ).column("QuestionID")
 
     def unanswered(self) -> List[int]:

@@ -30,12 +30,14 @@ class GradeBook:
         self, course_id: int, year: Optional[int] = None
     ) -> Optional[GradeDistribution]:
         """The registrar's histogram, or None when not on file."""
-        where = f"WHERE CourseID = {course_id}"
+        where, params = "WHERE CourseID = ?", [course_id]
         if year is not None:
-            where += f" AND Year = {year}"
+            where += " AND Year = ?"
+            params.append(year)
         result = self.database.query(
             f"SELECT Bucket, SUM(GradeCount) AS n FROM OfficialGrades "
-            f"{where} GROUP BY Bucket"
+            f"{where} GROUP BY Bucket",
+            params,
         )
         if not result.rows:
             return None
@@ -52,8 +54,9 @@ class GradeBook:
         """Histogram of grades students entered in the Planner."""
         result = self.database.query(
             "SELECT Grade, COUNT(*) AS n FROM Enrollments "
-            f"WHERE CourseID = {course_id} AND Grade IS NOT NULL "
-            "GROUP BY Grade"
+            "WHERE CourseID = ? AND Grade IS NOT NULL "
+            "GROUP BY Grade",
+            (course_id,),
         )
         if not result.rows:
             return None
@@ -70,7 +73,8 @@ class GradeBook:
         value = self.database.query(
             "SELECT d.ReleasesOfficialGrades FROM Courses c "
             "JOIN Departments d ON c.DepID = d.DepID "
-            f"WHERE c.CourseID = {course_id}"
+            "WHERE c.CourseID = ?",
+            (course_id,),
         )
         if not value.rows:
             return False

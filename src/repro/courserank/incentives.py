@@ -72,8 +72,8 @@ class IncentiveLedger:
     def _logged_in_on(self, user_id: int, day: datetime.date) -> bool:
         result = self.database.query(
             "SELECT COUNT(*) FROM PointsLedger "
-            f"WHERE UserID = {user_id} AND Action = 'daily_login' "
-            f"AND AwardDate = DATE '{day.isoformat()}'"
+            "WHERE UserID = ? AND Action = 'daily_login' AND AwardDate = ?",
+            (user_id, day),
         )
         return result.scalar() > 0
 
@@ -81,14 +81,16 @@ class IncentiveLedger:
 
     def total(self, user_id: int) -> int:
         value = self.database.query(
-            f"SELECT SUM(Points) FROM PointsLedger WHERE UserID = {user_id}"
+            "SELECT SUM(Points) FROM PointsLedger WHERE UserID = ?",
+            (user_id,),
         ).scalar()
         return int(value or 0)
 
     def breakdown(self, user_id: int) -> Dict[str, int]:
         result = self.database.query(
             "SELECT Action, SUM(Points) AS p FROM PointsLedger "
-            f"WHERE UserID = {user_id} GROUP BY Action"
+            "WHERE UserID = ? GROUP BY Action",
+            (user_id,),
         )
         return {row[0]: int(row[1]) for row in result.rows}
 
@@ -96,7 +98,7 @@ class IncentiveLedger:
         """Top users by points: [(user_id, points), ...]."""
         result = self.database.query(
             "SELECT UserID, SUM(Points) AS p FROM PointsLedger "
-            f"GROUP BY UserID ORDER BY p DESC, UserID ASC LIMIT {limit}"
+            f"GROUP BY UserID ORDER BY p DESC, UserID ASC LIMIT {int(limit)}"
         )
         return [(row[0], int(row[1])) for row in result.rows]
 

@@ -107,8 +107,8 @@ class Planner:
     def _refresh_gpa(self, suid: int) -> None:
         gpa = self.cumulative_gpa(suid)
         self.database.execute(
-            f"UPDATE Students SET GPA = "
-            f"{'NULL' if gpa is None else round(gpa, 4)} WHERE SuID = {suid}"
+            "UPDATE Students SET GPA = ? WHERE SuID = ?",
+            (None if gpa is None else round(gpa, 4), suid),
         )
 
     # -- planning --------------------------------------------------------------
@@ -186,12 +186,14 @@ class Planner:
 
     def _quarter_course_ids(self, suid: int, year: int, term: str) -> List[int]:
         planned = self.database.query(
-            f"SELECT CourseID FROM Plans WHERE SuID = {suid} "
-            f"AND Year = {year} AND Term = '{term}'"
+            "SELECT CourseID FROM Plans "
+            "WHERE SuID = ? AND Year = ? AND Term = ?",
+            (suid, year, term),
         ).column("CourseID")
         taken = self.database.query(
-            f"SELECT CourseID FROM Enrollments WHERE SuID = {suid} "
-            f"AND Year = {year} AND Term = '{term}'"
+            "SELECT CourseID FROM Enrollments "
+            "WHERE SuID = ? AND Year = ? AND Term = ?",
+            (suid, year, term),
         ).column("CourseID")
         return planned + taken
 
@@ -239,12 +241,14 @@ class Planner:
         """Planned courses whose prerequisites aren't met earlier."""
         position_of: Dict[int, Tuple[int, int]] = {}
         for course_id, year, term in self.database.query(
-            f"SELECT CourseID, Year, Term FROM Enrollments WHERE SuID = {suid}"
+            "SELECT CourseID, Year, Term FROM Enrollments WHERE SuID = ?",
+            (suid,),
         ).rows:
             position_of[course_id] = term_order(year, term)
         planned: List[Tuple[int, Tuple[int, int]]] = []
         for course_id, year, term in self.database.query(
-            f"SELECT CourseID, Year, Term FROM Plans WHERE SuID = {suid}"
+            "SELECT CourseID, Year, Term FROM Plans WHERE SuID = ?",
+            (suid,),
         ).rows:
             key = term_order(year, term)
             position_of[course_id] = key
@@ -252,7 +256,8 @@ class Planner:
         warnings = []
         for course_id, when in planned:
             prereqs = self.database.query(
-                f"SELECT PrereqID FROM Prerequisites WHERE CourseID = {course_id}"
+                "SELECT PrereqID FROM Prerequisites WHERE CourseID = ?",
+                (course_id,),
             ).column("PrereqID")
             for prereq in prereqs:
                 earlier = position_of.get(prereq)
@@ -271,8 +276,9 @@ class Planner:
         rows = self.database.query(
             "SELECT e.Grade, c.Units FROM Enrollments e "
             "JOIN Courses c ON e.CourseID = c.CourseID "
-            f"WHERE e.SuID = {suid} AND e.Year = {year} AND e.Term = '{term}' "
-            "AND e.Grade IS NOT NULL"
+            "WHERE e.SuID = ? AND e.Year = ? AND e.Term = ? "
+            "AND e.Grade IS NOT NULL",
+            (suid, year, term),
         ).rows
         return _weighted_gpa(rows)
 
@@ -280,7 +286,8 @@ class Planner:
         rows = self.database.query(
             "SELECT e.Grade, c.Units FROM Enrollments e "
             "JOIN Courses c ON e.CourseID = c.CourseID "
-            f"WHERE e.SuID = {suid} AND e.Grade IS NOT NULL"
+            "WHERE e.SuID = ? AND e.Grade IS NOT NULL",
+            (suid,),
         ).rows
         return _weighted_gpa(rows)
 
@@ -296,7 +303,8 @@ class Planner:
         taken = self.database.query(
             "SELECT e.Year, e.Term, e.CourseID, c.Title, c.Units, e.Grade "
             "FROM Enrollments e JOIN Courses c ON e.CourseID = c.CourseID "
-            f"WHERE e.SuID = {suid}"
+            "WHERE e.SuID = ?",
+            (suid,),
         ).rows
         for year, term, course_id, title, units, grade in taken:
             plan.setdefault((year, term), []).append(
@@ -311,7 +319,8 @@ class Planner:
         planned = self.database.query(
             "SELECT p.Year, p.Term, p.CourseID, c.Title, c.Units "
             "FROM Plans p JOIN Courses c ON p.CourseID = c.CourseID "
-            f"WHERE p.SuID = {suid}"
+            "WHERE p.SuID = ?",
+            (suid,),
         ).rows
         for year, term, course_id, title, units in planned:
             plan.setdefault((year, term), []).append(

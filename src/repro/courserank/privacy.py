@@ -87,7 +87,8 @@ class PrivacyGuard:
         result = self.database.query(
             "SELECT p.SuID, s.Name, p.Shared FROM Plans p "
             "JOIN Students s ON p.SuID = s.SuID "
-            f"WHERE p.CourseID = {course_id} ORDER BY p.SuID"
+            "WHERE p.CourseID = ? ORDER BY p.SuID",
+            (course_id,),
         )
         visible = []
         for suid, name, shared in result.rows:

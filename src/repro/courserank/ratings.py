@@ -105,7 +105,8 @@ class RatingsService:
         """All comments on a course, with vote tallies folded in."""
         result = self.database.query(
             "SELECT SuID, CourseID, Year, Term, Text, Rating, CommentDate "
-            f"FROM Comments WHERE CourseID = {course_id}"
+            "FROM Comments WHERE CourseID = ?",
+            (course_id,),
         )
         tallies = self._vote_tallies(course_id)
         comments = []
@@ -133,19 +134,21 @@ class RatingsService:
             "SELECT SuID, "
             "SUM(CASE WHEN Helpful THEN 1 ELSE 0 END) AS up, "
             "SUM(CASE WHEN Helpful THEN 0 ELSE 1 END) AS down "
-            f"FROM CommentVotes WHERE CourseID = {course_id} GROUP BY SuID"
+            "FROM CommentVotes WHERE CourseID = ? GROUP BY SuID",
+            (course_id,),
         )
         return {row[0]: (int(row[1] or 0), int(row[2] or 0)) for row in result.rows}
 
     def average_rating(self, course_id: int) -> Optional[float]:
         return self.database.query(
-            f"SELECT AVG(Rating) FROM Comments WHERE CourseID = {course_id}"
+            "SELECT AVG(Rating) FROM Comments WHERE CourseID = ?",
+            (course_id,),
         ).scalar()
 
     def rating_count(self, course_id: int) -> int:
         return self.database.query(
-            "SELECT COUNT(Rating) FROM Comments "
-            f"WHERE CourseID = {course_id}"
+            "SELECT COUNT(Rating) FROM Comments WHERE CourseID = ?",
+            (course_id,),
         ).scalar()
 
     def top_rated_courses(
@@ -155,7 +158,8 @@ class RatingsService:
         result = self.database.query(
             "SELECT CourseID, AVG(Rating) AS avg_r, COUNT(Rating) AS n "
             "FROM Comments WHERE Rating IS NOT NULL GROUP BY CourseID "
-            f"HAVING COUNT(Rating) >= {min_ratings} "
-            f"ORDER BY avg_r DESC, CourseID ASC LIMIT {limit}"
+            "HAVING COUNT(Rating) >= ? "
+            f"ORDER BY avg_r DESC, CourseID ASC LIMIT {int(limit)}",
+            (min_ratings,),
         )
         return [(row[0], row[1], row[2]) for row in result.rows]

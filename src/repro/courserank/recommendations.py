@@ -215,7 +215,7 @@ class RecommendationService:
             return recommendation
         taken = set(
             self.database.query(
-                f"SELECT CourseID FROM Enrollments WHERE SuID = {suid}"
+                "SELECT CourseID FROM Enrollments WHERE SuID = ?", (suid,)
             ).column("CourseID")
         )
         prereqs = self._prerequisites_of(
@@ -247,10 +247,11 @@ class RecommendationService:
     def _prerequisites_of(self, course_ids: List[int]) -> Dict[int, List[int]]:
         if not course_ids:
             return {}
-        listed = ", ".join(str(course_id) for course_id in set(course_ids))
+        listed = list(set(course_ids))
         rows = self.database.query(
             "SELECT CourseID, PrereqID FROM Prerequisites "
-            f"WHERE CourseID IN ({listed})"
+            f"WHERE CourseID IN ({', '.join('?' * len(listed))})",
+            listed,
         ).rows
         grouped: Dict[int, List[int]] = {}
         for course_id, prereq in rows:

@@ -397,7 +397,8 @@ class RequirementTracker:
     def requirements_for(self, dep_id: int) -> List[Tuple[int, str, str]]:
         result = self.database.query(
             "SELECT ReqID, Name, Rule FROM Requirements "
-            f"WHERE DepID = {dep_id} ORDER BY ReqID"
+            "WHERE DepID = ? ORDER BY ReqID",
+            (dep_id,),
         )
         return [(row[0], row[1], row[2]) for row in result.rows]
 
@@ -408,22 +409,23 @@ class RequirementTracker:
     ) -> StudentContext:
         course_ids = set(
             self.database.query(
-                f"SELECT CourseID FROM Enrollments WHERE SuID = {suid}"
+                "SELECT CourseID FROM Enrollments WHERE SuID = ?", (suid,)
             ).column("CourseID")
         )
         if include_planned:
             course_ids |= set(
                 self.database.query(
-                    f"SELECT CourseID FROM Plans WHERE SuID = {suid}"
+                    "SELECT CourseID FROM Plans WHERE SuID = ?", (suid,)
                 ).column("CourseID")
             )
         units: Dict[int, int] = {}
         departments: Dict[int, int] = {}
         if course_ids:
-            listed = ", ".join(str(course) for course in sorted(course_ids))
+            listed = sorted(course_ids)
             rows = self.database.query(
                 "SELECT CourseID, Units, DepID FROM Courses "
-                f"WHERE CourseID IN ({listed})"
+                f"WHERE CourseID IN ({', '.join('?' * len(listed))})",
+                listed,
             ).rows
             for course_id, course_units, dep_id in rows:
                 units[course_id] = course_units or 0
@@ -480,8 +482,8 @@ class RequirementTracker:
             candidates = set(rule.helpful_courses(ctx))
             for helpful_dep in rule.helpful_departments(ctx):
                 dep_courses = self.database.query(
-                    "SELECT CourseID FROM Courses "
-                    f"WHERE DepID = {int(helpful_dep)}"
+                    "SELECT CourseID FROM Courses WHERE DepID = ?",
+                    (int(helpful_dep),),
                 ).column("CourseID")
                 candidates |= {
                     course for course in dep_courses

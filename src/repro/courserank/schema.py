@@ -226,11 +226,13 @@ CREATE INDEX idx_enroll_course ON Enrollments (CourseID);
 CREATE INDEX idx_enroll_student ON Enrollments (SuID);
 CREATE INDEX idx_comments_course ON Comments (CourseID);
 CREATE INDEX idx_comments_student ON Comments (SuID);
+CREATE INDEX idx_votes_course ON CommentVotes (CourseID);
 CREATE INDEX idx_plans_course ON Plans (CourseID);
 CREATE INDEX idx_plans_student ON Plans (SuID);
 CREATE INDEX idx_offerings_course ON Offerings (CourseID);
 CREATE INDEX idx_teaches_course ON Teaches (CourseID);
 CREATE INDEX idx_prereq_course ON Prerequisites (CourseID);
+CREATE INDEX idx_textbooks_course ON CourseTextbooks (CourseID);
 CREATE INDEX idx_official_course ON OfficialGrades (CourseID);
 CREATE INDEX idx_answers_question ON Answers (QuestionID);
 CREATE INDEX idx_points_user ON PointsLedger (UserID);

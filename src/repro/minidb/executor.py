@@ -18,9 +18,10 @@ from repro.errors import (
     SchemaError,
     UnknownColumnError,
 )
-from repro.minidb.expressions import Env, Expression
+from repro.minidb.expressions import Env, Expression, Literal
 from repro.minidb.plancache import parsed_statement, snapshot_plan
 from repro.minidb.planner import (
+    PrimaryKeyLookupNode,
     QueryPlan,
     plan_children,
     plan_select,
@@ -129,7 +130,8 @@ class NodeStats:
     """
 
     __slots__ = (
-        "label", "rows_out", "rows_in", "time_ms", "batches", "children"
+        "label", "rows_out", "rows_in", "time_ms", "batches", "probes",
+        "children",
     )
 
     def __init__(self, label: str) -> None:
@@ -141,6 +143,9 @@ class NodeStats:
         #: row path — the two wrappers shadow the same stats object, but
         #: only the executed path's wrapper ever fires)
         self.batches = 0
+        #: ``lookup_pk`` calls made by a lookup join's probe side
+        #: (``PrimaryKeyLookup``), whose ``rows_out`` counts the matches
+        self.probes = 0
         self.children: List["NodeStats"] = []
 
     def to_dict(self) -> Dict[str, Any]:
@@ -150,6 +155,7 @@ class NodeStats:
             "rows_out": self.rows_out,
             "time_ms": self.time_ms,
             "batches": self.batches,
+            "probes": self.probes,
             "children": [child.to_dict() for child in self.children],
         }
 
@@ -194,7 +200,8 @@ class AnalyzeReport:
 
 
 def _attach_node_stats(node) -> NodeStats:
-    """Shadow ``node.rows`` with a counting/timing wrapper.
+    """Shadow ``node.rows`` (a lookup join's probe side: ``node.lookup``)
+    with a counting/timing wrapper.
 
     The wrapper is installed as an *instance* attribute over the class
     method; callers must remove it afterwards (``del node.__dict__``)
@@ -202,8 +209,23 @@ def _attach_node_stats(node) -> NodeStats:
     stay instrumented — the noninterference suite pins this.
     """
     stats = NodeStats(node.describe()[0])
-    original = node.rows
     perf_counter = time.perf_counter
+    if isinstance(node, PrimaryKeyLookupNode):
+        # Probed, not iterated: count the probes, and matches as rows_out.
+        lookup = node.lookup
+
+        def timed_lookup(key: Tuple[Any, ...]) -> Optional[Row]:
+            started = perf_counter()
+            row = lookup(key)
+            stats.time_ms += (perf_counter() - started) * 1000.0
+            stats.probes += 1
+            if row is not None:
+                stats.rows_out += 1
+            return row
+
+        node.lookup = timed_lookup
+        return stats
+    original = node.rows
 
     def timed() -> Iterator[Any]:
         # Some nodes (Sort) do all their work eagerly in rows() itself
@@ -268,11 +290,13 @@ def _link_node_stats(node, stats: Dict[int, NodeStats]) -> NodeStats:
 
 
 def _analyze_node_lines(record: NodeStats, indent: int) -> List[str]:
-    batches = f" batches={record.batches}" if record.batches else ""
+    extra = f" batches={record.batches}" if record.batches else ""
+    if record.probes:
+        extra += f" probes={record.probes}"
     lines = [
         "  " * indent
         + f"{record.label} (in={record.rows_in} out={record.rows_out} "
-        f"time={record.time_ms:.3f}ms{batches})"
+        f"time={record.time_ms:.3f}ms{extra})"
     ]
     for child in record.children:
         lines.extend(_analyze_node_lines(child, indent + 1))
@@ -484,6 +508,7 @@ class Executor:
         finally:
             for node in nodes:
                 node.__dict__.pop("rows", None)
+                node.__dict__.pop("lookup", None)
             for vop in vops:
                 vop.__dict__.pop("batches", None)
         root = _link_node_stats(plan.root, stats)
@@ -559,7 +584,15 @@ class Executor:
                 plan.bind_parameters(params or ())
                 columns, rows = plan.run()
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            span.set(rows=len(rows), cached=cached)
+            # One text per statement shape: the bound values are what
+            # says *which* execution this was (as SQL literals, so a slow
+            # entry can be replayed).
+            attrs = {
+                "rows": len(rows),
+                "cached": cached,
+                "params": [Literal(value).to_sql() for value in params or ()],
+            }
+            span.set(**attrs)
             OBS.metrics.inc("minidb.select.count")
             OBS.metrics.observe("minidb.select.ms", elapsed_ms)
             if elapsed_ms >= OBS.slow_log.threshold_ms:
@@ -568,7 +601,7 @@ class Executor:
                     sql,
                     elapsed_ms,
                     plan="\n".join(plan.describe()),
-                    attrs={"rows": len(rows), "cached": cached},
+                    attrs=attrs,
                 )
         return ResultSet(columns, rows)
 

@@ -44,7 +44,9 @@ from repro.minidb.expressions import (
     IsNull,
     Like,
     Literal,
+    Parameter,
     UnaryOp,
+    _compare,
     conjoin,
     conjuncts,
     order_key,
@@ -173,12 +175,12 @@ class ScanNode(PlanNode):
         ]
 
     def rows(self) -> Iterator[Env]:
+        base_env = self.base_env
         source = (
-            self.access.rows(self.table)
+            self.access.rows(self.table, base_env)
             if self.access is not None
             else self.table.rows()
         )
-        base_env = self.base_env
         keys = self._keys
         predicate = self.predicate
         for row in source:
@@ -196,65 +198,127 @@ class ScanNode(PlanNode):
         return [line]
 
 
+def _operand_text(operand: Expression) -> str:
+    """An index-key operand as EXPLAIN shows it: ``?N`` or the literal."""
+    if isinstance(operand, Parameter):
+        return f"?{operand.index + 1}"
+    return operand.to_sql()
+
+
+def _key_text(operands: Sequence[Expression]) -> str:
+    return "(" + ", ".join(_operand_text(operand) for operand in operands) + ")"
+
+
+def _resolve_key(
+    operands: Sequence[Expression], env: Env
+) -> Optional[Tuple[Any, ...]]:
+    """This execution's key values, or None when any of them is NULL.
+
+    The conjunct behind each operand was consumed by the access path, and
+    ``col = NULL`` (``<``, ``>``...) is never TRUE: a NULL-bound key
+    matches nothing.
+    """
+    key = tuple(operand.evaluate(env) for operand in operands)
+    if any(part is None for part in key):
+        return None
+    return key
+
+
+def _tightest_bound(
+    bounds: Sequence[Tuple[Expression, bool]], env: Env, tighter: str
+) -> Optional[Tuple[Tuple[Any, ...], bool]]:
+    """``(key, inclusive)`` of the tightest of one side's range bounds
+    this execution (``tighter`` is ``>`` for lower bounds, ``<`` for
+    upper), or None when one is NULL — then nothing can match."""
+    best: Any = None
+    best_inclusive = True
+    for operand, inclusive in bounds:
+        value = operand.evaluate(env)
+        if value is None:
+            return None
+        if best is None or _compare(tighter, value, best):
+            best, best_inclusive = value, inclusive
+        elif value == best:
+            best_inclusive = best_inclusive and inclusive
+    return (best,), best_inclusive
+
+
 class IndexAccess:
-    """An access path through a secondary index."""
+    """An access path through a secondary index.
+
+    Key operands are expressions — literals or ``?`` parameters —
+    resolved from the scope's base env on every execution, so one cached
+    plan serves every binding.  ``lows``/``highs`` hold *every* consumed
+    range conjunct on the column as ``(operand, inclusive)``; the tighter
+    bound per side is picked per execution.
+    """
 
     def __init__(
         self,
         index_info: Any,
-        equal_key: Optional[Tuple[Any, ...]] = None,
-        low: Optional[Tuple[Any, ...]] = None,
-        high: Optional[Tuple[Any, ...]] = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
+        equal_key: Optional[Tuple[Expression, ...]] = None,
+        lows: Sequence[Tuple[Expression, bool]] = (),
+        highs: Sequence[Tuple[Expression, bool]] = (),
     ) -> None:
         self.index_info = index_info
         self.equal_key = equal_key
-        self.low = low
-        self.high = high
-        self.low_inclusive = low_inclusive
-        self.high_inclusive = high_inclusive
+        self.lows = list(lows)
+        self.highs = list(highs)
 
-    def rows(self, table: Any) -> Iterator[Row]:
+    def rowids(self, env: Env) -> List[int]:
+        """Matching rowids in the index's emission order (the row path and
+        ``VIndexScan`` both read through here, so their order agrees)."""
         index = self.index_info.index
         if self.equal_key is not None:
-            for rowid in list(index.find(self.equal_key)):
-                yield table.get(rowid)
-        else:
-            for rowid in list(
-                index.range(
-                    self.low, self.high, self.low_inclusive, self.high_inclusive
-                )
-            ):
-                yield table.get(rowid)
+            key = _resolve_key(self.equal_key, env)
+            return [] if key is None else list(index.find(key))
+        low = high = None
+        low_inclusive = high_inclusive = True
+        if self.lows:
+            bound = _tightest_bound(self.lows, env, ">")
+            if bound is None:
+                return []
+            low, low_inclusive = bound
+        if self.highs:
+            bound = _tightest_bound(self.highs, env, "<")
+            if bound is None:
+                return []
+            high, high_inclusive = bound
+        return list(index.range(low, high, low_inclusive, high_inclusive))
+
+    def rows(self, table: Any, env: Env) -> Iterator[Row]:
+        for rowid in self.rowids(env):
+            yield table.get(rowid)
 
     def describe(self) -> str:
         name = self.index_info.name
         if self.equal_key is not None:
-            return f"using {name} = {self.equal_key!r}"
-        bounds = []
-        if self.low is not None:
-            op = ">=" if self.low_inclusive else ">"
-            bounds.append(f"{op} {self.low!r}")
-        if self.high is not None:
-            op = "<=" if self.high_inclusive else "<"
-            bounds.append(f"{op} {self.high!r}")
+            return f"using {name} = {_key_text(self.equal_key)}"
+        bounds = [
+            f"{'>=' if inclusive else '>'} {_key_text((operand,))}"
+            for operand, inclusive in self.lows
+        ] + [
+            f"{'<=' if inclusive else '<'} {_key_text((operand,))}"
+            for operand, inclusive in self.highs
+        ]
         return f"using {name} range {' and '.join(bounds)}"
 
 
 class PrimaryKeyAccess:
     """Point lookup through the table's primary-key map."""
 
-    def __init__(self, key: Tuple[Any, ...]) -> None:
+    def __init__(self, key: Tuple[Expression, ...]) -> None:
         self.key = key
 
-    def rows(self, table: Any) -> Iterator[Row]:
-        row = table.lookup_pk(self.key)
-        if row is not None:
-            yield row
+    def rows(self, table: Any, env: Env) -> Iterator[Row]:
+        key = _resolve_key(self.key, env)
+        if key is not None:
+            row = table.lookup_pk(key)
+            if row is not None:
+                yield row
 
     def describe(self) -> str:
-        return f"using primary key = {self.key!r}"
+        return f"using primary key = {_key_text(self.key)}"
 
 
 class SubqueryScanNode(PlanNode):
@@ -288,6 +352,20 @@ class SubqueryScanNode(PlanNode):
     def describe(self) -> List[str]:
         inner = ["  " + line for line in self.plan.describe()]
         return [f"SubqueryScan(AS {self.binding.name})"] + inner
+
+
+def _describe_equi_join(kind: str, node: Any) -> List[str]:
+    """EXPLAIN lines of a keyed join (``HashJoinNode``, ``LookupJoinNode``)."""
+    keys = ", ".join(
+        f"{l.to_sql()}={r.to_sql()}"
+        for l, r in zip(node.left_keys, node.right_keys)
+    )
+    line = f"{'Left' if node.left_outer else ''}{kind}(on {keys})"
+    if node.residual is not None:
+        line += f" residual={node.residual.to_sql()}"
+    return [line] + [
+        "  " + inner for inner in node.left.describe() + node.right.describe()
+    ]
 
 
 class HashJoinNode(PlanNode):
@@ -334,17 +412,78 @@ class HashJoinNode(PlanNode):
                 yield {**left_env, **padding}
 
     def describe(self) -> List[str]:
-        kind = "LeftHashJoin" if self.left_outer else "HashJoin"
-        keys = ", ".join(
-            f"{l.to_sql()}={r.to_sql()}"
-            for l, r in zip(self.left_keys, self.right_keys)
-        )
-        line = f"{kind}(on {keys})"
-        if self.residual is not None:
-            line += f" residual={self.residual.to_sql()}"
-        return [line] + [
-            "  " + inner for inner in self.left.describe() + self.right.describe()
-        ]
+        return _describe_equi_join("HashJoin", self)
+
+
+class PrimaryKeyLookupNode(PlanNode):
+    """The right side of a :class:`LookupJoinNode`: the bare table scan it
+    replaces, probed by primary key instead of read.  Not a row source —
+    it has ``lookup``, not ``rows`` — but a plan node all the same, so
+    EXPLAIN shows the table and EXPLAIN ANALYZE counts its probes and
+    its matches (``probes=`` and ``out=``)."""
+
+    def __init__(self, scan: ScanNode) -> None:
+        self.table = scan.table
+        self.binding = scan.binding
+        #: ``(row index, qualified name, bare name)`` per emitted column
+        self.columns = scan._keys
+        self.env_keys = scan.env_keys
+
+    def lookup(self, key: Tuple[Any, ...]) -> Optional[Row]:
+        return self.table.lookup_pk(key)
+
+    def describe(self) -> List[str]:
+        return [f"PrimaryKeyLookup({self.table.name} AS {self.binding.name})"]
+
+
+class LookupJoinNode(PlanNode):
+    """Equi-join on the right table's whole primary key: one ``lookup_pk``
+    per left row instead of a hash built over the table.
+
+    At most one right row matches a probe, so everything observable is
+    :class:`HashJoinNode`'s: left-major emission, a NULL key part never
+    joins, the residual runs on the merged row, LEFT OUTER pads what
+    found nothing.  ``left_keys`` are in primary-key column order.
+    """
+
+    def __init__(
+        self,
+        left: PlanNode,
+        right: PrimaryKeyLookupNode,
+        left_keys: List[Expression],
+        right_keys: List[Expression],
+        residual: Optional[Expression],
+        left_outer: bool,
+    ) -> None:
+        self.left = left
+        self.right = right
+        self.left_keys = left_keys
+        self.right_keys = right_keys
+        self.residual = residual
+        self.left_outer = left_outer
+        self.env_keys = left.env_keys + right.env_keys
+
+    def rows(self) -> Iterator[Env]:
+        lookup = self.right.lookup
+        right_columns = self.right.columns
+        padding = {key: None for key in self.right.env_keys}
+        left_keys = self.left_keys
+        residual = self.residual
+        for left_env in self.left.rows():
+            key = tuple(expr.evaluate(left_env) for expr in left_keys)
+            matched = False
+            if not any(part is None for part in key):
+                row = lookup(key)
+                if row is not None:
+                    merged = _emit_row(left_env, right_columns, row)
+                    if residual is None or residual.evaluate(merged) is True:
+                        matched = True
+                        yield merged
+            if not matched and self.left_outer:
+                yield {**left_env, **padding}
+
+    def describe(self) -> List[str]:
+        return _describe_equi_join("LookupJoin", self)
 
 
 class NestedLoopJoinNode(PlanNode):
@@ -1061,10 +1200,19 @@ class _Planner:
                     return expr.column.lower()
             return None
 
-        # Primary-key point lookup: equality literals covering the whole key.
+        def operand_of(expr: Expression) -> Optional[Expression]:
+            """``expr`` when an index can be probed with it: a ``?`` (its
+            value arrives per execution) or a non-NULL literal."""
+            if isinstance(expr, Parameter) or (
+                isinstance(expr, Literal) and expr.value is not None
+            ):
+                return expr
+            return None
+
+        # Primary-key point lookup: equalities covering the whole key.
         pk = tuple(name.lower() for name in table.schema.primary_key)
         if pk:
-            equalities: Dict[str, Tuple[int, Any]] = {}
+            equalities: Dict[str, Tuple[int, Expression]] = {}
             for position, conjunct in enumerate(local_conjuncts):
                 if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
                     for lhs, rhs in (
@@ -1072,13 +1220,13 @@ class _Planner:
                         (conjunct.right, conjunct.left),
                     ):
                         column = column_of(lhs)
+                        operand = operand_of(rhs)
                         if (
                             column in pk
-                            and isinstance(rhs, Literal)
-                            and rhs.value is not None
+                            and operand is not None
                             and column not in equalities
                         ):
-                            equalities[column] = (position, rhs.value)
+                            equalities[column] = (position, operand)
             if len(equalities) == len(pk):
                 used_positions = {position for position, _v in equalities.values()}
                 residual = [
@@ -1092,7 +1240,7 @@ class _Planner:
         if not single_column:
             return None, local_conjuncts
 
-        # Equality first: col = literal.
+        # Equality first: col = operand.
         for position, conjunct in enumerate(local_conjuncts):
             if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
                 for lhs, rhs in (
@@ -1100,25 +1248,25 @@ class _Planner:
                     (conjunct.right, conjunct.left),
                 ):
                     column = column_of(lhs)
-                    if column in single_column and isinstance(rhs, Literal):
-                        if rhs.value is None:
-                            continue
+                    operand = operand_of(rhs)
+                    if column in single_column and operand is not None:
                         residual = (
                             local_conjuncts[:position]
                             + local_conjuncts[position + 1 :]
                         )
                         access = IndexAccess(
-                            single_column[column], equal_key=(rhs.value,)
+                            single_column[column], equal_key=(operand,)
                         )
                         return access, residual
 
-        # Then ranges over a sorted index.
+        # Then ranges over a sorted index: every bound on the column is
+        # consumed, and the tighter one per side is picked per execution.
         for column, info in single_column.items():
             if info.kind != "sorted":
                 continue
-            low = high = None
-            low_inclusive = high_inclusive = True
-            used: List[int] = []
+            lows: List[Tuple[Expression, bool]] = []
+            highs: List[Tuple[Expression, bool]] = []
+            used: Set[int] = set()
             for position, conjunct in enumerate(local_conjuncts):
                 if not (
                     isinstance(conjunct, BinaryOp)
@@ -1126,44 +1274,23 @@ class _Planner:
                 ):
                     continue
                 operator = conjunct.op
-                lhs, rhs = conjunct.left, conjunct.right
-                target = column_of(lhs)
-                literal: Optional[Literal] = (
-                    rhs if isinstance(rhs, Literal) else None
-                )
-                if target != column or literal is None:
-                    # Try the flipped form: literal OP column.
-                    target = column_of(rhs)
-                    literal = lhs if isinstance(lhs, Literal) else None
-                    if target != column or literal is None:
+                operand = operand_of(conjunct.right)
+                if column_of(conjunct.left) != column or operand is None:
+                    # Try the flipped form: operand OP column.
+                    operand = operand_of(conjunct.left)
+                    if column_of(conjunct.right) != column or operand is None:
                         continue
                     operator = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[operator]
-                if literal.value is None:
-                    continue
-                if operator in (">", ">="):
-                    if low is None or (literal.value,) > low:
-                        low = (literal.value,)
-                        low_inclusive = operator == ">="
-                        used.append(position)
-                else:
-                    if high is None or (literal.value,) < high:
-                        high = (literal.value,)
-                        high_inclusive = operator == "<="
-                        used.append(position)
-            if low is not None or high is not None:
+                side = lows if operator in (">", ">=") else highs
+                side.append((operand, operator in (">=", "<=")))
+                used.add(position)
+            if used:
                 residual = [
                     conjunct
                     for position, conjunct in enumerate(local_conjuncts)
                     if position not in used
                 ]
-                access = IndexAccess(
-                    info,
-                    low=low,
-                    high=high,
-                    low_inclusive=low_inclusive,
-                    high_inclusive=high_inclusive,
-                )
-                return access, residual
+                return IndexAccess(info, lows=lows, highs=highs), residual
         return None, local_conjuncts
 
     # -- join construction ------------------------------------------------------
@@ -1194,6 +1321,16 @@ class _Planner:
             else:
                 residual.append(conjunct)
         if equi_left:
+            pk_order = self._lookup_key_order(left, right, equi_right)
+            if pk_order is not None:
+                return LookupJoinNode(
+                    left,
+                    PrimaryKeyLookupNode(right),
+                    [equi_left[position] for position in pk_order],
+                    [equi_right[position] for position in pk_order],
+                    conjoin(residual),
+                    left_outer,
+                )
             return HashJoinNode(
                 left,
                 right,
@@ -1203,6 +1340,50 @@ class _Planner:
                 left_outer,
             )
         return NestedLoopJoinNode(left, right, join.condition, left_outer)
+
+    @staticmethod
+    def _lookup_key_order(
+        left: PlanNode, right: PlanNode, right_keys: List[Expression]
+    ) -> Optional[List[int]]:
+        """Positions of ``right_keys`` in primary-key column order when
+        the join qualifies for :class:`LookupJoinNode`, else None.
+
+        Three conditions, all read off the plan (no statistics): the right
+        side is a bare base-table scan (no access path, no pushed
+        predicate — a probe would skip them); its join keys are plain
+        column references naming each primary-key column exactly once; and
+        the left subtree's driving scan goes through an index or
+        primary-key access, i.e. the statement selects a handful of left
+        rows by key.  A left side that reads its whole table keeps the
+        hash join: one build beats a probe per row.
+        """
+        if not (
+            isinstance(right, ScanNode)
+            and right.access is None
+            and right.predicate is None
+        ):
+            return None
+        pk = [name.lower() for name in right.table.schema.primary_key]
+        if not pk or len(right_keys) != len(pk):
+            return None
+        columns: List[str] = []
+        for key in right_keys:
+            if not isinstance(key, ColumnRef):
+                return None
+            columns.append(key.column.lower())
+        if sorted(columns) != sorted(pk):
+            return None
+        driving: Any = left
+        while not isinstance(driving, ScanNode):
+            # What a join or filter streams from; a sub-select has neither.
+            driving = getattr(driving, "left", None) or getattr(
+                driving, "child", None
+            )
+            if driving is None:
+                return None
+        if driving.access is None:
+            return None
+        return [columns.index(name) for name in pk]
 
     def _equi_pair(
         self,

@@ -159,12 +159,13 @@ class VScan(VOp):
 
 
 class VIndexScan(VOp):
-    """Index-assisted batch scan: probes the logical node's
-    :class:`~repro.minidb.planner.IndexAccess` for matching rowids
-    exactly like the row path (equality via ``index.find``, bounds via
-    ``index.range``), then materializes *only those rows* from the cached
-    column store, in the index's emission order — so output order is
-    bit-identical to the row path's IndexScan.  The store's rowid ->
+    """Index-assisted batch scan: asks the logical node's
+    :class:`~repro.minidb.planner.IndexAccess` for this execution's
+    matching rowids — the row path's own call (equality via
+    ``index.find``, bounds via ``index.range``, keys resolved from the
+    bound ``?`` values) — then materializes *only those rows* from the
+    cached column store, in the index's emission order, so output order
+    is bit-identical to the row path's IndexScan.  The store's rowid ->
     position map bridges rowid order and store order (which diverge
     after in-place updates).  Any residual predicate runs as a pushed
     selection-vector kernel, mirroring :class:`VScan`.
@@ -180,17 +181,9 @@ class VIndexScan(VOp):
 
     def batches(self) -> Iterator[ColumnBatch]:
         node = self.node
-        access = node.access
-        index = access.index_info.index
-        if access.equal_key is not None:
-            rowids = list(index.find(access.equal_key))
-        else:
-            rowids = list(
-                index.range(
-                    access.low, access.high,
-                    access.low_inclusive, access.high_inclusive,
-                )
-            )
+        # The key operands resolve from the scope's base env, which is
+        # this operator's ctx: the same call the row path's IndexScan makes.
+        rowids = node.access.rowids(self.ctx)
         observe = OBS.enabled
         if observe:
             OBS.metrics.inc("minidb.vector.index_scan.probes")

@@ -16,8 +16,9 @@ question).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SearchError
 from repro.minidb.catalog import Database
@@ -49,6 +50,13 @@ class EntityDefinition:
 
     name: str
     fields: Tuple[FieldSpec, ...]
+    #: database → (schema_epoch, key-filtered wrapper SQL per field)
+    _wrappers: "weakref.WeakKeyDictionary[Database, Tuple[int, List[str]]]" = field(
+        default_factory=weakref.WeakKeyDictionary,
+        init=False,
+        repr=False,
+        compare=False,
+    )
 
     def __post_init__(self) -> None:
         if not self.fields:
@@ -92,20 +100,36 @@ class EntityDefinition:
         after a new comment doesn't re-read the whole corpus.  Returns
         None when no field yields text (the entity vanished).
         """
-        literal = _sql_literal(key)
         collected: Dict[str, List[str]] = {}
-        for spec in self.fields:
-            wrapped = (
-                f"SELECT * FROM ({spec.sql}) AS __entity "
-                f"WHERE {_first_column(database, spec)} = {literal}"
-            )
-            for row_key, text in database.query(wrapped).rows:
+        for spec, wrapped in zip(self.fields, self._key_queries(database)):
+            for row_key, text in database.query(wrapped, (key,)).rows:
                 if row_key is None or text is None:
                     continue
                 if not isinstance(text, str):
                     text = str(text)
                 collected.setdefault(spec.name, []).append(text)
         return collected or None
+
+    def _key_queries(self, database: Database) -> List[str]:
+        """One ``… WHERE <key column> = ?`` wrapper per field.
+
+        The text is constant per field, so every write after the first
+        reuses minidb's parsed statement and cached plan; only naming the
+        key column needs the field query planned, and that is remembered
+        per database until its schema changes.
+        """
+        cached = self._wrappers.get(database)
+        if cached is None or cached[0] != database.schema_epoch:
+            cached = (
+                database.schema_epoch,
+                [
+                    f"SELECT * FROM ({spec.sql}) AS __entity "
+                    f"WHERE {_first_column(database, spec)} = ?"
+                    for spec in self.fields
+                ],
+            )
+            self._wrappers[database] = cached
+        return cached[1]
 
 
 def _first_column(database: Database, spec: FieldSpec) -> str:
@@ -115,14 +139,6 @@ def _first_column(database: Database, spec: FieldSpec) -> str:
 
     statement = parse_statement(spec.sql)
     return plan_select(database, statement).column_names[0]
-
-
-def _sql_literal(value: Any) -> str:
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    return repr(value)
 
 
 def instructor_entity(

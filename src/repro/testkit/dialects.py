@@ -38,6 +38,7 @@ __all__ = [
     "RenderedScript",
     "RenderedCase",
     "render_case",
+    "render_op",
     "render_query",
     "render_expr",
     "create_table_sql",
@@ -308,7 +309,7 @@ def _insert_sql(table: str, values: Tuple[Any, ...], dialect: str) -> str:
     return f"INSERT INTO {table} VALUES ({rendered})"
 
 
-def _render_op(op: g.Op, dialect: str) -> List[RenderedOp]:
+def render_op(op: g.Op, dialect: str) -> List[RenderedOp]:
     if isinstance(op, g.QueryOp):
         params: List[Any] = []
         sql = render_query(op.query, dialect, params)
@@ -373,7 +374,7 @@ def _render_script(case: g.Case, dialect: str) -> RenderedScript:
         )
     ops: List[RenderedOp] = []
     for op in case.ops:
-        ops.extend(_render_op(op, dialect))
+        ops.extend(render_op(op, dialect))
     return RenderedScript(tuple(create), tuple(ops))
 
 

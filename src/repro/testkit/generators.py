@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import datetime
 import random
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "INTEGER",
@@ -79,6 +79,8 @@ __all__ = [
     "Capabilities",
     "CaseGenerator",
     "referenced_tables",
+    "with_literals",
+    "with_parameters",
 ]
 
 INTEGER = "INTEGER"
@@ -525,6 +527,64 @@ def _walk_all(roots: Sequence[Any]):
             stack.append(node.operand)
 
 
+def _rewrite(node: Any, swap: Callable[[Any], Optional[Any]]) -> Any:
+    """Rebuild an AST — any nest of frozen dataclasses and tuples — with
+    every node ``swap`` answers for replaced by that answer (and not
+    descended into)."""
+    swapped = swap(node)
+    if swapped is not None:
+        return swapped
+    if isinstance(node, tuple):
+        return tuple(_rewrite(item, swap) for item in node)
+    if is_dataclass(node):
+        return replace(
+            node,
+            **{
+                spec.name: _rewrite(getattr(node, spec.name), swap)
+                for spec in fields(node)
+            },
+        )
+    return node
+
+
+def with_literals(query: Query) -> Query:
+    """``query`` with every ``?`` written out as the literal it binds."""
+    return _rewrite(
+        query,
+        lambda node: Lit(node.value, node.dtype)
+        if isinstance(node, Param)
+        else None,
+    )
+
+
+def with_parameters(query: Query) -> Query:
+    """``query`` with every bindable WHERE constant turned into a ``?``.
+
+    The metamorphic twin of :func:`with_literals`: the two renderings of
+    one query must plan and answer alike.  Bindable follows the dialect
+    rules above (WHERE only, nothing inside IN/EXISTS subqueries) and
+    leaves out the two constants minidb plans differently *by design*:
+    NULL (``col = NULL`` keeps its conjunct as a filter) and negative
+    numbers (``-5`` parses as a negation, which is not an index key,
+    while a ``?`` bound to -5 is).
+    """
+
+    def swap(node: Any) -> Optional[Any]:
+        if isinstance(node, (InSubquery, Exists)):
+            return node
+        if (
+            isinstance(node, Lit)
+            and node.value is not None
+            and not (isinstance(node.value, (int, float)) and node.value < 0)
+        ):
+            return Param(node.value, node.dtype)
+        return None
+
+    if query.where is None:
+        return query
+    return replace(query, where=_rewrite(query.where, swap))
+
+
 # ---------------------------------------------------------------------------
 # the generator
 # ---------------------------------------------------------------------------
@@ -886,6 +946,95 @@ class CaseGenerator:
             return self._aggregate_query(sources, joins, scope, where)
         return self._plain_query(sources, joins, scope, where)
 
+    def _index_probe(self) -> Query:
+        """A query aimed at the planner's access paths, which a random
+        predicate almost never hits (1 % of ``query()`` results plan an
+        index scan): one to three comparisons of a keyed column — the
+        primary key or a single-column index — against constants, at most
+        one random conjunct beside them, and half the time a second table
+        joined on its primary key (the lookup-join shape: NULL and absent
+        keys on the left, INNER and LEFT, with and without a residual)."""
+        rng = self.rng
+        caps = self.caps
+        table = rng.choice(self.tables)
+        keyed = rng.choice(
+            ["id"]
+            + [
+                index.columns[0]
+                for index in table.indexes
+                if len(index.columns) == 1
+            ]
+        )
+        column = table.column(keyed)
+        sources = [Source(table.name, "a0")]
+        joins: Tuple[Join, ...] = ()
+        if caps.allow_joins and rng.random() < 0.5:
+            right = Source(rng.choice(self.tables).name, "a1")
+            key = rng.choice(
+                [spec for spec in table.columns if spec.dtype == INTEGER]
+            )
+            condition: Any = Compare(
+                "=", Col("a0", key.name, INTEGER), Col("a1", "id", INTEGER)
+            )
+            if rng.random() < 0.3:
+                residual = Compare(
+                    rng.choice(COMPARE_OPS),
+                    Col("a1", "id", INTEGER),
+                    Lit(rng.randint(0, 8), INTEGER),
+                )
+                condition = Logic("AND", (condition, residual))
+            kind = (
+                "LEFT" if caps.allow_left_join and rng.random() < 0.4
+                else "INNER"
+            )
+            sources.append(right)
+            joins = (Join(kind, right, condition),)
+        scope = _Scope(
+            bindings=tuple(
+                (source.alias, self._table(source.table))
+                for source in sources
+            ),
+            qualify=True,
+            allow_params=caps.allow_params,
+        )
+        target = Col("a0", column.name, column.dtype)
+        operators = ["="]
+        if column.dtype != BOOLEAN:
+            # Bounds, twice over: two on one side must pick the tighter.
+            operators = [rng.choice(("=", "<", "<=", ">", ">="))] + [
+                rng.choice(("<", "<=", ">", ">="))
+                for _ in range(rng.randint(0, 2))
+            ]
+        conjuncts: List[Any] = [
+            Compare(
+                operator,
+                target,
+                Lit(rng.randint(0, caps.max_rows), INTEGER)
+                if keyed == "id" and rng.random() < 0.7
+                else self._maybe_param(column.dtype, scope),
+            )
+            for operator in operators
+        ]
+        if rng.random() < 0.4:
+            conjuncts.append(self.predicate(scope, 1))
+        order: Tuple[OrderTerm, ...] = ()
+        limit = None
+        if caps.allow_order_limit and rng.random() < 0.3:
+            order = tuple(
+                OrderTerm(Col(source.alias, "id", INTEGER))
+                for source in sources
+            )
+            limit = rng.randint(0, 8)
+        return Query(
+            source=sources[0],
+            joins=joins,
+            where=conjuncts[0]
+            if len(conjuncts) == 1
+            else Logic("AND", tuple(conjuncts)),
+            order_by=order,
+            limit=limit,
+        )
+
     def _table(self, name: str) -> TableSpec:
         for table in self.tables:
             if table.name == name:
@@ -1226,6 +1375,9 @@ class CaseGenerator:
                 ops.append(self._dml())
         while sum(isinstance(op, QueryOp) for op in ops) < caps.min_queries:
             ops.append(QueryOp(self.query()))
+        # Last, so the ops above keep the random stream they always had,
+        # and against whatever schema and rows the churn above left.
+        ops.extend(QueryOp(self._index_probe()) for _ in range(2))
         return Case(
             seed=self.seed, tables=original_tables, rows=rows, ops=ops
         )

@@ -23,6 +23,13 @@ Each sweep's outcomes are compared against one sqlite3 run of the same
 case; additionally, repeated executions *within* a config must agree
 (the cold-vs-warm metamorphic check).
 
+A second metamorphic check needs no oracle (:func:`check_bound_plans`):
+each query is rendered twice, once with every WHERE constant written as
+a literal and once with each bound through a ``?``; the two must
+``EXPLAIN`` alike modulo the constant — a ``?`` reaches every index a
+literal does — and return the same rows in the same order, on the row
+path and vectorized.
+
 Comparison rules (the type/NULL-aware coercion layer):
 
 * result rows are compared as **multisets** — both engines are free to
@@ -44,6 +51,7 @@ Comparison rules (the type/NULL-aware coercion layer):
 
 from __future__ import annotations
 
+import re
 import sqlite3
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -55,8 +63,17 @@ from repro.testkit.dialects import (
     RenderedScript,
     bind_value,
     render_case,
+    render_op,
+    render_query,
 )
-from repro.testkit.generators import Capabilities, Case, CaseGenerator
+from repro.testkit.generators import (
+    Capabilities,
+    Case,
+    CaseGenerator,
+    QueryOp,
+    with_literals,
+    with_parameters,
+)
 
 __all__ = [
     "MiniConfig",
@@ -72,6 +89,7 @@ __all__ = [
     "run_minidb",
     "run_sqlite",
     "run_rendered",
+    "check_bound_plans",
     "run_case",
     "case_fails",
     "run_differential",
@@ -367,6 +385,9 @@ class CaseReport:
     divergences: List[str] = field(default_factory=list)
     query_ops: int = 0
     error_ops: int = 0
+    #: queries whose ``?`` rendering planned an index or primary-key
+    #: access by bound value (coverage of :func:`check_bound_plans`)
+    bound_index_routes: int = 0
 
     @property
     def ok(self) -> bool:
@@ -418,12 +439,94 @@ def run_rendered(
     return report
 
 
+#: what differs between a query's two renderings in EXPLAIN text: a
+#: ``?``/``?N`` on one side, the literal it binds on the other
+_CONSTANT = re.compile(
+    r"\?\d*|DATE '[^']*'|'(?:[^']|'')*'|\b\d+(?:\.\d+)?(?:e[+-]?\d+)?\b"
+    r"|\bTRUE\b|\bFALSE\b"
+)
+_BOUND_ROUTE = re.compile(r"IndexScan\([^\n]*\?\d")
+
+
+def _plan_and_rows(
+    database: Any, sql: str, params: Optional[List[Any]]
+) -> Tuple[str, Any]:
+    """``(EXPLAIN text, rows)`` of one rendering; an error is an outcome."""
+    try:
+        plan = database.query("EXPLAIN " + sql, params).column("QUERY PLAN")
+        rows = database.query(sql, params).rows
+    except Exception as exc:  # noqa: BLE001 - error parity is the contract
+        return type(exc).__name__, None
+    return "\n".join(plan).replace(" [cached]", ""), rows
+
+
+def check_bound_plans(case: Case) -> Tuple[int, List[str]]:
+    """Replay ``case`` on a fresh minidb, holding every query's ``?``
+    rendering to its literal rendering: same plan shape, same rows.
+
+    Returns ``(bound index routes seen, divergences)``.
+    """
+    from repro.minidb import Database
+    from repro.minidb.planner import flag_overrides
+
+    database = Database()
+    for ddl in render_case(case).minidb.create:
+        database.execute(ddl)
+    routes = 0
+    divergences: List[str] = []
+    for position, op in enumerate(case.ops):
+        if not isinstance(op, QueryOp):
+            for rendered in render_op(op, MINIDB):
+                try:
+                    database.execute(rendered.sql, list(rendered.params) or None)
+                except Exception:  # noqa: BLE001 - the sweep reports these
+                    pass
+            continue
+        literal = with_literals(op.query)
+        params: List[Any] = []
+        bound_sql = render_query(with_parameters(literal), MINIDB, params)
+        if not params:
+            continue
+        literal_sql = render_query(literal, MINIDB)
+        params = [bind_value(value, MINIDB) for value in params]
+        for vectorize in (False, True):
+            with flag_overrides(vectorize=vectorize):
+                literal_plan, literal_rows = _plan_and_rows(
+                    database, literal_sql, None
+                )
+                bound_plan, bound_rows = _plan_and_rows(
+                    database, bound_sql, params
+                )
+            if vectorize and _BOUND_ROUTE.search(bound_plan):
+                routes += 1
+            where = (
+                f"op[{position}] vectorize={vectorize}: ?-rendering vs "
+                f"literal rendering"
+            )
+            if _CONSTANT.sub("#", bound_plan) != _CONSTANT.sub(
+                "#", literal_plan
+            ):
+                divergences.append(
+                    f"{where} plan differently:\n{bound_plan}\n--- vs "
+                    f"---\n{literal_plan}\n:: {bound_sql} {params!r}"
+                )
+            elif bound_rows != literal_rows:
+                divergences.append(
+                    f"{where} answer differently: {bound_rows!r} != "
+                    f"{literal_rows!r} :: {bound_sql} {params!r}"
+                )
+    return routes, divergences
+
+
 def run_case(
     case: Case,
     sweep: Sequence[MiniConfig] = SWEEP,
     mini_transform: Optional[Callable[[str], str]] = None,
 ) -> CaseReport:
-    return run_rendered(render_case(case), sweep, mini_transform)
+    report = run_rendered(render_case(case), sweep, mini_transform)
+    report.bound_index_routes, bound = check_bound_plans(case)
+    report.divergences.extend(bound)
+    return report
 
 
 def case_fails(

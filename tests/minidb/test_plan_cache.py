@@ -209,6 +209,138 @@ class TestPreparedStatements:
             statement.query(1)
 
 
+class TestBoundValueAccess:
+    """A ``?`` reaches the primary key and the indexes a literal does,
+    and where a bound value can differ from a literal at plan time the
+    outcome is pinned here."""
+
+    @pytest.fixture
+    def indexed(self, db):
+        db.execute("CREATE INDEX idx_dep ON Courses (DepID)")
+        db.execute("CREATE INDEX idx_units ON Courses (Units) USING SORTED")
+        return db
+
+    PK = "SELECT Title FROM Courses WHERE CourseID = ?"
+    HASH = "SELECT Title FROM Courses WHERE DepID = ? ORDER BY Title"
+    RANGE = (
+        "SELECT Title FROM Courses WHERE Units > ? AND Units <= ? "
+        "ORDER BY Title"
+    )
+
+    def test_explain_shows_the_access_by_parameter(self, indexed):
+        assert "using primary key = (?1)" in indexed.prepare(self.PK).explain()
+        assert "using idx_dep = (?1)" in indexed.prepare(self.HASH).explain()
+        assert (
+            "using idx_units range > (?1) and <= (?2)"
+            in indexed.prepare(self.RANGE).explain()
+        )
+        for sql in (self.PK, self.HASH, self.RANGE):
+            assert "SeqScan" not in indexed.prepare(sql).explain()
+
+    def test_null_bound_key_matches_nothing(self, indexed):
+        # The access path consumed the conjunct, and col = NULL (or <, >)
+        # is never TRUE: no rows, not every row and not an error.
+        assert indexed.query(self.PK, (None,)).rows == []
+        assert indexed.query(self.HASH, (None,)).rows == []
+        assert indexed.query(self.RANGE, (None, 4.0)).rows == []
+        assert indexed.query(self.RANGE, (2.5, None)).rows == []
+        assert indexed.query(self.RANGE, (2.5, 4.0)).rows == [
+            ("Databases",), ("Networks",), ("Sculpture",),
+        ]
+
+    @pytest.mark.parametrize("value, literal", [
+        (1, "1"), (1.0, "1.0"), (True, "TRUE"), (2.5, "2.5"), ("1", "'1'"),
+    ])
+    def test_bound_value_coercion_equals_the_literal_path(
+        self, indexed, value, literal
+    ):
+        for column in ("CourseID", "DepID"):
+            bound = f"SELECT Title FROM Courses WHERE {column} = ?"
+            assert (
+                indexed.query(bound, (value,)).rows
+                == indexed.query(bound.replace("?", literal)).rows
+            )
+        assert indexed.query(self.PK, (1.0,)).rows == [("Databases",)]
+        assert indexed.query(self.PK, (True,)).rows == [("Databases",)]
+
+    def test_two_bounds_on_one_side_pick_the_tighter_per_execution(
+        self, indexed
+    ):
+        sql = (
+            "SELECT Title FROM Courses WHERE Units > ? AND Units >= ? "
+            "ORDER BY Title"
+        )
+        statement = indexed.prepare(sql)
+        assert "SeqScan" not in statement.explain()
+        for low, floor in ((2.0, 4.0), (4.0, 2.0), (3.0, 3.0), (2.0, 2.0)):
+            literal = sql.replace("?", str(low), 1).replace("?", str(floor), 1)
+            assert (
+                statement.execute(low, floor).rows
+                == indexed.query(literal).rows
+            ), (low, floor)
+        assert statement.execute(3.0, 3.0).rows == [
+            ("Databases",), ("Sculpture",),
+        ]
+
+    def test_one_cached_plan_two_bindings_no_leak(self, indexed):
+        indexed.clear_plan_cache()
+        misses = indexed._plan_cache.misses
+        assert indexed.query(self.HASH, (10,)).rows == [
+            ("Databases",), ("Networks",),
+        ]
+        assert indexed.query(self.HASH, (20,)).rows == [
+            ("Painting",), ("Sculpture",),
+        ]
+        assert indexed.query(self.HASH, (10,)).rows == [
+            ("Databases",), ("Networks",),
+        ]
+        assert indexed._plan_cache.misses == misses + 1
+        with pytest.raises(ExecutionError, match="not bound"):
+            indexed.query(self.HASH)  # nothing left over from the last run
+
+    def test_threads_sharing_one_shape_never_see_each_others_rows(
+        self, indexed
+    ):
+        """One plan per statement shape means concurrent executions with
+        different bindings share one ``QueryPlan``; ``exec_lock`` (taken
+        inside the database's read lock) keeps bind+run atomic."""
+        import sys
+        import threading
+
+        expected = {
+            10: [("Databases",), ("Networks",)],
+            20: [("Painting",), ("Sculpture",)],
+            30: [],
+        }
+        for dep_id, rows in expected.items():
+            assert indexed.query(self.HASH, (dep_id,)).rows == rows
+        wrong = []
+        barrier = threading.Barrier(6)
+
+        def worker(dep_id):
+            barrier.wait(timeout=10)
+            for _ in range(300):
+                rows = indexed.query(self.HASH, (dep_id,)).rows
+                if rows != expected[dep_id]:
+                    wrong.append((dep_id, rows))
+
+        threads = [
+            threading.Thread(target=worker, args=(dep_id,))
+            for dep_id in (10, 20, 30, 10, 20, 30)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong, wrong[:3]
+
+
 class TestUnionParameterNumbering:
     """Identical SELECT text at different ``?`` bases must not share plans.
 

@@ -269,3 +269,64 @@ def test_slow_query_log_captures_plan_for_slow_select():
     assert "SELECT" in entries[0].sql
     assert "SeqScan" in (entries[0].plan or "")
     assert entries[0].attrs["rows"] == 6
+
+
+def test_slow_log_and_span_say_which_binding_was_slow():
+    """One SQL text per statement shape: without the bound values a slow
+    ``… WHERE CourseID = ?`` could be any page."""
+    import datetime
+
+    from repro.minidb import Database
+
+    db = Database()
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, name TEXT, day DATE)")
+    db.execute(
+        "INSERT INTO t VALUES (?, ?, ?)", [7, "it's", datetime.date(2008, 1, 5)]
+    )
+    sql = "SELECT id FROM t WHERE id = ? AND name = ? AND day = ?"
+    params = [7, "it's", datetime.date(2008, 1, 5)]
+    OBS.enable()
+    OBS.slow_log.threshold_ms = 0.0
+    try:
+        assert db.query(sql, params).rows == [(7,)]
+        db.query("SELECT id FROM t")
+    finally:
+        OBS.disable()
+        OBS.slow_log.threshold_ms = 10.0
+    by_sql = {entry.sql: entry for entry in OBS.slow_log.entries()}
+    bound = next(entry for text, entry in by_sql.items() if "?" in text)
+    # SQL literals, so the entry can be replayed; JSON-ready as they are.
+    assert bound.attrs["params"] == ["7", "'it''s'", "DATE '2008-01-05'"]
+    assert "using primary key = (?1)" in bound.plan
+    assert by_sql["SELECT id FROM t"].attrs["params"] == []
+    json.dumps(OBS.slow_log.export())
+    spans = [
+        record for record in OBS.tracer.records()
+        if record.name == "minidb.select"
+    ]
+    assert [span.attrs["params"] for span in spans] == [
+        ["7", "'it''s'", "DATE '2008-01-05'"], [],
+    ]
+
+
+def test_app_observability_keeps_the_plan_cache_keys():
+    """``benchmarks/e2e/harness.py`` reads ``hits`` and ``misses``."""
+    from repro.courserank import CourseRank
+    from repro.datagen import generate_university
+
+    app = CourseRank(generate_university(scale="tiny", seed=5))
+    course_ids = app.db.query(
+        "SELECT CourseID FROM Courses ORDER BY CourseID LIMIT 6"
+    ).column("CourseID")
+    app.course_page(course_ids[0])
+    before = app.observability()["caches"]["plan_cache"]
+    assert set(before) == {"hits", "misses", "size"}
+    for course_id in course_ids[1:]:
+        app.course_page(course_id)
+    after = app.observability()["caches"]["plan_cache"]
+    # Five more pages, distinct courses: every statement is a shape the
+    # first page already planned (bar the other grade-distribution source,
+    # which a page reads only when its department differs in policy).
+    assert after["misses"] <= before["misses"] + 1
+    assert after["size"] <= before["size"] + 1
+    assert after["hits"] >= before["hits"] + 5 * 9

@@ -5,8 +5,9 @@ fallback behind ``VRowSource``; production traffic is meant to run on
 the vector path.  That holds only while the facade's statements route
 there, so this test names the exceptions: every part of a facade plan
 the vector router leaves on the row tree must be a primary-key point
-lookup (0/1 row), sit under a nested-loop join, or evaluate a scalar
-function call — the shapes the batch path has no kernel for.  It is an
+lookup (0/1 row), a primary-key lookup join (0/1 row per probe), sit
+under a nested-loop join, or evaluate a scalar function call — the
+shapes the batch path has no kernel for.  It is an
 upper bound: adding kernels cannot break it, but a facade query that
 newly falls back to the interpreter fails here with its plan printed.
 """
@@ -18,6 +19,7 @@ from repro.datagen import generate_university
 from repro.minidb import Database
 from repro.minidb.expressions import Expression, FunctionCall
 from repro.minidb.planner import (
+    LookupJoinNode,
     NestedLoopJoinNode,
     PrimaryKeyAccess,
     QueryPlan,
@@ -72,6 +74,8 @@ def _row_regions(plan):
 
 def _explained(root, expressions):
     if isinstance(root, ScanNode) and isinstance(root.access, PrimaryKeyAccess):
+        return True
+    if isinstance(root, LookupJoinNode):
         return True
     nodes = list(_own_nodes(root))
     if any(isinstance(node, NestedLoopJoinNode) for node in nodes):
@@ -134,10 +138,14 @@ def test_facade_row_path_is_point_lookups_joins_without_keys_and_udfs(
 
 def test_the_check_names_an_interpreted_filter():
     """Negative control: a plain filter plan left on the row tree is not
-    one of the excused shapes; a primary-key lookup is."""
+    one of the excused shapes; a primary-key lookup and a primary-key
+    lookup join are — the join only as the boundary itself, not as cover
+    for an interpreted filter above it."""
     database = Database()
     database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)")
     database.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+    database.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, t_id INTEGER)")
+    database.execute("INSERT INTO u VALUES (7, 1), (8, 2)")
     plan = plan_select(
         database, parse_statement("SELECT id FROM t WHERE x > 5")
     )
@@ -148,3 +156,17 @@ def test_the_check_names_an_interpreted_filter():
         database, parse_statement("SELECT x FROM t WHERE id = 1")
     )
     assert [_explained(*region) for region in _row_regions(lookup)] == [True]
+    join = plan_select(
+        database,
+        parse_statement(
+            "SELECT t.x FROM u JOIN t ON u.t_id = t.id "
+            "WHERE u.id = 7 ORDER BY t.x"
+        ),
+    )
+    regions = list(_row_regions(join))
+    assert [type(root) for root, _extra in regions] == [LookupJoinNode]
+    assert [_explained(*region) for region in regions] == [True]
+    # Refused whole, the region's root is the interpreted Sort above the
+    # join: the join below does not excuse it.
+    join.vector = None
+    assert [_explained(*region) for region in _row_regions(join)] == [False]

@@ -31,3 +31,31 @@ def test_differential_fuzz_against_sqlite_oracle():
         f"{report.error_ops} op(s) errored on both engines — the "
         f"generator is emitting SQL outside the shared dialect"
     )
+
+
+def test_bound_and_literal_renderings_plan_and_answer_alike():
+    """The metamorphic twin of the sweep, no oracle needed: a query's
+    ``?`` rendering must EXPLAIN like its literal rendering modulo the
+    constant — a bound value reaches every index and primary-key route a
+    literal does — and return the same rows in the same order, on the
+    row path and vectorized.  The route count keeps the check honest:
+    it is vacuous on a fuzzer that never plans an index scan."""
+    from repro.testkit.generators import CaseGenerator
+    from repro.testkit.oracle import check_bound_plans
+
+    routes = 0
+    for seed in range(60):
+        seen, divergences = check_bound_plans(CaseGenerator(seed).case())
+        assert not divergences, f"seed {seed}:\n" + "\n".join(divergences[:2])
+        routes += seen
+    assert routes >= 20, f"only {routes} bound index routes in 60 seeds"
+
+
+def test_run_case_includes_the_bound_plan_check():
+    """So the fuzz loop, the shrinker and the nightly job all run it."""
+    from repro.testkit.generators import CaseGenerator
+    from repro.testkit.oracle import run_case
+
+    reports = [run_case(CaseGenerator(seed).case()) for seed in range(8)]
+    assert all(report.ok for report in reports)
+    assert sum(report.bound_index_routes for report in reports) > 0
