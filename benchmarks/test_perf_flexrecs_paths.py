@@ -19,12 +19,12 @@ import time
 import pytest
 from conftest import write_bench_json, write_report
 
-from repro.core import executor as executor_module
 from repro.core import strategies
 from repro.core.extendcache import clear_extend_cache
 from repro.datagen import generate_university
 from repro.minidb.plancache import clear_statement_cache
 from repro.minidb.planner import flag_overrides
+from repro.testkit import reference_recommend
 
 NEIGHBOURS = 10
 TOP_K = 10
@@ -193,16 +193,16 @@ def test_report_path_timings(bench_db, active_student, benchmark):
 
 
 def test_report_fastpath(benchmark):
-    """Experiment P2b — the direct-path recommend fast path (ablation).
+    """Experiment P2b — the direct executor against its oracle (ablation).
 
     Three rows per scale for the Figure 5(b) CF strategy:
 
-    * **cold (naive)** — ``FAST_RECOMMEND`` off: full extend scans and
-      all-pairs comparator calls, the pre-fast-path pipeline;
-    * **fast, cold cache** — pruning + hoisting on, but the extend-vector
-      cache cleared before every run (first-request cost);
-    * **fast, warm cache** — steady state: cached stats-carrying vectors,
-      postings pruning, bounded-heap top-k.
+    * **oracle (nested loops)** — ``repro.testkit.reference_recommend``:
+      full extend scans and all-pairs comparator calls, no cache;
+    * **direct, cold cache** — pruning + hoisting, but the relation and
+      extend-vector cache cleared before every run (first-request cost);
+    * **direct, warm cache** — steady state: cached relations with their
+      stats-carrying vectors and postings, bounded-heap top-k.
 
     All three produce tuple-identical output (asserted here and by the
     property tests), so the timings are a pure ablation.
@@ -230,12 +230,8 @@ def test_report_fastpath(benchmark):
                     samples.append(time.perf_counter() - start)
                 return min(samples)
 
-            executor_module.FAST_RECOMMEND = False
-            try:
-                naive_result = workflow.run(db)
-                naive = sample(lambda: workflow.run(db), 3)
-            finally:
-                executor_module.FAST_RECOMMEND = True
+            naive_result = reference_recommend(workflow, db)
+            naive = sample(lambda: reference_recommend(workflow, db), 3)
 
             def cold_run():
                 clear_extend_cache(db)
@@ -267,16 +263,16 @@ def test_report_fastpath(benchmark):
         hits = sum(s.cache_hits for s in data["stats"])
         lines.append(f"  scale={scale} (student {data['student']}):")
         lines.append(
-            f"    cold (naive, fast path off): {data['naive'] * 1000:8.1f} ms"
+            f"    oracle (nested loops):       {data['naive'] * 1000:8.1f} ms"
         )
         lines.append(
-            f"    fast, cold extend cache:     {data['cold'] * 1000:8.1f} ms"
+            f"    direct, cold extend cache:   {data['cold'] * 1000:8.1f} ms"
         )
         lines.append(
-            f"    fast, warm extend cache:     {data['warm'] * 1000:8.1f} ms"
+            f"    direct, warm extend cache:   {data['warm'] * 1000:8.1f} ms"
         )
         lines.append(
-            f"    warm-over-cold speedup: {speedup:.1f}x; pruned "
+            f"    oracle-over-warm ratio: {speedup:.1f}x; pruned "
             f"{pruned}/{pairs} candidate pairs; {hits} extend-cache hits"
         )
     write_report("perf_flexrecs_fastpath", lines)

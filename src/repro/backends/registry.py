@@ -24,6 +24,7 @@ __all__ = [
     "REGISTRY",
     "create_backend",
     "default_backend_name",
+    "named_backend",
 ]
 
 #: factory signature: (catalog) -> Backend
@@ -91,10 +92,15 @@ def create_backend(name: str, catalog: Optional[Any] = None) -> Backend:
     return REGISTRY.create(name, catalog)
 
 
+def named_backend() -> Optional[str]:
+    """The backend ``REPRO_BACKEND`` names, or None when unset or empty."""
+    return os.environ.get("REPRO_BACKEND", "").strip().lower() or None
+
+
 def default_backend_name() -> str:
-    """The backend the service facade routes through by default.
+    """The backend the service facade's compiled-SQL path routes through.
 
     ``REPRO_BACKEND`` selects it (the CI matrix sets ``sqlite3`` on one
     leg); unset or empty means the in-process minidb engine.
     """
-    return os.environ.get("REPRO_BACKEND", "").strip().lower() or "minidb"
+    return named_backend() or "minidb"

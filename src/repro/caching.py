@@ -61,6 +61,11 @@ class LRUCache:
         with self._lock:
             self._entries.clear()
 
+    def keys(self) -> list:
+        """A snapshot of the live keys, least recently used first."""
+        with self._lock:
+            return list(self._entries)
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

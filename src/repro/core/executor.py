@@ -1,22 +1,31 @@
 """Direct (in-memory) evaluation of FlexRecs workflows.
 
-This is the reference semantics: tuples are dicts, extend attributes are
-real Python sets/dicts on those tuples, and the recommend operator loops
-over (target, reference) pairs calling the comparator.  The compiled-SQL
-path (:mod:`repro.core.compiler`) must produce rank-identical output; the
-property tests in ``tests/core/test_dual_path.py`` enforce that.
+The production engine: what ``Workflow.run`` and the site's default
+recommendation path execute.  Tuples are dicts, extend attributes are
+real Python sets/dicts on those tuples, and the recommend operator
+scores (target, reference) pairs with the comparator.  A recommend costs
+its candidates: the request-invariant half of a workflow (base relations
+and the extends over them) is evaluated once per data version and kept
+in :mod:`repro.core.extendcache`, an ``<column> = <literal>`` σ reads an
+index held on that relation, and scoring probes postings held on the
+target relation.  The compiled-SQL paths (:mod:`repro.core.compiler`)
+must produce rank-identical output (``tests/core/test_dual_path.py``),
+and ``repro.testkit.reference_recommend`` — plain nested loops, no cache
+— must produce tuple-identical output with exact floats
+(``tests/core/test_fast_recommend.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError, FlexRecsError, WorkflowValidationError
 from repro.core import similarity
-from repro.core.extendcache import extend_vectors, stats_of
-from repro.core.library import _get
+from repro.core.extendcache import cached_relation, extend_vectors, stats_of
+from repro.core.library import Comparator, _get
 from repro.core.operators import (
     Extend,
     GraphRecommend,
@@ -29,19 +38,14 @@ from repro.core.operators import (
     Source,
     SqlSource,
     TopK,
+    tables_read,
 )
 from repro.core.workflow import Recommendation, RecommendStats, Workflow
 from repro.minidb.catalog import Database
+from repro.minidb.expressions import BinaryOp, ColumnRef, Literal
 from repro.minidb.sql.parser import parse_expression
 from repro.minidb.types import sort_key
 from repro.obs import COUNT_EDGES, OBS
-
-#: Kill-switch for the recommend fast path (extend-vector cache, candidate
-#: pruning, stats-aware measures, bounded-heap top-k).  ``False`` restores
-#: the naive pre-fast-path pipeline — the benchmarks flip it to measure
-#: the cold baseline, and the property tests flip it to prove the two
-#: pipelines emit tuple-for-tuple identical recommendations.
-FAST_RECOMMEND = True
 
 #: library measures with a combined single-pass, stats-consuming variant;
 #: keyed by the measure *function* so a subclass with a custom measure can
@@ -53,11 +57,45 @@ _STATS_MEASURES = {
 
 
 class _Relation:
-    """Intermediate result: columns plus dict-rows (with extend attrs)."""
+    """Intermediate result: columns plus dict-rows (with extend attrs).
+
+    A relation evaluated from a request-invariant subtree is cached and
+    then shared by every request and thread of its database, under the
+    service's *read* lock.  So nothing mutates ``rows`` or a row after
+    construction (operators that change rows copy them), and a derived
+    structure is built into a local and published by one assignment: two
+    threads may both build it, none can see it half built.
+    """
+
+    __slots__ = ("columns", "rows", "_derived")
 
     def __init__(self, columns: List[str], rows: List[Dict[str, Any]]) -> None:
         self.columns = columns
         self.rows = rows
+        self._derived: Dict[Any, Any] = {}
+
+    def derived(self, key: Any, build: Callable[[], Any]) -> Any:
+        """``build()``, computed once per relation (lazily) under ``key``."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
+
+    def index(self, column: str) -> Dict[Any, List[Dict[str, Any]]]:
+        """``{value: [rows holding it in ``column``, in relation order]}``.
+
+        NULLs are not indexed: ``=`` never matches them.
+        """
+
+        def build() -> Dict[Any, List[Dict[str, Any]]]:
+            index: Dict[Any, List[Dict[str, Any]]] = {}
+            for row in self.rows:
+                value = row[column]
+                if value is not None:
+                    index.setdefault(value, []).append(row)
+            return index
+
+        return self.derived(("index", column), build)
 
 
 def execute_workflow(workflow: Workflow, database: Database) -> Recommendation:
@@ -132,14 +170,30 @@ class _Executor:
         self.database = database
         self._condition_cache: Dict[str, Any] = {}
         self.recommend_stats: List[RecommendStats] = []
-        self._extend_hits = 0
-        self._extend_misses = 0
+        #: running totals under their RecommendStats field names; each
+        #: recommend reports its own share as a before/after difference
+        self._counts = dict.fromkeys(
+            ("cache_hits", "cache_misses", "relation_hits", "keyed_selects"), 0
+        )
         #: cleared by a GraphRecommend whose ranking hit ``max_iters``
         self.converged = True
 
     # -- dispatch -----------------------------------------------------------
 
     def evaluate(self, node: Operator) -> _Relation:
+        if not _request_invariant(node):
+            return self._evaluate(node)
+        relation, was_hit = cached_relation(
+            self.database, node, tables_read(node), lambda: self._evaluate(node)
+        )
+        self._count_lookup(was_hit)
+        self._counts["relation_hits"] += was_hit
+        return relation
+
+    def _count_lookup(self, was_hit: bool) -> None:
+        self._counts["cache_hits" if was_hit else "cache_misses"] += 1
+
+    def _evaluate(self, node: Operator) -> _Relation:
         if isinstance(node, Source):
             return self._eval_source(node)
         if isinstance(node, MaterializedSource):
@@ -196,6 +250,13 @@ class _Executor:
     def _eval_select(self, node: Select) -> _Relation:
         child = self.evaluate(node.child)
         predicate = self._condition(node.condition)
+        keyed = _equality_key(predicate, child.columns)
+        if keyed is not None:
+            # `=` is Python `==` (expressions._compare), which is what a
+            # dict probe does for an int or str literal.
+            column, value = keyed
+            self._counts["keyed_selects"] += 1
+            return _Relation(child.columns, child.index(column).get(value, []))
         kept = []
         for row in child.rows:
             env = self._env(row)
@@ -242,12 +303,7 @@ class _Executor:
         columns = node.output_columns(self.database)
         left_on = _resolve_column(left.columns, node.left_on)
         right_on = _resolve_column(right.columns, node.right_on)
-        buckets: Dict[Any, List[Dict[str, Any]]] = {}
-        for row in right.rows:
-            key = row[right_on]
-            if key is None:
-                continue
-            buckets.setdefault(key, []).append(row)
+        buckets = right.index(right_on)
         rows = []
         for left_row in left.rows:
             key = left_row[left_on]
@@ -264,38 +320,11 @@ class _Executor:
     def _eval_extend(self, node: Extend) -> _Relation:
         child = self.evaluate(node.child)
         info = node.info
-        if FAST_RECOMMEND:
-            # Cached, version-keyed materialization (with per-vector stats
-            # attached); a write to the source table makes the entry's key
-            # unreachable, so stale reads are impossible by construction.
-            grouped, was_hit = extend_vectors(self.database, info)
-            if was_hit:
-                self._extend_hits += 1
-            else:
-                self._extend_misses += 1
-        else:
-            table = self.database.table(info.source_table)
-            schema = table.schema
-            key_position = schema.column_position(info.source_key)
-            value_position = schema.column_position(info.value_column)
-            map_position = (
-                schema.column_position(info.map_column)
-                if info.map_column is not None
-                else None
-            )
-            grouped = {}
-            for row in table.rows():
-                key = row[key_position]
-                value = row[value_position]
-                if key is None or value is None:
-                    continue
-                if map_position is not None:
-                    map_key = row[map_position]
-                    if map_key is None:
-                        continue
-                    grouped.setdefault(key, {})[map_key] = value
-                else:
-                    grouped.setdefault(key, set()).add(value)
+        # Version-keyed materialization (with per-vector stats attached);
+        # a write to the source table makes the entry's key unreachable,
+        # so stale reads are impossible by construction.
+        grouped, was_hit = extend_vectors(self.database, info)
+        self._count_lookup(was_hit)
         empty: Any = {} if info.is_vector else set()
         key_column = _resolve_column(child.columns, info.key_column)
         rows = []
@@ -309,8 +338,7 @@ class _Executor:
 
     def _eval_recommend(self, node: Recommend) -> _Relation:
         started = time.perf_counter()
-        hits_before = self._extend_hits
-        misses_before = self._extend_misses
+        before = dict(self._counts)
         target = self.evaluate(node.target)
         reference = self.evaluate(node.reference)
         columns = node.output_columns(self.database)
@@ -327,25 +355,31 @@ class _Executor:
             targets=len(target.rows),
             references=len(reference.rows),
         )
-        if FAST_RECOMMEND:
-            scored = self._score_fast(node, target, reference, exclude, stats)
-        else:
-            scored = self._score_naive(node, target, reference, exclude, stats)
+        pair_scores = self._pair_scores(node, target, reference, exclude, stats)
+        # {target position: score}, in target-row order
+        scores = {
+            position: _aggregate(node.aggregate, values)
+            for position, values in sorted(pair_scores.items())
+        }
+        rows = target.rows
 
-        def order(row: Dict[str, Any]):
-            return (-row[node.score_column], sort_key(row[key]))
+        def order(position: int):
+            return (-scores[position], sort_key(rows[position][key]))
 
-        if FAST_RECOMMEND and node.top_k is not None and node.top_k < len(scored):
+        if node.top_k is not None and node.top_k < len(scores):
             # heapq.nsmallest(k, it, key=f) is documented equivalent to
             # sorted(it, key=f)[:k] (both stable), so the bounded heap
             # returns exactly the slice the full sort would.
-            scored = heapq.nsmallest(node.top_k, scored, key=order)
+            ranked = heapq.nsmallest(node.top_k, scores, key=order)
         else:
-            scored.sort(key=order)
-            if node.top_k is not None:
-                scored = scored[: node.top_k]
-        stats.cache_hits = self._extend_hits - hits_before
-        stats.cache_misses = self._extend_misses - misses_before
+            ranked = sorted(scores, key=order)
+        scored = []
+        for position in ranked:
+            out = dict(rows[position])
+            out[node.score_column] = scores[position]
+            scored.append(out)
+        for name, was in before.items():
+            setattr(stats, name, self._counts[name] - was)
         stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
         self.recommend_stats.append(stats)
         if OBS.enabled:
@@ -360,6 +394,8 @@ class _Executor:
                     "references": stats.references,
                     "pruned": stats.pruned,
                     "cache_hits": stats.cache_hits,
+                    "relation_hits": stats.relation_hits,
+                    "keyed_select": stats.keyed_selects,
                 },
             )
             OBS.metrics.inc("flexrecs.recommend.count")
@@ -373,251 +409,124 @@ class _Executor:
             )
         return _Relation(columns, scored)
 
-    def _score_naive(self, node, target, reference, exclude, stats) -> List[Dict[str, Any]]:
-        """Reference scoring: full pairwise comparator calls, no cache."""
-        comparator = node.comparator
-        n_reference = len(reference.rows)
-        scored: List[Dict[str, Any]] = []
-        for target_row in target.rows:
-            pair_scores: List[float] = []
-            for reference_row in reference.rows:
-                if exclude is not None:
-                    left = target_row[exclude[0]]
-                    right = reference_row[exclude[1]]
-                    if left is not None and left == right:
-                        continue
-                value = comparator.score(target_row, reference_row)
-                if value is not None:
-                    pair_scores.append(value)
-            stats.candidates += n_reference
-            stats.scored += len(pair_scores)
-            if not pair_scores:
-                continue
-            out = dict(target_row)
-            out[node.score_column] = _aggregate(node.aggregate, pair_scores)
-            scored.append(out)
-        return scored
+    def _pair_scores(
+        self, node, target, reference, exclude, stats
+    ) -> Dict[int, List[float]]:
+        """``{target position: [non-NULL pair scores in reference-row order]}``.
 
-    def _score_fast(self, node, target, reference, exclude, stats) -> List[Dict[str, Any]]:
-        """Dispatch to a pruned/hoisted scorer; falls back per comparator.
-
-        Every branch produces the same pair scores, aggregated in the
-        same (reference-row) order, as :meth:`_score_naive` — the
-        property tests in ``tests/core/test_fast_recommend.py`` assert
-        tuple-for-tuple equality.
+        Targets without a pair score are absent.  Both scorers produce
+        the pair scores a nested loop over (target, reference) would, in
+        that loop's per-target order, so float aggregation (sum/avg) adds
+        in the same order — ``tests/core/test_fast_recommend.py`` holds
+        this tuple-for-tuple against ``repro.testkit.reference_recommend``.
         """
         comparator = node.comparator
         if not target.rows or not reference.rows:
-            return []
-        if comparator.requires_overlap:
-            if comparator.kind in ("vector", "set"):
-                return self._score_overlap(node, target, reference, exclude, stats)
-            if comparator.kind == "lookup":
-                return self._score_lookup(node, target, reference, exclude, stats)
-        return self._score_pairwise(node, target, reference, exclude, stats)
+            return {}
+        if comparator.requires_overlap and comparator.kind in (
+            "vector", "set", "lookup",
+        ):
+            score = self._score_overlap
+        else:
+            score = self._score_pairwise
+        scores = score(comparator, target, reference, exclude, stats)
+        stats.scored = sum(map(len, scores.values()))
+        return scores
 
-    def _score_pairwise(self, node, target, reference, exclude, stats) -> List[Dict[str, Any]]:
+    def _score_pairwise(
+        self, comparator, target, reference, exclude, stats
+    ) -> Dict[int, List[float]]:
         """Scalar/udf (and custom) comparators: nothing is prunable, but
-        attribute resolution and value extraction hoist out of the O(n·m)
-        pair loop when the comparator exposes a ``pair_function``."""
-        comparator = node.comparator
+        attribute resolution, value extraction and ``prepare`` hoist out
+        of the O(n·m) pair loop when the comparator exposes a
+        ``pair_function`` — the target side onto the relation."""
+        rows = target.rows
         pair = comparator.pair_function()
-        n_reference = len(reference.rows)
-        scored: List[Dict[str, Any]] = []
-        if pair is not None:
-            target_key = _attr_key(target.rows[0], comparator.target_attribute)
+        if pair is None:
+            pair = comparator.score  # takes the whole rows
+            target_values, reference_values = rows, reference.rows
+        else:
+            prepare = comparator.prepare or _identity
+            target_key = _attr_key(rows[0], comparator.target_attribute)
             reference_key = _attr_key(
                 reference.rows[0], comparator.reference_attribute
             )
-            reference_values = [row[reference_key] for row in reference.rows]
-        for target_row in target.rows:
-            exclude_left = target_row[exclude[0]] if exclude is not None else None
-            pair_scores: List[float] = []
-            if pair is not None:
-                target_value = target_row[target_key]
-                for index, reference_row in enumerate(reference.rows):
-                    if exclude_left is not None and (
-                        exclude_left == reference_row[exclude[1]]
-                    ):
-                        continue
-                    value = pair(target_value, reference_values[index])
-                    if value is not None:
-                        pair_scores.append(value)
-            else:
-                for reference_row in reference.rows:
-                    if exclude_left is not None and (
-                        exclude_left == reference_row[exclude[1]]
-                    ):
-                        continue
-                    value = comparator.score(target_row, reference_row)
-                    if value is not None:
-                        pair_scores.append(value)
-            stats.candidates += n_reference
-            stats.scored += len(pair_scores)
-            if not pair_scores:
-                continue
-            out = dict(target_row)
-            out[node.score_column] = _aggregate(node.aggregate, pair_scores)
-            scored.append(out)
-        return scored
+            target_values = target.derived(
+                ("values", target_key, prepare),
+                lambda: [prepare(row[target_key]) for row in rows],
+            )
+            reference_values = [
+                prepare(row[reference_key]) for row in reference.rows
+            ]
+        references = list(zip(reference.rows, reference_values))
+        scores: Dict[int, List[float]] = {}
+        for position, target_value in enumerate(target_values):
+            left = rows[position][exclude[0]] if exclude is not None else None
+            values = []
+            for reference_row, reference_value in references:
+                if left is not None and left == reference_row[exclude[1]]:
+                    continue
+                value = pair(target_value, reference_value)
+                if value is not None:
+                    values.append(value)
+            if values:
+                scores[position] = values
+        stats.candidates = len(rows) * len(references)
+        return scores
 
-    def _score_overlap(self, node, target, reference, exclude, stats) -> List[Dict[str, Any]]:
-        """Vector/set comparators: postings-map candidate pruning.
+    def _score_overlap(
+        self, comparator, target, reference, exclude, stats
+    ) -> Dict[int, List[float]]:
+        """Vector/set/lookup comparators: postings-map candidate pruning.
 
         Sound because ``requires_overlap`` guarantees the measure scores
         ``None`` for pairs sharing no key/element — pruned pairs would
         have contributed nothing to any aggregate (including count).
-        Candidates are visited in reference-row order so float
-        aggregation (sum/avg) adds in the naive path's order.
+        The postings are over the *target* side (for a lookup, over its
+        probe column), which is the side that does not depend on the
+        request, so they are built once per relation; each reference row
+        probes them in reference-row order and appends to its
+        candidates' score lists.
         """
-        comparator = node.comparator
-        is_vector = comparator.kind == "vector"
-        measure = type(comparator).measure
-        stats_measure = _STATS_MEASURES.get(measure) if is_vector else None
-        target_key = _attr_key(target.rows[0], comparator.target_attribute)
+        kind = comparator.kind
+        rows = target.rows
+        target_key = _attr_key(rows[0], comparator.target_attribute)
         reference_key = _attr_key(
             reference.rows[0], comparator.reference_attribute
         )
-        reference_rows = reference.rows
-        n_reference = len(reference_rows)
-        first_target_value = target.rows[0][target_key]
-        reference_values: List[Any] = []
-        for row in reference_rows:
-            value = row[reference_key]
-            if is_vector:
-                if not isinstance(value, Mapping):
-                    raise FlexRecsError(
-                        f"{comparator.name} requires vector (extend-map) "
-                        f"attributes; got {type(first_target_value).__name__} "
-                        f"and {type(value).__name__}"
-                    )
-                reference_values.append(value)
-            else:
-                if isinstance(value, Mapping):
-                    raise FlexRecsError(
-                        f"{comparator.name} requires set attributes, "
-                        f"not vectors"
-                    )
-                reference_values.append(frozenset(value))
-        postings: Dict[Any, List[int]] = {}
-        for index, value in enumerate(reference_values):
-            for element in value:
-                bucket = postings.get(element)
-                if bucket is None:
-                    postings[element] = [index]
-                else:
-                    bucket.append(index)
-        scored: List[Dict[str, Any]] = []
-        for target_row in target.rows:
-            target_value = target_row[target_key]
-            if is_vector:
-                if not isinstance(target_value, Mapping):
-                    raise FlexRecsError(
-                        f"{comparator.name} requires vector (extend-map) "
-                        f"attributes; got {type(target_value).__name__} "
-                        f"and {type(reference_values[0]).__name__}"
-                    )
-            elif isinstance(target_value, Mapping):
-                raise FlexRecsError(
-                    f"{comparator.name} requires set attributes, not vectors"
-                )
-            candidate_ids: set = set()
-            for element in target_value:
+        target_values, postings = target.derived(
+            ("postings", target_key, kind),
+            lambda: _postings(comparator, rows, target_key),
+        )
+        if kind == "lookup":
+            def pair(probe, vector):
+                return float(vector[probe])
+        else:
+            pair = type(comparator).measure
+            with_stats = _STATS_MEASURES.get(pair) if kind == "vector" else None
+            if with_stats is not None:
+                def pair(left, right):
+                    return with_stats(left, right, stats_of(left), stats_of(right))
+        scores: Dict[int, List[float]] = {}
+        for reference_row in reference.rows:
+            reference_value = _shaped(
+                comparator, reference_row[reference_key], kind != "set"
+            )
+            candidates: set = set()
+            for element in reference_value:
                 bucket = postings.get(element)
                 if bucket is not None:
-                    candidate_ids.update(bucket)
-            stats.candidates += len(candidate_ids)
-            stats.pruned += n_reference - len(candidate_ids)
-            if not candidate_ids:
-                continue
-            exclude_left = target_row[exclude[0]] if exclude is not None else None
-            if is_vector:
-                target_stats = stats_of(target_value)
-            else:
-                frozen_target = frozenset(target_value)
-            pair_scores: List[float] = []
-            for index in sorted(candidate_ids):
-                if exclude_left is not None and (
-                    exclude_left == reference_rows[index][exclude[1]]
-                ):
+                    candidates.update(bucket)
+            stats.candidates += len(candidates)
+            right = reference_row[exclude[1]] if exclude is not None else None
+            for position in candidates:
+                if right is not None and rows[position][exclude[0]] == right:
                     continue
-                reference_value = reference_values[index]
-                if not is_vector:
-                    value = measure(frozen_target, reference_value)
-                elif stats_measure is not None:
-                    value = stats_measure(
-                        target_value,
-                        reference_value,
-                        target_stats,
-                        stats_of(reference_value),
-                    )
-                else:
-                    value = measure(target_value, reference_value)
+                value = pair(target_values[position], reference_value)
                 if value is not None:
-                    pair_scores.append(value)
-            stats.scored += len(pair_scores)
-            if not pair_scores:
-                continue
-            out = dict(target_row)
-            out[node.score_column] = _aggregate(node.aggregate, pair_scores)
-            scored.append(out)
-        return scored
-
-    def _score_lookup(self, node, target, reference, exclude, stats) -> List[Dict[str, Any]]:
-        """Lookup comparator: prune references to the probed key's holders.
-
-        A reference whose vector lacks the probe key scores ``None``
-        (``vector.get`` misses), so only the postings bucket for the
-        target's key value can contribute pair scores.
-        """
-        comparator = node.comparator
-        target_key = _attr_key(target.rows[0], comparator.target_attribute)
-        reference_key = _attr_key(
-            reference.rows[0], comparator.reference_attribute
-        )
-        reference_rows = reference.rows
-        n_reference = len(reference_rows)
-        reference_vectors: List[Mapping[Any, Any]] = []
-        for row in reference_rows:
-            vector = row[reference_key]
-            if not isinstance(vector, Mapping):
-                raise FlexRecsError(
-                    f"{comparator.name} requires a vector reference attribute"
-                )
-            reference_vectors.append(vector)
-        postings: Dict[Any, List[int]] = {}
-        for index, vector in enumerate(reference_vectors):
-            for element in vector:
-                bucket = postings.get(element)
-                if bucket is None:
-                    postings[element] = [index]
-                else:
-                    bucket.append(index)
-        scored: List[Dict[str, Any]] = []
-        for target_row in target.rows:
-            probe = target_row[target_key]
-            bucket = postings.get(probe) if probe is not None else None
-            count = len(bucket) if bucket is not None else 0
-            stats.candidates += count
-            stats.pruned += n_reference - count
-            if not bucket:
-                continue
-            exclude_left = target_row[exclude[0]] if exclude is not None else None
-            pair_scores: List[float] = []
-            # buckets are built in reference-row order already
-            for index in bucket:
-                if exclude_left is not None and (
-                    exclude_left == reference_rows[index][exclude[1]]
-                ):
-                    continue
-                pair_scores.append(float(reference_vectors[index][probe]))
-            stats.scored += len(pair_scores)
-            if not pair_scores:
-                continue
-            out = dict(target_row)
-            out[node.score_column] = _aggregate(node.aggregate, pair_scores)
-            scored.append(out)
-        return scored
+                    scores.setdefault(position, []).append(value)
+        stats.pruned = len(rows) * len(reference.rows) - stats.candidates
+        return scores
 
     # -- helpers -----------------------------------------------------------
 
@@ -628,11 +537,79 @@ class _Executor:
             self._condition_cache[text] = expression
         return expression
 
-    def _env(self, row: Mapping[str, Any]) -> Dict[str, Any]:
+    def _env(self, row: Mapping) -> Dict[str, Any]:
         env: Dict[str, Any] = {"__functions__": self.database.functions}
         for column, value in row.items():
             env[column.lower()] = value
         return env
+
+
+def _request_invariant(node: Operator) -> bool:
+    """A subtree of ``Source`` and ``Extend`` only: no request parameter
+    can reach it, so its relation is a function of the tables it reads."""
+    while isinstance(node, Extend):
+        node = node.child
+    return isinstance(node, Source)
+
+
+def _equality_key(predicate: Any, columns: List[str]) -> Optional[Tuple[str, Any]]:
+    """``(column, literal)`` when ``predicate`` is ``<column> = <int or
+    str literal>`` over an unqualified column of ``columns``, else None
+    (the σ scans: any other shape, and a bool/float/NULL literal)."""
+    if not (
+        isinstance(predicate, BinaryOp)
+        and predicate.op == "="
+        and isinstance(predicate.left, ColumnRef)
+        and predicate.left.qualifier is None
+        and isinstance(predicate.right, Literal)
+        and type(predicate.right.value) in (int, str)
+    ):
+        return None
+    for column in columns:
+        if column.lower() == predicate.left.key:
+            return column, predicate.right.value
+    return None
+
+
+def _shaped(comparator: Comparator, value: Any, vector: bool) -> Any:
+    """``value`` in the shape the measure takes, or a type error."""
+    if isinstance(value, Mapping) != vector:
+        raise FlexRecsError(
+            f"{comparator.name} requires "
+            f"{'vector (extend-map)' if vector else 'set'} attributes; "
+            f"got {type(value).__name__}"
+        )
+    return value if vector else frozenset(value)
+
+
+def _postings(comparator: Comparator, rows: List[Dict[str, Any]], key: str):
+    """``(values, postings)`` of a recommend's target side.
+
+    ``values[i]`` is row *i*'s attribute as the measure takes it (the
+    probe scalar for a lookup) and ``postings`` maps each element/key of
+    it to the ascending positions of the rows holding it.
+    """
+    kind = comparator.kind
+    values: List[Any] = []
+    postings: Dict[Any, List[int]] = {}
+    for position, row in enumerate(rows):
+        value = row[key]
+        if kind == "lookup":
+            elements: Any = () if value is None else (value,)
+        else:
+            value = elements = _shaped(comparator, value, kind == "vector")
+        values.append(value)
+        for element in elements:
+            bucket = postings.get(element)
+            if bucket is None:
+                postings[element] = [position]
+            else:
+                bucket.append(position)
+    return values, postings
+
+
+def _identity(value: Any) -> Any:
+    return value
 
 
 def _aggregate(name: str, values: List[float]):
@@ -649,7 +626,7 @@ def _aggregate(name: str, values: List[float]):
     raise ExecutionError(f"unknown aggregate {name!r}")  # pragma: no cover
 
 
-def _attr_key(row: Mapping[str, Any], attribute: str) -> str:
+def _attr_key(row: Mapping, attribute: str) -> str:
     """The actual dict key holding ``attribute`` in this relation's rows.
 
     All rows of a relation share one key set, so resolving once against

@@ -1,28 +1,30 @@
-"""Epoch-keyed cache of extend-operator vectors, sets, and statistics.
+"""Version-keyed cache of the request-invariant half of a workflow.
 
-The extend operator (ε) materializes a ``{entity: vector-or-set}`` map by
-scanning its *entire* source table — every workflow run, even though the
-underlying ratings change rarely.  This module caches those maps per
-database with the same version-counter discipline the minidb plan cache
-uses: each entry's key embeds the source table's ``data_version`` (bumped
-by every insert/update/delete/clear/restore) and the database's
-``schema_epoch`` (bumped by DDL, so a DROP + CREATE that resets a fresh
-table's counters can never alias an old entry).  A write to a
-contributing table therefore makes every stale entry unreachable — there
-are no invalidation hooks to forget; old generations age out of the LRU.
+Two kinds of entry share one bounded LRU per database.  A *vector* entry
+is the ``{entity: vector-or-set}`` map the extend operator (ε) gets by
+scanning its entire source table.  A *relation* entry is the evaluated
+rows of a whole subtree made of ``Source`` and ``Extend`` only — the map
+already attached, plus whatever lazy indexes the executor hung on it.
+Neither depends on the request, so neither is rebuilt per request.  The
+discipline is the minidb plan cache's: each key embeds the
+``data_version`` of every table the entry was read from (bumped by every
+insert/update/delete/clear/restore) and the database's ``schema_epoch``
+(bumped by DDL, so a DROP + CREATE that resets a fresh table's counters
+can never alias an old entry).  A write to a contributing table
+therefore makes every stale entry unreachable — there are no
+invalidation hooks to forget; old generations age out of the LRU.
 
 Cached vector attributes are :class:`StatsVector` instances — plain dicts
 carrying precomputed :class:`~repro.core.similarity.VectorStats` so the
 recommend operator's Pearson/cosine fast paths can skip whole-vector
 re-summation.  Cached values are shared across rows and runs and must be
-treated as immutable (the direct executor never mutates them; the naive
-path shares them between rows already).
+treated as immutable (the direct executor never mutates them).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.caching import LRUCache
@@ -59,8 +61,22 @@ def _cache_for(database: Database) -> LRUCache:
         return cache
 
 
+def _cached(
+    database: Database, key: Tuple, build: Callable[[], Any]
+) -> Tuple[Any, bool]:
+    """``(entry, was_hit)``; racing builders both build, the last put wins."""
+    cache = _cache_for(database)
+    entry = cache.get(key)
+    if entry is not None:
+        return entry, True
+    entry = build()
+    cache.put(key, entry)
+    return entry, False
+
+
 def _entry_key(database: Database, info: Any, table: Any) -> Tuple:
     return (
+        "vectors",
         info.source_table.lower(),
         info.source_key.lower(),
         info.value_column.lower(),
@@ -114,14 +130,38 @@ def build_vectors(table: Any, info: Any) -> Dict[Any, Any]:
 def extend_vectors(database: Database, info: Any) -> Tuple[Dict[Any, Any], bool]:
     """The cached extend map for ``info``; returns ``(map, was_hit)``."""
     table = database.table(info.source_table)
-    key = _entry_key(database, info, table)
-    cache = _cache_for(database)
-    entry = cache.get(key)
-    if entry is not None:
-        return entry, True
-    entry = build_vectors(table, info)
-    cache.put(key, entry)
-    return entry, False
+    return _cached(
+        database,
+        _entry_key(database, info, table),
+        lambda: build_vectors(table, info),
+    )
+
+
+def table_versions(
+    database: Database, tables: Optional[Sequence[str]]
+) -> Tuple[int, ...]:
+    """The schema epoch, then the data version of each of ``tables``
+    (None: every table) — what anything computed from them is valid for."""
+    names = database.table_names() if tables is None else tables
+    return (
+        database.schema_epoch,
+        *(database.table(name).data_version for name in names),
+    )
+
+
+def cached_relation(
+    database: Database,
+    subtree: Any,
+    tables: Sequence[str],
+    build: Callable[[], Any],
+) -> Tuple[Any, bool]:
+    """The evaluated relation of a request-invariant ``subtree``.
+
+    Operators are frozen dataclasses, so the subtree is its own key;
+    ``tables`` is every table it reads.  Returns ``(relation, was_hit)``.
+    """
+    key = ("relation", subtree, table_versions(database, tables))
+    return _cached(database, key, build)
 
 
 def stats_of(vector: Any) -> Optional[VectorStats]:
@@ -141,6 +181,17 @@ def clear_extend_cache(database: Optional[Database] = None) -> None:
 
 
 def cache_info(database: Database) -> Dict[str, int]:
-    """Hit/miss/size counters for one database's extend cache."""
+    """Hit/miss/size counters for one database's extend cache.
+
+    ``size`` counts live entries; ``relations`` of them are evaluated
+    subtrees, the rest (``vectors``) extend maps.
+    """
     cache = _cache_for(database)
-    return {"hits": cache.hits, "misses": cache.misses, "size": len(cache)}
+    kinds = [key[0] for key in cache.keys()]
+    return {
+        "hits": cache.hits,
+        "misses": cache.misses,
+        "size": len(kinds),
+        "relations": kinds.count("relation"),
+        "vectors": kinds.count("vectors"),
+    }

@@ -77,6 +77,12 @@ class Comparator:
         """
         return None
 
+    #: Optional pure function of one attribute value.  When set,
+    #: :meth:`pair_function` takes ``prepare(value)`` on both sides in
+    #: place of the raw values; the executor computes it once per row and
+    #: keeps the target side's with the cached relation.
+    prepare: Optional[Callable[[Any], Any]] = None
+
     #: attribute names this comparator reads from target / reference tuples
     target_attribute: str = ""
     reference_attribute: str = ""
@@ -193,6 +199,7 @@ class TextJaccard(Comparator):
     name = "text_jaccard"
     udf_name = "frx_text_jaccard"
     udf = staticmethod(similarity.text_jaccard)
+    prepare = staticmethod(similarity.token_set)
 
     def __init__(self, target_attribute: str, reference_attribute: str) -> None:
         self.target_attribute = target_attribute
@@ -205,7 +212,7 @@ class TextJaccard(Comparator):
         )
 
     def pair_function(self):
-        return similarity.text_jaccard
+        return similarity.token_jaccard
 
 
 class LevenshteinSimilarity(Comparator):

@@ -397,3 +397,23 @@ class GraphRecommend(Operator):
     def describe(self) -> str:
         seeds = ", ".join(f"{kind}:{key}" for kind, key in self.preference)
         return f"GraphRecommend[{seeds} top_k={self.top_k}]"
+
+
+def tables_read(node: Operator) -> Optional[Tuple[str, ...]]:
+    """Sorted lower-cased names of the base tables ``node``'s subtree reads.
+
+    ``None`` means "cannot be told, assume every table": SQL text
+    (:class:`SqlSource`), a staged temp table, non-relational state
+    (:class:`GraphRecommend`) or an operator this module does not define.
+    """
+    if isinstance(node, Source):
+        return (node.table.lower(),)
+    if not isinstance(node, (Select, Project, Join, Extend, Recommend, TopK)):
+        return None
+    tables = {node.info.source_table.lower()} if isinstance(node, Extend) else set()
+    for child in node.children():
+        read = tables_read(child)
+        if read is None:
+            return None
+        tables.update(read)
+    return tuple(sorted(tables))

@@ -259,9 +259,10 @@ def equality_match(left, right) -> Optional[float]:
     return 1.0 if left == right else 0.0
 
 
-#: tokenization memo: the recommend operator re-tokenizes the same
-#: reference titles once per target tuple; the result is a pure function
-#: of the text, so a small LRU removes the rescans.
+#: tokenization memo: as a SQL function ``text_jaccard`` sees the same
+#: titles once per pair; the result is a pure function of the text, so a
+#: small LRU removes the rescans.  (The direct executor tokenises through
+#: ``TextJaccard.prepare``, once per row of a cached relation.)
 _TOKEN_CACHE = LRUCache(maxsize=8192)
 
 
@@ -297,11 +298,14 @@ def text_jaccard(left: Optional[str], right: Optional[str]) -> Optional[float]:
     The comparator of Figure 5(a): "find courses with titles similar to
     the indicated course".  None when either string is NULL/empty.
     """
-    left_tokens = token_set(left)
-    right_tokens = token_set(right)
-    if not left_tokens or not right_tokens:
+    return token_jaccard(token_set(left), token_set(right))
+
+
+def token_jaccard(left: AbstractSet, right: AbstractSet) -> Optional[float]:
+    """:func:`text_jaccard` on already tokenised sides (see :func:`token_set`)."""
+    if not left or not right:
         return None
-    return jaccard(left_tokens, right_tokens)
+    return jaccard(left, right)
 
 
 def levenshtein(left: str, right: str) -> int:

@@ -2,10 +2,11 @@
 
 A :class:`Workflow` wraps an operator tree.  ``validate()`` type-checks
 the tree against a database's catalog (column existence, comparator
-attribute availability, aggregate names).  ``run(db)`` executes directly;
-``run_sql(db)`` compiles to SQL and executes that through the minidb SQL
-front end — the paper's deployment model.  Both return a
-:class:`Recommendation` holding dict-rows.
+attribute availability, aggregate names).  ``run(db)`` executes directly
+— what the site serves from; ``run_sql(db)`` compiles to SQL and executes
+that through the minidb SQL front end — the paper's deployment model,
+held rank-identical to ``run`` by the differential suites.  Both return
+a :class:`Recommendation` holding dict-rows.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.core.operators import (
     Source,
     SqlSource,
     TopK,
+    tables_read,
 )
 from repro.minidb.catalog import Database
 
@@ -38,8 +40,11 @@ class RecommendStats:
     (target, reference) pairs survived pruning and were considered,
     ``pruned`` how many the key-overlap postings map skipped outright,
     and ``scored`` how many produced a non-NULL pair score.
-    ``cache_hits``/``cache_misses`` count extend-vector cache lookups
-    made while materializing this operator's inputs.
+    ``cache_hits``/``cache_misses`` count :mod:`~repro.core.extendcache`
+    lookups (extend maps and whole relations) made while materializing
+    this operator's inputs; ``relation_hits`` is the share of the hits
+    that returned a whole evaluated subtree, and ``keyed_selects`` how
+    many σ below this operator read a relation index instead of scanning.
     """
 
     comparator: str
@@ -51,6 +56,8 @@ class RecommendStats:
     scored: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    relation_hits: int = 0
+    keyed_selects: int = 0
     elapsed_ms: float = 0.0
 
 
@@ -196,10 +203,17 @@ class Workflow:
                     f"exclude_self reference column {reference_column!r} unknown"
                 )
 
+    def tables_read(self) -> Optional[Tuple[str, ...]]:
+        """The base tables an answer depends on; ``None`` means all.
+
+        See :func:`repro.core.operators.tables_read`.
+        """
+        return tables_read(self.root)
+
     # -- execution -----------------------------------------------------------
 
     def run(self, database: Database) -> Recommendation:
-        """Direct in-memory evaluation (the reference semantics)."""
+        """Direct in-memory evaluation (the production path)."""
         from repro.core.executor import execute_workflow
 
         self.validate(database)

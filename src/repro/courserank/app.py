@@ -17,6 +17,7 @@ from __future__ import annotations
 import datetime
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core import extendcache
 from repro.errors import AuthorizationError, CourseRankError
 from repro.courserank.accounts import AccountManager, Role, User
 from repro.courserank.analytics import Analytics
@@ -42,7 +43,6 @@ class CourseRank:
         self,
         database: Optional[Database] = None,
         privacy_policy: Optional[PrivacyPolicy] = None,
-        use_compiled_sql: bool = True,
     ) -> None:
         self.db = database or new_database()
         self.accounts = AccountManager(self.db)
@@ -55,9 +55,7 @@ class CourseRank:
         self.privacy = PrivacyGuard(self.db, privacy_policy)
         self.cloudsearch = CourseCloudSearch(self.db)
         self.analytics = Analytics(self.db)
-        self.recommendations = RecommendationService(
-            self.db, use_compiled_sql=use_compiled_sql
-        )
+        self.recommendations = RecommendationService(self.db)
 
     @property
     def graph(self):
@@ -266,6 +264,7 @@ class CourseRank:
                 "misses": self.db._plan_cache.misses,
                 "size": len(self.db._plan_cache),
             },
+            "extend_cache": extendcache.cache_info(self.db),
         }
         return snapshot
 

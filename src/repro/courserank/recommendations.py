@@ -9,11 +9,17 @@ parameters, an execution-path switch (direct vs compiled SQL, on any
 registered execution backend), and the post-filter removing courses the
 student already took.
 
-Backend selection: ``RecommendationService(db, backend="sqlite3")`` (or
-the ``REPRO_BACKEND`` environment variable) routes the compiled-SQL path
-through any driver registered with :mod:`repro.backends` — the same
-workflow objects run unchanged, rendered in the target engine's dialect.
-``path`` may also name a registered backend directly per call.
+One engine serves: a run with no ``path`` answers from the direct
+executor (:mod:`repro.core.executor`).  The SQL forms exist because the
+paper's claim is that workflows compile to SQL a conventional DBMS
+executes; they are held equal to the direct path by the differential
+suites and selected explicitly — per call with ``path="sql" | "staged" |
+<backend name>``, or for a whole service by *naming* a backend:
+``RecommendationService(db, backend="sqlite3")`` (or the
+``REPRO_BACKEND`` environment variable) makes compiled SQL on that
+backend the default path, through any driver registered with
+:mod:`repro.backends` — the same workflow objects run unchanged,
+rendered in the target engine's dialect.
 """
 
 from __future__ import annotations
@@ -51,24 +57,28 @@ class RecommendationService:
     def __init__(
         self,
         database: Database,
-        use_compiled_sql: bool = True,
         backend: Optional[str] = None,
     ) -> None:
-        from repro.backends.registry import default_backend_name
+        from repro.backends.registry import named_backend
 
         self.database = database
-        self.use_compiled_sql = use_compiled_sql
+        named = backend or named_backend()
         #: name of the execution backend the compiled-SQL path routes
         #: through; ``None`` in the constructor defers to REPRO_BACKEND
         #: (default: the in-process minidb engine)
-        self.backend_name = backend or default_backend_name()
+        self.backend_name = named or "minidb"
+        #: what a run with no ``path`` takes: compiled SQL when the caller
+        #: named a backend to run it on, the direct executor otherwise
+        self.default_path = "sql" if named else "direct"
         # Instantiated drivers, created lazily per backend name so an
         # external engine's data mirror persists (and stays version-
         # synced) across calls.
         self._backends: Dict[str, Any] = {}
         self._registry: Dict[str, StrategyFactory] = dict(DEFAULT_STRATEGIES)
         #: RecommendStats of the most recent direct-path run (the SQL
-        #: paths execute inside the engine and record none)
+        #: paths execute inside the engine and record none).  Last writer
+        #: wins when threads share a service: the per-request truth is
+        #: ``Recommendation.stats``.
         self.last_stats: List[RecommendStats] = []
 
     def backend(self, name: Optional[str] = None) -> Any:
@@ -143,8 +153,8 @@ class RecommendationService:
         ``path`` forces 'direct', 'sql' (one compiled statement on the
         configured backend), 'staged' (a sequence of SQL calls with temp
         tables), or the name of any registered execution backend
-        ('minidb', 'sqlite3', ...).  ``optimize=True`` applies the
-        algebraic rewriter first.
+        ('minidb', 'sqlite3', ...); None takes :attr:`default_path`.
+        ``optimize=True`` applies the algebraic rewriter first.
         """
         workflow = self.build(name, **params)
         return self.run_workflow(workflow, path=path, optimize=optimize)
@@ -162,10 +172,10 @@ class RecommendationService:
         if getattr(workflow, "direct_only", False):
             # Graph-backed workflows have no SQL form on any backend;
             # whatever path was configured or requested, they run on the
-            # reference executor.
+            # direct executor.
             path = "direct"
         if path is None:
-            path = "sql" if self.use_compiled_sql else "direct"
+            path = self.default_path
         with OBS.span(
             "recommend.run", {"workflow": workflow.name, "path": path}
         ):

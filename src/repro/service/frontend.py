@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.caching import LRUCache
 from repro.clouds.cloud import DataCloud
 from repro.core.executor import graph_recommend_rows
+from repro.core.extendcache import table_versions
 from repro.core.workflow import Recommendation
 from repro.errors import CloudError
 from repro.courserank.accounts import User
@@ -90,8 +91,8 @@ class CourseRankService:
         # index epoch per shard), so any shard write rotates the key and
         # strands every response that predates it — no invalidation hooks.
         self._response_cache = LRUCache(maxsize=response_cache_size)
-        # Recommendation memo, keyed by the owning shard's data/schema
-        # versions: a write anywhere on the shard retires its entries.
+        # Recommendation memo: one entry per (shard, strategy, parameters),
+        # valid while the tables the strategy reads keep their versions.
         self._recommend_cache = LRUCache(maxsize=response_cache_size)
         # Union graph-ranking engine, built lazily on first graph
         # strategy / cloud-weighting request.
@@ -320,7 +321,9 @@ class CourseRankService:
 
         Strategies keyed by ``course_id`` route to that course's shard
         (its enrollments, plans, and comments are co-located there);
-        anything else runs on shard 0.  Unlike search/cloud/metrics, no
+        anything else runs on shard 0 — on that shard's direct executor,
+        behind a memo that stands until a table the strategy reads is
+        written.  Unlike search/cloud/metrics, no
         cross-build equality is claimed for shard-local recommenders —
         **except** the graph strategies, which scatter-gather the
         per-shard adjacency layers into the union graph (an exact
@@ -335,16 +338,31 @@ class CourseRankService:
             if course_id is not None
             else 0
         )
-        app = self.apps[shard_index]
+        recommendations = self.apps[shard_index].recommendations
+        database = self.sharded.shards[shard_index]
+        try:
+            key = (shard_index, name, tuple(sorted(params.items())))
+            hash(key)
+        except TypeError:
+            key = None
         with self.rwlock.read_locked():
-            key = self._recommend_key(shard_index, name, params)
+            entry = None if key is None else self._recommend_cache.get(key)
+            if entry is not None:
+                versions, tables, recommendation = entry
+                if versions == table_versions(database, tables):
+                    return recommendation
+            recommendation = recommendations.run(name, **params)
             if key is not None:
-                cached = self._recommend_cache.get(key)
-                if cached is not None:
-                    return cached
-            recommendation = app.recommendations.run(name, **params)
-            if key is not None:
-                self._recommend_cache.put(key, recommendation)
+                # An entry is valid while the tables its workflow reads
+                # keep their versions; a write to any other table of the
+                # shard leaves it a hit.  run() stays the facade's one
+                # entry point, so a miss builds the (cheap) workflow again
+                # to ask it.
+                tables = recommendations.build(name, **params).tables_read()
+                self._recommend_cache.put(
+                    key,
+                    (table_versions(database, tables), tables, recommendation),
+                )
             return recommendation
 
     def _graph_recommend(self, name: str, params: Dict[str, Any]):
@@ -378,27 +396,6 @@ class CourseRankService:
             return Recommendation(
                 columns=columns, rows=rows, converged=converged
             )
-
-    def _recommend_key(
-        self, shard_index: int, name: str, params: Dict[str, Any]
-    ) -> Optional[Tuple[Any, ...]]:
-        """Memo key for one shard-routed recommendation, or None.
-
-        Embeds the shard database's schema epoch and every table's data
-        version, so any mutation on the shard — not just ones the
-        strategy happens to read — retires the memo.
-        """
-        database = self.sharded.shards[shard_index]
-        versions = tuple(
-            database.table(table_name).data_version
-            for table_name in database.table_names()
-        )
-        try:
-            frozen = tuple(sorted(params.items()))
-            hash(frozen)
-        except TypeError:
-            return None
-        return (shard_index, database.schema_epoch, versions, name, frozen)
 
     def comment_on_course(
         self,

@@ -17,6 +17,9 @@ This package turns those scattered checks into a reusable subsystem:
   DML/DDL churn with queries, recommends, searches, and cloud
   refinements, asserting every cache stays coherent with a from-scratch
   replay;
+* :mod:`repro.testkit.recommend` — the FlexRecs oracle: a workflow
+  evaluated by plain nested loops, which the direct executor must equal
+  tuple for tuple;
 * :mod:`repro.testkit.minimize` — delta-debugging shrinker that reduces
   a failing case and writes a corpus seed plus standalone repro script.
 
@@ -36,6 +39,7 @@ from repro.testkit.oracle import (
     run_differential,
     run_rendered,
 )
+from repro.testkit.recommend import reference_recommend
 
 __all__ = [
     "Capabilities",
@@ -48,6 +52,7 @@ __all__ = [
     "Shrinker",
     "case_fails",
     "load_seed",
+    "reference_recommend",
     "run_differential",
     "run_rendered",
     "shrink_case",

@@ -9,7 +9,8 @@ interleaved with
 * SQL queries  — live (plan-cache warm, production path) vs a replica
   database rebuilt from shadow state and run on the reference row path
   (``VECTORIZE`` off);
-* recommends   — fast path vs ``FAST_RECOMMEND = False`` naive runs;
+* recommends   — the direct executor vs the nested-loop oracle
+  (:func:`repro.testkit.recommend.reference_recommend`);
 * searches     — the live, incrementally-refreshed engine vs a cold
   engine built over the replica;
 * cloud refinements — ``RefinementSession`` incremental clouds vs cold
@@ -152,11 +153,8 @@ class ChurnDriver:
     # -- lifecycle ----------------------------------------------------------
 
     def run(self) -> ChurnReport:
-        import repro.core.executor as core_executor
         from repro.core.extendcache import clear_extend_cache
 
-        saved_fast = core_executor.FAST_RECOMMEND
-        core_executor.FAST_RECOMMEND = True
         try:
             self._setup()
             for step in range(self.steps):
@@ -166,7 +164,6 @@ class ChurnDriver:
                     self._check_all()
             self._check_all()
         finally:
-            core_executor.FAST_RECOMMEND = saved_fast
             clear_extend_cache()
         return self.report
 
@@ -434,8 +431,8 @@ class ChurnDriver:
                 )
 
     def _check_recommend(self) -> None:
-        import repro.core.executor as core_executor
         from repro.core import strategies as flexrecs
+        from repro.testkit.recommend import reference_recommend
 
         workflows = {
             "jaccard": flexrecs.similar_audience_courses(1, top_k=4),
@@ -443,17 +440,13 @@ class ChurnDriver:
             "collab": flexrecs.collaborative_filtering(1, top_k=5),
         }
         for name, workflow in workflows.items():
-            fast = workflow.run(self.db)
+            cold = workflow.run(self.db)
             warm = workflow.run(self.db)
-            core_executor.FAST_RECOMMEND = False
-            try:
-                naive = workflow.run(self.db)
-            finally:
-                core_executor.FAST_RECOMMEND = True
-            for label, candidate in (("cold", fast), ("warm", warm)):
-                if self._rec_rows(candidate) != self._rec_rows(naive):
+            oracle = reference_recommend(workflow, self.db)
+            for label, candidate in (("cold", cold), ("warm", warm)):
+                if self._rec_rows(candidate) != self._rec_rows(oracle):
                     self._fail(
-                        f"fast recommend ({name}, {label}) != naive "
+                        f"direct recommend ({name}, {label}) != oracle "
                         f"after churn"
                     )
             self._bump(

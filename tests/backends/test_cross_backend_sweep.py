@@ -186,8 +186,35 @@ class TestServiceRouting:
         monkeypatch.setenv("REPRO_BACKEND", "sqlite3")
         service = RecommendationService(flexdb)
         assert service.backend_name == "sqlite3"
-        result = service.run("grade_based_filtering", student_id=444)
-        assert result.rows
+        # A named backend makes compiled SQL on it the default path (an
+        # unnamed service answers from the direct executor): this is what
+        # keeps the CI backend=sqlite3 leg on sqlite3.
+        OBS.reset()
+        OBS.enable()
+        try:
+            result = service.run("grade_based_filtering", student_id=444)
+            paths = [
+                record.attrs["path"]
+                for record in OBS.tracer.records()
+                if record.name == "recommend.run"
+            ]
+            assert paths == ["sql"]
+            assert OBS.metrics.counter("backend.sqlite3.queries") == 1
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert result.rows and not result.stats
+
+    def test_unnamed_service_answers_from_the_direct_executor(
+        self, flexdb, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        service = RecommendationService(flexdb)
+        assert (service.backend_name, service.default_path) == ("minidb", "direct")
+        assert service.run("grade_based_filtering", student_id=444).stats
+        named = RecommendationService(flexdb, backend="minidb")
+        assert (named.backend_name, named.default_path) == ("minidb", "sql")
+        assert not named.run("grade_based_filtering", student_id=444).stats
 
 
 class TestObservability:

@@ -1,17 +1,23 @@
-"""Naive ≡ fast recommend: the fast path's correctness contract.
+"""Oracle ≡ direct recommend: the production executor's correctness contract.
 
-``executor.FAST_RECOMMEND = False`` restores the pre-fast-path pipeline
-(no extend-vector cache, no candidate pruning, no bounded-heap top-k).
-These tests assert the fast path is tuple-for-tuple identical to that
-reference — including float bit patterns, so ``==`` and not ``isclose``
-— under random data, random churn, and every prunable comparator family.
+``repro.testkit.reference_recommend`` evaluates a workflow by plain
+nested loops (no relation or extend-vector cache, no keyed σ, no
+candidate pruning, no bounded-heap top-k).  These tests assert the
+direct executor is tuple-for-tuple identical to that reference —
+including float bit patterns, so ``==`` and not ``isclose`` — under
+random data, random churn, and every comparator family.
 """
+
+import dataclasses
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.core.executor as executor
+from repro.core import library
 from repro.core import strategies as flexrecs
 from repro.core.extendcache import (
     cache_info,
@@ -24,24 +30,15 @@ from repro.core.operators import Recommend, Select, Source, extend
 from repro.core.similarity import vector_stats
 from repro.core.workflow import Workflow
 from repro.courserank.recommendations import RecommendationService
+from repro.errors import FlexRecsError, UnknownColumnError
 from repro.minidb import Database
+from repro.testkit import reference_recommend as run_naive
 
 
 @pytest.fixture(autouse=True)
-def _fast_and_cold():
-    """Every test starts with the fast path on and an empty cache."""
-    executor.FAST_RECOMMEND = True
+def _cold():
+    """Every test starts with an empty cache."""
     clear_extend_cache()
-    yield
-    executor.FAST_RECOMMEND = True
-
-
-def run_naive(workflow, db):
-    executor.FAST_RECOMMEND = False
-    try:
-        return workflow.run(db)
-    finally:
-        executor.FAST_RECOMMEND = True
 
 
 def exact_rows(recommendation):
@@ -311,25 +308,371 @@ class TestRecommendStats:
         assert sum(record.cache_misses for record in warm.stats) == 0
         assert exact_rows(cold) == exact_rows(warm)
 
-    def test_naive_path_still_records(self, flexdb):
-        workflow = flexrecs.similar_students_pearson(444)
-        executor.FAST_RECOMMEND = False
-        try:
-            result = workflow.run(flexdb)
-        finally:
-            executor.FAST_RECOMMEND = True
-        (record,) = result.stats
-        assert record.pruned == 0
-        assert record.candidates == record.targets * record.references
-
     def test_service_surfaces_stats(self, flexdb):
         flexdb.execute(
             "CREATE TABLE Prerequisites (CourseID INTEGER, PrereqID INTEGER)"
         )
-        service = RecommendationService(flexdb, use_compiled_sql=False)
+        service = RecommendationService(flexdb)
+        # explicit: REPRO_BACKEND may make compiled SQL this service's default
         result = service.courses_for_student(
-            444, strategy="collaborative_filtering", top_k=2
+            444, strategy="collaborative_filtering", top_k=2, path="direct"
         )
         assert result.stats
         assert service.last_stats is result.stats
         assert result.columns[-1] == "missing_prerequisites"
+
+
+# ---------------------------------------------------------------------------
+# every comparator kind over random tables: aggregation order, NULL and
+# duplicate target keys, empty attributes, top_k around the scored count
+# ---------------------------------------------------------------------------
+
+
+def build_items(items, links):
+    """Items(K nullable, repeated) extended from Links by K."""
+    db = Database()
+    db.execute_script(
+        """
+        CREATE TABLE Items (RowNo INTEGER PRIMARY KEY, K INTEGER, G INTEGER,
+          Name TEXT);
+        CREATE TABLE Links (RowNo INTEGER PRIMARY KEY, K INTEGER, V INTEGER,
+          W FLOAT);
+        """
+    )
+    for number, (key, group, name) in enumerate(items):
+        db.table("Items").insert([number, key, group, name])
+    for number, (key, value, weight) in enumerate(links):
+        db.table("Links").insert([number, key, value, weight])
+    return db
+
+
+def items_with(attribute_kind):
+    return extend(
+        Source("Items"), "attr", "Links", "K", "K",
+        "W" if attribute_kind == "vector" else "V",
+        "V" if attribute_kind == "vector" else None,
+    )
+
+
+#: name -> (target, reference relation, comparator); the reference is
+#: narrowed to one G group below, so it has several rows
+KINDS = {
+    "set_jaccard": lambda: (
+        items_with("set"), items_with("set"), library.SetJaccard("attr", "attr")
+    ),
+    "common_count": lambda: (
+        items_with("set"), items_with("set"), library.CommonCount("attr", "attr")
+    ),
+    "pearson": lambda: (
+        items_with("vector"), items_with("vector"),
+        library.PearsonCorrelation("attr", "attr"),
+    ),
+    "cosine": lambda: (
+        items_with("vector"), items_with("vector"),
+        library.CosineVector("attr", "attr"),
+    ),
+    "inverse_euclidean": lambda: (
+        items_with("vector"), items_with("vector"),
+        library.InverseEuclidean("attr", "attr"),
+    ),
+    "lookup": lambda: (
+        Source("Items"), items_with("vector"), library.VectorLookup("K", "attr")
+    ),
+    "text_jaccard": lambda: (
+        Source("Items"), Source("Items"), library.TextJaccard("Name", "Name")
+    ),
+    "numeric_closeness": lambda: (
+        Source("Items"), Source("Items"), NumericCloseness("G", "K")
+    ),
+}
+
+small_keys = st.one_of(st.none(), st.integers(min_value=1, max_value=5))
+
+items_strategy = st.lists(
+    st.tuples(
+        small_keys,  # K: NULL and repeats on purpose
+        st.integers(min_value=0, max_value=2),  # G
+        st.sampled_from(["red fish", "blue fish", "one red", "", "fish"]),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+links_strategy = st.lists(
+    st.tuples(
+        small_keys,
+        st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+        st.one_of(
+            st.none(),
+            st.sampled_from([1.0, 2.5, 0.1, 3.0]),
+            st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+        ),
+    ),
+    max_size=25,
+)
+
+
+class TestEveryKindMatchesOracle:
+    @given(
+        items_strategy,
+        links_strategy,
+        st.sampled_from(sorted(KINDS)),
+        st.sampled_from(["avg", "sum", "min", "max", "count"]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_random_tables(
+        self, items, links, kind, aggregate, exclude_self, group
+    ):
+        db = build_items(items, links)
+        target, reference, comparator = KINDS[kind]()
+        root = Recommend(
+            target=target,
+            reference=Select(reference, f"G = {group}"),
+            comparator=comparator,
+            target_key="K",
+            aggregate=aggregate,
+            exclude_self=("K", "K") if exclude_self else None,
+        )
+        full = run_naive(Workflow(root), db)
+        scored = len(full.rows)
+        for top_k in {None, 1, max(1, scored - 1), max(1, scored), scored + 1}:
+            workflow = Workflow(dataclasses.replace(root, top_k=top_k))
+            oracle = run_naive(workflow, db)
+            cold = workflow.run(db)
+            warm = workflow.run(db)
+            assert exact_rows(oracle) == exact_rows(cold) == exact_rows(warm)
+            (record,) = warm.stats
+            assert record.candidates + record.pruned == (
+                record.targets * record.references
+            )
+            assert record.cache_misses == 0
+
+    def test_wrong_attribute_shape_is_a_type_error(self, flexdb):
+        """A vector measure over sets, a set measure over vectors: the
+        same error from the executor as from ``Comparator.score``."""
+        taken = extend(
+            Source("Students"), "attr", "Enrollments", "SuID", "SuID", "CourseID"
+        )
+        ratings = extend(
+            Source("Students"), "attr", "Comments", "SuID", "SuID",
+            "Rating", "CourseID",
+        )
+        for relation, comparator in (
+            (taken, library.PearsonCorrelation("attr", "attr")),
+            (ratings, library.SetJaccard("attr", "attr")),
+            (taken, library.VectorLookup("SuID", "attr")),
+        ):
+            workflow = Workflow(
+                Recommend(
+                    target=relation,
+                    reference=Select(relation, "SuID = 444"),
+                    comparator=comparator,
+                    target_key="SuID",
+                )
+            )
+            with pytest.raises(FlexRecsError):
+                workflow.run(flexdb)
+            with pytest.raises(FlexRecsError):
+                run_naive(workflow, flexdb)
+
+
+# ---------------------------------------------------------------------------
+# staleness: the cached *relation* follows every table it was read from
+# ---------------------------------------------------------------------------
+
+
+RECREATE_COURSES = [
+    "DROP TABLE Courses",
+    "CREATE TABLE Courses (CourseID INTEGER PRIMARY KEY, DepID INTEGER, "
+    "Title TEXT, Description TEXT, Units INTEGER, Url TEXT)",
+    "INSERT INTO Courses VALUES "
+    "(1, 1, 'Advanced Databases', '', 3, ''),"
+    "(2, 1, 'Advanced Programming', '', 3, ''),"
+    "(7, 1, 'Databases for Programming', '', 3, '')",
+]
+
+
+class TestRelationFollowsItsTables:
+    @pytest.mark.parametrize(
+        "table, mutation",
+        [
+            # the target table itself
+            ("courses", ["INSERT INTO Courses VALUES "
+                         "(7, 1, 'Programming Introduction', '', 3, '')"]),
+            ("courses", ["UPDATE Courses SET Title = 'Databases Introduction' "
+                         "WHERE CourseID = 6"]),
+            ("courses", ["DELETE FROM Courses WHERE CourseID = 2"]),
+            ("courses", RECREATE_COURSES),
+            # the extend source
+            ("enrollments",
+             ["INSERT INTO Enrollments VALUES (447, 1, 2008, 'Aut', 'A')"]),
+            ("enrollments", ["UPDATE Enrollments SET CourseID = 6 "
+                             "WHERE SuID = 446 AND CourseID = 4"]),
+            ("enrollments",
+             ["DELETE FROM Enrollments WHERE SuID = 445 AND CourseID = 2"]),
+        ],
+        ids=[
+            "insert-target", "update-target", "delete-target",
+            "drop-create-target",
+            "insert-source", "update-source", "delete-source",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "strategy",
+        [flexrecs.related_courses, flexrecs.courses_taken_together],
+    )
+    def test_write_then_run_equals_cold(self, flexdb, strategy, table, mutation):
+        # Student 444 is enrolled in a course 7 that Courses does not list
+        # yet, so listing it changes the co-taken answer too.
+        flexdb.execute("INSERT INTO Enrollments VALUES (444, 7, 2008, 'Aut', 'A')")
+        workflow = strategy(1)
+        workflow.run(flexdb)
+        warm = workflow.run(flexdb)
+        assert sum(record.relation_hits for record in warm.stats) > 0
+        for statement in mutation:
+            flexdb.execute(statement)
+        after = workflow.run(flexdb)
+        assert exact_rows(after) == exact_rows(run_naive(workflow, flexdb))
+        if table in workflow.tables_read():
+            assert exact_rows(after) != exact_rows(warm)
+            assert sum(record.cache_misses for record in after.stats) > 0
+        else:
+            assert sum(record.cache_misses for record in after.stats) == 0
+        clear_extend_cache(flexdb)
+        assert exact_rows(after) == exact_rows(workflow.run(flexdb))
+
+
+# ---------------------------------------------------------------------------
+# keyed σ ≡ scanned σ
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def valuesdb():
+    db = Database()
+    db.execute(
+        "CREATE TABLE Vals (ID INTEGER PRIMARY KEY, I INTEGER, N FLOAT, "
+        "S TEXT, B BOOLEAN, D DATE)"
+    )
+    db.execute(
+        "INSERT INTO Vals VALUES "
+        "(1, 1, 1.0, 'a', TRUE, '2008-01-01'),"
+        "(2, 2, 1.5, 'A', FALSE, '2008-01-02'),"
+        "(3, 1, 2.0, '1', TRUE, '2008-01-01'),"
+        "(4, NULL, NULL, NULL, NULL, NULL),"
+        "(5, 0, 0.0, 'a', FALSE, '2008-01-03')"
+    )
+    return db
+
+
+class TestKeyedSelect:
+    @pytest.mark.parametrize(
+        "condition, keyed",
+        [
+            ("I = 1", True),
+            ("i = 1", True),  # resolved like any workflow column
+            ("N = 1", True),  # int literal, float stored: 1 == 1.0
+            ("N = 2", True),
+            ("S = 'a'", True),
+            ("S = '1'", True),
+            ("S = 1", True),  # no coercion on either route: no row
+            ("B = 1", True),  # True == 1 on either route
+            ("D = '2008-01-01'", True),  # a date is not its text: no row
+            ("I = 7", True),
+            ("N = 1.0", False),
+            ("I = NULL", False),
+            ("B = TRUE", False),
+            ("Vals.I = 1", False),
+            ("Nope = 1", False),
+            ("I <> 1", False),
+            ("I = 1 AND S = 'a'", False),
+            ("1 = I", False),
+        ],
+    )
+    def test_same_rows_or_same_error(self, valuesdb, condition, keyed):
+        workflow = Workflow(
+            Recommend(
+                target=Source("Vals"),
+                reference=Select(Source("Vals"), condition),
+                comparator=NumericCloseness("ID", "ID"),
+                target_key="ID",
+                aggregate="sum",
+            )
+        )
+        try:
+            expected = exact_rows(run_naive(workflow, valuesdb))
+        except UnknownColumnError:
+            with pytest.raises(UnknownColumnError):
+                workflow.run(valuesdb)
+            assert not keyed
+            return
+        result = workflow.run(valuesdb)
+        assert exact_rows(result) == expected
+        assert result.stats[0].keyed_selects == (1 if keyed else 0)
+
+    def test_keyed_select_never_calls_the_predicate(self, valuesdb, monkeypatch):
+        from repro.minidb.expressions import BinaryOp
+
+        def boom(self, env):
+            raise AssertionError("a keyed select evaluated its predicate")
+
+        monkeypatch.setattr(BinaryOp, "evaluate", boom)
+        result = Workflow(Select(Source("Vals"), "I = 1")).run(valuesdb)
+        assert result.column("ID") == [1, 3]
+
+
+# ---------------------------------------------------------------------------
+# shared structures: cached rows are never handed out, lazy slots publish whole
+# ---------------------------------------------------------------------------
+
+
+class TestCachedRelationsAreShared:
+    def test_mutating_a_result_row_changes_nothing(self, flexdb):
+        for workflow in (
+            Workflow(Source("Courses")),
+            flexrecs.courses_taken_together(1),
+        ):
+            first = workflow.run(flexdb)
+            expected = exact_rows(first)
+            first.rows[0]["Title"] = "scribbled"
+            first.rows[0]["extra"] = 1
+            assert exact_rows(workflow.run(flexdb)) == expected
+
+    def test_a_lazy_slot_is_never_seen_half_built(self):
+        """Six threads want the same index at once: some build it twice,
+        none may read one that is still being filled."""
+        rows = [{"k": number % 5000} for number in range(20000)]
+        failures = []
+        barrier = threading.Barrier(6)
+
+        def reader(relation):
+            barrier.wait()
+            index = relation.index("k")
+            if len(index) != 5000 or sum(map(len, index.values())) != 20000:
+                failures.append(len(index))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _round in range(3):
+                relation = executor._Relation(["k"], rows)
+                threads = [
+                    threading.Thread(target=reader, args=(relation,), daemon=True)
+                    for _ in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+
+    def test_cache_info_counts_relations_beside_vectors(self, flexdb):
+        flexrecs.courses_taken_together(1).run(flexdb)
+        info = cache_info(flexdb)
+        # Source(Courses), Extend(Source(Courses)); the Enrollments map
+        assert (info["relations"], info["vectors"]) == (2, 1)
+        assert info["size"] == 3

@@ -241,6 +241,8 @@ def test_recommend_metrics_mirror_recommend_stats():
         if record.name == "flexrecs.recommend"
     )
     assert span.attrs["comparator"] == stats.comparator
+    assert span.attrs["relation_hits"] == stats.relation_hits
+    assert span.attrs["keyed_select"] == stats.keyed_selects == 1
     assert span.duration_ms == stats.elapsed_ms
     outer = next(
         record

@@ -168,6 +168,57 @@ class TestCacheHammer:
         assert rebuilt == build_vectors(app.db.table("Comments"), EXTEND_INFO)
 
 
+class TestSharedRelations:
+    """Cached FlexRecs relations — rows, σ indexes, postings, token
+    columns — are built lazily by whichever request gets there first and
+    then read by every thread of the shard under the *read* lock."""
+
+    STRATEGIES = (
+        "related_courses",
+        "courses_taken_together",
+        "similar_audience_courses",
+    )
+
+    def _answers(self, application, course_ids):
+        return [
+            [
+                tuple(sorted(row.items()))
+                for row in application.recommendations.run(
+                    name, path="direct", course_id=course_id
+                ).rows
+            ]
+            for name in self.STRATEGIES
+            for course_id in course_ids
+        ]
+
+    def test_threads_on_a_cold_database_equal_the_serial_answers(self):
+        # small, not tiny: a build must outlast the switch interval for a
+        # second thread to be able to see it half done
+        app = CourseRank(generate_university(scale="small", seed=5))
+        course_ids = app.db.query(
+            "SELECT CourseID FROM Courses ORDER BY CourseID LIMIT 3"
+        ).column("CourseID")
+        serial = CourseRank(generate_university(scale="small", seed=5))
+        expected = self._answers(serial, course_ids)
+        assert any(expected)
+        observed = [None] * THREADS
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _round in range(3):
+                clear_extend_cache(app.db)  # every round races the cold builds
+
+                def reader(index):
+                    with app.db.rwlock.read_locked():
+                        observed[index] = self._answers(app, course_ids)
+
+                _run_threads(THREADS, reader)
+                for result in observed:
+                    assert result == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestCloudCatchUp:
     def test_readers_racing_to_catch_up_apply_each_write_once(self):
         """After a write every reader finds the forward index one epoch

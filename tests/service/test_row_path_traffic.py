@@ -10,6 +10,11 @@ under a nested-loop join, or evaluate a scalar function call — the
 shapes the batch path has no kernel for.  It is an
 upper bound: adding kernels cannot break it, but a facade query that
 newly falls back to the interpreter fails here with its plan printed.
+
+The service answers recommendations from the direct executor, which
+plans no SQL; the three FlexRecs strategies are driven here with
+``path="sql"`` so the compiled statements — the reproduction of
+"workflows compile to SQL" — stay under the same bound.
 """
 
 import dataclasses
@@ -110,8 +115,9 @@ def test_facade_row_path_is_point_lookups_joins_without_keys_and_udfs(
     planned.clear()
     for course_id in course_ids:
         service.course_page(course_id)
+        recommendations = service._app_for_course(course_id).recommendations
         for strategy in STRATEGIES:
-            service.recommend(strategy, course_id=course_id)
+            recommendations.run(strategy, path="sql", course_id=course_id)
 
     plans = [
         inner
