@@ -57,6 +57,8 @@ DocId = Any
 class TermStats:
     """Aggregate statistics of one display term over a result set."""
 
+    __slots__ = ("term", "occurrences", "result_df", "corpus_df")
+
     term: str
     occurrences: float  # field-weight-scaled occurrence mass in results
     result_df: int  # number of result documents containing the term
@@ -122,9 +124,12 @@ class TermSource:
         self._catch_up_lock = threading.Lock()
         # Result sets repeat (identical searches, refinement back(), a
         # cube root after a write to another shard); memoize the raw
-        # counters per doc set.  Keys embed the index epoch, so entries
-        # cannot survive index mutations.
+        # counters per ordered doc-id tuple as ``(epoch, partial)``.  A
+        # partial outlives an epoch only while the index has touched none
+        # of its documents since (see partial_gather).
         self._gather_cache = LRUCache(maxsize=64)
+        self._gather_counts: Counter = Counter()
+        self._counts_lock = threading.Lock()
 
     # -- build-time work -----------------------------------------------------
 
@@ -200,21 +205,40 @@ class TermSource:
 
     # -- query-time work ----------------------------------------------------
 
-    def _cache_key(
-        self, ordered: Tuple[DocId, ...]
-    ) -> Optional[Tuple[int, Tuple[DocId, ...]]]:
-        """(epoch, result-set fingerprint), or None for unhashable ids."""
-        key = (self.engine.index.epoch, ordered)
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        return key
-
     def _doc_counts(self, doc_id: DocId) -> Mapping[str, float]:
         if self.strategy == "rescan":
             return self._extract(doc_id)
         return self._doc_terms.get(doc_id, _NO_TERMS)
+
+    def _cached_partial(
+        self, ordered: Tuple[DocId, ...], epoch: int
+    ) -> Optional[TermPartial]:
+        """The cached partial over ``ordered`` if it still holds at ``epoch``.
+
+        One gathered at an older epoch holds exactly when the index has
+        touched none of ``ordered`` since: the partial is then reused
+        whole (never patched, so no float sum depends on what the cache
+        held) and re-stamped with ``epoch``.  Corpus df and corpus size,
+        which any write moves, are not part of a partial.
+        """
+        cached = self._gather_cache.get(ordered)
+        if cached is None:
+            return None
+        gathered_at, partial = cached
+        if gathered_at == epoch:
+            self._count("hits")
+            return partial
+        touched = self.engine.index.touched_since(gathered_at)
+        if touched and not frozenset(touched).isdisjoint(ordered):
+            return None
+        self._count("hits", "revalidated")
+        self._gather_cache.put(ordered, (epoch, partial))
+        return partial
+
+    def _count(self, *outcomes: str) -> None:
+        with self._counts_lock:  # concurrent readers share the counters
+            for outcome in outcomes:
+                self._gather_counts[outcome] += 1
 
     def partial_gather(self, doc_ids: Iterable[DocId]) -> TermPartial:
         """Raw ``(occurrences, result_df)`` counters over ``doc_ids``.
@@ -229,12 +253,18 @@ class TermSource:
         """
         if self._epoch != self.engine.index.epoch:
             self._catch_up()
+        epoch = self._epoch
         ordered = tuple(doc_ids)
-        key = self._cache_key(ordered)
-        if key is not None:
-            cached = self._gather_cache.get(key)
-            if cached is not None:
-                return cached
+        try:
+            hash(ordered)
+        except TypeError:  # unhashable document ids: gathered, never cached
+            cacheable = False
+        else:
+            cacheable = True
+            partial = self._cached_partial(ordered, epoch)
+            if partial is not None:
+                return partial
+        self._count("misses")
         per_doc = [self._doc_counts(doc_id) for doc_id in ordered]
         result_df = Counter(chain.from_iterable(per_doc))
         occurrences = dict.fromkeys(result_df, 0)
@@ -242,9 +272,21 @@ class TermSource:
             for term, count in counts.items():
                 occurrences[term] += count
         partial = TermPartial(self, occurrences, result_df)
-        if key is not None:
-            self._gather_cache.put(key, partial)
+        if cacheable:
+            self._gather_cache.put(ordered, (epoch, partial))
         return partial
+
+    def cache_info(self) -> Dict[str, int]:
+        """Gather-cache counters: ``hits`` (``revalidated`` of them after
+        a write to other documents), ``misses``, current ``size``."""
+        with self._counts_lock:
+            counts = dict(self._gather_counts)
+        return {
+            "hits": counts.get("hits", 0),
+            "misses": counts.get("misses", 0),
+            "revalidated": counts.get("revalidated", 0),
+            "size": len(self._gather_cache),
+        }
 
     def gather(self, doc_ids: Iterable[DocId]) -> List[TermStats]:
         """Statistics of *every* term in ``doc_ids`` (a fresh list).
@@ -301,6 +343,24 @@ class SignificanceScoring:
     def score(self, stats: TermStats, result_size: int, corpus_size: int) -> float:
         raise NotImplementedError
 
+    def upper_bound(
+        self,
+        result_df: int,
+        result_size: int,
+        corpus_size: int,
+        max_occurrences: float,
+    ) -> float:
+        """A ceiling on :meth:`score` below a result-df level.
+
+        Must be non-decreasing in ``result_df`` and at least the score
+        of any term whose result df is at most ``result_df``, whose
+        corpus df is at least its result df and whose occurrences are at
+        most ``max_occurrences``.  The cloud kernel stops scoring once the
+        ceiling at the next df level is below the last term it shows.
+        The default, ``inf``, never stops it: every candidate is scored.
+        """
+        return math.inf
+
 
 class FrequencyScoring(SignificanceScoring):
     """Raw weighted occurrence mass — the classic tag-cloud rule."""
@@ -339,6 +399,28 @@ class PopularityScoring(SignificanceScoring):
         coverage = stats.result_df / result_size
         idf = math.log(1.0 + corpus_size / (1.0 + stats.corpus_df))
         return coverage * idf * math.log(1.0 + stats.occurrences)
+
+    def upper_bound(
+        self,
+        result_df: int,
+        result_size: int,
+        corpus_size: int,
+        max_occurrences: float,
+    ) -> float:
+        """The score at ``corpus_df = result_df`` with ``max_occurrences``.
+
+        A term's corpus df is at least its result df, so its idf is at
+        most ``log(1 + N/(1 + df))``; and ``df · log(1 + N/(1 + df))``
+        grows with df (its derivative is ``log(1+u) − df/(1+df) · u/(1+u)``
+        with ``u = N/(1+df)``, positive since ``log(1+u) ≥ u/(1+u)``), so
+        the value at ``result_df`` bounds every lower df too.  The
+        relative 1e-9 covers the rounding of either side.
+        """
+        if result_size == 0 or corpus_size == 0:
+            return 0.0
+        coverage = result_df / result_size
+        idf = math.log(1.0 + corpus_size / (1.0 + result_df))
+        return coverage * idf * math.log(1.0 + max_occurrences) * (1.0 + 1e-9)
 
 
 SCORINGS = {

@@ -83,9 +83,13 @@ class CourseCloudSearch:
             "elapsed_ms": result.elapsed_ms,
         }
 
-    def cache_info(self) -> Dict[str, int]:
-        """Hit/miss counters of the engine's query-result cache."""
-        return self.engine.cache_info()
+    def cache_info(self) -> Dict[str, Any]:
+        """Hit/miss counters of the engine's query-result cache, with the
+        cloud term source's gather cache (hits, misses, revalidated,
+        size) under ``"gather"``."""
+        info: Dict[str, Any] = dict(self.engine.cache_info())
+        info["gather"] = self.builder.source.cache_info()
+        return info
 
     def count(self, query: str) -> int:
         self.ensure_built()

@@ -25,6 +25,7 @@ cache uses.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -56,10 +57,15 @@ class InvertedIndex:
         # (field, b) -> (epoch, {doc_id: 1 / bm25-length-normalizer})
         self._norm_tables: Dict[Tuple[str, float], Tuple[int, Dict[DocId, float]]] = {}
         # doc_id -> epoch published by its latest add/remove, oldest
-        # first (a re-touched document moves to the end), so the changes
-        # since any epoch are a suffix.  One entry per document ever
-        # indexed: bounded by the corpus, not by the number of writes.
+        # first (a re-touched document moves to the end).  One entry per
+        # document ever indexed: bounded by the corpus, not by the number
+        # of writes.
         self._touched: Dict[DocId, int] = {}
+        # The same changes as an append-only (epoch, doc_id) log, so the
+        # changes since any epoch are a suffix found by bisection.  When
+        # it holds twice as many entries as ``_touched`` it is replaced
+        # (never edited) by a copy of ``_touched``'s one entry per doc.
+        self._touch_log: List[Tuple[int, DocId]] = []
 
     # -- building ----------------------------------------------------------
 
@@ -87,8 +93,14 @@ class InvertedIndex:
 
     def _touch(self, doc_id: DocId) -> None:
         """Log a change to ``doc_id``; the caller bumps the epoch next."""
-        self._touched.pop(doc_id, None)
-        self._touched[doc_id] = self._epoch + 1
+        published = self._epoch + 1
+        touched = self._touched
+        touched.pop(doc_id, None)
+        touched[doc_id] = published
+        log = self._touch_log
+        log.append((published, doc_id))
+        if len(log) > 2 * len(touched):
+            self._touch_log = [(epoch, doc) for doc, epoch in touched.items()]
 
     def _add(self, doc_id: DocId, fields: Mapping[str, List[str]]) -> None:
         if doc_id in self._forward:
@@ -172,15 +184,17 @@ class InvertedIndex:
 
         What an epoch-keyed derived artifact (the clouds' forward index)
         has to redo to follow the index from ``epoch`` to now; whether a
-        listed document still exists is :meth:`has_document`.
+        listed document still exists is :meth:`has_document`.  Newest
+        first; the cost is the number of changes logged after ``epoch``.
+
+        An unlocked facade reader may get here mid-write: the log is only
+        ever appended to or replaced whole, so one read of it and one
+        slice are a snapshot (``(epoch + 1,)`` sorts before every entry
+        published at ``epoch + 1`` without comparing document ids).
         """
-        touched: List[DocId] = []
-        # A snapshot: an unlocked facade reader may get here mid-write.
-        for doc_id, published in reversed(tuple(self._touched.items())):
-            if published <= epoch:
-                break
-            touched.append(doc_id)
-        return touched
+        log = self._touch_log
+        since = log[bisect_left(log, (epoch + 1,)):]
+        return list(dict.fromkeys(doc_id for _, doc_id in reversed(since)))
 
     @property
     def document_count(self) -> int:

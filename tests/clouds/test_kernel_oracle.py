@@ -1,14 +1,18 @@
 """The counters → cloud kernel against a full-vocabulary oracle.
 
 ``CloudBuilder.build_from_stats`` computes a cloud as a top-k query: it
-cuts on result df before anything else is summed, scores only the
-survivors and suppresses query echoes lazily while walking the ranking.
+cuts on result df before anything else is summed, scores the survivors
+df level by df level only while the scoring's upper bound says an
+unscored term could still be shown, and suppresses query echoes lazily.
 ``oracle_cloud`` below is the pipeline it replaced — merge every counter,
 build statistics for the whole vocabulary, filter, suppress, score, sort,
 cut, bucket — kept here as the reference.  Every cloud must come out
-``==``: term, score, occurrences, result df, bucket, order.
+``==``: term, score, occurrences, result df, bucket, order.  The skewed
+corpora are large enough for the bound to prune, and the ``cloud.build``
+span's ``candidates``/``scored`` fields show that it did.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -16,17 +20,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clouds.cloud import CloudBuilder, CloudTerm
-from repro.clouds.scoring import SignificanceScoring, TermStats
+from repro.clouds.scoring import SignificanceScoring, TermPartial, TermStats
 from repro.courserank import CourseRank
 from repro.datagen import generate_university
 from repro.graphrank import GraphWeightedScoring
 from repro.minidb import Database
+from repro.obs import OBS
 from repro.search.engine import SearchEngine
 from repro.search.entity import EntityDefinition, FieldSpec
 
 WORDS = (
     "american", "history", "latin", "politics", "music", "jazz",
     "revolution", "war", "culture", "systems",
+)
+#: a larger vocabulary drawn Zipf-skewed (word i about 1/(i+1) as often):
+#: many df levels, a few very common terms and a long rare tail
+SKEWED = WORDS + (
+    "theory", "practice", "seminar", "design", "data", "language",
+    "writing", "economics", "physics", "ethics", "film", "media", "law",
+    "health", "urban", "energy", "biology", "markets", "poetry", "logic",
+)
+ZIPF_POOL = tuple(
+    word for rank, word in enumerate(SKEWED) for _ in range(30 // (rank + 1))
 )
 
 
@@ -107,9 +122,19 @@ class ShiftedFrequency(SignificanceScoring):
         return stats.occurrences - 4.0
 
 
+def numbered(pairs):
+    return [(i + 1, title, body) for i, (title, body) in enumerate(pairs)]
+
+
 texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join)
-corpora = st.lists(st.tuples(texts, texts), min_size=1, max_size=9).map(
-    lambda pairs: [(i + 1, t, b) for i, (t, b) in enumerate(pairs)]
+skewed_texts = st.lists(
+    st.sampled_from(ZIPF_POOL), min_size=1, max_size=10
+).map(" ".join)
+corpora = st.one_of(
+    st.lists(st.tuples(texts, texts), min_size=1, max_size=9).map(numbered),
+    st.lists(
+        st.tuples(skewed_texts, skewed_texts), min_size=8, max_size=32
+    ).map(numbered),
 )
 #: (min_result_df, max_terms): small caps land the cut inside score ties
 shapes = st.tuples(st.sampled_from((1, 2)), st.integers(1, 6))
@@ -121,6 +146,38 @@ queries = st.lists(st.sampled_from(WORDS), max_size=3)
 
 def stems(engine, words):
     return [engine.tokenizer.stem_token(word) for word in words]
+
+
+def traced(build):
+    """``build()``'s cloud and the fields of the ``cloud.build`` span it made."""
+    OBS.reset()
+    OBS.enable()
+    try:
+        cloud = build()
+        spans = [r for r in OBS.tracer.records() if r.name == "cloud.build"]
+    finally:
+        OBS.disable()
+        OBS.reset()
+    assert len(spans) == 1
+    return cloud, spans[0].attrs
+
+
+def sharded(rows, shards, **options):
+    """One prepared builder per round-robin shard of ``rows``."""
+    parts = [
+        CloudBuilder(make_engine(rows[index::shards]), **options)
+        for index in range(shards)
+    ]
+    for part in parts:
+        part.prepare()
+    return parts
+
+
+def per_shard(doc_ids, shards):
+    return [
+        [doc_id for doc_id in doc_ids if (doc_id - 1) % shards == index]
+        for index in range(shards)
+    ]
 
 
 @settings(max_examples=120, deadline=None)
@@ -178,19 +235,11 @@ def test_sharded_partials_equal_unsharded_and_oracle(
     )
     whole = CloudBuilder(make_engine(rows), **options)
     whole.prepare()
-    parts = [
-        CloudBuilder(make_engine(rows[index::shards]), **options)
-        for index in range(shards)
-    ]
-    for part in parts:
-        part.prepare()
+    parts = sharded(rows, shards, **options)
     doc_ids = data.draw(
         st.lists(st.sampled_from([row[0] for row in rows]), unique=True)
     )
-    docs_per_shard = [
-        [doc_id for doc_id in doc_ids if (doc_id - 1) % shards == index]
-        for index in range(shards)
-    ]
+    docs_per_shard = per_shard(doc_ids, shards)
     query_terms = stems(whole.engine, query)
     merged = parts[0].build_from_stats(
         [
@@ -218,6 +267,46 @@ CORPUS = [
     (4, "American Music", "jazz blues and american composers and history"),
     (5, "American Revolution", "revolution war and american independence"),
 ]
+
+
+class FixedCorpus:
+    """A shard's corpus df and size, without a search engine behind it."""
+
+    def __init__(self, corpus_df, corpus_size):
+        self.corpus_df = corpus_df
+        self.corpus_size = corpus_size
+
+    def corpus_document_frequencies(self, terms):
+        return [self.corpus_df.get(term, 0) for term in terms]
+
+
+def test_the_bound_covers_a_term_split_across_shards():
+    """"t" has 50 occurrences in each of two shards: merged, 100 — more
+    than either shard's largest value.  It is in fewer result documents
+    than "a" and "b" (the first slice) but outscores them, so a bound that
+    took the largest single-shard value would prune the true top term."""
+    halves = [
+        ({"a": 8.0, "b": 1.0, "t": 50.0}, {"a": 2, "b": 2, "t": 1}),
+        ({"a": 8.0, "b": 1.0, "t": 50.0}, {"a": 1, "b": 1, "t": 1}),
+    ]
+    partials = [
+        TermPartial(FixedCorpus(dict(df), 500), occurrences, Counter(df))
+        for occurrences, df in halves
+    ]
+    builder = CloudBuilder(make_engine(CORPUS), max_terms=1)
+    merged = {"a": (16.0, 3), "b": (2.0, 3), "t": (100.0, 2)}
+    best = max(
+        merged,
+        key=lambda term: builder.scoring.score(
+            TermStats(term, merged[term][0], merged[term][1], merged[term][1]),
+            4,
+            1000,
+        ),
+    )
+    assert best == "t"
+    cloud, span = traced(lambda: builder.build_from_stats(partials, 4))
+    assert cloud.term_names() == ["t"]
+    assert (span["candidates"], span["scored"]) == (3, 3)
 
 
 class TestTheCutsInOrder:
@@ -296,7 +385,11 @@ def app():
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_graph_weighted_kernel_equals_oracle(app, data):
-    """The pluggable hook: a scoring that reads ``stats.term`` too."""
+    """The pluggable hook: a scoring that reads ``stats.term`` too.
+
+    It declares no upper bound, so it is scored in one pass: nothing that
+    passes the iceberg cut goes unscored.
+    """
     builder = app.cloudsearch.builder.with_scoring(
         GraphWeightedScoring(app.graph, (("user", 1),), boost=500.0)
     )
@@ -304,7 +397,106 @@ def test_graph_weighted_kernel_equals_oracle(app, data):
     doc_ids = data.draw(st.lists(st.sampled_from(every), unique=True))
     query = data.draw(st.sampled_from(("", "introduction", "data systems")))
     query_terms = app.cloudsearch.engine.search(query).terms if query else []
-    cloud = builder.build_for_docs(doc_ids, query_terms=query_terms)
+    cloud, span = traced(
+        lambda: builder.build_for_docs(doc_ids, query_terms=query_terms)
+    )
     assert cloud.terms == oracle_cloud(
         builder, [builder.source], [doc_ids], len(doc_ids), query_terms
     )
+    assert span["scored"] == span["candidates"]
+
+
+def skewed_rows(rng, count):
+    def text():
+        return " ".join(rng.choices(ZIPF_POOL, k=rng.randint(1, 10)))
+
+    return [(i + 1, text(), text()) for i in range(count)]
+
+
+def test_the_bound_prunes_and_the_answer_stays_the_oracles():
+    """Seeded sweep over skewed corpora, every strategy, 1–5 shard
+    partials.  Popularity declares a bound: in at least three of every
+    four of its clouds some term that passed the iceberg cut was never
+    scored.  The other scorings declare none and score every candidate.
+    Every cloud is the oracle's."""
+    rng = random.Random(25)
+    clouds = pruned = 0
+    for _trial in range(32):
+        rows = skewed_rows(rng, rng.randint(30, 60))
+        shards = rng.randint(1, 5)
+        parts = sharded(
+            rows,
+            shards,
+            strategy=rng.choice(("forward", "rescan", "topk")),
+            max_terms=rng.randint(1, 8),
+            topk_per_doc=6,
+        )
+        doc_ids = rng.sample([row[0] for row in rows], rng.randint(15, len(rows)))
+        docs = per_shard(doc_ids, shards)
+        query_terms = stems(parts[0].engine, rng.sample(SKEWED[:8], 1))
+        partials = [part.source.partial_gather(d) for part, d in zip(parts, docs)]
+        unbounded = rng.choice(("frequency", "tfidf", ShiftedFrequency()))
+        for scoring in ("popularity", unbounded):
+            builder = parts[0].with_scoring(scoring)
+            cloud, span = traced(
+                lambda: builder.build_from_stats(
+                    partials, len(doc_ids), query_terms=query_terms
+                )
+            )
+            assert cloud.terms == oracle_cloud(
+                builder,
+                [part.source for part in parts],
+                docs,
+                len(doc_ids),
+                query_terms,
+            )
+            if scoring == "popularity":
+                clouds += 1
+                pruned += span["scored"] < span["candidates"]
+            else:
+                assert span["scored"] == span["candidates"]
+    assert pruned * 4 >= clouds * 3
+
+
+@pytest.fixture(scope="module")
+def small_app():
+    university = CourseRank(generate_university(scale="small", seed=2008))
+    university.cloudsearch.ensure_built()
+    return university
+
+
+def assert_oracle_cloud(builder, doc_ids, query_terms=()):
+    cloud, span = traced(
+        lambda: builder.build_for_docs(doc_ids, query_terms=query_terms)
+    )
+    assert cloud.terms == oracle_cloud(
+        builder, [builder.source], [doc_ids], len(doc_ids), query_terms
+    )
+    return span
+
+
+@pytest.mark.parametrize(
+    "query", ["great", "history", "american", "project", "seminar"]
+)
+def test_broad_queries_on_a_real_corpus(small_app, query):
+    result = small_app.cloudsearch.engine.search(query)
+    assert len(result) >= 20
+    span = assert_oracle_cloud(
+        small_app.cloudsearch.builder, result.doc_ids(), result.terms
+    )
+    assert span["scored"] < span["candidates"]
+
+
+def test_cube_root_and_every_department_slice_on_a_real_corpus(small_app):
+    cube = small_app.cloudsearch.cube()
+    root = cube.root()
+    builder = small_app.cloudsearch.builder
+    span = assert_oracle_cloud(builder, root.doc_ids)
+    assert span["scored"] * 3 <= span["candidates"]
+    children = cube.drill_down(root, "department")
+    assert len(children) >= 5
+    for cell in children.values():
+        assert cell.cloud.terms == oracle_cloud(
+            builder, [builder.source], [cell.doc_ids], cell.result_size, None
+        )
+        assert_oracle_cloud(builder, cell.doc_ids)

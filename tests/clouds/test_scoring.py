@@ -1,6 +1,10 @@
 """Unit tests for cloud term gathering strategies and significance models."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import CloudError
 from repro.clouds.scoring import (
@@ -153,3 +157,45 @@ class TestSignificanceModels:
     def test_get_scoring_unknown(self):
         with pytest.raises(CloudError):
             get_scoring("banana")
+
+
+class TestUpperBound:
+    """The ceiling the cloud kernel prunes with (``upper_bound``)."""
+
+    @given(
+        result_size=st.integers(1, 20000),
+        corpus_size=st.integers(0, 200000),
+        df=st.integers(0, 20000),
+        more_df=st.integers(0, 20000),
+        more_corpus_df=st.integers(0, 200000),
+        occurrences=st.floats(0.0, 1e6),
+        more_occurrences=st.floats(0.0, 1e6),
+    )
+    def test_popularity_bound_covers_every_term_below_it(
+        self,
+        result_size,
+        corpus_size,
+        df,
+        more_df,
+        more_corpus_df,
+        occurrences,
+        more_occurrences,
+    ):
+        """score ≤ upper_bound(df2, …, cap) for df ≤ df2, cdf ≥ df and
+        0 ≤ occurrences ≤ cap; and the bound never falls as df grows."""
+        scoring = PopularityScoring()
+        stats = TermStats("t", occurrences, df, df + more_corpus_df)
+        cap = occurrences + more_occurrences
+        bound = scoring.upper_bound(df + more_df, result_size, corpus_size, cap)
+        assert scoring.score(stats, result_size, corpus_size) <= bound
+        assert bound <= scoring.upper_bound(
+            df + more_df + 1, result_size, corpus_size, cap
+        )
+
+    def test_popularity_bound_is_zero_where_every_score_is(self):
+        assert PopularityScoring().upper_bound(5, 0, 100, 9.0) == 0.0
+        assert PopularityScoring().upper_bound(5, 10, 0, 9.0) == 0.0
+
+    @pytest.mark.parametrize("scoring", ["frequency", "tfidf"])
+    def test_scorings_without_a_bound_declare_infinity(self, scoring):
+        assert get_scoring(scoring).upper_bound(3, 10, 100, 9.0) == math.inf

@@ -1,5 +1,9 @@
 """Unit tests for the inverted index."""
 
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -290,6 +294,103 @@ class TestEpochAndBatch:
         cleared_from = index.epoch
         index.clear()
         assert sorted(index.touched_since(cleared_from)) == [1, 2, 4]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("add", "remove", "clear")), st.integers(0, 7)
+            ),
+            max_size=60,
+        )
+    )
+    def test_touched_since_matches_a_full_change_log(self, operations):
+        """Against every past epoch: exactly the documents whose latest
+        change came after it, newest first, with a log that stays within
+        twice the number of documents ever touched."""
+        index = InvertedIndex()
+        latest = {}  # doc -> epoch published by its latest change
+        for kind, doc_id in operations:
+            if kind == "clear":
+                changed = list(index.document_ids())
+                index.clear()
+            elif kind == "remove":
+                if not index.has_document(doc_id):
+                    continue
+                changed = [doc_id]
+                index.remove_document(doc_id)
+            else:
+                changed = [doc_id]
+                index.add_document(doc_id, {"t": ["x"] * (1 + doc_id % 3)})
+            for changed_id in changed:
+                latest.pop(changed_id, None)
+                latest[changed_id] = index.epoch
+            assert len(index._touch_log) <= 2 * len(index._touched)
+        for epoch in range(-1, index.epoch + 1):
+            expected = [
+                doc_id for doc_id, published in reversed(latest.items())
+                if published > epoch
+            ]
+            assert index.touched_since(epoch) == expected
+
+    def test_touched_since_under_a_concurrent_writer(self):
+        """The facade reads the change log without a lock while a writer
+        adds, replaces and removes documents (compacting the log as it
+        goes).  No read may fail, list a document twice, or miss a change
+        published by the epoch it read before asking."""
+        index = InvertedIndex()
+        index.add_documents({doc_id: {"t": ["x"]} for doc_id in range(40)})
+        published = []  # (epoch, doc_id), appended after each write
+        done = threading.Event()
+        failures = []
+
+        def writer():
+            rng = random.Random(11)
+            try:
+                for step in range(4000):
+                    doc_id = rng.randrange(48)
+                    if index.has_document(doc_id) and rng.random() < 0.3:
+                        index.remove_document(doc_id)
+                    else:
+                        index.add_document(doc_id, {"t": ["y"] * (1 + step % 3)})
+                    published.append((index.epoch, doc_id))
+            finally:
+                done.set()
+
+        def reader(seed):
+            rng = random.Random(seed)
+            reads = 0
+            try:
+                while not done.is_set() or reads < 50:
+                    now = index.epoch
+                    since = now - rng.randrange(1, 300)
+                    touched = index.touched_since(since)
+                    reads += 1
+                    assert len(touched) == len(set(touched))
+                    missing = {
+                        doc_id
+                        for epoch, doc_id in list(published)
+                        if since < epoch <= now
+                    }.difference(touched)
+                    assert not missing, (since, now, missing)
+            except Exception as error:  # reported on the main thread
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer)] + [
+                threading.Thread(target=reader, args=(seed,))
+                for seed in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(index._touch_log) <= 2 * len(index._touched)
 
     def test_length_normalizers_values(self):
         index = build_sample()
