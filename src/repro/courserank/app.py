@@ -150,7 +150,7 @@ class CourseRank:
         vocabulary becomes searchable (and cloud-visible) immediately.
 
         Like every facade writer, this mutates tables directly
-        (``Table.insert``/``update_where``, not SQL), so it takes the
+        (``Table.insert``/``update_pk``, not SQL), so it takes the
         database's write lock itself: a concurrent ``db.query`` must
         never scan a table mid-mutation.
         """

@@ -46,14 +46,8 @@ class RatingsService:
             )
         table = self.database.table("Comments")
         day = day or datetime.date.today()
-        existing = table.lookup_pk((suid, course_id))
         row = [suid, course_id, year, term, text, rating, day]
-        if existing is not None:
-            table.update_where(
-                lambda r: r[0] == suid and r[1] == course_id,
-                lambda r: row,
-            )
-        else:
+        if not table.update_pk((suid, course_id), row):
             table.insert(row)
         return Comment(
             suid=suid,
@@ -77,16 +71,9 @@ class RatingsService:
                 f"no comment by student {author_suid} on course {course_id}"
             )
         votes = self.database.table("CommentVotes")
-        existing = votes.lookup_pk((voter_suid, author_suid, course_id))
-        if existing is not None:
-            votes.update_where(
-                lambda r: r[0] == voter_suid
-                and r[1] == author_suid
-                and r[2] == course_id,
-                lambda r: (voter_suid, author_suid, course_id, helpful),
-            )
-        else:
-            votes.insert([voter_suid, author_suid, course_id, helpful])
+        row = [voter_suid, author_suid, course_id, helpful]
+        if not votes.update_pk((voter_suid, author_suid, course_id), row):
+            votes.insert(row)
 
     def delete_comment(self, suid: int, course_id: int) -> bool:
         """Remove a comment and its votes; True if one existed."""

@@ -8,7 +8,7 @@ popularity every node earns just from graph topology).
 
 The iteration runs over the integer-id CSR view of the graph
 (:meth:`TripartiteAdjacency.csr`) on one of two kernels, chosen by
-reading ``repro.minidb.vector.NUMPY`` at call time:
+reading this module's :data:`NUMPY` at call time:
 
 * the **exact** kernel (pure Python) takes per-node incoming mass and
   the L1 delta through :func:`math.fsum`, which is *exactly rounded*:
@@ -37,14 +37,25 @@ Both share (property-tested in ``tests/graphrank``):
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from operator import itemgetter, mul, sub
 from typing import Any, Callable, Dict, Iterable, List
 from typing import Optional, Sequence, Tuple
 
-import repro.minidb.vector as _vector
 from repro.errors import GraphRankError
 from repro.graphrank.adjacency import CsrView, NodeId, TripartiteAdjacency
+
+try:  # pragma: no cover - exercised through NUMPY
+    import numpy  # noqa: F401
+
+    HAS_NUMPY = True
+except Exception:  # ImportError, broken install: the exact kernel only
+    HAS_NUMPY = False
+
+#: the kernel switch: the numpy kernel when numpy imports, unless
+#: ``REPRO_NUMPY=0`` pins the exact one for a whole run; tests flip it
+NUMPY = HAS_NUMPY and os.environ.get("REPRO_NUMPY", "1") != "0"
 
 #: node kinds a preference entry may name
 NODE_KINDS = ("user", "course", "term")
@@ -175,7 +186,7 @@ def power_iteration(
     teleport = teleport_vector(adjacency, preference, preference_weight)
     rank: Any = list(teleport.values())
     base = [(1.0 - damping) * share for share in rank]
-    kernel = _numpy_step if _vector.NUMPY else _exact_step
+    kernel = _numpy_step if NUMPY else _exact_step
     step = kernel(adjacency.csr(), base, damping)
     for iterations in range(1, max_iters + 1):
         rank, delta = step(rank)

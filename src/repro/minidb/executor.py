@@ -304,14 +304,12 @@ def _analyze_node_lines(record: NodeStats, indent: int) -> List[str]:
 
 
 def _plan_markers(plan: QueryPlan, cached: bool) -> str:
-    """The ``[cached]``/``[vectorized]``/``[numpy]`` suffix of a plan's
-    first EXPLAIN line: how the *next* run of ``plan`` executes, so the
-    markers follow the run-time flags without replanning."""
+    """The ``[cached]``/``[vectorized]`` suffix of a plan's first EXPLAIN
+    line: how the *next* run of ``plan`` executes, so the markers follow
+    the run-time flag without replanning."""
     markers = " [cached]" if cached else ""
     if plan.vectorized:
         markers += " [vectorized]"
-        if plan.vector.uses_numpy:
-            markers += " [numpy]"
     return markers
 
 

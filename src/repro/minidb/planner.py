@@ -4,7 +4,8 @@ The planner turns a parsed :class:`SelectStatement` into a tree of plan
 nodes, applying three classic optimizations:
 
 * **predicate pushdown** — WHERE conjuncts that reference a single base
-  table move into that table's scan (and can then use an index);
+  table move into that table's scan (and can then use an index), and
+  conjuncts on a derived table's plain columns move into its body first;
 * **index selection** — a pushed equality conjunct on an indexed column
   becomes an index lookup; range conjuncts use a sorted index;
 * **hash joins** — INNER/LEFT joins whose ON condition contains
@@ -20,9 +21,11 @@ aggregation and sorting.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Set, Tuple, Union
 
 from repro.errors import (
     AmbiguousColumnError,
@@ -266,8 +269,9 @@ class IndexAccess:
         self.highs = list(highs)
 
     def rowids(self, env: Env) -> List[int]:
-        """Matching rowids in the index's emission order (the row path and
-        ``VIndexScan`` both read through here, so their order agrees)."""
+        """Matching rowids in ascending order, which is scan order (see
+        :mod:`repro.minidb.table`): the rows a full scan plus the consumed
+        conjuncts would keep, in the order it would keep them."""
         index = self.index_info.index
         if self.equal_key is not None:
             key = _resolve_key(self.equal_key, env)
@@ -284,7 +288,7 @@ class IndexAccess:
             if bound is None:
                 return []
             high, high_inclusive = bound
-        return list(index.range(low, high, low_inclusive, high_inclusive))
+        return sorted(index.range(low, high, low_inclusive, high_inclusive))
 
     def rows(self, table: Any, env: Env) -> Iterator[Row]:
         for rowid in self.rowids(env):
@@ -846,6 +850,105 @@ def walk_plan(node: PlanNode) -> Iterator[PlanNode]:
         yield from walk_plan(child)
 
 
+def _rebuild(
+    expression: Expression, swap: Callable[[Expression], Optional[Expression]]
+) -> Expression:
+    """``expression`` with every node ``swap`` answers for replaced by that
+    answer (and not descended into); unchanged subtrees are returned
+    as-is."""
+    swapped = swap(expression)
+    if swapped is not None:
+        return swapped
+    if isinstance(expression, BinaryOp):
+        left = _rebuild(expression.left, swap)
+        right = _rebuild(expression.right, swap)
+        if left is expression.left and right is expression.right:
+            return expression
+        return BinaryOp(expression.op, left, right)
+    if isinstance(expression, UnaryOp):
+        operand = _rebuild(expression.operand, swap)
+        if operand is expression.operand:
+            return expression
+        return UnaryOp(expression.op, operand)
+    if isinstance(expression, IsNull):
+        operand = _rebuild(expression.operand, swap)
+        if operand is expression.operand:
+            return expression
+        return IsNull(operand, negated=expression.negated)
+    if isinstance(expression, InList):
+        operand = _rebuild(expression.operand, swap)
+        items = [_rebuild(item, swap) for item in expression.items]
+        if operand is expression.operand and all(
+            new is old for new, old in zip(items, expression.items)
+        ):
+            return expression
+        return InList(operand, items, negated=expression.negated)
+    if isinstance(expression, Between):
+        operand = _rebuild(expression.operand, swap)
+        low = _rebuild(expression.low, swap)
+        high = _rebuild(expression.high, swap)
+        if (
+            operand is expression.operand
+            and low is expression.low
+            and high is expression.high
+        ):
+            return expression
+        return Between(operand, low, high, negated=expression.negated)
+    if isinstance(expression, Like):
+        operand = _rebuild(expression.operand, swap)
+        pattern = _rebuild(expression.pattern, swap)
+        if operand is expression.operand and pattern is expression.pattern:
+            return expression
+        return Like(
+            operand,
+            pattern,
+            negated=expression.negated,
+            case_insensitive=expression.case_insensitive,
+        )
+    if isinstance(expression, Case):
+        branches = [
+            (_rebuild(condition, swap), _rebuild(value, swap))
+            for condition, value in expression.branches
+        ]
+        default = (
+            None
+            if expression.default is None
+            else _rebuild(expression.default, swap)
+        )
+        if default is expression.default and all(
+            new[0] is old[0] and new[1] is old[1]
+            for new, old in zip(branches, expression.branches)
+        ):
+            return expression
+        return Case(branches, default)
+    if isinstance(expression, FunctionCall):
+        arguments = [_rebuild(argument, swap) for argument in expression.arguments]
+        if all(new is old for new, old in zip(arguments, expression.arguments)):
+            return expression
+        return FunctionCall(expression.name, arguments)
+    return expression
+
+
+def _substituted(
+    expression: Expression, items: Dict[str, Optional[Expression]]
+) -> Optional[Expression]:
+    """``expression`` with each column replaced by ``items[column]``, or
+    None when some column has no replacement."""
+    missing: List[ColumnRef] = []
+
+    def swap(node: Expression) -> Optional[Expression]:
+        if not isinstance(node, ColumnRef):
+            return None
+        item = items.get(node.column.lower())
+        if item is None:
+            missing.append(node)
+            return node
+        return item
+
+    rebuilt = _rebuild(expression, swap)
+    return None if missing else rebuilt
+
+
 # ---------------------------------------------------------------------------
 # planning
 # ---------------------------------------------------------------------------
@@ -1042,6 +1145,10 @@ class _Planner:
             local = pushed.get(key, [])
             if isinstance(payload, QueryPlan):
                 # Subquery or view: scan its planned output.
+                if local and isinstance(item, SubqueryRef):
+                    payload, local = self._push_into_derived(
+                        item.query, payload, local
+                    )
                 node: PlanNode = SubqueryScanNode(
                     payload, binding, base_env, unambiguous
                 )
@@ -1118,6 +1225,55 @@ class _Planner:
             post_limit=post_limit,
             post_offset=post_offset,
         )
+
+    def _push_into_derived(
+        self,
+        query: SelectStatement,
+        plan: QueryPlan,
+        local: List[Expression],
+    ) -> Tuple[QueryPlan, List[Expression]]:
+        """Move a derived table's WHERE conjuncts into its body.
+
+        A conjunct moves when every column it names is a plain column item
+        of the body (each is rewritten to that item's expression), and only
+        into a body whose rows are a filtered stream of its FROM clause: no
+        aggregate, GROUP BY, HAVING, DISTINCT, LIMIT or OFFSET (the grammar
+        has no UNION in FROM).  Appended after the body's own WHERE, it
+        meets the ordinary pushdown there, which carries it to the scan
+        that owns the column and on to that scan's index; an index emits
+        scan order, so the body yields the rows the filter above it would
+        have kept, in the same order.  Returns the plan to scan —
+        re-planned when anything moved — and the conjuncts left outside.
+        """
+        if (
+            query.aggregates
+            or query.group_by
+            or query.having is not None
+            or query.distinct
+            or query.limit is not None
+            or query.offset is not None
+        ):
+            return plan, local
+        items: Dict[str, Optional[Expression]] = {}
+        for name, expression in plan.output:
+            lowered = name.lower()
+            # A repeated output name is not one column: nothing moves on it.
+            plain = isinstance(expression, ColumnRef) and lowered not in items
+            items[lowered] = expression if plain else None
+        moved: List[Expression] = []
+        kept: List[Expression] = []
+        for conjunct in local:
+            rewritten = _substituted(conjunct, items)
+            if rewritten is None:
+                kept.append(conjunct)
+            else:
+                moved.append(rewritten)
+        if not moved:
+            return plan, local
+        body = dataclasses.replace(
+            query, where=conjoin(conjuncts(query.where) + moved)
+        )
+        return _Planner(self.database, self._context).plan(body), kept
 
     # -- scan construction ----------------------------------------------------
 
@@ -1498,12 +1654,14 @@ class _Planner:
 
         ``x IN (SELECT ...)`` becomes an :class:`InList` of literals (the
         subquery must yield exactly one column) and ``EXISTS (SELECT
-        ...)`` becomes a boolean literal.  Nested occurrences inside
-        AND/OR/NOT/CASE/functions are handled; unchanged subtrees are
-        returned as-is (no needless copying).
+        ...)`` becomes a boolean literal, wherever they nest; unchanged
+        subtrees are returned as-is (no needless copying).
         """
         if expression is None:
             return None
+        return _rebuild(expression, self._resolve_subquery)
+
+    def _resolve_subquery(self, expression: Expression) -> Optional[Expression]:
         if isinstance(expression, InSubquery):
             if expression.has_parameters:
                 raise PlannerError(
@@ -1522,13 +1680,10 @@ class _Planner:
                     "IN (SELECT ...) must yield exactly one column, got "
                     f"{len(columns)}"
                 )
-            operand = self._resolve_subqueries(expression.operand)
             return InList(
-                operand,
+                _rebuild(expression.operand, self._resolve_subquery),
                 [Literal(row[0]) for row in rows],
                 negated=expression.negated,
-            ) if rows else InList(
-                operand, [], negated=expression.negated
             )
         if isinstance(expression, ExistsSubquery):
             if expression.has_parameters:
@@ -1547,74 +1702,7 @@ class _Planner:
                 exists = True
                 break
             return Literal(exists != expression.negated)
-        if isinstance(expression, BinaryOp):
-            left = self._resolve_subqueries(expression.left)
-            right = self._resolve_subqueries(expression.right)
-            if left is expression.left and right is expression.right:
-                return expression
-            return BinaryOp(expression.op, left, right)
-        if isinstance(expression, UnaryOp):
-            operand = self._resolve_subqueries(expression.operand)
-            if operand is expression.operand:
-                return expression
-            return UnaryOp(expression.op, operand)
-        if isinstance(expression, IsNull):
-            operand = self._resolve_subqueries(expression.operand)
-            if operand is expression.operand:
-                return expression
-            return IsNull(operand, negated=expression.negated)
-        if isinstance(expression, InList):
-            operand = self._resolve_subqueries(expression.operand)
-            items = [self._resolve_subqueries(item) for item in expression.items]
-            if operand is expression.operand and all(
-                new is old for new, old in zip(items, expression.items)
-            ):
-                return expression
-            return InList(operand, items, negated=expression.negated)
-        if isinstance(expression, Between):
-            operand = self._resolve_subqueries(expression.operand)
-            low = self._resolve_subqueries(expression.low)
-            high = self._resolve_subqueries(expression.high)
-            if (
-                operand is expression.operand
-                and low is expression.low
-                and high is expression.high
-            ):
-                return expression
-            return Between(operand, low, high, negated=expression.negated)
-        if isinstance(expression, Like):
-            operand = self._resolve_subqueries(expression.operand)
-            pattern = self._resolve_subqueries(expression.pattern)
-            if operand is expression.operand and pattern is expression.pattern:
-                return expression
-            return Like(
-                operand,
-                pattern,
-                negated=expression.negated,
-                case_insensitive=expression.case_insensitive,
-            )
-        if isinstance(expression, Case):
-            branches = [
-                (
-                    self._resolve_subqueries(condition),
-                    self._resolve_subqueries(value),
-                )
-                for condition, value in expression.branches
-            ]
-            default = self._resolve_subqueries(expression.default)
-            return Case(branches, default)
-        if isinstance(expression, FunctionCall):
-            arguments = [
-                self._resolve_subqueries(argument)
-                for argument in expression.arguments
-            ]
-            if all(
-                new is old
-                for new, old in zip(arguments, expression.arguments)
-            ):
-                return expression
-            return FunctionCall(expression.name, arguments)
-        return expression
+        return None
 
     def _resolve_order_expression(
         self,

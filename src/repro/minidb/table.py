@@ -7,6 +7,13 @@ enforces uniqueness and gives O(1) point lookup; secondary indexes (see
 Deletes use tombstone-free compaction semantics: a delete physically removes
 the row, and row identifiers (``rowid``) are stable handles that are never
 reused within a table's lifetime.
+
+Scan order is rowid order: inserts append ascending rowids, deletes remove
+in place, and an update replaces its row where it stands (as sqlite3 does).
+Index lookups emit rowids in ascending order too, so a scan through an
+index returns exactly the rows, in exactly the order, of a full scan plus
+the same filter — the invariant that lets the planner move a predicate
+into a derived table and onto an index without changing an answer.
 """
 
 from __future__ import annotations
@@ -40,17 +47,15 @@ class Table:
         ]
         # Secondary indexes registered by the catalog: name -> (index, positions)
         self._indexes: Dict[str, "_IndexHook"] = {}
-        # Monotonic version counters consumed by the plan cache.
-        # ``data_version`` moves on every mutation; ``indexed_version``
-        # moves only when indexed state changes (DML while secondary
-        # indexes exist, or index attach/detach).
+        # Monotonic version counters.  ``data_version`` moves on every
+        # mutation; ``indexed_version`` only on index attach/detach — the
+        # plan cache validates against it, and a plan reads rows (and
+        # resolves its index keys) per execution, so DML never re-plans.
         self._data_version = 0
         self._indexed_version = 0
 
     def _bump_versions(self) -> None:
         self._data_version += 1
-        if self._indexes:
-            self._indexed_version += 1
 
     @property
     def data_version(self) -> int:
@@ -189,34 +194,50 @@ class Table:
         return len(doomed)
 
     def update_rowid(self, rowid: int, new_values: Sequence[Any]) -> None:
-        """Replace the row at ``rowid`` with new (full) values."""
+        """Replace the row at ``rowid`` with new (full) values, in place:
+        the row keeps its rowid and its position in scan order."""
         old = self._rows[rowid]
         row = self._normalize(new_values)
         pk = self._pk_of(row)
         old_pk = self._pk_of(old)
-        if pk is not None and pk != old_pk and pk in self._pk_map:
+        if pk != old_pk and pk in self._pk_map:
             raise IntegrityError(
                 f"duplicate primary key {pk!r} in table {self.name!r}"
             )
+        unique_moves = []
         for positions, unique_map in zip(self._unique_positions, self._unique_maps):
             key = tuple(row[position] for position in positions)
             old_key = tuple(old[position] for position in positions)
-            if None not in key and key != old_key and key in unique_map:
+            if key == old_key:
+                continue
+            if None not in key and key in unique_map:
                 raise IntegrityError(
                     f"unique constraint violated in {self.name!r}: {key!r}"
                 )
-        self._remove_row(rowid)
-        # Re-insert under the same rowid to keep handles stable.
+            unique_moves.append((unique_map, old_key, key))
         self._rows[rowid] = row
-        if pk is not None:
+        if pk != old_pk:
+            del self._pk_map[old_pk]
             self._pk_map[pk] = rowid
-        for positions, unique_map in zip(self._unique_positions, self._unique_maps):
-            key = tuple(row[position] for position in positions)
+        for unique_map, old_key, key in unique_moves:
+            if None not in old_key:
+                unique_map.pop(old_key, None)
             if None not in key:
                 unique_map[key] = rowid
         for hook in self._indexes.values():
-            hook.insert(rowid, row)
+            hook.update(rowid, old, row)
         self._bump_versions()
+
+    def update_pk(self, key: Sequence[Any], new_values: Sequence[Any]) -> bool:
+        """Replace the row whose primary key is ``key`` (a point update,
+        no scan); False when no row has that key."""
+        if not self._pk_positions:
+            raise SchemaError(f"table {self.name!r} has no primary key")
+        rowid = self._pk_map.get(tuple(key))
+        if rowid is None:
+            return False
+        self.update_rowid(rowid, new_values)
+        return True
 
     def update_where(
         self,
@@ -329,6 +350,13 @@ class _IndexHook:
 
     def delete(self, rowid: int, row: Row) -> None:
         self.index.delete(self._key(row), rowid)
+
+    def update(self, rowid: int, old: Row, row: Row) -> None:
+        old_key = self._key(old)
+        key = self._key(row)
+        if key != old_key:
+            self.index.delete(old_key, rowid)
+            self.index.insert(key, rowid)
 
     def clear(self) -> None:
         self.index.clear()

@@ -4,31 +4,12 @@ Public surface: the :class:`ColumnBatch` container and per-table column
 store (:mod:`.batch`), the vectorized expression compiler
 (:mod:`.kernels`), and the operators plus dual-path router
 (:mod:`.ops`).  ``build_vector_plan(plan)`` returns a
-:class:`VectorPlan` twin when the plan's root is coverable, else
-``None`` and the plan stays on the row path.
-
-``NUMPY`` is the kill-switch for the optional ndarray column layer: it
-auto-detects an importable numpy, honours ``REPRO_NUMPY=0``, and tests
-flip it directly (``vector.NUMPY = False``).  Submodules read it late
-(``_vector.NUMPY`` at call time), so flipping the flag takes effect on
-the next column-store rebuild / kernel invocation without re-imports.
-The flag lives here — before the submodule imports below — because
-:mod:`.batch` and :mod:`.kernels` import this package to consult it.
+:class:`VectorPlan` twin when the plan scans whole tables and its root
+is coverable, else ``None`` and the plan stays on the row path (always
+so for a plan that reads a table through an index or its primary key).
 """
 
-import os as _os
-
-try:  # pragma: no cover - exercised indirectly via the NUMPY flag
-    import numpy as _numpy_module  # noqa: F401
-    HAS_NUMPY = True
-except Exception:  # ImportError, broken install — degrade to pure python
-    HAS_NUMPY = False
-
-#: master switch for ndarray-backed columns: requires numpy, defaults on
-#: when available, and ``REPRO_NUMPY=0`` pins it off for a whole run.
-NUMPY = HAS_NUMPY and _os.environ.get("REPRO_NUMPY", "1") != "0"
-
-from repro.minidb.vector.batch import (  # noqa: E402
+from repro.minidb.vector.batch import (
     BATCH_SIZE,
     ColumnBatch,
     iter_batches,
@@ -36,19 +17,17 @@ from repro.minidb.vector.batch import (  # noqa: E402
     table_columns,
     table_store,
 )
-from repro.minidb.vector.kernels import (  # noqa: E402
+from repro.minidb.vector.kernels import (
     KernelUnsupported,
     compile_kernel,
 )
-from repro.minidb.vector.ops import (  # noqa: E402
+from repro.minidb.vector.ops import (
     VectorPlan,
     build_vector_plan,
 )
 
 __all__ = [
     "BATCH_SIZE",
-    "HAS_NUMPY",
-    "NUMPY",
     "ColumnBatch",
     "KernelUnsupported",
     "VectorPlan",

@@ -16,25 +16,13 @@ tests can shrink it to exercise batch-boundary behaviour
 (``vector_batch.BATCH_SIZE = 4``).
 
 The **column store** caches a columnar projection of a
-:class:`~repro.minidb.table.Table` — one list per schema column, in
-insertion order, matching ``table.rows()`` exactly — plus a rowid ->
-position map so index-provided rowid streams can be gathered without
-touching the row dicts (``Table.update_rowid`` re-inserts rows, so dict
-order and rowid order diverge after updates; the map is the bridge).
-Entries are keyed by table identity in a
-:class:`weakref.WeakKeyDictionary` and validated against the table's
-``data_version`` counter on every access, so any mutation (which bumps
-the version) transparently rebuilds the projection and dropped tables
-never pin memory.
-
-When ``repro.minidb.vector.NUMPY`` is on, the store additionally mirrors
-*eligible* columns as ndarrays: every value ``type(...) is int`` (bools
-excluded) and representable in int64 -> an ``int64`` array, every value
-``type(...) is float`` -> a ``float64`` array.  Columns containing NULL,
-text, dates, bools, mixed types, or out-of-range ints stay pure-python
-(the mirror is simply absent and kernels fall back).  The lists remain
-the source of truth — ndarrays are a read-only acceleration surface, so
-numpy on/off is bit-identical by construction.
+:class:`~repro.minidb.table.Table` — one list per schema column, in scan
+order, matching ``table.rows()`` exactly.  Entries are keyed by table
+identity in a :class:`weakref.WeakKeyDictionary` and validated against
+the table's ``data_version`` counter on every access, so any mutation
+(which bumps the version) transparently rebuilds the projection and
+dropped tables never pin memory.  Only whole-table scans read it: a plan
+with index access runs on the row tree (see :mod:`.ops`).
 """
 
 from __future__ import annotations
@@ -47,23 +35,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 #: large enough to amortize per-batch dispatch.  Tests shrink this to
 #: probe boundary behaviour (N-1 / N / N+1 around the batch edge).
 BATCH_SIZE = 1024
-
-_INT64_MIN = -(2 ** 63)
-_INT64_MAX = 2 ** 63 - 1
-
-
-class ColumnMap(dict):
-    """A ``{env_key: [values...]}`` mapping with an optional ndarray
-    side-channel.  ``arrays`` maps a subset of the same keys to numpy
-    mirrors of their lists; kernels probe it with
-    ``getattr(columns, "arrays", None)`` so plain dicts keep working.
-    """
-
-    __slots__ = ("arrays",)
-
-    def __init__(self, columns: Any = (), arrays: Optional[Dict[str, Any]] = None) -> None:
-        super().__init__(columns)
-        self.arrays: Dict[str, Any] = arrays if arrays is not None else {}
 
 
 class ColumnBatch:
@@ -81,13 +52,7 @@ class ColumnBatch:
 
     def project(self, keys: Sequence[str]) -> "ColumnBatch":
         """Zero-copy pruning: the projected batch shares column lists."""
-        projected = {key: self.columns[key] for key in keys}
-        arrays = getattr(self.columns, "arrays", None)
-        if arrays:
-            kept = {key: arrays[key] for key in keys if key in arrays}
-            if kept:
-                return ColumnBatch(ColumnMap(projected, kept), self.length)
-        return ColumnBatch(projected, self.length)
+        return ColumnBatch({key: self.columns[key] for key in keys}, self.length)
 
     def gather(self, sel: Sequence[int]) -> "ColumnBatch":
         """Materialize the rows a selection vector picked."""
@@ -95,16 +60,6 @@ class ColumnBatch:
             key: [column[index] for index in sel]
             for key, column in self.columns.items()
         }
-        arrays = getattr(self.columns, "arrays", None)
-        if arrays:
-            picked = list(sel) if not isinstance(sel, list) else sel
-            return ColumnBatch(
-                ColumnMap(
-                    gathered,
-                    {key: array[picked] for key, array in arrays.items()},
-                ),
-                len(sel),
-            )
         return ColumnBatch(gathered, len(sel))
 
     def __len__(self) -> int:
@@ -120,20 +75,13 @@ class ColumnBatch:
 
 
 class _TableStore:
-    """One cached columnar projection: lists + rowid map + ndarray mirrors."""
+    """One cached columnar projection of a table."""
 
-    __slots__ = ("version", "columns", "positions", "arrays", "numpy_on")
+    __slots__ = ("version", "columns")
 
-    def __init__(self, version: int, columns: List[List[Any]],
-                 positions: Dict[int, int], arrays: Dict[int, Any],
-                 numpy_on: bool) -> None:
+    def __init__(self, version: int, columns: List[List[Any]]) -> None:
         self.version = version
         self.columns = columns
-        #: rowid -> positional offset into every column list
-        self.positions = positions
-        #: schema column index -> ndarray mirror (eligible columns only)
-        self.arrays = arrays
-        self.numpy_on = numpy_on
 
     @property
     def length(self) -> int:
@@ -154,79 +102,20 @@ _STORE: "weakref.WeakKeyDictionary[Any, _TableStore]" = (
 _STORE_LOCK = threading.Lock()
 
 
-def _numpy_module():
-    """The imported numpy module iff the layer is enabled, else None."""
-    import repro.minidb.vector as _vector
-
-    if not _vector.NUMPY:
-        return None
-    try:
-        import numpy
-    except Exception:  # pragma: no cover - HAS_NUMPY guards this
-        return None
-    return numpy
-
-
-def _column_array(np_module: Any, column: List[Any]) -> Optional[Any]:
-    """ndarray mirror for an eligible column, or None.
-
-    Eligibility is exact-type: ``int`` only (bool is a subclass and is
-    excluded — int64 arithmetic would silently change its type), or
-    ``float`` only.  NULLs, strings, dates, and mixed columns stay pure
-    python.  Out-of-int64-range values disqualify the whole column.
-    """
-    kinds = {type(value) for value in column}
-    if kinds == {int}:
-        for value in column:
-            if value < _INT64_MIN or value > _INT64_MAX:
-                return None
-        return np_module.asarray(column, dtype=np_module.int64)
-    if kinds == {float}:
-        return np_module.asarray(column, dtype=np_module.float64)
-    return None
-
-
 def table_store(table: Any) -> _TableStore:
-    """The cached columnar store of ``table``, rebuilt on mutation (and
-    on a ``vector.NUMPY`` flip, so the ndarray mirrors track the flag)."""
-    from repro.obs import OBS
-
-    np_module = _numpy_module()
-    numpy_on = np_module is not None
+    """The cached columnar store of ``table``, rebuilt on mutation."""
     with _STORE_LOCK:
         entry = _STORE.get(table)
         version = table.data_version
-        if (
-            entry is not None
-            and entry.version == version
-            and entry.numpy_on == numpy_on
-        ):
+        if entry is not None and entry.version == version:
             return entry
         width = len(table.schema.columns)
         columns: List[List[Any]] = [[] for _ in range(width)]
         appends = [column.append for column in columns]
-        positions: Dict[int, int] = {}
-        offset = 0
-        for rowid, row in table.rows_with_ids():
-            positions[rowid] = offset
-            offset += 1
+        for row in table.rows():
             for append, value in zip(appends, row):
                 append(value)
-        arrays: Dict[int, Any] = {}
-        if numpy_on and offset:
-            fallbacks = 0
-            for index, column in enumerate(columns):
-                array = _column_array(np_module, column)
-                if array is not None:
-                    arrays[index] = array
-                else:
-                    fallbacks += 1
-            if OBS.enabled:
-                if arrays:
-                    OBS.metrics.inc("minidb.vector.numpy.columns", len(arrays))
-                if fallbacks:
-                    OBS.metrics.inc("minidb.vector.numpy.fallback", fallbacks)
-        entry = _TableStore(version, columns, positions, arrays, numpy_on)
+        entry = _TableStore(version, columns)
         _STORE[table] = entry
         return entry
 
@@ -244,38 +133,22 @@ def store_info() -> Dict[str, int]:
             sum(len(column) for column in entry.columns)
             for entry in _STORE.values()
         )
-        numpy_columns = sum(len(entry.arrays) for entry in _STORE.values())
-    return {"tables": tables, "cells": cells, "numpy_columns": numpy_columns}
-
-
-def _slice_columns(
-    columns: Dict[str, List[Any]], start: int, stop: int
-) -> Dict[str, List[Any]]:
-    sliced = {key: column[start:stop] for key, column in columns.items()}
-    arrays = getattr(columns, "arrays", None)
-    if arrays:
-        return ColumnMap(
-            sliced, {key: array[start:stop] for key, array in arrays.items()}
-        )
-    return sliced
+    return {"tables": tables, "cells": cells}
 
 
 def iter_batches(
     columns: Dict[str, List[Any]], length: int, batch_size: Optional[int] = None
 ) -> Iterator[ColumnBatch]:
-    """Slice full-length columns into :data:`BATCH_SIZE` chunks.  ndarray
-    side-channels (a :class:`ColumnMap` input) are sliced alongside —
-    numpy slices are views, so this stays cheap."""
+    """Slice full-length columns into :data:`BATCH_SIZE` chunks."""
     size = batch_size if batch_size is not None else BATCH_SIZE
     if length == 0:
         return
     if length <= size:
-        arrays = getattr(columns, "arrays", None)
-        if arrays:
-            yield ColumnBatch(ColumnMap(columns, dict(arrays)), length)
-        else:
-            yield ColumnBatch(dict(columns), length)
+        yield ColumnBatch(dict(columns), length)
         return
     for start in range(0, length, size):
         stop = min(start + size, length)
-        yield ColumnBatch(_slice_columns(columns, start, stop), stop - start)
+        yield ColumnBatch(
+            {key: column[start:stop] for key, column in columns.items()},
+            stop - start,
+        )

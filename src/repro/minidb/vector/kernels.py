@@ -37,15 +37,7 @@ builder reacts by leaving the affected operator on the row path.
 
 from __future__ import annotations
 
-import operator as _operator
-from typing import Any, Callable, Dict, List, Optional, Sequence
-
-import repro.minidb.vector as _vector
-
-try:  # pragma: no cover - exercised via the NUMPY flag
-    import numpy as _np
-except Exception:  # pragma: no cover - pure-python environments
-    _np = None
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.errors import (
     AmbiguousColumnError,
@@ -189,159 +181,6 @@ def _parameter_kernel(index: int) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# numpy fast paths
-# ---------------------------------------------------------------------------
-#
-# When the column store mirrored a batch column as an ndarray
-# (``ColumnMap.arrays``), comparisons and float arithmetic against a
-# Literal scalar or a sibling ndarray column dispatch to one numpy ufunc
-# call instead of a python loop.  The dispatch is *compiled in* only for
-# the ``ColumnRef <op> Literal`` / ``ColumnRef <op> ColumnRef`` shapes
-# and *engages* only when the batch actually carries a suitable array —
-# every other case falls through to the generic python kernel, so
-# results are bit-identical by construction:
-#
-# * int64 columns: comparisons only, and only against int scalars within
-#   int64 range (int64 arithmetic overflows silently where python ints
-#   are arbitrary-precision, and comparing against a float would promote
-#   the column through lossy float64).
-# * float64 columns: comparisons and ``+ - * /`` against float scalars,
-#   int scalars exactly representable in float64 (|v| <= 2**53), or
-#   another float64 column.  IEEE semantics match python floats exactly.
-# * ``/`` never runs on numpy when the divisor is (or contains) zero —
-#   the python loop raises the row path's "division by zero" instead.
-# * A selection vector is strictly-increasing row positions, so a sel
-#   whose length equals the column's is the identity and skips fancy
-#   indexing.
-
-_NUMPY_COMPARE_OPS = frozenset(("=", "<>", "!=", "<", "<=", ">", ">="))
-_NUMPY_ARITH_OPS = frozenset(("+", "-", "*", "/"))
-_ARITH_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
-    "+": _operator.add,
-    "-": _operator.sub,
-    "*": _operator.mul,
-    "/": _operator.truediv,
-}
-_FLOAT_EXACT_INT = 2 ** 53
-_INT64_MIN = -(2 ** 63)
-_INT64_MAX = 2 ** 63 - 1
-
-_NumpyFast = Callable[
-    [Dict[str, Any], Dict[str, List[Any]], Sequence[int]], Optional[List[Any]]
-]
-
-
-def _numpy_view(array: Any, sel: Sequence[int]) -> Any:
-    if len(sel) == len(array):
-        return array
-    return array[_np.asarray(sel, dtype=_np.intp)]
-
-
-def _numpy_apply(op: str, a: Any, b: Any) -> List[Any]:
-    func = _COMPARE_FUNCS.get(op)
-    if func is None:
-        func = _ARITH_FUNCS[op]
-    with _np.errstate(all="ignore"):
-        result = func(a, b)
-    return result.tolist()
-
-
-def _numpy_scalar_fast(op: str, key: str, scalar: Any,
-                       reversed_: bool) -> Optional[_NumpyFast]:
-    """Fast path for ``column <op> scalar`` (``reversed_``: scalar on
-    the left).  None when the scalar can never dispatch safely."""
-    is_arith = op in _NUMPY_ARITH_OPS
-    if type(scalar) is int:
-        int_ok = _INT64_MIN <= scalar <= _INT64_MAX
-        float_ok = -_FLOAT_EXACT_INT <= scalar <= _FLOAT_EXACT_INT
-    elif type(scalar) is float:
-        int_ok = False
-        float_ok = True
-    else:
-        return None
-    if not int_ok and not float_ok:
-        return None
-    if is_arith and op == "/" and not reversed_ and scalar == 0:
-        return None  # let the python loop raise "division by zero"
-
-    def fast(ctx: Dict[str, Any], cols: Dict[str, List[Any]],
-             sel: Sequence[int]) -> Optional[List[Any]]:
-        arrays = getattr(cols, "arrays", None)
-        if not arrays or _np is None or not _vector.NUMPY:
-            return None
-        array = arrays.get(key)
-        if array is None:
-            return None
-        if array.dtype.kind == "i":
-            if is_arith or not int_ok:
-                return None
-        elif not float_ok:
-            return None
-        view = _numpy_view(array, sel)
-        if is_arith and op == "/" and reversed_ and (view == 0).any():
-            return None
-        if reversed_:
-            return _numpy_apply(op, scalar, view)
-        return _numpy_apply(op, view, scalar)
-
-    return fast
-
-
-def _numpy_column_fast(op: str, left_key: str,
-                       right_key: str) -> Optional[_NumpyFast]:
-    """Fast path for ``column <op> column`` over same-dtype mirrors."""
-    is_arith = op in _NUMPY_ARITH_OPS
-
-    def fast(ctx: Dict[str, Any], cols: Dict[str, List[Any]],
-             sel: Sequence[int]) -> Optional[List[Any]]:
-        arrays = getattr(cols, "arrays", None)
-        if not arrays or _np is None or not _vector.NUMPY:
-            return None
-        left = arrays.get(left_key)
-        right = arrays.get(right_key)
-        if left is None or right is None or left.dtype != right.dtype:
-            return None
-        if is_arith and left.dtype.kind == "i":
-            return None
-        lview = _numpy_view(left, sel)
-        rview = _numpy_view(right, sel)
-        if is_arith and op == "/" and (rview == 0).any():
-            return None
-        return _numpy_apply(op, lview, rview)
-
-    return fast
-
-
-def _numpy_fast(op: str, left: Any, right: Any) -> Optional[_NumpyFast]:
-    """Compile-time shape detection for the numpy dispatch, or None."""
-    if _np is None:
-        return None
-    if op not in _NUMPY_COMPARE_OPS and op not in _NUMPY_ARITH_OPS:
-        return None
-    if isinstance(left, ColumnRef) and isinstance(right, Literal):
-        return _numpy_scalar_fast(op, left.key, right.value, reversed_=False)
-    if isinstance(left, Literal) and isinstance(right, ColumnRef):
-        return _numpy_scalar_fast(op, right.key, left.value, reversed_=True)
-    if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-        return _numpy_column_fast(op, left.key, right.key)
-    return None
-
-
-def _with_numpy_fast(fast: Optional[_NumpyFast], generic: Kernel) -> Kernel:
-    if fast is None:
-        return generic
-
-    def kernel(ctx: Dict[str, Any], cols: Dict[str, List[Any]],
-               sel: Sequence[int]) -> List[Any]:
-        out = fast(ctx, cols, sel)
-        if out is not None:
-            return out
-        return generic(ctx, cols, sel)
-
-    return kernel
-
-
-# ---------------------------------------------------------------------------
 # connectives and operators
 # ---------------------------------------------------------------------------
 
@@ -385,10 +224,7 @@ def _binary_kernel(expression: BinaryOp) -> Kernel:
                     ) from exc
             return out
 
-        return _with_numpy_fast(
-            _numpy_fast(op, expression.left, expression.right),
-            compare_kernel,
-        )
+        return compare_kernel
     if op in ("+", "-", "*", "/", "%"):
 
         def arith_kernel(ctx, cols, sel):
@@ -400,10 +236,7 @@ def _binary_kernel(expression: BinaryOp) -> Kernel:
                 for a, b in zip(lvals, rvals)
             ]
 
-        return _with_numpy_fast(
-            _numpy_fast(op, expression.left, expression.right),
-            arith_kernel,
-        )
+        return arith_kernel
     raise KernelUnsupported(f"binary operator {op!r}")
 
 

@@ -1,17 +1,22 @@
 """Batch-vectorized physical operators and the dual-path plan router.
 
 ``build_vector_plan`` walks an existing logical :class:`QueryPlan` and
-mirrors it with vector operators (:class:`VScan`, :class:`VIndexScan`,
-:class:`VFilter`, :class:`VHashJoin`, :class:`VAggregate`,
-:class:`VSort`, :class:`VLimit`, :class:`VSubqueryScan`).  Any node the
-batch path cannot run — primary-key point lookups, nested-loop joins,
-expressions with scalar function calls — is wrapped in a
-:class:`VRowSource` *row-emit boundary*: the node's entire subtree
+mirrors it with vector operators (:class:`VScan`, :class:`VFilter`,
+:class:`VHashJoin`, :class:`VAggregate`, :class:`VSort`, :class:`VLimit`,
+:class:`VSubqueryScan`).  Any node the batch path cannot run —
+nested-loop joins, expressions with scalar function calls — is wrapped
+in a :class:`VRowSource` *row-emit boundary*: the node's entire subtree
 executes on the untouched iterator path and its env dicts are packed
 into batches, so operators above it stay vectorized.  The capability
 check happens once at plan time; execution never probes.
 
 Equivalence rules the builder enforces (beyond kernel-level semantics):
+
+* **Scan → batches, index → rows.**  A plan that reads any table through
+  an index or its primary key is not routed at all: it selects a handful
+  of rows by key, which the row tree serves without first building (or,
+  after a write, rebuilding) the table's column store.  Batches serve
+  whole-table scans.  Sub-selects route themselves.
 
 * ``LimitNode`` vectorizes only above a fully-materializing child
   (:class:`VSort` / :class:`VAggregate`).  Anywhere else the row path's
@@ -47,12 +52,7 @@ from repro.minidb.functions import (
 from repro.minidb.sql.ast import AggregateRef
 from repro.minidb.expressions import ColumnRef
 from repro.minidb.vector import batch as _batch
-from repro.minidb.vector.batch import (
-    ColumnBatch,
-    ColumnMap,
-    iter_batches,
-    table_store,
-)
+from repro.minidb.vector.batch import ColumnBatch, iter_batches, table_store
 from repro.minidb.vector.kernels import (
     Kernel,
     KernelUnsupported,
@@ -120,91 +120,17 @@ class VScan(VOp):
     def batches(self) -> Iterator[ColumnBatch]:
         store = table_store(self.node.table)
         length = store.length
-        store_arrays = store.arrays
         columns: Dict[str, List[Any]] = {}
-        arrays: Dict[str, Any] = {}
         for index, qualified, bare in self.node._keys:
             column = store.columns[index]
             columns[qualified] = column
-            array = store_arrays.get(index)
-            if array is not None:
-                arrays[qualified] = array
             if bare:
                 columns[bare] = column  # zero-copy alias
-                if array is not None:
-                    arrays[bare] = array
-        if arrays:
-            columns = ColumnMap(columns, arrays)
         predicate = self.predicate
         ctx = self.ctx
         observe = OBS.enabled
         emitted = 0
         for chunk in iter_batches(columns, length):
-            if predicate is not None:
-                flags = predicate(ctx, chunk.columns, range(chunk.length))
-                sel = [pos for pos, flag in enumerate(flags) if flag is True]
-                if observe and chunk.length:
-                    OBS.metrics.observe(
-                        "minidb.vector.filter.selectivity",
-                        len(sel) / chunk.length,
-                    )
-                if not sel:
-                    continue
-                if len(sel) != chunk.length:
-                    chunk = chunk.gather(sel)
-            emitted += 1
-            yield chunk
-        if observe and emitted:
-            OBS.metrics.inc("minidb.vector.batches", emitted)
-
-
-class VIndexScan(VOp):
-    """Index-assisted batch scan: asks the logical node's
-    :class:`~repro.minidb.planner.IndexAccess` for this execution's
-    matching rowids — the row path's own call (equality via
-    ``index.find``, bounds via ``index.range``, keys resolved from the
-    bound ``?`` values) — then materializes *only those rows* from the
-    cached column store, in the index's emission order, so output order
-    is bit-identical to the row path's IndexScan.  The store's rowid ->
-    position map bridges rowid order and store order (which diverge
-    after in-place updates).  Any residual predicate runs as a pushed
-    selection-vector kernel, mirroring :class:`VScan`.
-
-    Primary-key point lookups stay on the row path: a 0/1-row plan has
-    nothing to vectorize and EXPLAIN should not claim otherwise.
-    """
-
-    def __init__(self, node: Any, ctx: Dict[str, Any],
-                 predicate: Optional[Kernel]) -> None:
-        super().__init__(node, ctx)
-        self.predicate = predicate
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        node = self.node
-        # The key operands resolve from the scope's base env, which is
-        # this operator's ctx: the same call the row path's IndexScan makes.
-        rowids = node.access.rowids(self.ctx)
-        observe = OBS.enabled
-        if observe:
-            OBS.metrics.inc("minidb.vector.index_scan.probes")
-            if rowids:
-                OBS.metrics.inc("minidb.vector.index_scan.rowids", len(rowids))
-        if not rowids:
-            return
-        store = table_store(node.table)
-        positions = store.positions
-        picks = [positions[rowid] for rowid in rowids]
-        columns: Dict[str, List[Any]] = {}
-        for col_index, qualified, bare in node._keys:
-            source = store.columns[col_index]
-            column = [source[pos] for pos in picks]
-            columns[qualified] = column
-            if bare:
-                columns[bare] = column  # zero-copy alias
-        predicate = self.predicate
-        ctx = self.ctx
-        emitted = 0
-        for chunk in iter_batches(columns, len(picks)):
             if predicate is not None:
                 flags = predicate(ctx, chunk.columns, range(chunk.length))
                 sel = [pos for pos, flag in enumerate(flags) if flag is True]
@@ -712,11 +638,6 @@ def _build_node(node: Any, ctx: Dict[str, Any]) -> VOp:
             predicate = _try_kernel(node.predicate)
             if predicate is None:
                 return VRowSource(node, ctx)
-        if node.access is not None:
-            if isinstance(node.access, _planner.IndexAccess):
-                return VIndexScan(node, ctx, predicate)
-            # Primary-key point lookups: 0/1 rows, nothing to vectorize.
-            return VRowSource(node, ctx)
         return VScan(node, ctx, predicate)
     if isinstance(node, _planner.SubqueryScanNode):
         return VSubqueryScan(node, ctx)
@@ -846,23 +767,6 @@ class VectorPlan:
                 self.fallback_nodes += 1
             stack.extend(op.children)
 
-    @property
-    def uses_numpy(self) -> bool:
-        """True when the ndarray column layer is armed for this plan:
-        the ``vector.NUMPY`` flag is on and at least one columnar scan
-        feeds it.  (Per-column eligibility is decided at store build;
-        the ``minidb.vector.numpy.*`` counters report actual columns.)
-        Read at EXPLAIN time, so flag flips show up without replanning.
-        """
-        import repro.minidb.vector as _vector
-
-        if not _vector.NUMPY:
-            return False
-        return any(
-            isinstance(op, (VScan, VIndexScan))
-            for op in self.op_index.values()
-        )
-
     def run(self) -> Tuple[List[str], List[Tuple[Any, ...]]]:
         plan = self.plan
         columns = plan.column_names
@@ -951,26 +855,43 @@ def _build_projection(
     return project_kernels, False
 
 
+def _reads_by_key(node: Any) -> bool:
+    """Whether ``node``'s own tree (sub-selects excluded) reads a table
+    through an index or primary-key access path."""
+    from repro.minidb import planner as _planner
+
+    if isinstance(node, _planner.ScanNode) and node.access is not None:
+        return True
+    return any(
+        _reads_by_key(getattr(node, attribute))
+        for attribute in ("child", "left", "right")
+        if isinstance(getattr(node, attribute, None), _planner.PlanNode)
+    )
+
+
 def build_vector_plan(plan: Any) -> Optional[VectorPlan]:
     """Build the vectorized twin of ``plan``, or ``None`` to stay row-wise."""
-    ctx = plan.base_env
-    root = _build_node(plan.root, ctx)
+    twin = _vector_twin(plan)
+    if OBS.enabled:
+        OBS.metrics.inc(
+            "minidb.vector.plan."
+            + ("row_path" if twin is None else "routed")
+        )
+    return twin
+
+
+def _vector_twin(plan: Any) -> Optional[VectorPlan]:
+    if _reads_by_key(plan.root):
+        return None
+    root = _build_node(plan.root, plan.base_env)
     if not root.vectorized:
-        if OBS.enabled:
-            OBS.metrics.inc("minidb.vector.plan.row_path")
         return None
     project, pure = _build_projection(plan)
     if project is None:
-        if OBS.enabled:
-            OBS.metrics.inc("minidb.vector.plan.row_path")
         return None
     if plan.distinct and plan.post_limit is not None:
         # The dedup loop stops pulling early; only a materializing root
         # plus an error-free projection keeps evaluation sets identical.
         if not (isinstance(root, (VSort, VAggregate)) and pure):
-            if OBS.enabled:
-                OBS.metrics.inc("minidb.vector.plan.row_path")
             return None
-    if OBS.enabled:
-        OBS.metrics.inc("minidb.vector.plan.routed")
     return VectorPlan(plan, root, project, pure)

@@ -97,8 +97,11 @@ class EntityDefinition:
         """Field → text chunks for a single entity (incremental refresh).
 
         Wraps each field query in a key filter so refreshing one course
-        after a new comment doesn't re-read the whole corpus.  Returns
-        None when no field yields text (the entity vanished).
+        after a new comment doesn't re-read the whole corpus: minidb pushes
+        the filter into the field query and onto the key's index, so each
+        wrapper reads the entity's rows, in the order the full collection
+        lists them.  Returns None when no field yields text (the entity
+        vanished).
         """
         collected: Dict[str, List[str]] = {}
         for spec, wrapped in zip(self.fields, self._key_queries(database)):

@@ -84,10 +84,9 @@ QUERIES: Tuple[Tuple[str, Tuple[Any, ...]], ...] = (
     ("SELECT e.SuID, e.Grade FROM Enrollments AS e "
      "LEFT JOIN Students AS s ON e.SuID = s.SuID "
      "WHERE s.GPA IS NOT NULL OR e.Grade = 'A'", ()),
-    # Literal predicates so the planner routes the secondary indexes
-    # (parameters never choose an access path): hash equality on
-    # Comments, sorted range on Students — exercised live-vs-replica on
-    # both the row path and the vectorized VIndexScan.
+    # Literal predicates on the secondary indexes: hash equality on
+    # Comments, sorted range on Students — exercised live-vs-replica
+    # (index access runs on the row tree whatever the flag says).
     ("SELECT m.SuID, m.Rating FROM Comments AS m "
      "WHERE m.CourseID = 3 ORDER BY m.SuID", ()),
     ("SELECT s.SuID, s.GPA FROM Students AS s "

@@ -215,6 +215,8 @@ def render_expr(expr: Any, dialect: str, params: List[Any]) -> str:
 
 def _render_source(source: g.Source, dialect: str,
                    params: List[Any]) -> str:
+    if source.body is not None:
+        return f"({render_query(source.body, dialect, params)}) AS {source.alias}"
     if source.derived:
         inner = f"SELECT * FROM {source.table}"
         if source.predicate is not None:

@@ -256,6 +256,11 @@ class Source:
     # the SubqueryScan path.
     derived: bool = False
     predicate: Optional[Any] = None
+    # When set, render as the derived table (body) AS alias instead: a
+    # whole query — projecting, joining, grouping, DISTINCT or LIMIT —
+    # whose output columns the enclosing query sees (``table`` is then
+    # the body's first source, for the table walkers).
+    body: Optional["Query"] = None
 
 
 @dataclass(frozen=True)
@@ -443,9 +448,10 @@ def referenced_tables(op: Op) -> set:
     names: set = set()
 
     def walk_query(query: Query) -> None:
-        names.add(query.source.table)
-        for join in query.joins:
-            names.add(join.source.table)
+        for source in [query.source] + [join.source for join in query.joins]:
+            names.add(source.table)
+            if source.body is not None:
+                walk_query(source.body)
         for expr in _subexpressions(query):
             if isinstance(expr, (InSubquery, Exists)):
                 walk_query(expr.query)
@@ -1035,6 +1041,126 @@ class CaseGenerator:
             limit=limit,
         )
 
+    def _derived_probe(self) -> Query:
+        """A query over one derived table whose outer WHERE names the
+        body's output columns, starting with a keyed one (the primary key
+        or a single-column index).  Over a projecting or joining body the
+        planner moves that WHERE inside and onto the key; over a grouping,
+        DISTINCT or LIMIT body it must not — the oracle's pushdown check
+        reads which from the plan."""
+        rng = self.rng
+        caps = self.caps
+        kinds = ["project"]
+        kinds += ["join"] if caps.allow_joins else []
+        kinds += ["group"] if caps.allow_aggregates else []
+        kinds += ["distinct"] if caps.allow_distinct else []
+        kinds += ["limit"] if caps.allow_order_limit else []
+        kind = rng.choice(kinds)
+        table = rng.choice(self.tables)
+        keyed = table.column(
+            rng.choice(
+                ["id"]
+                + [
+                    index.columns[0]
+                    for index in table.indexes
+                    if len(index.columns) == 1
+                ]
+            )
+        )
+        picked = [keyed] + [
+            column
+            for column in rng.sample(
+                list(table.columns), k=rng.randint(1, min(3, len(table.columns)))
+            )
+            if column != keyed
+        ]
+        columns = [Col("b", column.name, column.dtype) for column in picked]
+        body_scope = _Scope(bindings=(("b", table),), qualify=True)
+        where = self.predicate(body_scope, 1) if rng.random() < 0.4 else None
+        query = Query(source=Source(table.name, "b"), where=where)
+        if kind == "group":
+            items: List[Tuple[Any, str]] = [
+                (Agg("min", Col("b", "id", INTEGER)), "id"),
+                (Agg("count_star", None), "n"),
+            ]
+            if rng.random() < 0.7:
+                items.insert(1, (columns[0], "g"))
+                query = replace(query, group_by=(columns[0],))
+            query = replace(query, items=tuple(items))
+        else:
+            query = replace(
+                query,
+                items=tuple(
+                    (column, rng.choice((column.name, f"x{i}")))
+                    for i, column in enumerate(columns)
+                ),
+            )
+        if kind == "join":
+            right = rng.choice(self.tables)
+            left_key = rng.choice(
+                [column for column in table.columns if column.dtype == INTEGER]
+            )
+            far = rng.choice(list(right.columns))
+            query = replace(
+                query,
+                items=query.items + ((Col("r", far.name, far.dtype), "y"),),
+                joins=(
+                    Join(
+                        "LEFT"
+                        if caps.allow_left_join and rng.random() < 0.3
+                        else "INNER",
+                        Source(right.name, "r"),
+                        Compare(
+                            "=",
+                            Col("b", left_key.name, INTEGER),
+                            Col("r", "id", INTEGER),
+                        ),
+                    ),
+                ),
+            )
+        elif kind == "distinct":
+            query = replace(query, distinct=True)
+        elif kind == "limit":
+            query = replace(
+                query,
+                order_by=(OrderTerm(Col("b", "id", INTEGER)),),
+                limit=rng.randint(0, 8),
+            )
+        exposed = TableSpec(
+            "d0",
+            tuple(
+                ColumnSpec(alias, INTEGER if isinstance(expr, Agg) else expr.dtype)
+                for expr, alias in query.items
+            ),
+        )
+        scope = _Scope(
+            bindings=(("d0", exposed),),
+            qualify=True,
+            allow_params=caps.allow_params,
+        )
+        # the keyed column (a grouping body's key sits after MIN(id))
+        target = scope.columns()[1 if kind == "group" else 0]
+        family = NUMERIC if target.dtype in NUMERIC else (target.dtype,)
+        operator = "="
+        if target.dtype != BOOLEAN and rng.random() < 0.3:
+            operator = rng.choice(("<", "<=", ">", ">="))
+        conjuncts: List[Any] = [
+            Compare(
+                operator, target, self._maybe_param(rng.choice(family), scope)
+            )
+        ]
+        if rng.random() < 0.5:
+            conjuncts.append(self.predicate(scope, 1))
+        return Query(
+            source=Source(table.name, "d0", body=query),
+            items=None
+            if rng.random() < 0.5
+            else tuple((column, None) for column in scope.columns()[:2]),
+            where=conjuncts[0]
+            if len(conjuncts) == 1
+            else Logic("AND", tuple(conjuncts)),
+        )
+
     def _table(self, name: str) -> TableSpec:
         for table in self.tables:
             if table.name == name:
@@ -1378,6 +1504,8 @@ class CaseGenerator:
         # Last, so the ops above keep the random stream they always had,
         # and against whatever schema and rows the churn above left.
         ops.extend(QueryOp(self._index_probe()) for _ in range(2))
+        if caps.allow_derived_tables:
+            ops.append(QueryOp(self._derived_probe()))
         return Case(
             seed=self.seed, tables=original_tables, rows=rows, ops=ops
         )

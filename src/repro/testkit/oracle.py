@@ -30,6 +30,11 @@ a literal and once with each bound through a ``?``; the two must
 literal does — and return the same rows in the same order, on the row
 path and vectorized.
 
+A third (:func:`check_derived_pushdown`) holds each query over a derived
+table to its unpushed twin — the same body behind a LIMIT no table
+reaches, which the planner never pushes into: the same rows in the same
+order, or an error on both; the sweep holds the pushed form to sqlite3.
+
 Comparison rules (the type/NULL-aware coercion layer):
 
 * result rows are compared as **multisets** — both engines are free to
@@ -53,7 +58,7 @@ from __future__ import annotations
 
 import re
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.testkit.dialects import (
@@ -67,6 +72,7 @@ from repro.testkit.dialects import (
     render_query,
 )
 from repro.testkit.generators import (
+    Agg,
     Capabilities,
     Case,
     CaseGenerator,
@@ -90,6 +96,7 @@ __all__ = [
     "run_sqlite",
     "run_rendered",
     "check_bound_plans",
+    "check_derived_pushdown",
     "run_case",
     "case_fails",
     "run_differential",
@@ -388,6 +395,9 @@ class CaseReport:
     #: queries whose ``?`` rendering planned an index or primary-key
     #: access by bound value (coverage of :func:`check_bound_plans`)
     bound_index_routes: int = 0
+    #: derived-table queries whose outer WHERE the planner carried onto
+    #: an index (coverage of :func:`check_derived_pushdown`)
+    derived_pushes: int = 0
 
     @property
     def ok(self) -> bool:
@@ -460,29 +470,37 @@ def _plan_and_rows(
     return "\n".join(plan).replace(" [cached]", ""), rows
 
 
+def _replayed_queries(case: Case):
+    """A fresh minidb loaded with ``case``: yields ``(position, database,
+    query)`` per query op, executing every other op as it is reached."""
+    from repro.minidb import Database
+
+    database = Database()
+    for ddl in render_case(case).minidb.create:
+        database.execute(ddl)
+    for position, op in enumerate(case.ops):
+        if isinstance(op, QueryOp):
+            yield position, database, op.query
+            continue
+        for rendered in render_op(op, MINIDB):
+            try:
+                database.execute(rendered.sql, list(rendered.params) or None)
+            except Exception:  # noqa: BLE001 - the sweep reports these
+                pass
+
+
 def check_bound_plans(case: Case) -> Tuple[int, List[str]]:
     """Replay ``case`` on a fresh minidb, holding every query's ``?``
     rendering to its literal rendering: same plan shape, same rows.
 
     Returns ``(bound index routes seen, divergences)``.
     """
-    from repro.minidb import Database
     from repro.minidb.planner import flag_overrides
 
-    database = Database()
-    for ddl in render_case(case).minidb.create:
-        database.execute(ddl)
     routes = 0
     divergences: List[str] = []
-    for position, op in enumerate(case.ops):
-        if not isinstance(op, QueryOp):
-            for rendered in render_op(op, MINIDB):
-                try:
-                    database.execute(rendered.sql, list(rendered.params) or None)
-                except Exception:  # noqa: BLE001 - the sweep reports these
-                    pass
-            continue
-        literal = with_literals(op.query)
+    for position, database, query in _replayed_queries(case):
+        literal = with_literals(query)
         params: List[Any] = []
         bound_sql = render_query(with_parameters(literal), MINIDB, params)
         if not params:
@@ -518,6 +536,80 @@ def check_bound_plans(case: Case) -> Tuple[int, List[str]]:
     return routes, divergences
 
 
+#: a LIMIT no generated table reaches: it leaves a derived body's rows
+#: and their order alone, and the planner never pushes into it
+_NEVER_REACHED = 2 ** 31 - 1
+
+
+def _pushable(body: Any) -> bool:
+    """Whether the planner may push an outer WHERE into ``body``."""
+    return not (
+        body.distinct
+        or body.limit is not None
+        or body.group_by
+        or any(isinstance(expr, Agg) for expr, _alias in body.items or ())
+    )
+
+
+def check_derived_pushdown(case: Case) -> Tuple[int, List[str]]:
+    """Replay ``case`` on a fresh minidb, holding every query over a
+    derived body (``Source.body``) to its unpushed twin: the same rows in
+    the same order, or an error on both, on the row path and vectorized.
+    The plan must say whether the push fired: no Filter on the body's
+    columns above a projecting or joining body, one above a grouping,
+    DISTINCT or LIMIT body.
+
+    Returns ``(pushes that reached an index, divergences)``.
+    """
+    from repro.minidb.planner import flag_overrides
+
+    pushes = 0
+    divergences: List[str] = []
+    for position, database, query in _replayed_queries(case):
+        body = query.source.body
+        if body is None or query.where is None:
+            continue
+        params: List[Any] = []
+        sql = render_query(query, MINIDB, params)
+        params = [bind_value(value, MINIDB) for value in params]
+        pushable = _pushable(body)
+        barrier = replace(body, limit=_NEVER_REACHED)
+        twin = replace(query, source=replace(query.source, body=barrier))
+        twin_sql = render_query(twin, MINIDB)
+        scan = f"SubqueryScan(AS {query.source.alias})"
+        column = f"{query.source.alias}."
+        for vectorize in (False, True):
+            with flag_overrides(vectorize=vectorize):
+                plan, rows = _plan_and_rows(database, sql, params)
+                twin_rows = _plan_and_rows(database, twin_sql, params)[1]
+            where = f"op[{position}] vectorize={vectorize}"
+            if pushable and rows != twin_rows:
+                divergences.append(
+                    f"{where}: pushed and unpushed answer differently: "
+                    f"{rows!r} != {twin_rows!r} :: {sql} vs {twin_sql} "
+                    f"{params!r}"
+                )
+            if rows is None:
+                continue  # an error on both sides: nothing planned to read
+            lines = plan.split("\n")
+            above = next(
+                (lines[:i] for i, line in enumerate(lines) if scan in line), None
+            )
+            filtered = above is not None and any(
+                line.strip().startswith("Filter(") and column in line
+                for line in above
+            )
+            if above is None or filtered == pushable:
+                divergences.append(
+                    f"{where}: the outer WHERE should "
+                    f"{'move into' if pushable else 'stay above'} the "
+                    f"{scan}:\n{plan}\n:: {sql}"
+                )
+            elif vectorize and pushable and "IndexScan(" in plan:
+                pushes += 1
+    return pushes, divergences
+
+
 def run_case(
     case: Case,
     sweep: Sequence[MiniConfig] = SWEEP,
@@ -526,6 +618,8 @@ def run_case(
     report = run_rendered(render_case(case), sweep, mini_transform)
     report.bound_index_routes, bound = check_bound_plans(case)
     report.divergences.extend(bound)
+    report.derived_pushes, pushed = check_derived_pushdown(case)
+    report.divergences.extend(pushed)
     return report
 
 

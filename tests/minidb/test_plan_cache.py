@@ -5,6 +5,8 @@ import pytest
 from repro.errors import ExecutionError, PlannerError
 from repro.minidb.catalog import Database
 from repro.minidb.plancache import LRUCache
+from repro.minidb.planner import plan_select
+from repro.minidb.sql.parser import parse_statement
 
 
 @pytest.fixture
@@ -138,6 +140,68 @@ class TestInvalidation:
         db.rollback()
         rows = db.query(SQL).rows
         assert rows == [("Databases",), ("Networks",), ("Sculpture",)]
+
+
+class TestDmlKeepsPlans:
+    """A plan reads rows and resolves its index keys per execution, so DML
+    moves no validation counter: a cached shape stays a hit through
+    INSERT/UPDATE/DELETE on indexed tables and answers like a freshly
+    planned statement, while index attach/detach still re-plans."""
+
+    SHAPES = (
+        ("SELECT Title FROM Courses WHERE DepID = ? ORDER BY Title", (10,)),
+        ("SELECT CourseID, Title FROM Courses WHERE Units >= ?", (3.0,)),
+        (
+            "SELECT * FROM (SELECT CourseID, Title FROM Courses) AS c "
+            "WHERE CourseID = ?",
+            (2,),
+        ),
+        ("SELECT Title FROM Courses WHERE CourseID = ?", (4,)),
+        ("SELECT DepID, COUNT(*) AS n FROM Courses GROUP BY DepID", ()),
+    )
+    WRITES = (
+        "INSERT INTO Courses VALUES (5, 'Algebra', 10, 5.0)",
+        "UPDATE Courses SET DepID = 20, Units = 3.5 WHERE CourseID = 1",
+        "UPDATE Courses SET Title = 'Drawing' WHERE CourseID = 3",
+        "DELETE FROM Courses WHERE CourseID = 2",
+        "INSERT INTO Courses VALUES (2, 'Networks II', 10, 3.0)",
+        "DELETE FROM Courses WHERE Units < 3.0",
+    )
+
+    @staticmethod
+    def _fresh(db, sql, params):
+        plan = plan_select(db, parse_statement(sql))
+        plan.bind_parameters(params)
+        return plan.run()[1]
+
+    @staticmethod
+    def _cached(db, sql, params):
+        """Whether the cache holds a valid plan for ``sql`` (EXPLAIN says
+        ``[cached]`` exactly then)."""
+        return "[cached]" in db.query("EXPLAIN " + sql, params).rows[0][0]
+
+    def test_dml_keeps_every_shape_a_hit_with_fresh_answers(self, db):
+        db.execute("CREATE INDEX idx_dep ON Courses (DepID)")
+        db.execute("CREATE INDEX idx_units ON Courses (Units) USING SORTED")
+        for sql, params in self.SHAPES:
+            db.query(sql, params)
+        for write in self.WRITES:
+            db.execute(write)
+            for sql, params in self.SHAPES:
+                assert self._cached(db, sql, params), (write, sql)
+                rows = db.query(sql, params).rows
+                assert rows == self._fresh(db, sql, params), (write, sql)
+
+    def test_index_attach_and_detach_still_replan(self, db):
+        sql, params = self.SHAPES[0]
+        db.query(sql, params)
+        for ddl in (
+            "CREATE INDEX idx_dep ON Courses (DepID)",
+            "DROP INDEX idx_dep",
+        ):
+            db.execute(ddl)
+            assert not self._cached(db, sql, params), ddl
+            assert db.query(sql, params).rows == self._fresh(db, sql, params)
 
 
 class TestPreparedStatements:

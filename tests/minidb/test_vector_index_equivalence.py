@@ -1,30 +1,25 @@
-"""Property suite: index-assisted vector scans and multi-key hash joins.
+"""Property suite: index access on the row tree, multi-key hash joins on
+batches.
 
-Extends the PR 6 equivalence net to the vector-engine v2 surface: plans
-that route through :class:`IndexAccess` (hash equality and sorted
-ranges, with and without residual predicates) and hash joins on
-composite keys (including NULL key parts and duplicate composite keys).
-Each query runs under four configs — reference row path cold/warm,
-vectorized cold/warm, where *warm* replays the query on the same
-database so the plan cache and column store are both hot — and results
-must be identical, including physical row order (index emission order is
-part of the contract) and error kind.
+Plans that read a table through :class:`IndexAccess` (hash equality and
+sorted ranges, with and without residual predicates) run on the row
+tree; hash joins on composite keys (including NULL key parts and
+duplicate composite keys) run on batches.  Each query runs under four
+configs — reference row path cold/warm, vectorized cold/warm, where
+*warm* replays the query on the same database so the plan cache and
+column store are both hot — and results must be identical, including
+physical row order and error kind.
 
-The tables are mutated after load (UPDATEs re-insert rows, DELETEs
-punch holes) so the store's insertion order diverges from rowid order,
-exercising the rowid->position map that index scans gather through.
-
-The numpy layer is toggled via ``repro.minidb.vector.NUMPY``; on ≡ off
-must be bit-identical on the same corpus (when numpy is absent both
-sides run pure-python and the test degenerates to a tautology, which is
-the intended behaviour of the kill switch).
+The tables are mutated after load (UPDATEs replace rows in place,
+DELETEs punch holes), and the same queries on a copy without secondary
+indexes — whole-table scans on batches — must answer in the same order:
+an index emits scan order.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.minidb.vector as vector_module
 import repro.minidb.vector.batch as vector_batch
 from repro.minidb import Database
 from repro.minidb.planner import flag_overrides
@@ -49,9 +44,9 @@ link_strategy = st.lists(
 )
 
 QUERY_POOL = [
-    # hash-index equality, no residual (physical order = index order)
+    # hash-index equality, no residual (index order = scan order)
     "SELECT id, n, v FROM t WHERE k = 2",
-    # hash-index equality + residual pushed as a selection kernel
+    # hash-index equality + residual
     "SELECT id, n FROM t WHERE k = 1 AND n > 0",
     "SELECT id FROM t WHERE k = 3 AND v >= 0.5 AND n IS NOT NULL",
     # sorted-index ranges (open / closed / half-open)
@@ -62,7 +57,7 @@ QUERY_POOL = [
     "SELECT COUNT(*) AS c, COUNT(n) AS cn, SUM(n) AS s, MIN(v) AS lo, "
     "MAX(v) AS hi FROM t WHERE k = 1",
     "SELECT k, SUM(v) AS sv FROM t WHERE n > -2 GROUP BY k ORDER BY k",
-    # float kernels over the numpy-eligible column
+    # float kernels
     "SELECT id, v + 0.5 AS a, v * 2.0 AS m FROM t WHERE v > 0.25",
     "SELECT id FROM t WHERE v <= 1.0 ORDER BY id DESC LIMIT 5",
     # multi-key hash joins: inner, LEFT OUTER, with residual filters
@@ -82,16 +77,17 @@ QUERY_POOL = [
 ]
 
 
-def _build(rows, links):
+def _build(rows, links, indexed=True):
     database = Database()
     database.execute(
         "CREATE TABLE t (id INT PRIMARY KEY, k INT, n INT, v FLOAT)"
     )
-    database.execute("CREATE INDEX idx_t_k ON t (k) USING hash")
-    database.execute("CREATE INDEX idx_t_n ON t (n) USING sorted")
-    # multi-column index: never an access path, but its maintenance
-    # must survive the UPDATE/DELETE churn below.
-    database.execute("CREATE INDEX idx_t_kn ON t (k, n) USING hash")
+    if indexed:
+        database.execute("CREATE INDEX idx_t_k ON t (k) USING hash")
+        database.execute("CREATE INDEX idx_t_n ON t (n) USING sorted")
+        # multi-column index: never an access path, but its maintenance
+        # must survive the UPDATE/DELETE churn below.
+        database.execute("CREATE INDEX idx_t_kn ON t (k, n) USING hash")
     for position, (k, n, v) in enumerate(rows):
         database.execute(
             "INSERT INTO t VALUES (?, ?, ?, ?)", [position, k, n, v]
@@ -99,33 +95,26 @@ def _build(rows, links):
     database.execute("CREATE TABLE e (a INT, b INT, w FLOAT)")
     for a, b, w in links:
         database.execute("INSERT INTO e VALUES (?, ?, ?)", [a, b, w])
-    # Scramble insertion order vs rowid order: update_rowid re-inserts
-    # rows, deletes punch holes, and both force index maintenance.
+    # Updates (in place) and deletes (holes) force index maintenance.
     database.execute("UPDATE t SET v = v + 0.25 WHERE k = 0")
     database.execute("UPDATE t SET k = 3 WHERE n = -1")
     database.execute("DELETE FROM t WHERE n = 3")
     return database
 
 
-def _run(rows, links, sql, vectorize, warm=False, numpy=None):
-    saved_numpy = vector_module.NUMPY
-    if numpy is not None:
-        vector_module.NUMPY = numpy
-    try:
-        with flag_overrides(vectorize=vectorize):
-            database = _build(rows, links)
-            try:
-                if warm:
-                    try:
-                        database.query(sql)
-                    except Exception:
-                        pass  # the second run must error identically
-                result = database.query(sql)
-            except Exception as exc:  # error parity is part of the contract
-                return ("error", type(exc).__name__)
-            return ("rows", result.columns, result.rows)
-    finally:
-        vector_module.NUMPY = saved_numpy
+def _run(rows, links, sql, vectorize, warm=False, indexed=True):
+    with flag_overrides(vectorize=vectorize):
+        database = _build(rows, links, indexed)
+        try:
+            if warm:
+                try:
+                    database.query(sql)
+                except Exception:
+                    pass  # the second run must error identically
+            result = database.query(sql)
+        except Exception as exc:  # error parity is part of the contract
+            return ("error", type(exc).__name__)
+        return ("rows", result.columns, result.rows)
 
 
 CONFIGS = (
@@ -157,15 +146,18 @@ def test_four_config_equivalence(rows, links, sql):
 @settings(max_examples=15)
 @given(rows=row_strategy, links=link_strategy,
        sql=st.sampled_from(QUERY_POOL))
-def test_numpy_toggle_bit_identity(rows, links, sql):
-    """vectorized+numpy ≡ vectorized-pure-python ≡ reference row path."""
-    row_path = _run(rows, links, sql, False)
-    numpy_off = _run(rows, links, sql, True, numpy=False)
-    numpy_on = _run(rows, links, sql, True, numpy=vector_module.HAS_NUMPY)
-    assert numpy_off == numpy_on, f"numpy toggle diverges on {sql!r}"
-    assert numpy_on[0] == row_path[0]
-    if row_path[0] == "rows":
-        assert numpy_on == row_path, f"numpy path diverges on {sql!r}"
+def test_index_access_answers_like_the_full_scan(rows, links, sql):
+    """Index access on rows ≡ the unindexed plan's whole-table scans on
+    batches, row order included, and an index plan is never batched."""
+    indexed = _run(rows, links, sql, True)
+    scanned = _run(rows, links, sql, True, indexed=False)
+    assert indexed == scanned, f"{sql!r}: {indexed} != {scanned}"
+    with flag_overrides(vectorize=True):
+        lines = _build(rows, links).query("EXPLAIN " + sql).column(
+            "QUERY PLAN"
+        )
+    if any("IndexScan(" in line for line in lines):
+        assert "[vectorized]" not in lines[0], lines
 
 
 @settings(max_examples=15)
@@ -232,8 +224,6 @@ def test_duplicate_composite_keys_and_null_key_parts():
         for name, vectorize, warm in CONFIGS:
             outcome = _run(rows, links, sql, vectorize, warm=warm)
             assert outcome == reference, (name, sql, outcome, reference)
-        numpy_on = _run(rows, links, sql, True, numpy=vector_module.HAS_NUMPY)
-        assert numpy_on == reference, (sql, numpy_on, reference)
 
 
 def test_index_scan_empty_and_miss():

@@ -114,7 +114,7 @@ def test_markers_render_under_analyze(db):
     assert result.columns == ["QUERY PLAN"]
     assert "[cached]" in result.rows[0][0]
     plain = db.execute("EXPLAIN " + sql).rows[0][0]
-    for marker in ("[cached]", "[vectorized]", "[numpy]"):
+    for marker in ("[cached]", "[vectorized]"):
         assert (marker in result.rows[0][0]) == (marker in plain), marker
     assert ("[vectorized]" in plain) == warm.vectorized
 

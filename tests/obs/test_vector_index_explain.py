@@ -1,19 +1,15 @@
-"""EXPLAIN/ANALYZE surface of index-assisted vector scans (PR 8).
+"""EXPLAIN/ANALYZE surface of index access: it runs on the row tree.
 
-Pins three contracts.  First, *plan-render parity*: the logical
-``IndexScan(...)`` line is identical whether the executor runs the row
-path or the vector path — vectorization is an executor property, not a
-plan property, so only the ``[vectorized]``/``[numpy]`` head markers may
-differ.  Second, the ``[numpy]`` marker tracks ``vector.NUMPY``
-dynamically (a flag flip shows up without replanning).  Third, the new
-``repro.obs`` counters fire: index-scan probes/rowids, multi-key join
-routing, and numpy column mirroring/fallback.
+A plan that reads a table through an index is left to rows whole, so its
+EXPLAIN carries no ``[vectorized]`` marker and renders identically with
+the vector path on or off, EXPLAIN ANALYZE reports rows without batches,
+and ``repro.obs`` counts it under ``minidb.vector.plan.row_path`` — while
+an index-free multi-key hash join stays on batches.
 """
 
 import pytest
 
 import repro.minidb.planner as planner_module
-import repro.minidb.vector as vector_module
 from repro.minidb import Database
 from repro.obs import OBS
 
@@ -53,21 +49,15 @@ def _explain_lines(database, sql):
     return [row[0] for row in result.rows]
 
 
-def _strip_markers(line):
-    return line.replace(" [vectorized]", "").replace(" [numpy]", "")
-
-
 @pytest.mark.parametrize("sql", [HASH_SQL, RANGE_SQL])
 def test_index_plan_lines_identical_across_paths(db, sql):
-    vectorized = _explain_lines(db, sql)
-    assert "[vectorized]" in vectorized[0]
-    assert any("IndexScan(" in line for line in vectorized)
+    with_vectors = _explain_lines(db, sql)
+    assert "[vectorized]" not in with_vectors[0]
+    assert any("IndexScan(" in line for line in with_vectors)
 
     planner_module.VECTORIZE = False
     db.clear_plan_cache()
-    row_path = _explain_lines(db, sql)
-    assert "[vectorized]" not in row_path[0]
-    assert [_strip_markers(line) for line in vectorized] == row_path
+    assert _explain_lines(db, sql) == with_vectors
 
 
 def test_hash_equality_renders_index_and_residual(db):
@@ -84,26 +74,11 @@ def test_multikey_join_is_vectorized(db):
     assert "t.k" in join_line and "t.n" in join_line
 
 
-def test_numpy_marker_tracks_flag_without_replanning(db):
-    if not vector_module.HAS_NUMPY:
-        pytest.skip("numpy not installed")
-    saved = vector_module.NUMPY
-    try:
-        vector_module.NUMPY = True
-        assert "[numpy]" in _explain_lines(db, HASH_SQL)[0]
-        # No clear_plan_cache(): the marker reads the flag at render time.
-        vector_module.NUMPY = False
-        assert "[numpy]" not in _explain_lines(db, HASH_SQL)[0]
-    finally:
-        vector_module.NUMPY = saved
-
-
-def test_analyze_reports_index_scan_batches(db):
+def test_analyze_counts_index_scan_rows_without_batches(db):
     report = db.analyze(HASH_SQL)
-    assert report.vectorized
-    assert any(
-        "IndexScan(" in line and "batches=" in line for line in report.lines
-    )
+    assert not report.vectorized
+    assert not any("batches=" in line for line in report.lines)
+    assert any("IndexScan(" in line for line in report.lines)
 
     def check(node):
         assert node.rows_in == sum(child.rows_out for child in node.children)
@@ -132,30 +107,13 @@ def test_obs_counters_index_scan_and_multikey(db):
         db.clear_plan_cache()
         db.query(HASH_SQL)
         db.query(RANGE_SQL)
+        counters = OBS.metrics.counters()
+        assert counters["minidb.vector.plan.row_path"] == 2
+        assert "minidb.vector.plan.routed" not in counters
         db.query(MULTIKEY_SQL)
         counters = OBS.metrics.counters()
-        assert counters["minidb.vector.index_scan.probes"] >= 2
-        assert counters["minidb.vector.index_scan.rowids"] >= 1
+        assert counters["minidb.vector.plan.routed"] == 1
         assert counters["minidb.vector.multikey_join.count"] >= 1
     finally:
-        OBS.disable()
-        OBS.reset()
-
-
-def test_obs_counters_numpy_columns(db):
-    if not vector_module.HAS_NUMPY:
-        pytest.skip("numpy not installed")
-    saved = vector_module.NUMPY
-    OBS.reset()
-    OBS.enable()
-    try:
-        vector_module.NUMPY = True
-        db.clear_plan_cache()
-        db.query("SELECT id FROM t WHERE v > 0.5")
-        counters = OBS.metrics.counters()
-        # id/k/n/v are all int or float with no NULLs -> all mirrored.
-        assert counters["minidb.vector.numpy.columns"] >= 1
-    finally:
-        vector_module.NUMPY = saved
         OBS.disable()
         OBS.reset()

@@ -31,7 +31,7 @@ def db(monkeypatch):
 
 
 VECTORIZED_SQL = "SELECT dep, COUNT(*) AS n FROM t GROUP BY dep ORDER BY dep"
-# The pk-equality shape routes through PrimaryKeyAccess -> row path only.
+# The pk-equality shape reads by key (PrimaryKeyAccess) -> row path only.
 ROW_ONLY_SQL = "SELECT id FROM t WHERE id = 3"
 # UDF in the projection: no kernel, no pure-key projection.
 UDF_SQL = "SELECT ABS(dep) AS a FROM t"
@@ -92,11 +92,14 @@ def test_obs_counters_see_batches_and_fallbacks(db):
         db.clear_plan_cache()
         db.query(VECTORIZED_SQL)
         db.query(ROW_ONLY_SQL)
+        db.execute("CREATE INDEX idx_t_dep ON t (dep)")
+        db.query("SELECT id FROM t WHERE dep = 2 ORDER BY id")
         counters = OBS.metrics.counters()
-        assert counters["minidb.vector.plan.routed"] >= 1
-        assert counters["minidb.vector.plan.row_path"] >= 1
+        assert counters["minidb.vector.plan.routed"] == 1
+        # the primary-key lookup and the index scan both read by key
+        assert counters["minidb.vector.plan.row_path"] == 2
         assert counters["minidb.vector.batches"] >= 1
-        assert counters["minidb.vector.select.count"] >= 1
+        assert counters["minidb.vector.select.count"] == 1
     finally:
         OBS.disable()
         OBS.reset()

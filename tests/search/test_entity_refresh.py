@@ -8,6 +8,7 @@ column is named once per (definition, database, schema epoch).
 import repro.minidb.planner as planner_module
 import repro.search.entity as entity_module
 from repro.courserank.schema import new_database
+from repro.minidb.sql.parser import parse_statement
 from repro.search.entity import course_entity
 
 
@@ -28,15 +29,45 @@ def _database():
     return database
 
 
-def test_one_entity_equals_its_slice_of_the_full_collection():
-    database = _database()
-    entity = course_entity()
+def _assert_slices_equal_the_collection(database, entity, keys):
     everything = entity.collect_texts(database)
-    assert set(everything) == {1, 2, 3}
+    assert set(everything) == keys
     for key, expected in everything.items():
         assert entity.collect_texts_for(database, key) == expected
     assert entity.collect_texts_for(database, 99) is None
     assert entity.collect_texts_for(database, None) is None
+
+
+def test_one_entity_equals_its_slice_of_the_full_collection():
+    """Chunk order included: the refresh reads a course's comments through
+    an index, the full collection scans the table, and after a re-comment
+    (an UPDATE in place) or a delete both must still list the chunks in
+    one order — the phrase terms at chunk boundaries depend on it."""
+    database = _database()
+    entity = course_entity()
+    _assert_slices_equal_the_collection(database, entity, {1, 2, 3})
+    database.execute(
+        "INSERT INTO Students VALUES (11, 'Bo', 2010, 'CS', NULL), "
+        "(12, 'Cy', 2011, 'EE', NULL)"
+    )
+    database.execute(
+        "INSERT INTO Comments VALUES "
+        "(11, 1, 2008, 'Aut', 'slow lectures', 2.0, DATE '2008-10-02'), "
+        "(12, 1, 2008, 'Aut', 'fair exams', 4.0, DATE '2008-10-03')"
+    )
+    database.execute(
+        "UPDATE Comments SET Text = 'joins again' "
+        "WHERE SuID = 10 AND CourseID = 1"
+    )
+    first = entity.collect_texts_for(database, 1)["comments"]
+    assert first == ["joins again", "slow lectures", "fair exams"]
+    _assert_slices_equal_the_collection(database, entity, {1, 2, 3})
+    database.execute("DELETE FROM Comments WHERE SuID = 11 AND CourseID = 1")
+    database.execute(
+        "INSERT INTO Comments VALUES "
+        "(11, 1, 2009, 'Win', 'better now', 3.0, DATE '2009-01-05')"
+    )
+    _assert_slices_equal_the_collection(database, entity, {1, 2, 3})
 
 
 def test_writes_after_the_first_neither_parse_nor_plan(monkeypatch):
@@ -66,15 +97,25 @@ def test_writes_after_the_first_neither_parse_nor_plan(monkeypatch):
 
 
 def test_the_wrapper_plans_like_the_literal_form_it_replaces():
+    """The planner moves the wrapper's ``= ?`` into the field query: under
+    the SubqueryScan sits exactly the plan of the field query with the key
+    predicate written in by hand, and no table is read in full."""
     database = _database()
     entity = course_entity()
     for spec, wrapped in zip(entity.fields, entity._key_queries(database)):
         assert wrapped.count("?") == 1 and spec.sql in wrapped
         bound = database.query("EXPLAIN " + wrapped, (1,)).column("QUERY PLAN")
+        assert bound[1].strip() == "SubqueryScan(AS __entity)"
+        assert not any("SeqScan" in line for line in bound), bound
+        key = parse_statement(spec.sql).items[0].expression.to_sql()
+        pushed = database.query(
+            f"EXPLAIN {spec.sql} WHERE {key} = ?", (1,)
+        ).column("QUERY PLAN")
+        assert [line[4:] for line in bound[2:]] == pushed
         literal = database.query(
             "EXPLAIN " + wrapped.replace("?", "1")
         ).column("QUERY PLAN")
-        assert [line.replace("?", "1") for line in bound] == literal
+        assert [line.replace("?1", "1") for line in bound] == literal
 
 
 def test_the_key_is_bound_not_printed():

@@ -1,15 +1,13 @@
 """Which facade queries still evaluate expressions on the row interpreter.
 
-minidb keeps the interpreted row tree as reference semantics and as the
-fallback behind ``VRowSource``; production traffic is meant to run on
-the vector path.  That holds only while the facade's statements route
-there, so this test names the exceptions: every part of a facade plan
-the vector router leaves on the row tree must be a primary-key point
-lookup (0/1 row), a primary-key lookup join (0/1 row per probe), sit
-under a nested-loop join, or evaluate a scalar function call — the
-shapes the batch path has no kernel for.  It is an
-upper bound: adding kernels cannot break it, but a facade query that
-newly falls back to the interpreter fails here with its plan printed.
+minidb routes by one rule: whole-table scans run on batches, and a plan
+that reads a table by key — through an index or its primary key, lookup
+joins included — runs on the row tree.  This test names every other
+reason a facade plan (or part of one) lands on the row tree: it sits
+under a nested-loop join, or it evaluates a scalar function call — the
+shapes the batch path has no kernel for.  It is an upper bound: adding
+kernels cannot break it, but a facade query that newly falls back to the
+interpreter without reading by key fails here with its plan printed.
 
 The service answers recommendations from the direct executor, which
 plans no SQL; the three FlexRecs strategies are driven here with
@@ -26,9 +24,9 @@ from repro.minidb.expressions import Expression, FunctionCall
 from repro.minidb.planner import (
     LookupJoinNode,
     NestedLoopJoinNode,
-    PrimaryKeyAccess,
     QueryPlan,
     ScanNode,
+    SortNode,
     plan_select,
     walk_plan,
 )
@@ -78,11 +76,12 @@ def _row_regions(plan):
 
 
 def _explained(root, expressions):
-    if isinstance(root, ScanNode) and isinstance(root.access, PrimaryKeyAccess):
-        return True
-    if isinstance(root, LookupJoinNode):
-        return True
     nodes = list(_own_nodes(root))
+    if any(
+        isinstance(node, ScanNode) and node.access is not None
+        for node in nodes
+    ):
+        return True  # reads by key: the router leaves the plan to rows
     if any(isinstance(node, NestedLoopJoinNode) for node in nodes):
         return True
     return _calls_function(expressions) or any(
@@ -129,7 +128,10 @@ def test_facade_row_path_is_point_lookups_joins_without_keys_and_udfs(
             if isinstance(getattr(node, "plan", None), QueryPlan)
         ]
     ]
-    assert any(plan.vector is not None for plan in plans)
+    # Pages read by key, so they run on rows; the compiled FlexRecs
+    # statements scan whole tables on batches unless REPRO_BACKEND sends
+    # them to another engine.
+    assert plans
     unexplained = [
         "\n".join(plan.describe())
         for plan in plans
@@ -145,8 +147,7 @@ def test_facade_row_path_is_point_lookups_joins_without_keys_and_udfs(
 def test_the_check_names_an_interpreted_filter():
     """Negative control: a plain filter plan left on the row tree is not
     one of the excused shapes; a primary-key lookup and a primary-key
-    lookup join are — the join only as the boundary itself, not as cover
-    for an interpreted filter above it."""
+    lookup join are, and the router leaves them to rows whole."""
     database = Database()
     database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)")
     database.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
@@ -169,10 +170,10 @@ def test_the_check_names_an_interpreted_filter():
             "WHERE u.id = 7 ORDER BY t.x"
         ),
     )
+    # Refused whole: the region is the Sort above the lookup join, excused
+    # by the primary-key read that drives the join.
+    assert join.vector is None
     regions = list(_row_regions(join))
-    assert [type(root) for root, _extra in regions] == [LookupJoinNode]
+    assert [type(root) for root, _extra in regions] == [SortNode]
+    assert isinstance(regions[0][0].child, LookupJoinNode)
     assert [_explained(*region) for region in regions] == [True]
-    # Refused whole, the region's root is the interpreted Sort above the
-    # join: the join below does not excuse it.
-    join.vector = None
-    assert [_explained(*region) for region in _row_regions(join)] == [False]

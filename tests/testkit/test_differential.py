@@ -59,3 +59,27 @@ def test_run_case_includes_the_bound_plan_check():
     reports = [run_case(CaseGenerator(seed).case()) for seed in range(8)]
     assert all(report.ok for report in reports)
     assert sum(report.bound_index_routes for report in reports) > 0
+    assert sum(report.derived_pushes for report in reports) > 0
+
+
+def test_derived_tables_answer_like_their_unpushed_twins():
+    """Every case ends with a query over a derived body — projecting or
+    joining, where the planner pushes the outer WHERE inside, or grouping,
+    DISTINCT or LIMIT, where it must not — run after the case's
+    INSERT/UPDATE/DELETE and index churn.  It must answer like its
+    unpushed twin, order included, and its plan must say whether the push
+    fired; the pushes that reach an index keep the check honest."""
+    from repro.testkit.generators import Capabilities, CaseGenerator
+    from repro.testkit.oracle import check_derived_pushdown
+
+    pushes = 0
+    for caps in (None, Capabilities(max_ops=20, max_rows=16)):
+        for seed in range(60):
+            seen, divergences = check_derived_pushdown(
+                CaseGenerator(seed, caps).case()
+            )
+            assert not divergences, f"seed {seed}:\n" + "\n".join(
+                divergences[:2]
+            )
+            pushes += seen
+    assert pushes >= 20, f"only {pushes} pushes reached an index"

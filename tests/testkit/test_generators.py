@@ -71,6 +71,8 @@ class TestFeatureCoverage:
                         found.add("having")
                     if any(s.derived for s in self._sources(query)):
                         found.add("derived")
+                    if any(s.body is not None for s in self._sources(query)):
+                        found.add("derived_body")
                     sql, params = self._render(query)
                     if params:
                         found.add("params")
@@ -80,11 +82,11 @@ class TestFeatureCoverage:
                     found.add("dml")
                 elif isinstance(op, g.DropCreateOp):
                     found.add("drop_create")
-            if len(found) >= 10:
+            if len(found) >= 11:
                 break
         assert found >= {
-            "join", "group_by", "distinct", "limit", "having",
-            "derived", "params", "subquery", "dml", "drop_create",
+            "join", "group_by", "distinct", "limit", "having", "derived",
+            "derived_body", "params", "subquery", "dml", "drop_create",
         }, f"missing: coverage only hit {sorted(found)}"
 
     @staticmethod
