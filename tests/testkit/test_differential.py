@@ -52,34 +52,24 @@ def test_bound_and_literal_renderings_plan_and_answer_alike():
 
 
 def test_run_case_includes_the_bound_plan_check():
-    """So the fuzz loop, the shrinker and the nightly job all run it."""
-    from repro.testkit.generators import CaseGenerator
+    """So the fuzz loop, the shrinker and the nightly job all run it, and
+    the derived-table check with it: every case ends with a query over a
+    derived body — projecting or joining, where the planner pushes the
+    outer WHERE inside, or grouping, DISTINCT or LIMIT, where it must not
+    — run after the case's INSERT/UPDATE/DELETE and index churn.  It must
+    answer like its unpushed twin, order included, and its plan must say
+    whether the push fired; the pushes that reach an index keep the check
+    honest."""
+    from repro.testkit.generators import Capabilities, CaseGenerator
     from repro.testkit.oracle import run_case
 
-    reports = [run_case(CaseGenerator(seed).case()) for seed in range(8)]
-    assert all(report.ok for report in reports)
+    reports = [
+        run_case(CaseGenerator(seed, caps).case())
+        for caps in (None, Capabilities(max_ops=20, max_rows=16))
+        for seed in range(60)
+    ]
+    failing = [report for report in reports if not report.ok]
+    assert not failing, "\n".join(failing[0].divergences[:2])
     assert sum(report.bound_index_routes for report in reports) > 0
-    assert sum(report.derived_pushes for report in reports) > 0
-
-
-def test_derived_tables_answer_like_their_unpushed_twins():
-    """Every case ends with a query over a derived body — projecting or
-    joining, where the planner pushes the outer WHERE inside, or grouping,
-    DISTINCT or LIMIT, where it must not — run after the case's
-    INSERT/UPDATE/DELETE and index churn.  It must answer like its
-    unpushed twin, order included, and its plan must say whether the push
-    fired; the pushes that reach an index keep the check honest."""
-    from repro.testkit.generators import Capabilities, CaseGenerator
-    from repro.testkit.oracle import check_derived_pushdown
-
-    pushes = 0
-    for caps in (None, Capabilities(max_ops=20, max_rows=16)):
-        for seed in range(60):
-            seen, divergences = check_derived_pushdown(
-                CaseGenerator(seed, caps).case()
-            )
-            assert not divergences, f"seed {seed}:\n" + "\n".join(
-                divergences[:2]
-            )
-            pushes += seen
+    pushes = sum(report.derived_pushes for report in reports)
     assert pushes >= 20, f"only {pushes} pushes reached an index"
