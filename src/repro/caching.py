@@ -66,6 +66,12 @@ class LRUCache:
         with self._lock:
             return list(self._entries)
 
+    def items(self) -> list:
+        """A snapshot of the live ``(key, value)`` pairs, least recently
+        used first; reading it moves nothing and counts no hit."""
+        with self._lock:
+            return list(self._entries.items())
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

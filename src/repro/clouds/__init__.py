@@ -10,9 +10,9 @@ and the cloud is recomputed over the narrowed results.
 Modules:
 
 * :mod:`scoring` — term significance models (frequency, TF-IDF over the
-  result set, popularity) and term-gathering strategies (rescan, forward
-  index, per-document top-k cache) whose cost trade-offs the P1 benchmark
-  measures;
+  result set, popularity) and the one term-gathering strategy: a forward
+  index that follows the search index, whose cached per-document-set
+  counters are patched by the writes that touch them;
 * :mod:`cloud` — :class:`CloudBuilder` producing :class:`DataCloud`;
 * :mod:`refinement` — :class:`RefinementSession`, the click-to-refine loop
   of Figures 3 and 4;

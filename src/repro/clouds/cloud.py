@@ -1,7 +1,7 @@
 """DataCloud construction.
 
 :class:`CloudBuilder` connects a :class:`~repro.search.engine.SearchEngine`
-to a term-gathering strategy and a significance model, and produces a
+to its forward-index term source and a significance model, and produces a
 :class:`DataCloud` for any result set.  Query terms themselves are
 suppressed from the cloud (searching "American" should not show
 "american" as its own biggest tag), but *phrases containing* a query term
@@ -125,12 +125,10 @@ class CloudBuilder:
         self,
         engine: SearchEngine,
         scoring: Any = "popularity",
-        strategy: str = "forward",
         max_terms: int = 40,
         min_result_df: int = 2,
         buckets: int = 5,
         include_bigrams: bool = True,
-        topk_per_doc: int = 12,
     ) -> None:
         if max_terms < 1:
             raise CloudError("max_terms must be at least 1")
@@ -138,12 +136,7 @@ class CloudBuilder:
             raise CloudError("buckets must be at least 1")
         self.engine = engine
         self.scoring: SignificanceScoring = get_scoring(scoring)
-        self.source = TermSource(
-            engine,
-            strategy=strategy,
-            topk_per_doc=topk_per_doc,
-            include_bigrams=include_bigrams,
-        )
+        self.source = TermSource(engine, include_bigrams=include_bigrams)
         self.max_terms = max_terms
         self.min_result_df = min_result_df
         self.buckets = buckets

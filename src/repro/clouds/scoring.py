@@ -1,21 +1,14 @@
 """Term gathering and significance scoring for data clouds.
 
-Two orthogonal choices are kept pluggable because the paper explicitly
-poses them as open questions ("How do we find and rank terms in the
+The paper poses two open questions ("How do we find and rank terms in the
 results of a search and how can we dynamically and efficiently compute
-their data cloud?"):
+their data cloud?"), answered here by two parts:
 
-**Gathering strategy** — how term statistics over the current result set
-are obtained (cost question, benchmarked by P1):
-
-* ``rescan``  — re-extract terms from each result document's raw text at
-  query time; keeps term names but no counts, highest per-query cost.
-* ``forward`` — per-document term counters precomputed at build time and
-  kept in step with the search index; per-query work is merging counters
-  of the result docs.  Exact.
-* ``topk``    — only each document's top-*m* terms are cached; merging is
-  cheaper still but term counts are approximate (long-tail terms from
-  individual documents are dropped).
+**Gathering** (the cost question) — :class:`TermSource` keeps a forward
+index of per-document term counters in step with the search index; a
+cloud's statistics are the merged counters of its result documents, and
+the merged counters of a repeated document set are cached and patched,
+document by document, when a write touches one of its documents.  Exact.
 
 **Significance model** — how gathered terms are ranked (quality question):
 
@@ -42,11 +35,13 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
 from repro.caching import LRUCache
 from repro.errors import CloudError
+from repro.obs import OBS
 from repro.search.engine import SearchEngine
 from repro.search.phrases import display_unigrams, extract_bigrams
 
@@ -94,39 +89,31 @@ class TermSource:
     The per-document forward index and the corpus document frequencies
     are derived artifacts of the search index and follow its epoch: when
     the epoch has moved since they were last brought up to date, the next
-    gather re-extracts exactly the documents the index touched since.
+    gather re-extracts exactly the documents the index touched since, and
+    patches the cached partials holding them (:meth:`_catch_up`).
+
+    Exactness precondition: every field weight is dyadic (the shipped 4,
+    2, 1.5 and 1 are), so occurrence counts and their sums are exact
+    binary floats and adding or subtracting them is exact in any order —
+    a patched partial equals a fresh gather, as the sharded merge of
+    :meth:`partial_gather` equals an unsharded one.
     """
 
     def __init__(
-        self,
-        engine: SearchEngine,
-        strategy: str = "forward",
-        topk_per_doc: int = 12,
-        include_bigrams: bool = True,
+        self, engine: SearchEngine, include_bigrams: bool = True
     ) -> None:
-        if strategy not in ("rescan", "forward", "topk"):
-            raise CloudError(f"unknown gathering strategy {strategy!r}")
         self.engine = engine
-        self.strategy = strategy
-        self.topk_per_doc = topk_per_doc
         self.include_bigrams = include_bigrams
-        # doc -> the term counts gathers merge (forward: all of them,
-        # topk: the top few, rescan: nothing — it re-reads the text).
         self._doc_terms: Dict[DocId, Counter] = {}
-        # doc -> every term it holds, where ``_doc_terms`` does not say
-        # (topk, rescan): what a later change to the document has to take
-        # back out of ``_corpus_df``.
-        self._doc_vocabulary: Dict[DocId, Tuple[str, ...]] = {}
         self._corpus_df: Counter = Counter()
-        # Index epoch the three structures above describe; None until
+        # Index epoch the two structures above describe; None until
         # prepare().  Concurrent readers may find it stale together.
         self._epoch: Optional[int] = None
         self._catch_up_lock = threading.Lock()
         # Result sets repeat (identical searches, refinement back(), a
-        # cube root after a write to another shard); memoize the raw
-        # counters per ordered doc-id tuple as ``(epoch, partial)``.  A
-        # partial outlives an epoch only while the index has touched none
-        # of its documents since (see partial_gather).
+        # cube cell after a write): the raw counters per ordered doc-id
+        # tuple as ``(epoch, partial, patched since last served)``, served
+        # only at the current epoch.
         self._gather_cache = LRUCache(maxsize=64)
         self._gather_counts: Counter = Counter()
         self._counts_lock = threading.Lock()
@@ -134,11 +121,10 @@ class TermSource:
     # -- build-time work -----------------------------------------------------
 
     def prepare(self) -> None:
-        """Precompute whatever the strategy needs (called once per build)."""
+        """Extract every document of the index (called once per build)."""
         index = self.engine.index
         with self._catch_up_lock:
             self._doc_terms.clear()
-            self._doc_vocabulary.clear()
             self._corpus_df.clear()
             self._gather_cache.clear()
             epoch = index.epoch
@@ -159,36 +145,32 @@ class TermSource:
                     counts[term] += weight
         return counts
 
-    def _remember(self, doc_id: DocId) -> None:
-        counts = self._extract(doc_id)
+    def _remember(self, doc_id: DocId) -> Mapping[str, float]:
+        counts = self._doc_terms[doc_id] = self._extract(doc_id)
         self._corpus_df.update(counts.keys())
-        if self.strategy == "forward":
-            self._doc_terms[doc_id] = counts
-            return
-        self._doc_vocabulary[doc_id] = tuple(counts)
-        if self.strategy == "topk":
-            top = counts.most_common(self.topk_per_doc)
-            self._doc_terms[doc_id] = Counter(dict(top))
+        return counts
 
-    def _forget(self, doc_id: DocId) -> None:
+    def _forget(self, doc_id: DocId) -> Mapping[str, float]:
         counts = self._doc_terms.pop(doc_id, _NO_TERMS)
         corpus_df = self._corpus_df
-        for term in self._doc_vocabulary.pop(doc_id, counts):
+        for term in counts:
             if corpus_df[term] > 1:
                 corpus_df[term] -= 1
             else:
                 del corpus_df[term]
+        return counts
 
     def _catch_up(self) -> None:
         """Follow the index to its current epoch (DESIGN §8).
 
         Only the documents added, replaced or removed since ``_epoch``
-        are re-extracted.  Readers that find the epoch moved arrive here
-        together (the service holds only a read lock), so one catches up
-        and the rest wait for it.  The epoch is read before the change
-        log: a write that lands meanwhile (the facade does not lock
-        searches out) leaves ``_epoch`` behind it, to be followed by the
-        next gather.
+        are re-extracted; their old and new counters then patch the
+        cached partials (:meth:`_patch`).  Readers that find the epoch
+        moved arrive here together (the service holds only a read lock),
+        so one catches up and the rest wait for it.  The epoch is read
+        before the change log: a write that lands meanwhile (the facade
+        does not lock searches out) leaves ``_epoch`` behind it, to be
+        followed by the next gather.
         """
         index = self.engine.index
         with self._catch_up_lock:
@@ -197,94 +179,111 @@ class TermSource:
                     "TermSource.prepare() must run before gather()"
                 )
             epoch = index.epoch
+            # Taken before the first document changes: a partial put
+            # after this point may hold half of the change, and keeps its
+            # old stamp — a miss, never patched.
+            cached = self._gather_cache.items()
+            changes = {}
             for doc_id in index.touched_since(self._epoch):
-                self._forget(doc_id)
-                if index.has_document(doc_id):
+                old = self._forget(doc_id)
+                new = (
                     self._remember(doc_id)
+                    if index.has_document(doc_id)
+                    else _NO_TERMS
+                )
+                changes[doc_id] = (old, new)
+            self._patch(cached, changes, epoch)
             self._epoch = epoch
+
+    def _patch(
+        self,
+        cached: Sequence[Tuple[Tuple[DocId, ...], Tuple[Any, ...]]],
+        changes: Mapping[DocId, Tuple[Mapping[str, float], ...]],
+        epoch: int,
+    ) -> None:
+        """Re-stamp the partials of ``_epoch`` with ``epoch``, patched.
+
+        Each ``(old, new)`` counter pair of ``changes`` moves a partial
+        holding its document by the difference, times the document's
+        multiplicity in the tuple; a term whose result df reaches 0 goes.
+        The patched counters are new dicts: readers may hold the old ones.
+        """
+        for ordered, (stamp, partial, patched) in cached:
+            if stamp != self._epoch:
+                continue
+            if changes.keys().isdisjoint(ordered):
+                self._gather_cache.put(ordered, (epoch, partial, patched))
+                continue
+            occurrences = dict(partial.occurrences)
+            result_df = Counter(partial.result_df)
+            multiplicity = Counter(ordered)
+            for doc_id, (old, new) in changes.items():
+                times = multiplicity[doc_id]
+                if not times:
+                    continue
+                for term, count in old.items():
+                    occurrences[term] -= times * count
+                    result_df[term] -= times
+                    if not result_df[term]:
+                        del result_df[term], occurrences[term]
+                for term, count in new.items():
+                    occurrences[term] = occurrences.get(term, 0) + times * count
+                    result_df[term] += times
+            partial = TermPartial(self, occurrences, result_df)
+            self._gather_cache.put(ordered, (epoch, partial, True))
 
     # -- query-time work ----------------------------------------------------
 
-    def _doc_counts(self, doc_id: DocId) -> Mapping[str, float]:
-        if self.strategy == "rescan":
-            return self._extract(doc_id)
-        return self._doc_terms.get(doc_id, _NO_TERMS)
-
-    def _cached_partial(
-        self, ordered: Tuple[DocId, ...], epoch: int
-    ) -> Optional[TermPartial]:
-        """The cached partial over ``ordered`` if it still holds at ``epoch``.
-
-        One gathered at an older epoch holds exactly when the index has
-        touched none of ``ordered`` since: the partial is then reused
-        whole (never patched, so no float sum depends on what the cache
-        held) and re-stamped with ``epoch``.  Corpus df and corpus size,
-        which any write moves, are not part of a partial.
-        """
-        cached = self._gather_cache.get(ordered)
-        if cached is None:
-            return None
-        gathered_at, partial = cached
-        if gathered_at == epoch:
-            self._count("hits")
-            return partial
-        touched = self.engine.index.touched_since(gathered_at)
-        if touched and not frozenset(touched).isdisjoint(ordered):
-            return None
-        self._count("hits", "revalidated")
-        self._gather_cache.put(ordered, (epoch, partial))
-        return partial
-
-    def _count(self, *outcomes: str) -> None:
+    def _count(self, outcome: str) -> None:
         with self._counts_lock:  # concurrent readers share the counters
-            for outcome in outcomes:
-                self._gather_counts[outcome] += 1
+            self._gather_counts[outcome] += 1
 
     def partial_gather(self, doc_ids: Iterable[DocId]) -> TermPartial:
         """Raw ``(occurrences, result_df)`` counters over ``doc_ids``.
 
         Both counters are plain sums over the result documents, so
         per-shard partials over disjoint doc sets add up to exactly the
-        counters one source would produce over the union (occurrence
-        weights are dyadic rationals — half-integers — so float addition
-        here is exact and order-independent).  Result df is counted in C
-        (``Counter`` over the chained per-document term maps); the
-        occurrence sums take one dict update per (document, term) pair.
+        counters one source would produce over the union (field weights
+        are dyadic, so float addition here is exact and order-independent).
+        Result df is counted in C (``Counter`` over the chained
+        per-document term maps); the occurrence sums take one dict update
+        per (document, term) pair.  A cached partial is served only at the
+        epoch it is stamped with.
         """
         if self._epoch != self.engine.index.epoch:
             self._catch_up()
         epoch = self._epoch
         ordered = tuple(doc_ids)
-        try:
-            hash(ordered)
-        except TypeError:  # unhashable document ids: gathered, never cached
-            cacheable = False
-        else:
-            cacheable = True
-            partial = self._cached_partial(ordered, epoch)
-            if partial is not None:
-                return partial
+        cached = self._gather_cache.get(ordered)
+        if cached is not None and cached[0] == epoch:
+            _stamp, partial, patched = cached
+            if patched:  # its first read since a catch-up patched it
+                self._gather_cache.put(ordered, (epoch, partial, False))
+                self._count("patched")
+                if OBS.enabled:
+                    OBS.metrics.inc("cloud.gather.patched")
+            self._count("hits")
+            return partial
         self._count("misses")
-        per_doc = [self._doc_counts(doc_id) for doc_id in ordered]
+        per_doc = list(map(self._doc_terms.get, ordered, repeat(_NO_TERMS)))
         result_df = Counter(chain.from_iterable(per_doc))
         occurrences = dict.fromkeys(result_df, 0)
         for counts in per_doc:
             for term, count in counts.items():
                 occurrences[term] += count
         partial = TermPartial(self, occurrences, result_df)
-        if cacheable:
-            self._gather_cache.put(ordered, (epoch, partial))
+        self._gather_cache.put(ordered, (epoch, partial, False))
         return partial
 
     def cache_info(self) -> Dict[str, int]:
-        """Gather-cache counters: ``hits`` (``revalidated`` of them after
-        a write to other documents), ``misses``, current ``size``."""
+        """Gather-cache counters: ``hits`` (``patched`` of them the first
+        read of a partial a write had patched), ``misses``, ``size``."""
         with self._counts_lock:
             counts = dict(self._gather_counts)
         return {
             "hits": counts.get("hits", 0),
             "misses": counts.get("misses", 0),
-            "revalidated": counts.get("revalidated", 0),
+            "patched": counts.get("patched", 0),
             "size": len(self._gather_cache),
         }
 
@@ -312,11 +311,9 @@ class TermSource:
     ) -> List[TermStats]:
         """:meth:`gather` over ``doc_ids``, a subset of ``parent_ids``.
 
-        The superset buys nothing: a refinement keeps most of its parent,
-        so subtracting the dropped documents from the parent's counters
-        walks as many (document, term) pairs as counting the kept ones
-        does (measured, CHANGES.md PR 19).  The name stays because the
-        benchmark's span table and callers that know the superset use it.
+        The superset buys nothing: subtracting a refinement's dropped
+        documents from its parent walks as many (document, term) pairs as
+        counting the kept ones.  The name stays for callers that know it.
         """
         return self.gather(doc_ids)
 

@@ -26,7 +26,6 @@ class CourseCloudSearch:
         entity: Optional[EntityDefinition] = None,
         ranker: str = "bm25",
         scoring: str = "popularity",
-        strategy: str = "forward",
         max_cloud_terms: int = 40,
     ) -> None:
         self.database = database
@@ -35,7 +34,6 @@ class CourseCloudSearch:
         self.builder = CloudBuilder(
             self.engine,
             scoring=scoring,
-            strategy=strategy,
             max_terms=max_cloud_terms,
         )
         self._built = False
@@ -85,7 +83,7 @@ class CourseCloudSearch:
 
     def cache_info(self) -> Dict[str, Any]:
         """Hit/miss counters of the engine's query-result cache, with the
-        cloud term source's gather cache (hits, misses, revalidated,
+        cloud term source's gather cache (hits, misses, patched,
         size) under ``"gather"``."""
         info: Dict[str, Any] = dict(self.engine.cache_info())
         info["gather"] = self.builder.source.cache_info()

@@ -111,7 +111,8 @@ class SearchEngine:
         self.bm25_b = bm25_b
         self.index = InvertedIndex()
         self.field_weights = entity.field_weights
-        # Raw text store per document (the naive cloud strategy re-reads it).
+        # Raw text store per document (cloud term extraction and snippets
+        # read it).
         self._texts: Dict[DocId, Dict[str, str]] = {}
         self._built = False
         # Ranked-result memo.  Keys embed the index epoch, so entries made

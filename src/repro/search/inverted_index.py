@@ -103,9 +103,13 @@ class InvertedIndex:
             self._touch_log = [(epoch, doc) for doc, epoch in touched.items()]
 
     def _add(self, doc_id: DocId, fields: Mapping[str, List[str]]) -> None:
-        if doc_id in self._forward:
-            self._remove(doc_id)
         self._touch(doc_id)
+        replaced = self._forward.get(doc_id)
+        if replaced is not None:
+            # Replaced in place: the document keeps its position in
+            # document_ids(), so a document set listed from it (a cube
+            # root) is the same tuple after the write.
+            self._unindex(doc_id, replaced)
         forward: Dict[str, Counter] = {}
         lengths: Dict[str, int] = {}
         for field, tokens in fields.items():
@@ -135,6 +139,10 @@ class InvertedIndex:
         if forward is None:
             raise SearchError(f"document {doc_id!r} is not indexed")
         self._touch(doc_id)
+        self._unindex(doc_id, forward)
+
+    def _unindex(self, doc_id: DocId, forward: Dict[str, Counter]) -> None:
+        """Take ``doc_id``'s statistics and postings out of the index."""
         self._field_lengths.pop(doc_id, None)
         for field, counts in forward.items():
             remaining = self._field_tokens[field] - sum(counts.values())

@@ -23,7 +23,8 @@ engine that never had a cache to go stale.
 
 ``ChurnReport.coverage`` proves the run actually exercised the three
 fast paths (plan-cache hits, extend-cache hits, search-result-cache
-hits, vectorized plans) instead of silently passing on cold code.
+hits, vectorized plans, cloud partials patched by writes) instead of
+silently passing on cold code.
 """
 
 from __future__ import annotations
@@ -192,9 +193,7 @@ class ChurnDriver:
         self.db.execute_script(SCHEMA)
         self._populate(self.db, with_docs=True)
         self.engine = self._make_engine(self.db)
-        self.builder = CloudBuilder(
-            self.engine, strategy="forward", min_result_df=1
-        )
+        self.builder = CloudBuilder(self.engine, min_result_df=1)
         self.builder.prepare()
 
     def _doc_text(self) -> Tuple[str, str]:
@@ -486,9 +485,7 @@ class ChurnDriver:
         session = RefinementSession(self.engine, self.builder, "american")
         term = self.rng.choice(CLOUD_TERMS)
         step = session.refine(term)
-        cold_builder = CloudBuilder(
-            cold_engine, strategy="forward", min_result_df=1
-        )
+        cold_builder = CloudBuilder(cold_engine, min_result_df=1)
         cold_builder.prepare()
         live_signature = self._cloud_signature(step.cloud)
         cold_signature = self._cloud_signature(
@@ -539,15 +536,18 @@ class ChurnDriver:
             for name, sql in DOC_DIMENSIONS
         )
         cold_db = self._replica(with_docs=True)
-        cold_builder = CloudBuilder(
-            self._make_engine(cold_db), strategy="forward", min_result_df=1
-        )
+        cold_builder = CloudBuilder(self._make_engine(cold_db), min_result_df=1)
         cold_builder.prepare()
         cube = CloudCube(self.db, self.builder, dimensions=dims)
         root = cube.root()
-        # Every drill-down child (derived incrementally from the root's
-        # aggregates) must match a cold build over the same doc subset on
-        # an engine that shares no caches with the live stack.
+        # The root's partial and every cell's may be ones the previous
+        # check cached and the writes since patched: each must match a
+        # cold build over the same doc subset on an engine that shares no
+        # caches with the live stack.
+        if self._cloud_signature(root.cloud) != self._cloud_signature(
+            cold_builder.build_for_docs(root.doc_ids)
+        ):
+            self._fail("cube root != cold build after churn")
         for topic, cell in cube.drill_down(root, "topic").items():
             cold = cold_builder.build_for_docs(cell.doc_ids)
             if self._cloud_signature(cell.cloud) != self._cloud_signature(
@@ -576,6 +576,12 @@ class ChurnDriver:
                     self._fail("cube roll_up did not restore the parent")
                 else:
                     self._bump("cube_walks")
+        # Partials served since the last check that a write had patched.
+        patched = self.builder.source.cache_info()["patched"]
+        self._bump(
+            "gather_patched",
+            patched - self.report.coverage.get("gather_patched", 0),
+        )
 
     @staticmethod
     def _cloud_signature(cloud: Any) -> List[Tuple[Any, ...]]:

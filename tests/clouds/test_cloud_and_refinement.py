@@ -11,6 +11,7 @@ from repro.clouds.render import render_html, render_text
 from repro.minidb import Database
 from repro.search.engine import SearchEngine
 from repro.search.entity import EntityDefinition, FieldSpec
+from tests.clouds.oracle import oracle_cloud
 
 
 def make_engine(rows):
@@ -114,14 +115,16 @@ class TestCloudBuilder:
         assert cloud.find("no-such-term") is None
 
     def test_strategies_agree_on_exact_terms(self, engine):
-        forward = CloudBuilder(engine, strategy="forward", min_result_df=1)
+        """The forward index and a rescan of the raw text (the oracle)."""
+        forward = CloudBuilder(engine, min_result_df=1)
         forward.prepare()
-        rescan = CloudBuilder(engine, strategy="rescan", min_result_df=1)
-        rescan.prepare()
         result = engine.search("american")
-        assert (
-            forward.build(result).term_names()
-            == rescan.build(result).term_names()
+        assert forward.build(result).terms == oracle_cloud(
+            forward,
+            [forward.source],
+            [result.doc_ids()],
+            len(result),
+            result.terms,
         )
 
 

@@ -11,11 +11,11 @@ the writes left it; clouds must be ``==`` on full ``CloudTerm`` tuples.
 
 import pytest
 
-from repro.clouds.cloud import CloudBuilder
 from repro.courserank import CourseRank
 from repro.courserank.accounts import Role
 from repro.datagen import generate_university
 from repro.service import CourseRankService
+from tests.clouds.oracle import oracle_cloud
 
 QUERIES = ("history", "data", "zanzibar", "quokka", "introduction systems")
 
@@ -61,11 +61,12 @@ def search_clouds(search):
     return {query: search(query)[1].terms for query in QUERIES}
 
 
-@pytest.mark.parametrize("strategy", ["forward", "topk", "rescan"])
-def test_facade_cloud_equals_cold_build_after_writes(strategy):
+@pytest.mark.parametrize("reference", ["forward", "rescan"])
+def test_facade_cloud_equals_cold_build_after_writes(reference):
+    """Live clouds against a cold build (``forward``) or against the
+    oracle over the raw text rescanned (``rescan``)."""
     app = CourseRank(generate_university(scale="tiny", seed=7))
     search = app.cloudsearch
-    search.builder = CloudBuilder(search.engine, strategy=strategy)
     search.build()
     search.search("history")  # the source has served a cloud before the writes
     user = commenter(app)
@@ -77,26 +78,36 @@ def test_facade_cloud_equals_cold_build_after_writes(strategy):
             user, course_id, text, 4.0
         ),
     )
-    cold = CourseRank(app.db)
-    cold.cloudsearch.builder = CloudBuilder(
-        cold.cloudsearch.engine, strategy=strategy
-    )
-    cold.cloudsearch.build()
-    live_clouds = search_clouds(search.search)
-    assert live_clouds == search_clouds(cold.cloudsearch.search)
-    if strategy != "topk":  # one mention is outside a document's top few
-        zanzibar = search.search("history")[1].find("zanzibar")
-        assert zanzibar is not None and zanzibar.result_df >= 2
-    source, cold_source = search.builder.source, cold.cloudsearch.builder.source
-    assert source._corpus_df == cold_source._corpus_df
-    assert "quokka" not in source._corpus_df
-    assert source._doc_terms == cold_source._doc_terms
-    assert removed not in source._doc_terms
-    assert removed not in source._doc_vocabulary
+    source = search.builder.source
     # Cube cells are clouds over slices: the same forward index feeds them.
-    assert search.cube().root().cloud.terms == (
-        cold.cloudsearch.cube().root().cloud.terms
-    )
+    root = search.cube().root()
+    if reference == "forward":
+        cold = CourseRank(app.db)
+        cold.cloudsearch.build()
+        assert search_clouds(search.search) == search_clouds(
+            cold.cloudsearch.search
+        )
+        cold_source = cold.cloudsearch.builder.source
+        assert source._corpus_df == cold_source._corpus_df
+        assert source._doc_terms == cold_source._doc_terms
+        assert root.cloud.terms == cold.cloudsearch.cube().root().cloud.terms
+    else:
+        for query in QUERIES:
+            result, cloud = search.search(query)
+            assert cloud.terms == oracle_cloud(
+                search.builder,
+                [source],
+                [result.doc_ids()],
+                len(result),
+                result.terms,
+            )
+        assert root.cloud.terms == oracle_cloud(
+            search.builder, [source], [root.doc_ids], root.result_size, None
+        )
+    zanzibar = search.search("history")[1].find("zanzibar")
+    assert zanzibar is not None and zanzibar.result_df >= 2
+    assert "quokka" not in source._corpus_df
+    assert removed not in source._doc_terms
 
 
 @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5])

@@ -1,19 +1,24 @@
-"""The gather cache outlives writes to documents it does not cover.
+"""The gather cache follows writes by patching, not re-gathering.
 
 ``TermSource`` caches each partial under its ordered doc-id tuple with
-the index epoch it was gathered at.  After a write the partial is reused
-whole when the index touched none of its documents since (a
-``revalidated`` hit) and gathered again otherwise; corpus df and corpus
-size, which every write may move, are read when the cloud is built.  The
+the index epoch it describes, and serves it only at that epoch.  When the
+source catches up with a write it holds each touched document's old and
+new counters, and patches every cached partial holding the document
+(old counts out, new in, times its multiplicity in the tuple) before
+re-stamping every entry with the new epoch.  Corpus df and corpus size,
+which every write may move, are read when the cloud is built.  The
 reference is always a cold ``CourseRank`` built over the database as the
-writes left it.
+writes left it, and a fresh ``TermSource`` for the partials themselves.
 """
 
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.clouds.scoring import TermSource
 from repro.courserank import CourseRank
 from repro.courserank.accounts import Role
 from repro.datagen import generate_university
@@ -36,19 +41,41 @@ def course_ids(app):
     )
 
 
-@pytest.fixture()
-def comment(app):
-    """``comment(course_id, text)`` through the facade's write path, by a
-    student with no comment yet (a second comment by one student on one
-    course replaces the first)."""
+def writers(app, count):
+    """Accounts of ``count`` students with no comment yet (a second
+    comment by one student on one course replaces the first)."""
     students = set(app.db.query("SELECT SuID FROM Students").column("SuID"))
     commenters = set(app.db.query("SELECT SuID FROM Comments").column("SuID"))
-    user = app.accounts.register(
-        "cloudwriter", Role.STUDENT, person_id=min(students - commenters)
-    )
+    return [
+        app.accounts.register(f"cloudwriter{index}", Role.STUDENT, person_id=suid)
+        for index, suid in enumerate(sorted(students - commenters)[:count])
+    ]
+
+
+@pytest.fixture()
+def comment(app):
+    """``comment(course_id, text)`` through the facade's write path."""
+    (user,) = writers(app, 1)
     return lambda course_id, text: app.comment_on_course(
         user, course_id, text, 4.0
     )
+
+
+def remove_course(app, course_id):
+    """Delete a course with every row referencing it; returns its row."""
+    row = app.db.query(
+        "SELECT * FROM Courses WHERE CourseID = ?", (course_id,)
+    ).rows[0]
+    for table in app.db.table_names():
+        for key in app.db.table(table).schema.foreign_keys:
+            if key.ref_table == "Courses":
+                app.db.execute(
+                    f"DELETE FROM {table} WHERE {key.columns[0]} = ?",
+                    (course_id,),
+                )
+    app.db.execute("DELETE FROM Courses WHERE CourseID = ?", (course_id,))
+    app.cloudsearch.engine.refresh_document(course_id)
+    return row
 
 
 def cold_cloud(app, doc_ids):
@@ -66,53 +93,68 @@ def counts_after(app, doc_ids):
     return terms, {key: after[key] - before[key] for key in before}
 
 
+def assert_partials_are_fresh(source):
+    """Every cached partial is stamped with the source's epoch and is,
+    dict for dict, what a freshly prepared source gathers over its tuple."""
+    fresh = TermSource(source.engine, include_bigrams=source.include_bigrams)
+    fresh.prepare()
+    for ordered, (stamp, partial, _patched) in source._gather_cache.items():
+        assert stamp == source._epoch
+        expected = fresh.partial_gather(ordered)
+        assert partial.occurrences == expected.occurrences
+        assert partial.result_df == expected.result_df
+
+
 class TestRevalidation:
     def test_a_comment_outside_the_set_is_a_revalidated_hit(self, app, comment):
+        """Re-stamped with the new epoch, not patched, not gathered."""
         ids = course_ids(app)
         inside = ids[: len(ids) // 2]
         app.cloudsearch.builder.build_for_docs(inside)
         comment(ids[-1], "zanzibar field trip, would go again")
         terms, delta = counts_after(app, inside)
-        assert delta == {"hits": 1, "misses": 0, "revalidated": 1, "size": 0}
+        assert delta == {"hits": 1, "misses": 0, "patched": 0, "size": 0}
         assert terms == cold_cloud(app, inside)
-        # Re-stamped with the new epoch: the next build is a plain hit.
         _, delta = counts_after(app, inside)
-        assert delta["hits"] == 1 and delta["revalidated"] == 0
+        assert delta == {"hits": 1, "misses": 0, "patched": 0, "size": 0}
 
-    def test_a_comment_inside_the_set_forces_a_gather(self, app, comment):
+    def test_a_comment_inside_the_set_is_a_patched_hit(self, app, comment):
         ids = course_ids(app)
         inside = ids[: len(ids) // 2]
         app.cloudsearch.builder.build_for_docs(inside)
         for course_id in inside[:3]:
             comment(course_id, "zanzibar field trip, would go again")
         terms, delta = counts_after(app, inside)
-        assert delta["misses"] == 1 and delta["hits"] == 0
+        assert delta == {"hits": 1, "misses": 0, "patched": 1, "size": 0}
         assert terms == cold_cloud(app, inside)
         gathered = app.cloudsearch.builder.source.gather(inside)
         assert {s.term: s.result_df for s in gathered}["zanzibar"] == 3
+        assert_partials_are_fresh(app.cloudsearch.builder.source)
 
-    def test_a_removed_course_is_gathered_again(self, app):
+    def test_a_removed_course_patches_its_sets(self, app):
         ids = course_ids(app)
         inside = ids[: len(ids) // 2]
         removed = inside[0]
-        app.cloudsearch.builder.build_for_docs(inside)
-        for table in app.db.table_names():
-            for key in app.db.table(table).schema.foreign_keys:
-                if key.ref_table == "Courses":
-                    app.db.execute(
-                        f"DELETE FROM {table} WHERE {key.columns[0]} = {removed}"
-                    )
-        app.db.execute(f"DELETE FROM Courses WHERE CourseID = {removed}")
-        app.cloudsearch.engine.refresh_document(removed)
-        terms, delta = counts_after(app, inside)
-        assert delta["misses"] == 1 and delta["hits"] == 0
-        assert terms == cold_cloud(app, inside)
+        builder = app.cloudsearch.builder
+        sets = (tuple(inside), tuple(inside[:4]), tuple(ids[len(ids) // 2 :]))
+        for docs in sets:
+            builder.build_for_docs(docs)
+        remove_course(app, removed)
+        before = builder.source.cache_info()
+        clouds = [builder.build_for_docs(docs).terms for docs in sets]
+        after = builder.source.cache_info()
+        assert after["patched"] - before["patched"] == 2  # not the third
+        assert after["misses"] == before["misses"]
+        assert after["hits"] - before["hits"] == len(sets)
+        assert clouds == [cold_cloud(app, docs) for docs in sets]
+        assert_partials_are_fresh(builder.source)
 
     @pytest.mark.parametrize("prepare", [False, True])
     def test_a_rebuilt_engine_leaves_nothing_stale(self, app, prepare):
-        """``engine.build()`` touches every document; ``prepare()`` on top
-        empties the cache outright.  Either way the next cloud is
-        gathered from the new text."""
+        """``engine.build()`` touches every document, so the catch-up
+        patches every one of them; ``prepare()`` on top empties the cache
+        outright, so the next cloud is gathered.  Either way it is the
+        new text's cloud."""
         ids = course_ids(app)
         inside = ids[: len(ids) // 2]
         app.cloudsearch.builder.build_for_docs(inside)
@@ -125,10 +167,14 @@ class TestRevalidation:
             app.cloudsearch.builder.prepare()
             assert app.cloudsearch.builder.source.cache_info()["size"] == 0
         terms, delta = counts_after(app, inside)
-        assert delta["misses"] == 1 and delta["hits"] == 0
+        if prepare:
+            assert delta == {"hits": 0, "misses": 1, "patched": 0, "size": 1}
+        else:
+            assert delta == {"hits": 1, "misses": 0, "patched": 1, "size": 0}
         assert terms == cold_cloud(app, inside)
         gathered = app.cloudsearch.builder.source.gather(inside)
         assert {s.term: s.result_df for s in gathered}["zanzibar"] == 2
+        assert_partials_are_fresh(app.cloudsearch.builder.source)
 
     def test_cache_info_reaches_the_observability_bundles(self, app):
         from repro.service import CourseRankService
@@ -136,13 +182,107 @@ class TestRevalidation:
         app.cloudsearch.search("history")
         gather = app.observability()["caches"]["search_result_cache"]["gather"]
         assert gather["misses"] >= 1
-        assert set(gather) == {"hits", "misses", "revalidated", "size"}
+        assert set(gather) == {"hits", "misses", "patched", "size"}
         service = CourseRankService(
             generate_university(scale="tiny", seed=7), num_shards=2
         )
         service.search("history")
         shards = service.observability()["service"]["shard_search_caches"]
         assert [shard["gather"]["misses"] for shard in shards] == [1, 1]
+
+    def test_the_patch_is_counted_in_obs(self, app, comment):
+        from repro.obs import OBS
+
+        ids = course_ids(app)
+        app.cloudsearch.builder.build_for_docs(ids[:10])
+        comment(ids[0], "zanzibar field trip")
+        OBS.reset()
+        OBS.enable()
+        try:
+            app.cloudsearch.builder.build_for_docs(ids[:10])
+            patched = OBS.metrics.counter("cloud.gather.patched")
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert patched == 1
+
+
+#: a course id no generated university holds
+UNKNOWN = 10_000
+#: comment words: common corpus words (their df crosses the cut as
+#: comments come and go) and one no course holds
+WORDS = ("history", "introduction", "systems", "data", "theory", "xyzzy")
+
+writes = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("comment"),
+            st.integers(0, 47),
+            st.integers(0, 1),
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
+        ),
+        st.tuples(st.just("remove"), st.integers(0, 47)),
+        st.tuples(st.just("restore")),
+        st.tuples(
+            st.just("title"),
+            st.integers(0, 47),
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=3),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), steps=writes)
+def test_patched_partials_equal_fresh_gathers(data, steps):
+    """Random comment adds and replacements, course removals and
+    re-additions, title edits.  The cached sets repeat documents and hold
+    ones the index never had.  After every write each cached partial
+    ``==`` a fresh gather over its tuple and each cloud a cold build."""
+    app = CourseRank(generate_university(scale="tiny", seed=7))
+    search = app.cloudsearch
+    search.ensure_built()
+    builder = search.builder
+    ids = course_ids(app)
+    pool = st.sampled_from(ids + [UNKNOWN])
+    sets = [tuple(ids)] + [
+        tuple(data.draw(st.lists(pool, min_size=1, max_size=16)))
+        for _ in range(3)
+    ]
+    users = writers(app, 2)
+    removed = []
+    for docs in sets:
+        builder.build_for_docs(docs)
+    for kind, *args in steps:
+        if kind == "restore":
+            if removed:
+                row = removed.pop()
+                app.db.table("Courses").insert(list(row))
+                search.engine.refresh_document(row[0])
+        else:
+            present = course_ids(app)
+            course_id = present[args[0] % len(present)]
+        if kind == "comment":
+            user, words = users[args[1]], " ".join(args[2])
+            app.comment_on_course(user, course_id, words, 3.0)
+        elif kind == "remove":
+            removed.append(remove_course(app, course_id))
+        elif kind == "title":
+            app.db.execute(
+                "UPDATE Courses SET Title = ? WHERE CourseID = ?",
+                (" ".join(args[1]).title(), course_id),
+            )
+            search.engine.refresh_document(course_id)
+        live = [builder.build_for_docs(docs).terms for docs in sets]
+        assert_partials_are_fresh(builder.source)
+        cold = CourseRank(app.db)
+        cold.cloudsearch.build()
+        assert live == [
+            cold.cloudsearch.builder.build_for_docs(docs).terms
+            for docs in sets
+        ]
 
 
 def test_readers_racing_a_writer_get_the_serial_answers(app, comment):
@@ -151,7 +291,7 @@ def test_readers_racing_a_writer_get_the_serial_answers(app, comment):
     interval, each side under its half of the database lock (as the
     service takes it).  The comments hold only words no other document
     has, so every cloud stays what it was: readers must get the serial
-    answers whether they revalidated, re-gathered or caught up."""
+    answers whether they hit, patched, re-gathered or caught up."""
     builder = app.cloudsearch.builder
     ids = course_ids(app)
     sets = [tuple(ids[start : start + 10]) for start in range(0, 30, 5)]
@@ -199,10 +339,10 @@ def test_readers_racing_a_writer_get_the_serial_answers(app, comment):
     for docs in sets:
         assert builder.build_for_docs(docs).terms == cold_cloud(app, docs)
     info = builder.source.cache_info()
-    assert info["revalidated"] > 0
+    assert info["patched"] > 0
     # Every gather counted once, however the readers interleaved.
     gathers = len(observed) + len(sets)
     assert (info["hits"] + info["misses"]) - (
         before["hits"] + before["misses"]
     ) == gathers
-
+    assert_partials_are_fresh(builder.source)

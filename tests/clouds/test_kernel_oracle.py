@@ -4,9 +4,10 @@
 cuts on result df before anything else is summed, scores the survivors
 df level by df level only while the scoring's upper bound says an
 unscored term could still be shown, and suppresses query echoes lazily.
-``oracle_cloud`` below is the pipeline it replaced — merge every counter,
-build statistics for the whole vocabulary, filter, suppress, score, sort,
-cut, bucket — kept here as the reference.  Every cloud must come out
+``oracle_cloud`` (``tests/clouds/oracle.py``) is the pipeline it
+replaced — merge every counter, build statistics for the whole
+vocabulary, filter, suppress, score, sort, cut, bucket — over counters
+rescanned from each document's raw text.  Every cloud must come out
 ``==``: term, score, occurrences, result df, bucket, order.  The skewed
 corpora are large enough for the bound to prune, and the ``cloud.build``
 span's ``candidates``/``scored`` fields show that it did.
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clouds.cloud import CloudBuilder, CloudTerm
+from repro.clouds.cloud import CloudBuilder
 from repro.clouds.scoring import SignificanceScoring, TermPartial, TermStats
 from repro.courserank import CourseRank
 from repro.datagen import generate_university
@@ -28,6 +29,7 @@ from repro.minidb import Database
 from repro.obs import OBS
 from repro.search.engine import SearchEngine
 from repro.search.entity import EntityDefinition, FieldSpec
+from tests.clouds.oracle import oracle_cloud
 
 WORDS = (
     "american", "history", "latin", "politics", "music", "jazz",
@@ -43,54 +45,6 @@ SKEWED = WORDS + (
 ZIPF_POOL = tuple(
     word for rank, word in enumerate(SKEWED) for _ in range(30 // (rank + 1))
 )
-
-
-def oracle_cloud(builder, sources, docs_per_source, result_size, query_terms):
-    """Today's answer the slow way; ``sources[i]`` holds ``docs_per_source[i]``."""
-    occurrences, result_df, corpus_df = Counter(), Counter(), Counter()
-    for source, doc_ids in zip(sources, docs_per_source):
-        for doc_id in doc_ids:
-            for term, count in source._doc_counts(doc_id).items():
-                occurrences[term] += count
-                result_df[term] += 1
-    for source in sources:
-        for term in occurrences:
-            if term in source._corpus_df:
-                corpus_df[term] += source._corpus_df[term]
-    corpus_size = sum(source.corpus_size for source in sources)
-    min_df = builder.min_result_df if result_size >= builder.min_result_df else 1
-    suppressed = set(query_terms or ())
-    stem = builder.engine.tokenizer.stem_token
-    scored = []
-    for term in occurrences:
-        stats = TermStats(
-            term,
-            occurrences[term],
-            result_df[term],
-            corpus_df.get(term, result_df[term]),
-        )
-        if stats.result_df < min_df:
-            continue
-        if suppressed and all(stem(w) in suppressed for w in term.split(" ")):
-            continue
-        score = builder.scoring.score(stats, result_size, corpus_size)
-        if score > 0:
-            scored.append((score, stats))
-    scored.sort(key=lambda entry: (-entry[0], entry[1].term))
-    scored = scored[: builder.max_terms]
-    if not scored:
-        return []
-    low = scored[-1][0]
-    span = scored[0][0] - low
-    terms = []
-    for score, stats in scored:
-        bucket = builder.buckets
-        if span > 0:
-            bucket = 1 + int(round((score - low) / span * (builder.buckets - 1)))
-        terms.append(
-            CloudTerm(stats.term, score, stats.occurrences, stats.result_df, bucket)
-        )
-    return terms
 
 
 def make_engine(rows):
@@ -183,21 +137,15 @@ def per_shard(doc_ids, shards):
 @settings(max_examples=120, deadline=None)
 @given(
     rows=corpora,
-    strategy=st.sampled_from(("forward", "rescan", "topk")),
     scoring=scorings,
     shape=shapes,
     query=queries,
     data=st.data(),
 )
-def test_kernel_equals_oracle(rows, strategy, scoring, shape, query, data):
+def test_kernel_equals_oracle(rows, scoring, shape, query, data):
     engine = make_engine(rows)
     builder = CloudBuilder(
-        engine,
-        scoring=scoring,
-        strategy=strategy,
-        min_result_df=shape[0],
-        max_terms=shape[1],
-        topk_per_doc=3,
+        engine, scoring=scoring, min_result_df=shape[0], max_terms=shape[1]
     )
     builder.prepare()
     # Any subset, in any order: empty, and smaller than min_result_df too.
@@ -414,23 +362,16 @@ def skewed_rows(rng, count):
 
 
 def test_the_bound_prunes_and_the_answer_stays_the_oracles():
-    """Seeded sweep over skewed corpora, every strategy, 1–5 shard
-    partials.  Popularity declares a bound: in at least three of every
-    four of its clouds some term that passed the iceberg cut was never
-    scored.  The other scorings declare none and score every candidate.
+    """Seeded sweep over skewed corpora, 1–5 shard partials.  Popularity
+    declares a bound: in at least three of every four of its clouds some
+    term that passed the iceberg cut was never scored.  The other scorings declare none and score every candidate.
     Every cloud is the oracle's."""
     rng = random.Random(25)
     clouds = pruned = 0
     for _trial in range(32):
         rows = skewed_rows(rng, rng.randint(30, 60))
         shards = rng.randint(1, 5)
-        parts = sharded(
-            rows,
-            shards,
-            strategy=rng.choice(("forward", "rescan", "topk")),
-            max_terms=rng.randint(1, 8),
-            topk_per_doc=6,
-        )
+        parts = sharded(rows, shards, max_terms=rng.randint(1, 8))
         doc_ids = rng.sample([row[0] for row in rows], rng.randint(15, len(rows)))
         docs = per_shard(doc_ids, shards)
         query_terms = stems(parts[0].engine, rng.sample(SKEWED[:8], 1))

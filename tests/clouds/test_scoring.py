@@ -1,4 +1,4 @@
-"""Unit tests for cloud term gathering strategies and significance models."""
+"""Unit tests for cloud term gathering and significance models."""
 
 import math
 
@@ -17,7 +17,9 @@ from repro.clouds.scoring import (
 )
 from repro.minidb import Database
 from repro.search.engine import SearchEngine
+from repro.search import entity as entities
 from repro.search.entity import EntityDefinition, FieldSpec
+from tests.clouds.oracle import rescan_gather
 
 
 @pytest.fixture()
@@ -46,17 +48,13 @@ def engine():
 
 
 class TestTermSource:
-    def test_unknown_strategy(self, engine):
-        with pytest.raises(CloudError):
-            TermSource(engine, strategy="magic")
-
     def test_gather_requires_prepare(self, engine):
         source = TermSource(engine)
         with pytest.raises(CloudError):
             source.gather([1])
 
     def test_forward_gathers_weighted_counts(self, engine):
-        source = TermSource(engine, strategy="forward")
+        source = TermSource(engine)
         source.prepare()
         stats = {s.term: s for s in source.gather([1])}
         # "american" appears in title (w=3) and body (w=1) of doc 1.
@@ -64,43 +62,31 @@ class TestTermSource:
         assert stats["american"].result_df == 1
 
     def test_corpus_df_counted(self, engine):
-        source = TermSource(engine, strategy="forward")
+        source = TermSource(engine)
         source.prepare()
         stats = {s.term: s for s in source.gather([1, 2, 4])}
         assert stats["american"].corpus_df == 3
 
     def test_bigrams_included(self, engine):
-        source = TermSource(engine, strategy="forward")
+        source = TermSource(engine)
         source.prepare()
         stats = {s.term: s for s in source.gather([2])}
         assert "latin american" in stats
 
     def test_bigrams_can_be_disabled(self, engine):
-        source = TermSource(engine, strategy="forward", include_bigrams=False)
+        source = TermSource(engine, include_bigrams=False)
         source.prepare()
         stats = {s.term: s for s in source.gather([2])}
         assert "latin american" not in stats
 
     def test_rescan_matches_forward_exactly(self, engine):
-        forward = TermSource(engine, strategy="forward")
+        forward = TermSource(engine)
         forward.prepare()
-        rescan = TermSource(engine, strategy="rescan")
-        rescan.prepare()
         doc_ids = [1, 2, 4]
+        occurrences, result_df = rescan_gather(forward, doc_ids)
         left = {(s.term, s.occurrences, s.result_df) for s in forward.gather(doc_ids)}
-        right = {(s.term, s.occurrences, s.result_df) for s in rescan.gather(doc_ids)}
+        right = {(term, occurrences[term], result_df[term]) for term in occurrences}
         assert left == right
-
-    def test_topk_is_subset_of_forward(self, engine):
-        forward = TermSource(engine, strategy="forward")
-        forward.prepare()
-        topk = TermSource(engine, strategy="topk", topk_per_doc=3)
-        topk.prepare()
-        doc_ids = [1, 2, 4]
-        full_terms = {s.term for s in forward.gather(doc_ids)}
-        approx_terms = {s.term for s in topk.gather(doc_ids)}
-        assert approx_terms <= full_terms
-        assert approx_terms  # not empty
 
     def test_corpus_size(self, engine):
         source = TermSource(engine)
@@ -108,7 +94,7 @@ class TestTermSource:
         assert source.corpus_size == 4
 
     def test_gather_result_mutation_does_not_corrupt_cache(self, engine):
-        source = TermSource(engine, strategy="forward")
+        source = TermSource(engine)
         source.prepare()
         first = source.gather([1, 2])
         pristine = list(first)
@@ -116,6 +102,23 @@ class TestTermSource:
         first.pop()
         second = source.gather([1, 2])
         assert second == pristine
+
+
+def shipped_entities():
+    return [
+        factory()
+        for name, factory in vars(entities).items()
+        if name.endswith("_entity") and callable(factory)
+    ]
+
+
+@pytest.mark.parametrize("entity", shipped_entities(), ids=lambda e: e.name)
+def test_shipped_field_weights_are_dyadic(entity):
+    """The precondition of exact patching and exact shard merges: every
+    weight is a multiple of 2**-10, so sums and differences of occurrence
+    counts are exact floats in any order (``TermSource``)."""
+    for spec in entity.fields:
+        assert (spec.weight * 2**10).is_integer(), (entity.name, spec)
 
 
 class TestSignificanceModels:

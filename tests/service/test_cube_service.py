@@ -131,6 +131,58 @@ class TestMemoStaysBounded:
             assert len(cube._cells) == cells
 
 
+class TestMaintainedApex:
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5])
+    def test_a_comment_patches_the_root_instead_of_gathering(self, num_shards):
+        """The apex is a maintained aggregate: after a comment every
+        shard's root partial is patched, so rebuilding the root (on the
+        same cube, or on a new one) gathers on no shard, and it equals
+        the unsharded root over the same writes."""
+        from repro.courserank.accounts import Role
+
+        service = CourseRankService(
+            generate_university(scale="tiny", seed=7), num_shards=num_shards
+        )
+        base = CourseRank(generate_university(scale="tiny", seed=7))
+        base.cloudsearch.build()
+        users = [
+            app.accounts.register("apexwriter", Role.STUDENT, person_id=3)
+            for app in service.apps
+        ]
+        base_user = base.accounts.register(
+            "apexwriter", Role.STUDENT, person_id=3
+        )
+        cube = service.cube()
+        cube.root()
+
+        def gather_counts():
+            return [
+                app.cloudsearch.cache_info()["gather"] for app in service.apps
+            ]
+
+        for course_id in (2, 5, 9):
+            text = f"history seminar notes {course_id}"
+            service.comment_on_course(
+                users[service.sharded.shard_of_course(course_id)],
+                course_id,
+                text,
+                4.0,
+            )
+            base.comment_on_course(base_user, course_id, text, 4.0)
+            before = gather_counts()
+            roots = [cube.root(), service.cube().root()]
+            after = gather_counts()
+            deltas = [
+                (a["misses"] - b["misses"], a["patched"] - b["patched"])
+                for a, b in zip(after, before)
+            ]
+            assert [misses for misses, _ in deltas] == [0] * num_shards
+            assert sum(patched for _, patched in deltas) == 1
+            expected = base.cloudsearch.cube().root()
+            for root in roots:
+                _same_cell(expected, root)
+
+
 class TestSessionRootedCube:
     @pytest.mark.parametrize("query", ["programming", "data"])
     def test_session_cubes_walk_identically(self, pair, query):

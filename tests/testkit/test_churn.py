@@ -46,6 +46,11 @@ class TestFastPathCoverage:
     def test_cloud_refinements_checked(self, report):
         assert report.coverage.get("cloud_refinements", 0) > 0
 
+    def test_cloud_partials_patched(self, report):
+        """The cube and refinement checks compared clouds built from
+        cached partials that writes had patched, not only fresh ones."""
+        assert report.coverage.get("gather_patched", 0) > 0
+
 
 class TestDetection:
     def test_stale_search_index_is_caught(self):
