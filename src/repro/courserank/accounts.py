@@ -74,12 +74,6 @@ class AccountManager:
 
     # -- registration ------------------------------------------------------
 
-    def _next_user_id(self) -> int:
-        current = self.database.query(
-            "SELECT MAX(UserID) FROM Users"
-        ).scalar()
-        return (current or 0) + 1
-
     def register(
         self,
         username: str,
@@ -109,10 +103,9 @@ class AccountManager:
                     "faculty registration requires a valid InstructorID, "
                     f"got {person_id!r}"
                 )
-        user_id = self._next_user_id()
-        self.database.table("Users").insert(
-            [user_id, username, role.value, person_id]
-        )
+        users = self.database.table("Users")
+        user_id = users.next_id()
+        users.insert([user_id, username, role.value, person_id])
         return User(
             user_id=user_id, username=username, role=role, person_id=person_id
         )

@@ -183,11 +183,9 @@ class CourseRank:
                 "faculty may only annotate courses they teach"
             )
         with self.db.rwlock.write_locked():
-            current = self.db.query(
-                "SELECT MAX(NoteID) FROM FacultyNotes"
-            ).scalar()
-            note_id = (current or 0) + 1
-            self.db.table("FacultyNotes").insert(
+            notes = self.db.table("FacultyNotes")
+            note_id = notes.next_id()
+            notes.insert(
                 [note_id, course_id, user.person_id, text,
                  day or datetime.date.today()]
             )
@@ -214,10 +212,7 @@ class CourseRank:
             if existing:
                 textbook_id = existing[0][0]
             else:
-                current = self.db.query(
-                    "SELECT MAX(TextbookID) FROM Textbooks"
-                ).scalar()
-                textbook_id = (current or 0) + 1
+                textbook_id = textbooks.next_id()
                 textbooks.insert([textbook_id, title, author or None])
             link = self.db.table("CourseTextbooks")
             if link.lookup_pk((course_id, textbook_id)) is None:

@@ -30,12 +30,6 @@ class Forum:
 
     # -- asking -----------------------------------------------------------
 
-    def _next_id(self, table: str, column: str) -> int:
-        current = self.database.query(
-            f"SELECT MAX({column}) FROM {table}"
-        ).scalar()
-        return (current or 0) + 1
-
     def ask(
         self,
         asker_id: Optional[int],
@@ -48,9 +42,10 @@ class Forum:
         """Post a question and route it to likely answerers."""
         if not text or not text.strip():
             raise CourseRankError("question text must be non-empty")
-        question_id = self._next_id("Questions", "QuestionID")
+        questions = self.database.table("Questions")
+        question_id = questions.next_id()
         day = day or datetime.date.today()
-        self.database.table("Questions").insert(
+        questions.insert(
             [question_id, asker_id, course_id, dep_id, text, day, official]
         )
         for suid in self.route_targets(course_id, dep_id, exclude=asker_id):
@@ -117,11 +112,10 @@ class Forum:
             raise CourseRankError("answer text must be non-empty")
         if self.database.table("Questions").lookup_pk((question_id,)) is None:
             raise CourseRankError(f"unknown question {question_id}")
-        answer_id = self._next_id("Answers", "AnswerID")
+        answers = self.database.table("Answers")
+        answer_id = answers.next_id()
         day = day or datetime.date.today()
-        self.database.table("Answers").insert(
-            [answer_id, question_id, author_id, text, day, False]
-        )
+        answers.insert([answer_id, question_id, author_id, text, day, False])
         return Answer(
             answer_id=answer_id,
             question_id=question_id,

@@ -38,12 +38,6 @@ class IncentiveLedger:
     def __init__(self, database: Database) -> None:
         self.database = database
 
-    def _next_entry_id(self) -> int:
-        current = self.database.query(
-            "SELECT MAX(EntryID) FROM PointsLedger"
-        ).scalar()
-        return (current or 0) + 1
-
     def award(
         self,
         user_id: int,
@@ -64,9 +58,8 @@ class IncentiveLedger:
         day = day or datetime.date.today()
         if action == "daily_login" and self._logged_in_on(user_id, day):
             return 0
-        self.database.table("PointsLedger").insert(
-            [self._next_entry_id(), user_id, action, points, day]
-        )
+        ledger = self.database.table("PointsLedger")
+        ledger.insert([ledger.next_id(), user_id, action, points, day])
         return points
 
     def _logged_in_on(self, user_id: int, day: datetime.date) -> bool:

@@ -385,13 +385,9 @@ class RequirementTracker:
     ) -> int:
         """Store a requirement after validating its rule; returns ReqID."""
         parse_rule(rule_text)  # raises on bad syntax
-        current = self.database.query(
-            "SELECT MAX(ReqID) FROM Requirements"
-        ).scalar()
-        req_id = (current or 0) + 1
-        self.database.table("Requirements").insert(
-            [req_id, dep_id, name, rule_text]
-        )
+        requirements = self.database.table("Requirements")
+        req_id = requirements.next_id()
+        requirements.insert([req_id, dep_id, name, rule_text])
         return req_id
 
     def requirements_for(self, dep_id: int) -> List[Tuple[int, str, str]]:

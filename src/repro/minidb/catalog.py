@@ -336,7 +336,7 @@ class Database:
         """EXPLAIN ANALYZE: run a SELECT and return an
         :class:`~repro.minidb.executor.AnalyzeReport` — the result set
         plus the plan annotated with per-node rows-in/rows-out and wall
-        time ([cached]/[vectorized] markers included)."""
+        time (with the [cached] marker)."""
         return self._get_executor().analyze(sql, params=params)
 
     # -- transactions --------------------------------------------------------
@@ -430,6 +430,12 @@ class _CatalogTable(Table):
                 # Changing a referenced key would orphan referencing rows.
                 self._database.check_delete_fk(self, old_row)
         super().update_rowid(rowid, new_row)
+
+    def next_id(self) -> int:
+        # Under the read lock, as a ``SELECT MAX`` would be: a concurrent
+        # writer must not resize the primary-key map mid-read.
+        with self._database.rwlock.read_locked():
+            return super().next_id()
 
 
 class _TransactionContext:

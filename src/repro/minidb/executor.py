@@ -129,20 +129,13 @@ class NodeStats:
     by construction and the tests can assert it end to end.
     """
 
-    __slots__ = (
-        "label", "rows_out", "rows_in", "time_ms", "batches", "probes",
-        "children",
-    )
+    __slots__ = ("label", "rows_out", "rows_in", "time_ms", "probes", "children")
 
     def __init__(self, label: str) -> None:
         self.label = label
         self.rows_out = 0
         self.rows_in = 0
         self.time_ms = 0.0
-        #: column batches emitted when the node ran vectorized (0 on the
-        #: row path — the two wrappers shadow the same stats object, but
-        #: only the executed path's wrapper ever fires)
-        self.batches = 0
         #: ``lookup_pk`` calls made by a lookup join's probe side
         #: (``PrimaryKeyLookup``), whose ``rows_out`` counts the matches
         self.probes = 0
@@ -154,7 +147,6 @@ class NodeStats:
             "rows_in": self.rows_in,
             "rows_out": self.rows_out,
             "time_ms": self.time_ms,
-            "batches": self.batches,
             "probes": self.probes,
             "children": [child.to_dict() for child in self.children],
         }
@@ -170,14 +162,12 @@ class AnalyzeReport:
         root: NodeStats,
         total_ms: float,
         cached: bool,
-        vectorized: bool = False,
     ) -> None:
         self.result = result
         self.lines = lines
         self.root = root
         self.total_ms = total_ms
         self.cached = cached
-        self.vectorized = vectorized
 
     @property
     def text(self) -> str:
@@ -187,7 +177,6 @@ class AnalyzeReport:
         return {
             "total_ms": self.total_ms,
             "cached": self.cached,
-            "vectorized": self.vectorized,
             "row_count": len(self.result),
             "plan": self.root.to_dict(),
         }
@@ -248,37 +237,6 @@ def _attach_node_stats(node) -> NodeStats:
     return stats
 
 
-def _attach_vop_stats(vop, stats: NodeStats) -> None:
-    """Shadow a vector operator's ``batches`` with a counting wrapper.
-
-    The wrapper feeds the *same* :class:`NodeStats` as the logical node's
-    ``rows`` wrapper (keyed by the logical node), so the rendered tree and
-    the rows_in derivation are path-agnostic: whichever pipeline actually
-    executes contributes the counts.  Same instance-attribute discipline
-    as :func:`_attach_node_stats` — callers must pop it afterwards.
-    """
-    original = vop.batches
-    perf_counter = time.perf_counter
-
-    def timed() -> Iterator[Any]:
-        started = perf_counter()
-        iterator = original()
-        stats.time_ms += (perf_counter() - started) * 1000.0
-        while True:
-            started = perf_counter()
-            try:
-                chunk = next(iterator)
-            except StopIteration:
-                stats.time_ms += (perf_counter() - started) * 1000.0
-                return
-            stats.time_ms += (perf_counter() - started) * 1000.0
-            stats.batches += 1
-            stats.rows_out += chunk.length
-            yield chunk
-
-    vop.batches = timed
-
-
 def _link_node_stats(node, stats: Dict[int, NodeStats]) -> NodeStats:
     """Build the stats tree and derive rows_in from children's rows_out."""
     own = stats[id(node)]
@@ -290,9 +248,7 @@ def _link_node_stats(node, stats: Dict[int, NodeStats]) -> NodeStats:
 
 
 def _analyze_node_lines(record: NodeStats, indent: int) -> List[str]:
-    extra = f" batches={record.batches}" if record.batches else ""
-    if record.probes:
-        extra += f" probes={record.probes}"
+    extra = f" probes={record.probes}" if record.probes else ""
     lines = [
         "  " * indent
         + f"{record.label} (in={record.rows_in} out={record.rows_out} "
@@ -301,16 +257,6 @@ def _analyze_node_lines(record: NodeStats, indent: int) -> List[str]:
     for child in record.children:
         lines.extend(_analyze_node_lines(child, indent + 1))
     return lines
-
-
-def _plan_markers(plan: QueryPlan, cached: bool) -> str:
-    """The ``[cached]``/``[vectorized]`` suffix of a plan's first EXPLAIN
-    line: how the *next* run of ``plan`` executes, so the markers follow
-    the run-time flag without replanning."""
-    markers = " [cached]" if cached else ""
-    if plan.vectorized:
-        markers += " [vectorized]"
-    return markers
 
 
 def _profile_node_lines(record: NodeStats, indent: int) -> List[str]:
@@ -462,14 +408,10 @@ class Executor:
         )
         lines.extend(_analyze_node_lines(root, indent + 1))
         # Same marker placement as plain EXPLAIN: first line of the plan.
-        lines[0] += _plan_markers(plan, cached)
+        if cached:
+            lines[0] += " [cached]"
         return AnalyzeReport(
-            result=result,
-            lines=lines,
-            root=root,
-            total_ms=total_ms,
-            cached=cached,
-            vectorized=plan.vectorized,
+            result=result, lines=lines, root=root, total_ms=total_ms, cached=cached
         )
 
     def _run_instrumented(
@@ -482,24 +424,10 @@ class Executor:
         instance may live in the plan cache and must come back pristine.
         """
         nodes = list(walk_plan(plan.root))
-        vector_plans = [plan.vector] if plan.vector is not None else []
-        for node in nodes:
-            inner = getattr(node, "plan", None)
-            if inner is not None and getattr(inner, "vector", None) is not None:
-                vector_plans.append(inner.vector)
-        vops: List[Any] = []
         stats: Dict[int, NodeStats] = {}
         try:
             for node in nodes:
                 stats[id(node)] = _attach_node_stats(node)
-            # Vectorized twins share the logical node's stats object, so
-            # counts land in one place no matter which path executed.
-            for vector_plan in vector_plans:
-                for node_id, vop in vector_plan.op_index.items():
-                    shared = stats.get(node_id)
-                    if shared is not None:
-                        _attach_vop_stats(vop, shared)
-                        vops.append(vop)
             started = time.perf_counter()
             columns, rows = plan.run()
             total_ms = (time.perf_counter() - started) * 1000.0
@@ -507,8 +435,6 @@ class Executor:
             for node in nodes:
                 node.__dict__.pop("rows", None)
                 node.__dict__.pop("lookup", None)
-            for vop in vops:
-                vop.__dict__.pop("batches", None)
         root = _link_node_stats(plan.root, stats)
         return ResultSet(columns, rows), root, total_ms
 
@@ -617,7 +543,8 @@ class Executor:
             )
         plan, cached = self.plan_for(statement.query)
         lines = plan.describe()
-        lines[0] += _plan_markers(plan, cached)
+        if cached:
+            lines[0] += " [cached]"
         return ResultSet(["QUERY PLAN"], [(line,) for line in lines])
 
     def _run_union(

@@ -10,21 +10,16 @@ referencing one raises :class:`AmbiguousColumnError`.
 Boolean results use Kleene logic: ``True`` / ``False`` / ``None`` (UNKNOWN).
 ``WHERE`` keeps a row only when the predicate is exactly ``True``.
 
-The batch-vectorized kernel compiler (``repro.minidb.vector.kernels``)
-mirrors these semantics operator by operator — evaluation order,
-short-circuit structure, and error messages included — and reuses the
-helpers here (``_compare``, ``_numeric_binop``, ``kleene_*``,
-``_as_bool``, ``like_to_regex``, ``order_key``).  A semantic change in
-this module must be reflected there; the testkit's five-config
-differential sweep pins the equivalence.
+``evaluate`` is minidb's only expression evaluator: every plan node of
+the row tree (:mod:`repro.minidb.planner`) and every DML predicate runs
+through it.  The testkit's differential sweep holds it to sqlite3.
 """
 
 from __future__ import annotations
 
 import datetime
-import operator
 import re
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     AmbiguousColumnError,
@@ -54,14 +49,6 @@ class Expression:
     def evaluate(self, env: Env) -> Any:
         raise NotImplementedError
 
-    def is_boolean(self) -> bool:
-        """True when evaluation can only yield True, False, or None.
-
-        Lets the vector kernels for AND/OR skip per-row ``_as_bool``
-        coercion; subclasses with strictly three-valued results override.
-        """
-        return False
-
     def to_sql(self) -> str:
         raise NotImplementedError
 
@@ -86,9 +73,6 @@ class Literal(Expression):
 
     def evaluate(self, env: Env) -> Any:
         return self.value
-
-    def is_boolean(self) -> bool:
-        return self.value is None or isinstance(self.value, bool)
 
     def to_sql(self) -> str:
         if self.value is None:
@@ -239,17 +223,6 @@ def kleene_not(value: Optional[bool]) -> Optional[bool]:
 _ARITH = {"+", "-", "*", "/", "%"}
 _COMPARE = {"=", "<>", "!=", "<", "<=", ">", ">="}
 
-_COMPARE_FUNCS: Dict[str, Callable[[Any, Any], bool]] = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
 class BinaryOp(Expression):
     """Arithmetic, comparison, string concatenation (||), AND/OR."""
 
@@ -284,9 +257,6 @@ class BinaryOp(Expression):
             return _numeric_binop(self.op, left, right)
         raise ExecutionError(f"unknown binary operator {self.op!r}")
 
-    def is_boolean(self) -> bool:
-        return self.op in ("AND", "OR") or self.op in _COMPARE
-
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
 
@@ -320,9 +290,6 @@ class UnaryOp(Expression):
             return -value
         raise ExecutionError(f"unknown unary operator {self.op!r}")
 
-    def is_boolean(self) -> bool:
-        return self.op == "NOT"
-
     def to_sql(self) -> str:
         if self.op == "NOT":
             return f"(NOT {self.operand.to_sql()})"
@@ -344,9 +311,6 @@ class IsNull(Expression):
         result = value is None
         return not result if self.negated else result
 
-    def is_boolean(self) -> bool:
-        return True
-
     def to_sql(self) -> str:
         keyword = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.operand.to_sql()} {keyword})"
@@ -364,9 +328,6 @@ class InList(Expression):
         self.operand = operand
         self.items = list(items)
         self.negated = negated
-
-    def is_boolean(self) -> bool:
-        return True
 
     def evaluate(self, env: Env) -> Optional[bool]:
         # ``x IN ()`` is FALSE — not UNKNOWN — even when x is NULL. The
@@ -413,9 +374,6 @@ class Between(Expression):
         self.low = low
         self.high = high
         self.negated = negated
-
-    def is_boolean(self) -> bool:
-        return True
 
     def evaluate(self, env: Env) -> Optional[bool]:
         value = self.operand.evaluate(env)
@@ -465,9 +423,6 @@ class Like(Expression):
         self.negated = negated
         self.case_insensitive = case_insensitive
         self._cache: Dict[str, "re.Pattern[str]"] = {}
-
-    def is_boolean(self) -> bool:
-        return True
 
     def evaluate(self, env: Env) -> Optional[bool]:
         value = self.operand.evaluate(env)
@@ -583,9 +538,6 @@ class InSubquery(Expression):
         self.query = query  # a SelectStatement (kept opaque here)
         self.negated = negated
 
-    def is_boolean(self) -> bool:
-        return True
-
     def evaluate(self, env: Env) -> Any:
         raise ExecutionError(
             "IN (SELECT ...) must be resolved by the planner before evaluation"
@@ -608,9 +560,6 @@ class ExistsSubquery(Expression):
     def __init__(self, query: Any, negated: bool = False) -> None:
         self.query = query
         self.negated = negated
-
-    def is_boolean(self) -> bool:
-        return True
 
     def evaluate(self, env: Env) -> Any:
         raise ExecutionError(

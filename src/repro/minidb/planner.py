@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 from typing import Set, Tuple, Union
 
@@ -65,37 +64,6 @@ from repro.minidb.sql.ast import (
 )
 
 Row = Tuple[Any, ...]
-
-#: Selector between minidb's two execution paths.  On (production),
-#: ``QueryPlan.run`` routes through the plan's batch-vectorized twin
-#: (``repro.minidb.vector``) whenever the router built one.  Off, every
-#: plan runs on the row tree below, evaluated by ``Expression.evaluate``
-#: — the in-repo reference semantics the tests hold the vector path to.
-#: Read at run time: a cached plan carries both shapes, so flipping the
-#: flag takes effect on the next execution with no plan-cache clearing.
-VECTORIZE = True
-
-#: Serializes scoped overrides of the flag above.  It is process-global,
-#: so a bare save/set/restore is not reentrant: two threads interleaving
-#: their restores could leave it permanently flipped.  Scoped changes go
-#: through :func:`flag_overrides`, which holds this (reentrant) lock for
-#: the duration of the override — concurrent overriders serialize, nested
-#: overrides on one thread compose, and the restore always lands.
-_FLAG_LOCK = threading.RLock()
-
-
-@contextmanager
-def flag_overrides(vectorize: bool) -> Iterator[None]:
-    """Temporarily override ``VECTORIZE``, thread-safely."""
-    global VECTORIZE
-    with _FLAG_LOCK:
-        saved = VECTORIZE
-        VECTORIZE = vectorize
-        try:
-            yield
-        finally:
-            VECTORIZE = saved
-
 
 def _emit_row(
     base_env: Env, keys: List[Tuple[int, str, Optional[str]]], row: Row
@@ -729,9 +697,6 @@ class QueryPlan:
         #: True when planning baked IN/EXISTS subquery *data* into literals
         self.uses_snapshot = False
         self._param_envs: Optional[List[Env]] = None
-        #: vectorized twin (``repro.minidb.vector.VectorPlan``) when the
-        #: batch router covers this plan, else None (row path only)
-        self.vector: Optional[Any] = None
         #: serializes bind_parameters+run: cached plans are shared
         #: mutable objects, so two threads executing the same cached
         #: query must not interleave their parameter bindings
@@ -777,14 +742,7 @@ class QueryPlan:
         for env in self._param_envs:
             env["__params__"] = bound
 
-    @property
-    def vectorized(self) -> bool:
-        """Whether :meth:`run` takes the vector twin right now."""
-        return VECTORIZE and self.vector is not None
-
     def run(self) -> Tuple[List[str], List[Row]]:
-        if self.vectorized:
-            return self.vector.run()
         expressions = [expr for _name, expr in self.output]
 
         def project(env: Env) -> Row:
@@ -965,14 +923,6 @@ def plan_select(database: Any, statement: SelectStatement) -> QueryPlan:
     plan = _Planner(database, context).plan(statement)
     plan.tables = tuple(context.tables)
     plan.uses_snapshot = context.uses_snapshot
-    # Deferred import: the vector package imports planner node types.
-    from repro.minidb.vector import build_vector_plan
-
-    for node in walk_plan(plan.root):
-        inner = getattr(node, "plan", None)
-        if isinstance(inner, QueryPlan) and inner.vector is None:
-            inner.vector = build_vector_plan(inner)
-    plan.vector = build_vector_plan(plan)
     return plan
 
 

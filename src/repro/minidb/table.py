@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from repro.errors import IntegrityError, SchemaError
 from repro.minidb.schema import TableSchema
-from repro.minidb.types import coerce
+from repro.minidb.types import DataType, coerce
 
 Row = Tuple[Any, ...]
 
@@ -60,8 +60,8 @@ class Table:
     @property
     def data_version(self) -> int:
         # Coherency counter for every derived cache of this table's rows:
-        # plan-cache snapshots, FlexRecs extend vectors, and the columnar
-        # projection in repro.minidb.vector.batch all validate against it.
+        # plan-cache snapshots and FlexRecs extend vectors validate
+        # against it.
         return self._data_version
 
     @property
@@ -272,6 +272,19 @@ class Table:
 
     def contains_pk(self, key: Sequence[Any]) -> bool:
         return bool(self._pk_positions) and tuple(key) in self._pk_map
+
+    def next_id(self) -> int:
+        """One past the largest primary-key value, 1 on an empty table:
+        ``SELECT MAX(<key>) + 1`` read off the primary-key map.  The key
+        must be a single INTEGER column."""
+        positions = self._pk_positions
+        if len(positions) != 1 or (
+            self.schema.columns[positions[0]].dtype is not DataType.INTEGER
+        ):
+            raise SchemaError(
+                f"table {self.name!r} has no single-column INTEGER primary key"
+            )
+        return max(self._pk_map, default=(0,))[0] + 1
 
     def scan_equal(self, column: str, value: Any) -> Iterator[Row]:
         """All rows whose ``column`` equals ``value`` (uses index if present)."""

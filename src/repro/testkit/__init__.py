@@ -11,7 +11,7 @@ This package turns those scattered checks into a reusable subsystem:
   sqlite SQL (the shared dialect), collecting ``?`` parameters in text
   order;
 * :mod:`repro.testkit.oracle` — execute on minidb under a config sweep
-  (row/vectorized, cold/plan-cache-warm, prepared/literal) and on
+  (cold, plan-cache-warm, prepared) and on
   the stdlib ``sqlite3`` oracle, comparing normalized result multisets;
 * :mod:`repro.testkit.churn` — metamorphic workload driver interleaving
   DML/DDL churn with queries, recommends, searches, and cloud

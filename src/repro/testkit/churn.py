@@ -6,9 +6,8 @@ This driver generalizes them into one workload: a seeded stream of
 INSERT/UPDATE/DELETE/DROP+CREATE against a CourseRank-shaped database,
 interleaved with
 
-* SQL queries  — live (plan-cache warm, production path) vs a replica
-  database rebuilt from shadow state and run on the reference row path
-  (``VECTORIZE`` off);
+* SQL queries  — live (plan-cache warm) vs a replica database rebuilt
+  from shadow state and queried cold;
 * recommends   — the direct executor vs the nested-loop oracle
   (:func:`repro.testkit.recommend.reference_recommend`);
 * searches     — the live, incrementally-refreshed engine vs a cold
@@ -23,7 +22,7 @@ engine that never had a cache to go stale.
 
 ``ChurnReport.coverage`` proves the run actually exercised the three
 fast paths (plan-cache hits, extend-cache hits, search-result-cache
-hits, vectorized plans, cloud partials patched by writes) instead of
+hits, indexed plans, cloud partials patched by writes) instead of
 silently passing on cold code.
 """
 
@@ -86,13 +85,12 @@ QUERIES: Tuple[Tuple[str, Tuple[Any, ...]], ...] = (
      "LEFT JOIN Students AS s ON e.SuID = s.SuID "
      "WHERE s.GPA IS NOT NULL OR e.Grade = 'A'", ()),
     # Literal predicates on the secondary indexes: hash equality on
-    # Comments, sorted range on Students — exercised live-vs-replica
-    # (index access runs on the row tree whatever the flag says).
+    # Comments, sorted range on Students — exercised live-vs-replica.
     ("SELECT m.SuID, m.Rating FROM Comments AS m "
      "WHERE m.CourseID = 3 ORDER BY m.SuID", ()),
     ("SELECT s.SuID, s.GPA FROM Students AS s "
      "WHERE s.GPA >= 3.0 ORDER BY s.SuID", ()),
-    # Composite equi-join: two key pairs, vectorized multi-key hash join.
+    # Composite equi-join: two key pairs, one multi-key hash join.
     ("SELECT m.SuID, m.CourseID, e.Grade FROM Comments AS m "
      "INNER JOIN Enrollments AS e "
      "ON m.SuID = e.SuID AND m.CourseID = e.CourseID "
@@ -402,7 +400,6 @@ class ChurnDriver:
         self._check_cube()
 
     def _check_sql(self) -> None:
-        from repro.minidb.planner import flag_overrides
         from repro.testkit.oracle import normalize_rows
 
         replica = self._replica()
@@ -415,18 +412,12 @@ class ChurnDriver:
             explain = self.db.query(f"EXPLAIN {sql}")
             if any("IndexScan" in row[0] for row in explain.rows):
                 self._bump("indexed_plans")
-            if any("[vectorized]" in row[0] for row in explain.rows):
-                self._bump("vectorized_plans")
             live_rows = normalize_rows(live_first.rows)
             if live_rows != normalize_rows(live_second.rows):
                 self._fail(f"warm re-execution diverged: {sql}")
-            with flag_overrides(vectorize=False):
-                fresh = replica.query(sql, list(params) or None)
+            fresh = replica.query(sql, list(params) or None)
             if live_rows != normalize_rows(fresh.rows):
-                self._fail(
-                    f"live (cached) != replica (reference row path, "
-                    f"cold): {sql}"
-                )
+                self._fail(f"live (cached) != replica (cold): {sql}")
 
     def _check_recommend(self) -> None:
         from repro.core import strategies as flexrecs

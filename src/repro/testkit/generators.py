@@ -321,7 +321,7 @@ class CreateIndexOp:
     multi-column).  Exercises index maintenance under subsequent DML,
     plan-cache invalidation on schema epoch bumps, and — for
     single-column indexes over literal predicates — the planner's
-    index-routed access paths, row and vectorized."""
+    index-routed access paths."""
 
     table: str
     index: IndexSpec

@@ -3,21 +3,11 @@
 minidb runs under a **config sweep** — every query in a case is executed
 under each of:
 
-* ``row-cold``        — the reference row path (``VECTORIZE`` off,
-  ``Expression.evaluate`` over the row tree), each query once;
-* ``row-warm``        — row path, each query twice, so the second run
-  goes through the plan cache (and through transparent re-planning when
-  interleaved DML/DDL invalidated the entry);
-* ``prepared``        — ``PreparedStatement`` handles on the row path,
-  executed twice;
-* ``vectorized-cold`` — batch-vectorized executor (``VECTORIZE`` on),
-  each query once;
-* ``vectorized-warm`` — vectorized, each query twice (plan-cache hits
-  reuse the attached vector plan).
-
-The three row-path configs pin ``VECTORIZE`` off, so every fuzzed query
-is checked bit-identical across the row path, the vectorized path, and
-the sqlite3 oracle.
+* ``row-cold``  — each query once;
+* ``row-warm``  — each query twice, so the second run goes through the
+  plan cache (and through transparent re-planning when interleaved
+  DML/DDL invalidated the entry);
+* ``prepared``  — ``PreparedStatement`` handles, executed twice.
 
 Each sweep's outcomes are compared against one sqlite3 run of the same
 case; additionally, repeated executions *within* a config must agree
@@ -27,8 +17,7 @@ A second metamorphic check needs no oracle (:func:`check_bound_plans`):
 each query is rendered twice, once with every WHERE constant written as
 a literal and once with each bound through a ``?``; the two must
 ``EXPLAIN`` alike modulo the constant — a ``?`` reaches every index a
-literal does — and return the same rows in the same order, on the row
-path and vectorized.
+literal does — and return the same rows in the same order.
 
 A third (:func:`check_derived_pushdown`) holds each query over a derived
 table to its unpushed twin — the same body behind a LIMIT no table
@@ -109,15 +98,12 @@ class MiniConfig:
     name: str
     prepared: bool = False
     repeat: int = 1
-    vectorize: bool = False
 
 
 SWEEP: Tuple[MiniConfig, ...] = (
     MiniConfig("row-cold"),
     MiniConfig("row-warm", repeat=2),
     MiniConfig("prepared", prepared=True, repeat=2),
-    MiniConfig("vectorized-cold", vectorize=True),
-    MiniConfig("vectorized-warm", vectorize=True, repeat=2),
 )
 
 
@@ -198,39 +184,33 @@ def run_minidb(
     execution disagreeing with its own first run, i.e. a stale cache).
     """
     from repro.minidb import Database
-    from repro.minidb.planner import flag_overrides
 
     database = Database()
-    # flag_overrides holds the planner's flag lock for the whole run:
-    # the historical save/set/restore here was not reentrant — two
-    # threads interleaving their restores could leave the global flag
-    # permanently flipped for the rest of the process.
-    with flag_overrides(vectorize=config.vectorize):
-        for ddl in script.create:
-            database.execute(ddl)
-        outcomes: List[Outcome] = []
-        intra: List[str] = []
-        prepared_cache: Dict[str, Any] = {}
-        for position, op in enumerate(script.ops):
-            sql = op.sql
-            if transform is not None and op.kind == "query":
-                sql = transform(sql)
-            repeats = config.repeat if op.kind == "query" else 1
-            first: Optional[Outcome] = None
-            for run in range(repeats):
-                outcome = _minidb_one(
-                    database, config, prepared_cache, op.kind, sql, op.params
+    for ddl in script.create:
+        database.execute(ddl)
+    outcomes: List[Outcome] = []
+    intra: List[str] = []
+    prepared_cache: Dict[str, Any] = {}
+    for position, op in enumerate(script.ops):
+        sql = op.sql
+        if transform is not None and op.kind == "query":
+            sql = transform(sql)
+        repeats = config.repeat if op.kind == "query" else 1
+        first: Optional[Outcome] = None
+        for run in range(repeats):
+            outcome = _minidb_one(
+                database, config, prepared_cache, op.kind, sql, op.params
+            )
+            if first is None:
+                first = outcome
+            elif outcome.signature() != first.signature():
+                intra.append(
+                    f"op[{position}] config={config.name} run {run + 1} "
+                    f"disagrees with its first run: "
+                    f"{outcome.brief()} != {first.brief()} :: {sql}"
                 )
-                if first is None:
-                    first = outcome
-                elif outcome.signature() != first.signature():
-                    intra.append(
-                        f"op[{position}] config={config.name} run {run + 1} "
-                        f"disagrees with its first run: "
-                        f"{outcome.brief()} != {first.brief()} :: {sql}"
-                    )
-            outcomes.append(first)  # type: ignore[arg-type]
-        return outcomes, intra
+        outcomes.append(first)  # type: ignore[arg-type]
+    return outcomes, intra
 
 
 def _minidb_one(
@@ -495,8 +475,6 @@ def check_bound_plans(case: Case) -> Tuple[int, List[str]]:
 
     Returns ``(bound index routes seen, divergences)``.
     """
-    from repro.minidb.planner import flag_overrides
-
     routes = 0
     divergences: List[str] = []
     for position, database, query in _replayed_queries(case):
@@ -507,32 +485,21 @@ def check_bound_plans(case: Case) -> Tuple[int, List[str]]:
             continue
         literal_sql = render_query(literal, MINIDB)
         params = [bind_value(value, MINIDB) for value in params]
-        for vectorize in (False, True):
-            with flag_overrides(vectorize=vectorize):
-                literal_plan, literal_rows = _plan_and_rows(
-                    database, literal_sql, None
-                )
-                bound_plan, bound_rows = _plan_and_rows(
-                    database, bound_sql, params
-                )
-            if vectorize and _BOUND_ROUTE.search(bound_plan):
-                routes += 1
-            where = (
-                f"op[{position}] vectorize={vectorize}: ?-rendering vs "
-                f"literal rendering"
+        literal_plan, literal_rows = _plan_and_rows(database, literal_sql, None)
+        bound_plan, bound_rows = _plan_and_rows(database, bound_sql, params)
+        if _BOUND_ROUTE.search(bound_plan):
+            routes += 1
+        where = f"op[{position}]: ?-rendering vs literal rendering"
+        if _CONSTANT.sub("#", bound_plan) != _CONSTANT.sub("#", literal_plan):
+            divergences.append(
+                f"{where} plan differently:\n{bound_plan}\n--- vs "
+                f"---\n{literal_plan}\n:: {bound_sql} {params!r}"
             )
-            if _CONSTANT.sub("#", bound_plan) != _CONSTANT.sub(
-                "#", literal_plan
-            ):
-                divergences.append(
-                    f"{where} plan differently:\n{bound_plan}\n--- vs "
-                    f"---\n{literal_plan}\n:: {bound_sql} {params!r}"
-                )
-            elif bound_rows != literal_rows:
-                divergences.append(
-                    f"{where} answer differently: {bound_rows!r} != "
-                    f"{literal_rows!r} :: {bound_sql} {params!r}"
-                )
+        elif bound_rows != literal_rows:
+            divergences.append(
+                f"{where} answer differently: {bound_rows!r} != "
+                f"{literal_rows!r} :: {bound_sql} {params!r}"
+            )
     return routes, divergences
 
 
@@ -554,15 +521,13 @@ def _pushable(body: Any) -> bool:
 def check_derived_pushdown(case: Case) -> Tuple[int, List[str]]:
     """Replay ``case`` on a fresh minidb, holding every query over a
     derived body (``Source.body``) to its unpushed twin: the same rows in
-    the same order, or an error on both, on the row path and vectorized.
+    the same order, or an error on both.
     The plan must say whether the push fired: no Filter on the body's
     columns above a projecting or joining body, one above a grouping,
     DISTINCT or LIMIT body.
 
     Returns ``(pushes that reached an index, divergences)``.
     """
-    from repro.minidb.planner import flag_overrides
-
     pushes = 0
     divergences: List[str] = []
     for position, database, query in _replayed_queries(case):
@@ -578,35 +543,33 @@ def check_derived_pushdown(case: Case) -> Tuple[int, List[str]]:
         twin_sql = render_query(twin, MINIDB)
         scan = f"SubqueryScan(AS {query.source.alias})"
         column = f"{query.source.alias}."
-        for vectorize in (False, True):
-            with flag_overrides(vectorize=vectorize):
-                plan, rows = _plan_and_rows(database, sql, params)
-                twin_rows = _plan_and_rows(database, twin_sql, params)[1]
-            where = f"op[{position}] vectorize={vectorize}"
-            if pushable and rows != twin_rows:
-                divergences.append(
-                    f"{where}: pushed and unpushed answer differently: "
-                    f"{rows!r} != {twin_rows!r} :: {sql} vs {twin_sql} "
-                    f"{params!r}"
-                )
-            if rows is None:
-                continue  # an error on both sides: nothing planned to read
-            lines = plan.split("\n")
-            above = next(
-                (lines[:i] for i, line in enumerate(lines) if scan in line), None
+        plan, rows = _plan_and_rows(database, sql, params)
+        twin_rows = _plan_and_rows(database, twin_sql, params)[1]
+        where = f"op[{position}]"
+        if pushable and rows != twin_rows:
+            divergences.append(
+                f"{where}: pushed and unpushed answer differently: "
+                f"{rows!r} != {twin_rows!r} :: {sql} vs {twin_sql} "
+                f"{params!r}"
             )
-            filtered = above is not None and any(
-                line.strip().startswith("Filter(") and column in line
-                for line in above
+        if rows is None:
+            continue  # an error on both sides: nothing planned to read
+        lines = plan.split("\n")
+        above = next(
+            (lines[:i] for i, line in enumerate(lines) if scan in line), None
+        )
+        filtered = above is not None and any(
+            line.strip().startswith("Filter(") and column in line
+            for line in above
+        )
+        if above is None or filtered == pushable:
+            divergences.append(
+                f"{where}: the outer WHERE should "
+                f"{'move into' if pushable else 'stay above'} the "
+                f"{scan}:\n{plan}\n:: {sql}"
             )
-            if above is None or filtered == pushable:
-                divergences.append(
-                    f"{where}: the outer WHERE should "
-                    f"{'move into' if pushable else 'stay above'} the "
-                    f"{scan}:\n{plan}\n:: {sql}"
-                )
-            elif vectorize and pushable and "IndexScan(" in plan:
-                pushes += 1
+        elif pushable and "IndexScan(" in plan:
+            pushes += 1
     return pushes, divergences
 
 

@@ -14,12 +14,6 @@ Individual tests keep only test-specific overrides in their own
 ``@settings(...)`` (e.g. a suppressed health check); example *counts*
 come from the profile so one knob scales the whole repo.
 
-``REPRO_VECTORIZE`` (default ``1``) selects the default execution path
-for the whole run: ``REPRO_VECTORIZE=0`` pins ``planner.VECTORIZE`` off
-so tier-1 exercises the row pipeline end to end — the CI matrix runs
-both legs.  Tests that need a specific path still set the flag
-themselves (it is read at run time, so cached plans follow it).
-
 ``REPRO_SHARDS`` (default ``3``) sets the shard count the service-layer
 equivalence tests build their :class:`repro.service.CourseRankService`
 with; the CI matrix runs a ``REPRO_SHARDS=4`` leg so tier-1 exercises a
@@ -37,10 +31,6 @@ beyond failing fast on an unknown name.
 import os
 
 from hypothesis import settings
-
-import repro.minidb.planner as _planner
-
-_planner.VECTORIZE = os.environ.get("REPRO_VECTORIZE", "1") != "0"
 
 # Fail fast (at collection, not mid-suite) if the run names a backend
 # that is not registered.

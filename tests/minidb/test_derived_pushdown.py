@@ -17,7 +17,6 @@ import pytest
 
 from repro.errors import SQLSyntaxError
 from repro.minidb import Database
-from repro.minidb.planner import flag_overrides
 
 ROWS = [
     (1, 10, "a", 1.5),
@@ -118,11 +117,8 @@ def _unpushed(sql):
 
 
 def _check_against_twin_and_sqlite(database, connection, sql, params):
-    for vectorize in (False, True):
-        with flag_overrides(vectorize=vectorize):
-            rows = database.query(sql, params).rows
-            twin = database.query(_unpushed(sql), params).rows
-        assert rows == twin, (sql, vectorize)
+    rows = database.query(sql, params).rows
+    assert rows == database.query(_unpushed(sql), params).rows, sql
     expected = connection.execute(sql, params).fetchall()
     assert sorted(rows, key=repr) == sorted(
         (tuple(row) for row in expected), key=repr
@@ -168,11 +164,9 @@ def test_a_conjunct_on_a_computed_column_stays_while_its_sibling_moves():
     lines = _explain(database, sql, (10,))
     assert _outer_filter(lines) == "Filter((w > 2))", lines
     assert any("using idx_t_k = (?1)" in line for line in lines), lines
-    for vectorize in (False, True):
-        with flag_overrides(vectorize=vectorize):
-            assert database.query(sql, (10,)).rows == database.query(
-                _unpushed(sql), (10,)
-            ).rows == [(1, 10, 3.0)]
+    assert database.query(sql, (10,)).rows == database.query(
+        _unpushed(sql), (10,)
+    ).rows == [(1, 10, 3.0)]
 
 
 def test_a_union_body_is_not_in_the_grammar():

@@ -1,4 +1,4 @@
-"""LIMIT/OFFSET edge cases, pinned in both execution paths.
+"""LIMIT/OFFSET edge cases.
 
 The audited contract (matching sqlite3):
 
@@ -9,21 +9,16 @@ The audited contract (matching sqlite3):
   accepts integer literals);
 * the same holds for DISTINCT queries, where truncation applies to the
   deduplicated stream (``post_limit``/``post_offset``).
-
-Every case runs under both ``planner.VECTORIZE`` settings so the row
-path and the batch path stay pinned to identical behaviour.
 """
 
 import pytest
 
-import repro.minidb.planner as planner_module
 from repro.errors import SQLSyntaxError
 from repro.minidb import Database
 
 
-@pytest.fixture(params=[False, True], ids=["row", "vectorized"])
-def db(request, monkeypatch):
-    monkeypatch.setattr(planner_module, "VECTORIZE", request.param)
+@pytest.fixture
+def db():
     database = Database()
     database.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
     for i in range(5):
@@ -69,38 +64,13 @@ def test_negative_or_fractional_bounds_are_syntax_errors(db, sql):
 
 
 def test_limit_zero_never_pulls_the_child(db):
-    """LIMIT 0 must not evaluate child rows in either path — a row whose
-
-    predicate would divide by zero proves the child was never pulled.
+    """LIMIT 0 must not evaluate child rows — a row whose predicate
+    would divide by zero proves the child was never pulled.
     """
     db.execute("CREATE TABLE z (a INT)")
     db.execute("INSERT INTO z VALUES (1)")
     sql = "SELECT a FROM z WHERE 1 / 0 > 0 ORDER BY a LIMIT 0"
     assert db.query(sql).rows == []
-
-
-def test_offset_past_end_agrees_across_paths():
-    """Same database, both paths, fresh plans: identical truncation."""
-    results = {}
-    for vectorize in (False, True):
-        saved = planner_module.VECTORIZE
-        planner_module.VECTORIZE = vectorize
-        try:
-            database = Database()
-            database.execute("CREATE TABLE t (id INT PRIMARY KEY)")
-            for i in range(4):
-                database.execute("INSERT INTO t VALUES (?)", [i])
-            results[vectorize] = [
-                database.query(sql).rows
-                for sql in (
-                    "SELECT id FROM t ORDER BY id LIMIT 2 OFFSET 4",
-                    "SELECT id FROM t ORDER BY id LIMIT 2 OFFSET 100",
-                    "SELECT id FROM t ORDER BY id OFFSET 4",
-                )
-            ]
-        finally:
-            planner_module.VECTORIZE = saved
-    assert results[False] == results[True] == [[], [], []]
 
 
 def test_fuzzer_now_draws_offsets_past_the_table(monkeypatch):

@@ -5,9 +5,7 @@
 needs no switch: the same statement against a *twin* right table declared
 without ``PRIMARY KEY`` (same rows, same order) cannot qualify for the
 lookup join, so the planner gives it the hash join — and the two answers
-must be the same rows in the same order, on the row tree and through the
-vector router (where the lookup join is a row-source boundary and the
-hash join a ``VHashJoin``).
+must be the same rows in the same order.
 
 The rule itself — a bare right scan, join columns covering exactly the
 right table's primary key, a left side driven by an index or primary-key
@@ -19,7 +17,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.minidb import Database
-from repro.minidb.planner import flag_overrides
 
 # Left rows: (k hash-indexed driver, a, b) with NULL and absent join keys
 # and duplicates; right rows keyed by (a) or by the composite (a, b).
@@ -107,13 +104,11 @@ def test_lookup_join_equals_the_hash_join_over_a_keyless_twin(
             hashed = template.format(r=table + "_twin")
             assert "LookupJoin(" in _explain(database, lookup), lookup
             assert "HashJoin(" in _explain(database, hashed), hashed
-            for vectorize in (False, True):
-                with flag_overrides(vectorize=vectorize):
-                    for k in (0, 1, 2, None):
-                        assert (
-                            database.query(lookup, (k,)).rows
-                            == database.query(hashed, (k,)).rows
-                        ), (lookup, k, vectorize)
+            for k in (0, 1, 2, None):
+                assert (
+                    database.query(lookup, (k,)).rows
+                    == database.query(hashed, (k,)).rows
+                ), (lookup, k)
 
 
 @pytest.fixture

@@ -507,30 +507,6 @@ class TestExplainStatement:
     def test_python_explain_api_unchanged(self, db):
         text = db.explain(SQL)
         assert "[cached]" not in text
-        assert "[vectorized]" not in text
-
-    def test_vectorize_flip_on_a_warm_plan_cache(self, db):
-        # VECTORIZE is read at run time: one cached plan serves both
-        # paths, so a flip needs no clear_plan_cache() and the marker
-        # reports the path the next run takes.
-        from repro.minidb.planner import flag_overrides
-
-        expected = [("Databases",), ("Networks",), ("Sculpture",)]
-        with flag_overrides(vectorize=True):
-            assert db.query(SQL).rows == expected  # plans and caches
-        hits = db._plan_cache.hits
-        for vectorize in (False, True, False):
-            with flag_overrides(vectorize=vectorize):
-                assert db.query(SQL).rows == expected
-                head = db.query("EXPLAIN " + SQL).column("QUERY PLAN")[0]
-                report = db.analyze(SQL)
-            assert "[cached]" in head
-            assert ("[vectorized]" in head) is vectorize
-            assert report.vectorized is vectorize
-            assert ("[vectorized]" in report.lines[0]) is vectorize
-            assert report.result.rows == expected
-        assert db._plan_cache.hits == hits + 9
-        assert db._plan_cache.misses == 1
 
 
 class TestLRUCache:

@@ -1,8 +1,11 @@
 """Unit tests for row storage, keys, and incremental index maintenance."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import IntegrityError, SchemaError
+from repro.minidb import Database
 from repro.minidb.indexes import HashIndex
 from repro.minidb.schema import make_schema
 from repro.minidb.table import Table
@@ -184,3 +187,41 @@ class TestClear:
         table.clear()
         assert len(table) == 0
         table.insert([1, "ann", 3.5])  # keys were cleared
+
+
+class TestNextId:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete"]),
+                st.integers(min_value=-5, max_value=40),
+            ),
+            max_size=40,
+        )
+    )
+    def test_equals_select_max_plus_one(self, ops):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x TEXT)")
+        table = db.table("t")
+        for op, key in ops:
+            if op == "insert":
+                if not table.contains_pk((key,)):
+                    db.execute("INSERT INTO t VALUES (?, 'x')", [key])
+            else:
+                db.execute("DELETE FROM t WHERE id = ?", [key])
+            current = db.query("SELECT MAX(id) FROM t").scalar()
+            assert table.next_id() == (1 if current is None else current + 1)
+
+    @pytest.mark.parametrize(
+        "ddl",
+        [
+            "CREATE TABLE t (a INTEGER, b INTEGER, PRIMARY KEY (a, b))",
+            "CREATE TABLE t (code TEXT PRIMARY KEY)",
+            "CREATE TABLE t (x INTEGER)",
+        ],
+    )
+    def test_needs_a_single_integer_key(self, ddl):
+        db = Database()
+        db.execute(ddl)
+        with pytest.raises(SchemaError):
+            db.table("t").next_id()

@@ -8,8 +8,7 @@ fuzzer-generated queries:
   the linkage end to end);
 * a non-DISTINCT plan's root node emits exactly ``len(result)`` rows;
   a DISTINCT plan's root emits at least that many (dedup consumes more);
-* ``[cached]`` / ``[vectorized]`` markers render exactly as plain
-  EXPLAIN renders them;
+* the ``[cached]`` marker renders exactly as plain EXPLAIN renders it;
 * the executed result matches a plain ``query()`` of the same SQL.
 """
 
@@ -108,15 +107,12 @@ def test_markers_render_under_analyze(db):
     warm = db.analyze(sql)
     assert warm.cached
     assert "[cached]" in warm.lines[0]
-    # EXPLAIN ANALYZE through plain SQL renders the same markers as
-    # plain EXPLAIN does.
+    # EXPLAIN ANALYZE through plain SQL renders the marker as plain
+    # EXPLAIN does.
     result = db.execute("EXPLAIN ANALYZE " + sql)
     assert result.columns == ["QUERY PLAN"]
     assert "[cached]" in result.rows[0][0]
-    plain = db.execute("EXPLAIN " + sql).rows[0][0]
-    for marker in ("[cached]", "[vectorized]"):
-        assert (marker in result.rows[0][0]) == (marker in plain), marker
-    assert ("[vectorized]" in plain) == warm.vectorized
+    assert "[cached]" in db.execute("EXPLAIN " + sql).rows[0][0]
 
 
 def test_analyze_with_parameters(db):

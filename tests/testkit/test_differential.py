@@ -37,9 +37,9 @@ def test_bound_and_literal_renderings_plan_and_answer_alike():
     """The metamorphic twin of the sweep, no oracle needed: a query's
     ``?`` rendering must EXPLAIN like its literal rendering modulo the
     constant — a bound value reaches every index and primary-key route a
-    literal does — and return the same rows in the same order, on the
-    row path and vectorized.  The route count keeps the check honest:
-    it is vacuous on a fuzzer that never plans an index scan."""
+    literal does — and return the same rows in the same order.  The
+    route count keeps the check honest: it is vacuous on a fuzzer that
+    never plans an index scan."""
     from repro.testkit.generators import CaseGenerator
     from repro.testkit.oracle import check_bound_plans
 

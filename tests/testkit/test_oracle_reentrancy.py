@@ -1,16 +1,11 @@
-"""Regression: concurrent oracle runs must not corrupt the planner flag.
+"""Concurrent oracle runs: ``run_minidb`` shares no state between calls.
 
-``run_minidb`` historically saved and restored the global planner flags
-with bare assignments; two interleaved runs could restore in the wrong
-order and leave a flag flipped for the rest of the process.  The fix
-routes every scoped override through ``planner.flag_overrides`` (one
-process-wide flag lock), so here we hammer it from many threads and
-assert the global ``VECTORIZE`` lands exactly where it started.
+Every sweep config runs the same script from its own thread, many times
+over, and each run must produce exactly the outcomes of a solo run.
 """
 
 import threading
 
-import repro.minidb.planner as planner
 from repro.testkit.dialects import RenderedOp, RenderedScript
 from repro.testkit.oracle import SWEEP, run_minidb
 
@@ -25,29 +20,8 @@ SCRIPT = RenderedScript(
 )
 
 
-class TestFlagOverrides:
-    def test_nested_overrides_compose_and_restore(self):
-        before = planner.VECTORIZE
-        with planner.flag_overrides(vectorize=not before):
-            assert planner.VECTORIZE is not before
-            with planner.flag_overrides(vectorize=before):
-                assert planner.VECTORIZE is before
-            assert planner.VECTORIZE is not before
-        assert planner.VECTORIZE is before
-
-    def test_restores_on_exception(self):
-        before = planner.VECTORIZE
-        try:
-            with planner.flag_overrides(vectorize=not before):
-                raise ValueError("boom")
-        except ValueError:
-            pass
-        assert planner.VECTORIZE is before
-
-
 class TestConcurrentOracleRuns:
-    def test_parallel_runs_agree_and_flags_survive(self):
-        before = planner.VECTORIZE
+    def test_parallel_runs_agree(self):
         expected = {
             config.name: [
                 outcome.signature()
@@ -78,7 +52,7 @@ class TestConcurrentOracleRuns:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         if errors:
             raise errors[0]
-        assert planner.VECTORIZE is before
