@@ -18,6 +18,7 @@ through it.  The testkit's differential sweep holds it to sqlite3.
 from __future__ import annotations
 
 import datetime
+import operator
 import re
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -174,28 +175,30 @@ def _numeric_binop(op: str, left: Any, right: Any) -> Any:
     raise ExecutionError(f"unknown arithmetic operator {op!r}")  # pragma: no cover
 
 
+_COMPARE_FUNCS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
     """SQL comparison; NULL operand → UNKNOWN (None)."""
+    compare = _COMPARE_FUNCS.get(op)
+    if compare is None:  # pragma: no cover
+        raise ExecutionError(f"unknown comparison operator {op!r}")
     if _is_null(left) or _is_null(right):
         return None
     try:
-        if op == "=":
-            return left == right
-        if op in ("<>", "!="):
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
+        return compare(left, right)
     except TypeError as exc:
         raise ExecutionError(
             f"cannot compare {left!r} with {right!r}"
         ) from exc
-    raise ExecutionError(f"unknown comparison operator {op!r}")  # pragma: no cover
 
 
 def kleene_and(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
@@ -221,7 +224,6 @@ def kleene_not(value: Optional[bool]) -> Optional[bool]:
 
 
 _ARITH = {"+", "-", "*", "/", "%"}
-_COMPARE = {"=", "<>", "!=", "<", "<=", ">", ">="}
 
 class BinaryOp(Expression):
     """Arithmetic, comparison, string concatenation (||), AND/OR."""
@@ -232,30 +234,55 @@ class BinaryOp(Expression):
         self.right = right
 
     def evaluate(self, env: Env) -> Any:
-        if self.op == "AND":
-            left = _as_bool(self.left.evaluate(env))
+        # Kleene AND/OR, inlined (this is every WHERE/ON conjunction):
+        # an operand must be TRUE, FALSE or NULL, checked left first.
+        op = self.op
+        if op == "AND":
+            left = self.left.evaluate(env)
             # Short-circuit: FALSE AND x is FALSE without evaluating x.
             if left is False:
                 return False
-            return kleene_and(left, _as_bool(self.right.evaluate(env)))
-        if self.op == "OR":
-            left = _as_bool(self.left.evaluate(env))
+            if left is not True and left is not None:
+                _as_bool(left)  # raises
+            right = self.right.evaluate(env)
+            if right is True:
+                return left
+            if right is False or right is None:
+                return right
+            return _as_bool(right)  # raises
+        if op == "OR":
+            left = self.left.evaluate(env)
             if left is True:
                 return True
-            return kleene_or(left, _as_bool(self.right.evaluate(env)))
+            if left is not False and left is not None:
+                _as_bool(left)  # raises
+            right = self.right.evaluate(env)
+            if right is False:
+                return left
+            if right is True or right is None:
+                return right
+            return _as_bool(right)  # raises
         left = self.left.evaluate(env)
         right = self.right.evaluate(env)
-        if self.op == "||":
+        compare = _COMPARE_FUNCS.get(op)
+        if compare is not None:
+            if left is None or right is None:
+                return None
+            try:
+                return compare(left, right)
+            except TypeError as exc:
+                raise ExecutionError(
+                    f"cannot compare {left!r} with {right!r}"
+                ) from exc
+        if op == "||":
             if _is_null(left) or _is_null(right):
                 return None
             return str(left) + str(right)
-        if self.op in _COMPARE:
-            return _compare(self.op, left, right)
-        if self.op in _ARITH:
+        if op in _ARITH:
             if _is_null(left) or _is_null(right):
                 return None
-            return _numeric_binop(self.op, left, right)
-        raise ExecutionError(f"unknown binary operator {self.op!r}")
+            return _numeric_binop(op, left, right)
+        raise ExecutionError(f"unknown binary operator {op!r}")
 
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"

@@ -4,8 +4,10 @@ The planner turns a parsed :class:`SelectStatement` into a tree of plan
 nodes, applying three classic optimizations:
 
 * **predicate pushdown** — WHERE conjuncts that reference a single base
-  table move into that table's scan (and can then use an index), and
-  conjuncts on a derived table's plain columns move into its body first;
+  table move into that table's scan (and can then use an index),
+  conjuncts on a derived table's plain columns move into its body first,
+  and a hash join's ON conjuncts on its right input alone filter that
+  input before the build;
 * **index selection** — a pushed equality conjunct on an indexed column
   becomes an index lookup; range conjuncts use a sorted index;
 * **hash joins** — INNER/LEFT joins whose ON condition contains
@@ -65,22 +67,41 @@ from repro.minidb.sql.ast import (
 
 Row = Tuple[Any, ...]
 
-def _emit_row(
-    base_env: Env, keys: List[Tuple[int, str, Optional[str]]], row: Row
-) -> Env:
-    """A fresh env for ``row``: the scope's base env plus its columns.
-
-    ``keys`` holds ``(row_index, qualified_name, bare_name_or_None)``
-    triples; row indices need not be contiguous (pruned scans skip
-    columns nothing references).
-    """
-    env = dict(base_env)
+def _env_columns(
+    keys: Sequence[Tuple[int, str, Optional[str]]]
+) -> List[Tuple[int, str]]:
+    """``(row_index, env_key)`` pairs for :func:`_emit_row`, from
+    ``(row_index, qualified_name, bare_name_or_None)`` triples: each
+    column under its qualified name and, when unambiguous, its bare
+    name.  Row indices need not be contiguous (pruned scans skip columns
+    nothing references)."""
+    columns: List[Tuple[int, str]] = []
     for index, qualified, bare in keys:
-        value = row[index]
-        env[qualified] = value
+        columns.append((index, qualified))
         if bare:
-            env[bare] = value
+            columns.append((index, bare))
+    return columns
+
+
+def _emit_row(base_env: Env, columns: List[Tuple[int, str]], row: Row) -> Env:
+    """A fresh env for ``row``: the scope's base env plus its columns."""
+    env = base_env.copy()
+    for index, name in columns:
+        env[name] = row[index]
     return env
+
+
+def _equi_key(expressions: Sequence[Expression]) -> Callable[[Env], Any]:
+    """An env's equi-join key: the one expression's value, or the tuple of
+    all of them — None when any part is NULL, which never equi-joins."""
+    if len(expressions) == 1:
+        return expressions[0].evaluate
+
+    def key(env: Env) -> Optional[Tuple[Any, ...]]:
+        parts = tuple([expression.evaluate(env) for expression in expressions])
+        return None if None in parts else parts
+
+    return key
 
 
 class Binding:
@@ -144,6 +165,7 @@ class ScanNode(PlanNode):
         self.env_keys = [qualified for _index, qualified, _bare in self._keys] + [
             bare for _index, _qualified, bare in self._keys if bare
         ]
+        self.columns = _env_columns(self._keys)
 
     def rows(self) -> Iterator[Env]:
         base_env = self.base_env
@@ -152,10 +174,10 @@ class ScanNode(PlanNode):
             if self.access is not None
             else self.table.rows()
         )
-        keys = self._keys
+        columns = self.columns
         predicate = self.predicate
         for row in source:
-            env = _emit_row(base_env, keys, row)
+            env = _emit_row(base_env, columns, row)
             if predicate is None or predicate.evaluate(env) is True:
                 yield env
 
@@ -315,11 +337,14 @@ class SubqueryScanNode(PlanNode):
         self.env_keys = [qualified for _index, qualified, _bare in self._keys] + [
             bare for _index, _qualified, bare in self._keys if bare
         ]
+        self.columns = _env_columns(self._keys)
 
     def rows(self) -> Iterator[Env]:
-        _columns, rows = self.plan.run()
+        _names, rows = self.plan.run()
+        base_env = self.base_env
+        columns = self.columns
         for row in rows:
-            yield _emit_row(self.base_env, self._keys, row)
+            yield _emit_row(base_env, columns, row)
 
     def describe(self) -> List[str]:
         inner = ["  " + line for line in self.plan.describe()]
@@ -361,20 +386,24 @@ class HashJoinNode(PlanNode):
         self.env_keys = left.env_keys + right.env_keys
 
     def rows(self) -> Iterator[Env]:
-        table: Dict[Tuple[Any, ...], List[Env]] = {}
-        right_keys = self.right_keys
+        table: Dict[Any, List[Env]] = {}
+        build_key = _equi_key(self.right_keys)
         for env in self.right.rows():
-            key = tuple(expr.evaluate(env) for expr in right_keys)
-            if any(part is None for part in key):
+            key = build_key(env)
+            if key is None:
                 continue  # NULL never equi-joins
-            table.setdefault(key, []).append(env)
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = [env]
+            else:
+                bucket.append(env)
         padding = {key: None for key in self.right.env_keys}
-        left_keys = self.left_keys
+        probe_key = _equi_key(self.left_keys)
         residual = self.residual
         for left_env in self.left.rows():
-            key = tuple(expr.evaluate(left_env) for expr in left_keys)
+            key = probe_key(left_env)
             matched = False
-            if not any(part is None for part in key):
+            if key is not None:
                 for right_env in table.get(key, ()):
                     merged = {**left_env, **right_env}
                     if residual is None or residual.evaluate(merged) is True:
@@ -397,8 +426,8 @@ class PrimaryKeyLookupNode(PlanNode):
     def __init__(self, scan: ScanNode) -> None:
         self.table = scan.table
         self.binding = scan.binding
-        #: ``(row index, qualified name, bare name)`` per emitted column
-        self.columns = scan._keys
+        #: ``(row index, env key)`` per emitted column name
+        self.columns = scan.columns
         self.env_keys = scan.env_keys
 
     def lookup(self, key: Tuple[Any, ...]) -> Optional[Row]:
@@ -746,7 +775,7 @@ class QueryPlan:
         expressions = [expr for _name, expr in self.output]
 
         def project(env: Env) -> Row:
-            return tuple(expr.evaluate(env) for expr in expressions)
+            return tuple([expr.evaluate(env) for expr in expressions])
 
         if self.distinct:
             if self.post_limit is not None and self.post_limit <= 0:
@@ -1437,6 +1466,22 @@ class _Planner:
                     conjoin(residual),
                     left_outer,
                 )
+            # A residual conjunct on the right input alone filters that
+            # input before the build: fewer rows hashed and merged, the
+            # same matches in the same order (LEFT OUTER pads alike).
+            on_right: List[Expression] = []
+            mixed: List[Expression] = []
+            for conjunct in residual:
+                owners = self._referenced_bindings(conjunct, bindings, unambiguous)
+                (on_right if owners == {right_key} else mixed).append(conjunct)
+            if on_right:
+                if isinstance(right, ScanNode):  # built for this join alone
+                    right.predicate = conjoin(
+                        conjuncts(right.predicate) + on_right
+                    )
+                else:
+                    right = FilterNode(right, conjoin(on_right))
+                residual = mixed
             return HashJoinNode(
                 left,
                 right,

@@ -275,8 +275,9 @@ class Table:
 
     def next_id(self) -> int:
         """One past the largest primary-key value, 1 on an empty table:
-        ``SELECT MAX(<key>) + 1`` read off the primary-key map.  The key
-        must be a single INTEGER column."""
+        ``SELECT MAX(<key>) + 1`` as one pass over the primary-key map
+        (linear in the table, no row read).  The key must be a single
+        INTEGER column."""
         positions = self._pk_positions
         if len(positions) != 1 or (
             self.schema.columns[positions[0]].dtype is not DataType.INTEGER

@@ -118,6 +118,29 @@ class TestJoins:
         )
         assert [row for row in result] == [(1, 10), (1, 11), (4, 12)]
 
+    def test_on_conjunct_on_the_right_table_filters_its_scan(self, db):
+        sql = (
+            "SELECT c.id, r.sid FROM courses c JOIN ratings r "
+            "ON c.id = r.cid AND r.score >= 4 AND c.units > r.score"
+        )
+        plan = db.explain(sql)
+        assert "SeqScan(ratings AS r) filter=(r.score >= 4)" in plan
+        assert "residual=(c.units > r.score)" in plan
+        assert db.query(sql).rows == [(1, 10)]
+
+    @pytest.mark.parametrize("kind", ["JOIN", "LEFT JOIN"])
+    def test_on_conjunct_pushdown_keeps_rows_and_order(self, db, kind):
+        # ``+ 0 * c.units`` makes the same test a mixed conjunct, which
+        # stays a residual on the merged rows.
+        on = f"FROM courses c {kind} ratings r ON c.id = r.cid AND r.score >= 4"
+        pushed = db.query(f"SELECT c.id, r.sid {on}")
+        residual = db.query(f"SELECT c.id, r.sid {on} + 0 * c.units")
+        assert pushed.rows == residual.rows
+        if kind == "LEFT JOIN":
+            assert pushed.rows == [
+                (1, 10), (1, 11), (2, None), (3, None), (4, 12), (5, None)
+            ]
+
     def test_ambiguous_bare_column_rejected(self, db):
         db.execute("CREATE TABLE other (id INTEGER, note TEXT)")
         db.execute("INSERT INTO other VALUES (1, 'x')")

@@ -5,8 +5,9 @@ Plans that read a table through :class:`IndexAccess` (hash equality and
 sorted ranges, with and without residual predicates) must answer like
 the same queries on a copy without secondary indexes — whole-table
 scans — row order and error kind included, because an index emits scan
-order.  The tables are mutated after load (UPDATEs replace rows in
-place, DELETEs punch holes) so index maintenance is part of the check,
+order.  The indexes exist before the first INSERT, and the tables are
+mutated after load (UPDATEs replace rows in place, DELETEs punch holes),
+so index maintenance on every kind of write is part of the check,
 and every answer must also match sqlite3 as a multiset.
 """
 
@@ -74,7 +75,7 @@ INDEXES = (
     "CREATE INDEX idx_t_k ON t (k) USING hash",
     "CREATE INDEX idx_t_n ON t (n) USING sorted",
     # multi-column index: never an access path, but its maintenance must
-    # survive the UPDATE/DELETE churn below.
+    # survive the INSERTs and the UPDATE/DELETE churn below.
     "CREATE INDEX idx_t_kn ON t (k, n) USING hash",
 )
 CHURN = (
@@ -84,8 +85,10 @@ CHURN = (
 )
 
 
-def _load(engine, rows, links):
-    for statement in SCHEMA:
+def _load(engine, rows, links, indexes=()):
+    """Create the tables, then ``indexes``, then insert: the indexes are
+    maintained row by row from the first INSERT on."""
+    for statement in SCHEMA + tuple(indexes):
         engine.execute(statement)
     for position, (k, n, v) in enumerate(rows):
         engine.execute("INSERT INTO t VALUES (?, ?, ?, ?)", (position, k, n, v))
@@ -95,10 +98,7 @@ def _load(engine, rows, links):
 
 def _minidb(rows, links, indexed=True):
     database = Database()
-    _load(database, rows, links)
-    if indexed:
-        for statement in INDEXES:
-            database.execute(statement)
+    _load(database, rows, links, INDEXES if indexed else ())
     for statement in CHURN:
         database.execute(statement)
     return database
