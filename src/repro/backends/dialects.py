@@ -9,10 +9,10 @@ engine-appropriate SQL text for minidb, sqlite3, or any registered
 DB-API backend — the paper's "executed by a conventional DBMS" made
 literal.
 
-This generalizes :mod:`repro.testkit.dialects` (which renders the
-fuzzer's query AST for the minidb-vs-sqlite oracle) into a reusable
-layer: the handful of genuine engine differences live in one declarative
-mask instead of being re-derived per renderer.
+The handful of genuine engine differences live in this one declarative
+table; both renderers read it — the compiler, and
+:mod:`repro.testkit.dialects` (which renders the fuzzer's query AST for
+the minidb-vs-sqlite oracle).
 
 Known dialect differences captured here:
 
@@ -24,8 +24,7 @@ LEAST / GREATEST                ``LEAST`` / ``GREATEST`` ``MIN`` / ``MAX``
 integer division                true division            truncates (needs
                                                          ``* 1.0`` promotion)
 date literal                    ``DATE '2008-01-05'``    ``'2008-01-05'``
-boolean literal                 ``TRUE`` / ``FALSE``     ``TRUE`` / ``FALSE``
-                                (typed)                  (stored as 1 / 0)
+boolean literal                 ``TRUE`` / ``FALSE``     ``1`` / ``0``
 bound date parameter            ``datetime.date``        ISO string
 bound bool parameter            ``bool``                 ``int``
 CREATE INDEX                    ``... USING <kind>``     no ``USING`` clause
@@ -67,10 +66,6 @@ class Capabilities:
     #: DB-API paramstyle the driver's binding layer expects; rendered SQL
     #: always uses ``?`` and is converted at execute time.
     paramstyle: str = "qmark"
-    #: identifier quote character (identifiers in this repo are plain
-    #: ``[A-Za-z_][A-Za-z0-9_]*`` and never need quoting; the mask keeps
-    #: the character so a driver for a reserved-word-happy engine can)
-    quote_char: str = '"'
     #: query results carry real ``datetime.date`` / ``bool`` values
     #: (False: dates come back as ISO strings, booleans as 0/1 ints)
     typed_dates: bool = True
@@ -78,13 +73,6 @@ class Capabilities:
     #: ``/`` over two INTEGER operands performs true (float) division
     #: (False: the renderer must promote with ``* 1.0``)
     float_division: bool = True
-    #: columns functionally dependent on the GROUP BY key may appear
-    #: bare in the select list (minidb and sqlite allow it; a strict
-    #: engine would need the renderer to wrap them in MIN())
-    bare_group_by_columns: bool = True
-    #: NULLs sort lowest — first under ASC, last under DESC (both our
-    #: engines agree; a NULLS-LAST engine would need an emulation CASE)
-    nulls_low: bool = True
     #: Python scalar UDFs can be registered and called from SQL
     supports_udfs: bool = True
     #: raw SQL strings (SqlSource bodies, Select predicates) may be
@@ -142,11 +130,7 @@ class SqlDialect:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<SqlDialect {self.name!r}>"
 
-    # -- identifiers and types ---------------------------------------------
-
-    def quote(self, identifier: str) -> str:
-        quote = self.capabilities.quote_char
-        return f"{quote}{identifier}{quote}"
+    # -- types ---------------------------------------------------------------
 
     def type_name(self, dtype: DataType) -> str:
         return self._type_names[dtype]

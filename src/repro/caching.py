@@ -1,9 +1,13 @@
 """Shared bounded caches.
 
-One small LRU implementation used across layers: the minidb statement and
-plan caches, the search tokenizer's token-stream memo, the data-cloud
+One small LRU implementation used across layers: the minidb statement
+cache, the search tokenizer's token-stream memo, the data-cloud
 term-statistics memo, and the service layer's scatter-gather response
 cache.  Deliberately dependency-free so every layer can import it.
+
+:class:`VersionedMemo` layers the one staleness rule every derived cache
+around minidb follows on top of it: an entry remembers what it depends
+on, and it is served only while those dependencies are unchanged.
 
 The cache is thread-safe: every operation (including the hit/miss
 counters and the eviction that ``put`` may trigger) runs under one
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Callable, Hashable, Optional, Tuple
 
 
 class LRUCache:
@@ -33,10 +37,23 @@ class LRUCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        #: lookups that found an entry ``valid`` rejected (also misses)
+        self.stale = 0
 
-    def get(self, key: Any) -> Optional[Any]:
+    def get(
+        self, key: Any, valid: Optional[Callable[[Any], bool]] = None
+    ) -> Optional[Any]:
+        """The entry under ``key``, or ``None``.
+
+        An entry ``valid`` rejects is dropped and counts as a miss and as
+        stale.
+        """
         with self._lock:
             entry = self._entries.get(key)
+            if entry is not None and valid is not None and not valid(entry):
+                del self._entries[key]
+                self.stale += 1
+                entry = None
             if entry is None:
                 self.misses += 1
                 return None
@@ -79,3 +96,67 @@ class LRUCache:
     def __contains__(self, key: Any) -> bool:
         with self._lock:
             return key in self._entries
+
+
+class VersionedMemo:
+    """A bounded memo whose entries are served only while still valid.
+
+    ``stamp(deps)`` captures the state an entry was computed from — for a
+    per-database memo :meth:`Database.versions` of the tables it read
+    (see :meth:`~repro.minidb.catalog.Database.memo`).  ``put`` stores the
+    stamp with the value; ``get`` recomputes it and serves the value only
+    if it still matches, else drops the entry and counts a miss (and a
+    ``stale``).  Nothing ever has to invalidate an entry by hand.
+    """
+
+    def __init__(self, maxsize: int, stamp: Callable[[Any], Any]) -> None:
+        self._entries = LRUCache(maxsize)
+        self._stamp = stamp
+
+    def _fresh(self, entry: Tuple[Any, Any, Any]) -> bool:
+        return self._stamp(entry[0]) == entry[1]
+
+    def get(self, key: Hashable) -> Optional[Any]:
+        entry = self._entries.get(key, self._fresh)
+        return None if entry is None else entry[2]
+
+    def put(self, key: Hashable, deps: Any, value: Any) -> None:
+        self._entries.put(key, (deps, self._stamp(deps), value))
+
+    def get_or_build(
+        self, key: Hashable, deps: Any, build: Callable[[], Any]
+    ) -> Tuple[Any, bool]:
+        """``(value, was_hit)``.
+
+        A miss stamps ``deps`` *before* building, so a write racing the
+        build leaves the entry stale rather than wrong; racing builders
+        both build and the last put wins.
+        """
+        value = self.get(key)
+        if value is not None:
+            return value, True
+        stamp = self._stamp(deps)
+        value = build()
+        self._entries.put(key, (deps, stamp, value))
+        return value, False
+
+    @property
+    def hits(self) -> int:
+        return self._entries.hits
+
+    @property
+    def misses(self) -> int:
+        return self._entries.misses
+
+    @property
+    def stale(self) -> int:
+        return self._entries.stale
+
+    def keys(self) -> list:
+        return self._entries.keys()
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)

@@ -21,24 +21,21 @@ The differential tests in ``tests/clouds/test_cube.py`` pin every
 navigated cloud bit-identical to a cold build over the same filtered doc
 set.
 
-Dimension membership maps are version-keyed per database (schema epoch +
-source-table data versions, the extendcache discipline), so any DML
-invalidates them by construction.  A :class:`CloudCube` itself is a
-snapshot navigator: its cell memo belongs to one database version vector
-and is dropped when the vector moves, so after a write any cell access
-observes the new data, while cells already handed out keep their
-snapshot.
+Dimension membership maps live in the database's ``"cube.memberships"``
+memo, stamped with the versions of the dimension's source tables (the
+one staleness rule, DESIGN §7), so any DML on them retires a map.  A
+:class:`CloudCube` itself is a snapshot navigator: its cell memo belongs
+to one :meth:`Database.versions` tuple and is dropped when it moves, so
+after a write any cell access observes the new data, while cells already
+handed out keep their snapshot.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
-from repro.caching import LRUCache
 from repro.errors import CloudError
 from repro.minidb.catalog import Database
 from repro.obs import OBS
@@ -81,52 +78,25 @@ COURSE_DIMENSIONS: Tuple[DimensionSpec, ...] = (
     ),
 )
 
-_MEMBERSHIPS: "WeakKeyDictionary[Database, LRUCache]" = WeakKeyDictionary()
-_MEMBERSHIPS_LOCK = threading.Lock()
-
-
-def database_version_vector(database: Database) -> Tuple[Any, ...]:
-    """Schema epoch + every table's data version — the snapshot identity."""
-    return (
-        database.schema_epoch,
-        tuple(
-            (name, database.table(name).data_version)
-            for name in database.table_names()
-        ),
-    )
-
-
 def membership_for(
     database: Database, spec: DimensionSpec
 ) -> Dict[DocId, Tuple[Any, ...]]:
-    """``{doc_id: sorted value tuple}`` for one dimension, version-cached."""
-    with _MEMBERSHIPS_LOCK:
-        cache = _MEMBERSHIPS.get(database)
-        if cache is None:
-            cache = LRUCache(maxsize=32)
-            _MEMBERSHIPS[database] = cache
-    key = (
-        spec.name,
-        spec.sql,
-        database.schema_epoch,
-        tuple(
-            (table, database.table(table).data_version)
-            for table in spec.tables
-        ),
+    """``{doc_id: sorted value tuple}`` for one dimension, memoized."""
+
+    def build() -> Dict[DocId, Tuple[Any, ...]]:
+        grouped: Dict[DocId, List[Any]] = {}
+        for doc_id, value in database.query(spec.sql).rows:
+            if doc_id is None or value is None:
+                continue
+            grouped.setdefault(doc_id, []).append(value)
+        return {
+            doc_id: tuple(sorted(set(values)))
+            for doc_id, values in grouped.items()
+        }
+
+    membership, _hit = database.memo("cube.memberships", 32).get_or_build(
+        (spec.name, spec.sql), spec.tables, build
     )
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    grouped: Dict[DocId, List[Any]] = {}
-    for doc_id, value in database.query(spec.sql).rows:
-        if doc_id is None or value is None:
-            continue
-        grouped.setdefault(doc_id, []).append(value)
-    membership = {
-        doc_id: tuple(sorted(set(values)))
-        for doc_id, values in grouped.items()
-    }
-    cache.put(key, membership)
     return membership
 
 
@@ -180,7 +150,7 @@ class CloudCube:
             tuple(query_terms) if query_terms is not None else None
         )
         self._cells: Dict[Coordinate, CubeCell] = {}
-        self._cells_version: Optional[Tuple[Any, ...]] = None
+        self._cells_stamp: Optional[Tuple[Any, ...]] = None
         #: build-path counters, asserted on by the differential tests
         self.stats = {
             "cold_builds": 0,
@@ -204,10 +174,10 @@ class CloudCube:
 
     def _memo(self) -> Dict[Coordinate, CubeCell]:
         """The cell memo of the database's current version."""
-        version = database_version_vector(self.database)
-        if version != self._cells_version:
+        stamp = self.database.versions()
+        if stamp != self._cells_stamp:
             self._cells = {}
-            self._cells_version = version
+            self._cells_stamp = stamp
         return self._cells
 
     def _validate(self, coordinate: Coordinate) -> Coordinate:

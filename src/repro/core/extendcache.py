@@ -6,13 +6,12 @@ scanning its entire source table.  A *relation* entry is the evaluated
 rows of a whole subtree made of ``Source`` and ``Extend`` only — the map
 already attached, plus whatever lazy indexes the executor hung on it.
 Neither depends on the request, so neither is rebuilt per request.  The
-discipline is the minidb plan cache's: each key embeds the
-``data_version`` of every table the entry was read from (bumped by every
-insert/update/delete/clear/restore) and the database's ``schema_epoch``
-(bumped by DDL, so a DROP + CREATE that resets a fresh table's counters
-can never alias an old entry).  A write to a contributing table
-therefore makes every stale entry unreachable — there are no
-invalidation hooks to forget; old generations age out of the LRU.
+cache is the database's ``"extend"`` memo
+(:meth:`~repro.minidb.catalog.Database.memo`), so it follows the one
+staleness rule: an entry is stamped with :meth:`Database.versions` of the
+tables it was read from and is served only while they hold — a write to a
+contributing table (or any DDL) makes it a miss.  There are no
+invalidation hooks to forget.
 
 Cached vector attributes are :class:`StatsVector` instances — plain dicts
 carrying precomputed :class:`~repro.core.similarity.VectorStats` so the
@@ -23,11 +22,9 @@ treated as immutable (the direct executor never mutates them).
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
-from repro.caching import LRUCache
+from repro.caching import VersionedMemo
 from repro.core.similarity import VectorStats, vector_stats
 from repro.minidb.catalog import Database
 
@@ -40,50 +37,11 @@ class StatsVector(dict):
     stats: VectorStats
 
 
-#: one bounded cache per live Database; a collected database drops its
-#: entries automatically.
-_CACHES: "WeakKeyDictionary[Database, LRUCache]" = WeakKeyDictionary()
-
 _MAXSIZE = 64
 
-# Guards the registry itself (WeakKeyDictionary reads can mutate internal
-# state via dead-ref callbacks, and two threads must agree on one cache
-# per database); the per-database LRUCache is internally thread-safe.
-_CACHES_LOCK = threading.Lock()
 
-
-def _cache_for(database: Database) -> LRUCache:
-    with _CACHES_LOCK:
-        cache = _CACHES.get(database)
-        if cache is None:
-            cache = LRUCache(maxsize=_MAXSIZE)
-            _CACHES[database] = cache
-        return cache
-
-
-def _cached(
-    database: Database, key: Tuple, build: Callable[[], Any]
-) -> Tuple[Any, bool]:
-    """``(entry, was_hit)``; racing builders both build, the last put wins."""
-    cache = _cache_for(database)
-    entry = cache.get(key)
-    if entry is not None:
-        return entry, True
-    entry = build()
-    cache.put(key, entry)
-    return entry, False
-
-
-def _entry_key(database: Database, info: Any, table: Any) -> Tuple:
-    return (
-        "vectors",
-        info.source_table.lower(),
-        info.source_key.lower(),
-        info.value_column.lower(),
-        info.map_column.lower() if info.map_column is not None else None,
-        database.schema_epoch,
-        table.data_version,
-    )
+def _memo(database: Database) -> VersionedMemo:
+    return database.memo("extend", _MAXSIZE)
 
 
 def build_vectors(table: Any, info: Any) -> Dict[Any, Any]:
@@ -129,23 +87,17 @@ def build_vectors(table: Any, info: Any) -> Dict[Any, Any]:
 
 def extend_vectors(database: Database, info: Any) -> Tuple[Dict[Any, Any], bool]:
     """The cached extend map for ``info``; returns ``(map, was_hit)``."""
-    table = database.table(info.source_table)
-    return _cached(
-        database,
-        _entry_key(database, info, table),
-        lambda: build_vectors(table, info),
+    key = (
+        "vectors",
+        info.source_table.lower(),
+        info.source_key.lower(),
+        info.value_column.lower(),
+        info.map_column.lower() if info.map_column is not None else None,
     )
-
-
-def table_versions(
-    database: Database, tables: Optional[Sequence[str]]
-) -> Tuple[int, ...]:
-    """The schema epoch, then the data version of each of ``tables``
-    (None: every table) — what anything computed from them is valid for."""
-    names = database.table_names() if tables is None else tables
-    return (
-        database.schema_epoch,
-        *(database.table(name).data_version for name in names),
+    return _memo(database).get_or_build(
+        key,
+        (info.source_table,),
+        lambda: build_vectors(database.table(info.source_table), info),
     )
 
 
@@ -160,8 +112,9 @@ def cached_relation(
     Operators are frozen dataclasses, so the subtree is its own key;
     ``tables`` is every table it reads.  Returns ``(relation, was_hit)``.
     """
-    key = ("relation", subtree, table_versions(database, tables))
-    return _cached(database, key, build)
+    return _memo(database).get_or_build(
+        ("relation", subtree), tuple(tables), build
+    )
 
 
 def stats_of(vector: Any) -> Optional[VectorStats]:
@@ -169,28 +122,25 @@ def stats_of(vector: Any) -> Optional[VectorStats]:
     return getattr(vector, "stats", None)
 
 
-def clear_extend_cache(database: Optional[Database] = None) -> None:
-    """Drop cached extend maps (benchmarks / memory-pressure hook)."""
-    if database is not None:
-        cache = _CACHES.get(database)
-        if cache is not None:
-            cache.clear()
-        return
-    for cache in _CACHES.values():
-        cache.clear()
+def clear_extend_cache(database: Database) -> None:
+    """Drop ``database``'s cached extend maps and relations (benchmarks /
+    memory-pressure hook)."""
+    _memo(database).clear()
 
 
 def cache_info(database: Database) -> Dict[str, int]:
-    """Hit/miss/size counters for one database's extend cache.
+    """Hit/miss/stale/size counters for one database's extend cache.
 
     ``size`` counts live entries; ``relations`` of them are evaluated
-    subtrees, the rest (``vectors``) extend maps.
+    subtrees, the rest (``vectors``) extend maps.  A stale lookup is also
+    a miss.
     """
-    cache = _cache_for(database)
-    kinds = [key[0] for key in cache.keys()]
+    memo = _memo(database)
+    kinds = [key[0] for key in memo.keys()]
     return {
-        "hits": cache.hits,
-        "misses": cache.misses,
+        "hits": memo.hits,
+        "misses": memo.misses,
+        "stale": memo.stale,
         "size": len(kinds),
         "relations": kinds.count("relation"),
         "vectors": kinds.count("vectors"),

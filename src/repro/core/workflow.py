@@ -11,7 +11,6 @@ a :class:`Recommendation` holding dict-rows.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -96,6 +95,11 @@ class Recommendation:
         return [tuple(row[name] for name in names) for row in self.rows]
 
 
+def _catalog_stamp(database: Database) -> Tuple[int, int]:
+    """What compiled SQL depends on: the schema and the registered UDFs."""
+    return database.schema_epoch, database.functions.version
+
+
 class Workflow:
     """A named, validated recommendation strategy."""
 
@@ -111,10 +115,6 @@ class Workflow:
         #: graph ranker) cannot compile to SQL; the service layer routes
         #: them to the direct executor regardless of the configured path.
         self.direct_only = direct_only
-        # Memoized (validate + compile) artifacts keyed by dialect name;
-        # see compiled_for.  Entries hold a weakref so caching never pins
-        # a Database.
-        self._compiled: Dict[str, Tuple[Any, int, int, Any]] = {}
 
     # -- validation --------------------------------------------------------
 
@@ -229,10 +229,11 @@ class Workflow:
         per compilation), so the memoized text also keys straight into the
         database's statement and plan caches: a repeated ``run_sql`` skips
         validation, compilation, parsing, and planning entirely.  The
-        version vector is captured *after* compiling because a first
-        compile may register comparator UDFs and bump the function
-        registry's version.  Each SQL dialect gets its own memo slot, so
-        a workflow alternating between backends stays warm on both.
+        memo is the database's ``"workflow.compiled"``, keyed by this
+        workflow and the dialect (so a workflow alternating between
+        backends stays warm on both) and stamped with the schema epoch and
+        the function registry's version — *after* compiling, because a
+        first compile may register comparator UDFs and bump the latter.
         """
         from repro.backends.dialects import MINIDB_DIALECT, get_dialect
         from repro.core.compiler import compile_workflow
@@ -242,27 +243,14 @@ class Workflow:
                 f"workflow {self.name!r} is direct-only and has no SQL form"
             )
         resolved = MINIDB_DIALECT if dialect is None else get_dialect(dialect)
-        cached = self._compiled.get(resolved.name)
-        if cached is not None:
-            db_ref, epoch, functions_version, compiled = cached
-            if (
-                db_ref() is database
-                and epoch == database.schema_epoch
-                and functions_version == database.functions.version
-            ):
-                return compiled
-        self.validate(database)
-        compiled = compile_workflow(self, database, dialect=resolved)
-        self._compiled[resolved.name] = (
-            weakref.ref(database),
-            database.schema_epoch,
-            database.functions.version,
-            compiled,
-        )
+        memo = database.memo("workflow.compiled", 128, stamp=_catalog_stamp)
+        key = (self, resolved.name)
+        compiled = memo.get(key)
+        if compiled is None:
+            self.validate(database)
+            compiled = compile_workflow(self, database, dialect=resolved)
+            memo.put(key, database, compiled)
         return compiled
-
-    # Backwards-compatible private spelling used by older call sites.
-    _compiled_for = compiled_for
 
     def run_sql(self, database: Database) -> Recommendation:
         """Compile to SQL and execute through the minidb SQL engine."""

@@ -19,9 +19,9 @@ Two design rules make everything downstream deterministic:
   identical whether layers were rebuilt cold or patched incrementally,
   and identical under any permutation of user/course ids.
 * **Version-keyed layers.**  The adjacency is built as three independent
-  layers (enrollment, comment, content), each stamped with the
-  ``(schema_epoch, data_version)`` snapshot of its source tables — the
-  extendcache discipline.  A write to Comments invalidates only the
+  layers (enrollment, comment, content), each stamped with
+  :meth:`Database.versions` of its source tables — the one staleness
+  rule of DESIGN §7.  A write to Comments invalidates only the
   comment layer; the other layers are reused verbatim, and the merge
   runs in a fixed layer order, so an incremental refresh reproduces the
   cold build bit for bit *by construction*.
@@ -80,12 +80,7 @@ def layer_version(database: Database, name: str) -> Tuple[Any, ...]:
     tables = LAYER_TABLES.get(name)
     if tables is None:
         raise GraphRankError(f"unknown adjacency layer {name!r}")
-    return (
-        database.schema_epoch,
-        tuple(
-            (table, database.table(table).data_version) for table in tables
-        ),
-    )
+    return database.versions(tables)
 
 
 def _add_edge(edges: Edges, left: NodeId, right: NodeId, weight: int) -> None:

@@ -1,7 +1,7 @@
 """The FolkRank engine: cached adjacency, baselines, and differentials.
 
-One :class:`GraphRankEngine` per database (via :meth:`for_database`, the
-extendcache ``WeakKeyDictionary`` idiom) owns
+One :class:`GraphRankEngine` per database (via :meth:`for_database`, a
+weakly keyed registry) owns
 
 * the layered tripartite adjacency, refreshed incrementally — only
   layers whose source-table versions moved are rebuilt (see

@@ -20,8 +20,11 @@ CourseRank atomic multi-table updates (e.g. enroll + plan + points).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+import threading
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.caching import VersionedMemo
 from repro.errors import (
     IntegrityError,
     MiniDBError,
@@ -32,7 +35,7 @@ from repro.errors import (
 from repro.minidb.concurrency import RWLock
 from repro.minidb.functions import FunctionRegistry
 from repro.minidb.indexes import create_index
-from repro.minidb.plancache import LRUCache, PreparedStatement
+from repro.minidb.plancache import PreparedStatement, plan_stamp
 from repro.minidb.schema import Column, ForeignKey, TableSchema
 from repro.minidb.table import Row, Table
 
@@ -66,7 +69,10 @@ class Database:
         # Bumped on every DDL change (and rollback); cached plans whose
         # epoch no longer matches are transparently re-planned.
         self.schema_epoch = 0
-        self._plan_cache = LRUCache(maxsize=256)
+        self._plan_cache = VersionedMemo(256, partial(plan_stamp, self))
+        # Derived-data memos handed out by name (see memo()).
+        self._memos: Dict[str, VersionedMemo] = {}
+        self._memos_lock = threading.Lock()
         # Readers-writer lock giving each statement a consistent view:
         # SELECTs share it, DML/DDL take it exclusively, and an open
         # transaction holds the write side from begin to commit/rollback
@@ -130,6 +136,47 @@ class Database:
             return self._tables[name.lower()]
         except KeyError:
             raise UnknownTableError(f"no such table {name!r}") from None
+
+    def versions(self, tables: Optional[Sequence[str]] = None) -> Tuple[Any, ...]:
+        """``(schema_epoch, data_version of each of tables...)``; every
+        table when ``tables`` is None.
+
+        Anything computed from those tables is valid exactly while this
+        tuple is unchanged: DML moves a data version, DDL the epoch (so a
+        DROP + CREATE that restarts a table's counters never aliases).  A
+        table that no longer exists reads ``None`` — the epoch moved.
+        """
+        if tables is None:
+            found = self._tables.values()
+        else:
+            found = [self._tables.get(name.lower()) for name in tables]
+        return (
+            self.schema_epoch,
+            *(None if table is None else table.data_version for table in found),
+        )
+
+    def memo(
+        self,
+        name: str,
+        maxsize: int,
+        stamp: Optional[Callable[[Any], Any]] = None,
+    ) -> VersionedMemo:
+        """This database's memo called ``name``, created on first use.
+
+        ``stamp`` defaults to :meth:`versions`, so an entry put with the
+        tables it read as ``deps`` retires on the first write to any of
+        them.  Memos live and die with their database.
+        """
+        memo = self._memos.get(name)
+        if memo is None:
+            with self._memos_lock:
+                memo = self._memos.get(name)
+                if memo is None:
+                    memo = VersionedMemo(
+                        maxsize, self.versions if stamp is None else stamp
+                    )
+                    self._memos[name] = memo
+        return memo
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables

@@ -19,7 +19,7 @@ from repro.errors import (
     UnknownColumnError,
 )
 from repro.minidb.expressions import Env, Expression, Literal
-from repro.minidb.plancache import parsed_statement, snapshot_plan
+from repro.minidb.plancache import parsed_statement
 from repro.minidb.planner import (
     PrimaryKeyLookupNode,
     QueryPlan,
@@ -469,20 +469,21 @@ class Executor:
         statement's canonical SQL text plus its parameter base (a UNION
         arm's ``?`` placeholders are numbered after the preceding arms',
         so identical text can carry different parameter indices) and
-        validated against the database's schema epoch and table/function
-        version counters; a stale entry is transparently re-planned here.
+        served only while their :func:`~repro.minidb.plancache.plan_stamp`
+        holds; a stale entry is a miss and is re-planned here.
         """
         database = self.database
         if canonical is None:
             canonical = statement.to_sql()
         key = (canonical, getattr(statement, "parameter_base", 0))
-        entry = database._plan_cache.get(key)
-        if entry is not None and entry.is_valid(database):
+        cache = database._plan_cache
+        plan = cache.get(key)
+        if plan is not None:
             if OBS.enabled:
                 OBS.metrics.inc("minidb.plan_cache.hit")
-            return entry.plan, True
+            return plan, True
         plan = plan_select(database, statement)
-        database._plan_cache.put(key, snapshot_plan(database, plan))
+        cache.put(key, plan, plan)
         if OBS.enabled:
             OBS.metrics.inc("minidb.plan_cache.miss")
         return plan, False

@@ -7,95 +7,47 @@ Two cache layers cooperate:
 
 * a **statement cache** (module-level, parse is pure) mapping raw SQL text
   to its parsed statement, its canonical rendering, and its ``?`` count;
-* a **plan cache** (one per :class:`~repro.minidb.catalog.Database`)
-  mapping a SELECT's ``(canonical text, parameter base)`` to a
-  :class:`CachedPlan` — the base distinguishes UNION arms whose text
-  matches a standalone statement but whose ``?`` placeholders are
-  numbered after the preceding arms'.
+* a **plan cache** (one :class:`~repro.caching.VersionedMemo` per
+  :class:`~repro.minidb.catalog.Database`) mapping a SELECT's
+  ``(canonical text, parameter base)`` to its plan — the base
+  distinguishes UNION arms whose text matches a standalone statement but
+  whose ``?`` placeholders are numbered after the preceding arms'.
 
-A cached plan is *validated* on every hit against the database's schema
-epoch (bumped by all DDL), each referenced table's ``indexed_version``
-(bumped by DML that touches indexed state), the function-registry version,
-and — for plans whose IN/EXISTS subqueries were snapshotted at plan time —
-each table's ``data_version``.  A stale entry is transparently re-planned
-from the already-parsed statement, so callers never observe staleness.
+A cached plan is stamped with :func:`plan_stamp`: the database's schema
+epoch (bumped by all DDL), the function-registry version, each referenced
+table's ``indexed_version`` (bumped by index attach/detach), and — for
+plans whose IN/EXISTS subqueries were snapshotted at plan time — each
+table's ``data_version``.  A hit whose stamp moved is a miss: the plan is
+transparently rebuilt from the already-parsed statement, so callers never
+observe staleness.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.caching import LRUCache
 from repro.errors import ExecutionError
 
 __all__ = [
-    "LRUCache",
-    "CachedPlan",
     "PreparedStatement",
-    "snapshot_plan",
+    "plan_stamp",
     "parsed_statement",
     "clear_statement_cache",
 ]
 
 
-class CachedPlan:
-    """A planned SELECT plus the version vector it was planned under."""
-
-    __slots__ = (
-        "plan",
-        "schema_epoch",
-        "functions_version",
-        "index_versions",
-        "data_versions",
-    )
-
-    def __init__(
-        self,
-        plan: Any,
-        schema_epoch: int,
-        functions_version: int,
-        index_versions: Tuple[Tuple[Any, int], ...],
-        data_versions: Tuple[Tuple[Any, int], ...],
-    ) -> None:
-        self.plan = plan
-        self.schema_epoch = schema_epoch
-        self.functions_version = functions_version
-        self.index_versions = index_versions
-        self.data_versions = data_versions
-
-    def is_valid(self, database: Any) -> bool:
-        if self.schema_epoch != database.schema_epoch:
-            return False
-        if self.functions_version != database.functions.version:
-            return False
-        for table, version in self.index_versions:
-            if table.indexed_version != version:
-                return False
-        for table, version in self.data_versions:
-            if table.data_version != version:
-                return False
-        return True
-
-
-def snapshot_plan(database: Any, plan: Any) -> CachedPlan:
-    """Capture the validation vector for a freshly built plan."""
-    tables = getattr(plan, "tables", ())
-    uses_snapshot = getattr(plan, "uses_snapshot", False)
-    return CachedPlan(
-        plan=plan,
-        schema_epoch=database.schema_epoch,
-        functions_version=database.functions.version,
-        index_versions=tuple(
-            (table, table.indexed_version) for table in tables
-        ),
-        # Plans that resolved IN/EXISTS subqueries baked row data into
-        # literals; they additionally pin every referenced table's data.
-        data_versions=tuple(
-            (table, table.data_version) for table in tables
-        )
-        if uses_snapshot
-        else (),
-    )
+def plan_stamp(database: Any, plan: Any) -> List[int]:
+    """What a cached ``plan`` of ``database`` stays valid for."""
+    stamp = [database.schema_epoch, database.functions.version]
+    tables = plan.tables
+    for table in tables:
+        stamp.append(table.indexed_version)
+    if plan.uses_snapshot:
+        # Resolved IN/EXISTS subqueries baked row data into literals.
+        for table in tables:
+            stamp.append(table.data_version)
+    return stamp
 
 
 # Parsing is pure, so parsed statements are shared across databases.

@@ -16,8 +16,7 @@ question).
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SearchError
@@ -50,13 +49,6 @@ class EntityDefinition:
 
     name: str
     fields: Tuple[FieldSpec, ...]
-    #: database → (schema_epoch, key-filtered wrapper SQL per field)
-    _wrappers: "weakref.WeakKeyDictionary[Database, Tuple[int, List[str]]]" = field(
-        default_factory=weakref.WeakKeyDictionary,
-        init=False,
-        repr=False,
-        compare=False,
-    )
 
     def __post_init__(self) -> None:
         if not self.fields:
@@ -119,20 +111,19 @@ class EntityDefinition:
         The text is constant per field, so every write after the first
         reuses minidb's parsed statement and cached plan; only naming the
         key column needs the field query planned, and that is remembered
-        per database until its schema changes.
+        in the database's ``"entity.key_queries"`` memo until its schema
+        changes (an empty ``deps``: the stamp is the schema epoch alone).
         """
-        cached = self._wrappers.get(database)
-        if cached is None or cached[0] != database.schema_epoch:
-            cached = (
-                database.schema_epoch,
-                [
-                    f"SELECT * FROM ({spec.sql}) AS __entity "
-                    f"WHERE {_first_column(database, spec)} = ?"
-                    for spec in self.fields
-                ],
-            )
-            self._wrappers[database] = cached
-        return cached[1]
+        queries, _hit = database.memo("entity.key_queries", 16).get_or_build(
+            self,
+            (),
+            lambda: [
+                f"SELECT * FROM ({spec.sql}) AS __entity "
+                f"WHERE {_first_column(database, spec)} = ?"
+                for spec in self.fields
+            ],
+        )
+        return queries
 
 
 def _first_column(database: Database, spec: FieldSpec) -> str:

@@ -14,10 +14,10 @@ Slicing filters each shard's share of the parent cell, so a lattice edge
 gathers over the child's documents only.
 
 Membership maps are computed per shard database (department, quarter,
-and instructor rows live with their courses), version-keyed exactly as
-the unsharded maps are.  Cells memoize per coordinate, under the service
-read lock, for the shards' current version vectors; a write drops the
-memo, so it never holds more than one generation of cells.
+and instructor rows live with their courses), memoized exactly as the
+unsharded maps are.  Cells memoize per coordinate, under the service
+read lock, for the shards' current :meth:`Database.versions`; a write
+drops the memo, so it never holds more than one generation of cells.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.clouds.cube import (
     COURSE_DIMENSIONS,
     Coordinate,
     DimensionSpec,
-    database_version_vector,
     membership_for,
 )
 from repro.errors import CloudError
@@ -95,7 +94,7 @@ class ServiceCube:
             list(query_terms) if query_terms is not None else None
         )
         self._cells: Dict[Coordinate, ServiceCubeCell] = {}
-        self._cells_version: Optional[Tuple[Any, ...]] = None
+        self._cells_stamp: Optional[Tuple[Any, ...]] = None
         self.stats = {
             "cold_builds": 0,
             "incremental_builds": 0,
@@ -124,13 +123,12 @@ class ServiceCube:
 
     def _memo(self) -> Dict[Coordinate, ServiceCubeCell]:
         """The cell memo of the shards' current versions (read lock held)."""
-        version = tuple(
-            database_version_vector(shard)
-            for shard in self.service.sharded.shards
+        stamp = tuple(
+            shard.versions() for shard in self.service.sharded.shards
         )
-        if version != self._cells_version:
+        if stamp != self._cells_stamp:
             self._cells = {}
-            self._cells_version = version
+            self._cells_stamp = stamp
         return self._cells
 
     def _validate(self, coordinate: Coordinate) -> Coordinate:

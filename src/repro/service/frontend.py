@@ -37,10 +37,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.caching import LRUCache
+from repro.caching import LRUCache, VersionedMemo
 from repro.clouds.cloud import DataCloud
 from repro.core.executor import graph_recommend_rows
-from repro.core.extendcache import table_versions
 from repro.core.workflow import Recommendation
 from repro.errors import CloudError
 from repro.courserank.accounts import User
@@ -71,6 +70,15 @@ class _MergedResponse:
     shard_doc_ids: Tuple[Tuple[DocId, ...], ...]
 
 
+def _shard_versions(
+    deps: Tuple[Database, Optional[Sequence[str]]]
+) -> Tuple[Any, ...]:
+    """The stamp of a recommend memo entry: its shard's versions of the
+    tables the strategy reads (every table when it cannot tell)."""
+    database, tables = deps
+    return database.versions(tables)
+
+
 class CourseRankService:
     """A thread-safe, sharded CourseRank front end."""
 
@@ -93,7 +101,9 @@ class CourseRankService:
         self._response_cache = LRUCache(maxsize=response_cache_size)
         # Recommendation memo: one entry per (shard, strategy, parameters),
         # valid while the tables the strategy reads keep their versions.
-        self._recommend_cache = LRUCache(maxsize=response_cache_size)
+        self._recommend_cache = VersionedMemo(
+            response_cache_size, _shard_versions
+        )
         # Union graph-ranking engine, built lazily on first graph
         # strategy / cloud-weighting request.
         self._graphrank = None
@@ -346,10 +356,9 @@ class CourseRankService:
         except TypeError:
             key = None
         with self.rwlock.read_locked():
-            entry = None if key is None else self._recommend_cache.get(key)
-            if entry is not None:
-                versions, tables, recommendation = entry
-                if versions == table_versions(database, tables):
+            if key is not None:
+                recommendation = self._recommend_cache.get(key)
+                if recommendation is not None:
                     return recommendation
             recommendation = recommendations.run(name, **params)
             if key is not None:
@@ -360,8 +369,7 @@ class CourseRankService:
                 # to ask it.
                 tables = recommendations.build(name, **params).tables_read()
                 self._recommend_cache.put(
-                    key,
-                    (table_versions(database, tables), tables, recommendation),
+                    key, (database, tables), recommendation
                 )
             return recommendation
 

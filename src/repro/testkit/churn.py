@@ -151,18 +151,13 @@ class ChurnDriver:
     # -- lifecycle ----------------------------------------------------------
 
     def run(self) -> ChurnReport:
-        from repro.core.extendcache import clear_extend_cache
-
-        try:
-            self._setup()
-            for step in range(self.steps):
-                self._mutate()
-                self.report.steps += 1
-                if (step + 1) % self.check_every == 0:
-                    self._check_all()
-            self._check_all()
-        finally:
-            clear_extend_cache()
+        self._setup()
+        for step in range(self.steps):
+            self._mutate()
+            self.report.steps += 1
+            if (step + 1) % self.check_every == 0:
+                self._check_all()
+        self._check_all()
         return self.report
 
     def _setup(self) -> None:

@@ -1,19 +1,12 @@
 """Render testkit ASTs to the minidb and sqlite dialects.
 
-One AST, two renderers.  The renderers agree on everything except the
-handful of places the engines genuinely differ:
-
-============================  =======================  ====================
-construct                     minidb                   sqlite
-============================  =======================  ====================
-division                      ``(l / r)``              ``(l * 1.0 / r)``
-boolean literal               ``TRUE`` / ``FALSE``     ``1`` / ``0``
-date literal                  ``DATE '2008-01-05'``    ``'2008-01-05'``
-LEAST / GREATEST              ``LEAST`` / ``GREATEST`` ``MIN`` / ``MAX``
-CREATE INDEX                  ``... USING hash``       no ``USING`` clause
-bound date parameter          ``datetime.date``        ISO string
-bound bool parameter          ``bool``                 ``int``
-============================  =======================  ====================
+One AST, two renderings.  They agree on everything except the handful of
+places the engines genuinely differ — division, boolean and date
+literals, LEAST / GREATEST, ``CREATE INDEX ... USING`` — and every one of
+those is spelled by :data:`~repro.backends.dialects.MINIDB_DIALECT` /
+:data:`~repro.backends.dialects.SQLITE_DIALECT`, the table the FlexRecs
+compiler renders through too.  Bound parameters go through the same
+dialect's ``bind`` before they reach a driver.
 
 ``?`` parameters are numbered by **text position** in both engines, so
 each renderer appends a parameter's value to its collection list at the
@@ -31,6 +24,7 @@ import datetime
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.backends.dialects import get_dialect
 from repro.testkit import generators as g
 
 __all__ = [
@@ -47,14 +41,9 @@ __all__ = [
     "rendered_from_dict",
 ]
 
+#: the registered names of the two engines' dialects
 MINIDB = "minidb"
 SQLITE = "sqlite"
-
-#: shared-name scalar functions that need a per-dialect spelling
-_FUNC_NAMES = {
-    "least": {MINIDB: "LEAST", SQLITE: "MIN"},
-    "greatest": {MINIDB: "GREATEST", SQLITE: "MAX"},
-}
 
 _AGG_NAMES = {
     "count": "COUNT",
@@ -87,41 +76,6 @@ class RenderedCase:
 
 
 # ---------------------------------------------------------------------------
-# literals and parameters
-# ---------------------------------------------------------------------------
-
-
-def literal_sql(value: Any, dialect: str) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        if dialect == MINIDB:
-            return "TRUE" if value else "FALSE"
-        return "1" if value else "0"
-    if isinstance(value, datetime.date):
-        if dialect == MINIDB:
-            return f"DATE '{value.isoformat()}'"
-        return f"'{value.isoformat()}'"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    raise TypeError(f"unrenderable literal: {value!r}")
-
-
-def bind_value(value: Any, dialect: str) -> Any:
-    """Convert a parameter for the target driver's binding layer."""
-    if dialect == SQLITE:
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, datetime.date):
-            return value.isoformat()
-    return value
-
-
-# ---------------------------------------------------------------------------
 # expressions
 # ---------------------------------------------------------------------------
 
@@ -130,17 +84,15 @@ def render_expr(expr: Any, dialect: str, params: List[Any]) -> str:
     if isinstance(expr, g.Col):
         return f"{expr.table}.{expr.name}" if expr.table else expr.name
     if isinstance(expr, g.Lit):
-        return literal_sql(expr.value, dialect)
+        return get_dialect(dialect).literal(expr.value)
     if isinstance(expr, g.Param):
         params.append(expr.value)
         return "?"
     if isinstance(expr, g.Arith):
         left = render_expr(expr.left, dialect, params)
         right = render_expr(expr.right, dialect, params)
-        if expr.op == "/" and dialect == SQLITE:
-            # sqlite's / truncates on integers; * 1.0 promotes the
-            # numerator so both engines do IEEE double division.
-            return f"({left} * 1.0 / {right})"
+        if expr.op == "/":
+            return get_dialect(dialect).true_div(left, right)
         return f"({left} {expr.op} {right})"
     if isinstance(expr, g.Compare):
         left = render_expr(expr.left, dialect, params)
@@ -174,13 +126,9 @@ def render_expr(expr: Any, dialect: str, params: List[Any]) -> str:
         negation = "NOT " if expr.negated else ""
         return f"({operand} {negation}LIKE '{expr.pattern}')"
     if isinstance(expr, g.Func):
-        name = _FUNC_NAMES.get(expr.name, {}).get(
-            dialect, expr.name.upper()
+        return get_dialect(dialect).func(
+            expr.name, *(render_expr(arg, dialect, params) for arg in expr.args)
         )
-        args = ", ".join(
-            render_expr(arg, dialect, params) for arg in expr.args
-        )
-        return f"{name}({args})"
     if isinstance(expr, g.CaseE):
         condition = render_expr(expr.condition, dialect, params)
         then = render_expr(expr.then, dialect, params)
@@ -301,13 +249,13 @@ def create_table_sql(table: g.TableSpec) -> str:
 def create_index_sql(table: str, index: g.IndexSpec, dialect: str) -> str:
     columns = ", ".join(index.columns)
     sql = f"CREATE INDEX {index.name} ON {table} ({columns})"
-    if dialect == MINIDB:
+    if get_dialect(dialect).capabilities.index_using_clause:
         sql += f" USING {index.kind}"
     return sql
 
 
 def _insert_sql(table: str, values: Tuple[Any, ...], dialect: str) -> str:
-    rendered = ", ".join(literal_sql(value, dialect) for value in values)
+    rendered = ", ".join(get_dialect(dialect).literal(value) for value in values)
     return f"INSERT INTO {table} VALUES ({rendered})"
 
 

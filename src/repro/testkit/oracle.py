@@ -50,12 +50,11 @@ import sqlite3
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.backends.dialects import MINIDB_DIALECT, SQLITE_DIALECT
 from repro.testkit.dialects import (
     MINIDB,
-    SQLITE,
     RenderedCase,
     RenderedScript,
-    bind_value,
     render_case,
     render_op,
     render_query,
@@ -221,7 +220,7 @@ def _minidb_one(
     sql: str,
     params: Tuple[Any, ...],
 ) -> Outcome:
-    bound = [bind_value(value, MINIDB) for value in params]
+    bound = [MINIDB_DIALECT.bind(value) for value in params]
     try:
         if kind == "query":
             if config.prepared:
@@ -252,7 +251,7 @@ def run_sqlite(script: RenderedScript) -> List[Outcome]:
             connection.execute(ddl)
         outcomes: List[Outcome] = []
         for op in script.ops:
-            bound = [bind_value(value, SQLITE) for value in op.params]
+            bound = [SQLITE_DIALECT.bind(value) for value in op.params]
             try:
                 cursor = connection.execute(op.sql, bound)
                 if op.kind == "query":
@@ -484,7 +483,7 @@ def check_bound_plans(case: Case) -> Tuple[int, List[str]]:
         if not params:
             continue
         literal_sql = render_query(literal, MINIDB)
-        params = [bind_value(value, MINIDB) for value in params]
+        params = [MINIDB_DIALECT.bind(value) for value in params]
         literal_plan, literal_rows = _plan_and_rows(database, literal_sql, None)
         bound_plan, bound_rows = _plan_and_rows(database, bound_sql, params)
         if _BOUND_ROUTE.search(bound_plan):
@@ -536,7 +535,7 @@ def check_derived_pushdown(case: Case) -> Tuple[int, List[str]]:
             continue
         params: List[Any] = []
         sql = render_query(query, MINIDB, params)
-        params = [bind_value(value, MINIDB) for value in params]
+        params = [MINIDB_DIALECT.bind(value) for value in params]
         pushable = _pushable(body)
         barrier = replace(body, limit=_NEVER_REACHED)
         twin = replace(query, source=replace(query.source, body=barrier))

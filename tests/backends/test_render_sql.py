@@ -242,6 +242,7 @@ class TestDialectPrimitives:
         assert SQLITE_DIALECT.literal(day) == "'2008-01-05'"
         assert MINIDB_DIALECT.literal(True) == "TRUE"
         assert SQLITE_DIALECT.literal(True) == "1"
+        assert SQLITE_DIALECT.literal(False) == "0"
         for dialect in (MINIDB_DIALECT, SQLITE_DIALECT):
             assert dialect.literal(None) == "NULL"
             assert dialect.literal(1.5) == "1.5"
@@ -253,6 +254,7 @@ class TestDialectPrimitives:
         assert SQLITE_DIALECT.bind(day) == "2008-01-05"
         assert MINIDB_DIALECT.bind(False) is False
         assert SQLITE_DIALECT.bind(False) == 0
+        assert SQLITE_DIALECT.bind(True) == 1
         assert SQLITE_DIALECT.bind("text") == "text"
 
     def test_true_div(self):

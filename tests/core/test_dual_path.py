@@ -227,13 +227,14 @@ class TestWarmCompiledPath:
 
     def test_compile_memo_reused_and_invalidated(self, flexdb):
         workflow = self.workflow()
+        compiled = workflow.compiled_for(flexdb)
         workflow.run_sql(flexdb)
-        memo = workflow._compiled["minidb"]
-        workflow.run_sql(flexdb)
-        assert workflow._compiled["minidb"] is memo  # no recompilation
+        assert workflow.compiled_for(flexdb) is compiled  # no recompilation
         flexdb.execute("CREATE TABLE Scratch (X INTEGER PRIMARY KEY)")
-        workflow.run_sql(flexdb)  # schema epoch moved: recompiles
-        assert workflow._compiled["minidb"] is not memo
+        # schema epoch moved: recompiles
+        recompiled = workflow.compiled_for(flexdb)
+        assert recompiled is not compiled
+        assert recompiled.sql == compiled.sql
 
     def test_warm_run_sees_new_data(self, flexdb):
         workflow = self.workflow()

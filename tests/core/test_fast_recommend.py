@@ -35,12 +35,6 @@ from repro.minidb import Database
 from repro.testkit import reference_recommend as run_naive
 
 
-@pytest.fixture(autouse=True)
-def _cold():
-    """Every test starts with an empty cache."""
-    clear_extend_cache()
-
-
 def exact_rows(recommendation):
     """Rows as comparable tuples; float comparison is exact on purpose."""
     return [
@@ -185,7 +179,7 @@ class TestFastMatchesNaive:
         assert naive.columns == cold.columns == warm.columns
         assert exact_rows(naive) == exact_rows(cold) == exact_rows(warm)
         # Mutate the contributing tables while the cache is warm: the
-        # stale entries' keys become unreachable, so the fast path must
+        # stale entries are never served again, so the fast path must
         # agree with a from-scratch naive run.
         apply_churn(db, operations)
         after_fast = workflow.run(db)
@@ -262,10 +256,11 @@ class TestStaleCacheImpossible:
         assert stats_of(fresh[444]) == vector_stats(fresh[444])
         info_stats = cache_info(flexdb)
         assert info_stats["hits"] >= 1 and info_stats["misses"] >= 2
+        assert info_stats["stale"] == 1
 
     def test_drop_recreate_cannot_alias(self, flexdb):
         """A recreated table restarts its version counter; the schema
-        epoch in the cache key keeps the old entry unreachable."""
+        epoch in the entry's stamp keeps the old entry from being served."""
         info = students_with_ratings().info
         extend_vectors(flexdb, info)  # populate
         flexdb.execute("DROP TABLE Comments")

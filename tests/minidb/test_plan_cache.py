@@ -142,6 +142,53 @@ class TestInvalidation:
         assert rows == [("Databases",), ("Networks",), ("Sculpture",)]
 
 
+class TestStalePlanIsAMiss:
+    """A hit whose stamp moved is a miss, so the cache's own counters
+    agree with the executor's ``minidb.plan_cache.hit``/``.miss``."""
+
+    def test_create_index_is_one_miss_and_one_stale(self, db):
+        db.query(SQL)
+        db.query(SQL)
+        cache = db._plan_cache
+        hits, misses, stale = cache.hits, cache.misses, cache.stale
+        db.execute("CREATE INDEX idx_units ON Courses (Units) USING SORTED")
+        db.query(SQL)
+        assert (cache.hits, cache.misses, cache.stale) == (
+            hits, misses + 1, stale + 1,
+        )
+        db.query(SQL)
+        assert (cache.hits, cache.misses) == (hits + 1, misses + 1)
+
+    def test_observability_agrees_with_the_executor_counters(self):
+        from repro.courserank import CourseRank
+        from repro.datagen import generate_university
+        from repro.obs import OBS
+
+        app = CourseRank(generate_university(scale="tiny", seed=5))
+        course_ids = app.db.query(
+            "SELECT CourseID FROM Courses ORDER BY CourseID LIMIT 4"
+        ).column("CourseID")
+        before = app.observability()["caches"]["plan_cache"]
+        OBS.reset().enable()
+        try:
+            app.course_page(course_ids[0])
+            app.db.execute("CREATE INDEX idx_comments_rating ON Comments (Rating)")
+            for course_id in course_ids:
+                app.course_page(course_id)
+            counted = (
+                OBS.metrics.counter("minidb.plan_cache.hit"),
+                OBS.metrics.counter("minidb.plan_cache.miss"),
+            )
+        finally:
+            OBS.disable()
+            OBS.reset()
+        after = app.observability()["caches"]["plan_cache"]
+        assert counted[1] > 0
+        assert (
+            after["hits"] - before["hits"], after["misses"] - before["misses"]
+        ) == counted
+
+
 class TestDmlKeepsPlans:
     """A plan reads rows and resolves its index keys per execution, so DML
     moves no validation counter: a cached shape stays a hit through

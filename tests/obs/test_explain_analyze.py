@@ -14,9 +14,10 @@ fuzzer-generated queries:
 
 import pytest
 
+from repro.backends.dialects import MINIDB_DIALECT
 from repro.minidb import Database
 from repro.testkit import CaseGenerator
-from repro.testkit.dialects import MINIDB, bind_value, render_case
+from repro.testkit.dialects import render_case
 
 
 def _check_accounting(node):
@@ -155,7 +156,7 @@ def test_fuzzer_generated_queries_balance(seed):
         database.execute(ddl)
     analyzed = 0
     for op in rendered.ops:
-        params = [bind_value(value, MINIDB) for value in op.params]
+        params = [MINIDB_DIALECT.bind(value) for value in op.params]
         if op.kind != "query":
             try:
                 database.execute(op.sql, params or None)

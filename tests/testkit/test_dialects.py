@@ -1,44 +1,19 @@
-"""Dialect rendering: literals, round trips, and parameter alignment."""
+"""Dialect rendering: round trips and parameter alignment.
 
-import datetime
+The per-dialect literal and bind spellings themselves are pinned once, in
+``tests/backends/test_render_sql.py``.
+"""
+
 import json
 
 import repro.testkit.generators as g
+from repro.backends.dialects import SQLITE_DIALECT
 from repro.minidb.plancache import parsed_statement
 from repro.testkit.dialects import (
-    MINIDB,
-    SQLITE,
-    bind_value,
-    literal_sql,
     render_case,
     rendered_from_dict,
     rendered_to_dict,
 )
-
-
-class TestLiterals:
-    def test_null(self):
-        assert literal_sql(None, MINIDB) == "NULL"
-        assert literal_sql(None, SQLITE) == "NULL"
-
-    def test_bool_dialect_split(self):
-        assert literal_sql(True, MINIDB) == "TRUE"
-        assert literal_sql(True, SQLITE) == "1"
-        assert literal_sql(False, SQLITE) == "0"
-
-    def test_date_dialect_split(self):
-        day = datetime.date(2008, 7, 3)
-        assert literal_sql(day, MINIDB) == "DATE '2008-07-03'"
-        assert literal_sql(day, SQLITE) == "'2008-07-03'"
-
-    def test_string_quote_doubling(self):
-        assert literal_sql("it's", MINIDB) == "'it''s'"
-
-    def test_bind_value_coercions(self):
-        day = datetime.date(2008, 7, 3)
-        assert bind_value(day, SQLITE) == "2008-07-03"
-        assert bind_value(True, SQLITE) == 1
-        assert bind_value(day, MINIDB) == day
 
 
 class TestMinidbRoundTrip:
@@ -71,8 +46,8 @@ class TestParamAlignment:
                 assert mine.sql.count("?") == len(mine.params)
                 assert theirs.sql.count("?") == len(theirs.params)
                 # Same logical values on both sides (binding differs).
-                assert [bind_value(v, SQLITE) for v in mine.params] == [
-                    bind_value(v, SQLITE) for v in theirs.params
+                assert [SQLITE_DIALECT.bind(v) for v in mine.params] == [
+                    SQLITE_DIALECT.bind(v) for v in theirs.params
                 ]
                 if mine.params:
                     seen_params = True
