@@ -113,8 +113,11 @@ class VersionedMemo:
         self._entries = LRUCache(maxsize)
         self._stamp = stamp
 
-    def _fresh(self, entry: Tuple[Any, Any, Any]) -> bool:
-        return self._stamp(entry[0]) == entry[1]
+        # A closure, not a method: the plan cache runs it on every SELECT.
+        def fresh(entry: Tuple[Any, Any, Any]) -> bool:
+            return stamp(entry[0]) == entry[1]
+
+        self._fresh = fresh
 
     def get(self, key: Hashable) -> Optional[Any]:
         entry = self._entries.get(key, self._fresh)

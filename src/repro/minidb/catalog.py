@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import threading
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.caching import VersionedMemo
 from repro.errors import (
@@ -137,7 +139,9 @@ class Database:
         except KeyError:
             raise UnknownTableError(f"no such table {name!r}") from None
 
-    def versions(self, tables: Optional[Sequence[str]] = None) -> Tuple[Any, ...]:
+    def versions(
+        self, tables: Optional[Sequence[str]] = None
+    ) -> Tuple[Any, ...]:
         """``(schema_epoch, data_version of each of tables...)``; every
         table when ``tables`` is None.
 
@@ -152,7 +156,10 @@ class Database:
             found = [self._tables.get(name.lower()) for name in tables]
         return (
             self.schema_epoch,
-            *(None if table is None else table.data_version for table in found),
+            *(
+                None if table is None else table.data_version
+                for table in found
+            ),
         )
 
     def memo(

@@ -126,9 +126,8 @@ def render_expr(expr: Any, dialect: str, params: List[Any]) -> str:
         negation = "NOT " if expr.negated else ""
         return f"({operand} {negation}LIKE '{expr.pattern}')"
     if isinstance(expr, g.Func):
-        return get_dialect(dialect).func(
-            expr.name, *(render_expr(arg, dialect, params) for arg in expr.args)
-        )
+        args = [render_expr(arg, dialect, params) for arg in expr.args]
+        return get_dialect(dialect).func(expr.name, *args)
     if isinstance(expr, g.CaseE):
         condition = render_expr(expr.condition, dialect, params)
         then = render_expr(expr.then, dialect, params)
@@ -255,7 +254,8 @@ def create_index_sql(table: str, index: g.IndexSpec, dialect: str) -> str:
 
 
 def _insert_sql(table: str, values: Tuple[Any, ...], dialect: str) -> str:
-    rendered = ", ".join(get_dialect(dialect).literal(value) for value in values)
+    literal = get_dialect(dialect).literal
+    rendered = ", ".join(literal(value) for value in values)
     return f"INSERT INTO {table} VALUES ({rendered})"
 
 
