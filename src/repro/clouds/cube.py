@@ -51,7 +51,7 @@ class DimensionSpec:
     ``sql`` must select exactly two columns — the document id and the
     dimension value; a document may have several values (a course offered
     in two quarters belongs to both slices).  ``tables`` lists the source
-    tables, which key the membership-map invalidation.
+    tables, whose versions stamp the membership map.
     """
 
     name: str
@@ -77,6 +77,7 @@ COURSE_DIMENSIONS: Tuple[DimensionSpec, ...] = (
         tables=("Teaches",),
     ),
 )
+
 
 def membership_for(
     database: Database, spec: DimensionSpec
