@@ -332,5 +332,5 @@ def test_every_memo_answers_like_a_cold_rebuild(ops, pick):
         try:
             _apply(db, op, students, courses)
         except MiniDBError:
-            continue  # a duplicate key, a missing index: nothing changed
+            continue  # refused: a duplicate key, an index that is not there
         _check_every_memo(service, db, course_id, workflow, info)
