@@ -1,19 +1,53 @@
-"""Dialect rendering: round trips and parameter alignment.
+"""Dialect rendering: literals, round trips, and parameter alignment."""
 
-The per-dialect literal and bind spellings themselves are pinned once, in
-``tests/backends/test_render_sql.py``.
-"""
-
+import datetime
 import json
 
 import repro.testkit.generators as g
-from repro.backends.dialects import SQLITE_DIALECT
+from repro.backends.dialects import SQLITE_DIALECT, get_dialect
 from repro.minidb.plancache import parsed_statement
 from repro.testkit.dialects import (
+    MINIDB,
+    SQLITE,
     render_case,
+    render_expr,
     rendered_from_dict,
     rendered_to_dict,
 )
+
+
+def literal_sql(value, dialect):
+    """A testkit literal as the renderer spells it in ``dialect``."""
+    return render_expr(g.Lit(value, "any"), dialect, [])
+
+
+def bind_value(value, dialect):
+    return get_dialect(dialect).bind(value)
+
+
+class TestLiterals:
+    def test_null(self):
+        assert literal_sql(None, MINIDB) == "NULL"
+        assert literal_sql(None, SQLITE) == "NULL"
+
+    def test_bool_dialect_split(self):
+        assert literal_sql(True, MINIDB) == "TRUE"
+        assert literal_sql(True, SQLITE) == "1"
+        assert literal_sql(False, SQLITE) == "0"
+
+    def test_date_dialect_split(self):
+        day = datetime.date(2008, 7, 3)
+        assert literal_sql(day, MINIDB) == "DATE '2008-07-03'"
+        assert literal_sql(day, SQLITE) == "'2008-07-03'"
+
+    def test_string_quote_doubling(self):
+        assert literal_sql("it's", MINIDB) == "'it''s'"
+
+    def test_bind_value_coercions(self):
+        day = datetime.date(2008, 7, 3)
+        assert bind_value(day, SQLITE) == "2008-07-03"
+        assert bind_value(True, SQLITE) == 1
+        assert bind_value(day, MINIDB) == day
 
 
 class TestMinidbRoundTrip:
