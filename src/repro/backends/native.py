@@ -48,7 +48,7 @@ class MinidbBackend(Backend):
     def register_udf(
         self, name: str, function: Callable[..., Any], arity: int = 2
     ) -> None:
-        self.catalog.functions.register_scalar(name, function, arity=arity)
+        self.catalog.functions.register_scalar(name, function)
 
     def table_names(self) -> List[str]:
         if self.catalog is None:

@@ -13,13 +13,20 @@ Modules:
   result set, popularity) and the one term-gathering strategy: a forward
   index that follows the search index, whose cached per-document-set
   counters are patched by the writes that touch them;
-* :mod:`cloud` — :class:`CloudBuilder` producing :class:`DataCloud`;
+* :mod:`cloud` — :class:`CloudBuilder` producing :class:`DataCloud`, and
+  :func:`cloud_over_shards`, the one cloud over N shards' documents (an
+  unsharded build is N = 1);
 * :mod:`refinement` — :class:`RefinementSession`, the click-to-refine loop
   of Figures 3 and 4;
 * :mod:`render` — text/HTML rendering with font-size buckets.
 """
 
-from repro.clouds.cloud import CloudBuilder, CloudTerm, DataCloud
+from repro.clouds.cloud import (
+    CloudBuilder,
+    CloudTerm,
+    DataCloud,
+    cloud_over_shards,
+)
 from repro.clouds.refinement import RefinementSession, RefinementStep
 from repro.clouds.render import render_html, render_text
 from repro.clouds.scoring import (
@@ -33,6 +40,7 @@ __all__ = [
     "CloudBuilder",
     "CloudTerm",
     "DataCloud",
+    "cloud_over_shards",
     "RefinementSession",
     "RefinementStep",
     "render_html",

@@ -170,14 +170,8 @@ class CloudBuilder:
         query: str = "",
         query_terms: Optional[Sequence[str]] = None,
     ) -> DataCloud:
-        if not self._prepared:
-            self.prepare()
-        return self.build_from_stats(
-            [self.source.partial_gather(doc_ids)],
-            len(doc_ids),
-            query,
-            query_terms,
-        )
+        """The cloud over ``doc_ids``: one-shard :func:`cloud_over_shards`."""
+        return cloud_over_shards([(self, doc_ids)], query, query_terms)
 
     def build_from_stats(
         self,
@@ -385,3 +379,31 @@ class CloudBuilder:
                 )
             )
         return terms
+
+
+def cloud_over_shards(
+    shards: Iterable[Tuple[CloudBuilder, Sequence[DocId]]],
+    query: str = "",
+    query_terms: Optional[Sequence[str]] = None,
+) -> DataCloud:
+    """One cloud over each shard's documents, from ``(builder, doc_ids)``
+    pairs — the one way every cloud is built.
+
+    Each shard's term source gathers its own partial; the first builder's
+    :meth:`~CloudBuilder.build_from_stats` merges, cuts, scores and
+    buckets them.  An unsharded build is the one-shard call
+    (:meth:`CloudBuilder.build_for_docs`); the service coordinator, a
+    sharded cube and a session pass one pair per shard.
+    """
+    builders: List[CloudBuilder] = []
+    partials: List[TermPartial] = []
+    result_size = 0
+    for builder, doc_ids in shards:
+        if not builder._prepared:
+            builder.prepare()
+        builders.append(builder)
+        partials.append(builder.source.partial_gather(doc_ids))
+        result_size += len(doc_ids)
+    return builders[0].build_from_stats(
+        partials, result_size, query, query_terms
+    )

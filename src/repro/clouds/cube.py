@@ -14,32 +14,51 @@ The navigational operators are the classic three:
   coordinate);
 * :meth:`CloudCube.slice` — fix one value of a dimension.
 
-A lattice edge narrows its parent cell's documents by one membership
-filter and counts the child's cloud over what is left — the same top-k
-kernel every cloud goes through (:meth:`CloudBuilder.build_for_docs`).
-The differential tests in ``tests/clouds/test_cube.py`` pin every
-navigated cloud bit-identical to a cold build over the same filtered doc
-set.
+A cube navigates a tuple of shards: each cell keeps one doc-id tuple
+per shard, and a lattice edge narrows each shard's share of its parent
+cell by one membership filter and counts the child's cloud over what is
+left with :func:`~repro.clouds.cloud.cloud_over_shards` — the same top-k
+kernel every cloud goes through.  The facade's cube is the one-shard
+case; the service's (:mod:`repro.service.cube`) roots the same cube at
+every shard.  The differential tests in ``tests/clouds/test_cube.py``
+pin every navigated cloud bit-identical to a cold build over the same
+filtered doc set, and ``tests/service/test_cube_service.py`` pin 1–5
+shards to the unsharded walk.
 
-Dimension membership maps live in the database's ``"cube.memberships"``
-memo, stamped with the versions of the dimension's source tables (the
-one staleness rule, DESIGN §7), so any DML on them retires a map.  A
-:class:`CloudCube` itself is a snapshot navigator: its cell memo belongs
-to one :meth:`Database.versions` tuple and is dropped when it moves, so
-after a write any cell access observes the new data, while cells already
-handed out keep their snapshot.
+Dimension membership maps live in each shard database's
+``"cube.memberships"`` memo, stamped with the versions of the
+dimension's source tables (the one staleness rule, DESIGN §7), so any
+DML on them retires a map.  A :class:`CloudCube` itself is a snapshot
+navigator: its cell memo belongs to the tuple of its shards'
+:meth:`Database.versions` and is dropped when it moves, so after a write
+any cell access observes the new data, while cells already handed out
+keep their snapshot.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import CloudError
 from repro.minidb.catalog import Database
 from repro.obs import OBS
-from repro.clouds.cloud import CloudBuilder, DataCloud, DocId
+from repro.clouds.cloud import (
+    CloudBuilder,
+    DataCloud,
+    DocId,
+    cloud_over_shards,
+)
 
 Coordinate = Tuple[Tuple[str, Any], ...]
 
@@ -103,26 +122,37 @@ def membership_for(
 
 @dataclass(frozen=True)
 class CubeCell:
-    """One lattice cell: a coordinate, its documents, and their cloud."""
+    """One lattice cell: a coordinate, each shard's documents, their cloud."""
 
     coordinate: Coordinate
-    doc_ids: Tuple[DocId, ...]
+    shard_doc_ids: Tuple[Tuple[DocId, ...], ...]
     cloud: DataCloud
 
     @property
+    def doc_ids(self) -> Tuple[DocId, ...]:
+        """All documents of the cell, concatenated in shard order."""
+        return tuple(
+            doc_id for shard in self.shard_doc_ids for doc_id in shard
+        )
+
+    @property
     def result_size(self) -> int:
-        return len(self.doc_ids)
+        return sum(map(len, self.shard_doc_ids))
 
 
 class CloudCube:
-    """A navigable lattice of data clouds over one document set.
+    """A navigable lattice of data clouds over a tuple of shards.
 
     ``base_doc_ids`` roots the cube (default: the whole corpus); a cube
     rooted at a search result is the paper's "cloud over these hits,
-    broken down by department".  Cells are memoized per coordinate for
-    the current database version, so roll-up after drill-down is a cache
-    hit and repeated walks cost nothing; a write retires the whole memo,
-    so it never holds more than one version's cells.
+    broken down by department".  The unsharded cube is the one-shard
+    case; :class:`repro.service.cube.ServiceCube` roots the same cube at
+    every shard of the service, each cell keeping per-shard doc-id
+    tuples and every cloud built by :func:`cloud_over_shards`.  Cells are
+    memoized per coordinate for the shards' current versions, so roll-up
+    after drill-down is a cache hit and repeated walks cost nothing; a
+    write retires the whole memo, so it never holds more than one
+    version's cells.
     """
 
     def __init__(
@@ -134,8 +164,32 @@ class CloudCube:
         query: str = "",
         query_terms: Optional[Sequence[str]] = None,
     ) -> None:
-        self.database = database
-        self.builder = builder
+        self._over_shards(
+            [(database, builder, base_doc_ids)], dimensions, query, query_terms
+        )
+
+    def _over_shards(
+        self,
+        shards: Iterable[
+            Tuple[Database, CloudBuilder, Optional[Sequence[DocId]]]
+        ],
+        dimensions: Optional[Sequence[DimensionSpec]],
+        query: str,
+        query_terms: Optional[Sequence[str]],
+    ) -> None:
+        """Root the cube at each ``(database, builder, base doc ids)``
+        shard; a shard with no base contributes its whole corpus."""
+        self.databases: Tuple[Database, ...] = ()
+        self.builders: Tuple[CloudBuilder, ...] = ()
+        self.shard_base: Tuple[Tuple[DocId, ...], ...] = ()
+        for database, builder, base in shards:
+            if base is None:
+                base = builder.source.engine.index.document_ids()
+            self.databases += (database,)
+            self.builders += (builder,)
+            self.shard_base += (tuple(base),)
+        #: the first shard's builder: its scoring and cuts shape every cell
+        self.builder = self.builders[0]
         self.dimensions: Tuple[DimensionSpec, ...] = tuple(
             dimensions if dimensions is not None else COURSE_DIMENSIONS
         )
@@ -143,9 +197,6 @@ class CloudCube:
         if len(set(names)) != len(names):
             raise CloudError(f"duplicate cube dimensions: {names}")
         self._by_name = {spec.name: spec for spec in self.dimensions}
-        if base_doc_ids is None:
-            base_doc_ids = builder.source.engine.index.document_ids()
-        self.base_doc_ids: Tuple[DocId, ...] = tuple(base_doc_ids)
         self.query = query
         self.query_terms = (
             tuple(query_terms) if query_terms is not None else None
@@ -170,12 +221,16 @@ class CloudCube:
             )
         return spec
 
-    def _membership(self, dimension: str) -> Dict[DocId, Tuple[Any, ...]]:
-        return membership_for(self.database, self._spec(dimension))
+    def _memberships(
+        self, dimension: str
+    ) -> List[Dict[DocId, Tuple[Any, ...]]]:
+        """One membership map per shard database."""
+        spec = self._spec(dimension)
+        return [membership_for(database, spec) for database in self.databases]
 
     def _memo(self) -> Dict[Coordinate, CubeCell]:
-        """The cell memo of the database's current version."""
-        stamp = self.database.versions()
+        """The cell memo of the shards' current versions."""
+        stamp = tuple(database.versions() for database in self.databases)
         if stamp != self._cells_stamp:
             self._cells = {}
             self._cells_stamp = stamp
@@ -195,14 +250,23 @@ class CloudCube:
             seen.add(dimension)
         return coordinate
 
-    def _filter_docs(
-        self, doc_ids: Sequence[DocId], dimension: str, value: Any
-    ) -> Tuple[DocId, ...]:
-        membership = self._membership(dimension)
+    def _filter(
+        self,
+        shard_doc_ids: Tuple[Tuple[DocId, ...], ...],
+        dimension: str,
+        value: Any,
+    ) -> Tuple[Tuple[DocId, ...], ...]:
+        """Each shard's share of ``shard_doc_ids`` where ``dimension``
+        takes ``value``."""
         return tuple(
-            doc_id
-            for doc_id in doc_ids
-            if value in membership.get(doc_id, ())
+            tuple(
+                doc_id
+                for doc_id in doc_ids
+                if value in membership.get(doc_id, ())
+            )
+            for doc_ids, membership in zip(
+                shard_doc_ids, self._memberships(dimension)
+            )
         )
 
     # -- cell construction ---------------------------------------------------
@@ -210,81 +274,81 @@ class CloudCube:
     def cell(self, coordinate: Coordinate = ()) -> CubeCell:
         """The cell at ``coordinate``, cold-built (and memoized)."""
         coordinate = self._validate(coordinate)
-        memo = self._memo()
-        cached = memo.get(coordinate)
-        if cached is not None:
-            self.stats["memo_hits"] += 1
-            return cached
-        docs: Tuple[DocId, ...] = self.base_doc_ids
-        for dimension, value in coordinate:
-            docs = self._filter_docs(docs, dimension, value)
-        with OBS.span(
-            "cloud.cube.cell", {"coordinate": repr(coordinate)}
-        ) as span:
-            started = time.perf_counter()
-            cloud = self.builder.build_for_docs(
-                docs, query=self.query, query_terms=self.query_terms
-            )
-            if OBS.enabled:
-                span.set(docs=len(docs), terms=len(cloud.terms))
-                OBS.metrics.inc("cloud.cube.cold_build")
-                OBS.metrics.observe(
-                    "cloud.cube.cell.ms",
-                    (time.perf_counter() - started) * 1000.0,
-                )
-        self.stats["cold_builds"] += 1
-        cell = CubeCell(coordinate=coordinate, doc_ids=docs, cloud=cloud)
-        memo[coordinate] = cell
-        return cell
+
+        def documents() -> Tuple[Tuple[DocId, ...], ...]:
+            shard_doc_ids = self.shard_base
+            for dimension, value in coordinate:
+                shard_doc_ids = self._filter(shard_doc_ids, dimension, value)
+            return shard_doc_ids
+
+        return self._memoized(coordinate, documents, "cold_build")
 
     def root(self) -> CubeCell:
         """The apex cell — every base document, no dimension fixed."""
         return self.cell(())
 
-    # -- navigation ----------------------------------------------------------
-
-    def dimension_values(self, cell: CubeCell, dimension: str) -> List[Any]:
-        """The values ``dimension`` takes within ``cell`` (sorted)."""
-        membership = self._membership(dimension)
-        values = set()
-        for doc_id in cell.doc_ids:
-            values.update(membership.get(doc_id, ()))
-        return sorted(values)
-
-    def slice(self, cell: CubeCell, dimension: str, value: Any) -> CubeCell:
-        """Fix ``dimension = value`` within ``cell`` (one lattice edge).
-
-        Only ``cell``'s documents are filtered, not the cube's base; the
-        memoized result is shared with any other path that reaches the
-        same coordinate.
-        """
-        coordinate = self._validate(
-            cell.coordinate + ((dimension, value),)
-        )
+    def _memoized(
+        self,
+        coordinate: Coordinate,
+        documents: Callable[[], Tuple[Tuple[DocId, ...], ...]],
+        build: str,
+    ) -> CubeCell:
+        """The memoized cell at ``coordinate``, else one built over
+        ``documents()`` and counted as a ``build`` (cold or incremental)."""
         memo = self._memo()
         cached = memo.get(coordinate)
         if cached is not None:
             self.stats["memo_hits"] += 1
             return cached
-        docs = self._filter_docs(cell.doc_ids, dimension, value)
+        shard_doc_ids = documents()
         with OBS.span(
-            "cloud.cube.slice", {"dimension": dimension, "value": repr(value)}
+            "cloud.cube.cell", {"coordinate": repr(coordinate)}
         ) as span:
             started = time.perf_counter()
-            cloud = self.builder.build_for_docs(
-                docs, query=self.query, query_terms=self.query_terms
+            cloud = cloud_over_shards(
+                zip(self.builders, shard_doc_ids),
+                query=self.query,
+                query_terms=self.query_terms,
             )
             if OBS.enabled:
-                span.set(docs=len(docs), terms=len(cloud.terms))
-                OBS.metrics.inc("cloud.cube.incremental_build")
+                span.set(docs=cloud.result_size, terms=len(cloud.terms))
+                OBS.metrics.inc(f"cloud.cube.{build}")
                 OBS.metrics.observe(
                     "cloud.cube.cell.ms",
                     (time.perf_counter() - started) * 1000.0,
                 )
-        self.stats["incremental_builds"] += 1
-        child = CubeCell(coordinate=coordinate, doc_ids=docs, cloud=cloud)
-        memo[coordinate] = child
-        return child
+        self.stats[f"{build}s"] += 1
+        cell = CubeCell(coordinate, shard_doc_ids, cloud)
+        memo[coordinate] = cell
+        return cell
+
+    # -- navigation ----------------------------------------------------------
+
+    def dimension_values(self, cell: CubeCell, dimension: str) -> List[Any]:
+        """The values ``dimension`` takes within ``cell`` (sorted)."""
+        values = set()
+        for doc_ids, membership in zip(
+            cell.shard_doc_ids, self._memberships(dimension)
+        ):
+            for doc_id in doc_ids:
+                values.update(membership.get(doc_id, ()))
+        return sorted(values)
+
+    def slice(self, cell: CubeCell, dimension: str, value: Any) -> CubeCell:
+        """Fix ``dimension = value`` within ``cell`` (one lattice edge).
+
+        Only ``cell``'s documents are filtered (each shard its own share),
+        not the cube's base; the memoized result is shared with any other
+        path that reaches the same coordinate.
+        """
+        coordinate = self._validate(
+            cell.coordinate + ((dimension, value),)
+        )
+        return self._memoized(
+            coordinate,
+            lambda: self._filter(cell.shard_doc_ids, dimension, value),
+            "incremental_build",
+        )
 
     def drill_down(
         self, cell: CubeCell, dimension: str

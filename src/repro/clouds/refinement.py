@@ -6,6 +6,15 @@ re-runs the (conjunctive) search, and rebuilds the cloud over the narrowed
 result set — exactly the "American" → "African American" walk-through in
 the paper.  ``back()`` undoes the last refinement.
 
+Every step comes from one hook, ``_answer(query, parent step or None)``.
+The facade's session answers from one engine and builder;
+:class:`repro.service.frontend.ServiceSession` overrides the hook to
+scatter-gather over the service's shards, so the two walk through
+bit-identical queries, results, and clouds.  Each step carries its
+results' doc ids per shard (one tuple for the facade), which is what a
+refinement narrows within and what :meth:`RefinementSession.cube` roots
+its cube at.
+
 Invariant (tested property): because matching is conjunctive, every
 refinement step's result set is a subset of the previous step's.
 """
@@ -13,7 +22,7 @@ refinement step's result set is a subset of the previous step's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Set
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import CloudError
 from repro.clouds.cloud import CloudBuilder, DataCloud
@@ -24,11 +33,13 @@ DocId = Any
 
 @dataclass
 class RefinementStep:
-    """One state of the session: the query, its results, and its cloud."""
+    """One state of the session: the query, its results, and its cloud,
+    with the results' doc ids on each shard."""
 
     query: str
     result: SearchResult
     cloud: DataCloud
+    shard_doc_ids: Tuple[Tuple[DocId, ...], ...]
 
     @property
     def result_size(self) -> int:
@@ -43,11 +54,9 @@ class RefinementSession:
         engine: SearchEngine,
         builder: CloudBuilder,
         query: str,
-        limit: Optional[int] = None,
     ) -> None:
         self.engine = engine
         self.builder = builder
-        self.limit = limit
         self._steps: List[RefinementStep] = []
         self._push(query)
 
@@ -91,8 +100,7 @@ class RefinementSession:
             raise CloudError("refinement term must be non-empty")
         if " " in term and not term.startswith('"'):
             term = f'"{term}"'
-        new_query = f"{self.query} {term}".strip()
-        return self._push(new_query, within=self.result.doc_id_set())
+        return self._push(f"{self.query} {term}".strip(), self.current)
 
     def cube(self, dimensions: Optional[Any] = None):
         """A cloud cube rooted at the current result set.
@@ -100,15 +108,12 @@ class RefinementSession:
         The paper's Figure 4 step sideways: instead of refining by a
         term, break the current hits down along course dimensions.
         """
-        from repro.clouds.cube import CloudCube
-
-        return CloudCube(
-            self.engine.database,
-            self.builder,
-            base_doc_ids=self.result.doc_ids(),
+        step = self.current
+        return self._cube(
+            step.shard_doc_ids,
             dimensions=dimensions,
-            query=self.query,
-            query_terms=self.result.terms,
+            query=step.query,
+            query_terms=step.result.terms,
         )
 
     def back(self) -> RefinementStep:
@@ -126,13 +131,32 @@ class RefinementSession:
     # -- internals ---------------------------------------------------------
 
     def _push(
-        self, query: str, within: Optional[Set[DocId]] = None
+        self, query: str, parent: Optional[RefinementStep] = None
     ) -> RefinementStep:
-        result = self.engine.search(
-            query, limit=self.limit, mode="all", within=within
-        )
-        step = RefinementStep(
-            query=query, result=result, cloud=self.builder.build(result)
-        )
+        step = self._answer(query, parent)
         self._steps.append(step)
         return step
+
+    def _answer(
+        self, query: str, parent: Optional[RefinementStep]
+    ) -> RefinementStep:
+        """The step for ``query``, narrowed within ``parent``'s results."""
+        within = parent.result.doc_id_set() if parent is not None else None
+        result = self.engine.search(query, mode="all", within=within)
+        return RefinementStep(
+            query=query,
+            result=result,
+            cloud=self.builder.build(result),
+            shard_doc_ids=(tuple(result.doc_ids()),),
+        )
+
+    def _cube(
+        self, shard_doc_ids: Tuple[Tuple[DocId, ...], ...], **spec: Any
+    ):
+        """A cube rooted at ``shard_doc_ids`` (this session's one shard)."""
+        from repro.clouds.cube import CloudCube
+
+        (base_doc_ids,) = shard_doc_ids
+        return CloudCube(
+            self.engine.database, self.builder, base_doc_ids, **spec
+        )

@@ -253,11 +253,11 @@ class Workflow:
         return compiled
 
     def run_sql(self, database: Database) -> Recommendation:
-        """Compile to SQL and execute through the minidb SQL engine."""
-        compiled = self.compiled_for(database)
-        result = database.query(compiled.sql)
-        rows = [dict(zip(result.columns, row)) for row in result.rows]
-        return Recommendation(columns=list(result.columns), rows=rows)
+        """Compile to SQL and execute through the minidb SQL engine
+        (:class:`~repro.backends.native.MinidbBackend` over ``database``)."""
+        from repro.backends.native import MinidbBackend
+
+        return MinidbBackend(database).execute_workflow(self)
 
     def run_backend(self, backend: Any) -> Recommendation:
         """Render for ``backend``'s dialect and execute on its engine.

@@ -180,11 +180,8 @@ class RecommendationService:
             "recommend.run", {"workflow": workflow.name, "path": path}
         ):
             if path == "sql":
-                # The classic in-engine path when the service targets
-                # minidb; otherwise render + execute on the configured
-                # backend (same workflow object, different dialect).
-                if self.backend_name == "minidb":
-                    return workflow.run_sql(self.database)
+                # Render + execute on the configured backend (minidb
+                # itself or a DB-API engine: same workflow, its dialect).
                 return workflow.run_backend(self.backend())
             if path == "direct":
                 recommendation = workflow.run(self.database)

@@ -14,9 +14,15 @@ and merge exactly:
   bit-identical to the unsharded build's.
 * **Clouds** hand each shard's ``(occurrences, result_df)`` partial to
   the same counters → cloud kernel the unsharded builder runs on its one
-  partial (:meth:`~repro.clouds.cloud.CloudBuilder.build_from_stats`):
-  it sums the partials, corpus document frequencies and corpus sizes
-  (dyadic field weights → exact float sums).  Bit-identical again.
+  partial (:func:`~repro.clouds.cloud.cloud_over_shards`): it sums the
+  partials, corpus document frequencies and corpus sizes (dyadic field
+  weights → exact float sums).  Bit-identical again.
+* **Sessions and cubes** are the clouds package's navigators over N
+  shards — :class:`ServiceSession` is a
+  :class:`~repro.clouds.refinement.RefinementSession` whose steps the
+  coordinator answers, :class:`~repro.service.cube.ServiceCube` a
+  :class:`~repro.clouds.cube.CloudCube` rooted at every shard; the
+  facade's are the same classes at N = 1.
 * **Metrics** merge through :meth:`repro.obs.metrics.MetricsRegistry.merge`
   (associative by PR 5's equivalence tests).
 
@@ -38,10 +44,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.caching import LRUCache, VersionedMemo
-from repro.clouds.cloud import DataCloud
+from repro.clouds.cloud import DataCloud, cloud_over_shards
+from repro.clouds.refinement import RefinementSession, RefinementStep
 from repro.core.executor import graph_recommend_rows
 from repro.core.workflow import Recommendation
-from repro.errors import CloudError
 from repro.courserank.accounts import User
 from repro.courserank.app import CourseRank
 from repro.courserank.models import Comment
@@ -151,19 +157,18 @@ class CourseRankService:
             )
 
     def session(self, query: str) -> "ServiceSession":
-        """A scatter-gather refinement session (mirrors RefinementSession)."""
+        """A refinement session over every shard: the facade's
+        :class:`~repro.clouds.refinement.RefinementSession`, each step
+        answered by the scatter-gather."""
         return ServiceSession(self, query)
 
     def cube(self, dimensions: Optional[Any] = None):
-        """An OLAP cloud cube over the whole sharded corpus.
-
-        Navigation scatter-gathers cell clouds exactly over shards — see
-        :mod:`repro.service.cube`.
-        """
+        """An OLAP cloud cube over the whole sharded corpus: the facade's
+        :class:`~repro.clouds.cube.CloudCube` rooted at every shard (see
+        :mod:`repro.service.cube`)."""
         from repro.service.cube import ServiceCube
 
-        with self.rwlock.read_locked():
-            return ServiceCube(self, dimensions=dimensions)
+        return ServiceCube(self, dimensions=dimensions)
 
     # -- merged answer construction -----------------------------------------
 
@@ -178,21 +183,21 @@ class CourseRankService:
         return response
 
     def _answer_narrowed(
-        self, query: str, parent: _MergedResponse
+        self, query: str, parent_doc_ids: Tuple[Tuple[DocId, ...], ...]
     ) -> _MergedResponse:
-        """Cached refine answer (read lock held).
+        """Cached refine answer within each shard's ``parent_doc_ids``
+        (read lock held).
 
         Refined responses depend on the parent result set as well as the
         query, so the key adds the parent's per-shard doc-id fingerprint
         — identical refinement walks (the common Zipfian-head case) hit.
         """
-        key = (self._epoch_vector(), query, parent.shard_doc_ids)
+        key = (self._epoch_vector(), query, parent_doc_ids)
         cached = self._response_cache.get(key)
         if cached is not None:
             return cached
         response = self._scatter_gather(
-            query,
-            within_per_shard=[set(ids) for ids in parent.shard_doc_ids],
+            query, within_per_shard=[set(ids) for ids in parent_doc_ids]
         )
         self._response_cache.put(key, response)
         return response
@@ -250,34 +255,15 @@ class CourseRankService:
             hits=hits,
             candidate_count=sum(r.candidate_count for r in shard_results),
             scored_count=sum(r.scored_count for r in shard_results),
-            cloud=self._merged_cloud_for_docs(
-                query, all_terms, shard_doc_ids, len(hits)
+            cloud=cloud_over_shards(
+                zip(
+                    [app.cloudsearch.builder for app in self.apps],
+                    shard_doc_ids,
+                ),
+                query,
+                all_terms,
             ),
             shard_doc_ids=shard_doc_ids,
-        )
-
-    def _merged_cloud_for_docs(
-        self,
-        query: str,
-        all_terms: Optional[Sequence[str]],
-        per_shard_docs: Sequence[Sequence[DocId]],
-        result_size: int,
-    ) -> DataCloud:
-        """One global cloud over each shard's documents (read lock held).
-
-        Every shard's term source gathers its own partial; the clouds
-        kernel merges, cuts, scores and buckets them exactly as an
-        unsharded builder does with its single partial.
-        """
-        builders = [app.cloudsearch.builder for app in self.apps]
-        return builders[0].build_from_stats(
-            [
-                builder.source.partial_gather(doc_ids)
-                for builder, doc_ids in zip(builders, per_shard_docs)
-            ],
-            result_size,
-            query=query,
-            query_terms=all_terms,
         )
 
     def _result_from(
@@ -441,115 +427,46 @@ class CourseRankService:
         return snapshot
 
 
-class ServiceSession:
-    """Scatter-gather twin of :class:`repro.clouds.refinement.RefinementSession`.
+class ServiceSession(RefinementSession):
+    """A refinement session answered by the service: N shards, one walk.
 
-    Same API and same query-building rules (multi-word cloud terms refine
-    as quoted phrases), so a session over the service walks through
-    bit-identical queries, results, and clouds as one over the unsharded
-    engine — each refine narrows *within each shard's* previous result
-    set, which partitions the global ``within`` set exactly.
+    :class:`~repro.clouds.refinement.RefinementSession` with its answer
+    hook served from the coordinator's response cache — each refine
+    narrows *within each shard's* previous result set, which partitions
+    the global ``within`` set exactly — so it walks through bit-identical
+    queries, results, and clouds as a session over the unsharded engine.
     """
 
     def __init__(self, service: CourseRankService, query: str) -> None:
         self.service = service
-        self._steps: List[_SessionStep] = []
-        self._push(query)
+        # No single engine or builder: every step is the service's answer.
+        super().__init__(None, None, query)
 
-    # -- state ---------------------------------------------------------------
-
-    @property
-    def current(self) -> "_SessionStep":
-        return self._steps[-1]
-
-    @property
-    def query(self) -> str:
-        return self.current.query
-
-    @property
-    def result(self) -> SearchResult:
-        return self.current.result
-
-    @property
-    def cloud(self) -> DataCloud:
-        return self.current.cloud
-
-    @property
-    def depth(self) -> int:
-        return len(self._steps) - 1
-
-    def history(self) -> List[str]:
-        return [step.query for step in self._steps]
-
-    # -- interaction ---------------------------------------------------------
-
-    def refine(self, term: str) -> "_SessionStep":
-        term = term.strip()
-        if not term:
-            raise CloudError("refinement term must be non-empty")
-        if " " in term and not term.startswith('"'):
-            term = f'"{term}"'
-        new_query = f"{self.query} {term}".strip()
-        return self._push(new_query, narrow=True)
-
-    def back(self) -> "_SessionStep":
-        if len(self._steps) == 1:
-            raise CloudError("already at the initial query")
-        self._steps.pop()
-        return self.current
-
-    def reset(self, query: str) -> "_SessionStep":
-        self._steps.clear()
-        return self._push(query)
-
-    def cube(self, dimensions: Optional[Any] = None):
-        """A cloud cube rooted at the current result set.
-
-        The sharded twin of ``RefinementSession.cube()``: cells break the
-        session's hits down along course dimensions, each cell merged
-        over shards through the coordinator.
-        """
-        from repro.service.cube import ServiceCube
-
-        response = self.current.response
+    def refine(self, term: str) -> RefinementStep:
         with self.service.rwlock.read_locked():
-            return ServiceCube(
-                self.service,
-                shard_base=response.shard_doc_ids,
-                dimensions=dimensions,
-                query=self.query,
-                query_terms=response.terms,
-            )
+            return super().refine(term)
 
-    # -- internals -----------------------------------------------------------
-
-    def _push(self, query: str, narrow: bool = False) -> "_SessionStep":
+    def _answer(
+        self, query: str, parent: Optional[RefinementStep]
+    ) -> RefinementStep:
         service = self.service
         with service.rwlock.read_locked():
-            if not narrow:
+            if parent is None:
                 response = service._answer(query)
             else:
-                parent = self.current.response
-                response = service._answer_narrowed(query, parent)
-        step = _SessionStep(
+                response = service._answer_narrowed(
+                    query, parent.shard_doc_ids
+                )
+        return RefinementStep(
             query=query,
             result=service._result_from(query, response),
             cloud=service._copy_cloud(response.cloud),
-            response=response,
+            shard_doc_ids=response.shard_doc_ids,
         )
-        self._steps.append(step)
-        return step
 
+    def _cube(
+        self, shard_doc_ids: Tuple[Tuple[DocId, ...], ...], **spec: Any
+    ):
+        from repro.service.cube import ServiceCube
 
-@dataclass
-class _SessionStep:
-    """One session state, with the raw merged response for narrowing."""
-
-    query: str
-    result: SearchResult
-    cloud: DataCloud
-    response: _MergedResponse
-
-    @property
-    def result_size(self) -> int:
-        return len(self.result)
+        return ServiceCube(self.service, shard_base=shard_doc_ids, **spec)

@@ -147,95 +147,111 @@ def build_trace(
 # -- clients -----------------------------------------------------------------
 
 
-class ServiceClient:
-    """Executes trace operations against the sharded service."""
+class Client:
+    """Executes trace operations through the five request shapes both
+    builds share: search, session, recommend, cube, comment."""
 
-    def __init__(
-        self, service: CourseRankService, user: Optional[User] = None
-    ) -> None:
-        self.service = service
+    def __init__(self, user: Optional[User] = None) -> None:
         self.user = user
         # One shared cube navigator: its cell memo is version-keyed, so
         # reuse across operations (and after writes) stays correct while
         # the Zipfian walk repetition gets the memo hits it deserves.
         self._cube = None
 
-    def _walk_cube(self, dimension: str) -> None:
-        if self._cube is None:
-            self._cube = self.service.cube()
-        cube = self._cube
-        root = cube.root()
-        values = cube.dimension_values(root, dimension)
-        if values:
-            child = cube.slice(root, dimension, values[0])
-            cube.roll_up(child)
+    # Primitives a concrete client provides.
+    def search(self, query: str) -> Any:
+        raise NotImplementedError
+
+    def session(self, query: str) -> Any:
+        raise NotImplementedError
+
+    def recommend(self, name: str, **params: Any) -> Any:
+        raise NotImplementedError
+
+    def cube(self) -> Any:
+        raise NotImplementedError
+
+    def comment(self, course_id: Any, text: str, rating: float) -> Any:
+        raise NotImplementedError
 
     def run(self, op: Tuple[Any, ...]) -> None:
         kind = op[0]
         if kind == "search":
-            self.service.search(op[1], limit=20)
+            self.search(op[1])
         elif kind == "session":
-            session = self.service.session(op[1])
+            session = self.session(op[1])
             if session.cloud.terms:
                 session.refine(session.cloud.terms[0].term)
                 session.back()
         elif kind == "recommend":
-            self.service.recommend("related_courses", course_id=op[1])
+            self.recommend("related_courses", course_id=op[1])
         elif kind == "graphrank":
-            self.service.recommend(
-                "graph_rank_courses", student_id=op[1], top_k=10
-            )
+            self.recommend("graph_rank_courses", student_id=op[1], top_k=10)
         elif kind == "cube-walk":
-            self._walk_cube(op[1])
+            if self._cube is None:
+                self._cube = self.cube()
+            cube = self._cube
+            root = cube.root()
+            values = cube.dimension_values(root, op[1])
+            if values:
+                child = cube.slice(root, op[1], values[0])
+                cube.roll_up(child)
         elif kind == "comment":
             if self.user is None:
                 raise ValueError("comment ops need a registered user")
-            self.service.comment_on_course(self.user, op[1], op[2], op[3])
+            self.comment(op[1], op[2], op[3])
         else:
             raise ValueError(f"unknown trace op {kind!r}")
 
 
-class BaselineClient:
-    """Executes the same trace against the unsharded facade."""
+class ServiceClient(Client):
+    """Executes trace operations against the sharded service."""
+
+    def __init__(
+        self, service: CourseRankService, user: Optional[User] = None
+    ) -> None:
+        super().__init__(user)
+        self.service = service
+
+    def search(self, query: str) -> Any:
+        return self.service.search(query, limit=20)
+
+    def session(self, query: str) -> Any:
+        return self.service.session(query)
+
+    def recommend(self, name: str, **params: Any) -> Any:
+        return self.service.recommend(name, **params)
+
+    def cube(self) -> Any:
+        return self.service.cube()
+
+    def comment(self, course_id: Any, text: str, rating: float) -> Any:
+        return self.service.comment_on_course(
+            self.user, course_id, text, rating
+        )
+
+
+class FacadeClient(Client):
+    """Executes the same trace against the unsharded facade (the baseline)."""
 
     def __init__(self, app: CourseRank, user: Optional[User] = None) -> None:
+        super().__init__(user)
         self.app = app
-        self.user = user
-        self._cube = None
 
-    def _walk_cube(self, dimension: str) -> None:
-        if self._cube is None:
-            self._cube = self.app.cloudsearch.cube()
-        cube = self._cube
-        root = cube.root()
-        values = cube.dimension_values(root, dimension)
-        if values:
-            child = cube.slice(root, dimension, values[0])
-            cube.roll_up(child)
+    def search(self, query: str) -> Any:
+        return self.app.search_courses(query, limit=20)
 
-    def run(self, op: Tuple[Any, ...]) -> None:
-        kind = op[0]
-        if kind == "search":
-            self.app.search_courses(op[1], limit=20)
-        elif kind == "session":
-            session = self.app.search_session(op[1])
-            if session.cloud.terms:
-                session.refine(session.cloud.terms[0].term)
-                session.back()
-        elif kind == "recommend":
-            self.app.recommendations.run("related_courses", course_id=op[1])
-        elif kind == "graphrank":
-            self.app.recommendations.run(
-                "graph_rank_courses", student_id=op[1], top_k=10
-            )
-        elif kind == "cube-walk":
-            self._walk_cube(op[1])
-        elif kind == "comment":
-            if self.user is None:
-                raise ValueError("comment ops need a registered user")
-            self.app.comment_on_course(self.user, op[1], op[2], op[3])
-        else:
-            raise ValueError(f"unknown trace op {kind!r}")
+    def session(self, query: str) -> Any:
+        return self.app.search_session(query)
+
+    def recommend(self, name: str, **params: Any) -> Any:
+        return self.app.recommendations.run(name, **params)
+
+    def cube(self) -> Any:
+        return self.app.cloudsearch.cube()
+
+    def comment(self, course_id: Any, text: str, rating: float) -> Any:
+        return self.app.comment_on_course(self.user, course_id, text, rating)
 
 
 # -- the closed loop ---------------------------------------------------------
@@ -438,7 +454,7 @@ def load_test(
 
     if app is not None:
         _, baseline_duration = run_load(
-            BaselineClient(app, baseline_user), trace, threads=1
+            FacadeClient(app, baseline_user), trace, threads=1
         )
         baseline_qps = len(trace) / baseline_duration
 

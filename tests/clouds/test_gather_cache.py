@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clouds.scoring import TermSource
+from repro.clouds.cloud import cloud_over_shards
+from repro.clouds.scoring import SCORINGS, TermSource
 from repro.courserank import CourseRank
 from repro.courserank.accounts import Role
 from repro.datagen import generate_university
@@ -41,14 +42,21 @@ def course_ids(app):
     )
 
 
-def writers(app, count):
-    """Accounts of ``count`` students with no comment yet (a second
-    comment by one student on one course replaces the first)."""
+def uncommented_students(app, count):
+    """``count`` students with no comment yet (a second comment by one
+    student on one course replaces the first)."""
     students = set(app.db.query("SELECT SuID FROM Students").column("SuID"))
     commenters = set(app.db.query("SELECT SuID FROM Comments").column("SuID"))
+    return sorted(students - commenters)[:count]
+
+
+def writers(app, count, suids=None):
+    """Accounts of ``count`` uncommented students, or of ``suids``."""
+    if suids is None:
+        suids = uncommented_students(app, count)
     return [
         app.accounts.register(f"cloudwriter{index}", Role.STUDENT, person_id=suid)
-        for index, suid in enumerate(sorted(students - commenters)[:count])
+        for index, suid in enumerate(suids)
     ]
 
 
@@ -234,55 +242,112 @@ writes = st.lists(
 )
 
 
+class Replica:
+    """One build the property writes to: the unsharded facade, or the
+    service at one shard count (every write goes to the owning shard)."""
+
+    def __init__(self, app, suids, num_shards=None):
+        from repro.service import CourseRankService
+
+        if num_shards is None:
+            self.apps, self.shard_of = [app], lambda course_id: 0
+        else:
+            service = CourseRankService(app.db, num_shards=num_shards)
+            self.apps = service.apps
+            # unknown ids hold no terms anywhere: shard 0 counts them
+            self.shard_of = lambda course_id: service.sharded.course_shard.get(
+                course_id, 0
+            )
+        self.users = [writers(shard, len(suids), suids) for shard in self.apps]
+
+    def app_of(self, course_id):
+        return self.apps[self.shard_of(course_id)]
+
+    def write(self, kind, course_id, args, row):
+        app = self.app_of(course_id)
+        if kind == "restore":
+            app.db.table("Courses").insert(list(row))
+            app.cloudsearch.engine.refresh_document(course_id)
+        elif kind == "comment":
+            user = self.users[self.shard_of(course_id)][args[1]]
+            app.comment_on_course(user, course_id, " ".join(args[2]), 3.0)
+        elif kind == "remove":
+            remove_course(app, course_id)
+        elif kind == "title":
+            app.db.execute(
+                "UPDATE Courses SET Title = ? WHERE CourseID = ?",
+                (" ".join(args[1]).title(), course_id),
+            )
+            app.cloudsearch.engine.refresh_document(course_id)
+
+    def clouds(self, sets, scoring):
+        """Each set's cloud through ``cloud_over_shards``, every shard
+        holding its share of the set (in the set's order)."""
+        builders = [
+            app.cloudsearch.builder.with_scoring(scoring) for app in self.apps
+        ]
+        clouds = []
+        for docs in sets:
+            shares = [[] for _ in self.apps]
+            for doc_id in docs:
+                shares[self.shard_of(doc_id)].append(doc_id)
+            clouds.append(cloud_over_shards(zip(builders, shares)).terms)
+        return clouds
+
+
 @settings(max_examples=20, deadline=None)
-@given(data=st.data(), steps=writes)
-def test_patched_partials_equal_fresh_gathers(data, steps):
+@given(data=st.data(), steps=writes, num_shards=st.integers(1, 5))
+def test_patched_partials_equal_fresh_gathers(data, steps, num_shards):
     """Random comment adds and replacements, course removals and
-    re-additions, title edits.  The cached sets repeat documents and hold
-    ones the index never had.  After every write each cached partial
-    ``==`` a fresh gather over its tuple and each cloud a cold build."""
+    re-additions, title edits, on the facade and on the service at 1–5
+    shards (each write also goes to the owning shard).  The cached sets
+    repeat documents and hold ones the index never had.  After every
+    write each shard's cached partials ``==`` a fresh gather over its
+    tuple, and each cloud, under every registered scoring, a cold
+    unsharded build."""
     app = CourseRank(generate_university(scale="tiny", seed=7))
-    search = app.cloudsearch
-    search.ensure_built()
-    builder = search.builder
+    app.cloudsearch.ensure_built()
     ids = course_ids(app)
     pool = st.sampled_from(ids + [UNKNOWN])
     sets = [tuple(ids)] + [
         tuple(data.draw(st.lists(pool, min_size=1, max_size=16)))
         for _ in range(3)
     ]
-    users = writers(app, 2)
+    suids = uncommented_students(app, 2)
+    # the service splits a copy of the data before the facade registers
+    # its writers (each build registers its own)
+    sharded = Replica(app, suids, num_shards)
+    replicas = [Replica(app, suids), sharded]
+    for replica in replicas:
+        replica.clouds(sets, "popularity")
     removed = []
-    for docs in sets:
-        builder.build_for_docs(docs)
     for kind, *args in steps:
+        row = None
         if kind == "restore":
-            if removed:
-                row = removed.pop()
-                app.db.table("Courses").insert(list(row))
-                search.engine.refresh_document(row[0])
+            if not removed:
+                continue
+            row = removed.pop()
+            course_id = row[0]
         else:
             present = course_ids(app)
             course_id = present[args[0] % len(present)]
-        if kind == "comment":
-            user, words = users[args[1]], " ".join(args[2])
-            app.comment_on_course(user, course_id, words, 3.0)
-        elif kind == "remove":
-            removed.append(remove_course(app, course_id))
-        elif kind == "title":
-            app.db.execute(
-                "UPDATE Courses SET Title = ? WHERE CourseID = ?",
-                (" ".join(args[1]).title(), course_id),
-            )
-            search.engine.refresh_document(course_id)
-        live = [builder.build_for_docs(docs).terms for docs in sets]
-        assert_partials_are_fresh(builder.source)
+            if kind == "remove":
+                row = app.db.query(
+                    "SELECT * FROM Courses WHERE CourseID = ?", (course_id,)
+                ).rows[0]
+                removed.append(row)
+        for replica in replicas:
+            replica.write(kind, course_id, args, row)
         cold = CourseRank(app.db)
         cold.cloudsearch.build()
-        assert live == [
-            cold.cloudsearch.builder.build_for_docs(docs).terms
-            for docs in sets
-        ]
+        for scoring in sorted(SCORINGS):
+            expected = cold.cloudsearch.builder.with_scoring(scoring)
+            expected = [expected.build_for_docs(docs).terms for docs in sets]
+            for replica in replicas:
+                assert replica.clouds(sets, scoring) == expected
+        for replica in replicas:
+            for shard in replica.apps:
+                assert_partials_are_fresh(shard.cloudsearch.builder.source)
 
 
 def test_readers_racing_a_writer_get_the_serial_answers(app, comment):

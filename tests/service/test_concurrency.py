@@ -346,3 +346,136 @@ class TestServiceConcurrency:
                 service.count(query)
 
         _run_threads(THREADS, worker)
+
+
+class TestSharedServiceCube:
+    """The load generator and the benchmark clients keep one service cube
+    across calls, so its cell memo is a lazily built structure shared by
+    every worker — and every session's steps come from the shared
+    response cache.  Six threads walk one cube and open sessions."""
+
+    DIMENSIONS = ("department", "quarter", "instructor")
+
+    @staticmethod
+    def _cell(cell):
+        return (
+            cell.coordinate,
+            cell.shard_doc_ids,
+            tuple(
+                (t.term, t.score, t.occurrences, t.result_df, t.bucket)
+                for t in cell.cloud.terms
+            ),
+        )
+
+    def _walk(self, cube):
+        answers = []
+        for dimension in self.DIMENSIONS:
+            root = cube.root()
+            values = cube.dimension_values(root, dimension)
+            children = [cube.slice(root, dimension, v) for v in values[:3]]
+            parents = [cube.roll_up(child) for child in children]
+            answers.append(
+                (
+                    self._cell(root),
+                    tuple(values),
+                    tuple(map(self._cell, children)),
+                    tuple(map(self._cell, parents)),
+                )
+            )
+        return answers
+
+    @staticmethod
+    def _sessions(service):
+        answers = []
+        for query in SEARCH_QUERIES:
+            session = service.session(query)
+            first = (tuple(session.result.doc_ids()), session.cloud.terms)
+            refined = None
+            if session.cloud.terms:
+                step = session.refine(session.cloud.terms[0].term)
+                refined = (tuple(step.result.doc_ids()), step.cloud.terms)
+                session.back()
+            answers.append((first, refined, session.history()))
+        return answers
+
+    @staticmethod
+    def _service():
+        from repro.service import CourseRankService
+
+        return CourseRankService(
+            generate_university(scale="tiny", seed=5), num_shards=3
+        )
+
+    def _race(self, worker):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(THREADS, worker)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_readers_sharing_one_cube_get_the_serial_answers(self):
+        serial_service = self._service()
+        expected = (
+            self._walk(serial_service.cube()),
+            self._sessions(serial_service),
+        )
+        service = self._service()
+        cube = service.cube()
+        observed = [None] * THREADS
+
+        def reader(index):
+            for _ in range(3):
+                observed[index] = (self._walk(cube), self._sessions(service))
+
+        self._race(reader)
+        for answers in observed:
+            assert answers == expected
+        assert cube.stats["memo_hits"] > 0
+
+    def test_a_writer_racing_the_shared_cube_leaves_it_fresh(self):
+        service = self._service()
+        users = [
+            app.accounts.register("cubewriter", Role.STUDENT, person_id=1)
+            for app in service.apps
+        ]
+        comments = [
+            (1 + step % 5, f"telescopes and nebula notes {step}", 4.0)
+            for step in range(12)
+        ]
+        cube = service.cube()
+        before = self._walk(cube)
+
+        def worker(index):
+            if index == 0:
+                for course_id, text, rating in comments:
+                    service.comment_on_course(
+                        users[service.sharded.shard_of_course(course_id)],
+                        course_id,
+                        text,
+                        rating,
+                    )
+            else:
+                for _ in range(4):
+                    self._walk(cube)
+                    self._sessions(service)
+
+        self._race(worker)
+
+        fresh = self._service()
+        fresh_users = [
+            app.accounts.register("cubewriter", Role.STUDENT, person_id=1)
+            for app in fresh.apps
+        ]
+        for course_id, text, rating in comments:
+            fresh.comment_on_course(
+                fresh_users[fresh.sharded.shard_of_course(course_id)],
+                course_id,
+                text,
+                rating,
+            )
+        expected = self._walk(fresh.cube())
+        assert expected != before  # the writes show in the walk
+        assert self._walk(cube) == expected
+        assert self._walk(service.cube()) == expected
+        assert self._sessions(service) == self._sessions(fresh)
