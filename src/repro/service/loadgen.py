@@ -149,47 +149,35 @@ def build_trace(
 
 class Client:
     """Executes trace operations through the five request shapes both
-    builds share: search, session, recommend, cube, comment."""
+    builds share — ``search``, ``session``, ``recommend``, ``cube`` and
+    ``comment_on_course`` — on the sharded service or, wrapped in
+    :class:`UnshardedService`, the unsharded facade."""
 
-    def __init__(self, user: Optional[User] = None) -> None:
+    def __init__(self, target: Any, user: Optional[User] = None) -> None:
+        self.target = target
         self.user = user
         # One shared cube navigator: its cell memo is version-keyed, so
         # reuse across operations (and after writes) stays correct while
         # the Zipfian walk repetition gets the memo hits it deserves.
         self._cube = None
 
-    # Primitives a concrete client provides.
-    def search(self, query: str) -> Any:
-        raise NotImplementedError
-
-    def session(self, query: str) -> Any:
-        raise NotImplementedError
-
-    def recommend(self, name: str, **params: Any) -> Any:
-        raise NotImplementedError
-
-    def cube(self) -> Any:
-        raise NotImplementedError
-
-    def comment(self, course_id: Any, text: str, rating: float) -> Any:
-        raise NotImplementedError
-
     def run(self, op: Tuple[Any, ...]) -> None:
         kind = op[0]
+        target = self.target
         if kind == "search":
-            self.search(op[1])
+            target.search(op[1], limit=20)
         elif kind == "session":
-            session = self.session(op[1])
+            session = target.session(op[1])
             if session.cloud.terms:
                 session.refine(session.cloud.terms[0].term)
                 session.back()
         elif kind == "recommend":
-            self.recommend("related_courses", course_id=op[1])
+            target.recommend("related_courses", course_id=op[1])
         elif kind == "graphrank":
-            self.recommend("graph_rank_courses", student_id=op[1], top_k=10)
+            target.recommend("graph_rank_courses", student_id=op[1], top_k=10)
         elif kind == "cube-walk":
             if self._cube is None:
-                self._cube = self.cube()
+                self._cube = target.cube()
             cube = self._cube
             root = cube.root()
             values = cube.dimension_values(root, op[1])
@@ -199,47 +187,19 @@ class Client:
         elif kind == "comment":
             if self.user is None:
                 raise ValueError("comment ops need a registered user")
-            self.comment(op[1], op[2], op[3])
+            target.comment_on_course(self.user, op[1], op[2], op[3])
         else:
             raise ValueError(f"unknown trace op {kind!r}")
 
 
-class ServiceClient(Client):
-    """Executes trace operations against the sharded service."""
+class UnshardedService:
+    """The unsharded facade behind the service's request shapes."""
 
-    def __init__(
-        self, service: CourseRankService, user: Optional[User] = None
-    ) -> None:
-        super().__init__(user)
-        self.service = service
-
-    def search(self, query: str) -> Any:
-        return self.service.search(query, limit=20)
-
-    def session(self, query: str) -> Any:
-        return self.service.session(query)
-
-    def recommend(self, name: str, **params: Any) -> Any:
-        return self.service.recommend(name, **params)
-
-    def cube(self) -> Any:
-        return self.service.cube()
-
-    def comment(self, course_id: Any, text: str, rating: float) -> Any:
-        return self.service.comment_on_course(
-            self.user, course_id, text, rating
-        )
-
-
-class FacadeClient(Client):
-    """Executes the same trace against the unsharded facade (the baseline)."""
-
-    def __init__(self, app: CourseRank, user: Optional[User] = None) -> None:
-        super().__init__(user)
+    def __init__(self, app: CourseRank) -> None:
         self.app = app
 
-    def search(self, query: str) -> Any:
-        return self.app.search_courses(query, limit=20)
+    def search(self, query: str, limit: Optional[int] = None) -> Any:
+        return self.app.search_courses(query, limit=limit)
 
     def session(self, query: str) -> Any:
         return self.app.search_session(query)
@@ -250,8 +210,8 @@ class FacadeClient(Client):
     def cube(self) -> Any:
         return self.app.cloudsearch.cube()
 
-    def comment(self, course_id: Any, text: str, rating: float) -> Any:
-        return self.app.comment_on_course(self.user, course_id, text, rating)
+    def comment_on_course(self, user: User, *args: Any) -> Any:
+        return self.app.comment_on_course(user, *args)
 
 
 # -- the closed loop ---------------------------------------------------------
@@ -454,12 +414,12 @@ def load_test(
 
     if app is not None:
         _, baseline_duration = run_load(
-            FacadeClient(app, baseline_user), trace, threads=1
+            Client(UnshardedService(app), baseline_user), trace, threads=1
         )
         baseline_qps = len(trace) / baseline_duration
 
     merged, duration = run_load(
-        ServiceClient(service, service_user), trace, threads=threads
+        Client(service, service_user), trace, threads=threads
     )
     overall = merged.histogram("loadgen.op.ms")
     qps = len(trace) / duration
