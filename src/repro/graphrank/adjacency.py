@@ -15,15 +15,16 @@ same unstemmed unigrams the data clouds show).  Edges:
 Two design rules make everything downstream deterministic:
 
 * **Integer edge weights.**  Integer sums are exact regardless of
-  accumulation order, so the merged adjacency (and every node degree) is
+  accumulation order, so the assembled graph (and every node degree) is
   identical whether layers were rebuilt cold or patched incrementally,
-  and identical under any permutation of user/course ids.
+  whether they come from one database or from the shards that split it
+  row-wise, and under any permutation of user/course ids.
 * **Version-keyed layers.**  The adjacency is built as three independent
   layers (enrollment, comment, content), each stamped with
   :meth:`Database.versions` of its source tables — the one staleness
   rule of DESIGN §7.  A write to Comments invalidates only the
-  comment layer; the other layers are reused verbatim, and the merge
-  runs in a fixed layer order, so an incremental refresh reproduces the
+  comment layer; the other layers are reused verbatim, and the assembly
+  walks a fixed layer order, so an incremental refresh reproduces the
   cold build bit for bit *by construction*.
 
 Nodes are ``(kind, key)`` tuples — ``("user", suid)``,
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from operator import truediv
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import GraphRankError
@@ -47,7 +49,7 @@ Edges = Dict[NodeId, Dict[NodeId, int]]
 #: ``(starts, cols, vals)`` — see :meth:`TripartiteAdjacency.csr`
 CsrView = Tuple[array, array, array]
 
-#: fixed build + merge order; changing it would change nothing semantically
+#: fixed build + assembly order; changing it would change nothing semantically
 #: (integer sums commute) but keeping it fixed makes the determinism
 #: argument a one-liner.
 LAYER_ORDER: Tuple[str, ...] = ("enrollment", "comment", "content")
@@ -141,70 +143,84 @@ def build_layer(
     return AdjacencyLayer(name=name, version=version, edges=edges)
 
 
+def graph_version(*shards: Dict[str, AdjacencyLayer]) -> Tuple[Any, ...]:
+    """The identity of the graph over ``shards``: per shard, its layer
+    versions in :data:`LAYER_ORDER`."""
+    return tuple(
+        tuple(layers[name].version for name in LAYER_ORDER)
+        for layers in shards
+    )
+
+
 class TripartiteAdjacency:
-    """The merged user–course–term graph, ready for power iteration.
+    """The user–course–term graph, assembled once from one ``{name →
+    layer}`` map per shard (the facade's graph is the one-shard call).
 
     ``nodes`` is the sorted node tuple (the deterministic iteration
-    order), ``neighbors[u]`` maps each neighbor to the summed integer
-    edge weight, and ``degrees[u]`` is the (exact, integer) weighted
-    degree.  Merging always walks :data:`LAYER_ORDER`, so a graph
-    assembled from any mix of cached and rebuilt layers is identical to
-    a cold build over the same data.
+    order) and ``degrees[u]`` the exact integer weighted degree.  The
+    constructor sums the layer maps straight into the CSR view; the
+    per-shard, per-layer maps stay the only edge maps.
     """
 
-    def __init__(self, layers: Dict[str, AdjacencyLayer]) -> None:
-        missing = [name for name in LAYER_ORDER if name not in layers]
-        if missing:
-            raise GraphRankError(f"missing adjacency layers: {missing}")
-        self.layers = {name: layers[name] for name in LAYER_ORDER}
-        merged: Edges = {}
-        for name in LAYER_ORDER:
-            for node, neighbors in self.layers[name].edges.items():
-                bucket = merged.setdefault(node, {})
-                for neighbor, weight in neighbors.items():
-                    bucket[neighbor] = bucket.get(neighbor, 0) + weight
-        self.neighbors: Edges = merged
-        self.nodes: Tuple[NodeId, ...] = tuple(sorted(merged))
-        self.degrees: Dict[NodeId, int] = {
-            node: sum(neighbors.values())
-            for node, neighbors in merged.items()
-        }
-        self.edge_count = (
-            sum(len(neighbors) for neighbors in merged.values()) // 2
-        )
-        self._csr: Optional[CsrView] = None
+    def __init__(self, *shards: Dict[str, AdjacencyLayer]) -> None:
+        for layers in shards:
+            missing = [name for name in LAYER_ORDER if name not in layers]
+            if missing:
+                raise GraphRankError(f"missing adjacency layers: {missing}")
+        self._version = graph_version(*shards)
+        maps = [
+            layers[name].edges for layers in shards for name in LAYER_ORDER
+        ]
+        degrees: Dict[NodeId, int] = {}
+        for edges in maps:
+            for node, bucket in edges.items():
+                degrees[node] = degrees.get(node, 0) + sum(bucket.values())
+        self.degrees = degrees
+        self.nodes: Tuple[NodeId, ...] = tuple(sorted(degrees))
+        self._view = self._rows(maps)
+        self.edge_count = len(self._view[1]) // 2
+
+    def _rows(self, maps: List[Edges]) -> CsrView:
+        """The CSR view, row by row: each node's buckets in ``maps``
+        summed into a transient dict keyed by node index, its columns
+        sorted."""
+        index = {node: i for i, node in enumerate(self.nodes)}
+        column = index.__getitem__
+        degree = [self.degrees[node] for node in self.nodes].__getitem__
+        starts, cols, vals = array("q", [0]), array("q"), array("d")
+        for node in self.nodes:
+            buckets = [edges[node] for edges in maps if node in edges]
+            first = buckets[0]
+            row = dict(zip(map(column, first), first.values()))
+            for other in buckets[1:]:
+                for neighbor, weight in other.items():
+                    i = column(neighbor)
+                    row[i] = row.get(i, 0) + weight
+            if not row:  # segment sums need non-empty rows
+                raise GraphRankError(f"node {node!r} has no edges")
+            ordered = sorted(row)
+            cols.extend(ordered)
+            vals.extend(
+                map(truediv, map(row.__getitem__, ordered), map(degree, ordered))
+            )
+            starts.append(len(cols))
+        return starts, cols, vals
 
     def csr(self) -> CsrView:
-        """The graph over integer node ids, built once per adjacency.
+        """The graph over integer node ids, built by the constructor.
 
         Row ``i`` is ``nodes[i]``, its entries ``starts[i]:starts[i + 1]``:
         ``cols`` the neighbors' node indices **in ascending order**,
         ``vals`` the transition weights ``weight / degrees[neighbor]``.
-        Dict order differs between cold, incremental and shard-merged
-        builds of one graph; sorted columns make the view — and a plain
-        float sum along a row — a function of the graph alone.  The
-        ``array`` buffers are published as one tuple, so a racing reader
-        sees all of the view or none.
+        Layer maps enumerate in different orders in cold, incremental
+        and sharded builds of one graph; sorted columns make the view —
+        and a plain float sum along a row — a function of the graph alone.
         """
-        view = self._csr
-        if view is None:
-            index = {node: i for i, node in enumerate(self.nodes)}
-            degrees = self.degrees
-            starts, cols, vals = array("q", [0]), array("q"), array("d")
-            for node in self.nodes:
-                bucket = self.neighbors[node]
-                if not bucket:  # segment sums need non-empty rows
-                    raise GraphRankError(f"node {node!r} has no edges")
-                sources = sorted(bucket, key=index.__getitem__)
-                cols.extend(map(index.__getitem__, sources))
-                vals.extend(bucket[s] / degrees[s] for s in sources)
-                starts.append(len(cols))
-            view = self._csr = (starts, cols, vals)
-        return view
+        return self._view
 
     def version_key(self) -> Tuple[Any, ...]:
-        """The concatenated layer versions — the graph's identity."""
-        return tuple(self.layers[name].version for name in LAYER_ORDER)
+        """The per-shard tuples of layer versions — the graph's identity."""
+        return self._version
 
     def nodes_of_kind(self, kind: str) -> List[NodeId]:
         return [node for node in self.nodes if node[0] == kind]

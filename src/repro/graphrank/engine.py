@@ -4,8 +4,9 @@ One :class:`GraphRankEngine` per database (via :meth:`for_database`, a
 weakly keyed registry) owns
 
 * the layered tripartite adjacency, refreshed incrementally — only
-  layers whose source-table versions moved are rebuilt (see
-  :mod:`repro.graphrank.adjacency`);
+  layers whose source-table versions moved are rebuilt, and the graph
+  over this database as its one shard is assembled again only when one
+  did (see :mod:`repro.graphrank.adjacency`);
 * a memoized **baseline** rank vector per adjacency version (the
   uniform-teleport run both every differential and the cloud
   term-weighting mode subtract);
@@ -40,9 +41,11 @@ from repro.obs import OBS
 from repro.search.tokenizer import Tokenizer
 from repro.graphrank.adjacency import (
     LAYER_ORDER,
+    AdjacencyLayer,
     NodeId,
     TripartiteAdjacency,
     build_layer,
+    graph_version,
     layer_version,
 )
 from repro.graphrank.ranker import (
@@ -66,6 +69,10 @@ class RankedCourses(list):
 class GraphRankEngine:
     """Preference-biased graph ranking over one database."""
 
+    #: stale layers rebuilt / fresh ones reused by :meth:`layers`
+    layers_rebuilt = 0
+    layers_reused = 0
+
     def __init__(
         self,
         database: Database,
@@ -84,12 +91,10 @@ class GraphRankEngine:
         self.title_weight = title_weight
         self.tokenizer = tokenizer or Tokenizer()
         self._lock = threading.RLock()
-        self._layers: Dict[str, Any] = {}
+        self._layers: Dict[str, AdjacencyLayer] = {}
         self._adjacency: Optional[TripartiteAdjacency] = None
         self._baseline_cache = LRUCache(maxsize=8)
         self._rank_cache = LRUCache(maxsize=64)
-        self.layers_rebuilt = 0
-        self.layers_reused = 0
         #: the most recent preference-biased iteration (tests/obs)
         self.last_result: Optional[RankResult] = None
 
@@ -110,11 +115,10 @@ class GraphRankEngine:
 
     # -- adjacency maintenance ----------------------------------------------
 
-    def refresh(self) -> TripartiteAdjacency:
-        """The current adjacency, rebuilding only stale layers."""
+    def layers(self) -> Dict[str, AdjacencyLayer]:
+        """This database's layers, rebuilding only the stale ones."""
         with self._lock:
-            changed = False
-            layers: Dict[str, Any] = {}
+            layers: Dict[str, AdjacencyLayer] = {}
             for name in LAYER_ORDER:
                 version = layer_version(self.database, name)
                 cached = self._layers.get(name)
@@ -137,11 +141,25 @@ class GraphRankEngine:
                             (time.perf_counter() - started) * 1000.0,
                         )
                 self.layers_rebuilt += 1
-                changed = True
-            if changed or self._adjacency is None:
-                self._layers = layers
-                self._adjacency = TripartiteAdjacency(layers)
-            return self._adjacency
+            self._layers = layers
+            return layers
+
+    def refresh(self) -> TripartiteAdjacency:
+        """The current adjacency: this database is its one shard."""
+        with self._lock:
+            return self._assemble(self.layers())
+
+    def _assemble(
+        self, *shard_layers: Dict[str, AdjacencyLayer]
+    ) -> TripartiteAdjacency:
+        """The graph over ``shard_layers``, assembled again only when some
+        shard's layer version moved (the caller holds the engine lock)."""
+        adjacency = self._adjacency
+        if adjacency is None or adjacency.version_key() != graph_version(
+            *shard_layers
+        ):
+            adjacency = self._adjacency = TripartiteAdjacency(*shard_layers)
+        return adjacency
 
     # -- ranking -------------------------------------------------------------
 

@@ -146,7 +146,7 @@ def _numpy_step(view: CsrView, base: List[float], damping: float) -> Callable:
     import numpy as np
 
     # reduceat sums cols[starts[i]:starts[i + 1]] only while no row is
-    # empty, which TripartiteAdjacency.csr checks
+    # empty, which the TripartiteAdjacency constructor checks
     starts = np.frombuffer(view[0], dtype=np.int64)[:-1]
     cols = np.frombuffer(view[1], dtype=np.int64)
     vals = np.frombuffer(view[2], dtype=np.float64)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import datetime
 import heapq
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -110,9 +111,11 @@ class CourseRankService:
         self._recommend_cache = VersionedMemo(
             response_cache_size, _shard_versions
         )
-        # Union graph-ranking engine, built lazily on first graph
-        # strategy / cloud-weighting request.
+        # Union graph-ranking engine, created on the first graph strategy
+        # / cloud-weighting request: its module imports numpy, which no
+        # other request needs.
         self._graphrank = None
+        self._graphrank_lock = threading.Lock()
 
     @property
     def num_shards(self) -> int:
@@ -304,13 +307,13 @@ class CourseRankService:
 
     @property
     def graphrank(self):
-        """The union graph-ranking engine (merged per-shard adjacency)."""
-        engine = self._graphrank
-        if engine is None:
-            from repro.service.graph import ShardedGraphRank
+        """The union graph-ranking engine (one per service)."""
+        with self._graphrank_lock:
+            if self._graphrank is None:
+                from repro.service.graph import ShardedGraphRank
 
-            engine = self._graphrank = ShardedGraphRank(self)
-        return engine
+                self._graphrank = ShardedGraphRank(self.sharded.shards)
+            return self._graphrank
 
     def recommend(self, name: str, **params: Any):
         """Run a FlexRecs strategy on the owning shard.
@@ -321,10 +324,10 @@ class CourseRankService:
         behind a memo that stands until a table the strategy reads is
         written.  Unlike search/cloud/metrics, no
         cross-build equality is claimed for shard-local recommenders —
-        **except** the graph strategies, which scatter-gather the
-        per-shard adjacency layers into the union graph (an exact
-        integer-sum merge, see :mod:`repro.service.graph`) and so answer
-        bit-identically to an unsharded engine.
+        **except** the graph strategies, which assemble the per-shard
+        adjacency layers into the union graph (exact integer sums, see
+        :mod:`repro.service.graph`) and so answer bit-identically to an
+        unsharded engine.
         """
         if name in ("graph_rank_courses", "similar_by_folkrank"):
             return self._graph_recommend(name, params)
@@ -360,7 +363,7 @@ class CourseRankService:
             return recommendation
 
     def _graph_recommend(self, name: str, params: Dict[str, Any]):
-        """Graph strategies over the merged union adjacency.
+        """Graph strategies over the union adjacency.
 
         The workflow is still built (and validated) by shard 0's
         :class:`~repro.courserank.recommendations.RecommendationService`,

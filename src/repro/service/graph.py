@@ -2,89 +2,48 @@
 
 The shards partition every graph source table row-wise (Enrollments,
 Comments, and Courses each land on exactly one shard), and adjacency
-edge weights are *integer sums over rows*.  Summing the per-shard layer
-edge dicts therefore reconstructs the union graph **exactly** — the same
-associativity argument the distributed BM25 and cloud merges lean on —
-so rankings computed here are bit-identical to an unsharded
+edge weights are *integer sums over rows*.  One assembly over every
+shard's layer maps therefore reconstructs the union graph **exactly** —
+the same associativity argument the distributed BM25 and cloud merges
+lean on — so rankings computed here are bit-identical to an unsharded
 :class:`~repro.graphrank.engine.GraphRankEngine` over the union
-database.
+database, whose graph is the one-shard assembly.
 
-Incrementality composes too: each shard keeps its own version-stamped
-layers (reused unless that shard's source tables moved), and the merged
-layer is cached under the tuple of per-shard layer versions, so a write
-to one shard re-gathers only the affected layer.
+Incrementality composes too: each shard engine keeps its own
+version-stamped layers (reused unless that shard's source tables moved),
+and the union graph is assembled again only when some shard's layer
+version moved.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Sequence
 
-from repro.graphrank.adjacency import (
-    LAYER_ORDER,
-    AdjacencyLayer,
-    Edges,
-    TripartiteAdjacency,
-)
+from repro.graphrank.adjacency import TripartiteAdjacency
 from repro.graphrank.engine import GraphRankEngine
-from repro.obs import OBS
+from repro.minidb.catalog import Database
 
 
 class ShardedGraphRank(GraphRankEngine):
-    """A :class:`GraphRankEngine` whose adjacency is the shard merge.
+    """A :class:`GraphRankEngine` whose graph spans every shard.
 
-    Everything downstream of :meth:`refresh` — baselines, differential
-    memoization, course ranking, term weights — is inherited unchanged;
-    only the adjacency assembly is scatter-gather.
+    Everything downstream of :meth:`refresh` is inherited unchanged;
+    only where the layers come from differs.
     """
 
-    def __init__(self, service: Any) -> None:
-        # The base class keeps a database reference for layer builds; the
-        # overridden refresh never touches it, but shard 0 keeps the
-        # attribute meaningful for cache_info and repr purposes.
-        super().__init__(service.sharded.shards[0])
-        self.service = service
-        self._shard_engines: List[GraphRankEngine] = [
-            GraphRankEngine.for_database(shard)
-            for shard in service.sharded.shards
-        ]
+    def __init__(self, shards: Sequence[Database]) -> None:
+        super().__init__(shards[0])
+        self._shard_engines = [GraphRankEngine(shard) for shard in shards]
 
     def refresh(self) -> TripartiteAdjacency:
-        """The union adjacency, re-merging only layers that moved."""
+        """The union adjacency over every shard's current layers."""
         with self._lock:
-            per_shard = [
-                engine.refresh() for engine in self._shard_engines
-            ]
-            changed = False
-            layers: Dict[str, AdjacencyLayer] = {}
-            for name in LAYER_ORDER:
-                version = tuple(
-                    adjacency.layers[name].version
-                    for adjacency in per_shard
-                )
-                cached = self._layers.get(name)
-                if cached is not None and cached.version == version:
-                    layers[name] = cached
-                    self.layers_reused += 1
-                    continue
-                with OBS.span(
-                    "service.graph.merge_layer", {"layer": name}
-                ):
-                    edges: Edges = {}
-                    for adjacency in per_shard:
-                        for node, neighbors in adjacency.layers[
-                            name
-                        ].edges.items():
-                            bucket = edges.setdefault(node, {})
-                            for neighbor, weight in neighbors.items():
-                                bucket[neighbor] = (
-                                    bucket.get(neighbor, 0) + weight
-                                )
-                layers[name] = AdjacencyLayer(
-                    name=name, version=version, edges=edges
-                )
-                self.layers_rebuilt += 1
-                changed = True
-            if changed or self._adjacency is None:
-                self._layers = layers
-                self._adjacency = TripartiteAdjacency(layers)
-            return self._adjacency
+            return self._assemble(*(e.layers() for e in self._shard_engines))
+
+    @property
+    def layers_rebuilt(self) -> int:
+        return sum(e.layers_rebuilt for e in self._shard_engines)
+
+    @property
+    def layers_reused(self) -> int:
+        return sum(e.layers_reused for e in self._shard_engines)

@@ -244,15 +244,21 @@ writes = st.lists(
 
 class Replica:
     """One build the property writes to: the unsharded facade, or the
-    service at one shard count (every write goes to the owning shard)."""
+    service at one shard count (every write goes to the owning shard,
+    comments through the service's write path)."""
 
     def __init__(self, app, suids, num_shards=None):
         from repro.service import CourseRankService
 
         if num_shards is None:
             self.apps, self.shard_of = [app], lambda course_id: 0
+            self.service, self.comment_on_course = None, app.comment_on_course
         else:
             service = CourseRankService(app.db, num_shards=num_shards)
+            self.service, self.comment_on_course = (
+                service,
+                service.comment_on_course,
+            )
             self.apps = service.apps
             # unknown ids hold no terms anywhere: shard 0 counts them
             self.shard_of = lambda course_id: service.sharded.course_shard.get(
@@ -270,7 +276,12 @@ class Replica:
             app.cloudsearch.engine.refresh_document(course_id)
         elif kind == "comment":
             user = self.users[self.shard_of(course_id)][args[1]]
-            app.comment_on_course(user, course_id, " ".join(args[2]), 3.0)
+            self.comment_on_course(user, course_id, " ".join(args[2]), 3.0)
+        elif kind == "enroll":
+            app.db.execute(
+                "INSERT INTO Enrollments VALUES (?, ?, 2008, 'Autumn', 'A')",
+                (args[1], course_id),
+            )
         elif kind == "remove":
             remove_course(app, course_id)
         elif kind == "title":

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 import pytest
 
 import repro.graphrank.ranker as ranker
+from repro.graphrank import LAYER_ORDER
 
 needs_numpy = pytest.mark.skipif(
     not ranker.HAS_NUMPY, reason="the numpy kernel needs numpy"
@@ -27,3 +28,18 @@ def kernel(name):
         yield
     finally:
         ranker.NUMPY = saved
+
+
+def merged_edges(*shard_layers):
+    """The independent reference for an assembled graph's edges: every
+    ``{name → layer}`` map summed into one dict of dicts, layer by layer
+    in ``LAYER_ORDER`` — the assembly done the plain way, sharing no code
+    with the CSR view under test."""
+    merged = {}
+    for layers in shard_layers:
+        for name in LAYER_ORDER:
+            for node, neighbors in layers[name].edges.items():
+                bucket = merged.setdefault(node, {})
+                for neighbor, weight in neighbors.items():
+                    bucket[neighbor] = bucket.get(neighbor, 0) + weight
+    return merged

@@ -1,4 +1,4 @@
-"""Version-keyed tripartite adjacency: layers, merges, invalidation.
+"""Version-keyed tripartite adjacency: layers, assembly, invalidation.
 
 The determinism story of the whole graphrank stack rests on two facts
 pinned here: edge weights are exact integers (so merge order cannot
@@ -18,6 +18,7 @@ from repro.graphrank import (
     build_layer,
     layer_version,
 )
+from tests.graphrank.conftest import merged_edges
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +58,16 @@ def test_missing_layer_rejected_at_merge(db):
 
 
 def test_edges_are_symmetric_integers(db):
-    adjacency = GraphRankEngine(db).refresh()
+    engine = GraphRankEngine(db)
+    adjacency = engine.refresh()
     assert len(adjacency) > 0 and adjacency.edge_count > 0
-    for node, neighbors in adjacency.neighbors.items():
+    edges = merged_edges(engine.layers())
+    assert adjacency.nodes == tuple(sorted(edges))
+    assert adjacency.edge_count == sum(map(len, edges.values())) // 2
+    for node, neighbors in edges.items():
         for neighbor, weight in neighbors.items():
             assert type(weight) is int and weight >= 1
-            assert adjacency.neighbors[neighbor][node] == weight
+            assert edges[neighbor][node] == weight
         assert adjacency.degrees[node] == sum(neighbors.values())
 
 
@@ -122,11 +127,15 @@ def test_incremental_merge_equals_cold_build(db):
     )
     try:
         incremental = live.refresh()
-        cold = GraphRankEngine(db).refresh()
+        cold_engine = GraphRankEngine(db)
+        cold = cold_engine.refresh()
         assert incremental.version_key() == cold.version_key()
         assert incremental.nodes == cold.nodes
-        assert incremental.neighbors == cold.neighbors
+        assert merged_edges(live.layers()) == merged_edges(
+            cold_engine.layers()
+        )
         assert incremental.degrees == cold.degrees
+        assert incremental.csr() == cold.csr()
     finally:
         db.execute("DELETE FROM Comments WHERE Text = 'merge parity probe'")
 

@@ -7,9 +7,10 @@
   ``converged``, on ``iterations`` within one, on every score within
   1e-12, and on the ranked order of every node kind wherever adjacent
   exact scores are more than 2e-12 apart.
-* **Canonical order.**  One graph built cold, incrementally and as a
-  shard merge iterates its dicts in three different orders; the numpy
-  kernel (plain float adds) must not see the difference.
+* **Canonical order.**  One graph built cold, incrementally and over
+  1–5 shards enumerates its layer maps in three different orders; the
+  CSR views must be byte-identical and the numpy kernel (plain float
+  adds) must not see the difference.
 """
 
 import json
@@ -25,18 +26,25 @@ from repro.datagen import generate_university
 from repro.graphrank import (
     NODE_KINDS,
     GraphRankEngine,
+    TripartiteAdjacency,
     power_iteration,
     ranked_of_kind,
     teleport_vector,
 )
 from repro.service import CourseRankService
 from repro.testkit.churn import ChurnDriver
-from tests.graphrank.conftest import KERNELS, kernel, needs_numpy
+from tests.graphrank.conftest import (
+    KERNELS,
+    kernel,
+    merged_edges,
+    needs_numpy,
+)
 from tests.graphrank.test_ranker_properties import (
     USER_IDS,
     adjacency_of,
     comment_lists,
     enrollment_lists,
+    layers_of,
     make_db,
 )
 
@@ -49,11 +57,17 @@ CHURN_PIN = (
 
 
 def oracle_power_iteration(
-    adjacency, preference=(), damping=0.85, epsilon=1e-12, max_iters=250
+    adjacency,
+    neighbors,
+    preference=(),
+    damping=0.85,
+    epsilon=1e-12,
+    max_iters=250,
 ):
-    """The pre-CSR walker: ``(scores, iterations, delta)`` over the dicts."""
+    """The pre-CSR walker: ``(scores, iterations, delta)`` over the dicts
+    ``neighbors`` (:func:`merged_edges` of the graph's layers)."""
     teleport = teleport_vector(adjacency, preference)
-    degrees, neighbors = adjacency.degrees, adjacency.neighbors
+    degrees = adjacency.degrees
     rank = dict(teleport)
     for iterations in range(1, max_iters + 1):
         fresh = {}
@@ -116,9 +130,10 @@ class TestExactKernelEqualsTheDictWalker:
     def test_scores_iterations_and_delta_are_equal(
         self, enrollments, comments, preference, max_iters
     ):
-        adjacency = adjacency_of(make_db(enrollments, comments))
+        layers = layers_of(make_db(enrollments, comments))
+        adjacency = TripartiteAdjacency(layers)
         scores, iterations, delta = oracle_power_iteration(
-            adjacency, preference, max_iters=max_iters
+            adjacency, merged_edges(layers), preference, max_iters=max_iters
         )
         with kernel("exact"):
             result = power_iteration(
@@ -203,7 +218,8 @@ def _churn_statements(database):
 class TestCanonicalOrder:
     @pytest.fixture(scope="class")
     def builds(self):
-        """One graph: incremental, cold (other row order), shard merges."""
+        """One graph: incremental, cold (other row order), over 1–5 shards;
+        each build with its layer maps."""
         live_db = generate_university(scale="tiny", seed=7)
         statements = _churn_statements(live_db)
         live = GraphRankEngine(live_db)
@@ -215,37 +231,45 @@ class TestCanonicalOrder:
         cold_db = generate_university(scale="tiny", seed=7)
         for statement in reversed(statements):
             cold_db.execute(statement)
+        cold = GraphRankEngine(cold_db)
         builds = {
-            "incremental": live.refresh(),
-            "cold": GraphRankEngine(cold_db).refresh(),
+            "incremental": (live.refresh(), [live.layers()]),
+            "cold": (cold.refresh(), [cold.layers()]),
         }
         for shards in range(1, 6):
             service = CourseRankService(live_db, num_shards=shards)
-            builds[f"merged-{shards}"] = service.graphrank.refresh()
+            builds[f"sharded-{shards}"] = (
+                service.graphrank.refresh(),
+                [
+                    GraphRankEngine(shard).layers()
+                    for shard in service.sharded.shards
+                ],
+            )
         return builds
 
     def test_the_builds_are_one_graph_in_different_dict_orders(self, builds):
-        cold = builds["cold"]
+        cold, cold_layers = builds["cold"]
+        reference = merged_edges(*cold_layers)
         orders = set()
-        for adjacency in builds.values():
+        for adjacency, shard_layers in builds.values():
             assert adjacency.nodes == cold.nodes
-            assert adjacency.neighbors == cold.neighbors
-            orders.add(
-                tuple(tuple(adjacency.neighbors[n]) for n in cold.nodes)
-            )
+            edges = merged_edges(*shard_layers)
+            assert edges == reference
+            orders.add(tuple(tuple(edges[n]) for n in cold.nodes))
         assert len(orders) >= 3  # or this class checks nothing
 
     def test_csr_views_are_identical(self, builds):
-        views = [adjacency.csr() for adjacency in builds.values()]
+        views = [adjacency.csr() for adjacency, _ in builds.values()]
         assert all(view == views[0] for view in views)
 
     def test_numpy_scores_are_equal_across_builds(self, builds):
-        student = min(n[1] for n in builds["cold"].nodes_of_kind("user"))
+        cold, _ = builds["cold"]
+        student = min(n[1] for n in cold.nodes_of_kind("user"))
         for preference in ((), (("user", student),), (("course", 4),)):
             with kernel("numpy"):
                 runs = [
                     power_iteration(adjacency, preference)
-                    for adjacency in builds.values()
+                    for adjacency, _ in builds.values()
                 ]
             assert all(run == runs[0] for run in runs)
 

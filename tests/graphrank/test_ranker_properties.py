@@ -61,12 +61,15 @@ def make_db(enrollments=(), comments=(), titles=()):
     return db
 
 
-def adjacency_of(db):
-    layers = {
+def layers_of(db):
+    return {
         name: build_layer(name, db)
         for name in ("enrollment", "comment", "content")
     }
-    return TripartiteAdjacency(layers)
+
+
+def adjacency_of(db):
+    return TripartiteAdjacency(layers_of(db))
 
 
 enrollment_lists = st.lists(

@@ -10,6 +10,8 @@ cloud scoring exposure deterministically.
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import strategies
 from repro.courserank import CourseRank
@@ -18,6 +20,11 @@ from repro.errors import CompilationError, FlexRecsError, GraphRankError
 from repro.graphrank import GraphRankEngine, GraphWeightedScoring
 from repro.minidb import Database
 from repro.service import CourseRankService
+from tests.clouds.test_gather_cache import (
+    Replica,
+    course_ids,
+    uncommented_students,
+)
 from tests.graphrank.test_ranker_properties import make_db
 
 REPRO_SHARDS = int(os.environ.get("REPRO_SHARDS", "3"))
@@ -155,6 +162,84 @@ class TestShardedService:
         service.recommend("graph_rank_courses", student_id=3, top_k=5)
         assert engine.layers_rebuilt == rebuilt  # merge is warm
         assert engine.layers_reused > reused
+
+
+#: comment words: common corpus words and one no course holds
+GRAPH_WORDS = ("introduction", "systems", "data", "xyzzy")
+
+graph_writes = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("comment"),
+            st.integers(0, 47),
+            st.integers(0, 1),
+            st.lists(st.sampled_from(GRAPH_WORDS), min_size=1, max_size=3),
+        ),
+        st.tuples(st.just("enroll"), st.integers(0, 47), st.integers(0, 5)),
+        st.tuples(
+            st.just("title"),
+            st.integers(0, 47),
+            st.lists(st.sampled_from(GRAPH_WORDS), min_size=1, max_size=3),
+        ),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestShardedServiceFollowsWrites:
+    @settings(max_examples=15, deadline=None)
+    @given(steps=graph_writes, num_shards=st.integers(1, 5))
+    def test_union_graph_equals_a_cold_unsharded_build(
+        self, steps, num_shards
+    ):
+        """Comments through the service, enrollments and title edits on
+        the owning shard, at 1–5 shards, after a warm first rank.  After
+        every write the service's graph is a cold unsharded engine's over
+        a copy that took the same writes: nodes, degrees and CSR arrays
+        ``==``, its course ranking ``==``, and its recommendation rows
+        ``==`` the facade's."""
+        app = CourseRank(generate_university(scale="tiny", seed=7))
+        suids = uncommented_students(app, 2)
+        # the service splits a copy of the data before the facade
+        # registers its writers (each build registers its own)
+        sharded = Replica(app, suids, num_shards)
+        replicas = [Replica(app, suids), sharded]
+        service = sharded.service
+        students = sorted(
+            app.db.query("SELECT SuID FROM Students").column("SuID")
+        )[:6]
+        service.recommend("graph_rank_courses", student_id=suids[0])
+        for kind, *args in steps:
+            present = course_ids(app)
+            course_id = present[args[0] % len(present)]
+            if kind == "enroll":
+                args[1] = students[args[1]]
+                taken = app.db.query(
+                    "SELECT COUNT(*) FROM Enrollments "
+                    "WHERE SuID = ? AND CourseID = ?",
+                    (args[1], course_id),
+                ).scalar()
+                if taken:
+                    continue
+            for replica in replicas:
+                replica.write(kind, course_id, args, None)
+            cold = GraphRankEngine(app.db)
+            expected, adjacency = cold.refresh(), service.graphrank.refresh()
+            assert adjacency.nodes == expected.nodes
+            assert adjacency.degrees == expected.degrees
+            assert adjacency.csr() == expected.csr()
+            for student in suids:
+                preference = (("user", student),)
+                assert service.graphrank.rank_courses(
+                    preference
+                ) == cold.rank_courses(preference)
+                params = dict(student_id=student, top_k=5)
+                rows = service.recommend("graph_rank_courses", **params)
+                base = app.recommendations.run("graph_rank_courses", **params)
+                assert rows.as_tuples(*base.columns) == base.as_tuples(
+                    *base.columns
+                )
 
 
 class TestConvergenceIsReported:

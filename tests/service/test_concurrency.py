@@ -479,3 +479,58 @@ class TestSharedServiceCube:
         assert self._walk(cube) == expected
         assert self._walk(service.cube()) == expected
         assert self._sessions(service) == self._sessions(fresh)
+
+
+class TestSharedGraphEngine:
+    """The service creates its union graph engine on the first graph
+    request, and that engine's first refresh builds every shard's layers:
+    six threads making their first graph requests on a cold service must
+    share one engine and build each shard's layers once."""
+
+    STUDENTS = (1, 2, 3)
+    COURSES = (2, 4)
+
+    @staticmethod
+    def _service():
+        from repro.service import CourseRankService
+
+        return CourseRankService(
+            generate_university(scale="tiny", seed=5), num_shards=3
+        )
+
+    def _answers(self, service):
+        ranked = [
+            service.recommend("graph_rank_courses", student_id=s, top_k=5)
+            for s in self.STUDENTS
+        ]
+        similar = [
+            service.recommend("similar_by_folkrank", course_id=c, top_k=5)
+            for c in self.COURSES
+        ]
+        return [
+            answer.as_tuples(*answer.columns) for answer in ranked + similar
+        ]
+
+    def test_first_graph_requests_share_one_cold_build(self):
+        expected = self._answers(self._service())
+        assert all(expected)
+        service = self._service()
+        engine = service.graphrank
+        observed = [None] * THREADS
+        engines = set()
+
+        def reader(index):
+            engines.add(id(service.graphrank))
+            observed[index] = self._answers(service)
+            engines.add(id(service.graphrank))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(THREADS, reader)
+        finally:
+            sys.setswitchinterval(interval)
+        for answers in observed:
+            assert answers == expected
+        assert engines == {id(engine)} and service.graphrank is engine
+        assert engine.layers_rebuilt == 3 * service.num_shards
