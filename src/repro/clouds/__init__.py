@@ -16,8 +16,9 @@ Modules:
 * :mod:`cloud` — :class:`CloudBuilder` producing :class:`DataCloud`, and
   :func:`cloud_over_shards`, the one cloud over N shards' documents (an
   unsharded build is N = 1);
-* :mod:`refinement` — :class:`RefinementSession`, the click-to-refine loop
-  of Figures 3 and 4;
+* :mod:`refinement` — :class:`CloudNavigator`, the one cached search
+  answer with its cloud over N shards, and :class:`RefinementSession`,
+  the click-to-refine loop of Figures 3 and 4 on top of it;
 * :mod:`render` — text/HTML rendering with font-size buckets.
 """
 
@@ -27,7 +28,11 @@ from repro.clouds.cloud import (
     DataCloud,
     cloud_over_shards,
 )
-from repro.clouds.refinement import RefinementSession, RefinementStep
+from repro.clouds.refinement import (
+    CloudNavigator,
+    RefinementSession,
+    RefinementStep,
+)
 from repro.clouds.render import render_html, render_text
 from repro.clouds.scoring import (
     FrequencyScoring,
@@ -41,6 +46,7 @@ __all__ = [
     "CloudTerm",
     "DataCloud",
     "cloud_over_shards",
+    "CloudNavigator",
     "RefinementSession",
     "RefinementStep",
     "render_html",

@@ -6,14 +6,14 @@ re-runs the (conjunctive) search, and rebuilds the cloud over the narrowed
 result set — exactly the "American" → "African American" walk-through in
 the paper.  ``back()`` undoes the last refinement.
 
-Every step comes from one hook, ``_answer(query, parent step or None)``.
-The facade's session answers from one engine and builder;
-:class:`repro.service.frontend.ServiceSession` overrides the hook to
-scatter-gather over the service's shards, so the two walk through
-bit-identical queries, results, and clouds.  Each step carries its
-results' doc ids per shard (one tuple for the facade), which is what a
-refinement narrows within and what :meth:`RefinementSession.cube` roots
-its cube at.
+Every step is one :meth:`CloudNavigator.answer`: a search and its cloud
+over a tuple of ``(engine, builder)`` shards, narrowed within the parent
+step's per-shard doc ids and cached.  The facade's search and sessions
+are the one-shard navigator; the service coordinator's
+(:mod:`repro.service.frontend`) is the N-shard one, so the two walk
+through bit-identical queries, results, and clouds.  Each step carries
+its results' doc ids per shard, which is what a refinement narrows
+within and what :meth:`RefinementSession.cube` roots its cube at.
 
 Invariant (tested property): because matching is conjunctive, every
 refinement step's result set is a subset of the previous step's.
@@ -21,14 +21,24 @@ refinement step's result set is a subset of the previous step's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+import heapq
+import time
+from dataclasses import dataclass, replace
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.caching import LRUCache
 from repro.errors import CloudError
-from repro.clouds.cloud import CloudBuilder, DataCloud
-from repro.search.engine import SearchEngine, SearchResult
+from repro.clouds.cloud import CloudBuilder, DataCloud, cloud_over_shards
+from repro.search.engine import SearchEngine, SearchResult, _tiebreak
+from repro.search.stats import CorpusStats
 
 DocId = Any
+
+#: answers one navigator keeps, least recently used dropped first
+ANSWER_CACHE_SIZE = 256
+
+_HIT_KEY = lambda hit: (-hit.score, _tiebreak(hit.doc_id))  # noqa: E731
 
 
 @dataclass
@@ -46,8 +56,122 @@ class RefinementStep:
         return len(self.result)
 
 
+class CloudNavigator:
+    """Cached search answers with their clouds over N shards.
+
+    :meth:`answer` is two-phase distributed BM25 plus one cloud: it
+    merges every shard's :class:`~repro.search.stats.CorpusStats` for the
+    query terms (integer sums over disjoint documents, so exact), scores
+    each shard's candidates under the merged statistics, k-way merges the
+    per-shard rankings under the engine's own sort key, and builds the
+    cloud with :func:`~repro.clouds.cloud.cloud_over_shards`.  At one
+    shard the merged statistics are that shard's own, so the facade's
+    answer is the engine's; at N shards it is bit-identical to the
+    unsharded build's.
+
+    Answers are cached under the per-shard index epochs, the parsed
+    query and the parent's per-shard doc ids: any write rotates the key
+    and strands every answer that predates it, and queries differing
+    only in case or whitespace share an entry.
+    """
+
+    def __init__(
+        self, shards: Iterable[Tuple[SearchEngine, CloudBuilder]]
+    ) -> None:
+        self.shards: Tuple[Tuple[SearchEngine, CloudBuilder], ...] = tuple(
+            shards
+        )
+        self._cache = LRUCache(maxsize=ANSWER_CACHE_SIZE)
+
+    def epochs(self) -> Tuple[int, ...]:
+        """One index epoch per shard."""
+        return tuple(engine.index.epoch for engine, _ in self.shards)
+
+    def cache_info(self) -> Dict[str, int]:
+        """Answer-cache counters: hits, misses, current size."""
+        cache = self._cache
+        return {"hits": cache.hits, "misses": cache.misses, "size": len(cache)}
+
+    def answer(
+        self,
+        query: str,
+        parent: Optional[Tuple[Tuple[DocId, ...], ...]] = None,
+    ) -> RefinementStep:
+        """The step for ``query``, within each shard's ``parent`` doc ids.
+
+        Every call returns fresh result and cloud shells carrying
+        ``query`` as given; a cached answer is marked ``cache_hit``.
+        """
+        started = time.perf_counter()
+        loose, phrases = self.shards[0][0].parse_query(query)
+        key = (
+            self.epochs(),
+            tuple(loose),
+            tuple(map(tuple, phrases)),
+            parent,
+        )
+        step = self._cache.get(key)
+        cache_hit = step is not None
+        if step is None:
+            terms = list(loose) + [term for phrase in phrases for term in phrase]
+            step = self._gather(query, terms, phrases, parent)
+            self._cache.put(key, step)
+        result, cloud = step.result, step.cloud
+        return RefinementStep(
+            query=query,
+            result=replace(
+                result,
+                query=query,
+                terms=list(result.terms),
+                hits=list(result.hits),
+                phrases=[list(phrase) for phrase in result.phrases],
+                cache_hit=cache_hit,
+                elapsed_ms=(time.perf_counter() - started) * 1000.0,
+            ),
+            cloud=replace(cloud, query=query, terms=list(cloud.terms)),
+            shard_doc_ids=step.shard_doc_ids,
+        )
+
+    def _gather(
+        self,
+        query: str,
+        terms: List[str],
+        phrases: List[List[str]],
+        parent: Optional[Tuple[Tuple[DocId, ...], ...]],
+    ) -> RefinementStep:
+        stats = CorpusStats.merged(
+            CorpusStats.local(engine.index, terms) for engine, _ in self.shards
+        )
+        within = repeat(None) if parent is None else map(set, parent)
+        results = [
+            engine.search(query, within=shard_within, corpus_stats=stats)
+            for (engine, _), shard_within in zip(self.shards, within)
+        ]
+        shard_doc_ids = tuple(tuple(result.doc_ids()) for result in results)
+        return RefinementStep(
+            query=query,
+            result=SearchResult(
+                query=query,
+                terms=terms,
+                hits=list(
+                    heapq.merge(*(r.hits for r in results), key=_HIT_KEY)
+                ),
+                mode="all",
+                phrases=phrases,
+                candidate_count=sum(r.candidate_count for r in results),
+                scored_count=sum(r.scored_count for r in results),
+            ),
+            cloud=cloud_over_shards(
+                zip([builder for _, builder in self.shards], shard_doc_ids),
+                query,
+                terms,
+            ),
+            shard_doc_ids=shard_doc_ids,
+        )
+
+
 class RefinementSession:
-    """Interactive narrow-down over a search engine + cloud builder."""
+    """Interactive narrow-down over a :class:`CloudNavigator`."""
 
     def __init__(
         self,
@@ -55,8 +179,18 @@ class RefinementSession:
         builder: CloudBuilder,
         query: str,
     ) -> None:
-        self.engine = engine
-        self.builder = builder
+        """A one-shard session over its own navigator."""
+        self._start(CloudNavigator([(engine, builder)]), query)
+
+    @classmethod
+    def over(cls, navigator: CloudNavigator, query: str) -> "RefinementSession":
+        """A session whose every step ``navigator`` answers."""
+        session = cls.__new__(cls)
+        session._start(navigator, query)
+        return session
+
+    def _start(self, navigator: CloudNavigator, query: str) -> None:
+        self.navigator = navigator
         self._steps: List[RefinementStep] = []
         self._push(query)
 
@@ -133,22 +267,11 @@ class RefinementSession:
     def _push(
         self, query: str, parent: Optional[RefinementStep] = None
     ) -> RefinementStep:
-        step = self._answer(query, parent)
+        step = self.navigator.answer(
+            query, None if parent is None else parent.shard_doc_ids
+        )
         self._steps.append(step)
         return step
-
-    def _answer(
-        self, query: str, parent: Optional[RefinementStep]
-    ) -> RefinementStep:
-        """The step for ``query``, narrowed within ``parent``'s results."""
-        within = parent.result.doc_id_set() if parent is not None else None
-        result = self.engine.search(query, mode="all", within=within)
-        return RefinementStep(
-            query=query,
-            result=result,
-            cloud=self.builder.build(result),
-            shard_doc_ids=(tuple(result.doc_ids()),),
-        )
 
     def _cube(
         self, shard_doc_ids: Tuple[Tuple[DocId, ...], ...], **spec: Any
@@ -156,7 +279,6 @@ class RefinementSession:
         """A cube rooted at ``shard_doc_ids`` (this session's one shard)."""
         from repro.clouds.cube import CloudCube
 
+        ((engine, builder),) = self.navigator.shards
         (base_doc_ids,) = shard_doc_ids
-        return CloudCube(
-            self.engine.database, self.builder, base_doc_ids, **spec
-        )
+        return CloudCube(engine.database, builder, base_doc_ids, **spec)

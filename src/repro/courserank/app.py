@@ -249,7 +249,7 @@ class CourseRank:
         """
         snapshot = OBS.snapshot()
         snapshot["caches"] = {
-            "search_result_cache": (
+            "search_answer_cache": (
                 self.cloudsearch.cache_info()
                 if self.cloudsearch._built
                 else None

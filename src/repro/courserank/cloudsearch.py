@@ -2,8 +2,10 @@
 
 "In CourseRank, a data cloud is used to summarize the results of a
 keyword search for courses, and is called course cloud" (Section 3.1).
-This module owns the course search entity, the engine, the cloud builder,
-and refinement sessions, and resolves hits back to course rows.
+This module owns the course search entity, the engine, the cloud builder
+and the one-shard :class:`~repro.clouds.refinement.CloudNavigator` that
+answers (and caches) every search and refinement step, and resolves hits
+back to course rows.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clouds.cloud import CloudBuilder, DataCloud
-from repro.clouds.refinement import RefinementSession
+from repro.clouds.refinement import CloudNavigator, RefinementSession
 from repro.minidb.catalog import Database
 from repro.search.engine import SearchEngine, SearchResult
 from repro.search.entity import EntityDefinition, course_entity
@@ -36,6 +38,7 @@ class CourseCloudSearch:
             scoring=scoring,
             max_terms=max_cloud_terms,
         )
+        self.navigator = CloudNavigator([(self.engine, self.builder)])
         self._built = False
 
     def build(self) -> int:
@@ -56,18 +59,17 @@ class CourseCloudSearch:
     ) -> Tuple[SearchResult, DataCloud]:
         """Search courses and summarize the results with a course cloud.
 
-        Repeated queries are served from the engine's epoch-keyed result
-        cache and the cloud builder's gather cache; the returned result
+        One answer of the one-shard navigator: repeated queries are
+        served from its epoch-keyed answer cache; the returned result
         carries per-query observability (``candidate_count``,
         ``scored_count``, ``cache_hit``, ``elapsed_ms`` — see
         :meth:`query_stats`).
         """
         self.ensure_built()
-        result = self.engine.search(query, limit=None)
-        cloud = self.builder.build(result)
+        step = self.navigator.answer(query)
         if limit is not None:
-            result.hits = result.hits[:limit]
-        return result, cloud
+            step.result.hits = step.result.hits[:limit]
+        return step.result, step.cloud
 
     @staticmethod
     def query_stats(result: SearchResult) -> Dict[str, Any]:
@@ -82,10 +84,10 @@ class CourseCloudSearch:
         }
 
     def cache_info(self) -> Dict[str, Any]:
-        """Hit/miss counters of the engine's query-result cache, with the
+        """Hit/miss counters of the navigator's answer cache, with the
         cloud term source's gather cache (hits, misses, patched,
         size) under ``"gather"``."""
-        info: Dict[str, Any] = dict(self.engine.cache_info())
+        info: Dict[str, Any] = dict(self.navigator.cache_info())
         info["gather"] = self.builder.source.cache_info()
         return info
 
@@ -98,7 +100,7 @@ class CourseCloudSearch:
     def session(self, query: str) -> RefinementSession:
         """Start a click-to-refine session (Figures 3/4)."""
         self.ensure_built()
-        return RefinementSession(self.engine, self.builder, query)
+        return RefinementSession.over(self.navigator, query)
 
     # -- cloud cubes ------------------------------------------------------------
 

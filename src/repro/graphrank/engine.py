@@ -1,7 +1,7 @@
 """The FolkRank engine: cached adjacency, baselines, and differentials.
 
-One :class:`GraphRankEngine` per database (via :meth:`for_database`, a
-weakly keyed registry) owns
+One :class:`GraphRankEngine` per database (via :meth:`for_database`,
+held by the database itself) owns
 
 * the layered tripartite adjacency, refreshed incrementally — only
   layers whose source-table versions moved are rebuilt, and the graph
@@ -31,7 +31,6 @@ from __future__ import annotations
 import threading
 import time
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 from repro.caching import LRUCache
 from repro.clouds.scoring import SignificanceScoring, TermStats, get_scoring
@@ -54,9 +53,6 @@ from repro.graphrank.ranker import (
     power_iteration,
     ranked_of_kind,
 )
-
-_ENGINES: "WeakKeyDictionary[Database, GraphRankEngine]" = WeakKeyDictionary()
-_ENGINES_LOCK = threading.Lock()
 
 
 class RankedCourses(list):
@@ -102,16 +98,11 @@ class GraphRankEngine:
     def for_database(cls, database: Database) -> "GraphRankEngine":
         """The shared engine of ``database`` (created on first use).
 
-        Keyed weakly, so caching an engine never pins a database, and
-        every caller — executor, clouds, service shards — converges on
-        the same warmed adjacency.
+        The database holds it (:meth:`Database.shared`), so caching an
+        engine never pins a database, and every caller — executor,
+        clouds, service shards — converges on the same warmed adjacency.
         """
-        with _ENGINES_LOCK:
-            engine = _ENGINES.get(database)
-            if engine is None:
-                engine = cls(database)
-                _ENGINES[database] = engine
-            return engine
+        return database.shared("graphrank.engine", lambda: cls(database))
 
     # -- adjacency maintenance ----------------------------------------------
 

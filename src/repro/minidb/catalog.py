@@ -72,9 +72,9 @@ class Database:
         # epoch no longer matches are transparently re-planned.
         self.schema_epoch = 0
         self._plan_cache = VersionedMemo(256, partial(plan_stamp, self))
-        # Derived-data memos handed out by name (see memo()).
-        self._memos: Dict[str, VersionedMemo] = {}
-        self._memos_lock = threading.Lock()
+        # Objects handed out by name (see shared() and memo()).
+        self._shared: Dict[str, Any] = {}
+        self._shared_lock = threading.Lock()
         # Readers-writer lock giving each statement a consistent view:
         # SELECTs share it, DML/DDL take it exclusively, and an open
         # transaction holds the write side from begin to commit/rollback
@@ -174,16 +174,28 @@ class Database:
         tables it read as ``deps`` retires on the first write to any of
         them.  Memos live and die with their database.
         """
-        memo = self._memos.get(name)
-        if memo is None:
-            with self._memos_lock:
-                memo = self._memos.get(name)
-                if memo is None:
-                    memo = VersionedMemo(
-                        maxsize, self.versions if stamp is None else stamp
-                    )
-                    self._memos[name] = memo
-        return memo
+        return self.shared(
+            name,
+            lambda: VersionedMemo(
+                maxsize, self.versions if stamp is None else stamp
+            ),
+        )
+
+    def shared(self, name: str, create: Callable[[], Any]) -> Any:
+        """This database's object called ``name``, ``create()``-d on first
+        use (once, however many threads ask).
+
+        The database alone holds it, so it lives and dies with the
+        database: an object that keeps its database (an engine) does not
+        keep it alive, as it would from a registry keyed by databases.
+        """
+        value = self._shared.get(name)
+        if value is None:
+            with self._shared_lock:
+                value = self._shared.get(name)
+                if value is None:
+                    value = self._shared[name] = create()
+        return value
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables

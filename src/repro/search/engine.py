@@ -19,10 +19,10 @@ Both respect the entity definition's field weights, answering Section
 
 The query hot path is engineered like minidb's (DESIGN.md §7/§8):
 scoring is term-at-a-time over postings with idf, field weight, and
-BM25 length-normalizer lookups hoisted out of the inner loop; limited
-queries use a bounded heap instead of sorting every hit; and ranked
-results are memoized in an LRU cache keyed by the index **epoch**, so
-any index mutation invalidates stale entries without an explicit hook.
+BM25 length-normalizer lookups hoisted out of the inner loop, and
+limited queries use a bounded heap instead of sorting every hit.  The
+engine caches no answers: a search and its cloud are cached together,
+once, by :class:`repro.clouds.refinement.CloudNavigator`.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.caching import LRUCache
 from repro.errors import SearchError
 from repro.obs import COUNT_EDGES, OBS
 from repro.minidb.catalog import Database
 from repro.search.entity import EntityDefinition
 from repro.search.inverted_index import InvertedIndex
+from repro.search.stats import CorpusStats
 from repro.search.tokenizer import Tokenizer
 
 DocId = Any
@@ -61,8 +61,9 @@ class SearchResult:
 
     The trailing fields are per-query observability: how many documents
     survived candidate generation, how many were scored, whether the
-    ranked list came from the result cache, and wall-clock time spent
-    inside :meth:`SearchEngine.search`.
+    answer came from a navigator's answer cache (never for
+    :meth:`SearchEngine.search` itself), and wall-clock time spent
+    answering.
     """
 
     query: str
@@ -99,7 +100,6 @@ class SearchEngine:
         ranker: str = "bm25",
         bm25_k1: float = 1.4,
         bm25_b: float = 0.6,
-        result_cache_size: int = 128,
     ) -> None:
         if ranker not in ("bm25", "tfidf"):
             raise SearchError(f"unknown ranker {ranker!r}")
@@ -115,10 +115,6 @@ class SearchEngine:
         # read it).
         self._texts: Dict[DocId, Dict[str, str]] = {}
         self._built = False
-        # Ranked-result memo.  Keys embed the index epoch, so entries made
-        # before any add/remove/refresh can never be served afterwards —
-        # stale generations simply age out of the LRU.
-        self._result_cache = LRUCache(maxsize=result_cache_size)
 
     # -- indexing -----------------------------------------------------------
 
@@ -126,7 +122,6 @@ class SearchEngine:
         """(Re)build the index from the database; returns documents indexed."""
         self.index.clear()
         self._texts.clear()
-        self._result_cache.clear()
         collected = self.entity.collect_texts(self.database)
         batch: Dict[DocId, Dict[str, List[str]]] = {}
         for doc_id, fields in collected.items():
@@ -177,19 +172,6 @@ class SearchEngine:
         if not self._built:
             raise SearchError("search index not built; call build() first")
 
-    # -- caching -------------------------------------------------------------
-
-    def clear_caches(self) -> None:
-        """Empty the result cache and derived index tables (cold-path
-        benchmarking helper; never needed for correctness)."""
-        self._result_cache.clear()
-        self.index.invalidate_caches()
-
-    def cache_info(self) -> Dict[str, int]:
-        """Result-cache counters: hits, misses, current size."""
-        cache = self._result_cache
-        return {"hits": cache.hits, "misses": cache.misses, "size": len(cache)}
-
     # -- query parsing -------------------------------------------------------
 
     def parse_query(self, query: str) -> Tuple[List[str], List[List[str]]]:
@@ -221,35 +203,26 @@ class SearchEngine:
         limit: Optional[int] = None,
         mode: str = "all",
         within: Optional[Set[DocId]] = None,
-        use_cache: bool = True,
-        corpus_stats: Optional[Any] = None,
+        corpus_stats: Optional[CorpusStats] = None,
     ) -> SearchResult:
         """Answer a keyword query.
 
         ``mode`` is ``"all"`` (conjunctive, default) or ``"any"``
         (disjunctive; phrases still match as phrases).  ``within``
         restricts candidates to a document subset — the data-cloud
-        refinement path uses it.  ``use_cache=False`` bypasses the
-        result cache (benchmarks measure the uncached path with it).
-        ``corpus_stats`` (a :class:`repro.search.stats.CorpusStats`)
-        substitutes *global* idf and average field lengths for the local
-        index's — the scatter-gather path scores each shard's candidates
-        with merged-corpus statistics so sharded ranking is bit-identical
-        to the unsharded build.
-
-        Every call returns a fresh :class:`SearchResult`; cached hits
-        share the immutable :class:`SearchHit` objects but never the
-        containing list, so callers may truncate or re-sort freely.
+        refinement path uses it.  Idf and average field lengths come
+        from ``corpus_stats``, by default this index's own
+        (:meth:`CorpusStats.local <repro.search.stats.CorpusStats.local>`);
+        a navigator over N shards passes the merged corpus's, so every
+        shard scores its candidates exactly as the unsharded build would.
         """
         if not OBS.enabled:
-            return self._search_impl(
-                query, limit, mode, within, use_cache, corpus_stats
-            )
+            return self._search_impl(query, limit, mode, within, corpus_stats)
         # The result's own observability fields are the single source of
         # truth; the span and metrics are views over the same numbers.
         with OBS.tracer.span("search.query") as span:
             result = self._search_impl(
-                query, limit, mode, within, use_cache, corpus_stats
+                query, limit, mode, within, corpus_stats
             )
             span.set(
                 terms=len(result.terms),
@@ -258,8 +231,6 @@ class SearchEngine:
                 cache_hit=result.cache_hit,
             )
             OBS.metrics.inc("search.query.count")
-            if result.cache_hit:
-                OBS.metrics.inc("search.query.cache_hit")
             OBS.metrics.observe("search.query.ms", result.elapsed_ms)
             OBS.metrics.observe(
                 "search.query.candidates",
@@ -274,8 +245,7 @@ class SearchEngine:
         limit: Optional[int] = None,
         mode: str = "all",
         within: Optional[Set[DocId]] = None,
-        use_cache: bool = True,
-        corpus_stats: Optional[Any] = None,
+        corpus_stats: Optional[CorpusStats] = None,
     ) -> SearchResult:
         self._require_built()
         started = time.perf_counter()
@@ -292,22 +262,8 @@ class SearchEngine:
                 phrases=[],
                 elapsed_ms=(time.perf_counter() - started) * 1000.0,
             )
-        key = self._cache_key(loose, phrases, mode, limit, within, corpus_stats)
-        if use_cache and key is not None:
-            cached = self._result_cache.get(key)
-            if cached is not None:
-                candidate_count, scored_count, hits = cached
-                return SearchResult(
-                    query=query,
-                    terms=all_terms,
-                    hits=list(hits),
-                    mode=mode,
-                    phrases=phrases,
-                    candidate_count=candidate_count,
-                    scored_count=scored_count,
-                    cache_hit=True,
-                    elapsed_ms=(time.perf_counter() - started) * 1000.0,
-                )
+        if corpus_stats is None:
+            corpus_stats = CorpusStats.local(self.index, all_terms)
         candidates = self._candidates(loose, phrases, mode)
         if within is not None:
             candidates &= within
@@ -322,8 +278,6 @@ class SearchEngine:
         else:
             scored.sort(key=lambda hit: (-hit.score, _tiebreak(hit.doc_id)))
             hits = scored
-        if use_cache and key is not None:
-            self._result_cache.put(key, (len(candidates), scored_count, tuple(hits)))
         return SearchResult(
             query=query,
             terms=all_terms,
@@ -332,36 +286,7 @@ class SearchEngine:
             phrases=phrases,
             candidate_count=len(candidates),
             scored_count=scored_count,
-            cache_hit=False,
             elapsed_ms=(time.perf_counter() - started) * 1000.0,
-        )
-
-    def _cache_key(
-        self,
-        loose: Sequence[str],
-        phrases: Sequence[Sequence[str]],
-        mode: str,
-        limit: Optional[int],
-        within: Optional[Set[DocId]],
-        corpus_stats: Optional[Any] = None,
-    ) -> Optional[Tuple]:
-        """Epoch-keyed cache key, or ``None`` when the query is uncacheable
-        (unhashable doc ids in ``within``).  Keying on the *parsed* terms
-        means queries differing only in case/whitespace share an entry.
-        Global-stats scoring keys on the stats bundle too: the same query
-        under different merged statistics ranks differently."""
-        try:
-            within_key = frozenset(within) if within is not None else None
-        except TypeError:
-            return None
-        return (
-            self.index.epoch,
-            tuple(loose),
-            tuple(tuple(phrase) for phrase in phrases),
-            mode,
-            limit,
-            within_key,
-            corpus_stats.cache_token() if corpus_stats is not None else None,
         )
 
     def count(self, query: str, mode: str = "all") -> int:
@@ -401,7 +326,7 @@ class SearchEngine:
         self,
         candidates: Set[DocId],
         terms: Sequence[str],
-        corpus_stats: Optional[Any] = None,
+        corpus_stats: CorpusStats,
     ) -> List[SearchHit]:
         """Term-at-a-time accumulation over postings.
 
@@ -412,10 +337,10 @@ class SearchEngine:
         candidate, and broad terms over narrow ``within`` sets never scan
         every posting.
 
-        With ``corpus_stats``, idf and the normalizer averages come from
-        the merged corpus instead of the local index; everything else —
-        tf, field weights, accumulation order — is unchanged, which is
-        what makes per-document scores bit-identical across shardings.
+        Idf and the normalizer averages come from ``corpus_stats``;
+        everything else — tf, field weights, accumulation order — is
+        this index's, which is what makes per-document scores
+        bit-identical across shardings.
         """
         if not candidates:
             return []
@@ -432,11 +357,7 @@ class SearchEngine:
             postings = index.positional_postings(term)
             if not postings:
                 continue
-            idf = (
-                corpus_stats.idf(term)
-                if corpus_stats is not None
-                else index.idf(term)
-            )
+            idf = corpus_stats.idf(term)
             if len(postings) <= len(candidates):
                 matched = (
                     (doc_id, entry)
@@ -458,11 +379,7 @@ class SearchEngine:
                             inverse = index.length_normalizers(
                                 field_name,
                                 b,
-                                average=(
-                                    corpus_stats.average_field_length(field_name)
-                                    if corpus_stats is not None
-                                    else None
-                                ),
+                                corpus_stats.average_field_length(field_name),
                             )
                             inverse_norms[field_name] = inverse
                         pseudo_tf += (

@@ -16,7 +16,7 @@ per-field holder counts, and per-(doc, field) lengths are updated on
 every add/remove, so ``average_field_length``, ``field_length``,
 ``document_frequency`` and ``idf`` are all O(1) at query time.  An
 **epoch** counter is bumped on every mutation; derived artifacts (the
-BM25 length-normalizer tables here, the query-result and cloud caches in
+BM25 length-normalizer tables here, the answer and cloud caches in
 the layers above) key themselves to the epoch and rebuild lazily when it
 moves — the same version-counter invalidation discipline the minidb plan
 cache uses.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from repro.errors import SearchError
 
@@ -54,8 +54,10 @@ class InvertedIndex:
         # Mutation counter; bumped by add/remove/clear.  Derived caches at
         # every layer key themselves to this value.
         self._epoch = 0
-        # (field, b) -> (epoch, {doc_id: 1 / bm25-length-normalizer})
-        self._norm_tables: Dict[Tuple[str, float], Tuple[int, Dict[DocId, float]]] = {}
+        # (field, b) -> (epoch, average, {doc_id: 1 / bm25-length-normalizer})
+        self._norm_tables: Dict[
+            Tuple[str, float], Tuple[int, float, Dict[DocId, float]]
+        ] = {}
         # doc_id -> epoch published by its latest add/remove, oldest
         # first (a re-touched document moves to the end).  One entry per
         # document ever indexed: bounded by the corpus, not by the number
@@ -80,7 +82,7 @@ class InvertedIndex:
         """Batch-index many documents with a single epoch bump.
 
         Equivalent to calling :meth:`add_document` per entry, but derived
-        caches (norm tables, result caches) are invalidated once instead
+        caches (norm tables, answer caches) are invalidated once instead
         of per document.  Returns the number of documents indexed.
         """
         count = 0
@@ -250,29 +252,24 @@ class InvertedIndex:
         return sum(self._field_lengths.get(doc_id, {}).values())
 
     def length_normalizers(
-        self, field: str, b: float, average: Optional[float] = None
+        self, field: str, b: float, average: float
     ) -> Dict[DocId, float]:
         """Per-document *inverse* BM25 length normalizers for ``field``.
 
         Returns ``{doc_id: 1 / (1 - b + b * length/average)}`` for every
-        document holding the field.  The table is rebuilt lazily when the
-        index epoch moves and cached per ``(field, b)``, so the scoring
-        inner loop pays one dict lookup per (doc, field) instead of
-        recomputing averages and lengths per candidate.
-
-        ``average`` overrides the field's local average length — the
-        scatter-gather path passes the *merged corpus* average so a
-        shard scores its documents exactly as the unsharded build would.
-        Overridden tables are cached under their own key (the override is
-        part of it), so local and global tables never alias.
+        document holding the field.  ``average`` is the corpus's average
+        field length: this index's own (:meth:`average_field_length`)
+        unsharded, the merged corpus's when a shard scores for the whole
+        corpus.  One table is cached per ``(field, b)`` and rebuilt when
+        the index epoch or ``average`` moves, so the scoring inner loop
+        pays one dict lookup per (doc, field) instead of recomputing
+        lengths per candidate, and no past average leaves a table behind.
         """
-        key = (field, b) if average is None else (field, b, average)
+        key = (field, b)
         cached = self._norm_tables.get(key)
-        if cached is not None and cached[0] == self._epoch:
-            return cached[1]
+        if cached is not None and cached[:2] == (self._epoch, average):
+            return cached[2]
         table: Dict[DocId, float] = {}
-        if average is None:
-            average = self.average_field_length(field)
         if average:
             base = 1.0 - b
             scale = b / average
@@ -280,13 +277,8 @@ class InvertedIndex:
                 length = lengths.get(field)
                 if length:
                     table[doc_id] = 1.0 / (base + scale * length)
-        self._norm_tables[key] = (self._epoch, table)
+        self._norm_tables[key] = (self._epoch, average, table)
         return table
-
-    def invalidate_caches(self) -> None:
-        """Drop lazily built derived tables (benchmarks use this for
-        cold-path measurements; correctness never requires it)."""
-        self._norm_tables.clear()
 
     # -- access -------------------------------------------------------------
 

@@ -6,12 +6,14 @@ sharded corpus each shard only sees its slice, so scoring locally with
 local statistics would rank differently than the unsharded build.
 
 :class:`CorpusStats` is the fix: a small, immutable bundle of exactly
-those aggregates.  The service layer gathers one per shard
-(:meth:`CorpusStats.local`), merges them (:meth:`CorpusStats.merged` —
-every component is an **integer sum over disjoint document sets**, so the
-merge is exact and order-independent), and hands the merged stats back to
-each shard's engine, which then scores its local candidates with *global*
-idf and *global* average field lengths.  Per-document score arithmetic is
+those aggregates.  A :class:`~repro.clouds.refinement.CloudNavigator`
+gathers one per shard (:meth:`CorpusStats.local`), merges them
+(:meth:`CorpusStats.merged` — every component is an **integer sum over
+disjoint document sets**, so the merge is exact and order-independent),
+and hands the merged stats back to each shard's engine, which then
+scores its local candidates with *global* idf and *global* average field
+lengths.  Unsharded, the engine scores under :meth:`CorpusStats.local`,
+whose formulas are the index's own.  Per-document score arithmetic is
 bit-identical to the unsharded engine because the inputs (idf, inverse
 normalizer, tf, field weights) are bit-identical floats and are combined
 in the same order.
@@ -20,7 +22,7 @@ in the same order.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence
 
 from repro.search.inverted_index import InvertedIndex
 
@@ -28,7 +30,7 @@ from repro.search.inverted_index import InvertedIndex
 class CorpusStats:
     """Global corpus aggregates: doc count, per-term df, field lengths."""
 
-    __slots__ = ("document_count", "term_df", "field_tokens", "field_holders", "_token")
+    __slots__ = ("document_count", "term_df", "field_tokens", "field_holders")
 
     def __init__(
         self,
@@ -41,7 +43,6 @@ class CorpusStats:
         self.term_df = term_df
         self.field_tokens = field_tokens
         self.field_holders = field_holders
-        self._token: Optional[Tuple] = None
 
     # -- scoring inputs ----------------------------------------------------
 
@@ -87,21 +88,6 @@ class CorpusStats:
             for field, holders in part.field_holders.items():
                 field_holders[field] = field_holders.get(field, 0) + holders
         return CorpusStats(document_count, term_df, field_tokens, field_holders)
-
-    # -- cache keying ------------------------------------------------------
-
-    def cache_token(self) -> Tuple:
-        """A hashable rendering for embedding in result-cache keys."""
-        token = self._token
-        if token is None:
-            token = (
-                self.document_count,
-                tuple(sorted(self.term_df.items())),
-                tuple(sorted(self.field_tokens.items())),
-                tuple(sorted(self.field_holders.items())),
-            )
-            self._token = token
-        return token
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -7,10 +7,10 @@ can take traffic (DESIGN.md §13):
   department-hash shards (course-scoped tables partitioned, reference
   tables replicated) so each shard is a self-contained CourseRank corpus;
 * :mod:`repro.service.frontend` is the scatter-gather coordinator:
-  thread-safe search/cloud/refine/recommend/comment over the shard set,
-  with two-phase global-statistics scoring and exact aggregate merges so
-  sharded results are bit-identical to the unsharded build, plus an
-  epoch-vector response cache;
+  thread-safe search/cloud/refine/recommend/comment over the shard set;
+  its searches, clouds and refinements are one epoch-vector-cached
+  :class:`~repro.clouds.refinement.CloudNavigator` answer, bit-identical
+  to the unsharded build's;
 * :mod:`repro.service.loadgen` is the closed-loop Zipfian load generator
   reporting sustained QPS and p50/p99 latency through ``repro.obs``.
 """

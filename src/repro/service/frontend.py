@@ -4,49 +4,40 @@ One :class:`CourseRankService` fronts N shard-local :class:`CourseRank`
 apps (see :mod:`repro.service.sharding`).  Reads scatter to every shard
 and merge exactly:
 
-* **Search** is two-phase distributed BM25: phase one gathers each
-  shard's per-term document frequencies and field-length totals
-  (:class:`repro.search.stats.CorpusStats` — all integer sums over
-  disjoint document sets, so the merge is exact and order-independent);
-  phase two scores each shard's candidates against the *merged* global
-  statistics and k-way-merges the per-shard ranked lists under the same
-  total-order sort key the unsharded engine uses.  The merged ranking is
-  bit-identical to the unsharded build's.
-* **Clouds** hand each shard's ``(occurrences, result_df)`` partial to
-  the same counters → cloud kernel the unsharded builder runs on its one
-  partial (:func:`~repro.clouds.cloud.cloud_over_shards`): it sums the
-  partials, corpus document frequencies and corpus sizes (dyadic field
-  weights → exact float sums).  Bit-identical again.
-* **Sessions and cubes** are the clouds package's navigators over N
-  shards — :class:`ServiceSession` is a
-  :class:`~repro.clouds.refinement.RefinementSession` whose steps the
-  coordinator answers, :class:`~repro.service.cube.ServiceCube` a
-  :class:`~repro.clouds.cube.CloudCube` rooted at every shard; the
-  facade's are the same classes at N = 1.
+* **Search, clouds and sessions** are one
+  :class:`~repro.clouds.refinement.CloudNavigator` over every shard's
+  ``(engine, builder)`` pair — the facade's is the same class at N = 1.
+  It scores each shard's candidates under the merged corpus statistics,
+  k-way merges the rankings and sums the shards' cloud partials, so
+  every answer is bit-identical to the unsharded build's; its answer
+  cache is keyed by the tuple of per-shard index epochs, so a write to
+  one shard retires exactly the answers that could observe it, by
+  construction rather than by bookkeeping.  :class:`ServiceSession` is
+  a :class:`~repro.clouds.refinement.RefinementSession` over it.
+* **Cubes** are a :class:`~repro.clouds.cube.CloudCube` rooted at every
+  shard (:class:`~repro.service.cube.ServiceCube`).
 * **Metrics** merge through :meth:`repro.obs.metrics.MetricsRegistry.merge`
   (associative by PR 5's equivalence tests).
 
 Course-scoped operations (course page, comment, per-course recommend)
 route to the single owning shard.  Concurrency control is a service-level
 :class:`~repro.minidb.concurrency.RWLock` — many concurrent reads, writes
-exclusive — on top of the per-shard database locks, plus an epoch-vector
-response cache: answered ``(query → merged result + cloud)`` pairs are
-keyed by the tuple of per-shard index epochs, so a write to one shard
-invalidates exactly the cached responses that could observe it, by
-construction rather than by bookkeeping.
+exclusive — on top of the per-shard database locks.
 """
 
 from __future__ import annotations
 
 import datetime
-import heapq
 import threading
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.caching import LRUCache, VersionedMemo
-from repro.clouds.cloud import DataCloud, cloud_over_shards
-from repro.clouds.refinement import RefinementSession, RefinementStep
+from repro.caching import VersionedMemo
+from repro.clouds.cloud import DataCloud
+from repro.clouds.refinement import (
+    CloudNavigator,
+    RefinementSession,
+    RefinementStep,
+)
 from repro.core.executor import graph_recommend_rows
 from repro.core.workflow import Recommendation
 from repro.courserank.accounts import User
@@ -55,26 +46,13 @@ from repro.courserank.models import Comment
 from repro.minidb.catalog import Database
 from repro.minidb.concurrency import RWLock
 from repro.obs import OBS
-from repro.search.engine import SearchResult, _tiebreak
-from repro.search.stats import CorpusStats
+from repro.search.engine import SearchResult
 from repro.service.sharding import ShardedUniversity
 
 DocId = Any
 
-_HIT_KEY = lambda hit: (-hit.score, _tiebreak(hit.doc_id))  # noqa: E731
-
-
-@dataclass
-class _MergedResponse:
-    """One cached scatter-gather answer (immutable once cached)."""
-
-    terms: List[str]
-    phrases: List[List[str]]
-    hits: Tuple[Any, ...]
-    candidate_count: int
-    scored_count: int
-    cloud: DataCloud
-    shard_doc_ids: Tuple[Tuple[DocId, ...], ...]
+#: recommendations the service memoises, least recently used dropped first
+RECOMMEND_MEMO_SIZE = 256
 
 
 def _shard_versions(
@@ -89,12 +67,7 @@ def _shard_versions(
 class CourseRankService:
     """A thread-safe, sharded CourseRank front end."""
 
-    def __init__(
-        self,
-        database: Database,
-        num_shards: int = 4,
-        response_cache_size: int = 256,
-    ) -> None:
+    def __init__(self, database: Database, num_shards: int = 4) -> None:
         self.sharded = ShardedUniversity(database, num_shards)
         self.apps: List[CourseRank] = [
             CourseRank(shard) for shard in self.sharded.shards
@@ -102,14 +75,15 @@ class CourseRankService:
         for app in self.apps:
             app.cloudsearch.build()
         self.rwlock = RWLock()
-        # Coordinator response cache.  Keys embed the epoch vector (one
-        # index epoch per shard), so any shard write rotates the key and
-        # strands every response that predates it — no invalidation hooks.
-        self._response_cache = LRUCache(maxsize=response_cache_size)
+        # Every search, cloud and session step over every shard, cached.
+        self.navigator = CloudNavigator(
+            (app.cloudsearch.engine, app.cloudsearch.builder)
+            for app in self.apps
+        )
         # Recommendation memo: one entry per (shard, strategy, parameters),
         # valid while the tables the strategy reads keep their versions.
         self._recommend_cache = VersionedMemo(
-            response_cache_size, _shard_versions
+            RECOMMEND_MEMO_SIZE, _shard_versions
         )
         # Union graph-ranking engine, created on the first graph strategy
         # / cloud-weighting request: its module imports numpy, which no
@@ -121,16 +95,13 @@ class CourseRankService:
     def num_shards(self) -> int:
         return self.sharded.num_shards
 
-    # -- epochs & caching ----------------------------------------------------
-
     def _epoch_vector(self) -> Tuple[int, ...]:
-        return tuple(
-            app.cloudsearch.engine.index.epoch for app in self.apps
-        )
+        return self.navigator.epochs()
 
     def response_cache_info(self) -> Dict[str, int]:
-        cache = self._response_cache
-        return {"hits": cache.hits, "misses": cache.misses, "size": len(cache)}
+        """The navigator's answer-cache counters."""
+        with self.rwlock.read_locked():
+            return self.navigator.cache_info()
 
     # -- scatter-gather search ----------------------------------------------
 
@@ -146,11 +117,10 @@ class CourseRankService:
         """
         with OBS.span("service.search", {"query": query}):
             with self.rwlock.read_locked():
-                response = self._answer(query)
-            result = self._result_from(query, response)
+                step = self.navigator.answer(query)
             if limit is not None:
-                result.hits = result.hits[:limit]
-            return result, self._copy_cloud(response.cloud)
+                step.result.hits = step.result.hits[:limit]
+            return step.result, step.cloud
 
     def count(self, query: str) -> int:
         """Total matching documents — the sum of disjoint per-shard counts."""
@@ -162,7 +132,7 @@ class CourseRankService:
     def session(self, query: str) -> "ServiceSession":
         """A refinement session over every shard: the facade's
         :class:`~repro.clouds.refinement.RefinementSession`, each step
-        answered by the scatter-gather."""
+        answered by the service's navigator."""
         return ServiceSession(self, query)
 
     def cube(self, dimensions: Optional[Any] = None):
@@ -172,125 +142,6 @@ class CourseRankService:
         from repro.service.cube import ServiceCube
 
         return ServiceCube(self, dimensions=dimensions)
-
-    # -- merged answer construction -----------------------------------------
-
-    def _answer(self, query: str) -> _MergedResponse:
-        """The cached merged response for ``query`` (read lock held)."""
-        key = (self._epoch_vector(), query)
-        cached = self._response_cache.get(key)
-        if cached is not None:
-            return cached
-        response = self._scatter_gather(query)
-        self._response_cache.put(key, response)
-        return response
-
-    def _answer_narrowed(
-        self, query: str, parent_doc_ids: Tuple[Tuple[DocId, ...], ...]
-    ) -> _MergedResponse:
-        """Cached refine answer within each shard's ``parent_doc_ids``
-        (read lock held).
-
-        Refined responses depend on the parent result set as well as the
-        query, so the key adds the parent's per-shard doc-id fingerprint
-        — identical refinement walks (the common Zipfian-head case) hit.
-        """
-        key = (self._epoch_vector(), query, parent_doc_ids)
-        cached = self._response_cache.get(key)
-        if cached is not None:
-            return cached
-        response = self._scatter_gather(
-            query, within_per_shard=[set(ids) for ids in parent_doc_ids]
-        )
-        self._response_cache.put(key, response)
-        return response
-
-    def _scatter_gather(
-        self,
-        query: str,
-        within_per_shard: Optional[List[Optional[set]]] = None,
-    ) -> _MergedResponse:
-        engines = [app.cloudsearch.engine for app in self.apps]
-        loose, phrases = engines[0].parse_query(query)
-        all_terms = list(loose) + [
-            term for phrase in phrases for term in phrase
-        ]
-        if not all_terms:
-            empty_cloud = DataCloud(query=query, result_size=0, terms=[])
-            return _MergedResponse(
-                terms=[],
-                phrases=[],
-                hits=(),
-                candidate_count=0,
-                scored_count=0,
-                cloud=empty_cloud,
-                shard_doc_ids=tuple(() for _ in engines),
-            )
-        # Phase 1: merge global corpus statistics for the query terms.
-        stats = CorpusStats.merged(
-            CorpusStats.local(engine.index, all_terms) for engine in engines
-        )
-        # Phase 2: score every shard's candidates under the global stats,
-        # then k-way merge the (already sorted) per-shard rankings.
-        shard_results = []
-        for index, engine in enumerate(engines):
-            within = (
-                within_per_shard[index]
-                if within_per_shard is not None
-                else None
-            )
-            shard_results.append(
-                engine.search(
-                    query, limit=None, within=within, corpus_stats=stats
-                )
-            )
-        hits = tuple(
-            heapq.merge(
-                *(result.hits for result in shard_results), key=_HIT_KEY
-            )
-        )
-        shard_doc_ids = tuple(
-            tuple(result.doc_ids()) for result in shard_results
-        )
-        return _MergedResponse(
-            terms=all_terms,
-            phrases=phrases,
-            hits=hits,
-            candidate_count=sum(r.candidate_count for r in shard_results),
-            scored_count=sum(r.scored_count for r in shard_results),
-            cloud=cloud_over_shards(
-                zip(
-                    [app.cloudsearch.builder for app in self.apps],
-                    shard_doc_ids,
-                ),
-                query,
-                all_terms,
-            ),
-            shard_doc_ids=shard_doc_ids,
-        )
-
-    def _result_from(
-        self, query: str, response: _MergedResponse
-    ) -> SearchResult:
-        """A fresh SearchResult over the cached immutable hit tuple."""
-        return SearchResult(
-            query=query,
-            terms=list(response.terms),
-            hits=list(response.hits),
-            mode="all",
-            phrases=[list(phrase) for phrase in response.phrases],
-            candidate_count=response.candidate_count,
-            scored_count=response.scored_count,
-        )
-
-    @staticmethod
-    def _copy_cloud(cloud: DataCloud) -> DataCloud:
-        """Clouds are cached; hand callers a private copy of the shell."""
-        return DataCloud(
-            query=cloud.query,
-            result_size=cloud.result_size,
-            terms=list(cloud.terms),
-        )
 
     # -- routed single-shard operations -------------------------------------
 
@@ -406,7 +257,7 @@ class CourseRankService:
 
         Runs under the service write lock — the shard's index epoch bumps
         when the course document refreshes, which retires every cached
-        response whose epoch vector predates the write.
+        answer whose epoch vector predates the write.
         """
         with self.rwlock.write_locked():
             return self._app_for_course(course_id).comment_on_course(
@@ -433,39 +284,27 @@ class CourseRankService:
 class ServiceSession(RefinementSession):
     """A refinement session answered by the service: N shards, one walk.
 
-    :class:`~repro.clouds.refinement.RefinementSession` with its answer
-    hook served from the coordinator's response cache — each refine
-    narrows *within each shard's* previous result set, which partitions
-    the global ``within`` set exactly — so it walks through bit-identical
-    queries, results, and clouds as a session over the unsharded engine.
+    :class:`~repro.clouds.refinement.RefinementSession` over the
+    service's navigator — each refine narrows *within each shard's*
+    previous result set, which partitions the global ``within`` set
+    exactly — so it walks through bit-identical queries, results, and
+    clouds as a session over the unsharded engine.  All it adds is the
+    service read lock around every step and cube.
     """
 
     def __init__(self, service: CourseRankService, query: str) -> None:
         self.service = service
-        # No single engine or builder: every step is the service's answer.
-        super().__init__(None, None, query)
+        self._start(service.navigator, query)
 
     def refine(self, term: str) -> RefinementStep:
         with self.service.rwlock.read_locked():
             return super().refine(term)
 
-    def _answer(
-        self, query: str, parent: Optional[RefinementStep]
+    def _push(
+        self, query: str, parent: Optional[RefinementStep] = None
     ) -> RefinementStep:
-        service = self.service
-        with service.rwlock.read_locked():
-            if parent is None:
-                response = service._answer(query)
-            else:
-                response = service._answer_narrowed(
-                    query, parent.shard_doc_ids
-                )
-        return RefinementStep(
-            query=query,
-            result=service._result_from(query, response),
-            cloud=service._copy_cloud(response.cloud),
-            shard_doc_ids=response.shard_doc_ids,
-        )
+        with self.service.rwlock.read_locked():
+            return super()._push(query, parent)
 
     def _cube(
         self, shard_doc_ids: Tuple[Tuple[DocId, ...], ...], **spec: Any

@@ -10,8 +10,8 @@ interleaved with
   from shadow state and queried cold;
 * recommends   — the direct executor vs the nested-loop oracle
   (:func:`repro.testkit.recommend.reference_recommend`);
-* searches     — the live, incrementally-refreshed engine vs a cold
-  engine built over the replica;
+* searches     — cached answers of a navigator over the live,
+  incrementally-refreshed engine vs a cold engine built over the replica;
 * cloud refinements — ``RefinementSession`` incremental clouds vs cold
   ``CloudBuilder`` builds over the same narrowed result.
 
@@ -21,7 +21,7 @@ stale cache anywhere in the stack shows up as a mismatch against an
 engine that never had a cache to go stale.
 
 ``ChurnReport.coverage`` proves the run actually exercised the three
-fast paths (plan-cache hits, extend-cache hits, search-result-cache
+fast paths (plan-cache hits, extend-cache hits, search answer-cache
 hits, indexed plans, cloud partials patched by writes) instead of
 silently passing on cold code.
 """
@@ -161,7 +161,7 @@ class ChurnDriver:
         return self.report
 
     def _setup(self) -> None:
-        from repro.clouds.cloud import CloudBuilder
+        from repro.clouds import CloudBuilder, CloudNavigator
         from repro.minidb import Database
 
         rng = self.rng
@@ -188,6 +188,8 @@ class ChurnDriver:
         self.engine = self._make_engine(self.db)
         self.builder = CloudBuilder(self.engine, min_result_df=1)
         self.builder.prepare()
+        # The live side of the search checks: cached answers.
+        self.navigator = CloudNavigator([(self.engine, self.builder)])
 
     def _doc_text(self) -> Tuple[str, str]:
         rng = self.rng
@@ -452,23 +454,24 @@ class ChurnDriver:
         cold_db = self._replica(with_docs=True)
         cold_engine = self._make_engine(cold_db)
         for text in SEARCH_QUERIES:
-            live = self.engine.search(text)
-            warm = self.engine.search(text)
+            live = self.navigator.answer(text).result
+            warm = self.navigator.answer(text).result
             if warm.cache_hit:
                 self._bump("search_cache_hits")
             cold = cold_engine.search(text)
-            live_hits = [(hit.doc_id, hit.score) for hit in live.hits]
             cold_hits = [(hit.doc_id, hit.score) for hit in cold.hits]
-            if live_hits != cold_hits:
-                self._fail(
-                    f"live search != cold rebuild for {text!r}: "
-                    f"{live_hits} != {cold_hits}"
-                )
-        # Cloud refinement on the live builder (its forward index has
-        # followed every refresh_document since the driver started) vs a
-        # cold build over the same narrowed result, on the cold engine
-        # (no shared caches at all).
-        session = RefinementSession(self.engine, self.builder, "american")
+            for answer in (live, warm):
+                live_hits = [(hit.doc_id, hit.score) for hit in answer.hits]
+                if live_hits != cold_hits:
+                    self._fail(
+                        f"live search != cold rebuild for {text!r}: "
+                        f"{live_hits} != {cold_hits}"
+                    )
+        # Cloud refinement on the live navigator (its builder's forward
+        # index has followed every refresh_document since the driver
+        # started) vs a cold build over the same narrowed result, on the
+        # cold engine (no shared caches at all).
+        session = RefinementSession.over(self.navigator, "american")
         term = self.rng.choice(CLOUD_TERMS)
         step = session.refine(term)
         cold_builder = CloudBuilder(cold_engine, min_result_df=1)

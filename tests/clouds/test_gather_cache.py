@@ -188,7 +188,7 @@ class TestRevalidation:
         from repro.service import CourseRankService
 
         app.cloudsearch.search("history")
-        gather = app.observability()["caches"]["search_result_cache"]["gather"]
+        gather = app.observability()["caches"]["search_answer_cache"]["gather"]
         assert gather["misses"] >= 1
         assert set(gather) == {"hits", "misses", "patched", "size"}
         service = CourseRankService(

@@ -6,8 +6,13 @@ matter), and each layer's version key snapshots exactly its own source
 tables (so a write elsewhere reuses the layer verbatim).
 """
 
+import gc
+import threading
+import weakref
+
 import pytest
 
+from repro.courserank import CourseRank
 from repro.datagen import generate_university
 from repro.errors import GraphRankError
 from repro.graphrank import (
@@ -142,3 +147,34 @@ def test_incremental_merge_equals_cold_build(db):
 
 def test_for_database_returns_one_shared_engine(db):
     assert GraphRankEngine.for_database(db) is GraphRankEngine.for_database(db)
+
+
+def test_for_database_pins_no_database():
+    """The engine keeps its database, but nothing keeps the engine."""
+    database = generate_university(scale="tiny", seed=5)
+    app = CourseRank(database)
+    app.recommendations.run("graph_rank_courses", student_id=1)
+    assert GraphRankEngine.for_database(database).database is database
+    alive = weakref.ref(database)
+    del app, database
+    gc.collect()
+    assert alive() is None
+
+
+def test_for_database_one_engine_under_concurrent_first_use():
+    database = generate_university(scale="tiny", seed=5)
+    barrier = threading.Barrier(6)
+    engines = []
+
+    def first_use():
+        barrier.wait()
+        engines.append(GraphRankEngine.for_database(database))
+
+    threads = [threading.Thread(target=first_use) for _ in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(engines) == 6
+    assert all(engine is engines[0] for engine in engines)

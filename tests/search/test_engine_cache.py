@@ -1,8 +1,10 @@
-"""The search fast path: result caching, heap top-k, and observability.
+"""The search fast path: the answer cache, heap top-k, and observability.
 
 Three invariants from the hot-path overhaul:
 
-* cached and cold searches return identical ranked results;
+* cached and cold answers are identical (the cache is the one-shard
+  :class:`~repro.clouds.refinement.CloudNavigator`'s; the engine caches
+  nothing);
 * heap top-k (``limit=...``) ordering equals full-sort ordering,
   including score ties broken by ``_tiebreak``;
 * any index mutation moves the epoch, so the cache can never serve a
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.clouds import CloudBuilder, CloudNavigator
 from repro.minidb import Database
 from repro.search.engine import SearchEngine, _tiebreak
 from repro.search.entity import EntityDefinition, FieldSpec
@@ -53,79 +56,103 @@ def engine():
     return make_engine(CORPUS)
 
 
+@pytest.fixture()
+def navigator(engine):
+    return CloudNavigator([(engine, CloudBuilder(engine, min_result_df=1))])
+
+
+def answer_of(step):
+    """Everything an answer shows, float for float."""
+    return (
+        [(hit.doc_id, hit.score) for hit in step.result.hits],
+        step.result.terms,
+        step.result.phrases,
+        step.result.candidate_count,
+        step.result.scored_count,
+        step.cloud.result_size,
+        step.cloud.terms,
+        step.shard_doc_ids,
+    )
+
+
 class TestResultCache:
-    def test_cached_equals_cold(self, engine):
-        cold = engine.search("american history", mode="any")
-        warm = engine.search("american history", mode="any")
-        assert warm.cache_hit and not cold.cache_hit
-        assert warm.hits == cold.hits
-        assert warm.doc_ids() == cold.doc_ids()
-        assert [hit.score for hit in warm.hits] == [
-            hit.score for hit in cold.hits
-        ]
-        assert warm.candidate_count == cold.candidate_count
-        assert warm.scored_count == cold.scored_count
+    def test_cached_equals_cold(self, navigator):
+        cold = navigator.answer("american history")
+        warm = navigator.answer("american history")
+        assert warm.result.cache_hit and not cold.result.cache_hit
+        assert answer_of(warm) == answer_of(cold)
+        fresh = CloudNavigator(navigator.shards).answer("american history")
+        assert answer_of(fresh) == answer_of(warm)
 
-    def test_use_cache_false_bypasses(self, engine):
-        engine.search("american")
-        uncached = engine.search("american", use_cache=False)
-        assert not uncached.cache_hit
-        assert uncached.hits == engine.search("american").hits
-
-    def test_cache_counters(self, engine):
-        engine.clear_caches()
-        engine.search("american")
-        engine.search("american")
-        info = engine.cache_info()
-        assert info["hits"] >= 1
-        assert info["misses"] >= 1
-        assert info["size"] >= 1
-
-    def test_cached_result_is_fresh_object(self, engine):
+    def test_engine_search_is_uncached(self, engine, navigator):
+        navigator.answer("american")
         first = engine.search("american")
-        first.hits.clear()  # caller mutation must not corrupt the cache
         second = engine.search("american")
-        assert len(second) == 4
+        assert not first.cache_hit and not second.cache_hit
+        assert first.hits == second.hits
+        assert first.hits == navigator.answer("american").result.hits
 
-    def test_distinct_parameters_distinct_entries(self, engine):
-        full = engine.search("american")
-        limited = engine.search("american", limit=2)
-        within = engine.search("american", within={1, 3})
-        disjunct = engine.search("american history", mode="any")
-        assert len(limited) == 2
-        assert within.doc_id_set() == {1, 3}
-        assert len(full) == 4
-        assert len(disjunct) > len(full) - 1
+    def test_cache_counters(self, navigator):
+        navigator.answer("american")
+        navigator.answer("american")
+        assert navigator.cache_info() == {"hits": 1, "misses": 1, "size": 1}
 
-    def test_case_and_whitespace_share_entry(self, engine):
-        engine.clear_caches()
-        engine.search("American  History")
-        assert engine.search("american history").cache_hit
+    def test_cached_result_is_fresh_object(self, navigator):
+        first = navigator.answer("american")
+        first.result.hits.clear()  # caller mutation must not corrupt the cache
+        first.result.terms.clear()
+        first.cloud.terms.clear()
+        second = navigator.answer("american")
+        assert second.result.cache_hit
+        assert len(second.result) == 4
+        assert second.result.terms == ["american"]
+        assert second.cloud.terms
 
-    def test_epoch_invalidation_after_refresh(self, engine):
-        before = engine.search("jazz")
-        assert before.doc_id_set() == {4}
+    def test_distinct_parameters_distinct_entries(self, navigator):
+        full = navigator.answer("american")
+        within = navigator.answer("american", ((1, 3),))
+        narrower = navigator.answer("american", ((1,),))
+        assert len(full.result) == 4
+        assert within.result.doc_id_set() == {1, 3}
+        assert narrower.result.doc_id_set() == {1}
+        assert not within.result.cache_hit and not narrower.result.cache_hit
+        assert navigator.cache_info()["size"] == 3
+
+    def test_case_and_whitespace_share_entry(self, navigator):
+        first = navigator.answer("American  History")
+        second = navigator.answer("american history")
+        assert second.result.cache_hit
+        assert answer_of(second) == answer_of(first)
+        # One entry, but every shell carries its caller's own text.
+        assert (first.query, first.result.query, first.cloud.query) == (
+            "American  History",) * 3
+        assert (second.query, second.result.query, second.cloud.query) == (
+            "american history",) * 3
+
+    def test_epoch_invalidation_after_refresh(self, engine, navigator):
+        before = navigator.answer("jazz")
+        assert before.result.doc_id_set() == {4}
         engine.database.execute(
             "UPDATE Docs SET Body = 'classical opera' WHERE DocID = 4"
         )
         engine.refresh_document(4)
-        after = engine.search("jazz")
-        assert not after.cache_hit
-        assert after.doc_id_set() == set()
-        assert engine.search("opera").doc_id_set() == {4}
+        after = navigator.answer("jazz")
+        assert not after.result.cache_hit
+        assert after.result.doc_id_set() == set()
+        assert navigator.answer("opera").result.doc_id_set() == {4}
 
-    def test_epoch_invalidation_after_remove(self, engine):
-        engine.search("american")
+    def test_epoch_invalidation_after_remove(self, engine, navigator):
+        navigator.answer("american")
         engine.database.execute("DELETE FROM Docs WHERE DocID = 4")
         engine.refresh_document(4)
-        survivors = engine.search("american")
-        assert not survivors.cache_hit
-        assert 4 not in survivors.doc_id_set()
+        survivors = navigator.answer("american")
+        assert not survivors.result.cache_hit
+        assert 4 not in survivors.result.doc_id_set()
 
-    def test_build_clears_cache(self, engine):
-        engine.search("american")
+    def test_build_clears_cache(self, engine, navigator):
+        navigator.answer("american")
         engine.build()
-        assert not engine.search("american").cache_hit
+        assert not navigator.answer("american").result.cache_hit
 
 
 class TestObservability:
@@ -154,11 +181,9 @@ class TestHeapTopK:
     @pytest.mark.parametrize("mode", ["all", "any"])
     def test_topk_prefix_of_full_sort(self, ranker, mode):
         engine = make_engine(CORPUS, ranker=ranker)
-        full = engine.search("american history", mode=mode, use_cache=False)
+        full = engine.search("american history", mode=mode)
         for k in range(1, len(full) + 2):
-            limited = engine.search(
-                "american history", mode=mode, limit=k, use_cache=False
-            )
+            limited = engine.search("american history", mode=mode, limit=k)
             assert limited.hits == full.hits[:k]
 
     def test_ties_follow_tiebreak(self):
@@ -166,12 +191,12 @@ class TestHeapTopK:
         # to the deterministic _tiebreak over doc ids.
         rows = [(i, "same title", "same body text") for i in range(1, 9)]
         engine = make_engine(rows)
-        full = engine.search("title", use_cache=False)
+        full = engine.search("title")
         scores = {hit.score for hit in full.hits}
         assert len(scores) == 1  # all tied
         expected = sorted(full.doc_ids(), key=_tiebreak)
         assert full.doc_ids() == expected
-        limited = engine.search("title", limit=3, use_cache=False)
+        limited = engine.search("title", limit=3)
         assert limited.doc_ids() == expected[:3]
 
     @given(
@@ -199,6 +224,6 @@ class TestHeapTopK:
         ]
         engine = make_engine(rows)
         text = " ".join(query)
-        full = engine.search(text, mode="any", use_cache=False)
-        limited = engine.search(text, mode="any", limit=k, use_cache=False)
+        full = engine.search(text, mode="any")
+        limited = engine.search(text, mode="any", limit=k)
         assert limited.hits == full.hits[:k]

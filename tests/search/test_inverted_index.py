@@ -159,7 +159,8 @@ def assert_statistics_match(churned, fresh, fields, doc_ids, terms):
     for field in fields:
         assert churned.average_field_length(field) == fresh.average_field_length(field)
         assert churned.field_holder_count(field) == fresh.field_holder_count(field)
-        assert churned.length_normalizers(field, 0.6) == fresh.length_normalizers(field, 0.6)
+        average = fresh.average_field_length(field)
+        assert churned.length_normalizers(field, 0.6, average) == fresh.length_normalizers(field, 0.6, average)
     for term in terms:
         assert churned.document_frequency(term) == fresh.document_frequency(term)
         assert churned.idf(term) == fresh.idf(term)
@@ -246,7 +247,7 @@ class TestEpochAndBatch:
         index = build_sample()
         epoch = index.epoch
         index.average_field_length("title")
-        index.length_normalizers("title", 0.6)
+        index.length_normalizers("title", 0.6, 2.0)
         index.idf("american")
         list(index.terms())
         assert index.epoch == epoch
@@ -395,7 +396,7 @@ class TestEpochAndBatch:
     def test_length_normalizers_values(self):
         index = build_sample()
         # title lengths: doc1=2, doc2=2; average 2.0.
-        table = index.length_normalizers("title", 0.6)
+        table = index.length_normalizers("title", 0.6, 2.0)
         expected = 1.0 / (1.0 - 0.6 + (0.6 / 2.0) * 2)
         assert table == {1: expected, 2: expected}
         # Docs without the field have no entry.
@@ -403,12 +404,26 @@ class TestEpochAndBatch:
 
     def test_length_normalizers_rebuilt_after_mutation(self):
         index = build_sample()
-        first = index.length_normalizers("comments", 0.6)
-        assert index.length_normalizers("comments", 0.6) is first  # cached
+        average = index.average_field_length("comments")
+        first = index.length_normalizers("comments", 0.6, average)
+        assert index.length_normalizers("comments", 0.6, average) is first  # cached
         index.add_document(9, {"comments": ["new", "new", "new"]})
-        second = index.length_normalizers("comments", 0.6)
+        second = index.length_normalizers(
+            "comments", 0.6, index.average_field_length("comments")
+        )
         assert second is not first
         assert 9 in second
 
+    def test_length_normalizers_one_table_per_field(self):
+        """A new average re-stamps the field's one table, never adds one."""
+        index = build_sample()
+        tables = [
+            index.length_normalizers("title", 0.6, average)
+            for average in (1.0, 2.0, 3.0, 2.0)
+        ]
+        assert len(index._norm_tables) == 1
+        assert tables[1] == tables[3] and tables[1] is not tables[3]
+        assert tables[0] != tables[1]
+
     def test_length_normalizers_empty_field(self):
-        assert InvertedIndex().length_normalizers("title", 0.6) == {}
+        assert InvertedIndex().length_normalizers("title", 0.6, 0.0) == {}
