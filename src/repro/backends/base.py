@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import BackendError
 from repro.backends.dialects import SqlDialect
@@ -44,13 +44,14 @@ class BackendResult:
     rows: List[Tuple[Any, ...]] = field(default_factory=list)
     rowcount: int = -1
 
-    @property
-    def is_rows(self) -> bool:
-        return bool(self.columns)
-
 
 class Backend:
-    """Abstract execution backend bound to an optional minidb catalog."""
+    """Abstract execution backend bound to an optional minidb catalog.
+
+    Drivers implement ``execute(sql, params) -> BackendResult`` (``?``
+    placeholders) and, to run workflows whose comparators compile to
+    UDFs, ``register_udf(name, function, arity)``.
+    """
 
     #: registry key; concrete drivers override
     name: str = "abstract"
@@ -65,28 +66,6 @@ class Backend:
         self.catalog = catalog
 
     # -- driver protocol -----------------------------------------------------
-
-    def execute(
-        self, sql: str, params: Sequence[Any] = ()
-    ) -> BackendResult:
-        """Execute one statement; parameters use ``?`` placeholders."""
-        raise NotImplementedError
-
-    def executemany(
-        self, sql: str, rows: Sequence[Sequence[Any]]
-    ) -> None:
-        for row in rows:
-            self.execute(sql, row)
-
-    def register_udf(
-        self, name: str, function: Callable[..., Any], arity: int = 2
-    ) -> None:
-        """Register a scalar UDF callable from this backend's SQL."""
-        raise NotImplementedError
-
-    def table_names(self) -> List[str]:
-        """Introspect: tables currently present on the backend."""
-        raise NotImplementedError
 
     def sync(self) -> None:
         """Bring the backend's data mirror up to date with the catalog.

@@ -138,20 +138,6 @@ class DbApiBackend(Backend):
             finally:
                 cursor.close()
 
-    def register_udf(
-        self, name: str, function: Callable[..., Any], arity: int = 2
-    ) -> None:
-        raise BackendCapabilityError(
-            f"backend {self.name!r} cannot register Python UDFs; "
-            "subclass DbApiBackend and implement register_udf for "
-            "drivers that support it (see Sqlite3Backend)"
-        )
-
-    def table_names(self) -> List[str]:
-        # Introspection is driver-specific; the generic adapter reports
-        # what it has mirrored (complete for catalog-backed execution).
-        return sorted(self._synced)
-
     def close(self) -> None:
         try:
             self.connection.close()

@@ -127,9 +127,6 @@ class SqlDialect:
             type_names if type_names is not None else _TYPE_NAMES["generic"]
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<SqlDialect {self.name!r}>"
-
     # -- types ---------------------------------------------------------------
 
     def type_name(self, dtype: DataType) -> str:

@@ -9,11 +9,10 @@ its version counter).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.backends.base import Backend, BackendResult
 from repro.backends.dialects import MINIDB_DIALECT
-from repro.errors import BackendError
 
 __all__ = ["MinidbBackend"]
 
@@ -49,8 +48,3 @@ class MinidbBackend(Backend):
         self, name: str, function: Callable[..., Any], arity: int = 2
     ) -> None:
         self.catalog.functions.register_scalar(name, function)
-
-    def table_names(self) -> List[str]:
-        if self.catalog is None:
-            raise BackendError("minidb backend has no catalog")
-        return list(self.catalog.table_names())

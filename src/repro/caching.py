@@ -70,10 +70,6 @@ class LRUCache:
             if len(entries) > self.maxsize:
                 entries.popitem(last=False)
 
-    def pop(self, key: Any) -> Optional[Any]:
-        with self._lock:
-            return self._entries.pop(key, None)
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()

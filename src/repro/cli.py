@@ -17,11 +17,13 @@ Every command accepts either ``--load DIR`` (a database saved by
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import Optional
 
 from repro.clouds.render import render_text
 from repro.courserank.app import CourseRank
+from repro.courserank.recommendations import DEFAULT_STRATEGIES
 from repro.datagen import SCALES, generate_university
 from repro.evalkit.reports import site_scale_report
 from repro.minidb.catalog import Database
@@ -216,9 +218,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the ``recommend`` flag that supplies each strategy parameter
+_STRATEGY_FLAGS = {"student_id": "student", "course_id": "course"}
+
+
+def _missing_strategy_flag(args: argparse.Namespace) -> Optional[str]:
+    """The flag a ``recommend`` strategy requires but was not given."""
+    factory = DEFAULT_STRATEGIES.get(args.strategy)
+    parameters = inspect.signature(factory).parameters if factory else {}
+    for name, flag in _STRATEGY_FLAGS.items():
+        parameter = parameters.get(name)
+        required = parameter is not None and parameter.default is parameter.empty
+        if required and getattr(args, flag) is None:
+            return f"--{flag}"
+    return None
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "recommend":
+        missing = _missing_strategy_flag(args)
+        if missing:
+            parser.error(f"strategy {args.strategy!r} needs {missing}")
     return args.handler(args)
 
 

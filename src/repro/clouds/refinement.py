@@ -51,10 +51,6 @@ class RefinementStep:
     cloud: DataCloud
     shard_doc_ids: Tuple[Tuple[DocId, ...], ...]
 
-    @property
-    def result_size(self) -> int:
-        return len(self.result)
-
 
 class CloudNavigator:
     """Cached search answers with their clouds over N shards.

@@ -337,9 +337,6 @@ class SignificanceScoring:
 
     name = "base"
 
-    def score(self, stats: TermStats, result_size: int, corpus_size: int) -> float:
-        raise NotImplementedError
-
     def upper_bound(
         self,
         result_df: int,

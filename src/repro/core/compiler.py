@@ -111,21 +111,25 @@ class _Compiler:
         self._alias_counter = 0
         self.udfs: List[str] = []
         self.udf_impls: List[Tuple[str, Callable[..., Any]]] = []
-        self._columns_cache: Dict[int, List[str]] = {}
+        self._columns_cache: Dict[Operator, List[str]] = {}
 
     def _columns(self, node: Operator) -> List[str]:
         """Memoized ``node.output_columns``.
 
         Column resolution recurses over the whole subtree, and a single
         compilation asks for the same node's columns several times (each
-        parent re-asks for its children); memoizing by node identity
-        makes compilation linear in tree size.  The cache lives only for
-        this compilation, so mutation of the catalog cannot go stale.
+        parent re-asks for its children); memoizing makes compilation
+        linear in tree size.  The cache lives only for this compilation,
+        so mutation of the catalog cannot go stale.  Operators are frozen
+        dataclasses, so the key is the node itself: an ``id()`` key would
+        outlive a throwaway node (the staged compiler builds some with
+        ``dataclasses.replace``) and be served to whichever node is
+        allocated at its address next.
         """
-        cached = self._columns_cache.get(id(node))
+        cached = self._columns_cache.get(node)
         if cached is None:
             cached = node.output_columns(self.database)
-            self._columns_cache[id(node)] = cached
+            self._columns_cache[node] = cached
         return cached
 
     def _fresh(self, prefix: str) -> str:

@@ -114,20 +114,6 @@ def execute_workflow(workflow: Workflow, database: Database) -> Recommendation:
     )
 
 
-def execute_workflow_on(workflow: Workflow, backend: Any) -> Recommendation:
-    """Execute a workflow on a named or instantiated execution backend.
-
-    ``backend`` is a :class:`repro.backends.Backend` or a registered
-    backend name (``"minidb"``, ``"sqlite3"``, ...), in which case a
-    fresh driver is created bound to the workflow-owning catalog the
-    caller passes separately via :meth:`Workflow.run_backend`.  The
-    compiled path renders for the backend's dialect, so recommend /
-    extend / filter / blend operators run as SQL on the target engine
-    instead of being interpreted row by row here.
-    """
-    return backend.execute_workflow(workflow)
-
-
 def graph_recommend_rows(
     engine: Any,
     node: GraphRecommend,
@@ -257,12 +243,20 @@ class _Executor:
             column, value = keyed
             self._counts["keyed_selects"] += 1
             return _Relation(child.columns, child.index(column).get(value, []))
-        kept = []
-        for row in child.rows:
-            env = self._env(row)
-            if predicate.evaluate(env) is True:
-                kept.append(row)
-        return _Relation(child.columns, kept)
+
+        def scan() -> _Relation:
+            kept = []
+            for row in child.rows:
+                env = self._env(row)
+                if predicate.evaluate(env) is True:
+                    kept.append(row)
+            return _Relation(child.columns, kept)
+
+        if _request_invariant(node.child):
+            # A filter of a shared relation is as shared as it is, and a
+            # recommend over it keeps its postings on the one result.
+            return child.derived(("select", node.condition), scan)
+        return scan()
 
     def _eval_project(self, node: Project) -> _Relation:
         child = self.evaluate(node.child)
@@ -436,28 +430,24 @@ class _Executor:
     def _score_pairwise(
         self, comparator, target, reference, exclude, stats
     ) -> Dict[int, List[float]]:
-        """Scalar/udf (and custom) comparators: nothing is prunable, but
-        attribute resolution, value extraction and ``prepare`` hoist out
-        of the O(n·m) pair loop when the comparator exposes a
-        ``pair_function`` — the target side onto the relation."""
+        """Scalar/udf comparators: nothing is prunable, but attribute
+        resolution, value extraction and ``prepare`` hoist out of the
+        O(n·m) pair loop through the comparator's ``pair_function`` — the
+        target side onto the relation."""
         rows = target.rows
         pair = comparator.pair_function()
-        if pair is None:
-            pair = comparator.score  # takes the whole rows
-            target_values, reference_values = rows, reference.rows
-        else:
-            prepare = comparator.prepare or _identity
-            target_key = _attr_key(rows[0], comparator.target_attribute)
-            reference_key = _attr_key(
-                reference.rows[0], comparator.reference_attribute
-            )
-            target_values = target.derived(
-                ("values", target_key, prepare),
-                lambda: [prepare(row[target_key]) for row in rows],
-            )
-            reference_values = [
-                prepare(row[reference_key]) for row in reference.rows
-            ]
+        prepare = comparator.prepare or _identity
+        target_key = _attr_key(rows[0], comparator.target_attribute)
+        reference_key = _attr_key(
+            reference.rows[0], comparator.reference_attribute
+        )
+        target_values = target.derived(
+            ("values", target_key, prepare),
+            lambda: [prepare(row[target_key]) for row in rows],
+        )
+        reference_values = [
+            prepare(row[reference_key]) for row in reference.rows
+        ]
         references = list(zip(reference.rows, reference_values))
         scores: Dict[int, List[float]] = {}
         for position, target_value in enumerate(target_values):

@@ -49,7 +49,10 @@ def _get(row: Mapping[str, Any], attribute: str) -> Any:
 
 
 class Comparator:
-    """Base class; concrete comparators set ``kind`` and implement score."""
+    """Base class; concrete comparators set ``kind`` and implement
+    ``score(target_row, reference_row)``.  Scalar and udf kinds also
+    implement ``pair_function()``: the ``(target_value, reference_value)
+    -> score`` form the direct executor calls per pair."""
 
     kind: str = "abstract"
     name: str = "comparator"
@@ -59,23 +62,6 @@ class Comparator:
     #: prune the cross product down to overlapping candidates — a subclass
     #: whose ``measure`` can score disjoint attributes must set it False.
     requires_overlap: bool = False
-
-    def score(
-        self, target_row: Mapping[str, Any], reference_row: Mapping[str, Any]
-    ) -> Optional[float]:
-        raise NotImplementedError
-
-    def pair_function(self) -> Optional[Callable[[Any, Any], Optional[float]]]:
-        """A ``(target_value, reference_value) -> score`` fast form.
-
-        The direct executor resolves the attribute names once per
-        recommend and feeds raw values to this function instead of
-        calling :meth:`score` per pair.  Returns ``None`` when no fast
-        form exists (the executor falls back to ``score``); a subclass
-        that overrides ``score`` must override this too (or return
-        ``None``) so the fast path cannot bypass its semantics.
-        """
-        return None
 
     #: Optional pure function of one attribute value.  When set,
     #: :meth:`pair_function` takes ``prepare(value)`` on both sides in
@@ -243,6 +229,9 @@ class LevenshteinSimilarity(Comparator):
 
 
 class _VectorComparator(Comparator):
+    """Subclasses set ``measure`` and implement ``pair_sql(target_value,
+    reference_value, dialect)``: the SQL aggregate over the co-rated join."""
+
     kind = "vector"
     # Every library vector measure operates over co-rated keys only and
     # returns None without overlap, so disjoint pairs are prunable.
@@ -262,21 +251,6 @@ class _VectorComparator(Comparator):
                 f"got {type(left).__name__} and {type(right).__name__}"
             )
         return type(self).measure(left, right)
-
-    def pair_sql(
-        self,
-        target_value: str,
-        reference_value: str,
-        dialect: SqlDialect = MINIDB_DIALECT,
-    ) -> str:
-        """SQL aggregate expression over the co-rated join.
-
-        ``target_value`` / ``reference_value`` are column references of
-        the two sides' value columns inside a GROUP BY (tkey, rkey) query.
-        The expression is rendered for ``dialect`` (float casts and
-        LEAST/GREATEST spellings differ across engines).
-        """
-        raise NotImplementedError
 
 
 class InverseEuclidean(_VectorComparator):
@@ -345,6 +319,9 @@ class CosineVector(_VectorComparator):
 
 
 class _SetComparator(Comparator):
+    """Subclasses set ``measure`` and implement ``set_sql(common,
+    target_size, reference_size, dialect)``: the score in SQL."""
+
     kind = "set"
     # The library set measures score disjoint sets NULL (the compiled
     # intersection join produces no row), so disjoint pairs are prunable.
@@ -363,16 +340,6 @@ class _SetComparator(Comparator):
                 f"{self.name} requires set attributes, not vectors"
             )
         return type(self).measure(frozenset(left), frozenset(right))
-
-    def set_sql(
-        self,
-        common: str,
-        target_size: str,
-        reference_size: str,
-        dialect: SqlDialect = MINIDB_DIALECT,
-    ) -> str:
-        """SQL for the score given intersection count and set sizes."""
-        raise NotImplementedError
 
 
 class SetJaccard(_SetComparator):

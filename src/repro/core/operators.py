@@ -58,19 +58,12 @@ class Operator:
     def children(self) -> Tuple["Operator", ...]:
         return ()
 
-    def output_columns(self, database: Database) -> List[str]:
-        """Column names this operator produces (extend attrs excluded)."""
-        raise NotImplementedError
-
     def extend_infos(self, database: Database) -> List[ExtendInfo]:
         """Extend metadata still attached to this operator's output."""
         infos: List[ExtendInfo] = []
         for child in self.children():
             infos.extend(child.extend_infos(database))
         return infos
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
     # -- small tree helpers ------------------------------------------------
 

@@ -12,7 +12,7 @@ a :class:`Recommendation` holding dict-rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CompilationError, WorkflowValidationError
 from repro.core.library import Comparator
@@ -76,9 +76,6 @@ class Recommendation:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        return iter(self.rows)
-
     def column(self, name: str) -> List[Any]:
         lowered = name.lower()
         key = next(
@@ -87,9 +84,6 @@ class Recommendation:
         if key is None:
             raise WorkflowValidationError(f"no column {name!r} in recommendation")
         return [row[key] for row in self.rows]
-
-    def top(self, k: int) -> List[Dict[str, Any]]:
-        return self.rows[:k]
 
     def as_tuples(self, *names: str) -> List[tuple]:
         return [tuple(row[name] for name in names) for row in self.rows]
@@ -278,6 +272,3 @@ class Workflow:
     def explain(self) -> str:
         """Render the operator tree."""
         return self.root.render_tree()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Workflow {self.name!r}>"

@@ -113,9 +113,8 @@ class CourseCloudSearch:
         """An OLAP cloud cube over courses (see :mod:`repro.clouds.cube`).
 
         Rooted at ``result``'s hits when given, else the whole corpus.
-        ``scoring`` swaps the significance model for every cell — e.g. a
-        :class:`~repro.graphrank.engine.GraphWeightedScoring` instance
-        for preference-weighted clouds.
+        ``scoring`` swaps the significance model for every cell (a name
+        or a :class:`~repro.clouds.scoring.SignificanceScoring`).
         """
         from repro.clouds.cube import CloudCube
 

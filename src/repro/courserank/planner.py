@@ -60,12 +60,6 @@ class PrerequisiteWarning:
     course_id: int
     missing_prereq: int
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"course {self.course_id} requires course {self.missing_prereq} "
-            "earlier in the plan"
-        )
-
 
 class Planner:
     """Per-student planning operations."""

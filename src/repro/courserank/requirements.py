@@ -40,12 +40,7 @@ _TOKEN = re.compile(r"\s*([A-Z]+|\(|\)|,|\d+)")
 
 
 class Rule:
-    def satisfied(self, ctx: "StudentContext") -> bool:
-        raise NotImplementedError
-
-    def gaps(self, ctx: "StudentContext") -> List[str]:
-        """Human-readable reasons the rule is unsatisfied (empty if met)."""
-        raise NotImplementedError
+    """A rule node: ``satisfied(ctx)``, ``gaps(ctx)`` and the hints below."""
 
     def helpful_courses(self, ctx: "StudentContext") -> Set[int]:
         """Courses that would advance this rule if the student took them.

@@ -3,7 +3,7 @@
 See :mod:`repro.graphrank.adjacency` (version-keyed layered graph),
 :mod:`repro.graphrank.ranker` (deterministic preference-biased power
 iteration), and :mod:`repro.graphrank.engine` (the cached per-database
-engine plus the cloud term-weighting scoring).
+engine).
 """
 
 from repro.graphrank.adjacency import (
@@ -15,7 +15,7 @@ from repro.graphrank.adjacency import (
     build_layer,
     layer_version,
 )
-from repro.graphrank.engine import GraphRankEngine, GraphWeightedScoring
+from repro.graphrank.engine import GraphRankEngine
 from repro.graphrank.ranker import (
     NODE_KINDS,
     RankResult,
@@ -34,7 +34,6 @@ __all__ = [
     "build_layer",
     "layer_version",
     "GraphRankEngine",
-    "GraphWeightedScoring",
     "NODE_KINDS",
     "RankResult",
     "normalize_preference",

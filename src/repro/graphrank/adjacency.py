@@ -225,8 +225,5 @@ class TripartiteAdjacency:
     def nodes_of_kind(self, kind: str) -> List[NodeId]:
         return [node for node in self.nodes if node[0] == kind]
 
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self.degrees
-
     def __len__(self) -> int:
         return len(self.nodes)

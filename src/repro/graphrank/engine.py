@@ -8,8 +8,7 @@ held by the database itself) owns
   over this database as its one shard is assembled again only when one
   did (see :mod:`repro.graphrank.adjacency`);
 * a memoized **baseline** rank vector per adjacency version (the
-  uniform-teleport run both every differential and the cloud
-  term-weighting mode subtract);
+  uniform-teleport run every differential subtracts);
 * a memoized differential vector per ``(adjacency version, parameters,
   preference)``, kept with whether its iterations converged — the
   Zipfian head of a service workload repeats preferences, so warm calls
@@ -19,11 +18,6 @@ All memo keys embed the adjacency version key (which embeds source-table
 data versions and the schema epoch), so any write invalidates by
 construction.  The engine is thread-safe: refresh and rank run under one
 reentrant lock (the service layer calls in from many worker threads).
-
-:class:`GraphWeightedScoring` is the cloud-side exposure: a significance
-model that boosts a base scoring by the positive baseline-subtracted
-graph weight of each term, so a preference-seeded cloud leans toward the
-vocabulary the graph associates with that user or course.
 """
 
 from __future__ import annotations
@@ -33,8 +27,6 @@ import time
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.caching import LRUCache
-from repro.clouds.scoring import SignificanceScoring, TermStats, get_scoring
-from repro.errors import GraphRankError
 from repro.minidb.catalog import Database
 from repro.obs import OBS
 from repro.search.tokenizer import Tokenizer
@@ -316,17 +308,6 @@ class GraphRankEngine:
         ranked.converged = converged
         return ranked
 
-    def term_weights(
-        self, preference: Iterable[Sequence], **params: Any
-    ) -> Dict[str, float]:
-        """Baseline-subtracted term scores (the cloud-weighting mode)."""
-        scores = self.differential(preference, **params)
-        return {
-            node[1]: score
-            for node, score in scores.items()
-            if node[0] == "term"
-        }
-
     # -- maintenance / observability ----------------------------------------
 
     def clear_rank_memo(self) -> None:
@@ -353,46 +334,3 @@ class GraphRankEngine:
                 ),
             }
 
-
-class GraphWeightedScoring(SignificanceScoring):
-    """A cloud significance model boosted by graph differentials.
-
-    Wraps any base scoring and multiplies each term's base score by
-    ``1 + boost · max(differential, 0)``: terms the preference-biased
-    walk lifts above baseline grow, everything else keeps its base
-    score.  The weights snapshot lazily on first use — instances are
-    per-request objects, like the preference they carry.
-    """
-
-    name = "graphrank"
-
-    def __init__(
-        self,
-        engine: GraphRankEngine,
-        preference: Iterable[Sequence],
-        base: Any = "popularity",
-        boost: float = 200.0,
-    ) -> None:
-        if boost < 0:
-            raise GraphRankError("boost must be non-negative")
-        self.engine = engine
-        self.preference = normalize_preference(preference)
-        self.base = get_scoring(base)
-        self.boost = boost
-        self._weights: Optional[Dict[str, float]] = None
-
-    def weights(self) -> Dict[str, float]:
-        if self._weights is None:
-            self._weights = self.engine.term_weights(self.preference)
-        return self._weights
-
-    def score(
-        self, stats: TermStats, result_size: int, corpus_size: int
-    ) -> float:
-        base_score = self.base.score(stats, result_size, corpus_size)
-        if base_score <= 0:
-            return base_score
-        lift = self.weights().get(stats.term, 0.0)
-        if lift <= 0.0:
-            return base_score
-        return base_score * (1.0 + self.boost * lift)

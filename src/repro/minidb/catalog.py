@@ -52,9 +52,6 @@ class IndexInfo:
         self.kind = kind
         self.index = create_index(kind)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"IndexInfo({self.name!r} ON {self.table}{self.columns} {self.kind})"
-
 
 class Database:
     """An in-memory relational database with a SQL interface."""
@@ -406,10 +403,6 @@ class Database:
         return self._get_executor().analyze(sql, params=params)
 
     # -- transactions --------------------------------------------------------
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._snapshot is not None
 
     def begin(self) -> None:
         # The whole transaction runs under the write lock (statements

@@ -63,9 +63,6 @@ class ResultSet:
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
 
-    def __bool__(self) -> bool:
-        return bool(self.rows)
-
     def column_index(self, name: str) -> int:
         lowered = name.lower()
         for position, column in enumerate(self.columns):
@@ -114,9 +111,6 @@ class ResultSet:
         if len(self.rows) > max_rows:
             lines.append(f"... ({len(self.rows) - max_rows} more rows)")
         return "\n".join(lines)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ResultSet {len(self.rows)} rows x {len(self.columns)} cols>"
 
 
 class NodeStats:
@@ -180,12 +174,6 @@ class AnalyzeReport:
             "row_count": len(self.result),
             "plan": self.root.to_dict(),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<AnalyzeReport {len(self.result)} rows "
-            f"{self.total_ms:.3f}ms cached={self.cached}>"
-        )
 
 
 def _attach_node_stats(node) -> NodeStats:
@@ -424,6 +412,8 @@ class Executor:
         instance may live in the plan cache and must come back pristine.
         """
         nodes = list(walk_plan(plan.root))
+        # Keyed by id(): ``nodes`` holds every plan node until the stats
+        # tree is linked, so no key can be reused by another object.
         stats: Dict[int, NodeStats] = {}
         try:
             for node in nodes:

@@ -30,12 +30,7 @@ from repro.errors import (
 from repro.minidb.types import format_value, sort_key
 
 
-class _Ambiguous:
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<ambiguous>"
-
-
-AMBIGUOUS = _Ambiguous()
+AMBIGUOUS = object()
 
 Env = Dict[str, Any]
 
@@ -47,12 +42,6 @@ def _quote_string(text: str) -> str:
 class Expression:
     """Base class; subclasses implement ``evaluate`` and ``to_sql``."""
 
-    def evaluate(self, env: Env) -> Any:
-        raise NotImplementedError
-
-    def to_sql(self) -> str:
-        raise NotImplementedError
-
     def columns_referenced(self) -> List[str]:
         """All column names (as written) referenced by this expression."""
         found: List[str] = []
@@ -62,7 +51,7 @@ class Expression:
     def _collect_columns(self, out: List[str]) -> None:
         pass
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_sql()})"
 
 
@@ -574,9 +563,6 @@ class InSubquery(Expression):
         keyword = "NOT IN" if self.negated else "IN"
         return f"({self.operand.to_sql()} {keyword} ({self.query.to_sql()}))"
 
-    def _collect_columns(self, out: List[str]) -> None:
-        self.operand._collect_columns(out)
-
 
 class ExistsSubquery(Expression):
     """``[NOT] EXISTS (SELECT ...)`` — uncorrelated, planner-resolved."""
@@ -587,12 +573,6 @@ class ExistsSubquery(Expression):
     def __init__(self, query: Any, negated: bool = False) -> None:
         self.query = query
         self.negated = negated
-
-    def evaluate(self, env: Env) -> Any:
-        raise ExecutionError(
-            "EXISTS (SELECT ...) must be resolved by the planner "
-            "before evaluation"
-        )
 
     def to_sql(self) -> str:
         keyword = "NOT EXISTS" if self.negated else "EXISTS"
@@ -646,6 +626,3 @@ class _Reversed:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Reversed) and other.inner == self.inner
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash(self.inner)

@@ -129,14 +129,6 @@ class FunctionRegistry:
 
     # -- aggregate -----------------------------------------------------------
 
-    def register_aggregate(
-        self, name: str, factory: Callable[[], "Accumulator"]
-    ) -> None:
-        key = name.lower()
-        if self._aggregates.get(key) is not factory:
-            self.version += 1
-        self._aggregates[key] = factory
-
     def aggregate(self, name: str) -> "Accumulator":
         try:
             return self._aggregates[name.lower()]()
@@ -144,9 +136,6 @@ class FunctionRegistry:
             raise ExecutionError(
                 f"unknown aggregate function {name.upper()!r}"
             ) from None
-
-    def has_aggregate(self, name: str) -> bool:
-        return name.lower() in self._aggregates
 
     # -- builtins -------------------------------------------------------------
 
@@ -197,12 +186,6 @@ class FunctionRegistry:
 
 class Accumulator:
     """Base class for aggregate accumulators."""
-
-    def add(self, value: Any) -> None:
-        raise NotImplementedError
-
-    def result(self) -> Any:
-        raise NotImplementedError
 
 
 class CountAccumulator(Accumulator):

@@ -134,6 +134,3 @@ class PreparedStatement:
             self.statement, self.canonical
         )
         return "\n".join(plan.describe())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<PreparedStatement {self.sql!r}>"

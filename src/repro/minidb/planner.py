@@ -112,21 +112,12 @@ class Binding:
         self.columns = list(columns)
         self.column_set = {column.lower() for column in columns}
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Binding({self.name!r}, {self.columns})"
-
 
 class PlanNode:
     """Base class for physical plan operators."""
 
     #: env keys this subtree contributes (used for LEFT-join NULL padding)
     env_keys: List[str]
-
-    def rows(self) -> Iterator[Env]:
-        raise NotImplementedError
-
-    def describe(self) -> List[str]:
-        raise NotImplementedError
 
 
 class ScanNode(PlanNode):
@@ -746,6 +737,9 @@ class QueryPlan:
         """
         if self._param_envs is None:
             envs: List[Env] = []
+            # Envs are dicts, so they are keyed by id(); each one is
+            # appended to ``envs`` when first seen, which keeps it alive
+            # (and its id unique) for as long as ``seen_ids`` exists.
             seen_ids: Set[int] = set()
 
             def record(env: Optional[Env]) -> None:
@@ -960,6 +954,8 @@ class _PlanContext:
 
     def __init__(self) -> None:
         self.tables: List[Any] = []
+        # Every id here belongs to a table held by ``self.tables``, so no
+        # key can outlive its table and be reused by another object.
         self._table_ids: Set[int] = set()
         self.uses_snapshot = False
 

@@ -112,9 +112,6 @@ class TableSchema:
     def column(self, name: str) -> Column:
         return self.columns[self.column_position(name)]
 
-    def has_column(self, name: str) -> bool:
-        return name.lower() in self._index
-
     @property
     def column_names(self) -> List[str]:
         return [column.name for column in self.columns]

@@ -2,8 +2,8 @@
 
 Scalar expressions reuse :mod:`repro.minidb.expressions`; this module only
 adds the statement shells (SELECT/INSERT/UPDATE/DELETE/DDL) and clause
-containers.  Every node can render itself back to SQL (``to_sql``), which
-the FlexRecs compiler tests use to check round-tripping.
+containers.  SELECT and INSERT statements and their clauses render
+themselves back to SQL (``to_sql``), which the round-trip tests check.
 """
 
 from __future__ import annotations
@@ -200,15 +200,6 @@ class UnionStatement:
     order_by: List[OrderItem] = field(default_factory=list)
     limit: Optional[int] = None
 
-    def to_sql(self) -> str:
-        joiner = " UNION ALL " if self.all else " UNION "
-        text = joiner.join(part.to_sql() for part in self.parts)
-        if self.order_by:
-            text += " ORDER BY " + ", ".join(item.to_sql() for item in self.order_by)
-        if self.limit is not None:
-            text += f" LIMIT {self.limit}"
-        return text
-
 
 @dataclass
 class InsertStatement:
@@ -236,26 +227,11 @@ class UpdateStatement:
     assignments: List[Tuple[str, Expression]]
     where: Optional[Expression] = None
 
-    def to_sql(self) -> str:
-        sets = ", ".join(
-            f"{column} = {value.to_sql()}" for column, value in self.assignments
-        )
-        text = f"UPDATE {self.table} SET {sets}"
-        if self.where is not None:
-            text += " WHERE " + self.where.to_sql()
-        return text
-
 
 @dataclass
 class DeleteStatement:
     table: str
     where: Optional[Expression] = None
-
-    def to_sql(self) -> str:
-        text = f"DELETE FROM {self.table}"
-        if self.where is not None:
-            text += " WHERE " + self.where.to_sql()
-        return text
 
 
 @dataclass
@@ -275,27 +251,6 @@ class CreateTableStatement:
     foreign_keys: Tuple[ForeignKey, ...] = ()
     if_not_exists: bool = False
 
-    def to_sql(self) -> str:
-        pieces = []
-        for column in self.columns:
-            text = f"{column.name} {column.dtype.value}"
-            if column.primary_key:
-                text += " PRIMARY KEY"
-            elif column.not_null:
-                text += " NOT NULL"
-            pieces.append(text)
-        if self.primary_key:
-            pieces.append(f"PRIMARY KEY ({', '.join(self.primary_key)})")
-        for key in self.unique_keys:
-            pieces.append(f"UNIQUE ({', '.join(key)})")
-        for fk in self.foreign_keys:
-            pieces.append(
-                f"FOREIGN KEY ({', '.join(fk.columns)}) REFERENCES "
-                f"{fk.ref_table} ({', '.join(fk.ref_columns)})"
-            )
-        clause = "IF NOT EXISTS " if self.if_not_exists else ""
-        return f"CREATE TABLE {clause}{self.name} ({', '.join(pieces)})"
-
 
 @dataclass
 class CreateIndexStatement:
@@ -304,29 +259,16 @@ class CreateIndexStatement:
     columns: Tuple[str, ...]
     kind: str = "hash"  # hash | sorted
 
-    def to_sql(self) -> str:
-        return (
-            f"CREATE INDEX {self.name} ON {self.table} "
-            f"({', '.join(self.columns)}) USING {self.kind}"
-        )
-
 
 @dataclass
 class DropTableStatement:
     name: str
     if_exists: bool = False
 
-    def to_sql(self) -> str:
-        clause = "IF EXISTS " if self.if_exists else ""
-        return f"DROP TABLE {clause}{self.name}"
-
 
 @dataclass
 class DropIndexStatement:
     name: str
-
-    def to_sql(self) -> str:
-        return f"DROP INDEX {self.name}"
 
 
 @dataclass
@@ -336,18 +278,11 @@ class CreateViewStatement:
     name: str
     query: "SelectStatement"
 
-    def to_sql(self) -> str:
-        return f"CREATE VIEW {self.name} AS {self.query.to_sql()}"
-
 
 @dataclass
 class DropViewStatement:
     name: str
     if_exists: bool = False
-
-    def to_sql(self) -> str:
-        clause = "IF EXISTS " if self.if_exists else ""
-        return f"DROP VIEW {clause}{self.name}"
 
 
 @dataclass
@@ -360,10 +295,6 @@ class ExplainStatement:
 
     query: "SelectStatement"
     analyze: bool = False
-
-    def to_sql(self) -> str:
-        keyword = "EXPLAIN ANALYZE" if self.analyze else "EXPLAIN"
-        return f"{keyword} {self.query.to_sql()}"
 
 
 Statement = Union[

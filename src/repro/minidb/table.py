@@ -313,9 +313,6 @@ class Table:
         self._indexes.pop(name, None)
         self._indexed_version += 1
 
-    def index_names(self) -> List[str]:
-        return list(self._indexes)
-
     # -- snapshots (transactions) ----------------------------------------------
 
     def snapshot(self) -> Dict[int, Row]:

@@ -27,9 +27,6 @@ class DataType(Enum):
     BOOLEAN = "BOOLEAN"
     DATE = "DATE"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 _NUMERIC = {DataType.INTEGER, DataType.FLOAT}
 
@@ -88,16 +85,6 @@ def coerce(value: Any, dtype: DataType) -> Any:
             return parse_date(value)
         raise TypeMismatchError(f"expected DATE, got {value!r}")
     raise TypeMismatchError(f"unknown data type {dtype!r}")  # pragma: no cover
-
-
-def conforms(value: Any, dtype: DataType) -> bool:
-    """Return True if ``value`` is already a valid member of ``dtype``."""
-    try:
-        return coerce(value, dtype) == value or (
-            dtype is DataType.FLOAT and isinstance(value, int)
-        )
-    except TypeMismatchError:
-        return False
 
 
 def infer_type(value: Any) -> Optional[DataType]:

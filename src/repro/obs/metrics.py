@@ -21,7 +21,7 @@ concurrency smoke test before any async/sharding work builds on this).
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_MS_EDGES",
@@ -192,9 +192,6 @@ class Histogram:
             "p99": self.quantile(0.99),
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Histogram n={self.count} mean={self.mean}>"
-
 
 class MetricsRegistry:
     """Named counters, gauges, and histograms behind one lock."""
@@ -250,14 +247,6 @@ class MetricsRegistry:
     def counters(self) -> Dict[str, int]:
         with self._lock:
             return dict(self._counters)
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(
-                set(self._counters)
-                | set(self._gauges)
-                | set(self._histograms)
-            )
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-ready copy of everything in the registry."""

@@ -42,9 +42,6 @@ class SlowQueryEntry:
             "attrs": dict(self.attrs),
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<SlowQuery {self.duration_ms:.3f}ms {self.sql[:40]!r}>"
-
 
 class SlowQueryLog:
     """Threshold-gated, top-K bounded log of the slowest queries."""
@@ -106,10 +103,6 @@ class SlowQueryLog:
 
     def export(self) -> List[Dict[str, Any]]:
         return [entry.to_dict() for entry in self.entries()]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._heap)
 
     def clear(self) -> None:
         with self._lock:

@@ -23,7 +23,7 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["SpanRecord", "Tracer", "NOOP_SPAN"]
 
@@ -73,11 +73,6 @@ class SpanRecord:
             "thread_id": self.thread_id,
             "index": self.index,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<Span {self.name} {self.duration_ms:.3f}ms depth={self.depth}>"
-        )
 
 
 class _ActiveSpan:
@@ -177,19 +172,12 @@ class Tracer:
         with self._lock:
             return len(self._ring)
 
-    def __iter__(self) -> Iterator[SpanRecord]:
-        return iter(self.records())
-
     def export(self) -> List[Dict[str, Any]]:
         """The ring buffer as plain dicts (JSON-ready)."""
         return [record.to_dict() for record in self.records()]
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.export(), indent=indent, default=str)
-
-    def active_depth(self) -> int:
-        """Nesting depth of the calling thread's open spans."""
-        return len(self._stack())
 
     def clear(self) -> None:
         with self._lock:

@@ -88,9 +88,3 @@ class CorpusStats:
             for field, holders in part.field_holders.items():
                 field_holders[field] = field_holders.get(field, 0) + holders
         return CorpusStats(document_count, term_df, field_tokens, field_holders)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<CorpusStats docs={self.document_count} "
-            f"terms={len(self.term_df)} fields={len(self.field_tokens)}>"
-        )

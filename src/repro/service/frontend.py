@@ -95,9 +95,6 @@ class CourseRankService:
     def num_shards(self) -> int:
         return self.sharded.num_shards
 
-    def _epoch_vector(self) -> Tuple[int, ...]:
-        return self.navigator.epochs()
-
     def response_cache_info(self) -> Dict[str, int]:
         """The navigator's answer-cache counters."""
         with self.rwlock.read_locked():
@@ -271,7 +268,7 @@ class CourseRankService:
         snapshot = OBS.snapshot()
         snapshot["service"] = {
             "shards": self.num_shards,
-            "epoch_vector": list(self._epoch_vector()),
+            "epoch_vector": list(self.navigator.epochs()),
             "response_cache": self.response_cache_info(),
             "course_counts": self.sharded.course_counts(),
             "shard_search_caches": [

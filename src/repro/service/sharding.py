@@ -18,7 +18,7 @@ on another shard) are dangling by design.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from repro.courserank.schema import create_schema
 from repro.minidb.catalog import Database
@@ -157,9 +157,3 @@ class ShardedUniversity:
     def course_counts(self) -> List[int]:
         """Courses per shard (balance check)."""
         return [len(shard.table("Courses")) for shard in self.shards]
-
-    def departments_on(self, shard_index: int) -> Set[int]:
-        """Departments whose courses live on ``shard_index``."""
-        courses = self.shards[shard_index].table("Courses")
-        position = courses.schema.column_position("DepID")
-        return {row[position] for row in courses.rows()}

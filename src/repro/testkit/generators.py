@@ -461,10 +461,7 @@ def referenced_tables(op: Op) -> set:
     elif isinstance(op, DropCreateOp):
         names.add(op.table.name)
     else:
-        names.add(op.table)
-        for expr in _op_expressions(op):
-            if isinstance(expr, (InSubquery, Exists)):
-                walk_query(expr.query)
+        names.add(op.table)  # DML expressions never hold subqueries
     return names
 
 
@@ -484,17 +481,6 @@ def _subexpressions(query: Query):
             roots.append(clause)
     roots.extend(query.group_by)
     roots.extend(term.expr for term in query.order_by)
-    return _walk_all(roots)
-
-
-def _op_expressions(op: Op):
-    roots: List[Any] = []
-    if isinstance(op, UpdateOp):
-        roots.extend(expr for _, expr in op.sets)
-        if op.where is not None:
-            roots.append(op.where)
-    elif isinstance(op, DeleteOp) and op.where is not None:
-        roots.append(op.where)
     return _walk_all(roots)
 
 

@@ -89,6 +89,11 @@ class TestRegistry:
         finally:
             backend.close()
 
+    def test_minidb_backend_is_a_context_manager(self, flexdb):
+        with create_backend("minidb", flexdb) as backend:
+            result = backend.execute("SELECT COUNT(*) FROM Students")
+        assert result.rows == [(4,)]
+
     def test_default_backend_name_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert default_backend_name() == "minidb"

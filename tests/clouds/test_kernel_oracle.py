@@ -24,7 +24,6 @@ from repro.clouds.cloud import CloudBuilder
 from repro.clouds.scoring import SignificanceScoring, TermPartial, TermStats
 from repro.courserank import CourseRank
 from repro.datagen import generate_university
-from repro.graphrank import GraphWeightedScoring
 from repro.minidb import Database
 from repro.obs import OBS
 from repro.search.engine import SearchEngine
@@ -321,37 +320,6 @@ class TestTheCutsInOrder:
 
     def test_empty_result(self):
         assert self.build([]).terms == []
-
-
-@pytest.fixture(scope="module")
-def app():
-    university = CourseRank(generate_university(scale="tiny", seed=7))
-    university.cloudsearch.ensure_built()
-    return university
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_graph_weighted_kernel_equals_oracle(app, data):
-    """The pluggable hook: a scoring that reads ``stats.term`` too.
-
-    It declares no upper bound, so it is scored in one pass: nothing that
-    passes the iceberg cut goes unscored.
-    """
-    builder = app.cloudsearch.builder.with_scoring(
-        GraphWeightedScoring(app.graph, (("user", 1),), boost=500.0)
-    )
-    every = sorted(builder.engine.index.document_ids())
-    doc_ids = data.draw(st.lists(st.sampled_from(every), unique=True))
-    query = data.draw(st.sampled_from(("", "introduction", "data systems")))
-    query_terms = app.cloudsearch.engine.search(query).terms if query else []
-    cloud, span = traced(
-        lambda: builder.build_for_docs(doc_ids, query_terms=query_terms)
-    )
-    assert cloud.terms == oracle_cloud(
-        builder, [builder.source], [doc_ids], len(doc_ids), query_terms
-    )
-    assert span["scored"] == span["candidates"]
 
 
 def skewed_rows(rng, count):

@@ -18,6 +18,7 @@ from repro.core import (
     CosineVector,
     EqualityMatch,
     InverseEuclidean,
+    LevenshteinSimilarity,
     NumericCloseness,
     PearsonCorrelation,
     SetJaccard,
@@ -26,7 +27,18 @@ from repro.core import (
     VectorLookup,
     Workflow,
 )
-from repro.core.operators import Recommend, Select, Source, TopK, extend
+from repro.backends import create_backend
+from repro.core.operators import (
+    Join,
+    Project,
+    Recommend,
+    Select,
+    Source,
+    SqlSource,
+    TopK,
+    extend,
+)
+from repro.core.staged import run_staged
 from repro.minidb import Database
 
 
@@ -104,6 +116,24 @@ class TestFixedWorkflows:
                 target_key="CourseID",
                 exclude_self=("CourseID", "CourseID"),
             )
+        )
+        assert_paths_agree(flexdb, workflow)
+
+    def test_udf_levenshtein(self, flexdb):
+        workflow = Workflow(
+            Recommend(
+                target=Source("Courses"),
+                reference=Select(Source("Courses"), "CourseID = 1"),
+                comparator=LevenshteinSimilarity("Title", "Title"),
+                target_key="CourseID",
+                exclude_self=("CourseID", "CourseID"),
+            )
+        )
+        # "Introduction to American Studies" is the fewest edits away.
+        assert workflow.run(flexdb).column("CourseID")[0] == 5
+        comparator = LevenshteinSimilarity("Title", "Title")
+        assert comparator.score({"Title": "kitten"}, {"Title": "sitting"}) == (
+            comparator.pair_function()("kitten", "sitting")
         )
         assert_paths_agree(flexdb, workflow)
 
@@ -201,6 +231,32 @@ class TestFixedWorkflows:
             )
         )
         assert_paths_agree(flexdb, workflow)
+
+    def test_join_on_every_path(self, flexdb):
+        """A workflow with a Join gives the same rows on every path."""
+        workflow = Workflow(
+            TopK(
+                Join(
+                    Project(Source("Courses"), ("CourseID", "DepID", "Title")),
+                    SqlSource(
+                        "SELECT DepID AS D, Name AS Department FROM Departments"
+                    ),
+                    left_on="DepID",
+                    right_on="D",
+                ),
+                5,
+                "CourseID",
+                descending=False,
+            )
+        )
+        direct = workflow.run(flexdb)
+        assert direct.column("Department")[:2] == [
+            "Computer Science", "Computer Science",
+        ]
+        assert workflow.run_sql(flexdb).rows == direct.rows
+        assert run_staged(workflow, flexdb).rows == direct.rows
+        with create_backend("sqlite3", flexdb) as backend:
+            assert workflow.run_backend(backend).rows == direct.rows
 
 
 class TestWarmCompiledPath:

@@ -616,6 +616,33 @@ class TestKeyedSelect:
         result = Workflow(Select(Source("Vals"), "I = 1")).run(valuesdb)
         assert result.column("ID") == [1, 3]
 
+    def test_a_scan_of_a_cached_relation_is_kept_and_follows_writes(
+        self, flexdb, monkeypatch
+    ):
+        from repro.minidb.expressions import BinaryOp
+
+        workflow = Workflow(
+            Recommend(
+                target=Select(Source("Courses"), "Units >= 4"),
+                reference=Select(Source("Courses"), "CourseID = 1"),
+                comparator=NumericCloseness("Units", "Units"),
+                target_key="CourseID",
+            )
+        )
+        first = exact_rows(workflow.run(flexdb))
+        assert first == exact_rows(run_naive(workflow, flexdb))
+
+        def boom(self, env):
+            raise AssertionError("a kept scan evaluated its predicate again")
+
+        monkeypatch.setattr(BinaryOp, "evaluate", boom)
+        assert exact_rows(workflow.run(flexdb)) == first
+        monkeypatch.undo()
+        flexdb.execute("UPDATE Courses SET Units = 5 WHERE CourseID = 2")
+        after = workflow.run(flexdb)
+        assert 2 in after.column("CourseID")
+        assert exact_rows(after) == exact_rows(run_naive(workflow, flexdb))
+
 
 # ---------------------------------------------------------------------------
 # shared structures: cached rows are never handed out, lazy slots publish whole

@@ -14,7 +14,9 @@ from repro.core import (
     make_comparator,
 )
 from repro.core.operators import (
+    GraphRecommend,
     Join,
+    MaterializedSource,
     Project,
     Recommend,
     Select,
@@ -233,6 +235,29 @@ class TestWorkflowValidation:
         assert "Recommend" in text
         assert "Source(Courses)" in text
         assert "Select(CourseID = 1)" in text
+
+    def test_explain_names_every_leaf_and_join(self):
+        workflow = Workflow(
+            Join(
+                Project(SqlSource("SELECT SuID FROM Students"), ("SuID",)),
+                Join(
+                    MaterializedSource("stage_1", (("CourseID", None),)),
+                    GraphRecommend((("user", 444),), top_k=3),
+                    "CourseID",
+                    "CourseID",
+                ),
+                "SuID",
+                "CourseID",
+            )
+        )
+        assert workflow.explain().splitlines() == [
+            "Join(SuID = CourseID)",
+            "  Project(SuID)",
+            "    SqlSource('SELECT SuID FROM Students')",
+            "  Join(CourseID = CourseID)",
+            "    MaterializedSource(stage_1)",
+            "    GraphRecommend[user:444 top_k=3]",
+        ]
 
 
 class TestComparatorFactory:

@@ -20,11 +20,13 @@ from repro.core.operators import (
     TopK,
     extend,
 )
+from repro.core.compiler import _Compiler
 from repro.core.staged import (
     compile_workflow_staged,
     operator_schema,
     run_staged,
 )
+from repro.datagen import generate_university
 from repro.minidb.types import DataType
 
 
@@ -165,3 +167,35 @@ class TestStagedCompilation:
             staged_result = run_staged(workflow, flexdb)
             key = direct.columns[0]
             assert staged_result.column(key) == direct.column(key), workflow.name
+
+
+class TestColumnsMemo:
+    """The compiler's column memo never serves one node's columns to another.
+
+    It was keyed by ``id(node)``; the staged compiler frees throwaway nodes
+    mid-compile, and a later node allocated at a freed node's address was
+    served the dead node's columns (``UnknownColumnError: 'SuID'``).
+    """
+
+    def test_a_freed_node_never_serves_a_later_one(self, flexdb):
+        compiler = _Compiler(flexdb)
+        for _ in range(20):
+            students = Project(Source("Students"), ("SuID", "GPA"))
+            assert compiler._columns(students) == ["SuID", "GPA"]
+            del students
+            courses = Project(Source("Courses"), ("CourseID",))
+            assert compiler._columns(courses) == ["CourseID"]
+
+    def test_two_staged_compiles_in_a_row(self):
+        db = generate_university(scale="small", seed=2008)
+        student = db.query(
+            "SELECT SuID FROM Comments WHERE Rating IS NOT NULL "
+            "GROUP BY SuID HAVING COUNT(*) >= 3 ORDER BY SuID LIMIT 1"
+        ).scalar()
+        cf = strategies.collaborative_filtering(
+            student, similar_students=10, top_k=None
+        )
+        compile_workflow_staged(cf, db).run(db)
+        wrapped = Workflow(TopK(Select(cf.root, "Units >= 3"), 10, "score"))
+        staged = compile_workflow_staged(wrapped, db).run(db)
+        assert staged.rows == wrapped.run_sql(db).rows

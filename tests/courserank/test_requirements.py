@@ -110,6 +110,23 @@ class TestGaps:
         rule = parse_rule("ANY(1, 2)")
         assert rule.gaps(ctx({1})) == []
 
+    def test_and_of_units_and_or_reports_every_part(self):
+        rule = parse_rule("UNITS(8, 1, 2, 3) AND (COURSE(4) OR DEPUNITS(4, 2))")
+        taken = ctx({1})
+        assert rule.gaps(taken) == [
+            "need 4 more units among listed courses",
+            "missing required course 4",
+        ]
+        assert rule.helpful_courses(taken) == {2, 3, 4}
+        assert rule.helpful_departments(taken) == {2}
+
+    def test_met_branches_offer_no_help(self):
+        rule = parse_rule("UNITS(4, 1, 2) AND (COURSE(1) OR DEPUNITS(4, 2))")
+        taken = ctx({1})
+        assert rule.gaps(taken) == []
+        assert rule.helpful_courses(taken) == set()
+        assert rule.helpful_departments(taken) == set()
+
 
 class TestMonotonicity:
     RULES = [
@@ -167,9 +184,11 @@ class TestTracker:
         db.execute("INSERT INTO Enrollments VALUES (10, 1, 2008, 'Aut', 'A')")
         statuses = tracker.check(10, 1)
         assert not statuses[0].satisfied
+        assert not statuses[0]  # a status is truthy exactly when satisfied
         db.execute("INSERT INTO Enrollments VALUES (10, 2, 2008, 'Win', 'B')")
         statuses = tracker.check(10, 1)
         assert statuses[0].satisfied
+        assert statuses[0]
 
     def test_planned_courses_count_optionally(self, db):
         tracker = RequirementTracker(db)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from repro.core import strategies
 from repro.courserank import CourseRank
 from repro.datagen import generate_university
-from repro.errors import CompilationError, FlexRecsError, GraphRankError
-from repro.graphrank import GraphRankEngine, GraphWeightedScoring
+from repro.errors import CompilationError, FlexRecsError
+from repro.graphrank import GraphRankEngine
 from repro.minidb import Database
 from repro.service import CourseRankService
 from tests.clouds.test_gather_cache import (
@@ -295,6 +295,22 @@ class TestConvergenceIsReported:
         assert not app.graph.baseline(max_iters=2).converged
 
 
+class TestRawRank:
+    """``GraphRankEngine.rank``: one biased iteration, nothing subtracted."""
+
+    def test_unseeded_rank_is_the_baseline(self, app):
+        assert app.graph.rank().scores == app.graph.baseline().scores
+
+    def test_differential_is_rank_minus_baseline(self, app):
+        preference = (("user", 1),)
+        biased = app.graph.rank(preference)
+        baseline = app.graph.baseline().scores
+        assert biased.converged
+        assert app.graph.differential(preference) == {
+            node: score - baseline[node] for node, score in biased.scores.items()
+        }
+
+
 class TestRowMaterialization:
     """Ranked ids become rows by primary-key lookup, one per id."""
 
@@ -316,42 +332,3 @@ class TestRowMaterialization:
         )
         with pytest.raises(FlexRecsError):
             strategies.graph_rank_courses(1).run(database)
-
-
-class TestGraphWeightedScoring:
-    def test_negative_boost_rejected(self, app):
-        with pytest.raises(GraphRankError):
-            GraphWeightedScoring(app.graph, (("user", 1),), boost=-1.0)
-
-    def test_boost_only_lifts_positive_differentials(self, app):
-        app.cloudsearch.ensure_built()
-        builder = app.cloudsearch.builder
-        plain = builder.with_scoring("popularity")
-        boosted = builder.with_scoring(
-            GraphWeightedScoring(app.graph, (("user", 1),), boost=500.0)
-        )
-        weights = app.graph.term_weights((("user", 1),))
-        docs = tuple(plain.source.engine.index.document_ids())
-        plain_cloud = plain.build_for_docs(docs)
-        boosted_cloud = boosted.build_for_docs(docs)
-        plain_scores = {term.term: term.score for term in plain_cloud.terms}
-        boosted_scores = {
-            term.term: term.score for term in boosted_cloud.terms
-        }
-        lifted = dropped = 0
-        for term, score in plain_scores.items():
-            if term not in boosted_scores:
-                continue
-            lift = weights.get(term, 0.0)
-            if lift > 0.0 and score > 0:
-                assert boosted_scores[term] == score * (1.0 + 500.0 * lift)
-                lifted += 1
-            else:
-                assert boosted_scores[term] == score
-                dropped += 1
-        assert lifted > 0  # the preference actually moved some terms
-
-    def test_weights_snapshot_is_deterministic(self, app):
-        one = GraphWeightedScoring(app.graph, (("course", 3),))
-        two = GraphWeightedScoring(app.graph, (("course", 3),))
-        assert one.weights() == two.weights()

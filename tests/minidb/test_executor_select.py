@@ -355,6 +355,12 @@ class TestIndexUsage:
         assert "filter=" in plan
         assert not plan.startswith("Filter")
 
+    def test_select_without_from_plans_one_row(self, db):
+        assert db.explain("SELECT 1 + 1 AS two").splitlines() == [
+            "Project((1 + 1) AS two)",
+            "  SingleRow",
+        ]
+
 
 class TestResultSet:
     def test_to_dicts(self, db):

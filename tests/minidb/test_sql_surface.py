@@ -270,6 +270,10 @@ class TestExpressionRoundTrip:
         normalized = parse_expression(expression.to_sql()).to_sql()
         assert parse_expression(normalized).to_sql() == normalized
 
+    def test_repr_shows_the_sql(self):
+        """What hypothesis prints for a falsifying expression."""
+        assert repr(parse_expression("a + 1")) == "BinaryOp((a + 1))"
+
 
 def _evaluate(expression):
     from repro.errors import ExecutionError

@@ -133,11 +133,11 @@ class TestWritePathEquivalence:
         svc_user = service.apps[shard].accounts.register(
             "w", Role.STUDENT, person_id=1
         )
-        epochs_before = service._epoch_vector()
+        epochs_before = service.navigator.epochs()
         text = "spectrograph nights were unforgettable"
         base.comment_on_course(base_user, course_id, text, 4.5)
         service.comment_on_course(svc_user, course_id, text, 4.5)
-        assert service._epoch_vector() != epochs_before
+        assert service.navigator.epochs() != epochs_before
         for query in ("spectrograph", "unforgettable nights"):
             base_result, base_cloud = base.cloudsearch.search(query)
             svc_result, svc_cloud = service.search(query)

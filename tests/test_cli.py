@@ -45,6 +45,13 @@ class TestCli:
         output = capsys.readouterr().out
         assert output.count("[") == 3
 
+    def test_recommend_default_strategy_needs_student(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["recommend", "--scale", "tiny"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "'collaborative_filtering' needs --student" in error
+
     def test_recommend_execution_paths_agree(self, capsys):
         outputs = []
         for path in ("direct", "sql", "staged"):
