@@ -14,8 +14,17 @@ import datetime
 import pytest
 from conftest import write_report
 
+from repro.courserank.app import CourseRank
 from repro.courserank.incentives import POINT_SCHEDULE
 from repro.errors import PrivacyError
+from repro.service.sharding import ShardedUniversity
+
+
+@pytest.fixture(scope="module")
+def policies_app(bench_db):
+    """A private copy of the university: this module writes comments,
+    points and FAQ posts, which must not reach the reports run after it."""
+    return CourseRank(ShardedUniversity(bench_db, 1).shards[0])
 
 
 def simulate_contribution_day(app, usernames, day):
@@ -36,41 +45,41 @@ def simulate_contribution_day(app, usernames, day):
     return expected
 
 
-def test_incentive_ledger_audit(benchmark, bench_app):
+def test_incentive_ledger_audit(benchmark, policies_app):
     usernames = [f"student{suid}" for suid in (1, 2, 3)]
     day = datetime.date(2008, 11, 3)
     expected = benchmark.pedantic(
         simulate_contribution_day,
-        args=(bench_app, usernames, day),
+        args=(policies_app, usernames, day),
         rounds=1,
         iterations=1,
     )
     lines = ["user | earned points (single day)"]
     for user_id, points in expected.items():
         # Points earned today = ledger entries dated today.
-        earned_today = bench_app.db.query(
+        earned_today = policies_app.db.query(
             "SELECT SUM(Points) FROM PointsLedger "
             f"WHERE UserID = {user_id} AND AwardDate = DATE '{day.isoformat()}'"
         ).scalar()
         assert (earned_today or 0) == points
         lines.append(f"{user_id:>4} | {points}")
     # Re-login the same day yields nothing (idempotent daily point).
-    user = bench_app.accounts.authenticate(usernames[0])
-    assert bench_app.incentives.award(user.user_id, "daily_login", day=day) == 0
+    user = policies_app.accounts.authenticate(usernames[0])
+    assert policies_app.incentives.award(user.user_id, "daily_login", day=day) == 0
     write_report("lessons_incentives", lines)
 
 
-def test_grade_distribution_k_anonymity(benchmark, bench_app):
+def test_grade_distribution_k_anonymity(benchmark, policies_app):
     """No visible distribution covers fewer than k students."""
-    policy_k = bench_app.privacy.policy.min_distribution_size
+    policy_k = policies_app.privacy.policy.min_distribution_size
 
     def audit():
-        course_ids = bench_app.db.query(
+        course_ids = policies_app.db.query(
             "SELECT DISTINCT CourseID FROM Enrollments ORDER BY CourseID"
         ).column("CourseID")
         visible = suppressed = violations = 0
         for course_id in course_ids:
-            distribution = bench_app.privacy.distribution_or_none(course_id)
+            distribution = policies_app.privacy.distribution_or_none(course_id)
             if distribution is None:
                 suppressed += 1
             else:
@@ -91,16 +100,16 @@ def test_grade_distribution_k_anonymity(benchmark, bench_app):
     write_report("lessons_privacy_k_anonymity", lines)
 
 
-def test_plan_sharing_optout(benchmark, bench_app):
+def test_plan_sharing_optout(benchmark, policies_app):
     def audit():
-        rate = bench_app.privacy.sharing_rate()
+        rate = policies_app.privacy.sharing_rate()
         # Private entries are invisible to other students.
-        private = bench_app.db.query(
+        private = policies_app.db.query(
             "SELECT SuID, CourseID FROM Plans WHERE Shared = FALSE LIMIT 5"
         ).rows
         leaks = 0
         for suid, course_id in private:
-            visible = bench_app.privacy.who_is_planning(course_id)
+            visible = policies_app.privacy.who_is_planning(course_id)
             if suid in {s for s, _name in visible}:
                 leaks += 1
         return rate, len(private), leaks
@@ -119,13 +128,13 @@ def test_plan_sharing_optout(benchmark, bench_app):
     )
 
 
-def test_official_vs_self_reported_validity(benchmark, bench_app):
+def test_official_vs_self_reported_validity(benchmark, policies_app):
     """Paper: official Engineering distributions ≈ self-reported ones."""
 
     def audit():
         agreements = []
-        for course_id in bench_app.gradebook.courses_with_official_grades():
-            value = bench_app.gradebook.distribution_agreement(course_id)
+        for course_id in policies_app.gradebook.courses_with_official_grades():
+            value = policies_app.gradebook.distribution_agreement(course_id)
             if value is not None:
                 agreements.append(value)
         return agreements
@@ -145,12 +154,12 @@ def test_official_vs_self_reported_validity(benchmark, bench_app):
     )
 
 
-def test_forum_cold_start_lesson(benchmark, bench_app):
+def test_forum_cold_start_lesson(benchmark, policies_app):
     """'Little traffic ... seed the forum with FAQs' — before/after."""
 
     def seed():
-        before = bench_app.forum.stats()
-        bench_app.forum.seed_faq(
+        before = policies_app.forum.stats()
+        policies_app.forum.seed_faq(
             [
                 ("Who do I see to have my program approved?",
                  "Your department manager."),
@@ -159,7 +168,7 @@ def test_forum_cold_start_lesson(benchmark, bench_app):
             ],
             dep_id=1,
         )
-        return before, bench_app.forum.stats()
+        return before, policies_app.forum.stats()
 
     before, after = benchmark.pedantic(seed, rounds=1, iterations=1)
     assert after["official_seeded"] >= before["official_seeded"] + 2

@@ -18,9 +18,11 @@ and ``repro.testkit.reference_recommend`` — plain nested loops, no cache
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
+from collections import Counter
 from collections.abc import Mapping
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ExecutionError, FlexRecsError, WorkflowValidationError
 from repro.core import similarity
@@ -54,6 +56,11 @@ _STATS_MEASURES = {
     similarity.pearson: similarity.pearson_with_stats,
     similarity.cosine: similarity.cosine_with_stats,
 }
+
+#: aggregates under which an all-zero target scores the least and any
+#: positive pair lifts a target above it; text Jaccard scores only the
+#: targets sharing a token under these (``min`` and ``count`` count zeros)
+_ZERO_FLOOR_AGGREGATES = frozenset(("max", "sum", "avg"))
 
 
 class _Relation:
@@ -349,24 +356,29 @@ class _Executor:
             targets=len(target.rows),
             references=len(reference.rows),
         )
-        pair_scores = self._pair_scores(node, target, reference, exclude, stats)
         # {target position: score}, in target-row order
-        scores = {
-            position: _aggregate(node.aggregate, values)
-            for position, values in sorted(pair_scores.items())
-        }
+        scores, zeros = self._scores(node, target, reference, key, exclude, stats)
         rows = target.rows
 
         def order(position: int):
             return (-scores[position], sort_key(rows[position][key]))
 
-        if node.top_k is not None and node.top_k < len(scores):
+        top_k = node.top_k
+        if top_k is not None and top_k < len(scores):
             # heapq.nsmallest(k, it, key=f) is documented equivalent to
             # sorted(it, key=f)[:k] (both stable), so the bounded heap
             # returns exactly the slice the full sort would.
-            ranked = heapq.nsmallest(node.top_k, scores, key=order)
+            ranked = heapq.nsmallest(top_k, scores, key=order)
         else:
             ranked = sorted(scores, key=order)
+        if top_k is None or len(ranked) < top_k:
+            # Targets left out of ``scores`` because every pair scores 0.0
+            # rank after all of them, by key then position.
+            for position in itertools.islice(
+                zeros, None if top_k is None else top_k - len(ranked)
+            ):
+                scores[position] = 0.0
+                ranked.append(position)
         scored = []
         for position in ranked:
             out = dict(rows[position])
@@ -403,29 +415,42 @@ class _Executor:
             )
         return _Relation(columns, scored)
 
-    def _pair_scores(
-        self, node, target, reference, exclude, stats
-    ) -> Dict[int, List[float]]:
-        """``{target position: [non-NULL pair scores in reference-row order]}``.
+    def _scores(
+        self, node, target, reference, key, exclude, stats
+    ) -> Tuple[Dict[int, Any], Iterable[int]]:
+        """``({target position: aggregate score}, zero fill)``.
 
-        Targets without a pair score are absent.  Both scorers produce
-        the pair scores a nested loop over (target, reference) would, in
-        that loop's per-target order, so float aggregation (sum/avg) adds
-        in the same order — ``tests/core/test_fast_recommend.py`` holds
-        this tuple-for-tuple against ``repro.testkit.reference_recommend``.
+        The scores are in target-row order; a target without a pair score
+        is absent.  Every scorer produces the pair scores a nested loop
+        over (target, reference) would, in that loop's per-target order,
+        so float aggregation (sum/avg) adds in the same order —
+        ``tests/core/test_fast_recommend.py`` holds this tuple-for-tuple
+        against ``repro.testkit.reference_recommend``.  The zero fill
+        yields, in ``(sort_key(key), position)`` order, the targets left
+        out of the scores although every pair of theirs scores 0.0; only
+        the shared-token scorer leaves any out.
         """
-        comparator = node.comparator
         if not target.rows or not reference.rows:
-            return {}
+            return {}, ()
+        if node.aggregate in _ZERO_FLOOR_AGGREGATES and _counts_shared_tokens(
+            node.comparator
+        ):
+            return self._score_shared_tokens(
+                node, target, reference, key, exclude, stats
+            )
+        comparator = node.comparator
         if comparator.requires_overlap and comparator.kind in (
             "vector", "set", "lookup",
         ):
             score = self._score_overlap
         else:
             score = self._score_pairwise
-        scores = score(comparator, target, reference, exclude, stats)
-        stats.scored = sum(map(len, scores.values()))
-        return scores
+        pair_scores = score(comparator, target, reference, exclude, stats)
+        stats.scored = sum(map(len, pair_scores.values()))
+        return {
+            position: _aggregate(node.aggregate, values)
+            for position, values in sorted(pair_scores.items())
+        }, ()
 
     def _score_pairwise(
         self, comparator, target, reference, exclude, stats
@@ -518,6 +543,100 @@ class _Executor:
         stats.pruned = len(rows) * len(reference.rows) - stats.candidates
         return scores
 
+    def _score_shared_tokens(
+        self, node, target, reference, key, exclude, stats
+    ) -> Tuple[Dict[int, float], Iterable[int]]:
+        """Text Jaccard under ``max``/``sum``/``avg``: score only the
+        targets that share a token with a reference row.
+
+        A disjoint pair scores 0.0, not None, so no pair is prunable; but
+        a target whose every pair scores 0.0 aggregates to 0.0, the least
+        score any target can have, and a positive pair lifts it above
+        that.  So the targets sharing a token are scored and ranked, and
+        the all-zero ones come back as the zero fill, only as far as the
+        ranking reads it.  Each reference row counts its shared tokens per
+        target position through the postings of the (cached) target side;
+        ``shared / (|t| + |r| - shared)`` is the division
+        ``similarity.jaccard`` does, so the floats are its floats.  Adding
+        a 0.0 changes no float sum, and ``avg`` divides by the number of
+        pairs that score at all, zeros included, so every aggregate is the
+        nested loop's to the bit.
+        """
+        comparator = node.comparator
+        rows = target.rows
+        target_key = _attr_key(rows[0], comparator.target_attribute)
+        reference_key = _attr_key(
+            reference.rows[0], comparator.reference_attribute
+        )
+
+        def build():
+            token_sets = [similarity.token_set(row[target_key]) for row in rows]
+            return token_sets, _positions(token_sets)
+
+        # row i's token set, and each token's ascending row positions
+        token_sets, postings = target.derived(("tokens", target_key), build)
+        # (tokens, exclude-self value) of each reference row that scores a
+        # pair at all: a NULL or token-less title scores None
+        references = []
+        for row in reference.rows:
+            tokens = similarity.token_set(row[reference_key])
+            if tokens:
+                references.append(
+                    (tokens, row[exclude[1]] if exclude is not None else None)
+                )
+        pair_scores: Dict[int, List[float]] = {}
+        for tokens, right in references:
+            shared = Counter()
+            for token in tokens:
+                bucket = postings.get(token)
+                if bucket is not None:
+                    shared.update(bucket)
+            stats.candidates += len(shared)
+            size = len(tokens)
+            for position, count in shared.items():
+                if exclude is not None:
+                    left = rows[position][exclude[0]]
+                    if left is not None and left == right:
+                        continue
+                pair_scores.setdefault(position, []).append(
+                    count / (len(token_sets[position]) + size - count)
+                )
+        stats.pruned = len(rows) * len(reference.rows) - stats.candidates
+        stats.scored = sum(map(len, pair_scores.values()))
+
+        def pairs(position: int) -> int:
+            """How many references score a pair with this target."""
+            left = rows[position][exclude[0]] if exclude is not None else None
+            if left is None:
+                return len(references)
+            return sum(1 for _tokens, right in references if not left == right)
+
+        aggregate = node.aggregate
+        scores = {
+            position: (
+                sum(values) / pairs(position)
+                if aggregate == "avg"
+                else _aggregate(aggregate, values)
+            )
+            for position, values in sorted(pair_scores.items())
+        }
+
+        def key_order() -> List[int]:
+            return sorted(
+                range(len(rows)), key=lambda position: sort_key(rows[position][key])
+            )
+
+        def zeros():
+            for position in target.derived(("key order", key), key_order):
+                if (
+                    token_sets[position]
+                    and position not in pair_scores
+                    and pairs(position)
+                ):
+                    yield position
+
+        return scores, zeros()
+
     # -- helpers -----------------------------------------------------------
 
     def _condition(self, text: str):
@@ -580,22 +699,36 @@ def _postings(comparator: Comparator, rows: List[Dict[str, Any]], key: str):
     it to the ascending positions of the rows holding it.
     """
     kind = comparator.kind
-    values: List[Any] = []
+    if kind == "lookup":
+        values = [row[key] for row in rows]
+        return values, _positions(
+            () if value is None else (value,) for value in values
+        )
+    values = [_shaped(comparator, row[key], kind == "vector") for row in rows]
+    return values, _positions(values)
+
+
+def _positions(element_lists: Iterable[Iterable[Any]]) -> Dict[Any, List[int]]:
+    """Each element's ascending positions in ``element_lists``."""
     postings: Dict[Any, List[int]] = {}
-    for position, row in enumerate(rows):
-        value = row[key]
-        if kind == "lookup":
-            elements: Any = () if value is None else (value,)
-        else:
-            value = elements = _shaped(comparator, value, kind == "vector")
-        values.append(value)
+    for position, elements in enumerate(element_lists):
         for element in elements:
             bucket = postings.get(element)
             if bucket is None:
                 postings[element] = [position]
             else:
                 bucket.append(position)
-    return values, postings
+    return postings
+
+
+def _counts_shared_tokens(comparator: Comparator) -> bool:
+    """Whether ``comparator`` is text Jaccard: keyed by the functions,
+    like ``_STATS_MEASURES``, so a subclass with its own math is never
+    scored as if it were."""
+    return (
+        comparator.prepare is similarity.token_set
+        and comparator.pair_function() is similarity.token_jaccard
+    )
 
 
 def _identity(value: Any) -> Any:

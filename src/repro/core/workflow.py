@@ -37,8 +37,9 @@ class RecommendStats:
 
     Counts describe the *pair* space: ``candidates`` is how many
     (target, reference) pairs survived pruning and were considered,
-    ``pruned`` how many the key-overlap postings map skipped outright,
-    and ``scored`` how many produced a non-NULL pair score.
+    ``pruned`` how many the key-overlap (or, for text Jaccard, shared
+    token) postings map skipped outright, and ``scored`` how many
+    candidates produced a non-NULL pair score.
     ``cache_hits``/``cache_misses`` count :mod:`~repro.core.extendcache`
     lookups (extend maps and whole relations) made while materializing
     this operator's inputs; ``relation_hits`` is the share of the hits

@@ -28,6 +28,7 @@ from repro.core import (
     Workflow,
 )
 from repro.backends import create_backend
+from repro.core import strategies
 from repro.core.operators import (
     Join,
     Project,
@@ -118,6 +119,20 @@ class TestFixedWorkflows:
             )
         )
         assert_paths_agree(flexdb, workflow)
+
+    @pytest.mark.parametrize("course_id", [4, 6])
+    def test_related_courses_zero_fill_on_every_path(self, flexdb, course_id):
+        """'American History' shares a word with one course, 'Databases'
+        with none: fewer than k score above 0, and the direct executor's
+        0.0 fill must rank like the SQL forms, which score every pair."""
+        workflow = strategies.related_courses(course_id, top_k=10)
+        direct = assert_paths_agree(flexdb, workflow)
+        ids = direct.column("CourseID")
+        assert len(ids) == 5 and course_id not in ids
+        assert direct.column("score").count(0.0) >= 4
+        assert run_staged(workflow, flexdb).column("CourseID") == ids
+        with create_backend("sqlite3", flexdb) as backend:
+            assert workflow.run_backend(backend).column("CourseID") == ids
 
     def test_udf_levenshtein(self, flexdb):
         workflow = Workflow(

@@ -9,6 +9,7 @@ random data, random churn, and every comparator family.
 """
 
 import dataclasses
+import itertools
 import sys
 import threading
 
@@ -303,6 +304,22 @@ class TestRecommendStats:
         assert sum(record.cache_misses for record in warm.stats) == 0
         assert exact_rows(cold) == exact_rows(warm)
 
+    def test_text_jaccard_counts_the_pairs_sharing_a_word(self, flexdb):
+        """Only courses sharing a title word with the reference are
+        candidates; the rest are pruned and come back as zero fill."""
+        result = flexrecs.related_courses(1).run(flexdb)
+        (record,) = result.stats
+        # 'Introduction to Programming' shares a word with itself, 2, 3
+        # and 5; 4 and 6 share none
+        assert (record.targets, record.references) == (6, 1)
+        assert (record.candidates, record.pruned) == (4, 2)
+        assert record.candidates + record.pruned == (
+            record.targets * record.references
+        )
+        assert record.scored == 3  # the reference itself is excluded
+        assert result.column("CourseID") == [5, 2, 3, 4, 6]
+        assert result.column("score")[-2:] == [0.0, 0.0]
+
     def test_service_surfaces_stats(self, flexdb):
         flexdb.execute(
             "CREATE TABLE Prerequisites (CourseID INTEGER, PrereqID INTEGER)"
@@ -470,6 +487,75 @@ class TestEveryKindMatchesOracle:
                 workflow.run(flexdb)
             with pytest.raises(FlexRecsError):
                 run_naive(workflow, flexdb)
+
+
+#: titles with words in common, with no word in common, and with no token
+#: at all (NULL, empty, one-letter words: those score NULL)
+titles = st.sampled_from(
+    [
+        "red fish", "blue fish", "one red", "Red, FISH!", "fish",
+        "green tree", "old oak tree", "oak", "lone wolf",
+        "", "a b", None,
+    ]
+)
+
+text_items_strategy = st.lists(
+    st.tuples(
+        small_keys,  # K: NULL and repeats on purpose
+        st.integers(min_value=0, max_value=1),  # G: group 2 selects no row
+        titles,
+    ),
+    min_size=4,
+    max_size=12,
+)
+
+
+class TestTextJaccardMatchesOracle:
+    """Text Jaccard under max/sum/avg scores only the targets that share a
+    word with a reference and fills the rest with 0.0 in key order; under
+    min/count it scores every pair.  Either way: the nested loop's rows."""
+
+    @given(text_items_strategy, st.integers(min_value=0, max_value=2))
+    def test_random_titles(self, items, group):
+        db = build_items(items, [])
+        # 0, 1 or several reference rows; excluding on G drops every
+        # target of the group against every reference
+        for exclude_self, aggregate in itertools.product(
+            [None, ("K", "K"), ("G", "G")],
+            ["max", "sum", "avg", "min", "count"],
+        ):
+            root = Recommend(
+                target=Source("Items"),
+                reference=Select(Source("Items"), f"G = {group}"),
+                comparator=library.TextJaccard("Name", "Name"),
+                target_key="K",
+                aggregate=aggregate,
+                exclude_self=exclude_self,
+            )
+            full = run_naive(Workflow(root), db)
+            positive = sum(1 for row in full.rows if row["score"] > 0)
+            for top_k in {None, 1, max(1, positive), positive + 1, len(items) + 1}:
+                workflow = Workflow(dataclasses.replace(root, top_k=top_k))
+                oracle = run_naive(workflow, db)
+                cold = workflow.run(db)
+                warm = workflow.run(db)
+                assert exact_rows(oracle) == exact_rows(cold) == exact_rows(warm)
+                (record,) = warm.stats
+                assert record.candidates + record.pruned == (
+                    record.targets * record.references
+                )
+                assert record.scored <= record.candidates
+
+    @pytest.mark.parametrize("year", [2008, 2009])
+    @pytest.mark.parametrize("course_id", [1, 4, 6])
+    def test_related_courses_offered_in_a_year(self, flexdb, course_id, year):
+        """The year filter's SqlSource target is rebuilt per request, so
+        its postings are too."""
+        workflow = flexrecs.related_courses(course_id, offered_year=year)
+        expected = exact_rows(run_naive(workflow, flexdb))
+        assert exact_rows(workflow.run(flexdb)) == expected
+        assert exact_rows(workflow.run(flexdb)) == expected
+        assert course_id not in workflow.run(flexdb).column("CourseID")
 
 
 # ---------------------------------------------------------------------------
