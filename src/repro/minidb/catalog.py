@@ -465,30 +465,21 @@ class _CatalogTable(Table):
         super().__init__(schema)
         self._database = database
 
-    def insert(self, values: Sequence[Any]) -> int:
-        row = self._normalize(values)
+    def _store(self, row: Row) -> int:
         self._database.check_insert_fk(self, row)
-        return super().insert(row)
+        return super()._store(row)
 
     def delete_rowid(self, rowid: int) -> None:
         self._database.check_delete_fk(self, self.get(rowid))
         super().delete_rowid(rowid)
 
-    def update_rowid(self, rowid: int, new_values: Sequence[Any]) -> None:
-        new_row = self._normalize(new_values)
-        self._database.check_insert_fk(self, new_row)
+    def _replace(self, rowid: int, row: Row) -> None:
+        self._database.check_insert_fk(self, row)
         old_row = self.get(rowid)
-        if self.schema.primary_key:
-            positions = tuple(
-                self.schema.column_position(name)
-                for name in self.schema.primary_key
-            )
-            old_pk = tuple(old_row[p] for p in positions)
-            new_pk = tuple(new_row[p] for p in positions)
-            if old_pk != new_pk:
-                # Changing a referenced key would orphan referencing rows.
-                self._database.check_delete_fk(self, old_row)
-        super().update_rowid(rowid, new_row)
+        if self._pk_of(old_row) != self._pk_of(row):
+            # Changing a referenced key would orphan referencing rows.
+            self._database.check_delete_fk(self, old_row)
+        super()._replace(rowid, row)
 
     def next_id(self) -> int:
         # Under the read lock, as a ``SELECT MAX`` would be: a concurrent

@@ -1,8 +1,9 @@
 """Row storage for a single table.
 
-Rows are stored as Python lists in insertion order.  A primary-key hash map
-enforces uniqueness and gives O(1) point lookup; secondary indexes (see
-:mod:`repro.minidb.indexes`) are maintained incrementally on every mutation.
+Rows are stored as immutable tuples in insertion order, so two tables of
+one schema may share them.  A primary-key hash map enforces uniqueness and
+gives O(1) point lookup; secondary indexes (see :mod:`repro.minidb.indexes`)
+are maintained incrementally on every mutation.
 
 Deletes use tombstone-free compaction semantics: a delete physically removes
 the row, and row identifiers (``rowid``) are stable handles that are never
@@ -132,32 +133,55 @@ class Table:
 
     def insert(self, values: Sequence[Any]) -> int:
         """Insert one row (positional values), returning its rowid."""
-        row = self._normalize(values)
+        return self._store(self._normalize(values))
+
+    def append_from(self, source: "Table", rows: Iterable[Row]) -> None:
+        """Append ``rows``, which are rows of ``source``, in order.
+
+        ``source`` must have this table's schema (else ``SchemaError``).
+        It normalized each row when it took it, and an equal schema would
+        normalize it to itself, so the tuples are shared as they are; each
+        is still key-checked, indexed and versioned as :meth:`insert` would
+        do it.
+        """
+        if source.schema != self.schema:
+            raise SchemaError(
+                f"cannot append rows of {source.name!r} to {self.name!r}: "
+                "their schemas differ"
+            )
+        for row in rows:
+            self._store(row)
+
+    def _store(self, row: Row) -> int:
+        """Key-check and append a normalized row, returning its rowid."""
         pk = self._pk_of(row)
         if pk is not None and pk in self._pk_map:
             raise IntegrityError(
                 f"duplicate primary key {pk!r} in table {self.name!r}"
             )
-        unique_hits = []
         for positions, unique_map in zip(self._unique_positions, self._unique_maps):
             key = tuple(row[position] for position in positions)
             if None not in key and key in unique_map:
                 raise IntegrityError(
                     f"unique constraint violated in {self.name!r}: {key!r}"
                 )
-            unique_hits.append(key)
         rowid = self._next_rowid
         self._next_rowid += 1
         self._rows[rowid] = row
+        self._register(rowid, row, pk)
+        self._bump_versions()
+        return rowid
+
+    def _register(self, rowid: int, row: Row, pk: Optional[Tuple[Any, ...]]) -> None:
+        """Enter a stored row (primary key ``pk``) in the key maps and indexes."""
         if pk is not None:
             self._pk_map[pk] = rowid
-        for key, unique_map in zip(unique_hits, self._unique_maps):
+        for positions, unique_map in zip(self._unique_positions, self._unique_maps):
+            key = tuple(row[position] for position in positions)
             if None not in key:
                 unique_map[key] = rowid
         for hook in self._indexes.values():
             hook.insert(rowid, row)
-        self._bump_versions()
-        return rowid
 
     def insert_dict(self, record: Dict[str, Any]) -> int:
         """Insert a row given a column-name → value mapping.
@@ -196,8 +220,11 @@ class Table:
     def update_rowid(self, rowid: int, new_values: Sequence[Any]) -> None:
         """Replace the row at ``rowid`` with new (full) values, in place:
         the row keeps its rowid and its position in scan order."""
+        self._replace(rowid, self._normalize(new_values))
+
+    def _replace(self, rowid: int, row: Row) -> None:
+        """Key-check and store a normalized row over the one at ``rowid``."""
         old = self._rows[rowid]
-        row = self._normalize(new_values)
         pk = self._pk_of(row)
         old_pk = self._pk_of(old)
         if pk != old_pk and pk in self._pk_map:
@@ -325,20 +352,10 @@ class Table:
         self._next_rowid = next_rowid
         self._pk_map = {}
         self._unique_maps = [{} for _ in self._unique_positions]
-        for rowid, row in self._rows.items():
-            pk = self._pk_of(row)
-            if pk is not None:
-                self._pk_map[pk] = rowid
-            for positions, unique_map in zip(
-                self._unique_positions, self._unique_maps
-            ):
-                key = tuple(row[position] for position in positions)
-                if None not in key:
-                    unique_map[key] = rowid
         for hook in self._indexes.values():
             hook.clear()
-            for rowid, row in self._rows.items():
-                hook.insert(rowid, row)
+        for rowid, row in self._rows.items():
+            self._register(rowid, row, self._pk_of(row))
         self._bump_versions()
 
     @property

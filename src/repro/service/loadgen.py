@@ -34,6 +34,7 @@ from repro.courserank.app import CourseRank
 from repro.minidb.catalog import Database
 from repro.obs.metrics import MetricsRegistry
 from repro.service.frontend import CourseRankService
+from repro.service.sharding import ShardedUniversity
 
 #: default operation mix (read-only; comments enter via write_fraction)
 DEFAULT_MIX: Dict[str, float] = {
@@ -393,8 +394,8 @@ def load_test(
     equivalent = None
     app = None
     if with_baseline:
-        baseline_db = generate_university(scale=scale, seed=seed)
-        app = CourseRank(baseline_db)
+        # A one-shard split is a private, row-for-row copy of the source.
+        app = CourseRank(ShardedUniversity(service_db, 1).shards[0])
         app.cloudsearch.build()
         equivalent = spot_check_equivalence(app, service, trace)
 

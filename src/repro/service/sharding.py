@@ -9,11 +9,13 @@ course-scoped operation (course page, comment, per-course recommend) is
 single-shard, while search and clouds scatter-gather across all shards.
 
 The split is a *projection* of an already-generated unsharded database:
-rows are copied in insertion order, so each shard's tables, search
-entity texts, and index contents are exactly what a fresh build over
-that course subset would produce.  Shard databases disable foreign-key
-enforcement because cross-shard references (e.g. a prerequisite course
-on another shard) are dangling by design.
+each shard table takes its rows in one bulk append, in the source's
+insertion order, sharing the source's immutable row tuples (no row is
+re-validated or copied), so each shard's tables, search entity texts,
+and index contents are exactly what a fresh build over that course
+subset would produce.  Shard databases disable foreign-key enforcement
+because cross-shard references (e.g. a prerequisite course on another
+shard) are dangling by design.
 """
 
 from __future__ import annotations
@@ -23,24 +25,11 @@ from typing import Dict, List
 from repro.courserank.schema import create_schema
 from repro.minidb.catalog import Database
 
-#: course-scoped tables: partitioned by the owning course's department.
-#: (``Courses`` itself routes by its DepID column.)
-PARTITIONED_BY_COURSE = (
-    "Teaches",
-    "Offerings",
-    "Prerequisites",
-    "CourseTextbooks",
-    "Enrollments",
-    "Plans",
-    "Comments",
-    "CommentVotes",
-    "FacultyNotes",
-    "OfficialGrades",
-)
-
 #: reference + low-traffic tables: replicated to every shard.  The forum
 #: tables are replicated (the paper: the forum saw little traffic), so
-#: Q&A reads work on any shard.
+#: Q&A reads work on any shard.  Every other table that has a CourseID
+#: column is partitioned by its course's shard (``Courses`` itself by its
+#: department); a table without one is replicated too.
 REPLICATED = (
     "Departments",
     "Instructors",
@@ -97,60 +86,33 @@ class ShardedUniversity:
     # -- the split ---------------------------------------------------------
 
     def _split(self, source: Database) -> None:
-        replicated = {name.lower() for name in REPLICATED}
-        by_course = {name.lower() for name in PARTITIONED_BY_COURSE}
-
-        # Pass 1: route courses by department hash and record the map.
+        # Route courses by department hash and record the map.
         courses = source.table("Courses")
         dep_position = courses.schema.column_position("DepID")
         id_position = courses.schema.column_position("CourseID")
         for row in courses.rows():
-            shard_index = self.shard_of_department(row[dep_position])
-            self.course_shard[row[id_position]] = shard_index
-            self.shards[shard_index].table("Courses").insert(list(row))
+            self.course_shard[row[id_position]] = self.shard_of_department(
+                row[dep_position]
+            )
 
-        # Pass 2: everything else, in catalog order, preserving each
-        # table's row insertion order per shard (entity text assembly and
-        # the differential tests depend on row order being reproducible).
+        # Then each table, Courses included, in one append per shard that
+        # keeps the source's row order (entity text assembly and the
+        # differential tests depend on row order being reproducible).
+        replicated = {name.lower() for name in REPLICATED}
         for name in source.table_names():
-            key = name.lower()
-            if key == "courses":
-                continue
             table = source.table(name)
-            if key in by_course:
+            columns = {column.name.lower() for column in table.schema.columns}
+            if name.lower() in replicated or "courseid" not in columns:
+                buckets = [list(table.rows())] * self.num_shards
+            else:
                 position = table.schema.column_position("CourseID")
-                targets = [shard.table(name) for shard in self.shards]
+                buckets = [[] for _ in self.shards]
                 for row in table.rows():
                     shard_index = self.course_shard.get(row[position])
-                    if shard_index is None:
-                        continue  # row for a course that no longer exists
-                    targets[shard_index].insert(list(row))
-            elif key in replicated:
-                targets = [shard.table(name) for shard in self.shards]
-                for row in table.rows():
-                    values = list(row)
-                    for target in targets:
-                        target.insert(values)
-            else:
-                # Unknown (future) tables: partition when they carry a
-                # CourseID column, replicate otherwise.
-                columns = {
-                    column.name.lower() for column in table.schema.columns
-                }
-                if "courseid" in columns:
-                    position = table.schema.column_position("CourseID")
-                    targets = [shard.table(name) for shard in self.shards]
-                    for row in table.rows():
-                        shard_index = self.course_shard.get(row[position])
-                        if shard_index is None:
-                            continue
-                        targets[shard_index].insert(list(row))
-                else:
-                    targets = [shard.table(name) for shard in self.shards]
-                    for row in table.rows():
-                        values = list(row)
-                        for target in targets:
-                            target.insert(values)
+                    if shard_index is not None:  # else its course is gone
+                        buckets[shard_index].append(row)
+            for shard, rows in zip(self.shards, buckets):
+                shard.table(name).append_from(table, rows)
 
     # -- introspection -----------------------------------------------------
 

@@ -225,3 +225,122 @@ class TestNextId:
         db.execute(ddl)
         with pytest.raises(SchemaError):
             db.table("t").next_id()
+
+
+def _table_state(table):
+    """Everything a reader of ``table`` can see, plus its counters."""
+    gpa = table._indexes["by_gpa"].index
+    return (
+        list(table.rows_with_ids()),
+        table.next_rowid,
+        table.data_version,
+        {pk: table.lookup_pk(pk) for pk in table._pk_map},
+        table._unique_maps,
+        {value: list(gpa.find((value,))) for value in {row[2] for row in table.rows()}},
+    )
+
+
+class TestAppendFrom:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=30),
+                st.one_of(st.none(), st.sampled_from(["ann", "bob", "cy", "di"])),
+                st.one_of(st.none(), st.integers(0, 4), st.sampled_from([2.5, 3.5])),
+            ),
+            max_size=25,
+        ),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_equals_per_row_inserts(self, candidates, already):
+        # The source keeps the candidates its keys admit, normalized.
+        source = students_table()
+        for values in candidates:
+            try:
+                source.insert(list(values))
+            except IntegrityError:
+                pass
+        bulk, reference = students_table(), students_table()
+        for table in (bulk, reference):
+            table.attach_index("by_gpa", HashIndex(), ["GPA"])
+            for suid in range(100, 100 + already):  # a non-empty target
+                table.insert([suid, None, 1.0])
+        bulk.append_from(source, source.rows())
+        for row in source.rows():
+            reference.insert(list(row))
+        assert _table_state(bulk) == _table_state(reference)
+        # The source's tuples are shared, not copied.
+        assert all(
+            shared is row
+            for shared, row in zip(list(bulk.rows())[already:], source.rows())
+        )
+
+    def test_duplicate_primary_key_rejected(self):
+        source, target = students_table(), students_table()
+        source.insert([1, "ann", 3.5])
+        target.insert([1, "bob", 3.0])
+        with pytest.raises(IntegrityError):
+            target.append_from(source, source.rows())
+
+    def test_duplicate_unique_key_rejected(self):
+        source, target = students_table(), students_table()
+        source.insert([1, "ann", 3.5])
+        target.insert([2, "ann", 3.0])
+        with pytest.raises(IntegrityError):
+            target.append_from(source, source.rows())
+
+    def test_different_schema_rejected(self):
+        source = Table(
+            make_schema(
+                "students",
+                [("SuID", DataType.INTEGER), ("Name", DataType.TEXT), ("GPA", DataType.TEXT)],
+                primary_key=["SuID"],
+                unique_keys=[["Name"]],
+            )
+        )
+        source.insert([1, "ann", "A"])
+        target = students_table()
+        with pytest.raises(SchemaError):
+            target.append_from(source, source.rows())
+        assert len(target) == 0 and target.data_version == 0
+
+    def test_foreign_keys_enforced(self):
+        ddl = (
+            "CREATE TABLE Parent (ID INTEGER PRIMARY KEY);"
+            "CREATE TABLE Child (ID INTEGER PRIMARY KEY, ParentID INTEGER,"
+            " FOREIGN KEY (ParentID) REFERENCES Parent (ID));"
+        )
+        source = Database(enforce_foreign_keys=False)
+        source.execute_script(ddl)
+        source.table("Child").insert([1, 7])
+        target = Database(enforce_foreign_keys=True)
+        target.execute_script(ddl)
+        with pytest.raises(IntegrityError):
+            target.table("Child").append_from(
+                source.table("Child"), source.table("Child").rows()
+            )
+        target.table("Parent").insert([7])
+        target.table("Child").append_from(
+            source.table("Child"), source.table("Child").rows()
+        )
+        assert list(target.table("Child").rows()) == [(1, 7)]
+
+
+class TestNormalizeOnce:
+    def test_catalog_insert_and_update_normalize_once(self, monkeypatch):
+        database = Database()
+        database.execute_script(
+            "CREATE TABLE T (ID INTEGER PRIMARY KEY, Score FLOAT)"
+        )
+        table = database.table("T")
+        calls = []
+        normalize = Table._normalize
+        monkeypatch.setattr(
+            Table,
+            "_normalize",
+            lambda self, values: calls.append(values) or normalize(self, values),
+        )
+        rowid = table.insert([1, 2])
+        assert len(calls) == 1 and table.get(rowid) == (1, 2.0)
+        table.update_rowid(rowid, [1, 3])
+        assert len(calls) == 2 and table.get(rowid) == (1, 3.0)
