@@ -15,6 +15,7 @@ from conftest import write_report
 
 from repro.search.engine import SearchEngine
 from repro.search.entity import course_entity
+from repro.search.tokenizer import stem
 
 QUERY = "american"
 
@@ -39,13 +40,13 @@ def engines(bench_db):
 
 def _title_match_rate(engine, result, k=10):
     """Fraction of the top-k whose *title field* contains the query stem."""
-    stem = engine.tokenizer.stem_token(QUERY)
+    postings = engine.index.postings(stem(QUERY))
     hits = result.top(k)
     if not hits:
         return 0.0
     matched = 0
     for hit in hits:
-        fields = engine.index.postings(stem).get(hit.doc_id, {})
+        fields = postings.get(hit.doc_id, {})
         if "title" in fields:
             matched += 1
     return matched / len(hits)
@@ -87,6 +88,5 @@ def test_weights_change_ranking_not_recall(benchmark, engines):
 def test_weighted_top1_has_title_match(benchmark, engines):
     weighted, _uniform = engines
     result = benchmark(weighted.search, QUERY)
-    stem = weighted.tokenizer.stem_token(QUERY)
     top = result.hits[0]
-    assert "title" in weighted.index.postings(stem).get(top.doc_id, {})
+    assert "title" in weighted.index.postings(stem(QUERY)).get(top.doc_id, {})

@@ -28,7 +28,7 @@ from conftest import write_bench_json, write_report
 from repro.clouds import CloudNavigator
 from repro.courserank.app import CourseRank
 from repro.datagen import generate_university
-from repro.search.stemmer import porter_stem
+from repro.search import tokenizer
 
 SWEEP_SCALES = ("tiny", "small", "medium")
 QUERY = "american"
@@ -57,9 +57,8 @@ def like_scan_count(db, word: str) -> int:
 
 def clear_engine_caches(engine) -> None:
     """Cold path: empty every memo the query pipeline can hit."""
-    engine.tokenizer._token_cache.clear()
-    engine.tokenizer._stem_cache.clear()
-    porter_stem.cache_clear()
+    tokenizer._TOKEN_STREAMS.clear()
+    tokenizer.stem.cache_clear()
     engine.index._norm_tables.clear()
 
 

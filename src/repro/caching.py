@@ -1,9 +1,10 @@
 """Shared bounded caches.
 
 One small LRU implementation used across layers: the minidb statement
-cache, the search tokenizer's token-stream memo, the data-cloud
-term-statistics memo, and the service layer's scatter-gather response
-cache.  Deliberately dependency-free so every layer can import it.
+cache, the search analyzer's module-level token-stream memo
+(``search.tokenizer.tokens``), the data-cloud term-statistics memo, and
+the service layer's scatter-gather response cache.  Deliberately
+dependency-free so every layer can import it.
 
 :class:`VersionedMemo` layers the one staleness rule every derived cache
 around minidb follows on top of it: an entry remembers what it depends

@@ -33,6 +33,7 @@ from typing import (
 from repro.errors import CloudError
 from repro.obs import COUNT_EDGES, OBS
 from repro.search.engine import SearchEngine, SearchResult
+from repro.search.tokenizer import stem
 from repro.clouds.scoring import (
     SignificanceScoring,
     TermPartial,
@@ -303,7 +304,6 @@ class CloudBuilder:
         suppressed = set(query_terms or ())
         if not suppressed:
             return None
-        stem = self.engine.tokenizer.stem_token
         echoes: Dict[str, bool] = {}
 
         def is_echo(term: str) -> bool:

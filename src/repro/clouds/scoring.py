@@ -43,7 +43,7 @@ from repro.caching import LRUCache
 from repro.errors import CloudError
 from repro.obs import OBS
 from repro.search.engine import SearchEngine
-from repro.search.phrases import display_unigrams, extract_bigrams
+from repro.search.tokenizer import cloud_terms, words
 
 DocId = Any
 
@@ -138,11 +138,9 @@ class TermSource:
         counts: Counter = Counter()
         for field_name, text in texts.items():
             weight = weights.get(field_name, 1.0)
-            for term in display_unigrams(text, self.engine.tokenizer):
+            terms = cloud_terms(text) if self.include_bigrams else words(text)
+            for term in terms:
                 counts[term] += weight
-            if self.include_bigrams:
-                for term in extract_bigrams(text, self.engine.tokenizer):
-                    counts[term] += weight
         return counts
 
     def _remember(self, doc_id: DocId) -> Mapping[str, float]:

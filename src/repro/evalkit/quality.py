@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 from repro.core.similarity import pearson
 from repro.courserank.schema import GRADE_POINTS
 from repro.minidb.catalog import Database
-from repro.search.tokenizer import Tokenizer
+from repro.search.tokenizer import tokens
 
 
 @dataclass
@@ -60,7 +60,6 @@ class CommentQualityReport:
 
 def comment_quality_report(database: Database) -> CommentQualityReport:
     """Compute the quality metrics over every comment in the database."""
-    tokenizer = Tokenizer(stem=True)
     rows = database.query(
         "SELECT cm.Text, cm.Rating, c.Title, c.Description "
         "FROM Comments cm JOIN Courses c ON cm.CourseID = c.CourseID"
@@ -74,11 +73,11 @@ def comment_quality_report(database: Database) -> CommentQualityReport:
     for text, rating, title, description in rows:
         if text:
             texted += 1
-            tokens = tokenizer.tokens(text)
-            total_words += len(tokens)
-            vocabulary.update(tokens)
-            course_tokens = set(tokenizer.tokens(f"{title} {description or ''}"))
-            if course_tokens & set(tokens):
+            comment_tokens = tokens(text)
+            total_words += len(comment_tokens)
+            vocabulary.update(comment_tokens)
+            course_tokens = set(tokens(f"{title} {description or ''}"))
+            if course_tokens & set(comment_tokens):
                 topical += 1
         if rating is not None:
             rated += 1

@@ -37,12 +37,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from operator import truediv
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import GraphRankError
 from repro.minidb.catalog import Database
-from repro.search.phrases import display_unigrams
-from repro.search.tokenizer import Tokenizer
+from repro.search.tokenizer import words
 
 NodeId = Tuple[str, Any]
 Edges = Dict[NodeId, Dict[NodeId, int]]
@@ -98,7 +97,6 @@ def _add_edge(edges: Edges, left: NodeId, right: NodeId, weight: int) -> None:
 def build_layer(
     name: str,
     database: Database,
-    tokenizer: Optional[Tokenizer] = None,
     title_weight: int = 2,
 ) -> AdjacencyLayer:
     """Cold-build one layer from its source tables."""
@@ -121,7 +119,7 @@ def build_layer(
             course: NodeId = ("course", course_id)
             _add_edge(edges, user, course, 1)
             if text:
-                for term in display_unigrams(str(text), tokenizer):
+                for term in words(str(text)):
                     node: NodeId = ("term", term)
                     _add_edge(edges, user, node, 1)
                     _add_edge(edges, course, node, 1)
@@ -136,7 +134,7 @@ def build_layer(
             for text, weight in ((title, title_weight), (description, 1)):
                 if not text:
                     continue
-                for term in display_unigrams(str(text), tokenizer):
+                for term in words(str(text)):
                     _add_edge(edges, course, ("term", term), weight)
     else:
         raise GraphRankError(f"unknown adjacency layer {name!r}")

@@ -29,7 +29,6 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 from repro.caching import LRUCache
 from repro.minidb.catalog import Database
 from repro.obs import OBS
-from repro.search.tokenizer import Tokenizer
 from repro.graphrank.adjacency import (
     LAYER_ORDER,
     AdjacencyLayer,
@@ -69,7 +68,6 @@ class GraphRankEngine:
         max_iters: int = 250,
         preference_weight: float = 0.3,
         title_weight: int = 2,
-        tokenizer: Optional[Tokenizer] = None,
     ) -> None:
         self.database = database
         self.damping = damping
@@ -77,7 +75,6 @@ class GraphRankEngine:
         self.max_iters = max_iters
         self.preference_weight = preference_weight
         self.title_weight = title_weight
-        self.tokenizer = tokenizer or Tokenizer()
         self._lock = threading.RLock()
         self._layers: Dict[str, AdjacencyLayer] = {}
         self._adjacency: Optional[TripartiteAdjacency] = None
@@ -114,7 +111,6 @@ class GraphRankEngine:
                     layers[name] = build_layer(
                         name,
                         self.database,
-                        tokenizer=self.tokenizer,
                         title_weight=self.title_weight,
                     )
                     if OBS.enabled:

@@ -19,6 +19,7 @@ into a derived table and onto an index without changing an answer.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IntegrityError, SchemaError
@@ -26,6 +27,17 @@ from repro.minidb.schema import TableSchema
 from repro.minidb.types import DataType, coerce
 
 Row = Tuple[Any, ...]
+
+
+def _key_getter(positions: Sequence[int]) -> Callable[[Row], Optional[Tuple[Any, ...]]]:
+    """``row -> tuple(row[p] for p in positions)``, built once per key: a
+    one-column key is still a 1-tuple, and no columns make no key (None)."""
+    if not positions:
+        return lambda row: None
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
 
 
 class Table:
@@ -38,13 +50,14 @@ class Table:
         self._pk_positions = tuple(
             schema.column_position(name) for name in schema.primary_key
         )
-        self._unique_positions = tuple(
-            tuple(schema.column_position(name) for name in key)
+        self._pk_of = _key_getter(self._pk_positions)
+        self._unique_keys = tuple(
+            _key_getter([schema.column_position(name) for name in key])
             for key in schema.unique_keys
         )
         self._pk_map: Dict[Tuple[Any, ...], int] = {}
         self._unique_maps: List[Dict[Tuple[Any, ...], int]] = [
-            {} for _ in self._unique_positions
+            {} for _ in self._unique_keys
         ]
         # Secondary indexes registered by the catalog: name -> (index, positions)
         self._indexes: Dict[str, "_IndexHook"] = {}
@@ -124,11 +137,6 @@ class Table:
             normalized.append(coerced)
         return tuple(normalized)
 
-    def _pk_of(self, row: Row) -> Optional[Tuple[Any, ...]]:
-        if not self._pk_positions:
-            return None
-        return tuple(row[position] for position in self._pk_positions)
-
     # -- mutation -----------------------------------------------------------
 
     def insert(self, values: Sequence[Any]) -> int:
@@ -159,8 +167,8 @@ class Table:
             raise IntegrityError(
                 f"duplicate primary key {pk!r} in table {self.name!r}"
             )
-        for positions, unique_map in zip(self._unique_positions, self._unique_maps):
-            key = tuple(row[position] for position in positions)
+        for key_of, unique_map in zip(self._unique_keys, self._unique_maps):
+            key = key_of(row)
             if None not in key and key in unique_map:
                 raise IntegrityError(
                     f"unique constraint violated in {self.name!r}: {key!r}"
@@ -176,8 +184,8 @@ class Table:
         """Enter a stored row (primary key ``pk``) in the key maps and indexes."""
         if pk is not None:
             self._pk_map[pk] = rowid
-        for positions, unique_map in zip(self._unique_positions, self._unique_maps):
-            key = tuple(row[position] for position in positions)
+        for key_of, unique_map in zip(self._unique_keys, self._unique_maps):
+            key = key_of(row)
             if None not in key:
                 unique_map[key] = rowid
         for hook in self._indexes.values():
@@ -202,8 +210,8 @@ class Table:
         pk = self._pk_of(row)
         if pk is not None:
             self._pk_map.pop(pk, None)
-        for positions, unique_map in zip(self._unique_positions, self._unique_maps):
-            key = tuple(row[position] for position in positions)
+        for key_of, unique_map in zip(self._unique_keys, self._unique_maps):
+            key = key_of(row)
             if None not in key:
                 unique_map.pop(key, None)
         for hook in self._indexes.values():
@@ -232,9 +240,9 @@ class Table:
                 f"duplicate primary key {pk!r} in table {self.name!r}"
             )
         unique_moves = []
-        for positions, unique_map in zip(self._unique_positions, self._unique_maps):
-            key = tuple(row[position] for position in positions)
-            old_key = tuple(old[position] for position in positions)
+        for key_of, unique_map in zip(self._unique_keys, self._unique_maps):
+            key = key_of(row)
+            old_key = key_of(old)
             if key == old_key:
                 continue
             if None not in key and key in unique_map:
@@ -351,7 +359,7 @@ class Table:
         self._rows = dict(snap)
         self._next_rowid = next_rowid
         self._pk_map = {}
-        self._unique_maps = [{} for _ in self._unique_positions]
+        self._unique_maps = [{} for _ in self._unique_keys]
         for hook in self._indexes.values():
             hook.clear()
         for rowid, row in self._rows.items():
@@ -369,9 +377,7 @@ class _IndexHook:
     def __init__(self, index: Any, positions: Tuple[int, ...]) -> None:
         self.index = index
         self.positions = positions
-
-    def _key(self, row: Row) -> Tuple[Any, ...]:
-        return tuple(row[position] for position in self.positions)
+        self._key = _key_getter(positions)
 
     def insert(self, rowid: int, row: Row) -> None:
         self.index.insert(self._key(row), rowid)

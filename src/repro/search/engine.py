@@ -40,7 +40,7 @@ from repro.minidb.catalog import Database
 from repro.search.entity import EntityDefinition
 from repro.search.inverted_index import InvertedIndex
 from repro.search.stats import CorpusStats
-from repro.search.tokenizer import Tokenizer
+from repro.search.tokenizer import tokens
 
 DocId = Any
 
@@ -96,7 +96,6 @@ class SearchEngine:
         self,
         database: Database,
         entity: EntityDefinition,
-        tokenizer: Optional[Tokenizer] = None,
         ranker: str = "bm25",
         bm25_k1: float = 1.4,
         bm25_b: float = 0.6,
@@ -105,7 +104,6 @@ class SearchEngine:
             raise SearchError(f"unknown ranker {ranker!r}")
         self.database = database
         self.entity = entity
-        self.tokenizer = tokenizer or Tokenizer()
         self.ranker = ranker
         self.bm25_k1 = bm25_k1
         self.bm25_b = bm25_b
@@ -126,9 +124,7 @@ class SearchEngine:
         batch: Dict[DocId, Dict[str, List[str]]] = {}
         for doc_id, fields in collected.items():
             joined = {name: " ".join(chunks) for name, chunks in fields.items()}
-            batch[doc_id] = {
-                name: self.tokenizer.tokens(text) for name, text in joined.items()
-            }
+            batch[doc_id] = {name: tokens(text) for name, text in joined.items()}
             self._texts[doc_id] = joined
         self.index.add_documents(batch)
         self._built = True
@@ -155,7 +151,7 @@ class SearchEngine:
         self._texts[doc_id] = joined
         self.index.add_document(
             doc_id,
-            {name: self.tokenizer.tokens(text) for name, text in joined.items()},
+            {name: tokens(text) for name, text in joined.items()},
         )
 
     def document_text(self, doc_id: DocId) -> Dict[str, str]:
@@ -185,14 +181,14 @@ class SearchEngine:
         cursor = 0
         for match in _QUOTED.finditer(query):
             loose_text_parts.append(query[cursor : match.start()])
-            tokens = self.tokenizer.query_tokens(match.group(1))
-            if len(tokens) >= 2:
-                phrases.append(tokens)
-            elif tokens:
-                loose_text_parts.append(" " + tokens[0] + " ")
+            quoted = tokens(match.group(1))
+            if len(quoted) >= 2:
+                phrases.append(quoted)
+            elif quoted:
+                loose_text_parts.append(" " + quoted[0] + " ")
             cursor = match.end()
         loose_text_parts.append(query[cursor:])
-        loose = self.tokenizer.query_tokens(" ".join(loose_text_parts))
+        loose = tokens(" ".join(loose_text_parts))
         return loose, phrases
 
     # -- querying ------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.search.engine import SearchEngine
+from repro.search.tokenizer import tokens
 
 DocId = Any
 
@@ -38,9 +39,7 @@ def best_snippet(
         key=lambda name: -engine.field_weights.get(name, 1.0),
     )
     for field_name in ordered_fields:
-        snippet = _snippet_from_text(
-            engine, texts[field_name], term_set, width, mark
-        )
+        snippet = _snippet_from_text(texts[field_name], term_set, width, mark)
         if snippet is not None:
             return snippet
     return None
@@ -61,7 +60,6 @@ def annotate_hits(
 
 
 def _snippet_from_text(
-    engine: SearchEngine,
     text: str,
     term_set,
     width: int,
@@ -73,7 +71,7 @@ def _snippet_from_text(
     hit_positions = [
         position
         for position, word in enumerate(words)
-        if _stem_of(engine, word) in term_set
+        if _stem_of(word) in term_set
     ]
     if not hit_positions:
         return None
@@ -92,7 +90,7 @@ def _snippet_from_text(
     rendered = []
     for position in range(start, end):
         word = words[position]
-        if _stem_of(engine, word) in term_set:
+        if _stem_of(word) in term_set:
             rendered.append(f"{mark}{word}{mark}")
         else:
             rendered.append(word)
@@ -101,6 +99,6 @@ def _snippet_from_text(
     return f"{prefix}{' '.join(rendered)}{suffix}"
 
 
-def _stem_of(engine: SearchEngine, word: str) -> Optional[str]:
-    tokens = engine.tokenizer.tokens(word)
-    return tokens[0] if tokens else None
+def _stem_of(word: str) -> Optional[str]:
+    stems = tokens(word)
+    return stems[0] if stems else None

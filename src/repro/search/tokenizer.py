@@ -1,23 +1,30 @@
-"""Tokenization for the search engine and the data-cloud term extractor.
+"""The one text analyzer: search tokens and data-cloud display terms.
 
-Tokens are maximal runs of letters/digits, lowercased.  Apostrophes inside
-words are dropped (``don't`` → ``dont``) so possessives and contractions
-don't fragment.  A small English stopword list (plus a handful of
-university-domain words like "course" and "units" that would otherwise
-dominate every cloud) can be filtered, and tokens can be Porter-stemmed.
+A *word* is a maximal run of letters/digits of the lowercased text, with
+apostrophes dropped first (``don't`` → ``dont``) so possessives and
+contractions don't fragment.  Words shorter than two characters and
+stopwords (a small English list plus a handful of university-domain
+words like "course" and "units" that would otherwise dominate every
+cloud) are dropped.  There is one rule and no option:
+
+* :func:`words` — the display form the clouds and the graph show;
+* :func:`tokens` — the Porter stems of those words, what the search
+  index stores and queries are parsed into;
+* :func:`cloud_terms` — a field's display words, then its bigrams of
+  consecutive words ("latin american"), from one scan of the text.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import FrozenSet, List, Optional
 
 from repro.caching import LRUCache
 from repro.search.stemmer import porter_stem
 
 _WORD = re.compile(r"[a-z0-9]+")
 
-STOPWORDS: Set[str] = {
+STOPWORDS: FrozenSet[str] = frozenset({
     # Standard English function words.
     "a", "about", "above", "after", "again", "all", "also", "an", "and",
     "any", "are", "as", "at", "be", "because", "been", "before", "being",
@@ -38,69 +45,65 @@ STOPWORDS: Set[str] = {
     "introduction", "intro", "units", "unit", "quarter", "will", "topics",
     "prerequisite", "prerequisites", "instructor", "offered", "study",
     "prof", "professor", "took", "take",
-}
+})
+
+#: Porter-stem one word; its ``lru_cache`` is the one stem memo.
+stem = porter_stem
+
+# Queries and cloud refinements re-tokenize the same strings, and a
+# shard build sees the same comment texts on every shard: full token
+# streams, bounded.
+_TOKEN_STREAMS = LRUCache(maxsize=1024)
 
 
-class Tokenizer:
-    """Configurable tokenization pipeline.
+def _scan(text: str) -> List[str]:
+    if not text:
+        return []
+    return _WORD.findall(text.replace("'", "").lower())
 
-    >>> Tokenizer().tokens("The History of American Science")
-    ['histori', 'american', 'scienc']
-    >>> Tokenizer(stem=False).tokens("The History of American Science")
+
+def words(text: str) -> List[str]:
+    """The display words of ``text``: unstemmed, stopwords dropped.
+
+    >>> words("The History of American Science")
     ['history', 'american', 'science']
     """
+    return [w for w in _scan(text) if len(w) >= 2 and w not in STOPWORDS]
 
-    def __init__(
-        self,
-        stem: bool = True,
-        remove_stopwords: bool = True,
-        stopwords: Optional[Set[str]] = None,
-        min_length: int = 2,
-    ) -> None:
-        self.stem = stem
-        self.remove_stopwords = remove_stopwords
-        self.stopwords = STOPWORDS if stopwords is None else stopwords
-        self.min_length = min_length
-        self._stem_cache: dict = {}
-        # Queries and cloud refinements re-tokenize the same strings;
-        # memoize full token streams (bounded, per-tokenizer).
-        self._token_cache = LRUCache(maxsize=1024)
 
-    def raw_tokens(self, text: str) -> List[str]:
-        """Lowercased word tokens with no filtering or stemming."""
-        if not text:
-            return []
-        return _WORD.findall(text.replace("'", "").lower())
+def tokens(text: str) -> List[str]:
+    """The stems of :func:`words` (the search index's terms).
 
-    def tokens(self, text: str) -> List[str]:
-        """The full pipeline: tokenize, filter, stem."""
-        cached = self._token_cache.get(text)
-        if cached is not None:
-            return list(cached)
-        result: List[str] = []
-        for token in self.raw_tokens(text):
-            if len(token) < self.min_length:
-                continue
-            if self.remove_stopwords and token in self.stopwords:
-                continue
-            if self.stem:
-                token = self.stem_token(token)
-            result.append(token)
-        self._token_cache.put(text, tuple(result))
-        return result
+    >>> tokens("The History of American Science")
+    ['histori', 'american', 'scienc']
+    """
+    cached = _TOKEN_STREAMS.get(text)
+    if cached is not None:
+        return list(cached)
+    result = [stem(word) for word in words(text)]
+    _TOKEN_STREAMS.put(text, tuple(result))
+    return result
 
-    def stem_token(self, token: str) -> str:
-        """Porter-stem one token, memoized (vocabularies are Zipfian)."""
-        cached = self._stem_cache.get(token)
-        if cached is None:
-            cached = porter_stem(token)
-            self._stem_cache[token] = cached
-        return cached
 
-    def query_tokens(self, text: str) -> List[str]:
-        """Tokenize a user query with the same pipeline as documents.
+def cloud_terms(text: str) -> List[str]:
+    """:func:`words`, then every bigram of two consecutive words.
 
-        Kept separate so query-time behaviour can diverge later (e.g.
-        keeping stopwords inside quoted phrases) without touching indexing.
-        """
-        return self.tokens(text)
+    A dropped word (stopword or one letter) breaks the chain, so "war
+    and peace" has no bigram.
+
+    >>> cloud_terms("Latin American politics")
+    ['latin', 'american', 'politics', 'latin american', 'american politics']
+    """
+    terms: List[str] = []
+    bigrams: List[str] = []
+    previous: Optional[str] = None
+    for word in _scan(text):
+        if len(word) < 2 or word in STOPWORDS:
+            previous = None
+            continue
+        terms.append(word)
+        if previous is not None:
+            bigrams.append(f"{previous} {word}")
+        previous = word
+    terms.extend(bigrams)
+    return terms

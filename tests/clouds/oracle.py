@@ -3,7 +3,10 @@
 ``rescan_counts`` is the gathering strategy the library no longer ships:
 it re-extracts a document's display terms from the engine's stored raw
 text, sharing nothing with ``TermSource``'s forward index, its corpus df
-or its gather cache.  ``oracle_cloud`` is the pipeline the bounded top-k
+or its gather cache.  ``display_terms`` derives those terms on its own,
+character by character in two passes (words, then bigrams), so a bug in
+the library's one-scan ``cloud_terms`` shows here too; only the stopword
+list is shared.  ``oracle_cloud`` is the pipeline the bounded top-k
 kernel replaced — merge every counter, build statistics for the whole
 vocabulary, filter, suppress, score, sort, cut, bucket — over rescanned
 counters.  Clouds must come out ``==`` to it: term, score, occurrences,
@@ -15,7 +18,42 @@ from collections import Counter
 from repro.clouds.cloud import CloudTerm
 from repro.clouds.scoring import TermStats
 from repro.errors import SearchError
-from repro.search.phrases import display_unigrams, extract_bigrams
+from repro.search.stemmer import porter_stem
+from repro.search.tokenizer import STOPWORDS
+
+
+def _runs(text):
+    """Lowercase letter/digit runs of ``text``, apostrophes removed."""
+    runs, current = [], ""
+    for char in text.lower():
+        if char == "'":
+            continue
+        if "a" <= char <= "z" or "0" <= char <= "9":
+            current += char
+        elif current:
+            runs.append(current)
+            current = ""
+    if current:
+        runs.append(current)
+    return runs
+
+
+def _kept(run):
+    return len(run) >= 2 and run not in STOPWORDS
+
+
+def display_terms(text, include_bigrams=True):
+    """A field's display words, then (pass two) its bigrams of two
+    consecutive kept words."""
+    runs = _runs(text)
+    terms = [run for run in runs if _kept(run)]
+    if include_bigrams:
+        terms += [
+            f"{left} {right}"
+            for left, right in zip(runs, runs[1:])
+            if _kept(left) and _kept(right)
+        ]
+    return terms
 
 
 def rescan_counts(engine, doc_id, include_bigrams=True):
@@ -28,11 +66,8 @@ def rescan_counts(engine, doc_id, include_bigrams=True):
     counts = Counter()
     for field_name, text in texts.items():
         weight = engine.field_weights.get(field_name, 1.0)
-        for term in display_unigrams(text, engine.tokenizer):
+        for term in display_terms(text, include_bigrams):
             counts[term] += weight
-        if include_bigrams:
-            for term in extract_bigrams(text, engine.tokenizer):
-                counts[term] += weight
     return counts
 
 
@@ -69,7 +104,6 @@ def oracle_cloud(builder, sources, docs_per_source, result_size, query_terms):
     corpus_size = sum(source.corpus_size for source in sources)
     min_df = builder.min_result_df if result_size >= builder.min_result_df else 1
     suppressed = set(query_terms or ())
-    stem = builder.engine.tokenizer.stem_token
     scored = []
     for term in occurrences:
         stats = TermStats(
@@ -80,7 +114,7 @@ def oracle_cloud(builder, sources, docs_per_source, result_size, query_terms):
         )
         if stats.result_df < min_df:
             continue
-        if suppressed and all(stem(w) in suppressed for w in term.split(" ")):
+        if suppressed and all(porter_stem(w) in suppressed for w in term.split(" ")):
             continue
         score = builder.scoring.score(stats, result_size, corpus_size)
         if score > 0:

@@ -17,7 +17,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clouds.cloud import CloudBuilder
@@ -28,7 +28,8 @@ from repro.minidb import Database
 from repro.obs import OBS
 from repro.search.engine import SearchEngine
 from repro.search.entity import EntityDefinition, FieldSpec
-from tests.clouds.oracle import oracle_cloud
+from repro.search.tokenizer import STOPWORDS, cloud_terms, stem, tokens, words
+from tests.clouds.oracle import display_terms, oracle_cloud
 
 WORDS = (
     "american", "history", "latin", "politics", "music", "jazz",
@@ -97,8 +98,32 @@ scorings = st.sampled_from(
 queries = st.lists(st.sampled_from(WORDS), max_size=3)
 
 
-def stems(engine, words):
-    return [engine.tokenizer.stem_token(word) for word in words]
+def stems(query):
+    return [stem(word) for word in query]
+
+
+#: text pieces for every rule of the analyzer: apostrophes, digits,
+#: one-letter words, stopwords (and runs of them), case, punctuation
+PIECES = st.one_of(
+    st.sampled_from((
+        "don't", "O'Brien", "history's", "'", "a", "I", "x", "42", "3d",
+        "the of and", "Latin", "AMERICAN", "politics", "",
+    )),
+    st.sampled_from(sorted(STOPWORDS)),
+    st.text(max_size=8),
+)
+SEPARATORS = st.sampled_from((" ", "  ", "-", ", ", ".", "'", "\n"))
+analyzer_texts = st.lists(st.tuples(PIECES, SEPARATORS), max_size=12).map(
+    lambda pairs: "".join(piece + sep for piece, sep in pairs)
+)
+
+
+@given(analyzer_texts)
+@example("")
+def test_the_analyzer_equals_the_oracles_two_pass_derivation(text):
+    assert cloud_terms(text) == display_terms(text)
+    assert words(text) == display_terms(text, include_bigrams=False)
+    assert tokens(text) == [stem(word) for word in words(text)]
 
 
 def traced(build):
@@ -151,7 +176,7 @@ def test_kernel_equals_oracle(rows, scoring, shape, query, data):
     doc_ids = data.draw(
         st.lists(st.sampled_from([row[0] for row in rows]), unique=True)
     )
-    query_terms = stems(engine, query)
+    query_terms = stems(query)
     cloud = builder.build_for_docs(doc_ids, query_terms=query_terms)
     assert cloud.result_size == len(doc_ids)
     assert cloud.terms == oracle_cloud(
@@ -187,7 +212,7 @@ def test_sharded_partials_equal_unsharded_and_oracle(
         st.lists(st.sampled_from([row[0] for row in rows]), unique=True)
     )
     docs_per_shard = per_shard(doc_ids, shards)
-    query_terms = stems(whole.engine, query)
+    query_terms = stems(query)
     merged = parts[0].build_from_stats(
         [
             part.source.partial_gather(docs)
@@ -263,7 +288,7 @@ class TestTheCutsInOrder:
         engine = make_engine(CORPUS)
         builder = CloudBuilder(engine, **options)
         builder.prepare()
-        query_terms = stems(engine, query)
+        query_terms = stems(query)
         cloud = builder.build_for_docs(doc_ids, query_terms=query_terms)
         expected = oracle_cloud(
             builder, [builder.source], [doc_ids], len(doc_ids), query_terms
@@ -342,7 +367,7 @@ def test_the_bound_prunes_and_the_answer_stays_the_oracles():
         parts = sharded(rows, shards, max_terms=rng.randint(1, 8))
         doc_ids = rng.sample([row[0] for row in rows], rng.randint(15, len(rows)))
         docs = per_shard(doc_ids, shards)
-        query_terms = stems(parts[0].engine, rng.sample(SKEWED[:8], 1))
+        query_terms = stems(rng.sample(SKEWED[:8], 1))
         partials = [part.source.partial_gather(d) for part, d in zip(parts, docs)]
         unbounded = rng.choice(("frequency", "tfidf", ShiftedFrequency()))
         for scoring in ("popularity", unbounded):

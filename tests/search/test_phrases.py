@@ -1,54 +1,45 @@
-"""Unit tests for bigram phrase extraction."""
+"""Unit tests for the data clouds' display terms (words, then bigrams)."""
 
-from repro.search.phrases import count_bigrams, display_unigrams, extract_bigrams
+from repro.search.tokenizer import cloud_terms, words
 
 
 class TestExtractBigrams:
     def test_basic(self):
-        assert extract_bigrams("History of Latin American politics") == [
+        assert cloud_terms("History of Latin American politics") == [
+            "history",
+            "latin",
+            "american",
+            "politics",
             "latin american",
             "american politics",
         ]
 
     def test_stopwords_break_chains(self):
         # "war" and "peace" are separated by a stopword; no bigram forms.
-        assert extract_bigrams("war and peace") == []
+        assert cloud_terms("war and peace") == ["war", "peace"]
 
     def test_short_tokens_break_chains(self):
-        assert extract_bigrams("vitamin c supplements") == []
+        assert cloud_terms("vitamin c supplements") == ["vitamin", "supplements"]
 
     def test_empty(self):
-        assert extract_bigrams("") == []
-        assert extract_bigrams("the of and") == []
+        assert cloud_terms("") == []
+        assert cloud_terms("the of and") == []
 
     def test_case_normalized(self):
-        assert extract_bigrams("African AMERICAN studies") == [
+        assert cloud_terms("African AMERICAN studies") == [
+            "african",
+            "american",
+            "studies",
             "african american",
             "american studies",
         ]
-
-
-class TestCountBigrams:
-    def test_aggregates(self):
-        counts = count_bigrams(
-            ["latin american politics", "latin american culture"]
-        )
-        assert counts["latin american"] == 2
-        assert counts["american politics"] == 1
-
-    def test_min_count_filter(self):
-        counts = count_bigrams(
-            ["latin american politics", "latin american culture"],
-            min_count=2,
-        )
-        assert list(counts) == ["latin american"]
 
 
 class TestDisplayUnigrams:
     def test_unstemmed(self):
         # Display forms keep full words (the cloud shows "politics",
         # not the stem "polit").
-        assert display_unigrams("American politics") == ["american", "politics"]
+        assert words("American politics") == ["american", "politics"]
 
     def test_stopwords_filtered(self):
-        assert display_unigrams("the war of the worlds") == ["war", "worlds"]
+        assert words("the war of the worlds") == ["war", "worlds"]

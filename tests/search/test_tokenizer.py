@@ -1,80 +1,72 @@
-"""Unit tests for tokenization."""
+"""Unit tests for the text analyzer's words and tokens."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.search.tokenizer import STOPWORDS, Tokenizer
+from repro.minidb import Database
+from repro.search.engine import SearchEngine
+from repro.search.entity import EntityDefinition, FieldSpec
+from repro.search.tokenizer import STOPWORDS, stem, tokens, words
 
 
 class TestRawTokens:
     def test_lowercases_and_splits(self):
-        tokens = Tokenizer().raw_tokens("Latin-American Politics 101")
-        assert tokens == ["latin", "american", "politics", "101"]
+        assert words("Latin-American Politics 101") == [
+            "latin", "american", "politics", "101",
+        ]
 
     def test_apostrophes_collapse(self):
-        assert Tokenizer().raw_tokens("don't") == ["dont"]
+        assert words("don't") == ["dont"]
 
     def test_empty(self):
-        assert Tokenizer().raw_tokens("") == []
-        assert Tokenizer().raw_tokens("  ...  ") == []
+        assert words("") == []
+        assert words("  ...  ") == []
+        assert tokens("") == []
 
 
 class TestPipeline:
     def test_stopwords_removed(self):
-        tokens = Tokenizer(stem=False).tokens("the history of the war")
-        assert tokens == ["history", "war"]
+        assert words("the history of the war") == ["history", "war"]
 
     def test_domain_stopwords(self):
-        tokens = Tokenizer(stem=False).tokens("introduction to the course units")
-        assert tokens == []
+        assert words("introduction to the course units") == []
 
     def test_min_length(self):
-        tokens = Tokenizer(stem=False).tokens("a b cd")
-        assert tokens == ["cd"]
+        assert words("a b cd") == ["cd"]
 
     def test_stemming_applied(self):
-        tokens = Tokenizer().tokens("programming databases")
-        assert tokens == ["program", "databas"]
+        assert tokens("programming databases") == ["program", "databas"]
 
     def test_stemming_off(self):
-        tokens = Tokenizer(stem=False).tokens("programming")
-        assert tokens == ["programming"]
-
-    def test_custom_stopwords(self):
-        tokens = Tokenizer(stem=False, stopwords={"banana"}).tokens(
-            "banana the apple"
-        )
-        assert tokens == ["the", "apple"]
-
-    def test_stopword_filter_disabled(self):
-        tokens = Tokenizer(stem=False, remove_stopwords=False).tokens(
-            "the war"
-        )
-        assert tokens == ["the", "war"]
+        assert words("programming") == ["programming"]
 
     def test_query_matches_document_pipeline(self):
-        tokenizer = Tokenizer()
-        assert tokenizer.query_tokens("American History") == tokenizer.tokens(
-            "American History"
-        )
+        entity = EntityDefinition("doc", (FieldSpec("title", "SELECT 1, 'x'"),))
+        engine = SearchEngine(Database(), entity)
+        loose, phrases = engine.parse_query('American History "Latin Music"')
+        assert loose == tokens("American History")
+        assert phrases == [tokens("Latin Music")]
 
     def test_stem_cache_consistency(self):
-        tokenizer = Tokenizer()
-        first = tokenizer.stem_token("running")
-        second = tokenizer.stem_token("running")
+        first = stem("running")
+        second = stem("running")
         assert first == second == "run"
+
+    def test_repeated_text_returns_an_unshared_list(self):
+        first = tokens("American History")
+        first.append("mutated")
+        assert tokens("American History") == ["american", "histori"]
 
     @given(st.text(max_size=60))
     def test_tokens_never_contain_uppercase_or_spaces(self, text):
-        for token in Tokenizer().tokens(text):
+        for token in tokens(text):
             assert token == token.lower()
             assert " " not in token
 
     @given(st.text(alphabet="abc XYZ,.'", max_size=40))
     def test_pipeline_idempotent_on_own_output(self, text):
-        tokenizer = Tokenizer(stem=False)
-        once = tokenizer.tokens(text)
-        again = tokenizer.tokens(" ".join(once))
+        once = words(text)
+        again = words(" ".join(once))
         assert once == again
 
 
