@@ -1,61 +1,67 @@
-"""Execution backends: run compiled FlexRecs SQL on any DB-API engine.
+"""Execution backends: run compiled FlexRecs SQL on minidb or sqlite3.
 
 The paper claims recommendation workflows compile to declarative SQL
-"executed by a conventional DBMS".  This package makes that literal:
+"executed by a conventional DBMS".  This package makes that literal on
+two engines:
 
-- :mod:`repro.backends.dialects` — per-engine :class:`SqlDialect`
+- :mod:`repro.backends.dialects` — the two :class:`SqlDialect`
   renderers under a declarative :class:`Capabilities` mask,
 - :mod:`repro.backends.base` — the :class:`Backend` protocol
   (connect / execute / introspect / load-from-minidb-snapshot),
 - :mod:`repro.backends.native` — the in-process minidb driver,
-- :mod:`repro.backends.dbapi` — the generic DB-API 2.0 adapter and the
-  stdlib ``sqlite3`` driver,
-- :mod:`repro.backends.registry` — name-keyed driver factories, open to
-  any DB-API connection via ``REGISTRY.register_dbapi``.
+- :mod:`repro.backends.dbapi` — the stdlib ``sqlite3`` driver.
 
-See DESIGN.md §15 for the architecture and the how-to for adding a
-driver.
+The engine set is closed: :data:`BACKENDS` maps each name to its
+driver, and :func:`create_backend` (or ``REPRO_BACKEND``) selects one by
+name.  See DESIGN.md §15 for the architecture.
 """
 
+import os
+from typing import Any, Optional
+
 from repro.backends.base import Backend, BackendResult
-from repro.backends.dbapi import (
-    DbApiBackend,
-    Sqlite3Backend,
-    convert_placeholders,
-)
+from repro.backends.dbapi import Sqlite3Backend
 from repro.backends.dialects import (
-    DIALECTS,
     MINIDB_DIALECT,
     SQLITE_DIALECT,
     Capabilities,
     SqlDialect,
     get_dialect,
-    register_dialect,
 )
 from repro.backends.native import MinidbBackend
-from repro.backends.registry import (
-    REGISTRY,
-    BackendRegistry,
-    create_backend,
-    default_backend_name,
-)
+from repro.errors import BackendError
 
 __all__ = [
     "Backend",
     "BackendResult",
-    "BackendRegistry",
+    "BACKENDS",
     "Capabilities",
-    "DbApiBackend",
-    "DIALECTS",
     "MinidbBackend",
     "MINIDB_DIALECT",
-    "REGISTRY",
     "SqlDialect",
     "Sqlite3Backend",
     "SQLITE_DIALECT",
-    "convert_placeholders",
     "create_backend",
-    "default_backend_name",
     "get_dialect",
-    "register_dialect",
+    "named_backend",
 ]
+
+#: every execution backend, by the name ``REPRO_BACKEND``, a service's
+#: ``backend=`` and a run's ``path=`` use
+BACKENDS = {"minidb": MinidbBackend, "sqlite3": Sqlite3Backend}
+
+
+def create_backend(name: str, catalog: Optional[Any] = None) -> Backend:
+    """Instantiate the backend called ``name``, bound to ``catalog``."""
+    try:
+        driver = BACKENDS[name.lower()]
+    except KeyError:
+        raise BackendError(
+            f"unknown backend {name!r}; available: {sorted(BACKENDS)}"
+        ) from None
+    return driver(catalog)
+
+
+def named_backend() -> Optional[str]:
+    """The backend ``REPRO_BACKEND`` names, or None when unset or empty."""
+    return os.environ.get("REPRO_BACKEND", "").strip().lower() or None

@@ -1,7 +1,8 @@
 """The backend protocol: connect, execute, introspect, load snapshots.
 
-A :class:`Backend` is one place a compiled FlexRecs workflow can run.
-Every backend pairs a *driver* (something that executes SQL text) with a
+A :class:`Backend` is one place a compiled FlexRecs workflow can run:
+:class:`~repro.backends.native.MinidbBackend` or
+:class:`~repro.backends.dbapi.Sqlite3Backend`.  Each pairs a *driver* (something that executes SQL text) with a
 :class:`~repro.backends.dialects.SqlDialect` (how to render that text),
 and optionally tracks a minidb :class:`~repro.minidb.catalog.Database`
 as its **catalog** — the semantic source of truth that workflows are
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import BackendError
 from repro.backends.dialects import SqlDialect
@@ -53,7 +54,7 @@ class Backend:
     UDFs, ``register_udf(name, function, arity)``.
     """
 
-    #: registry key; concrete drivers override
+    #: key in :data:`repro.backends.BACKENDS`; concrete drivers override
     name: str = "abstract"
 
     def __init__(
@@ -61,8 +62,7 @@ class Backend:
     ) -> None:
         self.dialect = dialect
         #: the minidb Database whose schema/data this backend executes
-        #: against (None for standalone script execution, e.g. the
-        #: testkit's cross-backend checker)
+        #: against (None for standalone statement execution)
         self.catalog = catalog
 
     # -- driver protocol -----------------------------------------------------

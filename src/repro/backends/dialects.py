@@ -5,9 +5,8 @@ to spell literals, casts, and function names for one SQL engine, and it
 carries a :class:`Capabilities` mask describing what the engine can and
 cannot do.  The FlexRecs compiler (:mod:`repro.core.compiler`) is
 parameterized by a dialect, so the same workflow tree lowers to
-engine-appropriate SQL text for minidb, sqlite3, or any registered
-DB-API backend — the paper's "executed by a conventional DBMS" made
-literal.
+engine-appropriate SQL text for minidb or sqlite3 — the paper's
+"executed by a conventional DBMS" made literal.
 
 The handful of genuine engine differences live in this one declarative
 table; both renderers read it — the compiler, and
@@ -30,16 +29,15 @@ bound bool parameter            ``bool``                 ``int``
 CREATE INDEX                    ``... USING <kind>``     no ``USING`` clause
 ==============================  =======================  ====================
 
-Adding a dialect for a new DB-API driver is declarative: construct a
-``SqlDialect`` with the right mask and :func:`register_dialect` it (see
-DESIGN.md §15 for the walk-through).
+The set is closed: :func:`get_dialect` resolves ``"minidb"`` and
+``"sqlite"`` to the two constants below.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import BackendCapabilityError
 from repro.minidb.types import DataType
@@ -49,8 +47,6 @@ __all__ = [
     "SqlDialect",
     "MINIDB_DIALECT",
     "SQLITE_DIALECT",
-    "DIALECTS",
-    "register_dialect",
     "get_dialect",
 ]
 
@@ -60,12 +56,9 @@ class Capabilities:
     """What one SQL engine supports, as consumed by the renderers.
 
     The mask is deliberately coarse: each flag answers one question a
-    renderer (or the testkit's cross-backend checker) actually asks.
+    renderer (the compiler or the testkit's fuzz renderer) actually asks.
     """
 
-    #: DB-API paramstyle the driver's binding layer expects; rendered SQL
-    #: always uses ``?`` and is converted at execute time.
-    paramstyle: str = "qmark"
     #: query results carry real ``datetime.date`` / ``bool`` values
     #: (False: dates come back as ISO strings, booleans as 0/1 ints)
     typed_dates: bool = True
@@ -73,20 +66,11 @@ class Capabilities:
     #: ``/`` over two INTEGER operands performs true (float) division
     #: (False: the renderer must promote with ``* 1.0``)
     float_division: bool = True
-    #: Python scalar UDFs can be registered and called from SQL
-    supports_udfs: bool = True
-    #: raw SQL strings (SqlSource bodies, Select predicates) may be
-    #: embedded verbatim — they are the workflow author's responsibility
-    #: to keep portable, so a dialect can refuse them outright
-    sql_passthrough: bool = True
     #: CREATE INDEX accepts a trailing ``USING <kind>`` clause
     index_using_clause: bool = False
     #: canonical function name -> this engine's spelling; names absent
     #: from the map render as their uppercase canonical spelling
     function_names: Mapping[str, str] = field(default_factory=dict)
-    #: canonical scalar functions known *not* to exist on this engine
-    #: (requesting one raises BackendCapabilityError at render time)
-    missing_functions: FrozenSet[str] = frozenset()
 
 
 #: minidb column type -> SQL type name, per dialect name.  sqlite's
@@ -175,12 +159,9 @@ class SqlDialect:
 
     def func(self, canonical: str, *args: str) -> str:
         """Render a scalar function call by its canonical name."""
-        key = canonical.lower()
-        if key in self.capabilities.missing_functions:
-            raise BackendCapabilityError(
-                f"dialect {self.name!r} has no {canonical.upper()} function"
-            )
-        name = self.capabilities.function_names.get(key, canonical.upper())
+        name = self.capabilities.function_names.get(
+            canonical.lower(), canonical.upper()
+        )
         return f"{name}({', '.join(args)})"
 
     def true_div(self, numerator: str, denominator: str) -> str:
@@ -188,14 +169,6 @@ class SqlDialect:
         if self.capabilities.float_division:
             return f"({numerator} / {denominator})"
         return f"({numerator} * 1.0 / {denominator})"
-
-    def require_passthrough(self, what: str) -> None:
-        """Raise unless raw SQL fragments may be embedded verbatim."""
-        if not self.capabilities.sql_passthrough:
-            raise BackendCapabilityError(
-                f"dialect {self.name!r} does not accept raw SQL "
-                f"passthrough ({what})"
-            )
 
 
 MINIDB_DIALECT = SqlDialect(
@@ -223,27 +196,14 @@ SQLITE_DIALECT = SqlDialect(
 )
 
 
-DIALECTS: Dict[str, SqlDialect] = {}
-
-
-def register_dialect(dialect: SqlDialect) -> SqlDialect:
-    """Make a dialect resolvable by name (last registration wins)."""
-    DIALECTS[dialect.name] = dialect
-    return dialect
-
-
 def get_dialect(name_or_dialect: Any) -> SqlDialect:
-    """Resolve a dialect instance or registered name to an instance."""
+    """Resolve ``"minidb"``/``"sqlite"`` (or pass an instance through)."""
     if isinstance(name_or_dialect, SqlDialect):
         return name_or_dialect
-    try:
-        return DIALECTS[name_or_dialect]
-    except KeyError:
-        raise BackendCapabilityError(
-            f"unknown SQL dialect {name_or_dialect!r}; "
-            f"registered: {sorted(DIALECTS)}"
-        ) from None
-
-
-register_dialect(MINIDB_DIALECT)
-register_dialect(SQLITE_DIALECT)
+    for dialect in (MINIDB_DIALECT, SQLITE_DIALECT):
+        if dialect.name == name_or_dialect:
+            return dialect
+    raise BackendCapabilityError(
+        f"unknown SQL dialect {name_or_dialect!r}; "
+        f"available: {[MINIDB_DIALECT.name, SQLITE_DIALECT.name]}"
+    )

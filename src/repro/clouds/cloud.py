@@ -129,7 +129,6 @@ class CloudBuilder:
         max_terms: int = 40,
         min_result_df: int = 2,
         buckets: int = 5,
-        include_bigrams: bool = True,
     ) -> None:
         if max_terms < 1:
             raise CloudError("max_terms must be at least 1")
@@ -137,7 +136,7 @@ class CloudBuilder:
             raise CloudError("buckets must be at least 1")
         self.engine = engine
         self.scoring: SignificanceScoring = get_scoring(scoring)
-        self.source = TermSource(engine, include_bigrams=include_bigrams)
+        self.source = TermSource(engine)
         self.max_terms = max_terms
         self.min_result_df = min_result_df
         self.buckets = buckets

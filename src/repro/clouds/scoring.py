@@ -43,7 +43,7 @@ from repro.caching import LRUCache
 from repro.errors import CloudError
 from repro.obs import OBS
 from repro.search.engine import SearchEngine
-from repro.search.tokenizer import cloud_terms, words
+from repro.search.tokenizer import cloud_terms
 
 DocId = Any
 
@@ -99,11 +99,8 @@ class TermSource:
     :meth:`partial_gather` equals an unsharded one.
     """
 
-    def __init__(
-        self, engine: SearchEngine, include_bigrams: bool = True
-    ) -> None:
+    def __init__(self, engine: SearchEngine) -> None:
         self.engine = engine
-        self.include_bigrams = include_bigrams
         self._doc_terms: Dict[DocId, Counter] = {}
         self._corpus_df: Counter = Counter()
         # Index epoch the two structures above describe; None until
@@ -138,8 +135,7 @@ class TermSource:
         counts: Counter = Counter()
         for field_name, text in texts.items():
             weight = weights.get(field_name, 1.0)
-            terms = cloud_terms(text) if self.include_bigrams else words(text)
-            for term in terms:
+            for term in cloud_terms(text):
                 counts[term] += weight
         return counts
 

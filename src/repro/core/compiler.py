@@ -83,7 +83,7 @@ def compile_workflow(
 ) -> CompiledWorkflow:
     """Compile a validated workflow to one SQL SELECT for ``database``.
 
-    ``dialect`` (a :class:`SqlDialect` or registered dialect name)
+    ``dialect`` (a :class:`SqlDialect`, ``"minidb"`` or ``"sqlite"``)
     selects the target engine's SQL spelling; the default renders for
     the minidb engine itself.  The catalog ``database`` stays the
     semantic authority either way — extend metadata, column resolution,
@@ -145,7 +145,6 @@ class _Compiler:
             columns = ", ".join(name for name, _dtype in node.schema_pairs)
             return f"SELECT {columns} FROM {node.table}"
         if isinstance(node, SqlSource):
-            self.dialect.require_passthrough(f"SqlSource in {node!r}")
             return node.sql
         if isinstance(node, Select):
             return self._compile_select(node)
@@ -170,7 +169,6 @@ class _Compiler:
         return f"SELECT {columns} FROM {node.table}"
 
     def _compile_select(self, node: Select) -> str:
-        self.dialect.require_passthrough("Select condition")
         alias = self._fresh("sel")
         columns = ", ".join(self._columns(node))
         child = self.compile(node.child)
@@ -311,11 +309,6 @@ class _Compiler:
         return self._recommend_shell(node, target_alias, from_clause, score_expr)
 
     def _register_udf(self, comparator: Comparator) -> None:
-        if not self.dialect.capabilities.supports_udfs:
-            raise CompilationError(
-                f"comparator {comparator.name!r} needs a UDF, but dialect "
-                f"{self.dialect.name!r} cannot register scalar functions"
-            )
         name = comparator.udf_name
         # Always registered on the catalog engine (idempotent for the
         # same callable); other backends register from udf_impls.

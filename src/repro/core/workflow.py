@@ -257,10 +257,9 @@ class Workflow:
     def run_backend(self, backend: Any) -> Recommendation:
         """Render for ``backend``'s dialect and execute on its engine.
 
-        The backend's catalog database is the semantic authority; for
-        external engines (sqlite3, any registered DB-API driver) the
-        backend first syncs its data mirror, so the same workflow object
-        runs unchanged on either side.
+        The backend's catalog database is the semantic authority; on
+        sqlite3 the backend first syncs its data mirror, so the same
+        workflow object runs unchanged on either side.
         """
         return backend.execute_workflow(self)
 

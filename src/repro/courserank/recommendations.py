@@ -59,7 +59,7 @@ class RecommendationService:
         database: Database,
         backend: Optional[str] = None,
     ) -> None:
-        from repro.backends.registry import named_backend
+        from repro.backends import named_backend
 
         self.database = database
         named = backend or named_backend()
@@ -88,7 +88,7 @@ class RecommendationService:
         bound to the service's catalog database and reused across calls
         so snapshot syncs stay incremental.
         """
-        from repro.backends.registry import create_backend
+        from repro.backends import create_backend
 
         key = (name or self.backend_name).lower()
         driver = self._backends.get(key)
@@ -152,8 +152,8 @@ class RecommendationService:
 
         ``path`` forces 'direct', 'sql' (one compiled statement on the
         configured backend), 'staged' (a sequence of SQL calls with temp
-        tables), or the name of any registered execution backend
-        ('minidb', 'sqlite3', ...); None takes :attr:`default_path`.
+        tables), or the name of an execution backend ('minidb' or
+        'sqlite3'); None takes :attr:`default_path`.
         ``optimize=True`` applies the algebraic rewriter first.
         """
         workflow = self.build(name, **params)
@@ -181,7 +181,7 @@ class RecommendationService:
         ):
             if path == "sql":
                 # Render + execute on the configured backend (minidb
-                # itself or a DB-API engine: same workflow, its dialect).
+                # itself or sqlite3: same workflow, its dialect).
                 return workflow.run_backend(self.backend())
             if path == "direct":
                 recommendation = workflow.run(self.database)
@@ -192,9 +192,9 @@ class RecommendationService:
 
                 workflow.validate(self.database)
                 return run_staged(workflow, self.database)
-            from repro.backends.registry import REGISTRY
+            from repro.backends import BACKENDS
 
-            if REGISTRY.is_registered(path):
+            if path.lower() in BACKENDS:
                 return workflow.run_backend(self.backend(path))
         raise FlexRecsError(f"unknown execution path {path!r}")
 

@@ -14,11 +14,7 @@ import sys
 
 from repro.testkit.churn import ChurnDriver
 from repro.testkit.minimize import Shrinker, write_repro
-from repro.testkit.oracle import (
-    case_fails,
-    register_default_backends,
-    run_differential,
-)
+from repro.testkit.oracle import case_fails, run_differential
 
 
 def main(argv=None) -> int:
@@ -50,16 +46,7 @@ def main(argv=None) -> int:
         "--no-shrink", action="store_true",
         help="write failing cases without delta-debugging them first",
     )
-    parser.add_argument(
-        "--cross-backend", action="store_true",
-        help="also execute every case on all registered repro.backends "
-             "drivers (N-backend cross-equivalence)",
-    )
     args = parser.parse_args(argv)
-
-    if args.cross_backend:
-        names = register_default_backends()
-        print(f"cross-backend: {', '.join(names)}")
 
     failed = False
     report = run_differential(min_query_ops=args.ops, base_seed=args.seed)

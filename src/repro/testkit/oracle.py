@@ -75,11 +75,6 @@ __all__ = [
     "Outcome",
     "CaseReport",
     "DifferentialReport",
-    "SCRIPT_BACKENDS",
-    "register_script_backend",
-    "unregister_script_backend",
-    "backend_script_runner",
-    "register_default_backends",
     "run_minidb",
     "run_sqlite",
     "run_rendered",
@@ -277,91 +272,6 @@ def run_sqlite(script: RenderedScript) -> List[Outcome]:
 
 
 # ---------------------------------------------------------------------------
-# extra execution backends (the N-backend cross-equivalence checker)
-# ---------------------------------------------------------------------------
-
-#: name -> runner executing one RenderedCase and returning per-op
-#: Outcomes.  Every registered backend is executed by run_rendered in
-#: addition to the minidb sweep and the sqlite3 oracle, and compared
-#: with the same multiset/error-parity rules — so any driver from
-#: :mod:`repro.backends` (or any DB-API engine) can join the
-#: differential loop.
-SCRIPT_BACKENDS: Dict[str, Callable[[RenderedCase], List[Outcome]]] = {}
-
-
-def register_script_backend(
-    name: str, runner: Callable[[RenderedCase], List[Outcome]]
-) -> None:
-    """Add an execution backend to every subsequent run_rendered call."""
-    SCRIPT_BACKENDS[name] = runner
-
-
-def unregister_script_backend(name: str) -> None:
-    SCRIPT_BACKENDS.pop(name, None)
-
-
-def backend_script_runner(
-    backend_factory: Callable[[], Any],
-) -> Callable[[RenderedCase], List[Outcome]]:
-    """Adapt a :mod:`repro.backends` driver into a script runner.
-
-    The factory must build a fresh, catalog-free Backend per case (the
-    fuzzer's DDL creates the schema itself).  The generic-dialect script
-    (``rendered.sqlite``) is executed through the driver's own
-    placeholder conversion and parameter binding, so the cross-backend
-    sweep exercises the production driver code path, not a test shim.
-    """
-
-    def run(rendered: RenderedCase) -> List[Outcome]:
-        backend = backend_factory()
-        try:
-            outcomes: List[Outcome] = []
-            for ddl in rendered.sqlite.create:
-                backend.execute(ddl)
-            for op in rendered.sqlite.ops:
-                try:
-                    result = backend.execute(op.sql, op.params)
-                    if op.kind == "query":
-                        outcomes.append(
-                            Outcome(
-                                "rows",
-                                columns=len(result.columns),
-                                rows=normalize_rows(result.rows),
-                            )
-                        )
-                    elif op.kind in ("insert", "update", "delete"):
-                        outcomes.append(
-                            Outcome("count", count=result.rowcount)
-                        )
-                    else:
-                        outcomes.append(Outcome("ok"))
-                except Exception as exc:  # noqa: BLE001 - error parity
-                    outcomes.append(
-                        Outcome(
-                            "error", error=f"{type(exc).__name__}: {exc}"
-                        )
-                    )
-            return outcomes
-        finally:
-            backend.close()
-
-    return run
-
-
-def register_default_backends() -> List[str]:
-    """Register the stock cross-backend set (currently: the sqlite3
-    driver from repro.backends, distinct from the raw-connection
-    oracle).  Returns the registered names."""
-    from repro.backends.dbapi import Sqlite3Backend
-
-    register_script_backend(
-        "backend:sqlite3",
-        backend_script_runner(lambda: Sqlite3Backend(catalog=None)),
-    )
-    return ["backend:sqlite3"]
-
-
-# ---------------------------------------------------------------------------
 # comparison
 # ---------------------------------------------------------------------------
 
@@ -388,13 +298,7 @@ def run_rendered(
     sweep: Sequence[MiniConfig] = SWEEP,
     mini_transform: Optional[Callable[[str], str]] = None,
 ) -> CaseReport:
-    """Run one rendered case through the full sweep vs the oracle.
-
-    Besides the minidb config sweep, every backend in
-    :data:`SCRIPT_BACKENDS` executes the case and is held to the same
-    signature comparison against the sqlite3 oracle (multiset rows,
-    count parity, error parity) — the N-backend equivalence check.
-    """
+    """Run one rendered case through the full sweep vs the oracle."""
     report = CaseReport(query_ops=rendered.query_count)
     expected = run_sqlite(rendered.sqlite)
     error_positions = {
@@ -411,17 +315,6 @@ def run_rendered(
                 sql = rendered.minidb.ops[index].sql
                 report.divergences.append(
                     f"op[{index}] config={config.name}: minidb "
-                    f"{mine.brief()} != sqlite {theirs.brief()} :: {sql}"
-                )
-    for backend_name, runner in SCRIPT_BACKENDS.items():
-        got = runner(rendered)
-        for index, (mine, theirs) in enumerate(zip(got, expected)):
-            if mine.kind == "error":
-                error_positions.add(index)
-            if mine.signature() != theirs.signature():
-                sql = rendered.sqlite.ops[index].sql
-                report.divergences.append(
-                    f"op[{index}] backend={backend_name}: "
                     f"{mine.brief()} != sqlite {theirs.brief()} :: {sql}"
                 )
     report.error_ops = len(error_positions)
@@ -615,10 +508,6 @@ class DifferentialReport:
     query_ops: int = 0
     error_ops: int = 0
     failures: List[CaseFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and self.error_ops == 0
 
 
 def run_differential(

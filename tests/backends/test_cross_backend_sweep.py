@@ -1,32 +1,24 @@
-"""Cross-backend sweep wiring plus backend-layer unit coverage.
+"""Backend-layer unit coverage.
 
-The sweep test is the tier-1 slice of the nightly job: a small
-differential fuzz budget with the repro.backends drivers registered as
-extra execution engines, asserting zero divergence.  The unit tests pin
-the registry, placeholder conversion, snapshot-sync staleness rules,
-service routing, and the per-backend observability counters.
+Pins the closed set of engine names, the sqlite3 driver's ``?``
+passthrough, snapshot-sync staleness rules, service routing, and the
+per-backend observability counters.
 """
-
-import sqlite3
 
 import pytest
 
 from repro.backends import (
-    BackendRegistry,
-    DbApiBackend,
-    REGISTRY,
-    SQLITE_DIALECT,
-    convert_placeholders,
+    BACKENDS,
+    MinidbBackend,
+    Sqlite3Backend,
     create_backend,
-    default_backend_name,
+    named_backend,
 )
 from repro.core import NumericCloseness, Workflow
 from repro.core.operators import Recommend, Select, Source
 from repro.courserank.recommendations import RecommendationService
-from repro.errors import BackendCapabilityError, BackendError
-from repro.minidb import Database
+from repro.errors import BackendError, FlexRecsError
 from repro.obs import OBS
-from repro.testkit import oracle
 
 
 def gpa_workflow(suid=444):
@@ -41,31 +33,12 @@ def gpa_workflow(suid=444):
     )
 
 
-class TestCrossBackendSweep:
-    def test_differential_sweep_with_backends_registered(self):
-        names = oracle.register_default_backends()
-        try:
-            assert names and all(
-                name in oracle.SCRIPT_BACKENDS for name in names
-            )
-            report = oracle.run_differential(min_query_ops=40, base_seed=7)
-            assert report.ok, report.failures and [
-                line
-                for failure in report.failures
-                for line in failure.report.divergences[:3]
-            ]
-            assert report.query_ops >= 40
-        finally:
-            for name in names:
-                oracle.unregister_script_backend(name)
-        assert all(name not in oracle.SCRIPT_BACKENDS for name in names)
-
-
 class TestRegistry:
     def test_stock_backends_registered(self):
-        assert REGISTRY.is_registered("minidb")
-        assert REGISTRY.is_registered("sqlite3")
-        assert {"minidb", "sqlite3"} <= set(REGISTRY.names())
+        assert BACKENDS == {"minidb": MinidbBackend, "sqlite3": Sqlite3Backend}
+        for name, driver in BACKENDS.items():
+            with create_backend(name.upper()) as backend:
+                assert type(backend) is driver and backend.name == name
 
     def test_unknown_backend_lists_names(self):
         with pytest.raises(BackendError) as excinfo:
@@ -73,60 +46,39 @@ class TestRegistry:
         assert "postgres14" in str(excinfo.value)
         assert "minidb" in str(excinfo.value)
 
-    def test_register_dbapi_any_pep249_connection(self, flexdb):
-        registry = BackendRegistry()
-        registry.register_dbapi(
-            "sqlite3-file",
-            lambda: sqlite3.connect(":memory:"),
-            dialect=SQLITE_DIALECT,
-        )
-        backend = registry.create("sqlite3-file", flexdb)
-        try:
-            assert isinstance(backend, DbApiBackend)
-            backend.sync()
-            result = backend.execute("SELECT COUNT(*) FROM Students")
-            assert result.rows == [(4,)]
-        finally:
-            backend.close()
-
     def test_minidb_backend_is_a_context_manager(self, flexdb):
         with create_backend("minidb", flexdb) as backend:
             result = backend.execute("SELECT COUNT(*) FROM Students")
         assert result.rows == [(4,)]
 
-    def test_default_backend_name_env(self, monkeypatch):
+    def test_default_backend_name_env(self, flexdb, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert default_backend_name() == "minidb"
+        assert named_backend() is None
+        assert RecommendationService(flexdb).backend_name == "minidb"
         monkeypatch.setenv("REPRO_BACKEND", "SQLite3 ")
-        assert default_backend_name() == "sqlite3"
+        assert named_backend() == "sqlite3"
+        assert RecommendationService(flexdb).backend_name == "sqlite3"
 
 
 class TestPlaceholders:
-    def test_qmark_is_identity(self):
-        sql = "SELECT * FROM t WHERE a = ? AND b = ?"
-        assert convert_placeholders(sql, "qmark") == sql
+    """sqlite3's paramstyle is the compiler's ``qmark``: SQL text reaches
+    the driver unchanged and parameters bind left to right."""
 
-    def test_format_and_numeric(self):
-        sql = "SELECT * FROM t WHERE a = ? AND b = ?"
-        assert (
-            convert_placeholders(sql, "format")
-            == "SELECT * FROM t WHERE a = %s AND b = %s"
-        )
-        assert (
-            convert_placeholders(sql, "numeric")
-            == "SELECT * FROM t WHERE a = :1 AND b = :2"
-        )
+    def test_qmark_is_identity(self):
+        with create_backend("sqlite3") as backend:
+            backend.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+            backend.execute("INSERT INTO t VALUES (?, ?)", [1, "x"])
+            result = backend.execute(
+                "SELECT a, b FROM t WHERE a = ? AND b = ?", [1, "x"]
+            )
+        assert result.rows == [(1, "x")]
 
     def test_question_marks_inside_literals_survive(self):
-        sql = "SELECT 'what?' || ? FROM t WHERE note = 'it''s ?' AND a = ?"
-        assert (
-            convert_placeholders(sql, "numeric")
-            == "SELECT 'what?' || :1 FROM t WHERE note = 'it''s ?' AND a = :2"
-        )
-
-    def test_unsupported_paramstyle(self):
-        with pytest.raises(BackendCapabilityError):
-            convert_placeholders("SELECT ?", "pyformat")
+        with create_backend("sqlite3") as backend:
+            result = backend.execute(
+                "SELECT 'what?' || ?, 'it''s ?' = ?", ["!", "it's ?"]
+            )
+        assert result.rows == [("what?!", 1)]
 
 
 class TestSnapshotSync:
@@ -156,7 +108,11 @@ class TestSnapshotSync:
             flexdb.execute("DROP TABLE Offerings")
             backend.sync()
             assert "offerings" not in backend._synced
-            assert "offerings" not in backend.table_names()
+            tables = backend.execute(
+                "SELECT lower(name) FROM sqlite_master WHERE type = 'table'"
+            )
+            assert ("offerings",) not in tables.rows
+            assert ("students",) in tables.rows
 
     def test_catalog_free_backend_refuses_sync_and_workflows(self):
         with create_backend("sqlite3") as backend:
@@ -186,6 +142,14 @@ class TestServiceRouting:
         assert via_path.rows == via_sql.rows
         # the driver is cached for incremental syncs across calls
         assert service.backend("sqlite3") is service.backend("sqlite3")
+
+    def test_unknown_path_names_it(self, flexdb):
+        service = RecommendationService(flexdb)
+        with pytest.raises(FlexRecsError) as excinfo:
+            service.run(
+                "grade_based_filtering", path="postgres14", student_id=444
+            )
+        assert "postgres14" in str(excinfo.value)
 
     def test_env_selects_service_backend(self, flexdb, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "sqlite3")

@@ -42,21 +42,23 @@ def _kept(run):
     return len(run) >= 2 and run not in STOPWORDS
 
 
-def display_terms(text, include_bigrams=True):
+def display_words(text):
+    """A field's display words: its kept runs, in order."""
+    return [run for run in _runs(text) if _kept(run)]
+
+
+def display_terms(text):
     """A field's display words, then (pass two) its bigrams of two
     consecutive kept words."""
     runs = _runs(text)
-    terms = [run for run in runs if _kept(run)]
-    if include_bigrams:
-        terms += [
-            f"{left} {right}"
-            for left, right in zip(runs, runs[1:])
-            if _kept(left) and _kept(right)
-        ]
-    return terms
+    return display_words(text) + [
+        f"{left} {right}"
+        for left, right in zip(runs, runs[1:])
+        if _kept(left) and _kept(right)
+    ]
 
 
-def rescan_counts(engine, doc_id, include_bigrams=True):
+def rescan_counts(engine, doc_id):
     """Field-weighted display-term counts of one document, from its text
     (none for a document the engine does not hold)."""
     try:
@@ -66,7 +68,7 @@ def rescan_counts(engine, doc_id, include_bigrams=True):
     counts = Counter()
     for field_name, text in texts.items():
         weight = engine.field_weights.get(field_name, 1.0)
-        for term in display_terms(text, include_bigrams):
+        for term in display_terms(text):
             counts[term] += weight
     return counts
 
@@ -75,9 +77,7 @@ def rescan_gather(source, doc_ids):
     """``(occurrences, result_df)`` over ``doc_ids`` by rescanning."""
     occurrences, result_df = Counter(), Counter()
     for doc_id in doc_ids:
-        for term, count in rescan_counts(
-            source.engine, doc_id, source.include_bigrams
-        ).items():
+        for term, count in rescan_counts(source.engine, doc_id).items():
             occurrences[term] += count
             result_df[term] += 1
     return occurrences, result_df
@@ -87,9 +87,7 @@ def rescan_corpus_df(source):
     """Corpus df of every term of ``source``'s engine, by rescanning."""
     corpus_df = Counter()
     for doc_id in source.engine.index.document_ids():
-        corpus_df.update(
-            rescan_counts(source.engine, doc_id, source.include_bigrams).keys()
-        )
+        corpus_df.update(rescan_counts(source.engine, doc_id).keys())
     return corpus_df
 
 

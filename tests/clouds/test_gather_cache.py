@@ -104,7 +104,7 @@ def counts_after(app, doc_ids):
 def assert_partials_are_fresh(source):
     """Every cached partial is stamped with the source's epoch and is,
     dict for dict, what a freshly prepared source gathers over its tuple."""
-    fresh = TermSource(source.engine, include_bigrams=source.include_bigrams)
+    fresh = TermSource(source.engine)
     fresh.prepare()
     for ordered, (stamp, partial, _patched) in source._gather_cache.items():
         assert stamp == source._epoch

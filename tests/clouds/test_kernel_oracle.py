@@ -29,7 +29,7 @@ from repro.obs import OBS
 from repro.search.engine import SearchEngine
 from repro.search.entity import EntityDefinition, FieldSpec
 from repro.search.tokenizer import STOPWORDS, cloud_terms, stem, tokens, words
-from tests.clouds.oracle import display_terms, oracle_cloud
+from tests.clouds.oracle import display_terms, display_words, oracle_cloud
 
 WORDS = (
     "american", "history", "latin", "politics", "music", "jazz",
@@ -122,7 +122,7 @@ analyzer_texts = st.lists(st.tuples(PIECES, SEPARATORS), max_size=12).map(
 @example("")
 def test_the_analyzer_equals_the_oracles_two_pass_derivation(text):
     assert cloud_terms(text) == display_terms(text)
-    assert words(text) == display_terms(text, include_bigrams=False)
+    assert words(text) == display_words(text)
     assert tokens(text) == [stem(word) for word in words(text)]
 
 
@@ -309,14 +309,12 @@ class TestTheCutsInOrder:
         assert "american" not in echo_free.term_names()
 
     def test_cut_inside_a_score_tie_breaks_on_term_text(self):
-        cloud = self.build(
-            [2], scoring="frequency", min_result_df=1, max_terms=2,
-            include_bigrams=False,
-        )
-        # latin/american/politics tie at 4.0 (title 3 + body 1 for two of
-        # them); whatever the scores, equal ones are in term order.
+        cloud = self.build([2], scoring="frequency", min_result_df=1, max_terms=2)
+        # american, latin and the bigram "latin american" tie at 4.0
+        # (title 3 + body 1); a cut at two inside that tie keeps the
+        # first two in term order.
         tied = [t.term for t in cloud.terms if t.score == cloud.terms[0].score]
-        assert tied == sorted(tied)
+        assert tied == sorted(tied) == ["american", "latin"]
 
     def test_result_smaller_than_min_result_df_keeps_single_documents(self):
         cloud = self.build([3], min_result_df=2)

@@ -73,11 +73,14 @@ class TestTermSource:
         stats = {s.term: s for s in source.gather([2])}
         assert "latin american" in stats
 
-    def test_bigrams_can_be_disabled(self, engine):
-        source = TermSource(engine, include_bigrams=False)
+    def test_bigrams_never_span_a_stopword(self, engine):
+        source = TermSource(engine)
         source.prepare()
-        stats = {s.term: s for s in source.gather([2])}
-        assert "latin american" not in stats
+        stats = {s.term: s for s in source.gather([1])}
+        # body: "the american revolution and civil war"
+        assert "civil war" in stats
+        assert "revolution civil" not in stats
+        assert "revolution and" not in stats
 
     def test_rescan_matches_forward_exactly(self, engine):
         forward = TermSource(engine)
