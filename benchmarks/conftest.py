@@ -94,8 +94,7 @@ def write_bench_json(name: str, payload: dict) -> pathlib.Path:
 
     The committed JSON twins of the human-readable report tables: stable
     keys (ops/sec, speedups, p50/p99 latencies) that scripts and CI can
-    consume without scraping text.  ``check_report_freshness.py`` holds
-    these to the same regeneration discipline as the ``.txt`` reports.
+    consume without scraping text.
     """
     OUT_DIR.mkdir(exist_ok=True)
     path = OUT_DIR / f"BENCH_{name}.json"

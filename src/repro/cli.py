@@ -8,7 +8,7 @@ Commands:
 * ``search``    — keyword search with a course cloud, optional refinement;
 * ``recommend`` — run a FlexRecs strategy (any execution path);
 * ``sql``       — run a SQL statement against the database (with
-  ``--explain`` / ``--analyze`` / ``--profile`` to see the plan).
+  ``--explain`` / ``--analyze`` to see the plan).
 
 Every command accepts either ``--load DIR`` (a database saved by
 ``generate``) or ``--scale``/``--seed`` to generate one on the fly.
@@ -147,12 +147,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
         print()
         _print_result(report.result, args.max_rows)
         return 0
-    if args.profile:
-        result, report = database.profile(args.statement)
-        print(report)
-        print()
-        _print_result(result, args.max_rows)
-        return 0
     outcome = database.execute(args.statement)
     if isinstance(outcome, ResultSet):
         _print_result(outcome, args.max_rows)
@@ -211,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument("statement")
     sql.add_argument("--explain", action="store_true")
     sql.add_argument("--analyze", action="store_true")
-    sql.add_argument("--profile", action="store_true")
     sql.add_argument("--max-rows", type=int, default=20)
     sql.set_defaults(handler=cmd_sql)
 

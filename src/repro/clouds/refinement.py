@@ -152,7 +152,6 @@ class CloudNavigator:
                 hits=list(
                     heapq.merge(*(r.hits for r in results), key=_HIT_KEY)
                 ),
-                mode="all",
                 phrases=phrases,
                 candidate_count=sum(r.candidate_count for r in results),
                 scored_count=sum(r.scored_count for r in results),

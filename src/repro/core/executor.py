@@ -140,10 +140,7 @@ def graph_recommend_rows(
         node.preference,
         top_k=node.top_k,
         exclude_seed=node.exclude_seed,
-        damping=node.damping,
-        epsilon=node.epsilon,
         max_iters=node.max_iters,
-        preference_weight=node.preference_weight,
     )
     columns = list(schema.column_names)
     rows: List[Dict[str, Any]] = []

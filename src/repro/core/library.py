@@ -79,6 +79,15 @@ class Comparator:
             f"reference.{self.reference_attribute})"
         )
 
+    # Value semantics: two comparators of one class over the same
+    # attributes (and settings) are the same comparator, so equal
+    # workflows built per request compare and hash equal.
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self) -> int:
+        return hash((type(self), tuple(sorted(vars(self).items()))))
+
 
 # ---------------------------------------------------------------------------
 # scalar (SQL-inlinable) comparators

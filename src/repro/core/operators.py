@@ -365,10 +365,9 @@ class GraphRecommend(Operator):
     top_k: int = 10
     score_column: str = "score"
     exclude_seed: bool = True
-    damping: float = 0.85
-    epsilon: float = 1e-12
+    #: ``repro.graphrank.ranker.MAX_ITERS``, spelled out: importing the
+    #: ranker imports numpy, which a process that never ranks should not load
     max_iters: int = 250
-    preference_weight: float = 0.3
 
     def children(self) -> Tuple[Operator, ...]:
         return ()

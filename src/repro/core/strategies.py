@@ -34,6 +34,7 @@ from repro.core.library import (
 )
 from repro.core.operators import (
     Extend,
+    GraphRecommend,
     Join,
     Operator,
     Project,
@@ -399,10 +400,7 @@ def similar_audience_courses(
 def graph_rank_courses(
     student_id: int,
     top_k: int = 10,
-    damping: float = 0.85,
-    epsilon: float = 1e-12,
-    max_iters: int = 250,
-    preference_weight: float = 0.3,
+    max_iters: int = GraphRecommend.max_iters,
 ) -> Workflow:
     """Courses ranked by the student's FolkRank differential.
 
@@ -412,15 +410,10 @@ def graph_rank_courses(
     text) rather than one pairwise comparator.  Direct-only: the graph
     lives outside the relational algebra, so there is no SQL form.
     """
-    from repro.core.operators import GraphRecommend
-
     root = GraphRecommend(
         preference=(("user", student_id),),
         top_k=top_k,
-        damping=damping,
-        epsilon=epsilon,
         max_iters=max_iters,
-        preference_weight=preference_weight,
     )
     return Workflow(
         root, name=f"graph_rank_courses({student_id})", direct_only=True
@@ -430,10 +423,7 @@ def graph_rank_courses(
 def similar_by_folkrank(
     course_id: int,
     top_k: int = 10,
-    damping: float = 0.85,
-    epsilon: float = 1e-12,
-    max_iters: int = 250,
-    preference_weight: float = 0.3,
+    max_iters: int = GraphRecommend.max_iters,
 ) -> Workflow:
     """Courses most lifted by seeding the walk at the given course.
 
@@ -442,16 +432,11 @@ def similar_by_folkrank(
     shared students, commenters, and vocabulary.  The seed course itself
     is excluded.  Direct-only, like :func:`graph_rank_courses`.
     """
-    from repro.core.operators import GraphRecommend
-
     root = GraphRecommend(
         preference=(("course", course_id),),
         top_k=top_k,
         exclude_seed=True,
-        damping=damping,
-        epsilon=epsilon,
         max_iters=max_iters,
-        preference_weight=preference_weight,
     )
     return Workflow(
         root, name=f"similar_by_folkrank({course_id})", direct_only=True

@@ -95,21 +95,22 @@ def _catalog_stamp(database: Database) -> Tuple[int, int]:
     return database.schema_epoch, database.functions.version
 
 
+@dataclass(frozen=True)
 class Workflow:
-    """A named, validated recommendation strategy."""
+    """A named, validated recommendation strategy.
 
-    def __init__(
-        self,
-        root: Operator,
-        name: str = "workflow",
-        direct_only: bool = False,
-    ) -> None:
-        self.root = root
-        self.name = name
-        #: workflows whose operators read non-relational state (e.g. the
-        #: graph ranker) cannot compile to SQL; the service layer routes
-        #: them to the direct executor regardless of the configured path.
-        self.direct_only = direct_only
+    A value: two workflows with equal operator trees and names are equal
+    and hash equal, so per-database memos keyed by a workflow (the
+    compiled SQL of :meth:`compiled_for`) hit across requests that each
+    build their own.
+    """
+
+    root: Operator
+    name: str = "workflow"
+    #: workflows whose operators read non-relational state (e.g. the
+    #: graph ranker) cannot compile to SQL; the service layer routes
+    #: them to the direct executor regardless of the configured path.
+    direct_only: bool = False
 
     # -- validation --------------------------------------------------------
 

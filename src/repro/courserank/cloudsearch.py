@@ -16,28 +16,16 @@ from repro.clouds.cloud import CloudBuilder, DataCloud
 from repro.clouds.refinement import CloudNavigator, RefinementSession
 from repro.minidb.catalog import Database
 from repro.search.engine import SearchEngine, SearchResult
-from repro.search.entity import EntityDefinition, course_entity
+from repro.search.entity import course_entity
 
 
 class CourseCloudSearch:
     """The course search + course cloud feature."""
 
-    def __init__(
-        self,
-        database: Database,
-        entity: Optional[EntityDefinition] = None,
-        ranker: str = "bm25",
-        scoring: str = "popularity",
-        max_cloud_terms: int = 40,
-    ) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.entity = entity or course_entity()
-        self.engine = SearchEngine(database, self.entity, ranker=ranker)
-        self.builder = CloudBuilder(
-            self.engine,
-            scoring=scoring,
-            max_terms=max_cloud_terms,
-        )
+        self.engine = SearchEngine(database, course_entity())
+        self.builder = CloudBuilder(self.engine)
         self.navigator = CloudNavigator([(self.engine, self.builder)])
         self._built = False
 

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.errors import FlexRecsError
 from repro.core import strategies
 from repro.obs import OBS
-from repro.core.workflow import Recommendation, RecommendStats, Workflow
+from repro.core.workflow import Recommendation, Workflow
 from repro.minidb.catalog import Database
 
 StrategyFactory = Callable[..., Workflow]
@@ -75,11 +75,6 @@ class RecommendationService:
         # synced) across calls.
         self._backends: Dict[str, Any] = {}
         self._registry: Dict[str, StrategyFactory] = dict(DEFAULT_STRATEGIES)
-        #: RecommendStats of the most recent direct-path run (the SQL
-        #: paths execute inside the engine and record none).  Last writer
-        #: wins when threads share a service: the per-request truth is
-        #: ``Recommendation.stats``.
-        self.last_stats: List[RecommendStats] = []
 
     def backend(self, name: Optional[str] = None) -> Any:
         """The (lazily created, cached) driver for ``name``.
@@ -142,11 +137,7 @@ class RecommendationService:
     # -- execution ------------------------------------------------------------
 
     def run(
-        self,
-        name: str,
-        path: Optional[str] = None,
-        optimize: bool = False,
-        **params: Any,
+        self, name: str, path: Optional[str] = None, **params: Any
     ) -> Recommendation:
         """Run a strategy.
 
@@ -154,22 +145,13 @@ class RecommendationService:
         configured backend), 'staged' (a sequence of SQL calls with temp
         tables), or the name of an execution backend ('minidb' or
         'sqlite3'); None takes :attr:`default_path`.
-        ``optimize=True`` applies the algebraic rewriter first.
         """
-        workflow = self.build(name, **params)
-        return self.run_workflow(workflow, path=path, optimize=optimize)
+        return self.run_workflow(self.build(name, **params), path=path)
 
     def run_workflow(
-        self,
-        workflow: Workflow,
-        path: Optional[str] = None,
-        optimize: bool = False,
+        self, workflow: Workflow, path: Optional[str] = None
     ) -> Recommendation:
-        if optimize:
-            from repro.core.optimizer import optimize as rewrite
-
-            workflow = rewrite(workflow, self.database)
-        if getattr(workflow, "direct_only", False):
+        if workflow.direct_only:
             # Graph-backed workflows have no SQL form on any backend;
             # whatever path was configured or requested, they run on the
             # direct executor.
@@ -184,9 +166,7 @@ class RecommendationService:
                 # itself or sqlite3: same workflow, its dialect).
                 return workflow.run_backend(self.backend())
             if path == "direct":
-                recommendation = workflow.run(self.database)
-                self.last_stats = recommendation.stats
-                return recommendation
+                return workflow.run(self.database)
             if path == "staged":
                 from repro.core.staged import run_staged
 

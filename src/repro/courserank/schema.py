@@ -239,15 +239,14 @@ CREATE INDEX idx_points_user ON PointsLedger (UserID);
 """
 
 
-def create_schema(database: Database, with_indexes: bool = True) -> None:
-    """Create all CourseRank tables (and, by default, their indexes)."""
+def create_schema(database: Database) -> None:
+    """Create all CourseRank tables and their indexes."""
     database.execute_script(_DDL)
-    if with_indexes:
-        database.execute_script(_INDEXES)
+    database.execute_script(_INDEXES)
 
 
-def new_database(with_indexes: bool = True) -> Database:
+def new_database() -> Database:
     """A fresh Database with the CourseRank schema installed."""
     database = Database()
-    create_schema(database, with_indexes=with_indexes)
+    create_schema(database)
     return database

@@ -9,7 +9,7 @@ same unstemmed unigrams the data clouds show).  Edges:
 * user–course — one unit per enrollment, plus one per comment;
 * user–term / course–term — one unit per occurrence of the term in a
   comment that user left on that course;
-* course–term — ``title_weight`` units per occurrence in the course
+* course–term — :data:`TITLE_WEIGHT` units per occurrence in the course
   title, one per occurrence in the description.
 
 Two design rules make everything downstream deterministic:
@@ -53,6 +53,10 @@ CsrView = Tuple[array, array, array]
 #: argument a one-liner.
 LAYER_ORDER: Tuple[str, ...] = ("enrollment", "comment", "content")
 
+#: edge units per occurrence of a term in a course title (a description
+#: occurrence is one)
+TITLE_WEIGHT = 2
+
 #: source tables per layer — the version key of a layer snapshots exactly
 #: these tables, so a write anywhere else cannot invalidate it.
 LAYER_TABLES: Dict[str, Tuple[str, ...]] = {
@@ -94,11 +98,7 @@ def _add_edge(edges: Edges, left: NodeId, right: NodeId, weight: int) -> None:
     backward[left] = backward.get(left, 0) + weight
 
 
-def build_layer(
-    name: str,
-    database: Database,
-    title_weight: int = 2,
-) -> AdjacencyLayer:
+def build_layer(name: str, database: Database) -> AdjacencyLayer:
     """Cold-build one layer from its source tables."""
     version = layer_version(database, name)
     edges: Edges = {}
@@ -131,7 +131,7 @@ def build_layer(
             if course_id is None:
                 continue
             course = ("course", course_id)
-            for text, weight in ((title, title_weight), (description, 1)):
+            for text, weight in ((title, TITLE_WEIGHT), (description, 1)):
                 if not text:
                     continue
                 for term in words(str(text)):

@@ -9,7 +9,7 @@ held by the database itself) owns
   did (see :mod:`repro.graphrank.adjacency`);
 * a memoized **baseline** rank vector per adjacency version (the
   uniform-teleport run every differential subtracts);
-* a memoized differential vector per ``(adjacency version, parameters,
+* a memoized differential vector per ``(adjacency version, max_iters,
   preference)``, kept with whether its iterations converged — the
   Zipfian head of a service workload repeats preferences, so warm calls
   skip the iteration entirely.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.caching import LRUCache
 from repro.minidb.catalog import Database
@@ -39,6 +39,7 @@ from repro.graphrank.adjacency import (
     layer_version,
 )
 from repro.graphrank.ranker import (
+    MAX_ITERS,
     RankResult,
     normalize_preference,
     power_iteration,
@@ -60,28 +61,13 @@ class GraphRankEngine:
     layers_rebuilt = 0
     layers_reused = 0
 
-    def __init__(
-        self,
-        database: Database,
-        damping: float = 0.85,
-        epsilon: float = 1e-12,
-        max_iters: int = 250,
-        preference_weight: float = 0.3,
-        title_weight: int = 2,
-    ) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.damping = damping
-        self.epsilon = epsilon
-        self.max_iters = max_iters
-        self.preference_weight = preference_weight
-        self.title_weight = title_weight
         self._lock = threading.RLock()
         self._layers: Dict[str, AdjacencyLayer] = {}
         self._adjacency: Optional[TripartiteAdjacency] = None
         self._baseline_cache = LRUCache(maxsize=8)
         self._rank_cache = LRUCache(maxsize=64)
-        #: the most recent preference-biased iteration (tests/obs)
-        self.last_result: Optional[RankResult] = None
 
     @classmethod
     def for_database(cls, database: Database) -> "GraphRankEngine":
@@ -108,11 +94,7 @@ class GraphRankEngine:
                     continue
                 with OBS.span("graphrank.layer_build", {"layer": name}):
                     started = time.perf_counter()
-                    layers[name] = build_layer(
-                        name,
-                        self.database,
-                        title_weight=self.title_weight,
-                    )
+                    layers[name] = build_layer(name, self.database)
                     if OBS.enabled:
                         OBS.metrics.inc(f"graphrank.layer_build.{name}")
                         OBS.metrics.observe(
@@ -142,102 +124,48 @@ class GraphRankEngine:
 
     # -- ranking -------------------------------------------------------------
 
-    def _params(
-        self,
-        damping: Optional[float],
-        epsilon: Optional[float],
-        max_iters: Optional[int],
-        preference_weight: Optional[float],
-    ) -> Tuple[float, float, int, float]:
-        return (
-            self.damping if damping is None else damping,
-            self.epsilon if epsilon is None else epsilon,
-            self.max_iters if max_iters is None else max_iters,
-            (
-                self.preference_weight
-                if preference_weight is None
-                else preference_weight
-            ),
-        )
-
-    def baseline(
-        self,
-        damping: Optional[float] = None,
-        epsilon: Optional[float] = None,
-        max_iters: Optional[int] = None,
-    ) -> RankResult:
+    def baseline(self, max_iters: int = MAX_ITERS) -> RankResult:
         """The uniform-teleport iteration (memoized per graph version)."""
         with self._lock:
             adjacency = self.refresh()
-            resolved = self._params(damping, epsilon, max_iters, None)
-            key = (adjacency.version_key(), resolved[:3])
+            key = (adjacency.version_key(), max_iters)
             cached = self._baseline_cache.get(key)
             if cached is not None:
                 return cached
             with OBS.span("graphrank.baseline"):
-                result = power_iteration(
-                    adjacency,
-                    preference=(),
-                    damping=resolved[0],
-                    epsilon=resolved[1],
-                    max_iters=resolved[2],
-                )
+                result = power_iteration(adjacency, max_iters=max_iters)
             self._baseline_cache.put(key, result)
             return result
 
     def rank(
         self,
         preference: Optional[Iterable[Sequence]] = None,
-        damping: Optional[float] = None,
-        epsilon: Optional[float] = None,
-        max_iters: Optional[int] = None,
-        preference_weight: Optional[float] = None,
+        max_iters: int = MAX_ITERS,
     ) -> RankResult:
         """One raw (non-differential) preference-biased iteration."""
         frozen = normalize_preference(preference)
         with self._lock:
-            adjacency = self.refresh()
-            resolved = self._params(
-                damping, epsilon, max_iters, preference_weight
-            )
-            result = power_iteration(
-                adjacency,
-                preference=frozen,
-                damping=resolved[0],
-                epsilon=resolved[1],
-                max_iters=resolved[2],
-                preference_weight=resolved[3],
-            )
-            self.last_result = result
-            return result
+            return power_iteration(self.refresh(), frozen, max_iters)
 
     def differential(
-        self, preference: Iterable[Sequence], **params: Any
+        self, preference: Iterable[Sequence], max_iters: int = MAX_ITERS
     ) -> Dict[NodeId, float]:
         """FolkRank scores: biased rank minus the unbiased baseline.
 
         The subtraction cancels pure-topology popularity, leaving what
         the preference *added* — the folksonomy papers' differential
-        ranking.  Memoized per (graph version, parameters, preference).
+        ranking.  Memoized per (graph version, ``max_iters``, preference).
         """
-        return self._differential(preference, **params)[0]
+        return self._differential(preference, max_iters)[0]
 
     def _differential(
-        self,
-        preference: Iterable[Sequence],
-        damping: Optional[float] = None,
-        epsilon: Optional[float] = None,
-        max_iters: Optional[int] = None,
-        preference_weight: Optional[float] = None,
+        self, preference: Iterable[Sequence], max_iters: int = MAX_ITERS
     ) -> Tuple[Dict[NodeId, float], bool]:
         """The memo entry: ``(differential scores, both runs converged)``."""
         frozen = normalize_preference(preference)
         with self._lock:
             adjacency = self.refresh()
-            resolved = self._params(
-                damping, epsilon, max_iters, preference_weight
-            )
-            key = (adjacency.version_key(), resolved, frozen)
+            key = (adjacency.version_key(), max_iters, frozen)
             cached = self._rank_cache.get(key)
             if cached is not None:
                 if OBS.enabled:
@@ -247,20 +175,8 @@ class GraphRankEngine:
                 "graphrank.differential", {"seeds": len(frozen)}
             ) as span:
                 started = time.perf_counter()
-                base = self.baseline(
-                    damping=resolved[0],
-                    epsilon=resolved[1],
-                    max_iters=resolved[2],
-                )
-                result = power_iteration(
-                    adjacency,
-                    preference=frozen,
-                    damping=resolved[0],
-                    epsilon=resolved[1],
-                    max_iters=resolved[2],
-                    preference_weight=resolved[3],
-                )
-                self.last_result = result
+                base = self.baseline(max_iters)
+                result = power_iteration(adjacency, frozen, max_iters)
                 scores = {
                     node: score - base.scores[node]
                     for node, score in result.scores.items()
@@ -283,7 +199,7 @@ class GraphRankEngine:
         preference: Iterable[Sequence],
         top_k: Optional[int] = None,
         exclude_seed: bool = True,
-        **params: Any,
+        max_iters: int = MAX_ITERS,
     ) -> RankedCourses:
         """Ranked ``(course_id, differential score)`` pairs.
 
@@ -292,7 +208,7 @@ class GraphRankEngine:
         is dropped, so "similar to course X" never answers "X".
         """
         frozen = normalize_preference(preference)
-        scores, converged = self._differential(frozen, **params)
+        scores, converged = self._differential(frozen, max_iters)
         exclude = (
             tuple(node for node in frozen if node[0] == "course")
             if exclude_seed

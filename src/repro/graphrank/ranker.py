@@ -8,7 +8,7 @@ popularity every node earns just from graph topology).
 
 The iteration runs over the integer-id CSR view of the graph
 (:meth:`TripartiteAdjacency.csr`) on one of two kernels, chosen by
-reading this module's :data:`NUMPY` at call time:
+reading this module's :data:`HAS_NUMPY` at call time:
 
 * the **exact** kernel (pure Python) takes per-node incoming mass and
   the L1 delta through :func:`math.fsum`, which is *exactly rounded*:
@@ -25,8 +25,9 @@ reading this module's :data:`NUMPY` at call time:
 
 Both share (property-tested in ``tests/graphrank``):
 
-* Fixed ``damping``, ``epsilon``-on-L1-delta + ``max_iters`` stopping
-  rule, and a stable ``(-score, node)`` tie-break wherever rankings are
+* FolkRank's fixed :data:`DAMPING` and :data:`PREFERENCE_WEIGHT`, the
+  :data:`EPSILON`-on-L1-delta + ``max_iters`` stopping rule, and a
+  stable ``(-score, node)`` tie-break wherever rankings are
   materialized.
 * The graph contains only nodes with at least one edge (see
   :mod:`repro.graphrank.adjacency`), so the transition matrix is column
@@ -37,7 +38,6 @@ Both share (property-tested in ``tests/graphrank``):
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from operator import itemgetter, mul, sub
 from typing import Any, Callable, Dict, Iterable, List
@@ -46,16 +46,23 @@ from typing import Optional, Sequence, Tuple
 from repro.errors import GraphRankError
 from repro.graphrank.adjacency import CsrView, NodeId, TripartiteAdjacency
 
-try:  # pragma: no cover - exercised through NUMPY
+#: the kernel switch: the numpy kernel when numpy imports, the exact one
+#: otherwise; tests flip it to pin a kernel
+try:  # pragma: no cover - exercised through HAS_NUMPY
     import numpy  # noqa: F401
 
     HAS_NUMPY = True
 except Exception:  # ImportError, broken install: the exact kernel only
     HAS_NUMPY = False
 
-#: the kernel switch: the numpy kernel when numpy imports, unless
-#: ``REPRO_NUMPY=0`` pins the exact one for a whole run; tests flip it
-NUMPY = HAS_NUMPY and os.environ.get("REPRO_NUMPY", "1") != "0"
+#: FolkRank's parameters, fixed as in the folksonomy papers: the damping
+#: factor, the teleport share the preference nodes split, and the L1
+#: delta at which an iteration has converged
+DAMPING = 0.85
+PREFERENCE_WEIGHT = 0.3
+EPSILON = 1e-12
+#: the default cap on iterations, the one setting callers may pass
+MAX_ITERS = 250
 
 #: node kinds a preference entry may name
 NODE_KINDS = ("user", "course", "term")
@@ -96,12 +103,11 @@ def normalize_preference(
 def teleport_vector(
     adjacency: TripartiteAdjacency,
     preference: Tuple[NodeId, ...] = (),
-    preference_weight: float = 0.3,
 ) -> Dict[NodeId, float]:
     """The biased restart distribution ``p``.
 
-    Uniform mass ``(1 - preference_weight)/n`` everywhere, with the
-    remaining ``preference_weight`` split evenly over the preference
+    Uniform mass ``(1 - PREFERENCE_WEIGHT)/n`` everywhere, with the
+    remaining :data:`PREFERENCE_WEIGHT` split evenly over the preference
     nodes *present in the graph*.  With no (present) preference nodes
     this degrades to the uniform baseline vector.
     """
@@ -113,14 +119,14 @@ def teleport_vector(
     present = [node for node in preference if node in adjacency.degrees]
     if not present:
         return {node: base for node in nodes}
-    vector = {node: (1.0 - preference_weight) * base for node in nodes}
-    boost = preference_weight / len(present)
+    vector = {node: (1.0 - PREFERENCE_WEIGHT) * base for node in nodes}
+    boost = PREFERENCE_WEIGHT / len(present)
     for node in present:
         vector[node] += boost
     return vector
 
 
-def _exact_step(view: CsrView, base: List[float], damping: float) -> Callable:
+def _exact_step(view: CsrView, base: List[float]) -> Callable:
     """One sweep ``rank → (fresh, L1 delta)``, exactly rounded, pure Python."""
     starts, cols, vals = view
     rows = []
@@ -130,6 +136,7 @@ def _exact_step(view: CsrView, base: List[float], damping: float) -> Callable:
             row = (slice(row[0], row[0] + 1),)
         rows.append((itemgetter(*row), vals[begin:end].tolist()))
     fsum = math.fsum
+    damping = DAMPING
 
     def step(rank: List[float]) -> Tuple[List[float], float]:
         fresh = [
@@ -141,7 +148,7 @@ def _exact_step(view: CsrView, base: List[float], damping: float) -> Callable:
     return step
 
 
-def _numpy_step(view: CsrView, base: List[float], damping: float) -> Callable:
+def _numpy_step(view: CsrView, base: List[float]) -> Callable:
     """The same sweep as gather–multiply–segment-sum over zero-copy views."""
     import numpy as np
 
@@ -151,6 +158,7 @@ def _numpy_step(view: CsrView, base: List[float], damping: float) -> Callable:
     cols = np.frombuffer(view[1], dtype=np.int64)
     vals = np.frombuffer(view[2], dtype=np.float64)
     restart = np.array(base)
+    damping = DAMPING
 
     def step(rank: Any) -> Tuple[Any, float]:
         incoming = np.add.reduceat(vals * np.take(rank, cols), starts)
@@ -163,41 +171,36 @@ def _numpy_step(view: CsrView, base: List[float], damping: float) -> Callable:
 def power_iteration(
     adjacency: TripartiteAdjacency,
     preference: Tuple[NodeId, ...] = (),
-    damping: float = 0.85,
-    epsilon: float = 1e-12,
-    max_iters: int = 250,
-    preference_weight: float = 0.3,
+    max_iters: int = MAX_ITERS,
 ) -> RankResult:
     """Run damped power iteration to a fixed point.
 
-    ``w ← (1-d)·p + d·A·w`` with ``A`` the degree-normalized adjacency;
-    stops when the L1 delta between successive vectors drops to
-    ``epsilon`` (or after ``max_iters``).  Starting from ``p`` itself
-    makes repeated runs trivially identical.
+    ``w ← (1-d)·p + d·A·w`` with ``d`` = :data:`DAMPING` and ``A`` the
+    degree-normalized adjacency; stops when the L1 delta between
+    successive vectors drops to :data:`EPSILON` (or after ``max_iters``).
+    Starting from ``p`` itself makes repeated runs trivially identical.
     """
-    if not 0.0 < damping < 1.0:
-        raise GraphRankError(f"damping must be in (0, 1); got {damping}")
     if max_iters < 1:
         raise GraphRankError("max_iters must be at least 1")
     nodes = adjacency.nodes
     if not nodes:
         return RankResult(scores={}, iterations=0, converged=True, delta=0.0)
     # teleport_vector fills its dict in ``nodes`` order
-    teleport = teleport_vector(adjacency, preference, preference_weight)
+    teleport = teleport_vector(adjacency, preference)
     rank: Any = list(teleport.values())
-    base = [(1.0 - damping) * share for share in rank]
-    kernel = _numpy_step if NUMPY else _exact_step
-    step = kernel(adjacency.csr(), base, damping)
+    base = [(1.0 - DAMPING) * share for share in rank]
+    kernel = _numpy_step if HAS_NUMPY else _exact_step
+    step = kernel(adjacency.csr(), base)
     for iterations in range(1, max_iters + 1):
         rank, delta = step(rank)
-        if delta <= epsilon:
+        if delta <= EPSILON:
             break
     if kernel is _numpy_step:
         rank = rank.tolist()
     return RankResult(
         scores=dict(zip(nodes, rank)),
         iterations=iterations,
-        converged=delta <= epsilon,
+        converged=delta <= EPSILON,
         delta=delta,
     )
 

@@ -390,11 +390,6 @@ class Database:
         """Render the physical plan chosen for a SELECT statement."""
         return self._get_executor().explain(sql)
 
-    def profile(self, sql: str):
-        """Legacy row-count profiling: run a SELECT, return (ResultSet,
-        plan report annotated with per-operator row counts)."""
-        return self._get_executor().profile(sql)
-
     def analyze(self, sql: str, params: Optional[Sequence[Any]] = None):
         """EXPLAIN ANALYZE: run a SELECT and return an
         :class:`~repro.minidb.executor.AnalyzeReport` — the result set

@@ -247,13 +247,6 @@ def _analyze_node_lines(record: NodeStats, indent: int) -> List[str]:
     return lines
 
 
-def _profile_node_lines(record: NodeStats, indent: int) -> List[str]:
-    lines = ["  " * indent + f"{record.label} -> {record.rows_out} rows"]
-    for child in record.children:
-        lines.extend(_profile_node_lines(child, indent + 1))
-    return lines
-
-
 class Executor:
     """Executes parsed statements against one Database."""
 
@@ -334,23 +327,6 @@ class Executor:
             self.database.drop_view(statement.name, if_exists=statement.if_exists)
             return None
         raise MiniDBError(f"unsupported statement {type(statement).__name__}")
-
-    def profile(self, sql: str) -> Tuple[ResultSet, str]:
-        """Execute a SELECT and report actual row counts per plan node.
-
-        Legacy row-count rendering kept for compatibility; it shares the
-        EXPLAIN ANALYZE instrumentation (see :meth:`analyze`) but reports
-        only ``-> N rows`` per operator.
-        """
-        statement = parse_statement(sql)
-        if not isinstance(statement, SelectStatement):
-            raise PlannerError("profile supports only SELECT statements")
-        with self.database.rwlock.read_locked():
-            plan = plan_select(self.database, statement)
-            result, root, _total_ms = self._run_instrumented(plan, params=None)
-        lines = [f"Project -> {len(result)} rows"]
-        lines.extend(_profile_node_lines(root, indent=1))
-        return result, "\n".join(lines)
 
     def analyze(
         self, sql: str, params: Optional[Sequence[Any]] = None

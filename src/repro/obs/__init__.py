@@ -50,18 +50,11 @@ class ObsState:
 
     __slots__ = ("enabled", "tracer", "metrics", "slow_log")
 
-    def __init__(
-        self,
-        ring_size: int = 2048,
-        slow_threshold_ms: float = 10.0,
-        slow_top_k: int = 32,
-    ) -> None:
+    def __init__(self) -> None:
         self.enabled = False
-        self.tracer = Tracer(ring_size=ring_size)
+        self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.slow_log = SlowQueryLog(
-            threshold_ms=slow_threshold_ms, top_k=slow_top_k
-        )
+        self.slow_log = SlowQueryLog()
 
     def enable(self) -> "ObsState":
         self.enabled = True
@@ -72,7 +65,7 @@ class ObsState:
         return self
 
     def reset(self) -> "ObsState":
-        """Drop all recorded spans/metrics/slow queries (keeps config)."""
+        """Drop all recorded spans/metrics/slow queries (keeps the switch)."""
         self.tracer.clear()
         self.metrics.clear()
         self.slow_log.clear()

@@ -12,8 +12,8 @@ own weight.  This package provides:
   term frequencies plus a forward index (used by the data-cloud scorers);
 * :mod:`entity` — declarative definitions of multi-relation search
   entities (field SQL + weight);
-* :mod:`engine` — the query engine: conjunctive/disjunctive matching with
-  weighted TF-IDF or BM25F-style ranking.
+* :mod:`engine` — the query engine: conjunctive matching with BM25F-style
+  ranking.
 """
 
 from repro.search.engine import SearchEngine, SearchHit, SearchResult

@@ -1,21 +1,18 @@
 """The search engine: indexing entities and answering keyword queries.
 
-Matching is **conjunctive** by default (every query term must appear
-somewhere in the entity), which is what produces the paper's refinement
-behaviour: "American" matches 1160 courses, adding "African" narrows to
-123.  Disjunctive ("any") matching is available for recall-oriented uses.
+Matching is **conjunctive** (every query term must appear somewhere in
+the entity), which is what produces the paper's refinement behaviour:
+"American" matches 1160 courses, adding "African" narrows to 123.
 
 Queries support **quoted phrases**: ``"african american" history``
 requires the two quoted words to appear consecutively (in the same
 field), which is how clicking a multi-word cloud term refines.
 
-Two rankers are provided:
-
-* ``tfidf`` — weighted TF-IDF: ``sum_t idf(t) * sum_f w_f * (1+log tf)``;
-* ``bm25``  — a BM25F-style variant with per-field length normalization.
-
-Both respect the entity definition's field weights, answering Section
-3.1's ranking question (title hits beat comment hits).
+Ranking is BM25F-style: per field, term frequency times the entity
+definition's field weight and a length normalizer, summed into one
+pseudo term frequency that saturates at :data:`BM25_K1`.  The field
+weights answer Section 3.1's ranking question (title hits beat comment
+hits).
 
 The query hot path is engineered like minidb's (DESIGN.md §7/§8):
 scoring is term-at-a-time over postings with idf, field weight, and
@@ -28,11 +25,10 @@ once, by :class:`repro.clouds.refinement.CloudNavigator`.
 from __future__ import annotations
 
 import heapq
-import math
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SearchError
 from repro.obs import COUNT_EDGES, OBS
@@ -45,6 +41,10 @@ from repro.search.tokenizer import tokens
 DocId = Any
 
 _QUOTED = re.compile(r'"([^"]*)"')
+
+#: BM25's term-frequency saturation and field-length normalization
+BM25_K1 = 1.4
+BM25_B = 0.6
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,6 @@ class SearchResult:
     query: str
     terms: List[str]  # all stemmed terms, phrase members included
     hits: List[SearchHit]
-    mode: str
     phrases: List[List[str]] = field(default_factory=list)
     candidate_count: int = 0
     scored_count: int = 0
@@ -92,21 +91,9 @@ class SearchResult:
 class SearchEngine:
     """Indexes one entity type from a database and answers queries."""
 
-    def __init__(
-        self,
-        database: Database,
-        entity: EntityDefinition,
-        ranker: str = "bm25",
-        bm25_k1: float = 1.4,
-        bm25_b: float = 0.6,
-    ) -> None:
-        if ranker not in ("bm25", "tfidf"):
-            raise SearchError(f"unknown ranker {ranker!r}")
+    def __init__(self, database: Database, entity: EntityDefinition) -> None:
         self.database = database
         self.entity = entity
-        self.ranker = ranker
-        self.bm25_k1 = bm25_k1
-        self.bm25_b = bm25_b
         self.index = InvertedIndex()
         self.field_weights = entity.field_weights
         # Raw text store per document (cloud term extraction and snippets
@@ -197,15 +184,12 @@ class SearchEngine:
         self,
         query: str,
         limit: Optional[int] = None,
-        mode: str = "all",
         within: Optional[Set[DocId]] = None,
         corpus_stats: Optional[CorpusStats] = None,
     ) -> SearchResult:
         """Answer a keyword query.
 
-        ``mode`` is ``"all"`` (conjunctive, default) or ``"any"``
-        (disjunctive; phrases still match as phrases).  ``within``
-        restricts candidates to a document subset — the data-cloud
+        ``within`` restricts candidates to a document subset — the data-cloud
         refinement path uses it.  Idf and average field lengths come
         from ``corpus_stats``, by default this index's own
         (:meth:`CorpusStats.local <repro.search.stats.CorpusStats.local>`);
@@ -213,13 +197,11 @@ class SearchEngine:
         shard scores its candidates exactly as the unsharded build would.
         """
         if not OBS.enabled:
-            return self._search_impl(query, limit, mode, within, corpus_stats)
+            return self._search_impl(query, limit, within, corpus_stats)
         # The result's own observability fields are the single source of
         # truth; the span and metrics are views over the same numbers.
         with OBS.tracer.span("search.query") as span:
-            result = self._search_impl(
-                query, limit, mode, within, corpus_stats
-            )
+            result = self._search_impl(query, limit, within, corpus_stats)
             span.set(
                 terms=len(result.terms),
                 hits=len(result.hits),
@@ -239,14 +221,11 @@ class SearchEngine:
         self,
         query: str,
         limit: Optional[int] = None,
-        mode: str = "all",
         within: Optional[Set[DocId]] = None,
         corpus_stats: Optional[CorpusStats] = None,
     ) -> SearchResult:
         self._require_built()
         started = time.perf_counter()
-        if mode not in ("all", "any"):
-            raise SearchError(f"unknown match mode {mode!r}")
         loose, phrases = self.parse_query(query)
         all_terms = list(loose) + [term for phrase in phrases for term in phrase]
         if not all_terms:
@@ -254,13 +233,12 @@ class SearchEngine:
                 query=query,
                 terms=[],
                 hits=[],
-                mode=mode,
                 phrases=[],
                 elapsed_ms=(time.perf_counter() - started) * 1000.0,
             )
         if corpus_stats is None:
             corpus_stats = CorpusStats.local(self.index, all_terms)
-        candidates = self._candidates(loose, phrases, mode)
+        candidates = self._candidates(loose, phrases)
         if within is not None:
             candidates &= within
         scored = self._score_candidates(candidates, all_terms, corpus_stats)
@@ -278,42 +256,34 @@ class SearchEngine:
             query=query,
             terms=all_terms,
             hits=hits,
-            mode=mode,
             phrases=phrases,
             candidate_count=len(candidates),
             scored_count=scored_count,
             elapsed_ms=(time.perf_counter() - started) * 1000.0,
         )
 
-    def count(self, query: str, mode: str = "all") -> int:
+    def count(self, query: str) -> int:
         """Number of matching entities without scoring (cheaper)."""
         self._require_built()
         loose, phrases = self.parse_query(query)
         if not loose and not phrases:
             return 0
-        return len(self._candidates(loose, phrases, mode))
+        return len(self._candidates(loose, phrases))
 
     def _candidates(
-        self,
-        loose: Sequence[str],
-        phrases: Sequence[Sequence[str]],
-        mode: str,
+        self, loose: Sequence[str], phrases: Sequence[Sequence[str]]
     ) -> Set[DocId]:
+        """The documents holding every loose term and every phrase."""
         sets = [self.index.matching_documents(term) for term in loose]
         sets.extend(self.index.phrase_documents(phrase) for phrase in phrases)
         if not sets:
             return set()
-        if mode == "all":
-            sets.sort(key=len)  # intersect smallest-first
-            result = set(sets[0])
-            for other in sets[1:]:
-                result &= other
-                if not result:
-                    break
-            return result
-        result: Set[DocId] = set()
-        for other in sets:
-            result |= other
+        sets.sort(key=len)  # intersect smallest-first
+        result = set(sets[0])
+        for other in sets[1:]:
+            result &= other
+            if not result:
+                break
         return result
 
     # -- scoring ---------------------------------------------------------
@@ -341,11 +311,10 @@ class SearchEngine:
         if not candidates:
             return []
         scores: Dict[DocId, float] = dict.fromkeys(candidates, 0.0)
-        k1, b = self.bm25_k1, self.bm25_b
+        k1 = BM25_K1
         k1_plus_1 = k1 + 1.0
         weights = self.field_weights
         index = self.index
-        bm25 = self.ranker == "bm25"
         # field -> {doc: 1/normalizer}; fetched lazily per field, shared
         # across terms (the table itself is epoch-cached in the index).
         inverse_norms: Dict[str, Dict[DocId, float]] = {}
@@ -366,34 +335,25 @@ class SearchEngine:
                     for doc_id in candidates
                     if doc_id in postings
                 )
-            if bm25:
-                for doc_id, entry in matched:
-                    pseudo_tf = 0.0
-                    for field_name, positions in entry.items():
-                        inverse = inverse_norms.get(field_name)
-                        if inverse is None:
-                            inverse = index.length_normalizers(
-                                field_name,
-                                b,
-                                corpus_stats.average_field_length(field_name),
-                            )
-                            inverse_norms[field_name] = inverse
-                        pseudo_tf += (
-                            weights.get(field_name, 1.0)
-                            * len(positions)
-                            * inverse.get(doc_id, 1.0)
+            for doc_id, entry in matched:
+                pseudo_tf = 0.0
+                for field_name, positions in entry.items():
+                    inverse = inverse_norms.get(field_name)
+                    if inverse is None:
+                        inverse = index.length_normalizers(
+                            field_name,
+                            BM25_B,
+                            corpus_stats.average_field_length(field_name),
                         )
-                    scores[doc_id] += (
-                        idf * pseudo_tf * k1_plus_1 / (pseudo_tf + k1)
+                        inverse_norms[field_name] = inverse
+                    pseudo_tf += (
+                        weights.get(field_name, 1.0)
+                        * len(positions)
+                        * inverse.get(doc_id, 1.0)
                     )
-            else:
-                for doc_id, entry in matched:
-                    weighted = 0.0
-                    for field_name, positions in entry.items():
-                        weighted += weights.get(field_name, 1.0) * (
-                            1.0 + math.log(len(positions))
-                        )
-                    scores[doc_id] += idf * weighted
+                scores[doc_id] += (
+                    idf * pseudo_tf * k1_plus_1 / (pseudo_tf + k1)
+                )
         return [SearchHit(doc_id, score) for doc_id, score in scores.items()]
 
 

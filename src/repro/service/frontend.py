@@ -197,16 +197,14 @@ class CourseRankService:
                 recommendation = self._recommend_cache.get(key)
                 if recommendation is not None:
                     return recommendation
-            recommendation = recommendations.run(name, **params)
+            workflow = recommendations.build(name, **params)
+            recommendation = recommendations.run_workflow(workflow)
             if key is not None:
                 # An entry is valid while the tables its workflow reads
                 # keep their versions; a write to any other table of the
-                # shard leaves it a hit.  run() stays the facade's one
-                # entry point, so a miss builds the (cheap) workflow again
-                # to ask it.
-                tables = recommendations.build(name, **params).tables_read()
+                # shard leaves it a hit.
                 self._recommend_cache.put(
-                    key, (database, tables), recommendation
+                    key, (database, workflow.tables_read()), recommendation
                 )
             return recommendation
 

@@ -66,7 +66,7 @@ class ShardedUniversity:
         self.shards: List[Database] = []
         for _ in range(num_shards):
             shard = Database(enforce_foreign_keys=False)
-            create_schema(shard, with_indexes=True)
+            create_schema(shard)
             self.shards.append(shard)
         #: course id -> shard index (routing table for single-shard ops)
         self.course_shard: Dict[int, int] = {}

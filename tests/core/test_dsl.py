@@ -203,6 +203,7 @@ class TestServiceRegistration:
             service.register_dsl("broken", "source Students | nonsense")
 
     def test_staged_and_optimized_paths_via_service(self, flexdb):
+        from repro.core.optimizer import optimize
         from repro.courserank.recommendations import RecommendationService
 
         service = RecommendationService(flexdb)
@@ -214,9 +215,15 @@ class TestServiceRegistration:
             "collaborative_filtering", student_id=444,
             similar_students=2, top_k=5, path="staged",
         )
-        optimized = service.run(
-            "collaborative_filtering", student_id=444,
-            similar_students=2, top_k=5, path="sql", optimize=True,
+        optimized = service.run_workflow(
+            optimize(
+                service.build(
+                    "collaborative_filtering", student_id=444,
+                    similar_students=2, top_k=5,
+                ),
+                flexdb,
+            ),
+            path="sql",
         )
         assert base.column("CourseID") == staged.column("CourseID")
         assert base.column("CourseID") == optimized.column("CourseID")

@@ -330,7 +330,6 @@ class TestRecommendStats:
             444, strategy="collaborative_filtering", top_k=2, path="direct"
         )
         assert result.stats
-        assert service.last_stats is result.stats
         assert result.columns[-1] == "missing_prerequisites"
 
 

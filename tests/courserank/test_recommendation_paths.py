@@ -162,4 +162,19 @@ def test_default_path_is_the_direct_executor(apps):
         pytest.skip("REPRO_BACKEND names a backend: compiled SQL is the default")
     result = service.run("related_courses", course_id=1)
     assert result.stats  # only the direct executor records RecommendStats
-    assert service.last_stats is result.stats
+
+
+def test_compiled_sql_is_shared_by_equal_workflows(app):
+    """Every request builds its own workflow; equal ones (equal operator
+    trees, comparators included) share one memoized compilation."""
+    service = app.recommendations
+    assert service.build("related_courses", course_id=6) == service.build(
+        "related_courses", course_id=6
+    )
+    runs = [
+        service.run("related_courses", path="sql", course_id=6)
+        for _ in range(4)
+    ]
+    assert all(run.rows == runs[0].rows for run in runs)
+    memo = app.db.memo("workflow.compiled", 128)
+    assert (len(memo.keys()), memo.hits, memo.misses) == (1, 3, 1)

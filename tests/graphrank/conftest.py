@@ -1,7 +1,8 @@
 """Kernel selection for the graphrank suites.
 
-``power_iteration`` picks its kernel by reading ``ranker.NUMPY`` at call
-time, so a test pins one by flipping the flag and restoring it afterwards.
+``power_iteration`` picks its kernel by reading ``ranker.HAS_NUMPY`` at
+call time, so a test pins one by flipping the flag and restoring it
+afterwards.
 """
 
 from contextlib import contextmanager
@@ -22,12 +23,12 @@ KERNELS = ["exact"] + (["numpy"] if ranker.HAS_NUMPY else [])
 @contextmanager
 def kernel(name):
     """Run the block on the ``"exact"`` or the ``"numpy"`` kernel."""
-    saved = ranker.NUMPY
-    ranker.NUMPY = name == "numpy"
+    saved = ranker.HAS_NUMPY
+    ranker.HAS_NUMPY = name == "numpy"
     try:
         yield
     finally:
-        ranker.NUMPY = saved
+        ranker.HAS_NUMPY = saved
 
 
 def merged_edges(*shard_layers):

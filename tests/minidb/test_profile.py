@@ -1,4 +1,4 @@
-"""Tests for Database.profile (EXPLAIN ANALYZE)."""
+"""Per-node row counts of Database.analyze (EXPLAIN ANALYZE)."""
 
 import pytest
 
@@ -15,55 +15,54 @@ def db():
     return database
 
 
+def node_lines(report, label):
+    return [line for line in report.lines if line.lstrip().startswith(label)]
+
+
 class TestProfile:
     def test_returns_result_and_report(self, db):
-        result, report = db.profile("SELECT id FROM t WHERE x > 2")
-        assert len(result) == len(
+        report = db.analyze("SELECT id FROM t WHERE x > 2")
+        assert len(report.result) == len(
             db.query("SELECT id FROM t WHERE x > 2")
         )
-        assert "SeqScan" in report
-        assert "rows" in report
+        assert node_lines(report, "SeqScan")
+        assert "out=" in report.text
 
     def test_scan_count_reflects_filter(self, db):
-        _result, report = db.profile("SELECT id FROM t WHERE g = 'a'")
-        assert "-> 10 rows" in report
+        report = db.analyze("SELECT id FROM t WHERE g = 'a'")
+        [scan] = node_lines(report, "SeqScan")
+        assert "out=10 " in scan
 
     def test_aggregate_counts(self, db):
-        result, report = db.profile(
-            "SELECT g, COUNT(*) FROM t GROUP BY g"
-        )
-        assert "Aggregate" in report
-        assert "-> 2 rows" in report
-        assert len(result) == 2
+        report = db.analyze("SELECT g, COUNT(*) FROM t GROUP BY g")
+        [aggregate] = node_lines(report, "Aggregate")
+        assert "out=2 " in aggregate
+        assert len(report.result) == 2
 
     def test_join_nodes_counted(self, db):
-        _result, report = db.profile(
-            "SELECT a.id FROM t a JOIN t b ON a.x = b.x"
-        )
-        assert "HashJoin" in report
-        lines = [line for line in report.splitlines() if "SeqScan" in line]
-        assert len(lines) == 2
+        report = db.analyze("SELECT a.id FROM t a JOIN t b ON a.x = b.x")
+        assert node_lines(report, "HashJoin")
+        assert len(node_lines(report, "SeqScan")) == 2
 
     def test_limit_shows_early_termination(self, db):
-        _result, report = db.profile("SELECT id FROM t LIMIT 3")
-        assert "Limit(3 offset 0) -> 3 rows" in report
+        report = db.analyze("SELECT id FROM t LIMIT 3")
+        [limit] = node_lines(report, "Limit(3 offset 0)")
+        assert "out=3 " in limit
         # The scan under the limit produced only the rows that were pulled.
-        scan_line = next(l for l in report.splitlines() if "SeqScan" in l)
-        assert "-> 3 rows" in scan_line
+        [scan] = node_lines(report, "SeqScan")
+        assert "out=3 " in scan
 
     def test_subquery_plans_included(self, db):
-        _result, report = db.profile(
-            "SELECT * FROM (SELECT id FROM t WHERE x = 1) s"
-        )
-        assert "SubqueryScan" in report
+        report = db.analyze("SELECT * FROM (SELECT id FROM t WHERE x = 1) s")
+        assert node_lines(report, "SubqueryScan")
 
     def test_profile_rejects_non_select(self, db):
         with pytest.raises(PlannerError):
-            db.profile("DELETE FROM t")
+            db.analyze("DELETE FROM t")
 
     def test_profile_matches_query_output(self, db):
         sql = "SELECT g, SUM(x) AS s FROM t GROUP BY g ORDER BY s DESC"
-        profiled, _report = db.profile(sql)
+        profiled = db.analyze(sql).result
         plain = db.query(sql)
         assert profiled.rows == plain.rows
         assert profiled.columns == plain.columns

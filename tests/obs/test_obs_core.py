@@ -224,16 +224,18 @@ def test_recommend_metrics_mirror_recommend_stats():
     app = _small_app()
     OBS.enable()
     try:
-        app.recommendations.run("related_courses", course_id=1, path="direct")
+        recommendation = app.recommendations.run(
+            "related_courses", course_id=1, path="direct"
+        )
     finally:
         OBS.disable()
-    stats = app.recommendations.last_stats[-1]
+    stats = recommendation.stats[-1]
     assert OBS.metrics.counter("flexrecs.recommend.count") == len(
-        app.recommendations.last_stats
+        recommendation.stats
     )
     assert (
         OBS.metrics.counter("flexrecs.recommend.cache_hits")
-        == sum(s.cache_hits for s in app.recommendations.last_stats)
+        == sum(s.cache_hits for s in recommendation.stats)
     )
     span = next(
         record

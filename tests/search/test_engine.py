@@ -113,10 +113,6 @@ class TestSearch:
         result = engine.search("american war")
         assert result.doc_id_set() == {1}
 
-    def test_disjunctive_mode(self, engine):
-        result = engine.search("american war", mode="any")
-        assert result.doc_id_set() == {1, 3}
-
     def test_stemming_bridges_forms(self, engine):
         # Query "programs" stems to the same root as "Programming".
         result = engine.search("programs")
@@ -140,10 +136,6 @@ class TestSearch:
     def test_count_matches_search(self, engine):
         assert engine.count("american") == len(engine.search("american"))
 
-    def test_unknown_mode(self, engine):
-        with pytest.raises(SearchError):
-            engine.search("x", mode="fuzzy")
-
     def test_search_before_build(self, db):
         fresh = SearchEngine(db, entity())
         with pytest.raises(SearchError):
@@ -153,29 +145,6 @@ class TestSearch:
         first = engine.search("history").doc_ids()
         second = engine.search("history").doc_ids()
         assert first == second
-
-
-class TestRankers:
-    def test_tfidf_ranker(self, db):
-        eng = SearchEngine(db, entity(), ranker="tfidf")
-        eng.build()
-        result = eng.search("american")
-        assert result.hits[0].doc_id == 1
-        assert all(hit.score > 0 for hit in result.hits)
-
-    def test_unknown_ranker(self, db):
-        with pytest.raises(SearchError):
-            SearchEngine(db, entity(), ranker="pagerank")
-
-    def test_rankers_agree_on_match_set(self, db):
-        bm25 = SearchEngine(db, entity(), ranker="bm25")
-        bm25.build()
-        tfidf = SearchEngine(db, entity(), ranker="tfidf")
-        tfidf.build()
-        assert (
-            bm25.search("history").doc_id_set()
-            == tfidf.search("history").doc_id_set()
-        )
 
 
 class TestIncrementalRefresh:

@@ -21,7 +21,7 @@ from repro.search.engine import SearchEngine, _tiebreak
 from repro.search.entity import EntityDefinition, FieldSpec
 
 
-def make_engine(rows, **kwargs):
+def make_engine(rows):
     database = Database()
     database.execute(
         "CREATE TABLE Docs (DocID INTEGER PRIMARY KEY, Title TEXT, Body TEXT)"
@@ -36,7 +36,7 @@ def make_engine(rows, **kwargs):
             FieldSpec("body", "SELECT DocID, Body FROM Docs", weight=1.0),
         ),
     )
-    engine = SearchEngine(database, entity, **kwargs)
+    engine = SearchEngine(database, entity)
     engine.build()
     return engine
 
@@ -157,7 +157,7 @@ class TestResultCache:
 
 class TestObservability:
     def test_fields_populated(self, engine):
-        result = engine.search("american history", mode="any")
+        result = engine.search("american")
         assert result.candidate_count == len(result.hits)
         assert result.scored_count == result.candidate_count
         assert result.elapsed_ms >= 0.0
@@ -177,13 +177,11 @@ class TestObservability:
 
 
 class TestHeapTopK:
-    @pytest.mark.parametrize("ranker", ["bm25", "tfidf"])
-    @pytest.mark.parametrize("mode", ["all", "any"])
-    def test_topk_prefix_of_full_sort(self, ranker, mode):
-        engine = make_engine(CORPUS, ranker=ranker)
-        full = engine.search("american history", mode=mode)
+    def test_topk_prefix_of_full_sort(self):
+        engine = make_engine(CORPUS)
+        full = engine.search("american history")
         for k in range(1, len(full) + 2):
-            limited = engine.search("american history", mode=mode, limit=k)
+            limited = engine.search("american history", limit=k)
             assert limited.hits == full.hits[:k]
 
     def test_ties_follow_tiebreak(self):
@@ -224,6 +222,6 @@ class TestHeapTopK:
         ]
         engine = make_engine(rows)
         text = " ".join(query)
-        full = engine.search(text, mode="any")
-        limited = engine.search(text, mode="any", limit=k)
+        full = engine.search(text)
+        limited = engine.search(text, limit=k)
         assert limited.hits == full.hits[:k]

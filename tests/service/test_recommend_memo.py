@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.core import strategies
 from repro.courserank.accounts import Role
 from repro.courserank.recommendations import RecommendationService
 from repro.datagen import generate_university
@@ -30,13 +31,13 @@ def service():
 def runs(monkeypatch):
     """Names of the strategies the shard facades actually ran."""
     calls = []
-    run = RecommendationService.run
+    run_workflow = RecommendationService.run_workflow
 
-    def counting(self, name, **params):
-        calls.append(name)
-        return run(self, name, **params)
+    def counting(self, workflow, path=None):
+        calls.append(workflow.name.partition("(")[0])
+        return run_workflow(self, workflow, path)
 
-    monkeypatch.setattr(RecommendationService, "run", counting)
+    monkeypatch.setattr(RecommendationService, "run_workflow", counting)
     return calls
 
 
@@ -106,3 +107,20 @@ def test_other_shards_and_other_parameters_are_other_entries(service, runs):
     assert service.recommend("related_courses", course_id=2) is not first
     assert runs == ["related_courses"] * 3
     assert _rows(service.recommend("related_courses", course_id=1)) == _rows(first)
+
+
+def test_a_miss_builds_its_workflow_once_and_a_hit_not_at_all(service):
+    built = []
+
+    def counting(course_id, top_k=10):
+        built.append(course_id)
+        return strategies.related_courses(course_id, top_k=top_k)
+
+    for app in service.apps:
+        app.recommendations.register("counting", counting)
+    first = service.recommend("counting", course_id=1)
+    assert built == [1]
+    assert service.recommend("counting", course_id=1) is first
+    assert built == [1]
+    service.recommend("counting", course_id=2, top_k=3)
+    assert built == [1, 2]

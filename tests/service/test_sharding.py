@@ -43,7 +43,7 @@ def per_row_split(source, num_shards):
     shards = []
     for _ in range(num_shards):
         shard = Database(enforce_foreign_keys=False)
-        create_schema(shard, with_indexes=True)
+        create_schema(shard)
         shards.append(shard)
     courses = source.table("Courses")
     dep, cid = (courses.schema.column_position(c) for c in ("DepID", "CourseID"))

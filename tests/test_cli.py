@@ -88,14 +88,16 @@ class TestCli:
         assert (
             main(
                 [
-                    "sql", "SELECT COUNT(*) FROM Comments",
-                    "--scale", "tiny", "--profile",
+                    "sql", "SELECT COUNT(*) AS n FROM Students",
+                    "--scale", "tiny", "--analyze",
                 ]
             )
             == 0
         )
-        output = capsys.readouterr().out
-        assert "rows" in output and "Aggregate" in output
+        # EXPLAIN ANALYZE's per-node counts, a blank line, then the rows
+        plan, rows = capsys.readouterr().out.split("\n\n", 1)
+        assert "Aggregate" in plan and "out=1 " in plan
+        assert "30" in rows
 
     def test_sql_dml_reports_count(self, capsys):
         assert (
