@@ -1,10 +1,10 @@
-"""Experiment P5 — execution backends (minidb vs stdlib sqlite3).
+"""Experiment P5 — compiled SQL on minidb vs the stdlib sqlite3 mirror.
 
 The paper deploys FlexRecs by compiling workflows to SQL "executed by a
-conventional DBMS".  The backend layer makes that literal: the same
-workflow object renders per dialect and runs on any registered driver.
-This experiment prices the portability on the medium CF recommend
-workload:
+conventional DBMS".  The sqlite3 mirror makes that literal: the same
+workflow object renders per dialect and runs on minidb or on an
+in-memory sqlite3 copy of its catalog.  This experiment prices the
+portability on the medium CF recommend workload:
 
 * **minidb (warm)**    — the in-process engine, memoized compilation;
 * **sqlite3 (cold)**   — first call: render + full snapshot mirror +
@@ -23,7 +23,7 @@ import time
 import pytest
 from conftest import write_bench_json, write_report
 
-from repro.backends import create_backend
+from repro.backends import Sqlite3Backend
 from repro.core import strategies
 
 NEIGHBOURS = 10
@@ -39,8 +39,8 @@ def workflow(active_student):
 
 def test_backends_agree_on_bench_workload(bench_db, workflow):
     via_minidb = workflow.run_sql(bench_db)
-    with create_backend("sqlite3", bench_db) as backend:
-        via_sqlite = workflow.run_backend(backend)
+    with Sqlite3Backend(bench_db) as mirror:
+        via_sqlite = mirror.run(workflow)
     assert via_minidb.columns == via_sqlite.columns
     assert via_minidb.column("CourseID") == via_sqlite.column("CourseID")
     for left, right in zip(via_minidb.rows, via_sqlite.rows):
@@ -60,19 +60,19 @@ def test_report_backend_timings(bench_db, workflow, benchmark):
 
         cold_samples = []
         for _ in range(3):
-            with create_backend("sqlite3", bench_db) as backend:
+            with Sqlite3Backend(bench_db) as mirror:
                 start = time.perf_counter()
-                workflow.run_backend(backend)
+                mirror.run(workflow)
                 cold_samples.append(time.perf_counter() - start)
         timings["sqlite3 (cold: mirror + execute)"] = min(cold_samples)
 
-        backend = create_backend("sqlite3", bench_db)
+        mirror = Sqlite3Backend(bench_db)
         try:
-            workflow.run_backend(backend)  # mirror established
+            mirror.run(workflow)  # mirror established
             samples = []
             for _ in range(5):
                 start = time.perf_counter()
-                workflow.run_backend(backend)
+                mirror.run(workflow)
                 samples.append(time.perf_counter() - start)
             timings["sqlite3 (warm: no-op sync)"] = min(samples)
 
@@ -87,11 +87,11 @@ def test_report_backend_timings(bench_db, workflow, benchmark):
                     f"WHERE SuID = {first_suid}"
                 )
                 start = time.perf_counter()
-                workflow.run_backend(backend)
+                mirror.run(workflow)
                 samples.append(time.perf_counter() - start)
             timings["sqlite3 (resync one table)"] = min(samples)
         finally:
-            backend.close()
+            mirror.close()
         return timings
 
     timings = benchmark.pedantic(measure, rounds=1, iterations=1)

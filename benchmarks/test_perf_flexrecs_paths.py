@@ -14,7 +14,9 @@ of declarativeness (compiled vs hand) and of the SQL detour (direct vs
 compiled).
 """
 
+import itertools
 import time
+from dataclasses import replace
 
 import pytest
 from conftest import write_bench_json, write_report
@@ -27,6 +29,9 @@ from repro.testkit import reference_recommend
 
 NEIGHBOURS = 10
 TOP_K = 10
+
+#: distinct workflow names for the cold samples, across repeated runs
+cold_names = itertools.count()
 
 
 def hand_written_cf_sql(suid: int, neighbours: int, top_k: int) -> str:
@@ -96,17 +101,24 @@ def test_report_path_timings(bench_db, active_student, benchmark):
     sql = hand_written_cf_sql(active_student, NEIGHBOURS, TOP_K)
 
     def cold_path():
-        """No caches: every run compiles the workflow, parses and plans
-        its SQL, and evaluates it — the cold path the warm repeat is
-        measured against.
+        """No caches: every run validates and compiles the workflow,
+        parses and plans its SQL, and evaluates it — the cold path the
+        warm repeat is measured against.
+
+        Equal workflows share one compilation (the database's
+        ``workflow.compiled`` memo), so each sample runs a workflow under
+        a name no earlier run used: its memo key is new.
         """
         try:
             samples = []
             for _ in range(3):
-                fresh = strategies.collaborative_filtering(
-                    active_student,
-                    similar_students=NEIGHBOURS,
-                    top_k=TOP_K,
+                fresh = replace(
+                    strategies.collaborative_filtering(
+                        active_student,
+                        similar_students=NEIGHBOURS,
+                        top_k=TOP_K,
+                    ),
+                    name=f"cold sample {next(cold_names)}",
                 )
                 bench_db.clear_plan_cache()
                 clear_statement_cache()

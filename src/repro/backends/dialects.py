@@ -1,15 +1,14 @@
-"""SQL dialects and the per-backend capability mask.
+"""SQL dialects: how each engine spells what the renderers emit.
 
-A :class:`SqlDialect` is the *rendering* half of a backend: it knows how
-to spell literals, casts, and function names for one SQL engine, and it
-carries a :class:`Capabilities` mask describing what the engine can and
-cannot do.  The FlexRecs compiler (:mod:`repro.core.compiler`) is
-parameterized by a dialect, so the same workflow tree lowers to
-engine-appropriate SQL text for minidb or sqlite3 — the paper's
-"executed by a conventional DBMS" made literal.
+A :class:`SqlDialect` knows how to spell literals, casts, and function
+names for one SQL engine, and carries the few flags that say what the
+engine can and cannot do.  The FlexRecs compiler
+(:mod:`repro.core.compiler`) is parameterized by a dialect, so the same
+workflow tree lowers to engine-appropriate SQL text for minidb or
+sqlite3 — the paper's "executed by a conventional DBMS" made literal.
 
-The handful of genuine engine differences live in this one declarative
-table; both renderers read it — the compiler, and
+The handful of genuine engine differences live in these two constants;
+both renderers read them — the compiler, and
 :mod:`repro.testkit.dialects` (which renders the fuzzer's query AST for
 the minidb-vs-sqlite oracle).
 
@@ -37,13 +36,12 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Mapping
 
 from repro.errors import BackendCapabilityError
 from repro.minidb.types import DataType
 
 __all__ = [
-    "Capabilities",
     "SqlDialect",
     "MINIDB_DIALECT",
     "SQLITE_DIALECT",
@@ -51,70 +49,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Capabilities:
-    """What one SQL engine supports, as consumed by the renderers.
+@dataclass(frozen=True, eq=False)
+class SqlDialect:
+    """Rendering helpers for one engine, driven by its flags."""
 
-    The mask is deliberately coarse: each flag answers one question a
-    renderer (the compiler or the testkit's fuzz renderer) actually asks.
-    """
-
+    name: str
     #: query results carry real ``datetime.date`` / ``bool`` values
-    #: (False: dates come back as ISO strings, booleans as 0/1 ints)
-    typed_dates: bool = True
-    typed_booleans: bool = True
+    #: (False: dates come back as ISO strings, booleans as 0/1 ints, and
+    #: literals and bound parameters are spelled the same way)
+    typed_values: bool
     #: ``/`` over two INTEGER operands performs true (float) division
     #: (False: the renderer must promote with ``* 1.0``)
-    float_division: bool = True
+    float_division: bool
     #: CREATE INDEX accepts a trailing ``USING <kind>`` clause
-    index_using_clause: bool = False
+    index_using_clause: bool
+    cast_float_template: str
+    #: minidb column type -> this engine's SQL type name
+    type_names: Mapping[DataType, str]
     #: canonical function name -> this engine's spelling; names absent
     #: from the map render as their uppercase canonical spelling
     function_names: Mapping[str, str] = field(default_factory=dict)
 
-
-#: minidb column type -> SQL type name, per dialect name.  sqlite's
-#: affinity rules make these storage-faithful: REAL keeps our floats,
-#: TEXT keeps ISO date strings, INTEGER keeps 0/1 booleans.
-_TYPE_NAMES: Dict[str, Dict[DataType, str]] = {
-    "minidb": {
-        DataType.INTEGER: "INTEGER",
-        DataType.FLOAT: "FLOAT",
-        DataType.TEXT: "TEXT",
-        DataType.BOOLEAN: "BOOLEAN",
-        DataType.DATE: "DATE",
-    },
-    "generic": {
-        DataType.INTEGER: "INTEGER",
-        DataType.FLOAT: "REAL",
-        DataType.TEXT: "TEXT",
-        DataType.BOOLEAN: "INTEGER",
-        DataType.DATE: "TEXT",
-    },
-}
-
-
-class SqlDialect:
-    """Rendering helpers for one engine, driven by its capability mask."""
-
-    def __init__(
-        self,
-        name: str,
-        capabilities: Capabilities,
-        cast_float_template: str = "CAST({expr} AS REAL)",
-        type_names: Optional[Mapping[DataType, str]] = None,
-    ) -> None:
-        self.name = name
-        self.capabilities = capabilities
-        self._cast_float_template = cast_float_template
-        self._type_names = dict(
-            type_names if type_names is not None else _TYPE_NAMES["generic"]
-        )
-
     # -- types ---------------------------------------------------------------
 
     def type_name(self, dtype: DataType) -> str:
-        return self._type_names[dtype]
+        return self.type_names[dtype]
 
     # -- literals and parameters -------------------------------------------
 
@@ -123,11 +82,11 @@ class SqlDialect:
         if value is None:
             return "NULL"
         if isinstance(value, bool):
-            if self.capabilities.typed_booleans:
+            if self.typed_values:
                 return "TRUE" if value else "FALSE"
             return "1" if value else "0"
         if isinstance(value, datetime.date):
-            if self.capabilities.typed_dates:
+            if self.typed_values:
                 return f"DATE '{value.isoformat()}'"
             return f"'{value.isoformat()}'"
         if isinstance(value, float):
@@ -142,12 +101,12 @@ class SqlDialect:
 
     def bind(self, value: Any) -> Any:
         """Convert a parameter for this engine's driver binding layer."""
-        if isinstance(value, bool) and not self.capabilities.typed_booleans:
+        if self.typed_values:
+            return value
+        if isinstance(value, bool):
             return int(value)
-        if (
-            isinstance(value, datetime.date)
-            and not isinstance(value, datetime.datetime)
-            and not self.capabilities.typed_dates
+        if isinstance(value, datetime.date) and not isinstance(
+            value, datetime.datetime
         ):
             return value.isoformat()
         return value
@@ -155,44 +114,52 @@ class SqlDialect:
     # -- expressions ---------------------------------------------------------
 
     def cast_float(self, expr: str) -> str:
-        return self._cast_float_template.format(expr=expr)
+        return self.cast_float_template.format(expr=expr)
 
     def func(self, canonical: str, *args: str) -> str:
         """Render a scalar function call by its canonical name."""
-        name = self.capabilities.function_names.get(
-            canonical.lower(), canonical.upper()
-        )
+        name = self.function_names.get(canonical.lower(), canonical.upper())
         return f"{name}({', '.join(args)})"
 
     def true_div(self, numerator: str, denominator: str) -> str:
         """A division that is true (float) division even over integers."""
-        if self.capabilities.float_division:
+        if self.float_division:
             return f"({numerator} / {denominator})"
         return f"({numerator} * 1.0 / {denominator})"
 
 
 MINIDB_DIALECT = SqlDialect(
     "minidb",
-    Capabilities(
-        typed_dates=True,
-        typed_booleans=True,
-        float_division=True,
-        index_using_clause=True,
-    ),
+    typed_values=True,
+    float_division=True,
+    index_using_clause=True,
     cast_float_template="CAST_FLOAT({expr})",
-    type_names=_TYPE_NAMES["minidb"],
+    type_names={
+        DataType.INTEGER: "INTEGER",
+        DataType.FLOAT: "FLOAT",
+        DataType.TEXT: "TEXT",
+        DataType.BOOLEAN: "BOOLEAN",
+        DataType.DATE: "DATE",
+    },
 )
 
+#: sqlite's affinity rules make these type names storage-faithful: REAL
+#: keeps our floats, TEXT keeps ISO date strings, INTEGER keeps 0/1
+#: booleans.
 SQLITE_DIALECT = SqlDialect(
     "sqlite",
-    Capabilities(
-        typed_dates=False,
-        typed_booleans=False,
-        float_division=False,
-        function_names={"least": "MIN", "greatest": "MAX"},
-    ),
+    typed_values=False,
+    float_division=False,
+    index_using_clause=False,
     cast_float_template="CAST({expr} AS REAL)",
-    type_names=_TYPE_NAMES["generic"],
+    type_names={
+        DataType.INTEGER: "INTEGER",
+        DataType.FLOAT: "REAL",
+        DataType.TEXT: "TEXT",
+        DataType.BOOLEAN: "INTEGER",
+        DataType.DATE: "TEXT",
+    },
+    function_names={"least": "MIN", "greatest": "MAX"},
 )
 
 

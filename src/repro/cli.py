@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--course", type=int)
     recommend.add_argument("--top", type=int, default=10)
     recommend.add_argument(
-        "--path", choices=("direct", "sql", "staged"), default=None
+        "--path", choices=("direct", "sql", "staged"), default="direct"
     )
     recommend.set_defaults(handler=cmd_recommend)
 

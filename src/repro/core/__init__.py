@@ -9,10 +9,11 @@ Pearson, inverse Euclidean, text similarity, ...).
 Workflows execute on two interchangeable paths:
 
 * **direct** (``workflow.run(db)``) — in-memory evaluation, the reference
-  semantics;
+  semantics and what the site serves from;
 * **compiled** (``workflow.run_sql(db)``) — the workflow is compiled into
-  SQL executed by the relational engine, exactly as the paper deploys
-  FlexRecs on a conventional DBMS.
+  SQL that ``db.query`` executes, exactly as the paper deploys FlexRecs
+  on a conventional DBMS; :class:`repro.backends.Sqlite3Backend` runs the
+  same compilation, in the sqlite dialect, on stdlib sqlite3.
 
 The two paths produce rank-identical results (property-tested).
 

@@ -58,22 +58,16 @@ from repro.minidb.catalog import Database
 
 @dataclass
 class CompiledWorkflow:
-    """The compilation artifact: SQL text plus registered UDF names.
+    """The compilation artifact: SQL text plus the UDFs it calls.
 
-    ``dialect`` names the SQL dialect the text was rendered for;
-    ``params`` are positional ``?`` bindings (currently always empty —
-    the compiler inlines workflow constants — but carried so backends
-    bind uniformly); ``udf_impls`` pairs each UDF name with its Python
-    callable so non-minidb backends can register the functions with
-    their own engines before executing.
+    ``udfs`` pairs each UDF name with its Python callable: the compiler
+    registers them on the catalog engine itself, and the sqlite3 mirror
+    registers them with its own connection before executing.
     """
 
     sql: str
     columns: List[str]
-    udfs: Tuple[str, ...] = ()
-    dialect: str = "minidb"
-    params: Tuple[Any, ...] = ()
-    udf_impls: Tuple[Tuple[str, Callable[..., Any]], ...] = ()
+    udfs: Tuple[Tuple[str, Callable[..., Any]], ...] = ()
 
 
 def compile_workflow(
@@ -94,11 +88,7 @@ def compile_workflow(
     sql = compiler.compile(workflow.root)
     columns = compiler._columns(workflow.root)
     return CompiledWorkflow(
-        sql=sql,
-        columns=columns,
-        udfs=tuple(compiler.udfs),
-        dialect=resolved.name,
-        udf_impls=tuple(compiler.udf_impls),
+        sql=sql, columns=columns, udfs=tuple(compiler.udfs.items())
     )
 
 
@@ -109,8 +99,8 @@ class _Compiler:
         self.database = database
         self.dialect = dialect
         self._alias_counter = 0
-        self.udfs: List[str] = []
-        self.udf_impls: List[Tuple[str, Callable[..., Any]]] = []
+        #: UDF name -> callable, in first-call order
+        self.udfs: Dict[str, Callable[..., Any]] = {}
         self._columns_cache: Dict[Operator, List[str]] = {}
 
     def _columns(self, node: Operator) -> List[str]:
@@ -311,11 +301,9 @@ class _Compiler:
     def _register_udf(self, comparator: Comparator) -> None:
         name = comparator.udf_name
         # Always registered on the catalog engine (idempotent for the
-        # same callable); other backends register from udf_impls.
+        # same callable); the sqlite3 mirror registers from ``udfs``.
         self.database.functions.register_scalar(name, comparator.udf)
-        if name not in self.udfs:
-            self.udfs.append(name)
-            self.udf_impls.append((name, comparator.udf))
+        self.udfs.setdefault(name, comparator.udf)
 
     # -- extend-backed compilations ----------------------------------------------
 

@@ -98,7 +98,6 @@ class StagedWorkflow:
     stages: List[str]  # CREATE TABLE / INSERT INTO ... SELECT, in order
     final_select: str
     temp_tables: List[str]
-    udfs: Tuple[str, ...] = ()
 
     @property
     def statement_count(self) -> int:
@@ -133,7 +132,6 @@ def compile_workflow_staged(
         stages=compiler.stages,
         final_select=final_select,
         temp_tables=compiler.temp_tables,
-        udfs=tuple(compiler.inner.udfs),
     )
 
 

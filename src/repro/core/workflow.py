@@ -3,10 +3,12 @@
 A :class:`Workflow` wraps an operator tree.  ``validate()`` type-checks
 the tree against a database's catalog (column existence, comparator
 attribute availability, aggregate names).  ``run(db)`` executes directly
-— what the site serves from; ``run_sql(db)`` compiles to SQL and executes
-that through the minidb SQL front end — the paper's deployment model,
-held rank-identical to ``run`` by the differential suites.  Both return
-a :class:`Recommendation` holding dict-rows.
+— what the site serves from; ``run_sql(db)`` compiles to SQL and hands
+the text to ``db.query`` — the paper's deployment model, held
+rank-identical to ``run`` by the differential suites.  The same compiled
+form, rendered in the sqlite dialect, runs on a conventional DBMS through
+:meth:`repro.backends.Sqlite3Backend.run`.  All return a
+:class:`Recommendation` holding dict-rows.
 """
 
 from __future__ import annotations
@@ -226,10 +228,11 @@ class Workflow:
         database's statement and plan caches: a repeated ``run_sql`` skips
         validation, compilation, parsing, and planning entirely.  The
         memo is the database's ``"workflow.compiled"``, keyed by this
-        workflow and the dialect (so a workflow alternating between
-        backends stays warm on both) and stamped with the schema epoch and
-        the function registry's version — *after* compiling, because a
-        first compile may register comparator UDFs and bump the latter.
+        workflow and the dialect (so a workflow alternating between minidb
+        and the sqlite3 mirror stays warm on both) and stamped with the
+        schema epoch and the function registry's version — *after*
+        compiling, because a first compile may register comparator UDFs
+        and bump the latter.
         """
         from repro.backends.dialects import MINIDB_DIALECT, get_dialect
         from repro.core.compiler import compile_workflow
@@ -249,20 +252,11 @@ class Workflow:
         return compiled
 
     def run_sql(self, database: Database) -> Recommendation:
-        """Compile to SQL and execute through the minidb SQL engine
-        (:class:`~repro.backends.native.MinidbBackend` over ``database``)."""
-        from repro.backends.native import MinidbBackend
-
-        return MinidbBackend(database).execute_workflow(self)
-
-    def run_backend(self, backend: Any) -> Recommendation:
-        """Render for ``backend``'s dialect and execute on its engine.
-
-        The backend's catalog database is the semantic authority; on
-        sqlite3 the backend first syncs its data mirror, so the same
-        workflow object runs unchanged on either side.
-        """
-        return backend.execute_workflow(self)
+        """Compile to SQL and execute it through the minidb SQL engine."""
+        result = database.query(self.compiled_for(database).sql)
+        return Recommendation(
+            columns=list(result.columns), rows=result.to_dicts()
+        )
 
     def to_sql(
         self, database: Database, dialect: Optional[Any] = None

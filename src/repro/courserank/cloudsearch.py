@@ -79,10 +79,6 @@ class CourseCloudSearch:
         info["gather"] = self.builder.source.cache_info()
         return info
 
-    def count(self, query: str) -> int:
-        self.ensure_built()
-        return self.engine.count(query)
-
     # -- refinement sessions ----------------------------------------------------
 
     def session(self, query: str) -> RefinementSession:

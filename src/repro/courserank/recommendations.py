@@ -5,26 +5,23 @@
 (Section 3.2).  This module is the *site administrator* surface: a
 registry of named strategies (the prebuilt ones plus any custom workflow
 factory the administrator registers), per-user personalization
-parameters, an execution-path switch (direct vs compiled SQL, on any
-registered execution backend), and the post-filter removing courses the
-student already took.
+parameters, an execution-path switch (direct vs compiled SQL), and the
+post-filter removing courses the student already took.
 
 One engine serves: a run with no ``path`` answers from the direct
 executor (:mod:`repro.core.executor`).  The SQL forms exist because the
 paper's claim is that workflows compile to SQL a conventional DBMS
 executes; they are held equal to the direct path by the differential
-suites and selected explicitly — per call with ``path="sql" | "staged" |
-<backend name>``, or for a whole service by *naming* a backend:
-``RecommendationService(db, backend="sqlite3")`` (or the
-``REPRO_BACKEND`` environment variable) makes compiled SQL on that
-backend the default path, through any driver registered with
-:mod:`repro.backends` — the same workflow objects run unchanged,
-rendered in the target engine's dialect.
+suites and selected per call: ``path="sql"`` (one compiled statement on
+minidb), ``"staged"`` (a sequence of SQL calls with temp tables) or
+``"sqlite3"`` (the same workflow object rendered in the sqlite dialect
+and run on the database's :class:`~repro.backends.Sqlite3Backend`
+mirror).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.errors import FlexRecsError
 from repro.core import strategies
@@ -54,43 +51,9 @@ DEFAULT_STRATEGIES: Dict[str, StrategyFactory] = {
 class RecommendationService:
     """Executes named recommendation strategies for users."""
 
-    def __init__(
-        self,
-        database: Database,
-        backend: Optional[str] = None,
-    ) -> None:
-        from repro.backends import named_backend
-
+    def __init__(self, database: Database) -> None:
         self.database = database
-        named = backend or named_backend()
-        #: name of the execution backend the compiled-SQL path routes
-        #: through; ``None`` in the constructor defers to REPRO_BACKEND
-        #: (default: the in-process minidb engine)
-        self.backend_name = named or "minidb"
-        #: what a run with no ``path`` takes: compiled SQL when the caller
-        #: named a backend to run it on, the direct executor otherwise
-        self.default_path = "sql" if named else "direct"
-        # Instantiated drivers, created lazily per backend name so an
-        # external engine's data mirror persists (and stays version-
-        # synced) across calls.
-        self._backends: Dict[str, Any] = {}
         self._registry: Dict[str, StrategyFactory] = dict(DEFAULT_STRATEGIES)
-
-    def backend(self, name: Optional[str] = None) -> Any:
-        """The (lazily created, cached) driver for ``name``.
-
-        Defaults to this service's configured backend.  Drivers are
-        bound to the service's catalog database and reused across calls
-        so snapshot syncs stay incremental.
-        """
-        from repro.backends import create_backend
-
-        key = (name or self.backend_name).lower()
-        driver = self._backends.get(key)
-        if driver is None:
-            driver = create_backend(key, self.database)
-            self._backends[key] = driver
-        return driver
 
     # -- administrator surface ----------------------------------------------
 
@@ -137,45 +100,45 @@ class RecommendationService:
     # -- execution ------------------------------------------------------------
 
     def run(
-        self, name: str, path: Optional[str] = None, **params: Any
+        self, name: str, path: str = "direct", **params: Any
     ) -> Recommendation:
         """Run a strategy.
 
-        ``path`` forces 'direct', 'sql' (one compiled statement on the
-        configured backend), 'staged' (a sequence of SQL calls with temp
-        tables), or the name of an execution backend ('minidb' or
-        'sqlite3'); None takes :attr:`default_path`.
+        ``path`` is 'direct' (the default), 'sql' (one compiled statement
+        on minidb), 'staged' (a sequence of SQL calls with temp tables) or
+        'sqlite3' (the compiled statement on the sqlite3 mirror).
         """
         return self.run_workflow(self.build(name, **params), path=path)
 
     def run_workflow(
-        self, workflow: Workflow, path: Optional[str] = None
+        self, workflow: Workflow, path: str = "direct"
     ) -> Recommendation:
         if workflow.direct_only:
-            # Graph-backed workflows have no SQL form on any backend;
-            # whatever path was configured or requested, they run on the
-            # direct executor.
+            # Graph-backed workflows have no SQL form; whatever path was
+            # requested, they run on the direct executor.
             path = "direct"
-        if path is None:
-            path = self.default_path
         with OBS.span(
             "recommend.run", {"workflow": workflow.name, "path": path}
         ):
-            if path == "sql":
-                # Render + execute on the configured backend (minidb
-                # itself or sqlite3: same workflow, its dialect).
-                return workflow.run_backend(self.backend())
             if path == "direct":
                 return workflow.run(self.database)
+            if path == "sql":
+                return workflow.run_sql(self.database)
             if path == "staged":
                 from repro.core.staged import run_staged
 
                 workflow.validate(self.database)
                 return run_staged(workflow, self.database)
-            from repro.backends import BACKENDS
+            if path == "sqlite3":
+                from repro.backends.dbapi import Sqlite3Backend
 
-            if path.lower() in BACKENDS:
-                return workflow.run_backend(self.backend(path))
+                # The database's one mirror: built once, however many
+                # threads make the first such run (sqlite3 is imported
+                # only then), and kept so its sync stays incremental.
+                mirror = self.database.shared(
+                    "sqlite3.mirror", lambda: Sqlite3Backend(self.database)
+                )
+                return mirror.run(workflow)
         raise FlexRecsError(f"unknown execution path {path!r}")
 
     # -- course recommendation post-processing --------------------------------
@@ -186,7 +149,7 @@ class RecommendationService:
         strategy: str = "collaborative_filtering",
         top_k: int = 10,
         exclude_taken: bool = True,
-        path: Optional[str] = None,
+        path: str = "direct",
         **params: Any,
     ) -> Recommendation:
         """Course recommendations with the already-taken filter applied.

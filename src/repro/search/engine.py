@@ -262,14 +262,6 @@ class SearchEngine:
             elapsed_ms=(time.perf_counter() - started) * 1000.0,
         )
 
-    def count(self, query: str) -> int:
-        """Number of matching entities without scoring (cheaper)."""
-        self._require_built()
-        loose, phrases = self.parse_query(query)
-        if not loose and not phrases:
-            return 0
-        return len(self._candidates(loose, phrases))
-
     def _candidates(
         self, loose: Sequence[str], phrases: Sequence[Sequence[str]]
     ) -> Set[DocId]:

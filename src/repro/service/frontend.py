@@ -119,13 +119,6 @@ class CourseRankService:
                 step.result.hits = step.result.hits[:limit]
             return step.result, step.cloud
 
-    def count(self, query: str) -> int:
-        """Total matching documents — the sum of disjoint per-shard counts."""
-        with self.rwlock.read_locked():
-            return sum(
-                app.cloudsearch.count(query) for app in self.apps
-            )
-
     def session(self, query: str) -> "ServiceSession":
         """A refinement session over every shard: the facade's
         :class:`~repro.clouds.refinement.RefinementSession`, each step

@@ -248,7 +248,7 @@ def create_table_sql(table: g.TableSpec) -> str:
 def create_index_sql(table: str, index: g.IndexSpec, dialect: str) -> str:
     columns = ", ".join(index.columns)
     sql = f"CREATE INDEX {index.name} ON {table} ({columns})"
-    if get_dialect(dialect).capabilities.index_using_clause:
+    if get_dialect(dialect).index_using_clause:
         sql += f" USING {index.kind}"
     return sql
 

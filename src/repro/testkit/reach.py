@@ -34,8 +34,6 @@ _TRACKER = "the paper's requirement tracker (Sections 2, 2.1)"
 #: ``(module:qualified name, reason)`` of functions that nothing but their
 #: own tests reaches, kept on purpose.
 ALLOWLIST = (
-    ("repro.backends.base:Backend.close",
-     "`with create_backend(...)` exits through it on the minidb backend"),
     ("repro.core.compiler:_Compiler._compile_join",
      "the FlexRecs Join operator on the compiled-SQL path"),
     ("repro.core.library:LevenshteinSimilarity.__init__",

@@ -1,8 +1,8 @@
 """Property: compiled workflows are *bit-identical* across backends.
 
 The same workflow object is compiled per dialect and executed on the
-in-process minidb engine and on stdlib sqlite3 through the backend
-layer; the two relations must match exactly — same columns, same row
+in-process minidb engine and on stdlib sqlite3 through the sqlite3
+mirror; the two relations must match exactly — same columns, same row
 order, floats compared with ``==`` (no tolerance).
 
 Why exact equality is a fair ask: both engines evaluate the identical
@@ -23,7 +23,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import create_backend
+from repro.backends import Sqlite3Backend
 from repro.core import (
     CommonCount,
     CosineVector,
@@ -270,10 +270,10 @@ class TestBackendEquivalence:
     @settings(deadline=None)
     def test_minidb_and_sqlite3_bit_identical(self, universe, case):
         db = build_database(*universe)
-        with create_backend("sqlite3", db) as sqlite3_backend:
+        with Sqlite3Backend(db) as mirror:
             assert_bit_identical(
                 case.run_sql(db),
-                case.run_backend(sqlite3_backend),
+                mirror.run(case),
                 context=case.name,
             )
 
@@ -285,14 +285,14 @@ class TestBackendEquivalence:
     @settings(deadline=None)
     def test_identical_after_dml_churn(self, universe, case, churn):
         db = build_database(*universe)
-        with create_backend("sqlite3", db) as sqlite3_backend:
+        with Sqlite3Backend(db) as mirror:
             # Cold run first so the mirror exists, then churn: a stale
             # (non-version-keyed) sync would keep the pre-churn rows.
-            case.run_backend(sqlite3_backend)
+            mirror.run(case)
             apply_churn(db, churn)
             assert_bit_identical(
                 case.run_sql(db),
-                case.run_backend(sqlite3_backend),
+                mirror.run(case),
                 context=f"{case.name} post-churn",
             )
 
@@ -304,8 +304,8 @@ class TestBackendEquivalence:
         # (exact ranks, float scores to within 1e-9).
         db = build_database(*universe)
         direct = case.run(db)
-        with create_backend("sqlite3", db) as sqlite3_backend:
-            via_sqlite = case.run_backend(sqlite3_backend)
+        with Sqlite3Backend(db) as mirror:
+            via_sqlite = mirror.run(case)
         assert direct.columns == via_sqlite.columns
         assert len(direct) == len(via_sqlite)
         for left, right in zip(direct.rows, via_sqlite.rows):
@@ -326,8 +326,8 @@ class TestBackendEquivalence:
         db = build_database(*universe)
         direct = case.run(db)
         via_minidb = case.run_sql(db)
-        with create_backend("sqlite3", db) as sqlite3_backend:
-            via_sqlite = case.run_backend(sqlite3_backend)
+        with Sqlite3Backend(db) as mirror:
+            via_sqlite = mirror.run(case)
         assert via_minidb.stats == []
         assert via_sqlite.stats == []
         assert direct.stats, "direct path must record RecommendStats"

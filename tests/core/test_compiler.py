@@ -69,7 +69,7 @@ class TestCompilationArtifacts:
             )
         )
         compiled = compile_workflow(workflow, flexdb)
-        assert "frx_text_jaccard" in compiled.udfs
+        assert "frx_text_jaccard" in dict(compiled.udfs)
         assert flexdb.functions.has_scalar("frx_text_jaccard")
         assert "FRX_TEXT_JACCARD(" in compiled.sql
 

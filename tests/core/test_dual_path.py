@@ -27,7 +27,7 @@ from repro.core import (
     VectorLookup,
     Workflow,
 )
-from repro.backends import create_backend
+from repro.backends import Sqlite3Backend
 from repro.core import strategies
 from repro.core.operators import (
     Join,
@@ -131,8 +131,8 @@ class TestFixedWorkflows:
         assert len(ids) == 5 and course_id not in ids
         assert direct.column("score").count(0.0) >= 4
         assert run_staged(workflow, flexdb).column("CourseID") == ids
-        with create_backend("sqlite3", flexdb) as backend:
-            assert workflow.run_backend(backend).column("CourseID") == ids
+        with Sqlite3Backend(flexdb) as mirror:
+            assert mirror.run(workflow).column("CourseID") == ids
 
     def test_udf_levenshtein(self, flexdb):
         workflow = Workflow(
@@ -270,8 +270,8 @@ class TestFixedWorkflows:
         ]
         assert workflow.run_sql(flexdb).rows == direct.rows
         assert run_staged(workflow, flexdb).rows == direct.rows
-        with create_backend("sqlite3", flexdb) as backend:
-            assert workflow.run_backend(backend).rows == direct.rows
+        with Sqlite3Backend(flexdb) as mirror:
+            assert mirror.run(workflow).rows == direct.rows
 
 
 class TestWarmCompiledPath:

@@ -325,9 +325,8 @@ class TestRecommendStats:
             "CREATE TABLE Prerequisites (CourseID INTEGER, PrereqID INTEGER)"
         )
         service = RecommendationService(flexdb)
-        # explicit: REPRO_BACKEND may make compiled SQL this service's default
         result = service.courses_for_student(
-            444, strategy="collaborative_filtering", top_k=2, path="direct"
+            444, strategy="collaborative_filtering", top_k=2
         )
         assert result.stats
         assert result.columns[-1] == "missing_prerequisites"

@@ -40,7 +40,7 @@ class TestSearch:
 
     def test_count(self, search):
         result, _cloud = search.search("circuits")
-        assert search.count("circuits") == len(result)
+        assert result.candidate_count == len(result)
 
 
 class TestResolution:

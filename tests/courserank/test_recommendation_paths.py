@@ -158,8 +158,6 @@ def test_the_burst_reaches_the_strategies(apps):
 
 def test_default_path_is_the_direct_executor(apps):
     service = apps["before"].recommendations
-    if service.default_path != "direct":
-        pytest.skip("REPRO_BACKEND names a backend: compiled SQL is the default")
     result = service.run("related_courses", course_id=1)
     assert result.stats  # only the direct executor records RecommendStats
 

@@ -57,7 +57,7 @@ class TestGraphRankCourses:
         baseline = app.recommendations.run(
             "graph_rank_courses", student_id=1, top_k=5
         )
-        for path in ("direct", "sql", "staged", "minidb"):
+        for path in ("direct", "sql", "staged", "sqlite3"):
             rerouted = app.recommendations.run(
                 "graph_rank_courses", student_id=1, top_k=5, path=path
             )

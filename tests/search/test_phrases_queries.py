@@ -125,7 +125,8 @@ class TestQuotedQueries:
         assert phrases == [["african", "american"]]
 
     def test_count_respects_phrases(self, engine):
-        assert engine.count('"african american"') == 1
+        result = engine.search('"african american"')
+        assert len(result.hits) == result.candidate_count == 1
 
     def test_phrases_recorded_on_result(self, engine):
         result = engine.search('"african american"')

@@ -11,6 +11,7 @@ vector map).
 
 import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -328,22 +329,18 @@ class TestServiceConcurrency:
         service = CourseRankService(
             generate_university(scale="tiny", seed=5), num_shards=3
         )
-        expected = {
-            query: [
-                (hit.doc_id, hit.score)
-                for hit in service.search(query)[0].hits
-            ]
-            for query in SEARCH_QUERIES
-        }
+
+        def answer(query):
+            result, _ = service.search(query)
+            hits = [(hit.doc_id, hit.score) for hit in result.hits]
+            return hits, result.candidate_count
+
+        expected = {query: answer(query) for query in SEARCH_QUERIES}
 
         def worker(index):
             for step in range(6):
                 query = SEARCH_QUERIES[(index + step) % len(SEARCH_QUERIES)]
-                result, _ = service.search(query)
-                assert [
-                    (hit.doc_id, hit.score) for hit in result.hits
-                ] == expected[query]
-                service.count(query)
+                assert answer(query) == expected[query]
 
         _run_threads(THREADS, worker)
 
@@ -534,3 +531,52 @@ class TestSharedGraphEngine:
             assert answers == expected
         assert engines == {id(engine)} and service.graphrank is engine
         assert engine.layers_rebuilt == 3 * service.num_shards
+
+
+class TestSharedSqlite3Mirror:
+    """A facade builds its database's sqlite3 mirror on the first
+    ``path="sqlite3"`` run: six threads making that first run at once must
+    share one mirror and return the serial answers."""
+
+    COURSES = (1, 2, 3)
+
+    def _answers(self, application):
+        return [
+            application.recommendations.run(
+                "related_courses", path="sqlite3", course_id=course_id
+            ).as_tuples("CourseID", "score")
+            for course_id in self.COURSES
+        ]
+
+    def test_first_runs_share_one_mirror(self, monkeypatch):
+        from repro.backends import Sqlite3Backend
+
+        serial = CourseRank(generate_university(scale="tiny", seed=5))
+        expected = self._answers(serial)
+        assert all(expected)
+        app = CourseRank(generate_university(scale="tiny", seed=5))
+        built = []
+        init = Sqlite3Backend.__init__
+
+        def counting(self, *args):
+            # a build that outlasts many switch intervals: every thread
+            # reaches the mirror while the first one is still building it
+            time.sleep(0.05)
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(Sqlite3Backend, "__init__", counting)
+        observed = [None] * THREADS
+
+        def reader(index):
+            with app.db.rwlock.read_locked():
+                observed[index] = self._answers(app)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(THREADS, reader)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1
+        assert observed == [expected] * THREADS

@@ -33,7 +33,7 @@ def runs(monkeypatch):
     calls = []
     run_workflow = RecommendationService.run_workflow
 
-    def counting(self, workflow, path=None):
+    def counting(self, workflow, path="direct"):
         calls.append(workflow.name.partition("(")[0])
         return run_workflow(self, workflow, path)
 
