@@ -49,11 +49,6 @@ def obs_metrics_snapshot():
 
 
 @pytest.fixture(scope="session")
-def scale_name():
-    return BENCH_SCALE
-
-
-@pytest.fixture(scope="session")
 def scale_config():
     return SCALES[BENCH_SCALE]
 
@@ -61,6 +56,46 @@ def scale_config():
 @pytest.fixture(scope="session")
 def bench_db():
     return generate_university(scale=BENCH_SCALE, seed=2008)
+
+
+def table_versions(database) -> dict:
+    """The schema epoch and every table's data version, by name."""
+    names = sorted(database.table_names())
+    epoch, *versions = database.versions(names)
+    return {"schema epoch": epoch, **dict(zip(names, versions))}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def bench_db_unchanged(request):
+    """Fail a report module that writes to the shared ``bench_db``.
+
+    Every report reads the one session database, so a module that moves
+    it changes the reports run after it.  A module that writes works on
+    a private copy instead, ``ShardedUniversity(bench_db, 1).shards[0]``
+    (see test_lessons_policies.py).
+    """
+    if not any(
+        "bench_db" in item.fixturenames
+        for item in request.session.items
+        if item.module is request.module
+    ):
+        yield
+        return
+    database = request.getfixturevalue("bench_db")
+    before = table_versions(database)
+    yield
+    after = table_versions(database)
+    moved = sorted(
+        name
+        for name in before.keys() | after.keys()
+        if before.get(name) != after.get(name)
+    )
+    if moved:
+        pytest.fail(
+            f"{request.module.__name__} wrote to bench_db "
+            f"({', '.join(moved)} moved); give the module its own copy "
+            "of the university"
+        )
 
 
 @pytest.fixture(scope="session")

@@ -222,15 +222,6 @@ class GraphRankEngine:
 
     # -- maintenance / observability ----------------------------------------
 
-    def clear_rank_memo(self) -> None:
-        """Drop memoized differentials (baselines and layers survive).
-
-        The warm-adjacency benchmark uses this to time the iteration
-        itself rather than a dictionary lookup.
-        """
-        with self._lock:
-            self._rank_cache.clear()
-
     def cache_info(self) -> Dict[str, int]:
         with self._lock:
             return {
