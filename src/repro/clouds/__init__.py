@@ -32,6 +32,7 @@ from repro.clouds.refinement import (
     CloudNavigator,
     RefinementSession,
     RefinementStep,
+    SearchShard,
 )
 from repro.clouds.render import render_html, render_text
 from repro.clouds.scoring import (
@@ -49,6 +50,7 @@ __all__ = [
     "CloudNavigator",
     "RefinementSession",
     "RefinementStep",
+    "SearchShard",
     "render_html",
     "render_text",
     "FrequencyScoring",

@@ -7,11 +7,11 @@ result set — exactly the "American" → "African American" walk-through in
 the paper.  ``back()`` undoes the last refinement.
 
 Every step is one :meth:`CloudNavigator.answer`: a search and its cloud
-over a tuple of ``(engine, builder)`` shards, narrowed within the parent
-step's per-shard doc ids and cached.  The facade's search and sessions
-are the one-shard navigator; the service coordinator's
-(:mod:`repro.service.frontend`) is the N-shard one, so the two walk
-through bit-identical queries, results, and clouds.  Each step carries
+over a tuple of shards (each an ``engine`` and its ``builder``), narrowed
+within the parent step's per-shard doc ids and cached.  The facade's
+search and sessions are the one-shard navigator; the service
+coordinator's (:mod:`repro.service.frontend`) is the N-shard one, so the
+two walk through bit-identical queries, results, and clouds.  Each step carries
 its results' doc ids per shard, which is what a refinement narrows
 within and what :meth:`RefinementSession.cube` roots its cube at.
 
@@ -25,7 +25,7 @@ import heapq
 import time
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.caching import LRUCache
 from repro.errors import CloudError
@@ -39,6 +39,19 @@ DocId = Any
 ANSWER_CACHE_SIZE = 256
 
 _HIT_KEY = lambda hit: (-hit.score, _tiebreak(hit.doc_id))  # noqa: E731
+
+
+class SearchShard(NamedTuple):
+    """One shard of a navigator: an indexed engine and its cloud builder.
+
+    A navigator reads ``engine`` and ``builder`` off its shards on every
+    answer, so any object with the two attributes serves — a
+    :class:`~repro.courserank.cloudsearch.CourseCloudSearch` builds its
+    index on the first read of either.
+    """
+
+    engine: SearchEngine
+    builder: CloudBuilder
 
 
 @dataclass
@@ -71,17 +84,13 @@ class CloudNavigator:
     only in case or whitespace share an entry.
     """
 
-    def __init__(
-        self, shards: Iterable[Tuple[SearchEngine, CloudBuilder]]
-    ) -> None:
-        self.shards: Tuple[Tuple[SearchEngine, CloudBuilder], ...] = tuple(
-            shards
-        )
+    def __init__(self, shards: Iterable[SearchShard]) -> None:
+        self.shards: Tuple[SearchShard, ...] = tuple(shards)
         self._cache = LRUCache(maxsize=ANSWER_CACHE_SIZE)
 
     def epochs(self) -> Tuple[int, ...]:
-        """One index epoch per shard."""
-        return tuple(engine.index.epoch for engine, _ in self.shards)
+        """One index epoch per shard (reading a shard's engine builds it)."""
+        return tuple(shard.engine.index.epoch for shard in self.shards)
 
     def cache_info(self) -> Dict[str, int]:
         """Answer-cache counters: hits, misses, current size."""
@@ -99,7 +108,7 @@ class CloudNavigator:
         ``query`` as given; a cached answer is marked ``cache_hit``.
         """
         started = time.perf_counter()
-        loose, phrases = self.shards[0][0].parse_query(query)
+        loose, phrases = self.shards[0].engine.parse_query(query)
         key = (
             self.epochs(),
             tuple(loose),
@@ -136,12 +145,13 @@ class CloudNavigator:
         parent: Optional[Tuple[Tuple[DocId, ...], ...]],
     ) -> RefinementStep:
         stats = CorpusStats.merged(
-            CorpusStats.local(engine.index, terms) for engine, _ in self.shards
+            CorpusStats.local(shard.engine.index, terms)
+            for shard in self.shards
         )
         within = repeat(None) if parent is None else map(set, parent)
         results = [
-            engine.search(query, within=shard_within, corpus_stats=stats)
-            for (engine, _), shard_within in zip(self.shards, within)
+            shard.engine.search(query, within=shard_within, corpus_stats=stats)
+            for shard, shard_within in zip(self.shards, within)
         ]
         shard_doc_ids = tuple(tuple(result.doc_ids()) for result in results)
         return RefinementStep(
@@ -157,7 +167,7 @@ class CloudNavigator:
                 scored_count=sum(r.scored_count for r in results),
             ),
             cloud=cloud_over_shards(
-                zip([builder for _, builder in self.shards], shard_doc_ids),
+                zip([shard.builder for shard in self.shards], shard_doc_ids),
                 query,
                 terms,
             ),
@@ -175,7 +185,7 @@ class RefinementSession:
         query: str,
     ) -> None:
         """A one-shard session over its own navigator."""
-        self._start(CloudNavigator([(engine, builder)]), query)
+        self._start(CloudNavigator([SearchShard(engine, builder)]), query)
 
     @classmethod
     def over(cls, navigator: CloudNavigator, query: str) -> "RefinementSession":
@@ -274,6 +284,8 @@ class RefinementSession:
         """A cube rooted at ``shard_doc_ids`` (this session's one shard)."""
         from repro.clouds.cube import CloudCube
 
-        ((engine, builder),) = self.navigator.shards
+        (shard,) = self.navigator.shards
         (base_doc_ids,) = shard_doc_ids
-        return CloudCube(engine.database, builder, base_doc_ids, **spec)
+        return CloudCube(
+            shard.engine.database, shard.builder, base_doc_ids, **spec
+        )

@@ -118,7 +118,12 @@ class TermSource:
     # -- build-time work -----------------------------------------------------
 
     def prepare(self) -> None:
-        """Extract every document of the index (called once per build)."""
+        """Extract every document of the index (called once per build).
+
+        Refuses an unbuilt index (``SearchError``): it would answer every
+        cloud empty rather than fail.
+        """
+        self.engine.require_built()
         index = self.engine.index
         with self._catch_up_lock:
             self._doc_terms.clear()

@@ -147,7 +147,8 @@ class CourseRank:
         """Student action: comment + rate, earning incentive points.
 
         The course's search entity is refreshed in place, so new comment
-        vocabulary becomes searchable (and cloud-visible) immediately.
+        vocabulary becomes searchable (and cloud-visible) immediately; an
+        index not built yet reads the comment when it is first built.
 
         Like every facade writer, this mutates tables directly
         (``Table.insert``/``update_pk``, not SQL), so it takes the
@@ -162,8 +163,7 @@ class CourseRank:
             self.incentives.award(user.user_id, "comment", day=day)
             if rating is not None:
                 self.incentives.award(user.user_id, "rate_course", day=day)
-            if self.cloudsearch._built:
-                self.cloudsearch.engine.refresh_document(course_id)
+            self.cloudsearch.refresh_course(course_id)
         return comment
 
     def add_faculty_note(
@@ -251,7 +251,7 @@ class CourseRank:
         snapshot["caches"] = {
             "search_answer_cache": (
                 self.cloudsearch.cache_info()
-                if self.cloudsearch._built
+                if self.cloudsearch.indexed
                 else None
             ),
             "plan_cache": {

@@ -6,10 +6,17 @@ This module owns the course search entity, the engine, the cloud builder
 and the one-shard :class:`~repro.clouds.refinement.CloudNavigator` that
 answers (and caches) every search and refinement step, and resolves hits
 back to course rows.
+
+The search index and the clouds' forward index are built by the first
+read of :attr:`CourseCloudSearch.engine` or :attr:`~CourseCloudSearch.builder`
+— every search, session, cube and cloud reads one — and by no other
+path: an app that only serves pages and recommendations never pays for
+them.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clouds.cloud import CloudBuilder, DataCloud
@@ -24,21 +31,71 @@ class CourseCloudSearch:
 
     def __init__(self, database: Database) -> None:
         self.database = database
-        self.engine = SearchEngine(database, course_entity())
-        self.builder = CloudBuilder(self.engine)
-        self.navigator = CloudNavigator([(self.engine, self.builder)])
+        self._engine = SearchEngine(database, course_entity())
+        self._builder = CloudBuilder(self._engine)
+        # The navigator reads this object's engine and builder per answer,
+        # so its first answer builds the index.
+        self.navigator = CloudNavigator([self])
         self._built = False
+        self._build_lock = threading.Lock()
+
+    @property
+    def engine(self) -> SearchEngine:
+        """The course search engine, its index built first if need be."""
+        self.ensure_built()
+        return self._engine
+
+    @property
+    def builder(self) -> CloudBuilder:
+        """The course cloud builder, the index built first if need be."""
+        self.ensure_built()
+        return self._builder
+
+    @property
+    def indexed(self) -> bool:
+        """Whether the index is built (reading this builds nothing)."""
+        return self._built
+
+    @property
+    def epoch(self) -> int:
+        """The index epoch, 0 until the first build (builds nothing)."""
+        return self._engine.index.epoch
 
     def build(self) -> int:
-        """Index all courses; returns the number of entities indexed."""
-        indexed = self.engine.build()
-        self.builder.prepare()
-        self._built = True
-        return indexed
+        """(Re)index all courses; returns the number of entities indexed."""
+        with self._build_lock:
+            return self._build()
 
     def ensure_built(self) -> None:
+        """Build the index unless it is built: the one lazy path.
+
+        Double-checked under one lock, so readers racing to the first
+        search build it once and none of them reads it half built.
+        """
         if not self._built:
-            self.build()
+            with self._build_lock:
+                if not self._built:
+                    self._build()
+
+    def _build(self) -> int:
+        # Under the database read lock, with ``indexed`` set before it is
+        # released: a facade writer (which holds the write lock, and
+        # refreshes the course only when the index is built) either lands
+        # before the build reads the tables or finds the index built.
+        with self.database.rwlock.read_locked():
+            indexed = self._engine.build()
+            self._builder.prepare()
+            self._built = True
+        return indexed
+
+    def refresh_course(self, course_id: Any) -> None:
+        """Re-index one course after its rows changed.
+
+        A no-op while the index is unbuilt: the first build reads the
+        tables as they are then.  Call it under the database write lock.
+        """
+        if self._built:
+            self._engine.refresh_document(course_id)
 
     # -- one-shot search -----------------------------------------------------
 
@@ -53,7 +110,6 @@ class CourseCloudSearch:
         ``scored_count``, ``cache_hit``, ``elapsed_ms`` — see
         :meth:`query_stats`).
         """
-        self.ensure_built()
         step = self.navigator.answer(query)
         if limit is not None:
             step.result.hits = step.result.hits[:limit]
@@ -76,14 +132,13 @@ class CourseCloudSearch:
         cloud term source's gather cache (hits, misses, patched,
         size) under ``"gather"``."""
         info: Dict[str, Any] = dict(self.navigator.cache_info())
-        info["gather"] = self.builder.source.cache_info()
+        info["gather"] = self._builder.source.cache_info()
         return info
 
     # -- refinement sessions ----------------------------------------------------
 
     def session(self, query: str) -> RefinementSession:
         """Start a click-to-refine session (Figures 3/4)."""
-        self.ensure_built()
         return RefinementSession.over(self.navigator, query)
 
     # -- cloud cubes ------------------------------------------------------------
@@ -102,7 +157,6 @@ class CourseCloudSearch:
         """
         from repro.clouds.cube import CloudCube
 
-        self.ensure_built()
         builder = (
             self.builder
             if scoring is None

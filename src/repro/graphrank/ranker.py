@@ -17,11 +17,14 @@ reading this module's :data:`HAS_NUMPY` at call time:
   under user/course id permutation and under incremental-vs-cold and
   sharded-vs-unsharded adjacency builds.  It is the path without numpy
   and the reference the other kernel is tested against;
-* the **numpy** kernel does the same sweep with plain float adds in the
-  view's canonical column order, so it is still a pure function of the
-  graph (incremental ≡ cold and sharded ≡ unsharded stay ``==``), but
-  it matches the exact kernel — and itself under id relabeling — only
-  to a tolerance: scores within 1e-12, iterations within one.
+* the **numpy** kernel does the same sweep with plain float adds.
+  ``np.add.reduceat`` sums each row in an order of numpy's own, not
+  left to right (on the small graph it differs from a sequential sum
+  of the row by up to ~1e-17), but the same view always gets the same
+  order, so the kernel is still a pure function of the view
+  (incremental ≡ cold and sharded ≡ unsharded stay ``==``).  It
+  matches the exact kernel — and itself under id relabeling — only to
+  a tolerance: scores within 1e-12, iterations within one.
 
 Both share (property-tested in ``tests/graphrank``):
 

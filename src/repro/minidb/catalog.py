@@ -464,6 +464,11 @@ class _CatalogTable(Table):
         self._database.check_insert_fk(self, row)
         return super()._store(row)
 
+    def _checks_each_row(self) -> bool:
+        return self._database.enforce_foreign_keys and bool(
+            self.schema.foreign_keys
+        )
+
     def delete_rowid(self, rowid: int) -> None:
         self._database.check_delete_fk(self, self.get(rowid))
         super().delete_rowid(rowid)

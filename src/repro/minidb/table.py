@@ -148,17 +148,68 @@ class Table:
 
         ``source`` must have this table's schema (else ``SchemaError``).
         It normalized each row when it took it, and an equal schema would
-        normalize it to itself, so the tuples are shared as they are; each
-        is still key-checked, indexed and versioned as :meth:`insert` would
-        do it.
+        normalize it to itself, so the tuples are shared as they are.  The
+        rows are key-checked, then entered in the row and key maps in bulk
+        (``dict.update``), then in the indexes, and ``data_version`` moves
+        once by their count: the state :meth:`insert` per row leaves.  On a
+        key collision, with a stored row or within ``rows``, nothing is
+        entered and the rows are replayed through :meth:`_store`, which
+        raises at the offending row with its predecessors stored, as
+        per-row inserts would.  Rows that need a check of their own (see
+        :meth:`_checks_each_row`) are stored one by one.
         """
         if source.schema != self.schema:
             raise SchemaError(
                 f"cannot append rows of {source.name!r} to {self.name!r}: "
                 "their schemas differ"
             )
-        for row in rows:
-            self._store(row)
+        rows = list(rows)
+        if self._checks_each_row() or not self._append_bulk(rows):
+            for row in rows:
+                self._store(row)
+
+    def _checks_each_row(self) -> bool:
+        """Whether a stored row must pass a check beyond its keys (a
+        catalog table's foreign keys); a plain table has none."""
+        return False
+
+    def _append_bulk(self, rows: List[Row]) -> bool:
+        """Store ``rows`` at once; False, storing nothing, on a key
+        collision."""
+        start = self._next_rowid
+        # One int object per rowid, shared by the row map, the key maps
+        # and the indexes (iterating a range twice would mint two).
+        rowids = list(range(start, start + len(rows)))
+        pk_entries: Dict[Tuple[Any, ...], int] = {}
+        if self._pk_positions:
+            pk_entries = dict(zip(map(self._pk_of, rows), rowids))
+            if len(pk_entries) != len(rows) or not (
+                self._pk_map.keys().isdisjoint(pk_entries)
+            ):
+                return False
+        unique_entries = []
+        for key_of, unique_map in zip(self._unique_keys, self._unique_maps):
+            keyed = [
+                (key, rowid)
+                for key, rowid in zip(map(key_of, rows), rowids)
+                if None not in key
+            ]
+            entries = dict(keyed)
+            if len(entries) != len(keyed) or not (
+                unique_map.keys().isdisjoint(entries)
+            ):
+                return False
+            unique_entries.append(entries)
+        self._rows.update(zip(rowids, rows))
+        self._next_rowid = start + len(rows)
+        self._pk_map.update(pk_entries)
+        for unique_map, entries in zip(self._unique_maps, unique_entries):
+            unique_map.update(entries)
+        for hook in self._indexes.values():
+            for rowid, row in zip(rowids, rows):
+                hook.insert(rowid, row)
+        self._data_version += len(rows)
+        return True
 
     def _store(self, row: Row) -> int:
         """Key-check and append a normalized row, returning its rowid."""

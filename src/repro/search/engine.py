@@ -151,7 +151,7 @@ class SearchEngine:
     def document_count(self) -> int:
         return self.index.document_count
 
-    def _require_built(self) -> None:
+    def require_built(self) -> None:
         if not self._built:
             raise SearchError("search index not built; call build() first")
 
@@ -224,7 +224,7 @@ class SearchEngine:
         within: Optional[Set[DocId]] = None,
         corpus_stats: Optional[CorpusStats] = None,
     ) -> SearchResult:
-        self._require_built()
+        self.require_built()
         started = time.perf_counter()
         loose, phrases = self.parse_query(query)
         all_terms = list(loose) + [term for phrase in phrases for term in phrase]

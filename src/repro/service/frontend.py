@@ -19,6 +19,12 @@ and merge exactly:
 * **Metrics** merge through :meth:`repro.obs.metrics.MetricsRegistry.merge`
   (associative by PR 5's equivalence tests).
 
+Constructing the service splits the data and builds no index: each
+shard's search and cloud indexes are built by the first search, session,
+cube or cloud that reads them
+(:meth:`~repro.courserank.cloudsearch.CourseCloudSearch.ensure_built`),
+so page and recommend traffic never pays for them.
+
 Course-scoped operations (course page, comment, per-course recommend)
 route to the single owning shard.  Concurrency control is a service-level
 :class:`~repro.minidb.concurrency.RWLock` — many concurrent reads, writes
@@ -72,14 +78,12 @@ class CourseRankService:
         self.apps: List[CourseRank] = [
             CourseRank(shard) for shard in self.sharded.shards
         ]
-        for app in self.apps:
-            app.cloudsearch.build()
         self.rwlock = RWLock()
         # Every search, cloud and session step over every shard, cached.
-        self.navigator = CloudNavigator(
-            (app.cloudsearch.engine, app.cloudsearch.builder)
-            for app in self.apps
-        )
+        # A shard's search and cloud indexes are built by the first
+        # answer, cube or cloud that reads them, not here: page and
+        # recommend traffic never needs them.
+        self.navigator = CloudNavigator(app.cloudsearch for app in self.apps)
         # Recommendation memo: one entry per (shard, strategy, parameters),
         # valid while the tables the strategy reads keep their versions.
         self._recommend_cache = VersionedMemo(
@@ -259,7 +263,10 @@ class CourseRankService:
         snapshot = OBS.snapshot()
         snapshot["service"] = {
             "shards": self.num_shards,
-            "epoch_vector": list(self.navigator.epochs()),
+            # Reading these builds no index: an unbuilt shard's epoch is 0,
+            # as an empty one's may be, so ``indexed`` tells them apart.
+            "indexed": [app.cloudsearch.indexed for app in self.apps],
+            "epoch_vector": [app.cloudsearch.epoch for app in self.apps],
             "response_cache": self.response_cache_info(),
             "course_counts": self.sharded.course_counts(),
             "shard_search_caches": [

@@ -161,7 +161,7 @@ class ChurnDriver:
         return self.report
 
     def _setup(self) -> None:
-        from repro.clouds import CloudBuilder, CloudNavigator
+        from repro.clouds import CloudBuilder, CloudNavigator, SearchShard
         from repro.minidb import Database
 
         rng = self.rng
@@ -189,7 +189,9 @@ class ChurnDriver:
         self.builder = CloudBuilder(self.engine, min_result_df=1)
         self.builder.prepare()
         # The live side of the search checks: cached answers.
-        self.navigator = CloudNavigator([(self.engine, self.builder)])
+        self.navigator = CloudNavigator(
+            [SearchShard(self.engine, self.builder)]
+        )
 
     def _doc_text(self) -> Tuple[str, str]:
         rng = self.rng

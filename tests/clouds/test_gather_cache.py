@@ -242,6 +242,27 @@ writes = st.lists(
 )
 
 
+def test_an_unbuilt_index_builds_on_its_first_cloud(app):
+    """A cloud over a fresh ``CourseCloudSearch`` builds the index first,
+    so it equals the built one's rather than an empty cloud; a bare
+    builder over a never-built engine refuses instead of answering."""
+    from repro.clouds.cloud import CloudBuilder
+    from repro.errors import SearchError
+    from repro.search.engine import SearchEngine
+    from repro.search.entity import course_entity
+
+    ids = course_ids(app)
+    built = app.cloudsearch.builder.build_for_docs(ids)
+    assert built.terms
+    fresh = CourseRank(generate_university(scale="tiny", seed=7)).cloudsearch
+    assert not fresh.indexed
+    assert fresh.builder.build_for_docs(ids).terms == built.terms
+    assert fresh.indexed
+    bare = CloudBuilder(SearchEngine(fresh.database, course_entity()))
+    with pytest.raises(SearchError):
+        cloud_over_shards([(bare, ids)])
+
+
 class Replica:
     """One build the property writes to: the unsharded facade, or the
     service at one shard count (every write goes to the owning shard,

@@ -1,7 +1,7 @@
 """Unit tests for row storage, keys, and incremental index maintenance."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import IntegrityError, SchemaError
@@ -240,7 +240,119 @@ def _table_state(table):
     )
 
 
+CHILD_DDL = (
+    "CREATE TABLE Parent (ID INTEGER PRIMARY KEY);"
+    "CREATE TABLE Child (ID INTEGER PRIMARY KEY, Name TEXT, ParentID INTEGER,"
+    " UNIQUE (Name), FOREIGN KEY (ParentID) REFERENCES Parent (ID));"
+    "CREATE INDEX idx_child_parent ON Child (ParentID);"
+)
+
+child_values = st.tuples(
+    st.integers(min_value=0, max_value=12),
+    st.one_of(st.none(), st.sampled_from(["ann", "bob", "cy", "di", "ed"])),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+)
+
+
+def _child_database(enforce, parents, stored):
+    """Parent and Child tables; ``stored`` children are inserted as far
+    as their keys (and, when enforced, foreign keys) admit."""
+    database = Database(enforce_foreign_keys=enforce)
+    database.execute_script(CHILD_DDL)
+    for parent in sorted(parents):
+        database.table("Parent").insert([parent])
+    for values in stored:
+        try:
+            database.table("Child").insert(list(values))
+        except IntegrityError:
+            pass
+    return database
+
+
+def _child_state(table):
+    """Rows, counters, key maps and index contents of a Child table."""
+    (hook,) = table._indexes.values()
+    return (
+        list(table.rows_with_ids()),
+        table.next_rowid,
+        table.data_version,
+        table._pk_map,
+        table._unique_maps,
+        hook.index._buckets,
+    )
+
+
+def _outcome(call):
+    try:
+        call()
+    except IntegrityError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestAppendFrom:
+    @given(
+        st.lists(child_values, max_size=8),
+        st.lists(child_values, max_size=8),
+        st.lists(st.integers(min_value=0, max_value=15), max_size=16),
+        st.lists(child_values, max_size=4),
+        st.sets(st.integers(min_value=0, max_value=4)),
+        st.booleans(),
+    )
+    # One of each fault, wherever the draws fall: a unique key twice in
+    # the batch, a primary key twice after two good rows, a unique key
+    # already stored, a parent missing under enforcement, and none.
+    @example([(1, "ann", None)], [(2, "ann", None)], [0, 1], [], set(), False)
+    @example(
+        [(1, "ann", None), (2, "bob", None)], [(1, "cy", None)],
+        [0, 1, 2], [], set(), False,
+    )
+    @example(
+        [(1, "ann", None), (2, "bob", None)], [], [0, 1],
+        [(5, "bob", None)], set(), False,
+    )
+    @example([(1, "ann", 0), (2, "bob", 3)], [], [0, 1], [], {0}, True)
+    @example([(1, "ann", 0), (2, "bob", 3)], [], [0, 1], [], {0, 3}, True)
+    def test_bulk_equals_the_per_row_path(
+        self, candidates, others, picks, stored, parents, enforce
+    ):
+        """Planted faults: a batch repeating a row (a duplicate primary
+        key within it), rows of two tables of one schema (a duplicate
+        unique key under distinct primary keys), children already stored
+        under the same keys, and parents missing under enforced foreign
+        keys.  The bulk append and per-row ``_store`` calls raise the
+        same error and leave the same rows, key maps, index and data
+        version."""
+        source = _child_database(False, (), candidates).table("Child")
+        other = _child_database(False, (), others).table("Child")
+        rows = list(source.rows()) + list(other.rows())
+        batch = [rows[pick % len(rows)] for pick in picks] if rows else []
+        bulk = _child_database(enforce, parents, stored).table("Child")
+        per_row = _child_database(enforce, parents, stored).table("Child")
+
+        def store_each():
+            for row in batch:
+                per_row._store(row)
+
+        assert _outcome(lambda: bulk.append_from(source, batch)) == (
+            _outcome(store_each)
+        )
+        assert _child_state(bulk) == _child_state(per_row)
+
+    def test_maps_and_index_share_each_rowid_object(self):
+        source = students_table()
+        for suid in range(400):  # rowids past the interpreter's small ints
+            source.insert([suid, f"s{suid}", suid % 7 / 2])
+        target = students_table()
+        target.attach_index("by_gpa", HashIndex(), ["GPA"])
+        target.append_from(source, source.rows())
+        buckets = target._indexes["by_gpa"].index._buckets
+        for rowid, row in target.rows_with_ids():
+            assert target._pk_map[(row[0],)] is rowid
+            assert target._unique_maps[0][(row[1],)] is rowid
+            (member,) = [r for r in buckets[(row[2],)] if r == rowid]
+            assert member is rowid
+
     @given(
         st.lists(
             st.tuples(

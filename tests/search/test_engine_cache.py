@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.clouds import CloudBuilder, CloudNavigator
+from repro.clouds import CloudBuilder, CloudNavigator, SearchShard
 from repro.minidb import Database
 from repro.search.engine import SearchEngine, _tiebreak
 from repro.search.entity import EntityDefinition, FieldSpec
@@ -58,7 +58,9 @@ def engine():
 
 @pytest.fixture()
 def navigator(engine):
-    return CloudNavigator([(engine, CloudBuilder(engine, min_result_df=1))])
+    return CloudNavigator(
+        [SearchShard(engine, CloudBuilder(engine, min_result_df=1))]
+    )
 
 
 def answer_of(step):

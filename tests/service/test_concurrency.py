@@ -411,6 +411,65 @@ class TestSharedServiceCube:
         finally:
             sys.setswitchinterval(interval)
 
+    KINDS = ("search", "session", "cube")
+
+    def _first_reads(self, target, kinds):
+        """Every search, session and cube walk, in the order of ``kinds``;
+        ``target`` is a service or a facade's ``cloudsearch``."""
+        answers = {}
+        for kind in kinds:
+            if kind == "search":
+                answers[kind] = [
+                    (tuple(result.doc_ids()), tuple(cloud.terms))
+                    for result, cloud in map(target.search, SEARCH_QUERIES)
+                ]
+            elif kind == "session":
+                answers[kind] = self._sessions(target)
+            else:
+                answers[kind] = self._walk(target.cube())
+        return answers
+
+    @pytest.mark.parametrize("num_shards", [None, 3])
+    def test_first_readers_build_each_index_once(
+        self, monkeypatch, num_shards
+    ):
+        """Six threads make the first reads of a fresh service (of a fresh
+        facade for ``None``), each starting on another of the search,
+        session and cube paths: every thread gets the serial answers, and
+        every shard's index is built exactly once."""
+        from repro.search.engine import SearchEngine
+        from repro.service import CourseRankService
+
+        def fresh():
+            database = generate_university(scale="tiny", seed=5)
+            if num_shards is None:
+                return CourseRank(database).cloudsearch
+            return CourseRankService(database, num_shards=num_shards)
+
+        expected = self._first_reads(fresh(), self.KINDS)
+        built = []
+        build = SearchEngine.build
+
+        def counting_build(engine):
+            built.append(engine)  # list.append: no update lost to a race
+            return build(engine)
+
+        monkeypatch.setattr(SearchEngine, "build", counting_build)
+        target = fresh()
+        assert not built
+        observed = [None] * THREADS
+
+        def reader(index):
+            start = index % len(self.KINDS)
+            kinds = self.KINDS[start:] + self.KINDS[:start]
+            observed[index] = self._first_reads(target, kinds)
+
+        self._race(reader)
+        for answers in observed:
+            assert answers == expected
+        engines = {id(engine) for engine in built}
+        assert len(built) == len(engines) == (num_shards or 1)
+
     def test_readers_sharing_one_cube_get_the_serial_answers(self):
         serial_service = self._service()
         expected = (

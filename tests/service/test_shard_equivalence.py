@@ -134,6 +134,9 @@ class TestWritePathEquivalence:
         svc_user = service.apps[shard].accounts.register(
             "w", Role.STUDENT, person_id=1
         )
+        # The first read builds the shards' indexes, so the epochs below
+        # are those of built indexes that the comment moves.
+        service.search("spectrograph")
         epochs_before = service.navigator.epochs()
         text = "spectrograph nights were unforgettable"
         base.comment_on_course(base_user, course_id, text, 4.5)
@@ -144,6 +147,66 @@ class TestWritePathEquivalence:
             svc_result, svc_cloud = service.search(query)
             assert _hits(base_result) == _hits(svc_result)
             assert _terms(base_cloud) == _terms(svc_cloud)
+
+
+    def test_writes_before_the_first_read_show_in_it(self):
+        """Comments and title edits on several shards of a service that
+        has not built its indexes yet: its first search, session and
+        cube answer as the unsharded facade that took the same writes
+        on a built index."""
+        base = CourseRank(generate_university(scale="tiny", seed=13))
+        base.cloudsearch.build()
+        service = CourseRankService(
+            generate_university(scale="tiny", seed=13),
+            num_shards=REPRO_SHARDS,
+        )
+        first_on_shard = {}
+        for course_id in sorted(service.sharded.course_shard):
+            shard = service.sharded.shard_of_course(course_id)
+            first_on_shard.setdefault(shard, course_id)
+        assert len(first_on_shard) > 1, "test needs several shards"
+        base_user = base.accounts.register("w", Role.STUDENT, person_id=1)
+        svc_users = [
+            app.accounts.register("w", Role.STUDENT, person_id=1)
+            for app in service.apps
+        ]
+        for shard, course_id in sorted(first_on_shard.items()):
+            text = f"spectrograph nights on shard {shard}"
+            base.comment_on_course(base_user, course_id, text, 4.5)
+            service.comment_on_course(svc_users[shard], course_id, text, 4.5)
+            title = f"Nocturne Optics {shard}"
+            for app in (base, service.apps[shard]):
+                with app.db.rwlock.write_locked():
+                    app.db.execute(
+                        "UPDATE Courses SET Title = ? WHERE CourseID = ?",
+                        (title, course_id),
+                    )
+                    app.cloudsearch.refresh_course(course_id)
+        assert service.observability()["service"]["indexed"] == (
+            [False] * REPRO_SHARDS
+        )
+        for query in ("spectrograph", "nocturne optics", "nights"):
+            base_result, base_cloud = base.cloudsearch.search(query)
+            svc_result, svc_cloud = service.search(query)
+            assert base_result.hits, f"{query!r} should match the writes"
+            assert _hits(base_result) == _hits(svc_result)
+            assert _terms(base_cloud) == _terms(svc_cloud)
+        base_session = base.cloudsearch.session("nocturne")
+        svc_session = service.session("nocturne")
+        term = base_session.cloud.terms[0].term
+        assert _hits(base_session.refine(term).result) == _hits(
+            svc_session.refine(term).result
+        )
+        assert _terms(base_session.cloud) == _terms(svc_session.cloud)
+        base_cube, svc_cube = base.cloudsearch.cube(), service.cube()
+        base_cells = base_cube.drill_down(base_cube.root(), "department")
+        svc_cells = svc_cube.drill_down(svc_cube.root(), "department")
+        assert sorted(base_cells) == sorted(svc_cells)
+        for value, base_cell in base_cells.items():
+            assert sorted(svc_cells[value].doc_ids) == sorted(
+                base_cell.doc_ids
+            )
+            assert _terms(svc_cells[value].cloud) == _terms(base_cell.cloud)
 
 
 class TestShardCountIndependence:
